@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import sys
 from pathlib import Path
 
@@ -78,32 +77,51 @@ MODES = ("plain", "sharpness_aware")
 _METHOD_MODE = {"emcdr": "plain", "scdr": "sharpness_aware", "scdr_minus": "plain"}
 
 
+# Kind of each config value whose default is None: an optional number.
+_OPTIONAL_KINDS = {"pretrain.alpha": float, "train.alpha": float,
+                   "landscape.n_samples": int, "landscape.seed": int}
+
+
+def _typed(name: str, default, value):
+    """``value`` read as the kind of its default; ValidationError names the key."""
+    kind = _OPTIONAL_KINDS.get(name, type(default))
+    if value is None and name in _OPTIONAL_KINDS:
+        return None
+    try:
+        if kind is list:
+            if not isinstance(value, list):
+                raise TypeError
+            return [float(v) for v in value]
+        if kind in (str, bool) and not isinstance(value, kind):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = "a list of numbers" if kind is list else kind.__name__
+        raise ValidationError(f"config value {name} must be {expected}, got {value!r}") from None
+
+
 def load_config(path: str | None) -> dict:
-    """Defaults merged with the optional JSON config file; flags win later."""
+    """Defaults merged with the optional JSON config file; flags win later.
+
+    Every value given in the file is read as the kind of its default, so
+    commands see typed values.
+    """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
         return cfg
-    p = Path(path)
-    if not p.exists():
-        raise MissingInputError(f"config file not found: {p}")
-    try:
-        user = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(user, dict):
-        raise ValidationError("config must be a JSON object")
-    for key, value in user.items():
-        if key not in cfg:
-            raise ValidationError(f"unknown config key {key!r}")
-        if isinstance(cfg[key], dict):
-            if not isinstance(value, dict):
-                raise ValidationError(f"config section {key!r} must be an object")
-            for sub, subval in value.items():
-                if sub not in cfg[key]:
-                    raise ValidationError(f"unknown config key {key}.{sub}")
-                cfg[key][sub] = subval
-        else:
-            cfg[key] = value
+    with data.json_document(path, "config file") as user:
+        for key, value in user.items():
+            if key not in cfg:
+                raise ValidationError(f"unknown config key {key!r}")
+            if isinstance(cfg[key], dict):
+                if not isinstance(value, dict):
+                    raise ValidationError(f"config section {key!r} must be an object")
+                for sub, subval in value.items():
+                    if sub not in cfg[key]:
+                        raise ValidationError(f"unknown config key {key}.{sub}")
+                    cfg[key][sub] = _typed(f"{key}.{sub}", cfg[key][sub], subval)
+            else:
+                cfg[key] = _typed(key, cfg[key], value)
     return cfg
 
 
@@ -119,23 +137,18 @@ def _check_outputs(paths, force: bool) -> None:
 
 def _train_config(section: dict, seed: int) -> factorization.TrainConfig:
     return factorization.TrainConfig(
-        epochs=int(section["epochs"]),
-        learning_rate=float(section["learning_rate"]),
-        batch_size=int(section["batch_size"]),
-        weight_decay=float(section.get("weight_decay", 0.0)),
-        init_std=float(section.get("init_std", 0.01)),
-        dim=int(section.get("dim", 10)),
-        seed=int(seed),
+        epochs=section["epochs"],
+        learning_rate=section["learning_rate"],
+        batch_size=section["batch_size"],
+        weight_decay=section["weight_decay"],
+        init_std=section["init_std"],
+        dim=section["dim"],
+        seed=seed,
     )
 
 
 def _perturb_config(section: dict) -> PerturbConfig:
-    alpha = section.get("alpha")
-    return PerturbConfig(
-        rho=float(section["rho"]),
-        k=int(section["k"]),
-        alpha=None if alpha is None else float(alpha),
-    )
+    return PerturbConfig(rho=section["rho"], k=section["k"], alpha=section.get("alpha"))
 
 
 def _write_trace(trace: list[float], path: Path) -> None:
@@ -149,18 +162,7 @@ def _load_scenario(out: Path) -> data.CdrScenario:
 
 
 def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
-    section = dict(cfg["synth"])
-    spec = data.SyntheticSpec(
-        users=int(section["users"]),
-        items=int(section["items"]),
-        overlap_ratio=float(section["overlap_ratio"]),
-        dim=int(section["dim"]),
-        noise=float(section["noise"]),
-        map_kind=str(section["map_kind"]),
-        seed=int(seed),
-        beta=float(section["beta"]),
-        ratings_per_user=int(section["ratings_per_user"]),
-    )
+    spec = data.SyntheticSpec(seed=seed, **cfg["synth"])
     outputs = [out / n for n in
                ("source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json")]
     _check_outputs(outputs, force)
@@ -222,31 +224,31 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
     src_model, tgt_model = _load_models_for(method, out, scenario)
     section = cfg["train"]
     base = factorization.TrainConfig(
-        epochs=int(section["epochs"]),
-        learning_rate=float(section["learning_rate"]),
-        batch_size=int(section["batch_size"]),
+        epochs=section["epochs"],
+        learning_rate=section["learning_rate"],
+        batch_size=section["batch_size"],
         dim=src_model.d,
-        seed=int(seed),
+        seed=seed,
     )
     outputs = [out / f"mapping_{method}.json", out / f"mapping_trace_{method}.csv"]
     _check_outputs(outputs, force)
     echo = {"method": method, "seed": seed, "epochs": base.epochs,
             "learning_rate": base.learning_rate, "batch_size": base.batch_size,
-            "hidden": int(section["hidden"])}
+            "hidden": section["hidden"]}
     if method == "emcdr":
         result = mapping.emcdr_train(scenario, src_model, tgt_model, base,
-                                     hidden=int(section["hidden"]))
+                                     hidden=section["hidden"])
         mapping.save_mapping(result.net, outputs[0], config=echo)
         _write_trace(result.loss_trace, outputs[1])
     else:
         perturb = _perturb_config(section)
         echo.update({"rho": perturb.rho, "k": perturb.k, "alpha": perturb.alpha,
-                     "tune_source_embeddings": bool(section["tune_source_embeddings"])})
+                     "tune_source_embeddings": section["tune_source_embeddings"]})
         train_cfg = mapping.ScdrTrainConfig(
             base=base,
             perturb=perturb,
-            tune_source_embeddings=bool(section["tune_source_embeddings"]),
-            hidden=int(section["hidden"]),
+            tune_source_embeddings=section["tune_source_embeddings"],
+            hidden=section["hidden"],
         )
         result = mapping.scdr_train(scenario, src_model, tgt_model, train_cfg)
         rows = [s for s, _ in scenario.train_pairs]
@@ -290,16 +292,10 @@ def cmd_attack(cfg: dict, out: Path, seed: int, force: bool, method: str) -> Non
 
 def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
-    section = cfg["landscape"]
-    spec = analysis.LandscapeSpec(
-        zeta_min=float(section["zeta_min"]),
-        zeta_max=float(section["zeta_max"]),
-        gamma_min=float(section["gamma_min"]),
-        gamma_max=float(section["gamma_max"]),
-        resolution=int(section["resolution"]),
-        n_samples=None if section["n_samples"] is None else int(section["n_samples"]),
-        seed=int(seed) if section["seed"] is None else int(section["seed"]),
-    )
+    section = dict(cfg["landscape"])
+    if section["seed"] is None:
+        section["seed"] = seed
+    spec = analysis.LandscapeSpec(**section)
     target = out / f"landscape_{method}.csv"
     _check_outputs([target], force)
     grid = analysis.landscape_grid(net, src_model, tgt_model, scenario, spec)
@@ -364,11 +360,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            cfg["seed"] = args.seed
         if args.out is not None:
             cfg["out"] = args.out
         out = Path(cfg["out"])
-        seed = int(cfg["seed"])
+        seed = cfg["seed"]
         kwargs = {}
         if args.command == "pretrain":
             kwargs["mode"] = args.mode

@@ -10,15 +10,42 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestError, MissingInputError, ValidationError
+from .errors import IngestError, MissingInputError, ScdrError, ValidationError
 
 MANIFEST_VERSION = 1
 SIDECAR_VERSION = 1
+
+
+@contextmanager
+def json_document(path, what: str):
+    """Read the JSON object stored at ``path`` for the ``with`` body.
+
+    A missing file raises :class:`MissingInputError`. Text that is not
+    UTF-8 JSON (nesting too deep to decode included), a top level that is
+    not an object, and any key, type or value error the body raises while
+    reading the document become a :class:`ValidationError` naming the
+    file; package errors pass through.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingInputError(f"{what} not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise TypeError("top level is not a JSON object")
+        yield doc
+    except ScdrError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValidationError(f"malformed {what} {path}: {detail}") from None
 
 
 @dataclass
@@ -63,7 +90,7 @@ class DomainDataset:
     item_index: np.ndarray
     rating: np.ndarray
     duplicate_count: int = 0
-    _per_user: dict | None = field(default=None, repr=False, compare=False)
+    _per_user: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.user_index = np.asarray(self.user_index, dtype=np.int64)
@@ -100,45 +127,30 @@ class DomainDataset:
     @classmethod
     def from_triples(cls, triples) -> "DomainDataset":
         """Build a dataset from token triples, collapsing duplicates last-write-wins."""
-        users: dict[str, int] = {}
-        items: dict[str, int] = {}
-        cells: dict[tuple[int, int], float] = {}
-        order: list[tuple[int, int]] = []
-        duplicates = 0
-        for t in triples:
-            u = users.setdefault(t.user_id, len(users))
-            v = items.setdefault(t.item_id, len(items))
-            key = (u, v)
-            if key in cells:
-                duplicates += 1
-            else:
-                order.append(key)
-            cells[key] = t.rating
-        if not cells:
+        rows = [(t.user_id, t.item_id, t.rating) for t in triples]
+        if not rows:
             raise IngestError("empty dataset: no interactions")
-        ui = np.array([k[0] for k in order], dtype=np.int64)
-        vi = np.array([k[1] for k in order], dtype=np.int64)
-        r = np.array([cells[k] for k in order], dtype=np.float64)
-        return cls(tuple(users), tuple(items), ui, vi, r, duplicate_count=duplicates)
+        users, items, ratings = zip(*rows)
+        return _from_columns(users, items, np.array(ratings, dtype=np.float64))
 
     def user_interactions(self, user_index: int) -> tuple[np.ndarray, np.ndarray]:
         """Item indices and ratings observed for one user."""
         if not 0 <= user_index < self.n_users:
             raise ValidationError(f"user index {user_index} out of range")
         if self._per_user is None:
-            per_user: dict[int, list[int]] = {}
-            for pos, u in enumerate(self.user_index.tolist()):
-                per_user.setdefault(u, []).append(pos)
-            self._per_user = {u: np.array(p, dtype=np.int64) for u, p in per_user.items()}
-        pos = self._per_user.get(int(user_index))
-        if pos is None:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+            # positions grouped by user, each group in interaction order
+            order = np.argsort(self.user_index, kind="stable")
+            ends = np.cumsum(np.bincount(self.user_index, minlength=self.n_users))
+            self._per_user = (order, np.concatenate(([0], ends)))
+        order, offsets = self._per_user
+        u = int(user_index)
+        pos = order[offsets[u]:offsets[u + 1]]
         return self.item_index[pos], self.rating[pos]
 
     def filter_users(self, drop_user_indices) -> "DomainDataset":
         """Copy with all interactions of the given users removed; index space unchanged."""
-        drop = set(int(u) for u in drop_user_indices)
-        keep = np.array([u not in drop for u in self.user_index.tolist()], dtype=bool)
+        drop = np.fromiter(map(int, drop_user_indices), dtype=np.int64)
+        keep = ~np.isin(self.user_index, drop)
         if not keep.any():
             raise ValidationError("filtering removed every interaction")
         return DomainDataset(
@@ -151,43 +163,122 @@ class DomainDataset:
         )
 
 
+def _dense_index(tokens) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct tokens in first-appearance order, and each token's index among them."""
+    distinct = tuple(dict.fromkeys(tokens))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+
+
+def _from_columns(user_tokens, item_tokens, rating: np.ndarray) -> DomainDataset:
+    """Index token columns and collapse repeated (user, item) pairs last-write-wins.
+
+    Each surviving pair keeps the position of its first appearance and the
+    rating of its last one.
+    """
+    users, ui = _dense_index(user_tokens)
+    items, vi = _dense_index(item_tokens)
+    keys = ui * len(items) + vi
+    _, first = np.unique(keys, return_index=True)
+    _, last_from_end = np.unique(keys[::-1], return_index=True)
+    order = np.argsort(first)
+    first = first[order]
+    last = keys.size - 1 - last_from_end[order]
+    return DomainDataset(users, items, ui[first], vi[first], rating[last],
+                         duplicate_count=int(keys.size - first.size))
+
+
+def _split_lines(text: str) -> list[str]:
+    """Lines split on universal newlines: LF, CRLF and a lone CR."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 file; a decoding error names its 1-based row."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = len(_split_lines(raw[:exc.start].decode("utf-8")))
+        raise IngestError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+                          row=row) from None
+    del raw
+    return _split_lines(text)
+
+
+def _parse_columns(path: Path, fmt: RatingFileFormat):
+    """Bulk-parse a rating file into (user tokens, item tokens, ratings).
+
+    Returns None when any row is malformed; :func:`_raise_first_bad_row`
+    then names the first one.
+    """
+    lines = _read_lines(path)
+    body = list(filter(None, islice(lines, 1 if fmt.has_header else 0, None)))
+    del lines
+    if not body:
+        raise IngestError(f"empty dataset: {path}")
+    delim = fmt.delimiter
+    if set(map(str.count, body, repeat(delim))) != {2}:
+        return None
+    joined = delim.join(body)
+    del body
+    fields = joined.split(delim)
+    del joined
+    try:
+        rating = np.fromiter(map(float, fields[2::3]), dtype=np.float64, count=len(fields) // 3)
+    except ValueError:
+        return None
+    users = list(map(str.strip, fields[0::3]))
+    items = list(map(str.strip, fields[1::3]))
+    del fields
+    if not (np.isfinite(rating).all() and all(users) and all(items)):
+        return None
+    return users, items, rating
+
+
+def _raise_first_bad_row(path: Path, fmt: RatingFileFormat) -> None:
+    """Check rows one at a time and raise :class:`IngestError` for the first bad one."""
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if fmt.has_header and lineno == 1 or not line:
+            continue
+        parts = line.split(fmt.delimiter)
+        if len(parts) != 3:
+            raise IngestError(
+                f"expected 3 fields separated by {fmt.delimiter!r}, got {len(parts)}",
+                row=lineno,
+            )
+        user, item, raw = (p.strip() for p in parts)
+        try:
+            rating = float(raw)
+        except ValueError:
+            raise IngestError(f"rating {raw!r} is not a number", row=lineno) from None
+        if not math.isfinite(rating):
+            raise IngestError(f"rating {raw!r} is not finite", row=lineno)
+        if not user or not item:
+            raise IngestError("empty user or item token", row=lineno)
+
+
 def ingest_domain(path, fmt: RatingFileFormat | None = None) -> DomainDataset:
     """Parse a delimited rating file into a :class:`DomainDataset`.
 
-    Malformed rows raise :class:`IngestError` naming the 1-based line
-    number; duplicate (user, item) pairs collapse last-write-wins.
+    The file is UTF-8 text with one ``user<delim>item<delim>rating`` row per
+    line; LF, CRLF and a lone CR all end a line. Blank lines (and the first
+    line, when ``fmt.has_header``) are skipped, and each field is trimmed of
+    surrounding whitespace. Tokens get dense indices in first-appearance
+    order; a repeated (user, item) pair keeps its first position and its
+    last rating, and ``duplicate_count`` counts the overwrites. A row with
+    the wrong field count, a rating that is not a finite number, or an
+    empty token raises :class:`IngestError` naming the 1-based line number
+    of the first such row; so does a byte sequence that is not UTF-8.
     """
     fmt = fmt or RatingFileFormat()
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingInputError(f"rating file not found: {path}")
-    triples = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if fmt.has_header and lineno == 1:
-                continue
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(fmt.delimiter)
-            if len(parts) != 3:
-                raise IngestError(
-                    f"expected 3 fields separated by {fmt.delimiter!r}, got {len(parts)}",
-                    row=lineno,
-                )
-            user, item, raw = (p.strip() for p in parts)
-            try:
-                rating = float(raw)
-            except ValueError:
-                raise IngestError(f"rating {raw!r} is not a number", row=lineno) from None
-            if not math.isfinite(rating):
-                raise IngestError(f"rating {raw!r} is not finite", row=lineno)
-            if not user or not item:
-                raise IngestError("empty user or item token", row=lineno)
-            triples.append(RatingTriple(user, item, rating))
-    if not triples:
-        raise IngestError(f"empty dataset: {path}")
-    return DomainDataset.from_triples(triples)
+    columns = _parse_columns(path, fmt)
+    if columns is None:
+        _raise_first_bad_row(path, fmt)
+    return _from_columns(*columns)
 
 
 def write_ratings(dataset: DomainDataset, path, fmt: RatingFileFormat | None = None) -> None:
@@ -447,31 +538,40 @@ def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratin
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _user_tokens(value) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(u, str) for u in value)):
+        raise TypeError("split membership must be a list of user tokens")
+    return value
+
+
 def load_scenario(manifest_path, fmt: RatingFileFormat | None = None) -> CdrScenario:
     """Rebuild a scenario from its manifest, trusting the stored membership lists."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise MissingInputError(f"manifest not found: {manifest_path}")
-    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if doc.get("format_version") != MANIFEST_VERSION:
-        raise ValidationError(f"unsupported manifest version {doc.get('format_version')!r}")
-    base = manifest_path.parent
-    source = ingest_domain(base / doc["source_ratings"], fmt)
-    target = ingest_domain(base / doc["target_ratings"], fmt)
+    with json_document(manifest_path, "manifest") as doc:
+        if doc.get("format_version") != MANIFEST_VERSION:
+            raise ValidationError(f"unsupported manifest version {doc.get('format_version')!r}")
+        source_path = manifest_path.parent / doc["source_ratings"]
+        target_path = manifest_path.parent / doc["target_ratings"]
+        beta, seed = float(doc["beta"]), int(doc["seed"])
+        split = None
+        if "train_users" in doc and "test_users" in doc:
+            split = _user_tokens(doc["train_users"]), _user_tokens(doc["test_users"])
+    source = ingest_domain(source_path, fmt)
+    target = ingest_domain(target_path, fmt)
     shared_items = set(source.items) & set(target.items)
     if shared_items:
         raise ValidationError("domains share item tokens; item sets must be disjoint")
     overlap = compute_overlap(source, target)
     if not overlap:
         raise ValidationError("no overlapping users between the domains")
-    beta, seed = float(doc["beta"]), int(doc["seed"])
-    if "train_users" in doc and "test_users" in doc:
+    if split is not None:
+        train_users, test_users = split
         by_token = {source.users[s]: (s, t) for s, t in overlap}
-        missing = [u for u in doc["train_users"] + doc["test_users"] if u not in by_token]
+        missing = [u for u in train_users + test_users if u not in by_token]
         if missing:
             raise ValidationError(f"manifest split names non-overlap users: {missing[:3]}")
-        train_pairs = [by_token[u] for u in doc["train_users"]]
-        test_pairs = [by_token[u] for u in doc["test_users"]]
+        train_pairs = [by_token[u] for u in train_users]
+        test_pairs = [by_token[u] for u in test_users]
         return CdrScenario(source, target, overlap, beta, seed, train_pairs, test_pairs)
     return build_scenario(source, target, beta, seed)
 
@@ -492,19 +592,16 @@ def save_sidecar(sidecar: SyntheticSidecar, path) -> None:
 
 
 def load_sidecar(path) -> SyntheticSidecar:
-    path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"sidecar not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format_version") != SIDECAR_VERSION:
-        raise ValidationError(f"unsupported sidecar version {doc.get('format_version')!r}")
-    return SyntheticSidecar(
-        source_user_latents=np.asarray(doc["source_user_latents"], dtype=np.float64),
-        target_user_latents=np.asarray(doc["target_user_latents"], dtype=np.float64),
-        source_item_latents=np.asarray(doc["source_item_latents"], dtype=np.float64),
-        target_item_latents=np.asarray(doc["target_item_latents"], dtype=np.float64),
-        latent_mean=np.asarray(doc["latent_mean"], dtype=np.float64),
-        map_kind=doc["map_kind"],
-        map_matrix=np.asarray(doc["map_matrix"], dtype=np.float64),
-        seed=int(doc["seed"]),
-    )
+    with json_document(path, "sidecar") as doc:
+        if doc.get("format_version") != SIDECAR_VERSION:
+            raise ValidationError(f"unsupported sidecar version {doc.get('format_version')!r}")
+        return SyntheticSidecar(
+            source_user_latents=np.asarray(doc["source_user_latents"], dtype=np.float64),
+            target_user_latents=np.asarray(doc["target_user_latents"], dtype=np.float64),
+            source_item_latents=np.asarray(doc["source_item_latents"], dtype=np.float64),
+            target_item_latents=np.asarray(doc["target_item_latents"], dtype=np.float64),
+            latent_mean=np.asarray(doc["latent_mean"], dtype=np.float64),
+            map_kind=doc["map_kind"],
+            map_matrix=np.asarray(doc["map_matrix"], dtype=np.float64),
+            seed=int(doc["seed"]),
+        )

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DomainDataset
-from .errors import DivergenceError, MissingInputError, ValidationError
+from .data import DomainDataset, json_document
+from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, find_delta
 
 CHECKPOINT_VERSION = 1
@@ -260,13 +260,10 @@ def save_factor_model(model: FactorModel, path, config: TrainConfig | None = Non
 
 def load_factor_model(path) -> tuple[FactorModel, dict]:
     """Load a checkpoint, returning the model and the full document (config echo)."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"factor checkpoint not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format_version") != CHECKPOINT_VERSION or doc.get("kind") != "factor_model":
-        raise ValidationError(f"not a factor-model checkpoint: {path}")
-    model = FactorModel(np.asarray(doc["U"]), np.asarray(doc["V"]), int(doc["d"]))
-    if model.U.shape[0] != doc["n_users"] or model.V.shape[0] != doc["n_items"]:
-        raise ValidationError("checkpoint shape metadata disagrees with payload")
+    with json_document(path, "factor checkpoint") as doc:
+        if doc.get("format_version") != CHECKPOINT_VERSION or doc.get("kind") != "factor_model":
+            raise ValidationError(f"not a factor-model checkpoint: {path}")
+        model = FactorModel(np.asarray(doc["U"]), np.asarray(doc["V"]), int(doc["d"]))
+        if model.U.shape[0] != doc["n_users"] or model.V.shape[0] != doc["n_items"]:
+            raise ValidationError("checkpoint shape metadata disagrees with payload")
     return model, doc

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CdrScenario
-from .errors import DivergenceError, MissingInputError, ValidationError
+from .data import CdrScenario, json_document
+from .errors import DivergenceError, ValidationError
 from .factorization import FactorModel, TrainConfig
 from .perturbation import PerturbConfig, find_delta
 
@@ -403,17 +403,14 @@ def save_mapping(net: MappingNet, path, config: dict | None = None,
 
 def load_mapping(path) -> tuple[MappingNet, dict]:
     """Load a mapping checkpoint, returning the net and the full document."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"mapping checkpoint not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format_version") != MAPPING_CHECKPOINT_VERSION or doc.get("kind") != "mapping_net":
-        raise ValidationError(f"not a mapping checkpoint: {path}")
-    net = MappingNet(
-        np.asarray(doc["W1"]), np.asarray(doc["b1"]),
-        np.asarray(doc["W2"]), np.asarray(doc["b2"]),
-        activation=doc.get("activation", "tanh"),
-    )
-    if net.d != doc["d"] or net.hidden != doc["hidden"]:
-        raise ValidationError("checkpoint shape metadata disagrees with payload")
+    with json_document(path, "mapping checkpoint") as doc:
+        if doc.get("format_version") != MAPPING_CHECKPOINT_VERSION or doc.get("kind") != "mapping_net":
+            raise ValidationError(f"not a mapping checkpoint: {path}")
+        net = MappingNet(
+            np.asarray(doc["W1"]), np.asarray(doc["b1"]),
+            np.asarray(doc["W2"]), np.asarray(doc["b2"]),
+            activation=doc.get("activation", "tanh"),
+        )
+        if net.d != doc["d"] or net.hidden != doc["hidden"]:
+            raise ValidationError("checkpoint shape metadata disagrees with payload")
     return net, doc

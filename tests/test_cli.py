@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -134,6 +135,8 @@ class TestValidation:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert run("synth", "--config", str(p)) == 2
+        p.write_text('{"synth": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run("synth", "--config", str(p)) == 2
 
     def test_missing_config_file(self, tmp_path):
         assert run("synth", "--config", str(tmp_path / "none.json")) == 4
@@ -148,6 +151,68 @@ class TestValidation:
         p.write_text("[1, 2]")
         with pytest.raises(ValidationError):
             load_config(str(p))
+
+
+@pytest.fixture
+def run_copy(pipeline, tmp_path):
+    """A private copy of the shared run directory without its eval and attack reports."""
+    out = tmp_path / "run"
+    shutil.copytree(pipeline[0], out)
+    for name in ("eval_scdr.json", "attack_scdr.json"):
+        (out / name).unlink()
+    return out, write_config(tmp_path, small_config(out))
+
+
+def truncate(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:min(500, len(raw) // 2)])
+
+
+def drop_key(key):
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
+def non_utf8_row_3(path):
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestCorruptInputs:
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("source_ratings.csv", non_utf8_row_3, "row 3: "),
+        ("scenario.json", truncate, "malformed manifest"),
+        ("source_model_sharpness_aware.json", truncate, "malformed factor checkpoint"),
+        ("mapping_scdr.json", truncate, "malformed mapping checkpoint"),
+        ("scenario.json", drop_key("source_ratings"), "missing key 'source_ratings'"),
+        ("mapping_scdr.json", drop_key("W1"), "missing key 'W1'"),
+    ])
+    def test_eval_exits_2_and_writes_nothing(self, run_copy, capsys, name, corrupt, message):
+        out, cfg = run_copy
+        corrupt(out / name)
+        assert run("eval", "--config", cfg, "--method", "scdr") == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "eval_scdr.json").exists()
+
+    def test_mistyped_synth_value(self, tmp_path, capsys):
+        cfg_doc = small_config(tmp_path / "run")
+        cfg_doc["synth"]["users"] = "abc"
+        assert run("synth", "--config", write_config(tmp_path, cfg_doc)) == 2
+        assert "config value synth.users" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_mistyped_attack_value(self, run_copy, tmp_path, capsys):
+        out, _ = run_copy
+        cfg_doc = small_config(out)
+        cfg_doc["attack"] = {"epsilons": 5}
+        cfg = write_config(tmp_path, cfg_doc, name="bad.json")
+        assert run("attack", "--config", cfg, "--method", "scdr") == 2
+        assert "config value attack.epsilons" in capsys.readouterr().err
+        assert not (out / "attack_scdr.json").exists()
 
 
 class TestReproducibility:

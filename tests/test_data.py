@@ -24,7 +24,7 @@ from scdr.data import (
 )
 from scdr.errors import IngestError, MissingInputError, ValidationError
 
-from conftest import dataset, two_domain_scenario
+from conftest import dataset, triples, two_domain_scenario
 
 
 class TestIngest:
@@ -75,6 +75,8 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputError):
             ingest_domain(tmp_path / "nope.csv")
+        with pytest.raises(MissingInputError):
+            ingest_domain(tmp_path)  # a directory is not a rating file
 
     def test_non_finite_rating_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -89,6 +91,88 @@ class TestIngest:
         back = ingest_domain(p)
         assert np.array_equal(back.rating, ds.rating)
         assert back.users == ds.users and back.items == ds.items
+
+
+INGEST_CASES = {
+    "crlf": (b"u1,i1,5\r\nu2,i1,4\r\n", RatingFileFormat(),
+             ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
+    "lone_cr": (b"u1,i1,5\ru2,i1,4\r", RatingFileFormat(),
+                ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
+    "blank_lines": (b"\nu1,i1,5\n\n\r\nu2,i1,4\n\n", RatingFileFormat(),
+                    ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
+    "header": (b"user,item,rating\nu1,i1,5\nu2,i1,4\n", RatingFileFormat(has_header=True),
+               ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
+    "tab": (b"u1\ti1\t5\nu2\ti1\t4", RatingFileFormat(delimiter="\t"),
+            ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
+    "padded": (b"  u1 , i1 ,  5 \n\tu2,i1\t, 4\n", RatingFileFormat(),
+               ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
+    # pairs keep their first position and their last rating
+    "duplicates": (b"u2,i2,1\nu1,i1,5\nu2,i2,3\nu1,i2,2\nu2,i2,4\nu1,i1,5\n",
+                   RatingFileFormat(), ("u2", "u1"), ("i2", "i1"),
+                   [(0, 0, 4.0), (1, 1, 5.0), (1, 0, 2.0)], 3),
+}
+
+
+def same_dataset(a: DomainDataset, b: DomainDataset) -> bool:
+    return (a.users == b.users and a.items == b.items
+            and a.duplicate_count == b.duplicate_count
+            and a.user_index.tobytes() == b.user_index.tobytes()
+            and a.item_index.tobytes() == b.item_index.tobytes()
+            and a.rating.tobytes() == b.rating.tobytes())
+
+
+class TestIngestContract:
+    @pytest.mark.parametrize("case", sorted(INGEST_CASES))
+    def test_table(self, tmp_path, case):
+        raw, fmt, users, items, cells, duplicates = INGEST_CASES[case]
+        p = tmp_path / "r.csv"
+        p.write_bytes(raw)
+        ds = ingest_domain(p, fmt)
+        assert ds.users == users and ds.items == items
+        got = list(zip(ds.user_index.tolist(), ds.item_index.tolist(), ds.rating.tolist()))
+        assert got == cells
+        assert ds.duplicate_count == duplicates
+
+    @pytest.mark.parametrize("text, row, message", [
+        # a bad rating on row 2 is reported ahead of a short row on row 3
+        ("u1,i1,5\nu2,i1,abc\nu3,i1\n", 2, "rating 'abc' is not a number"),
+        ("u1,i1,5\nu2,i1\nu3,i1,abc\n", 2, "expected 3 fields"),
+        ("u1,i1,5\n, i1,2\nu3,i1,nan\n", 2, "empty user or item token"),
+        ("u1,i1,5\n\nu2,i1,inf\nu3,,2\n", 3, "rating 'inf' is not finite"),
+    ])
+    def test_first_bad_row_wins(self, tmp_path, text, row, message):
+        p = tmp_path / "r.csv"
+        p.write_text(text)
+        with pytest.raises(IngestError) as exc:
+            ingest_domain(p)
+        assert exc.value.row == row
+        assert str(exc.value).startswith(f"row {row}: {message}")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_names_row(self, tmp_path, newline):
+        p = tmp_path / "r.csv"
+        p.write_bytes(newline.join(["u1,i1,5", "u2,i1,4", "u\xff3,i1,2"]).encode("latin-1"))
+        with pytest.raises(IngestError) as exc:
+            ingest_domain(p)
+        assert exc.value.row == 3
+        assert "not UTF-8" in str(exc.value)
+
+    def test_round_trip_is_bitwise(self, tmp_path):
+        spec = SyntheticSpec(users=200, items=60, overlap_ratio=0.2, dim=4, noise=0.3,
+                             seed=5, ratings_per_user=15)
+        source = generate_synthetic(spec)[0].source
+        assert source.n_interactions == 3000
+        write_ratings(source, tmp_path / "a.csv")
+        ds = ingest_domain(tmp_path / "a.csv")
+        # same rows in the same order; item indices follow first appearance
+        assert [source.users[u] for u in source.user_index] == [ds.users[u] for u in ds.user_index]
+        assert [source.items[v] for v in source.item_index] == [ds.items[v] for v in ds.item_index]
+        assert ds.rating.tobytes() == source.rating.tobytes()
+        write_ratings(ds, tmp_path / "b.csv")
+        assert same_dataset(ingest_domain(tmp_path / "b.csv"), ds)
+        rows = zip([ds.users[u] for u in ds.user_index], [ds.items[v] for v in ds.item_index],
+                   ds.rating.tolist())
+        assert same_dataset(DomainDataset.from_triples(triples(rows)), ds)
 
 
 class TestDatasetInvariants:
@@ -278,6 +362,21 @@ class TestManifest:
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             load_scenario(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("name", ["m.json", "g.json"])
+    def test_truncated_document_is_validation_error(self, tmp_path, name):
+        spec = SyntheticSpec(users=60, items=30, overlap_ratio=0.2, dim=4, seed=4,
+                             ratings_per_user=8)
+        scn, sc = generate_synthetic(spec)
+        write_ratings(scn.source, tmp_path / "s.csv")
+        write_ratings(scn.target, tmp_path / "t.csv")
+        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv", sidecar="g.json")
+        save_sidecar(sc, tmp_path / "g.json")
+        raw = (tmp_path / name).read_bytes()
+        (tmp_path / name).write_bytes(raw[:len(raw) // 2])
+        loader = load_scenario if name == "m.json" else load_sidecar
+        with pytest.raises(ValidationError, match="malformed"):
+            loader(tmp_path / name)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingInputError):
