@@ -82,6 +82,15 @@ _OPTIONAL_KINDS = {"pretrain.alpha": float, "train.alpha": float,
                    "landscape.n_samples": int, "landscape.seed": int}
 
 
+def _number(kind: type, value):
+    """``value`` as ``kind``; a bool, a non-number, or a fraction for an int is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise TypeError
+    return kind(value)
+
+
 def _typed(name: str, default, value):
     """``value`` read as the kind of its default; ValidationError names the key."""
     kind = _OPTIONAL_KINDS.get(name, type(default))
@@ -91,10 +100,12 @@ def _typed(name: str, default, value):
         if kind is list:
             if not isinstance(value, list):
                 raise TypeError
-            return [float(v) for v in value]
-        if kind in (str, bool) and not isinstance(value, kind):
+            return [_number(float, v) for v in value]
+        if kind in (int, float):
+            return _number(kind, value)
+        if not isinstance(value, kind):
             raise TypeError
-        return kind(value)
+        return value
     except (TypeError, ValueError, OverflowError):
         expected = "a list of numbers" if kind is list else kind.__name__
         raise ValidationError(f"config value {name} must be {expected}, got {value!r}") from None

@@ -108,8 +108,8 @@ class DomainDataset:
             raise ValidationError("interaction references an invalid item index")
         if not np.all(np.isfinite(self.rating)):
             raise ValidationError("ratings must be finite")
-        keys = self.user_index * len(self.items) + self.item_index
-        if np.unique(keys).size != keys.size:
+        keys = np.sort(self.user_index * len(self.items) + self.item_index)
+        if np.any(keys[1:] == keys[:-1]):
             raise ValidationError("duplicate (user, item) interaction pairs")
 
     @property
@@ -225,7 +225,7 @@ def _parse_columns(path: Path, fmt: RatingFileFormat):
     fields = joined.split(delim)
     del joined
     try:
-        rating = np.fromiter(map(float, fields[2::3]), dtype=np.float64, count=len(fields) // 3)
+        rating = np.array(fields[2::3], dtype=np.float64)
     except ValueError:
         return None
     users = list(map(str.strip, fields[0::3]))

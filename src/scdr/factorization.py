@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import DomainDataset, json_document
 from .errors import DivergenceError, ValidationError
-from .perturbation import PerturbConfig, find_delta
+from .perturbation import PerturbConfig, find_delta, memo_last_point
 
 CHECKPOINT_VERSION = 1
 
@@ -107,6 +107,56 @@ def _batch_arrays(model: FactorModel, batch):
     return ui, vi, r
 
 
+class _Batch:
+    """Index bookkeeping and the squared-error kernel of one batch.
+
+    Every factor loss and gradient (``mf_loss``, ``mf_grad``, the ascent of
+    ``train_smf`` and the SGD update) goes through ``residual`` and the
+    ``*_grad`` scatters. ``uniq_*`` are the rows the batch touches and
+    ``inv_*`` each rating's position among them. A scatter sums the
+    per-rating gradient rows with one ``np.bincount`` over the flattened
+    ``row * d + col`` index; like ``np.add.at`` it adds in rating order
+    starting from 0.0, so the sums are bitwise the same.
+    """
+
+    def __init__(self, ui: np.ndarray, vi: np.ndarray, r: np.ndarray, d: int):
+        self.r = r
+        self.d = d
+        self.uniq_u, self.inv_u = np.unique(ui, return_inverse=True)
+        self.uniq_v, self.inv_v = np.unique(vi, return_inverse=True)
+        cols = np.arange(d)
+        self._flat_u = (self.inv_u[:, None] * d + cols).ravel()
+        self._flat_v = (self.inv_v[:, None] * d + cols).ravel()
+
+    def residual(self, u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
+        """Rating minus prediction for each rating, given its user and item rows."""
+        return self.r - np.einsum("ij,ij->i", u_rows, v_rows)
+
+    def user_grad(self, resid: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
+        """Squared-error gradient of the touched user rows (``uniq_u`` order)."""
+        return self._scatter(self._flat_u, self.uniq_u.size, -2.0 * resid[:, None] * v_rows)
+
+    def item_grad(self, resid: np.ndarray, u_rows: np.ndarray) -> np.ndarray:
+        """Squared-error gradient of the touched item rows (``uniq_v`` order)."""
+        return self._scatter(self._flat_v, self.uniq_v.size, -2.0 * resid[:, None] * u_rows)
+
+    def grads(self, u_touched: np.ndarray, v_touched: np.ndarray, weight_decay: float):
+        """Gradient of the batch loss for the touched user and item rows."""
+        u_rows = u_touched[self.inv_u]
+        v_rows = v_touched[self.inv_v]
+        resid = self.residual(u_rows, v_rows)
+        du = self.user_grad(resid, v_rows)
+        dv = self.item_grad(resid, u_rows)
+        if weight_decay > 0.0:
+            du += 2.0 * weight_decay * u_touched
+            dv += 2.0 * weight_decay * v_touched
+        return du, dv
+
+    def _scatter(self, flat: np.ndarray, n_rows: int, terms: np.ndarray) -> np.ndarray:
+        sums = np.bincount(flat, weights=terms.ravel(), minlength=n_rows * self.d)
+        return sums.reshape(n_rows, self.d)
+
+
 def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
     """Summed squared rating error over a batch of (user, item, rating) triples.
 
@@ -114,11 +164,12 @@ def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
     touches (each row once) are added, scaled by the decay.
     """
     ui, vi, r = _batch_arrays(model, batch)
-    resid = r - np.einsum("ij,ij->i", model.U[ui], model.V[vi])
+    b = _Batch(ui, vi, r, model.d)
+    uu = model.U[b.uniq_u]
+    vv = model.V[b.uniq_v]
+    resid = b.residual(uu[b.inv_u], vv[b.inv_v])
     loss = float(resid @ resid)
     if weight_decay > 0.0:
-        uu = model.U[np.unique(ui)]
-        vv = model.V[np.unique(vi)]
         loss += float(weight_decay) * (float((uu * uu).sum()) + float((vv * vv).sum()))
     return loss
 
@@ -126,19 +177,9 @@ def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
 def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
     """Analytic gradient of :func:`mf_loss` for the touched U and V rows."""
     ui, vi, r = _batch_arrays(model, batch)
-    uniq_u, inv_u = np.unique(ui, return_inverse=True)
-    uniq_v, inv_v = np.unique(vi, return_inverse=True)
-    u_rows = model.U[ui]
-    v_rows = model.V[vi]
-    resid = r - np.einsum("ij,ij->i", u_rows, v_rows)
-    du = np.zeros((uniq_u.size, model.d))
-    dv = np.zeros((uniq_v.size, model.d))
-    np.add.at(du, inv_u, -2.0 * resid[:, None] * v_rows)
-    np.add.at(dv, inv_v, -2.0 * resid[:, None] * u_rows)
-    if weight_decay > 0.0:
-        du += 2.0 * weight_decay * model.U[uniq_u]
-        dv += 2.0 * weight_decay * model.V[uniq_v]
-    return MfGradient(uniq_u, du, uniq_v, dv)
+    b = _Batch(ui, vi, r, model.d)
+    du, dv = b.grads(model.U[b.uniq_u], model.V[b.uniq_v], weight_decay)
+    return MfGradient(b.uniq_u, du, b.uniq_v, dv)
 
 
 def _full_objective(U: np.ndarray, V: np.ndarray, dataset: DomainDataset, weight_decay: float) -> float:
@@ -149,47 +190,45 @@ def _full_objective(U: np.ndarray, V: np.ndarray, dataset: DomainDataset, weight
     return loss
 
 
+def _ascent_pair(b: _Batch, v_touched: np.ndarray, weight_decay: float):
+    """Loss and gradient of one batch as functions of its touched user rows.
+
+    The item rows stay fixed. Both read one memoized residual per point, so
+    each ascent iterate costs one residual.
+    """
+    v_rows = v_touched[b.inv_v]
+    v_sq = float((v_touched ** 2).sum()) if weight_decay > 0.0 else 0.0
+    residual_at = memo_last_point(lambda rows: b.residual(rows[b.inv_u], v_rows))
+
+    def loss_at(rows):
+        res = residual_at(rows)
+        val = float(res @ res)
+        if weight_decay > 0.0:
+            val += weight_decay * (float((rows * rows).sum()) + v_sq)
+        return val
+
+    def grad_at(rows):
+        g = b.user_grad(residual_at(rows), v_rows)
+        if weight_decay > 0.0:
+            g += 2.0 * weight_decay * rows
+        return g
+
+    return loss_at, grad_at
+
+
 def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig | None) -> None:
-    uniq_u, inv_u = np.unique(ui, return_inverse=True)
-    uniq_v, inv_v = np.unique(vi, return_inverse=True)
-    v_rows = V[vi]
+    b = _Batch(ui, vi, r, U.shape[1])
     wd = config.weight_decay
-    u_base = U[uniq_u]
-
+    u_base = U[b.uniq_u]
+    v_base = V[b.uniq_v]
     if perturb is not None and perturb.k > 0 and perturb.rho > 0.0:
-        v_sq = float((V[uniq_v] ** 2).sum()) if wd > 0.0 else 0.0
-
-        def loss_at(rows):
-            res = r - np.einsum("ij,ij->i", rows[inv_u], v_rows)
-            val = float(res @ res)
-            if wd > 0.0:
-                val += wd * (float((rows * rows).sum()) + v_sq)
-            return val
-
-        def grad_at(rows):
-            res = r - np.einsum("ij,ij->i", rows[inv_u], v_rows)
-            g = np.zeros_like(rows)
-            np.add.at(g, inv_u, -2.0 * res[:, None] * v_rows)
-            if wd > 0.0:
-                g += 2.0 * wd * rows
-            return g
-
-        pert = find_delta(loss_at, grad_at, u_base, perturb)
-        u_eval = u_base + pert.delta
+        loss_at, grad_at = _ascent_pair(b, v_base, wd)
+        u_eval = u_base + find_delta(loss_at, grad_at, u_base, perturb).delta
     else:
         u_eval = u_base
-
-    u_rows = u_eval[inv_u]
-    resid = r - np.einsum("ij,ij->i", u_rows, v_rows)
-    du = np.zeros_like(u_base)
-    dv = np.zeros((uniq_v.size, U.shape[1]))
-    np.add.at(du, inv_u, -2.0 * resid[:, None] * v_rows)
-    np.add.at(dv, inv_v, -2.0 * resid[:, None] * u_rows)
-    if wd > 0.0:
-        du += 2.0 * wd * u_eval
-        dv += 2.0 * wd * V[uniq_v]
-    U[uniq_u] -= config.learning_rate * du
-    V[uniq_v] -= config.learning_rate * dv
+    du, dv = b.grads(u_eval, v_base, wd)
+    U[b.uniq_u] -= config.learning_rate * du
+    V[b.uniq_v] -= config.learning_rate * dv
 
 
 # overflow on the way to the divergence guard is expected, not a warning

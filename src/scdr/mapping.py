@@ -24,7 +24,7 @@ import numpy as np
 from .data import CdrScenario, json_document
 from .errors import DivergenceError, ValidationError
 from .factorization import FactorModel, TrainConfig
-from .perturbation import PerturbConfig, find_delta
+from .perturbation import PerturbConfig, find_delta, memo_last_point
 
 MAPPING_CHECKPOINT_VERSION = 1
 
@@ -159,16 +159,22 @@ def mapping_backward(net: MappingNet, u: np.ndarray, upstream: np.ndarray) -> Ma
 
 
 def _rating_closures(net: MappingNet, v_rows: np.ndarray, ratings: np.ndarray):
-    """Loss and input-gradient of the summed squared rating error at f(u)."""
+    """Loss and input-gradient of the summed squared rating error at f(u).
+
+    Both read one memoized forward pass per point.
+    """
+
+    @memo_last_point
+    def forward_at(u):
+        y, a = _forward_cache(net, u)
+        return ratings - v_rows @ y, a
 
     def loss_at(u):
-        y, _ = _forward_cache(net, u)
-        res = ratings - v_rows @ y
+        res, _ = forward_at(u)
         return float(res @ res)
 
     def grad_at(u):
-        y, a = _forward_cache(net, u)
-        res = ratings - v_rows @ y
+        res, a = forward_at(u)
         upstream = -2.0 * (v_rows.T @ res)
         dz = (net.W2.T @ upstream) * (1.0 - a * a)
         return net.W1.T @ dz
@@ -177,17 +183,24 @@ def _rating_closures(net: MappingNet, v_rows: np.ndarray, ratings: np.ndarray):
 
 
 def _embedding_closures(net: MappingNet, target: np.ndarray):
-    """Loss and input-gradient of the per-component MSE to a target embedding."""
+    """Loss and input-gradient of the per-component MSE to a target embedding.
+
+    Both read one memoized forward pass per point.
+    """
     inv_d = 1.0 / net.d
 
+    @memo_last_point
+    def forward_at(u):
+        y, a = _forward_cache(net, u)
+        return y - target, a
+
     def loss_at(u):
-        y, _ = _forward_cache(net, u)
-        diff = y - target
+        diff, _ = forward_at(u)
         return inv_d * float(diff @ diff)
 
     def grad_at(u):
-        y, a = _forward_cache(net, u)
-        upstream = (2.0 * inv_d) * (y - target)
+        diff, a = forward_at(u)
+        upstream = (2.0 * inv_d) * diff
         dz = (net.W2.T @ upstream) * (1.0 - a * a)
         return net.W1.T @ dz
 

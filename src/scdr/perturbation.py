@@ -1,21 +1,23 @@
 """Loss-maximizing perturbations inside an L2 ball.
 
 Multi-step sign-gradient ascent with projection back onto the ball
-(``pgd_step`` / ``find_delta``) drives the sharpness-aware trainers; the
-one-step ``fgsm_perturb`` feeds the robustness harness. ``find_delta``
-tracks the best iterate including the unperturbed origin, so its achieved
-loss never falls below the loss at zero perturbation.
+(``pgd_step`` / ``find_delta``) drives the sharpness-aware trainers and the
+sharpness probe; the one-step ``fgsm_step`` drives the attack harness.
+``find_delta`` tracks the best iterate including the unperturbed origin, so
+its achieved loss never falls below the loss at zero perturbation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -68,10 +70,16 @@ def project_ball(point: np.ndarray, origin: np.ndarray, rho: float) -> np.ndarra
         if norm > rho:
             return origin + diff * (rho / norm)
         return point
-    norms = np.linalg.norm(diff, axis=-1, keepdims=True)
+    # the expression np.linalg.norm evaluates here, without its dispatch
+    norms = np.sqrt(np.add.reduce(diff * diff, axis=-1, keepdims=True))
+    outside = norms > rho
+    # whole-batch shortcuts give the same bits as the masked form below
+    if outside.all():
+        return origin + diff * (rho / norms)
+    if not outside.any():
+        return point
     safe = np.where(norms > 0.0, norms, 1.0)
-    projected = origin + diff * (rho / safe)
-    return np.where(norms > rho, projected, point)
+    return np.where(outside, origin + diff * (rho / safe), point)
 
 
 def pgd_step(current_point: np.ndarray, origin: np.ndarray, gradient: np.ndarray,
@@ -85,6 +93,25 @@ def pgd_step(current_point: np.ndarray, origin: np.ndarray, gradient: np.ndarray
         )
     stepped = current_point + config.alpha * np.sign(gradient)
     return project_ball(stepped, origin, config.rho)
+
+
+def memo_last_point(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
+    """``fn`` keeping its result for the last point object it was called on.
+
+    :func:`find_delta` asks for the loss and then the gradient at the same
+    array object, so a loss/gradient pair that reads one memoized forward
+    pass computes it once per iterate. The key is object identity: a point
+    must not be mutated in place between calls.
+    """
+    last: list = [None, None]
+
+    def at(point):
+        if last[0] is not point:
+            last[1] = fn(point)
+            last[0] = point
+        return last[1]
+
+    return at
 
 
 def find_delta(loss_at: Callable[[np.ndarray], float],
@@ -105,7 +132,7 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
     point = origin
     for step in range(config.k):
         grad = np.asarray(grad_at(point), dtype=np.float64)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise DivergenceError(f"non-finite gradient at ascent step {step}")
         point = pgd_step(point, origin, grad, config)
         loss = float(loss_at(point))
@@ -128,25 +155,3 @@ def fgsm_step(vector: np.ndarray, gradient: np.ndarray, epsilon: float) -> np.nd
     if gradient.shape != vector.shape:
         raise ValidationError(f"shape mismatch: gradient {gradient.shape} vs vector {vector.shape}")
     return vector + epsilon * np.sign(gradient)
-
-
-def fgsm_perturb(model, user_index: int, batch, epsilon: float) -> np.ndarray:
-    """FGSM attack on one user row of a factor model.
-
-    ``batch`` lists that user's rated items as (item_index, rating) pairs;
-    the gradient is that of the summed squared rating error at the user row.
-    """
-    batch = list(batch)
-    if not batch:
-        raise ValidationError("fgsm_perturb requires a non-empty batch")
-    if not 0 <= user_index < model.U.shape[0]:
-        raise ValidationError(f"user index {user_index} out of range")
-    items = np.array([int(i) for i, _ in batch], dtype=np.int64)
-    ratings = np.array([float(r) for _, r in batch], dtype=np.float64)
-    if items.min() < 0 or items.max() >= model.V.shape[0]:
-        raise ValidationError("item index out of range")
-    u = model.U[user_index]
-    rows = model.V[items]
-    resid = ratings - rows @ u
-    grad = -2.0 * (resid[:, None] * rows).sum(axis=0)
-    return fgsm_step(u, grad, float(epsilon))

@@ -205,6 +205,28 @@ class TestCorruptInputs:
         assert "config value synth.users" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("synth", "users", True),
+        ("synth", "users", "120"),
+        ("pretrain", "epochs", 2.9),
+        ("pretrain", "learning_rate", True),
+        ("pretrain", "learning_rate", "0.01"),
+        ("attack", "epsilons", [0.0, "0.5"]),
+    ])
+    def test_strict_config_numbers(self, tmp_path, capsys, section, key, value):
+        cfg_doc = small_config(tmp_path / "run")
+        cfg_doc.setdefault(section, {})[key] = value
+        assert run("synth", "--config", write_config(tmp_path, cfg_doc)) == 2
+        assert f"config value {section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_integral_float_reads_as_int(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"pretrain": {"epochs": 3.0, "learning_rate": 1}}))
+        cfg = load_config(str(p))
+        assert cfg["pretrain"]["epochs"] == 3 and type(cfg["pretrain"]["epochs"]) is int
+        assert type(cfg["pretrain"]["learning_rate"]) is float
+
     def test_mistyped_attack_value(self, run_copy, tmp_path, capsys):
         out, _ = run_copy
         cfg_doc = small_config(out)

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scdr.data import DomainDataset
+from scdr import factorization
+from scdr.data import DomainDataset, SyntheticSpec, generate_synthetic
 from scdr.errors import DivergenceError, MissingInputError, ValidationError
 from scdr.factorization import (
     FactorModel,
@@ -16,7 +17,7 @@ from scdr.factorization import (
     train_mf,
     train_smf,
 )
-from scdr.perturbation import PerturbConfig
+from scdr.perturbation import PerturbConfig, find_delta
 
 from conftest import dataset
 
@@ -233,6 +234,107 @@ class TestTrainSmf:
         a, b = train_smf(ds, cfg, pert), train_smf(ds, cfg, pert)
         assert np.array_equal(a.model.U, b.model.U)
         assert np.array_equal(a.model.V, b.model.V)
+
+
+def reference_sgd_step(U, V, ui, vi, r, config, perturb):
+    """The SGD step as it was before the shared batch kernel: separate loss
+    and gradient closures, each computing its own residual, and
+    ``np.add.at`` scatters. Kept verbatim as the bitwise reference."""
+    uniq_u, inv_u = np.unique(ui, return_inverse=True)
+    uniq_v, inv_v = np.unique(vi, return_inverse=True)
+    v_rows = V[vi]
+    wd = config.weight_decay
+    u_base = U[uniq_u]
+
+    if perturb is not None and perturb.k > 0 and perturb.rho > 0.0:
+        v_sq = float((V[uniq_v] ** 2).sum()) if wd > 0.0 else 0.0
+
+        def loss_at(rows):
+            res = r - np.einsum("ij,ij->i", rows[inv_u], v_rows)
+            val = float(res @ res)
+            if wd > 0.0:
+                val += wd * (float((rows * rows).sum()) + v_sq)
+            return val
+
+        def grad_at(rows):
+            res = r - np.einsum("ij,ij->i", rows[inv_u], v_rows)
+            g = np.zeros_like(rows)
+            np.add.at(g, inv_u, -2.0 * res[:, None] * v_rows)
+            if wd > 0.0:
+                g += 2.0 * wd * rows
+            return g
+
+        pert = find_delta(loss_at, grad_at, u_base, perturb)
+        u_eval = u_base + pert.delta
+    else:
+        u_eval = u_base
+
+    u_rows = u_eval[inv_u]
+    resid = r - np.einsum("ij,ij->i", u_rows, v_rows)
+    du = np.zeros_like(u_base)
+    dv = np.zeros((uniq_v.size, U.shape[1]))
+    np.add.at(du, inv_u, -2.0 * resid[:, None] * v_rows)
+    np.add.at(dv, inv_v, -2.0 * resid[:, None] * u_rows)
+    if wd > 0.0:
+        du += 2.0 * wd * u_eval
+        dv += 2.0 * wd * V[uniq_v]
+    U[uniq_u] -= config.learning_rate * du
+    V[uniq_v] -= config.learning_rate * dv
+
+
+@pytest.fixture(scope="module")
+def synthetic_source():
+    scenario, _ = generate_synthetic(SyntheticSpec(users=200, items=80, seed=4))
+    return scenario.source
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("rho, k", [(0.05, 5), (0.3, 1)])
+    def test_training_matches_reference_step(self, synthetic_source, monkeypatch,
+                                             weight_decay, rho, k):
+        cfg = TrainConfig(epochs=3, init_std=0.1, weight_decay=weight_decay, seed=2)
+        pert = PerturbConfig(rho=rho, k=k)
+        runs = [(train_mf(synthetic_source, cfg), train_smf(synthetic_source, cfg, pert))]
+        monkeypatch.setattr(factorization, "_sgd_step", reference_sgd_step)
+        runs.append((train_mf(synthetic_source, cfg), train_smf(synthetic_source, cfg, pert)))
+        for new, ref in zip(*runs):
+            assert same_bits(new.model.U, ref.model.U)
+            assert same_bits(new.model.V, ref.model.V)
+            assert new.loss_trace == ref.loss_trace
+
+    @pytest.mark.parametrize("n_rows", [1, 7])
+    def test_bincount_scatter_matches_add_at(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        ui = rng.integers(0, n_rows, size=300)
+        vi = rng.integers(0, 11, size=300)
+        r = rng.normal(3.0, 1.0, size=300)
+        b = factorization._Batch(ui, vi, r, 4)
+        u_rows = rng.normal(size=(300, 4))
+        v_rows = rng.normal(size=(300, 4))
+        resid = b.residual(u_rows, v_rows)
+        du = np.zeros((b.uniq_u.size, 4))
+        dv = np.zeros((b.uniq_v.size, 4))
+        np.add.at(du, b.inv_u, -2.0 * resid[:, None] * v_rows)
+        np.add.at(dv, b.inv_v, -2.0 * resid[:, None] * u_rows)
+        assert same_bits(b.user_grad(resid, v_rows), du)
+        assert same_bits(b.item_grad(resid, u_rows), dv)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.2])
+    def test_ascent_gradient_at_unseen_point_matches_mf_grad(self, rng, weight_decay):
+        m = model_from(rng.normal(size=(6, 3)), rng.normal(size=(5, 3)))
+        batch = [(0, 1, 2.5), (4, 0, 4.0), (0, 3, 1.0), (2, 1, 3.3), (4, 4, 2.0)]
+        ui, vi, r = (np.array(col) for col in zip(*batch))
+        b = factorization._Batch(ui, vi, r, 3)
+        loss_at, grad_at = factorization._ascent_pair(b, m.V[b.uniq_v], weight_decay)
+        loss_at(m.U[b.uniq_u] + 0.5)
+        g = mf_grad(m, batch, weight_decay=weight_decay)
+        assert same_bits(grad_at(m.U[b.uniq_u]), g.user_grad)
+        assert loss_at(m.U[b.uniq_u]) == mf_loss(m, batch, weight_decay=weight_decay)
 
 
 class TestCheckpoint:

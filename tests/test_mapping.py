@@ -8,6 +8,8 @@ from scdr.errors import DivergenceError, MissingInputError, ValidationError
 from scdr.factorization import FactorModel, TrainConfig
 from scdr.mapping import (
     MappingNet,
+    _embedding_closures,
+    _rating_closures,
     ScdrTrainConfig,
     emcdr_train,
     forward,
@@ -158,6 +160,33 @@ class TestBackward:
             mapping_backward(net, np.zeros(3), np.zeros(4))
         with pytest.raises(ValidationError):
             mapping_backward(net, np.zeros(4), np.zeros(3))
+
+
+class TestAscentClosures:
+    """The loss/input-gradient pairs share one forward pass per point; a
+    gradient asked for at a point the loss never saw must still be exact."""
+
+    def test_rating_gradient_at_unseen_point(self, rng):
+        net = random_net(rng)
+        v_rows, ratings = rng.normal(size=(5, 4)), rng.normal(3.0, 1.0, size=5)
+        loss_at, grad_at = _rating_closures(net, v_rows, ratings)
+        u, other = rng.normal(size=4), rng.normal(size=4)
+        loss_at(other)
+        res = ratings - v_rows @ forward(net, u)
+        expected = mapping_backward(net, u, -2.0 * (v_rows.T @ res)).u
+        assert np.allclose(grad_at(u), expected, rtol=1e-12, atol=0.0)
+        assert loss_at(u) == pytest.approx(float(res @ res), rel=1e-12)
+
+    def test_embedding_gradient_at_unseen_point(self, rng):
+        net = random_net(rng)
+        target = rng.normal(size=4)
+        loss_at, grad_at = _embedding_closures(net, target)
+        u, other = rng.normal(size=4), rng.normal(size=4)
+        loss_at(other)
+        diff = forward(net, u) - target
+        expected = mapping_backward(net, u, (2.0 / 4) * diff).u
+        assert np.allclose(grad_at(u), expected, rtol=1e-12, atol=0.0)
+        assert loss_at(u) == pytest.approx(float(diff @ diff) / 4, rel=1e-12)
 
 
 class TestEmcdrTrain:

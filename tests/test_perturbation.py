@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from scdr.errors import DivergenceError, ValidationError
-from scdr.factorization import FactorModel
 from scdr.perturbation import (
     PerturbConfig,
-    fgsm_perturb,
     fgsm_step,
     find_delta,
+    memo_last_point,
     pgd_step,
     project_ball,
 )
@@ -114,6 +113,29 @@ class TestPgdStep:
         assert np.array_equal(out[1], points[1])
 
 
+def reference_project_rows(point, origin, rho):
+    """The row-batch projection written with np.linalg.norm, as a bitwise reference."""
+    diff = point - origin
+    norms = np.linalg.norm(diff, axis=-1, keepdims=True)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return np.where(norms > rho, origin + diff * (rho / safe), point)
+
+
+class TestProjectRows:
+    # scale 0.01 leaves every row inside a 0.5 ball, 100 puts every row
+    # outside; rows equal to the origin sit inside any ball
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("origin_rows", [False, True])
+    def test_matches_norm_reference_bitwise(self, rng, scale, rho, origin_rows):
+        origin = rng.normal(size=(40, 10))
+        point = origin + scale * rng.normal(size=(40, 10))
+        if origin_rows:
+            point[::7] = origin[::7]
+        out = project_ball(point, origin, rho)
+        assert out.tobytes() == reference_project_rows(point, origin, rho).tobytes()
+
+
 class TestFindDelta:
     def test_k_zero_returns_origin(self):
         loss_at, grad_at = quadratic([5.0, 5.0])
@@ -192,31 +214,18 @@ class TestFindDelta:
             find_delta(loss_at, grad_at, np.zeros(2), PerturbConfig(rho=1.0, k=2))
 
 
+class TestMemoLastPoint:
+    def test_recomputes_only_for_a_new_object(self):
+        calls = []
+        f = memo_last_point(lambda x: calls.append(x) or float(x.sum()))
+        a, b = np.ones(3), np.ones(3)
+        assert f(a) == f(a) == 3.0
+        assert len(calls) == 1
+        assert f(b) == 3.0 and f(a) == 3.0
+        assert len(calls) == 3
+
+
 class TestFgsm:
-    def test_zero_epsilon_unchanged(self):
-        model = FactorModel(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), 2)
-        out = fgsm_perturb(model, 0, [(0, 3.0)], 0.0)
-        assert np.array_equal(out, model.U[0])
-
-    def test_hand_arithmetic(self):
-        model = FactorModel(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), 2)
-        out = fgsm_perturb(model, 0, [(0, 3.0)], 0.25)
-        assert out.tolist() == [0.75, 0.0]
-
-    def test_linf_magnitude(self, rng):
-        model = FactorModel(rng.normal(size=(2, 3)), rng.normal(size=(4, 3)), 3)
-        batch = [(0, 4.0), (2, 1.0)]
-        eps = 0.37
-        out = fgsm_perturb(model, 1, batch, eps)
-        moved = np.abs(out - model.U[1])
-        assert np.all((moved == 0.0) | np.isclose(moved, eps, atol=1e-15))
-        assert np.max(moved) == pytest.approx(eps)
-
-    def test_empty_batch_rejected(self):
-        model = FactorModel(np.ones((1, 2)), np.ones((1, 2)), 2)
-        with pytest.raises(ValidationError):
-            fgsm_perturb(model, 0, [], 0.1)
-
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValidationError):
             fgsm_step(np.zeros(2), np.ones(2), -0.1)
