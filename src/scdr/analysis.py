@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import CdrScenario
+from .data import CdrScenario, write_atomic
 from .errors import ValidationError
 from .factorization import FactorModel
 from .mapping import MappingNet, forward, mapping_backward
@@ -289,7 +288,7 @@ def save_eval_report(report: EvalReport, path) -> None:
         "n": report.n,
         "per_seed": report.per_seed,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def save_attack_report(entries: list[tuple[float, EvalReport]], path) -> None:
@@ -300,7 +299,7 @@ def save_attack_report(entries: list[tuple[float, EvalReport]], path) -> None:
             {"epsilon": e, "mae": r.mae, "rmse": r.rmse, "n": r.n} for e, r in entries
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def save_landscape(grid: LandscapeGrid, path) -> None:
@@ -310,7 +309,7 @@ def save_landscape(grid: LandscapeGrid, path) -> None:
     for zi, zeta in enumerate(grid.zeta_axis.tolist()):
         for gi, gamma in enumerate(grid.gamma_axis.tolist()):
             lines.append(f"{zeta!r},{gamma!r},{cells[zi][gi]!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def save_sharpness_report(report: SharpnessReport, path) -> None:
@@ -323,4 +322,4 @@ def save_sharpness_report(report: SharpnessReport, path) -> None:
         "n_users": report.n_users,
         "n_skipped": report.n_skipped,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

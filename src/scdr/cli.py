@@ -165,7 +165,7 @@ def _perturb_config(section: dict) -> PerturbConfig:
 def _write_trace(trace: list[float], path: Path) -> None:
     lines = ["epoch,loss"]
     lines.extend(f"{i},{v!r}" for i, v in enumerate(trace))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _load_scenario(out: Path) -> data.CdrScenario:

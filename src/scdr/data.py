@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -46,6 +47,24 @@ def json_document(path, what: str):
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ValidationError(f"malformed {what} {path}: {detail}") from None
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temp file beside it.
+
+    The temp file replaces ``path`` only once it is complete, and is removed
+    if the write fails, so a failed write leaves neither a partial ``path``
+    nor the temp file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -289,7 +308,7 @@ def write_ratings(dataset: DomainDataset, path, fmt: RatingFileFormat | None = N
         lines.append(fmt.delimiter.join(("user", "item", "rating")))
     for u, v, r in zip(dataset.user_index.tolist(), dataset.item_index.tolist(), dataset.rating.tolist()):
         lines.append(fmt.delimiter.join((dataset.users[u], dataset.items[v], repr(r))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -535,7 +554,7 @@ def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratin
     }
     if sidecar is not None:
         doc["sidecar"] = sidecar
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _user_tokens(value) -> list[str]:
@@ -588,7 +607,7 @@ def save_sidecar(sidecar: SyntheticSidecar, path) -> None:
         "source_item_latents": sidecar.source_item_latents.tolist(),
         "target_item_latents": sidecar.target_item_latents.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_sidecar(path) -> SyntheticSidecar:

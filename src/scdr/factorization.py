@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import DomainDataset, json_document
+from .data import DomainDataset, json_document, write_atomic
 from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
@@ -294,7 +293,7 @@ def save_factor_model(model: FactorModel, path, config: TrainConfig | None = Non
             "rho": perturb.rho, "k": perturb.k, "alpha": perturb.alpha,
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_factor_model(path) -> tuple[FactorModel, dict]:

@@ -4,11 +4,16 @@ A two-layer perceptron (tanh hidden layer, linear output) translates a
 user's source-domain embedding into the target-domain embedding space.
 ``emcdr_train`` fits it to the pretrained target embeddings of overlapping
 users by mean squared error. ``scdr_train`` instead minimizes the withheld
-target-domain rating error evaluated at ball-constrained worst-case
-perturbations of the source embeddings, updating both the network and
-(optionally) the overlapping users' source rows with the gradient taken at
-the perturbed point. Cold-start users are scored through
+target-domain rating error evaluated at each user's own worst-case
+perturbation of the source embedding inside a ball, updating both the
+network and (optionally) the overlapping users' source rows with the
+gradient taken at the perturbed point. Cold-start users are scored through
 ``infer_cold_start``.
+
+Both trainers work a mini-batch at a time: one kernel (``_kernel``) runs the
+forward and backward pass over the batch's rows, and one ``find_delta``
+ascent per batch solves every user's inner problem at once, each row keeping
+its own highest-loss iterate.
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import CdrScenario, json_document
+from .data import CdrScenario, json_document, write_atomic
 from .errors import DivergenceError, ValidationError
 from .factorization import FactorModel, TrainConfig
 from .perturbation import PerturbConfig, find_delta, memo_last_point
@@ -91,9 +95,6 @@ class ScdrTrainConfig:
     ``tune_source_embeddings`` ablates the joint minimization over the
     overlapping users' source rows; ``supervision`` picks the outer loss
     (withheld-rating reconstruction, or the baseline embedding MSE).
-    ``perturb_output_space`` is a variant reading of the inner problem that
-    perturbs the mapped embedding f(u) instead of the input u; it is off by
-    default and only meaningful under rating supervision.
     """
 
     base: TrainConfig
@@ -101,15 +102,12 @@ class ScdrTrainConfig:
     tune_source_embeddings: bool = True
     supervision: str = SUPERVISION_RATING
     hidden: int = 50
-    perturb_output_space: bool = False
 
     def __post_init__(self):
         if self.supervision not in (SUPERVISION_RATING, SUPERVISION_EMBEDDING):
             raise ValidationError(f"unknown supervision {self.supervision!r}")
         if self.hidden < 1:
             raise ValidationError(f"hidden width must be >= 1, got {self.hidden}")
-        if self.perturb_output_space and self.supervision != SUPERVISION_RATING:
-            raise ValidationError("output-space perturbation requires rating supervision")
 
 
 def init_mapping_net(dim: int, hidden: int, rng: np.random.Generator) -> MappingNet:
@@ -128,25 +126,37 @@ def forward(net: MappingNet, u: np.ndarray) -> np.ndarray:
     return hidden @ net.W2.T + net.b2
 
 
-def _forward_cache(net: MappingNet, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.tanh(net.W1 @ u + net.b1)
-    return net.W2 @ a + net.b2, a
+class _Pass(NamedTuple):
+    """One forward and backward pass of the net over a block of rows."""
+
+    hidden: np.ndarray      # (n, hidden) tanh activations
+    out: np.ndarray         # (n, d) mapped embeddings
+    loss: np.ndarray        # (n,) per-row loss
+    upstream: np.ndarray    # (n, d) loss gradient at the output
+    grad: MappingGradient   # parameter gradients summed over rows; ``u`` per row
 
 
-def _backward_cached(net: MappingNet, u: np.ndarray, a: np.ndarray,
-                     upstream: np.ndarray) -> MappingGradient:
-    dW2 = np.outer(upstream, a)
-    dz = (net.W2.T @ upstream) * (1.0 - a * a)
-    dW1 = np.outer(dz, u)
-    du = net.W1.T @ dz
-    return MappingGradient(dW1, dz, dW2, upstream.copy(), du)
+def _kernel(net: MappingNet, u: np.ndarray, target) -> _Pass:
+    """The net's one loss/gradient kernel, over the rows of ``u``.
+
+    ``target`` maps the outputs to per-row losses and their gradient at the
+    output. Training, the ball ascent, ``scdr_loss`` and ``mapping_backward``
+    all run through it.
+    """
+    a = np.tanh(u @ net.W1.T + net.b1)
+    y = a @ net.W2.T + net.b2
+    loss, up = target(y)
+    dz = (up @ net.W2) * (1.0 - a * a)
+    grad = MappingGradient(dz.T @ u, np.add.reduce(dz), up.T @ a, np.add.reduce(up), dz @ net.W1)
+    return _Pass(a, y, loss, up, grad)
 
 
 def mapping_backward(net: MappingNet, u: np.ndarray, upstream: np.ndarray) -> MappingGradient:
     """Exact backprop through the net given the loss gradient at its output.
 
     Returns gradients for (W1, b1, W2, b2) and for the input ``u`` itself,
-    which the joint trainer needs to tune source embeddings.
+    which the joint trainer needs to tune source embeddings. This is the
+    one-row view of the kernel that trains.
     """
     u = np.asarray(u, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -154,57 +164,69 @@ def mapping_backward(net: MappingNet, u: np.ndarray, upstream: np.ndarray) -> Ma
         raise ValidationError(f"u must have shape ({net.d},), got {u.shape}")
     if upstream.shape != (net.d,):
         raise ValidationError(f"upstream must have shape ({net.d},), got {upstream.shape}")
-    _, a = _forward_cache(net, u)
-    return _backward_cached(net, u, a, upstream)
+    *params, du = _kernel(net, u[None], lambda y: (y @ upstream, upstream[None])).grad
+    return MappingGradient(*params, du[0])
 
 
-def _rating_closures(net: MappingNet, v_rows: np.ndarray, ratings: np.ndarray):
-    """Loss and input-gradient of the summed squared rating error at f(u).
+def _embedding_target(targets: np.ndarray):
+    """Per-component MSE of each row to its own target embedding."""
+    inv_d = 1.0 / targets.shape[1]
 
-    Both read one memoized forward pass per point.
+    def at(y):
+        diff = y - targets
+        return inv_d * np.einsum("ij,ij->i", diff, diff), (2.0 * inv_d) * diff
+
+    return at
+
+
+def _rating_target(items: np.ndarray, ratings: np.ndarray, counts: np.ndarray):
+    """Summed squared rating error of each row over its own interactions.
+
+    Row ``i`` owns the next ``counts[i]`` entries of ``items`` (item vectors)
+    and ``ratings``; every count is positive, so no segment is empty.
+    """
+    starts = np.cumsum(counts) - counts
+
+    def at(y):
+        res = ratings - np.einsum("ij,ij->i", items, np.repeat(y, counts, axis=0))
+        loss = np.add.reduceat(res * res, starts)
+        return loss, -2.0 * np.add.reduceat(items * res[:, None], starts, axis=0)
+
+    return at
+
+
+class _WorstCase:
+    """``find_delta``'s loss/input-gradient pair over a block of rows.
+
+    Both read one memoized kernel pass per point. ``loss_at`` returns the
+    summed loss and keeps each row's best iterate in ``point``: the origin
+    counts, and a row moves only to a strictly higher loss of its own. Rows
+    do not interact, so each row ends at its user's own worst case.
     """
 
-    @memo_last_point
-    def forward_at(u):
-        y, a = _forward_cache(net, u)
-        return ratings - v_rows @ y, a
+    def __init__(self, net: MappingNet, target):
+        self._at = memo_last_point(lambda u: _kernel(net, u, target))
+        self.point = self.loss = None
 
-    def loss_at(u):
-        res, _ = forward_at(u)
-        return float(res @ res)
+    def loss_at(self, u: np.ndarray) -> float:
+        loss = self._at(u).loss
+        if self.point is None:
+            self.point, self.loss = u, loss
+        else:
+            higher = loss > self.loss
+            self.point = np.where(higher[:, None], u, self.point)
+            self.loss = np.where(higher, loss, self.loss)
+        return float(loss.sum())
 
-    def grad_at(u):
-        res, a = forward_at(u)
-        upstream = -2.0 * (v_rows.T @ res)
-        dz = (net.W2.T @ upstream) * (1.0 - a * a)
-        return net.W1.T @ dz
-
-    return loss_at, grad_at
+    def grad_at(self, u: np.ndarray) -> np.ndarray:
+        return self._at(u).grad.u
 
 
-def _embedding_closures(net: MappingNet, target: np.ndarray):
-    """Loss and input-gradient of the per-component MSE to a target embedding.
-
-    Both read one memoized forward pass per point.
-    """
-    inv_d = 1.0 / net.d
-
-    @memo_last_point
-    def forward_at(u):
-        y, a = _forward_cache(net, u)
-        return y - target, a
-
-    def loss_at(u):
-        diff, _ = forward_at(u)
-        return inv_d * float(diff @ diff)
-
-    def grad_at(u):
-        diff, a = forward_at(u)
-        upstream = (2.0 * inv_d) * diff
-        dz = (net.W2.T @ upstream) * (1.0 - a * a)
-        return net.W1.T @ dz
-
-    return loss_at, grad_at
+def _worst_case(net: MappingNet, target, origin: np.ndarray, perturb: PerturbConfig) -> np.ndarray:
+    """Each row's highest-loss ascent iterate, from one ``find_delta`` call."""
+    pair = _WorstCase(net, target)
+    find_delta(pair.loss_at, pair.grad_at, origin, perturb)
+    return pair.point
 
 
 def scdr_loss(net: MappingNet, u_src: np.ndarray, target_items, perturb: PerturbConfig) -> float:
@@ -220,125 +242,88 @@ def scdr_loss(net: MappingNet, u_src: np.ndarray, target_items, perturb: Perturb
         raise ValidationError("target_items must be non-empty")
     v_rows = np.asarray([np.asarray(v, dtype=np.float64) for v, _ in target_items])
     ratings = np.asarray([float(r) for _, r in target_items])
-    loss_at, grad_at = _rating_closures(net, v_rows, ratings)
-    return find_delta(loss_at, grad_at, np.asarray(u_src, dtype=np.float64), perturb).achieved_loss
+    pair = _WorstCase(net, _rating_target(v_rows, ratings, np.array([ratings.size])))
+    origin = np.asarray(u_src, dtype=np.float64)[None]
+    return find_delta(pair.loss_at, pair.grad_at, origin, perturb).achieved_loss
 
 
 def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str):
-    """Per train-user supervision payloads, frozen snapshots of target-side data."""
+    """Train users' supervision laid out once, as frozen snapshots.
+
+    Embedding supervision is an (n, d) block of target embeddings. Rating
+    supervision is flat item vectors and ratings with per-user offsets.
+    Returns ``batch(sel) -> (target, weight)`` for train-user indices
+    ``sel``: the kernel target of those rows and the divisor of their summed
+    loss (1 for the embedding sum, the pair count for the rating mean).
+    """
     if supervision == SUPERVISION_EMBEDDING:
-        return [target_model.U[t].copy() for _, t in scenario.train_pairs]
-    payload = []
+        targets = target_model.U[[t for _, t in scenario.train_pairs]]
+        return lambda sel: (_embedding_target(targets[sel]), 1)
+    items, ratings = [], []
     for _, t in scenario.train_pairs:
-        items, ratings = scenario.target.user_interactions(t)
-        if items.size == 0:
+        user_items, user_ratings = scenario.target.user_interactions(t)
+        if user_items.size == 0:
             raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
-        payload.append((target_model.V[items].copy(), ratings.copy()))
-    return payload
+        items.append(user_items)
+        ratings.append(user_ratings)
+    counts = np.array([r.size for r in ratings])
+    offsets = np.cumsum(counts) - counts
+    vectors = target_model.V[np.concatenate(items)]
+    ratings = np.concatenate(ratings)
+
+    def batch(sel):
+        c = counts[sel]
+        idx = np.repeat(offsets[sel] - (np.cumsum(c) - c), c) + np.arange(c.sum())
+        return _rating_target(vectors[idx], ratings[idx], c), int(c.sum())
+
+    return batch
 
 
 # overflow on the way to the divergence guard is expected, not a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
                    base: TrainConfig, perturb: PerturbConfig | None, tune_source: bool,
-                   supervision: str, hidden: int, perturb_output: bool = False):
+                   supervision: str, hidden: int):
     if source_model.d != target_model.d:
         raise ValidationError(
             f"factor models disagree on latent dim: {source_model.d} vs {target_model.d}"
         )
     if not scenario.train_pairs:
         raise ValidationError("mapping-train split is empty")
-    d = source_model.d
     rng = np.random.default_rng(base.seed)
-    net = init_mapping_net(d, hidden, rng)
+    net = init_mapping_net(source_model.d, hidden, rng)
     u_src = source_model.U.copy()
-    src_rows = [s for s, _ in scenario.train_pairs]
-    payload = _gather_supervision(scenario, target_model, supervision)
-    n_train = len(src_rows)
-    embedding = supervision == SUPERVISION_EMBEDDING
+    src_rows = np.array([s for s, _ in scenario.train_pairs])
+    n_train = src_rows.size
+    batch = _gather_supervision(scenario, target_model, supervision)
+    everyone = batch(np.arange(n_train))
     use_pert = perturb is not None and perturb.k > 0 and perturb.rho > 0.0
-    inv_d = 1.0 / d
 
     # The embedding objective is the literal sum over users of the
     # per-component MSE; the rating objective is the mean over observed
     # (user, item) pairs. Gradient scaling matches in each case.
-    def epoch_loss() -> float:
-        total, pairs = 0.0, 0
-        for j in range(n_train):
-            y, _ = _forward_cache(net, u_src[src_rows[j]])
-            if embedding:
-                diff = y - payload[j]
-                total += inv_d * float(diff @ diff)
-            else:
-                v_rows, ratings = payload[j]
-                res = ratings - v_rows @ y
-                total += float(res @ res)
-                pairs += ratings.size
-        return total if embedding else total / pairs
-
     trace: list[float] = []
     for epoch in range(base.epochs):
         perm = rng.permutation(n_train)
         for start in range(0, n_train, base.batch_size):
             sel = perm[start:start + base.batch_size]
-            dW1 = np.zeros_like(net.W1)
-            db1 = np.zeros_like(net.b1)
-            dW2 = np.zeros_like(net.W2)
-            db2 = np.zeros_like(net.b2)
-            du_updates: list[tuple[int, np.ndarray]] = []
-            pairs = 0
-            for j in sel.tolist():
-                u0 = u_src[src_rows[j]]
-                if embedding:
-                    target = payload[j]
-                    if use_pert:
-                        loss_at, grad_at = _embedding_closures(net, target)
-                        u_eval = u0 + find_delta(loss_at, grad_at, u0, perturb).delta
-                    else:
-                        u_eval = u0
-                    y, a = _forward_cache(net, u_eval)
-                    upstream = (2.0 * inv_d) * (y - target)
-                else:
-                    v_rows, ratings = payload[j]
-                    if use_pert and perturb_output:
-                        # variant: perturb the mapped embedding, not the input
-                        u_eval = u0
-                        y, a = _forward_cache(net, u_eval)
-
-                        def loss_at(point):
-                            res = ratings - v_rows @ point
-                            return float(res @ res)
-
-                        def grad_at(point):
-                            return -2.0 * (v_rows.T @ (ratings - v_rows @ point))
-
-                        y = y + find_delta(loss_at, grad_at, y, perturb).delta
-                    else:
-                        if use_pert:
-                            loss_at, grad_at = _rating_closures(net, v_rows, ratings)
-                            u_eval = u0 + find_delta(loss_at, grad_at, u0, perturb).delta
-                        else:
-                            u_eval = u0
-                        y, a = _forward_cache(net, u_eval)
-                    res = ratings - v_rows @ y
-                    upstream = -2.0 * (v_rows.T @ res)
-                    pairs += int(ratings.size)
-                g = _backward_cached(net, u_eval, a, upstream)
-                dW1 += g.W1
-                db1 += g.b1
-                dW2 += g.W2
-                db2 += g.b2
-                du_updates.append((src_rows[j], g.u))
-            # synchronous update: all gradients were taken at pre-update parameters
-            scale = base.learning_rate if embedding else base.learning_rate / pairs
-            net.W1 -= scale * dW1
-            net.b1 -= scale * db1
-            net.W2 -= scale * dW2
-            net.b2 -= scale * db2
+            rows = src_rows[sel]
+            target, weight = batch(sel)
+            u_eval = u_src[rows]
+            if use_pert:
+                u_eval = _worst_case(net, target, u_eval, perturb)
+            g = _kernel(net, u_eval, target).grad
+            # synchronous update: all gradients were taken at pre-update
+            # parameters; train rows are distinct (the scenario's partition)
+            scale = base.learning_rate / weight
+            net.W1 -= scale * g.W1
+            net.b1 -= scale * g.b1
+            net.W2 -= scale * g.W2
+            net.b2 -= scale * g.b2
             if tune_source:
-                for row, du in du_updates:
-                    u_src[row] -= scale * du
-        loss = epoch_loss()
+                u_src[rows] -= scale * g.u
+        target, weight = everyone
+        loss = float(_kernel(net, u_src[src_rows], target).loss.sum()) / weight
         if not math.isfinite(loss):
             raise DivergenceError(
                 "mapping training loss became non-finite",
@@ -364,10 +349,11 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
     """Bi-level mapping trainer.
 
     Per mini-batch of mapping-train users: find each user's ball-constrained
-    worst-case perturbation, evaluate the outer loss there, backpropagate
-    through the net, and update the net and (when enabled) the unperturbed
-    source rows with gradients taken at the perturbed point (the Hessian
-    coupling through the maximizer is dropped).
+    worst-case perturbation (one batched ascent, each row keeping its own
+    best iterate), evaluate the outer loss there, backpropagate through the
+    net, and update the net and (when enabled) the unperturbed source rows
+    with gradients taken at the perturbed point (the Hessian coupling
+    through the maximizer is dropped).
 
     Returns the net, the source matrix with tuned train-user rows, and the
     per-epoch unperturbed loss trace. Target rows of cold-start test users
@@ -377,7 +363,6 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
         scenario, source_model, target_model, config.base,
         perturb=config.perturb, tune_source=config.tune_source_embeddings,
         supervision=config.supervision, hidden=config.hidden,
-        perturb_output=config.perturb_output_space,
     )
     return ScdrTrainResult(net, tuned, trace)
 
@@ -411,7 +396,7 @@ def save_mapping(net: MappingNet, path, config: dict | None = None,
             "vectors": np.asarray(tuned_vectors, dtype=np.float64).tolist(),
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_mapping(path) -> tuple[MappingNet, dict]:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
+import scdr.data
 from scdr.data import DomainDataset, RatingTriple, build_scenario
 
 
@@ -29,3 +32,29 @@ def two_domain_scenario(n_overlap=10, beta=0.5, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def fail_halfway(monkeypatch, name):
+    """Make every write to a file whose path contains ``name`` stop halfway, as on a full disk."""
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fake_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return HalfWriter(fh) if name in str(path) else fh
+
+    monkeypatch.setattr(scdr.data, "open", fake_open, raising=False)

@@ -11,6 +11,8 @@ from scdr.cli import load_config, main
 from scdr.errors import ValidationError
 from scdr.mapping import MappingNet, save_mapping
 
+from conftest import fail_halfway
+
 
 def small_config(out, seed=1):
     return {
@@ -122,6 +124,34 @@ class TestValidation:
         assert run("synth", "--config", cfg) == 0
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 3
         assert not (tmp_path / "run" / "source_model_plain.json").exists()
+
+    def test_mapping_divergence_is_exit_3(self, tmp_path, capsys):
+        # the first update blows the net up; the next mini-batch's ascent
+        # meets the overflow and training stops before writing anything
+        cfg_doc = small_config(tmp_path / "run")
+        cfg_doc["train"].update(learning_rate=1e200, batch_size=4)
+        cfg = write_config(tmp_path, cfg_doc)
+        assert run("synth", "--config", cfg) == 0
+        assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 0
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--method", "scdr") == 3
+        assert "unperturbed origin" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "mapping_scdr.json").exists()
+        assert not (tmp_path / "run" / "mapping_trace_scdr.csv").exists()
+
+    def test_failed_checkpoint_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, small_config(out))
+        assert run("synth", "--config", cfg) == 0
+        assert run("pretrain", "--config", cfg, "--mode", "plain") == 0
+        before = sorted(p.name for p in out.iterdir())
+        with monkeypatch.context() as patch:
+            fail_halfway(patch, "mapping_emcdr.json")
+            with pytest.raises(OSError):
+                run("train", "--config", cfg, "--method", "emcdr")
+        assert sorted(p.name for p in out.iterdir()) == before
+        # nothing half-written is left for the no-overwrite rule to guard
+        assert run("train", "--config", cfg, "--method", "emcdr") == 0
 
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, {"sed": 1})

@@ -20,11 +20,12 @@ from scdr.data import (
     save_manifest,
     save_sidecar,
     split_overlap,
+    write_atomic,
     write_ratings,
 )
 from scdr.errors import IngestError, MissingInputError, ValidationError
 
-from conftest import dataset, triples, two_domain_scenario
+from conftest import dataset, fail_halfway, triples, two_domain_scenario
 
 
 class TestIngest:
@@ -386,3 +387,31 @@ class TestManifest:
         src = dataset([("a", "x", 1.0), ("b", "y", 2.0)])
         tgt = dataset([("b", "z", 1.0), ("c", "w", 2.0)])
         assert compute_overlap(src, tgt) == [(1, 0)]
+
+
+class TestAtomicWrite:
+    def test_writes_text(self, tmp_path):
+        write_atomic(tmp_path / "a.txt", "x\ny\n")
+        assert (tmp_path / "a.txt").read_bytes() == b"x\ny\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
+        fail_halfway(monkeypatch, "a.txt")
+        with pytest.raises(OSError):
+            write_atomic(tmp_path / "a.txt", "0123456789" * 1000)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_overwrite_keeps_old_file(self, tmp_path, monkeypatch):
+        write_atomic(tmp_path / "a.txt", "old\n")
+        fail_halfway(monkeypatch, "a.txt")
+        with pytest.raises(OSError):
+            write_atomic(tmp_path / "a.txt", "new\n" * 1000)
+        assert (tmp_path / "a.txt").read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_manifest_write_fails_cleanly(self, tmp_path, monkeypatch):
+        scn = two_domain_scenario()
+        fail_halfway(monkeypatch, "m.json")
+        with pytest.raises(OSError):
+            save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv")
+        assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,14 @@ from scdr.data import CdrScenario, DomainDataset, SyntheticSpec, generate_synthe
 from scdr.errors import DivergenceError, MissingInputError, ValidationError
 from scdr.factorization import FactorModel, TrainConfig
 from scdr.mapping import (
+    SUPERVISION_EMBEDDING,
+    MappingGradient,
     MappingNet,
-    _embedding_closures,
-    _rating_closures,
     ScdrTrainConfig,
+    _embedding_target,
+    _rating_target,
+    _WorstCase,
+    _worst_case,
     emcdr_train,
     forward,
     infer_cold_start,
@@ -21,7 +27,7 @@ from scdr.mapping import (
     scdr_loss,
     scdr_train,
 )
-from scdr.perturbation import PerturbConfig
+from scdr.perturbation import PerturbConfig, find_delta, memo_last_point
 
 
 def zero_net(d=3, h=4):
@@ -163,30 +169,41 @@ class TestBackward:
 
 
 class TestAscentClosures:
-    """The loss/input-gradient pairs share one forward pass per point; a
-    gradient asked for at a point the loss never saw must still be exact."""
+    """The batched loss/input-gradient pair shares one kernel pass per point;
+    a gradient asked for at a point the loss never saw must still be exact,
+    row by row."""
 
     def test_rating_gradient_at_unseen_point(self, rng):
         net = random_net(rng)
-        v_rows, ratings = rng.normal(size=(5, 4)), rng.normal(3.0, 1.0, size=5)
-        loss_at, grad_at = _rating_closures(net, v_rows, ratings)
-        u, other = rng.normal(size=4), rng.normal(size=4)
-        loss_at(other)
-        res = ratings - v_rows @ forward(net, u)
-        expected = mapping_backward(net, u, -2.0 * (v_rows.T @ res)).u
-        assert np.allclose(grad_at(u), expected, rtol=1e-12, atol=0.0)
-        assert loss_at(u) == pytest.approx(float(res @ res), rel=1e-12)
+        counts = np.array([3, 1, 5])
+        items, ratings = rng.normal(size=(9, 4)), rng.normal(3.0, 1.0, size=9)
+        pair = _WorstCase(net, _rating_target(items, ratings, counts))
+        u, other = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        pair.loss_at(other)
+        grad = pair.grad_at(u)
+        total = 0.0
+        for i, end in enumerate(np.cumsum(counts)):
+            rows = slice(end - counts[i], end)
+            res = ratings[rows] - items[rows] @ forward(net, u[i])
+            expected = mapping_backward(net, u[i], -2.0 * (items[rows].T @ res)).u
+            assert np.allclose(grad[i], expected, rtol=1e-12, atol=1e-14)
+            total += float(res @ res)
+        assert pair.loss_at(u) == pytest.approx(total, rel=1e-12)
 
     def test_embedding_gradient_at_unseen_point(self, rng):
         net = random_net(rng)
-        target = rng.normal(size=4)
-        loss_at, grad_at = _embedding_closures(net, target)
-        u, other = rng.normal(size=4), rng.normal(size=4)
-        loss_at(other)
-        diff = forward(net, u) - target
-        expected = mapping_backward(net, u, (2.0 / 4) * diff).u
-        assert np.allclose(grad_at(u), expected, rtol=1e-12, atol=0.0)
-        assert loss_at(u) == pytest.approx(float(diff @ diff) / 4, rel=1e-12)
+        targets = rng.normal(size=(3, 4))
+        pair = _WorstCase(net, _embedding_target(targets))
+        u, other = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        pair.loss_at(other)
+        grad = pair.grad_at(u)
+        total = 0.0
+        for i in range(3):
+            diff = forward(net, u[i]) - targets[i]
+            expected = mapping_backward(net, u[i], (2.0 / 4) * diff).u
+            assert np.allclose(grad[i], expected, rtol=1e-12, atol=1e-14)
+            total += float(diff @ diff) / 4
+        assert pair.loss_at(u) == pytest.approx(total, rel=1e-12)
 
 
 class TestEmcdrTrain:
@@ -360,29 +377,6 @@ class TestScdrTrain:
         assert np.array_equal(clean_em.net.W1, poisoned_em.net.W1)
         assert np.array_equal(clean_em.net.b2, poisoned_em.net.b2)
 
-    def test_output_space_variant(self):
-        # off by default; with k=0 both readings coincide, with k>0 they differ
-        scn, _, src, tgt = identity_scenario()
-        base = TrainConfig(epochs=10, dim=10, seed=7)
-        entrance = ScdrTrainConfig(base=base, perturb=PerturbConfig(rho=0.2, k=0))
-        via_output = ScdrTrainConfig(base=base, perturb=PerturbConfig(rho=0.2, k=0),
-                                     perturb_output_space=True)
-        a = scdr_train(scn, src, tgt, entrance)
-        b = scdr_train(scn, src, tgt, via_output)
-        assert np.array_equal(a.net.W1, b.net.W1)
-
-        input_sp = scdr_train(scn, src, tgt, ScdrTrainConfig(
-            base=base, perturb=PerturbConfig(rho=0.2, k=3)))
-        output_sp = scdr_train(scn, src, tgt, ScdrTrainConfig(
-            base=base, perturb=PerturbConfig(rho=0.2, k=3), perturb_output_space=True))
-        assert not np.array_equal(input_sp.net.W1, output_sp.net.W1)
-
-    def test_output_space_requires_rating_supervision(self):
-        with pytest.raises(ValidationError):
-            ScdrTrainConfig(base=TrainConfig(epochs=1, dim=4, seed=0),
-                            perturb=PerturbConfig(rho=0.1, k=1),
-                            supervision="embedding", perturb_output_space=True)
-
     def test_access_log_only_queries_train_users(self):
         # instrumented dataset: record which target users the trainers read
         scn, _, src, tgt = identity_scenario()
@@ -461,3 +455,301 @@ class TestMappingCheckpoint:
     def test_tuned_fields_must_pair(self, tmp_path, rng):
         with pytest.raises(ValidationError):
             save_mapping(random_net(rng), tmp_path / "x.json", tuned_users=["a"])
+
+
+def equivalence_scenario():
+    spec = SyntheticSpec(users=200, items=80, overlap_ratio=0.5, dim=6, noise=0.2,
+                         map_kind="tanh", seed=11, beta=0.4, ratings_per_user=20)
+    scn, sc = generate_synthetic(spec)
+    src = FactorModel(sc.source_user_latents, sc.source_item_latents, 6)
+    tgt = FactorModel(sc.target_user_latents, sc.target_item_latents, 6)
+    return scn, src, tgt
+
+
+def assert_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestBatchedEquivalence:
+    """The batched trainers reproduce the per-user reference trainer (at the
+    end of this file) up to float summation order."""
+
+    @pytest.mark.parametrize("method,batch_size,tune,supervision,k", [
+        ("emcdr", 16, False, "embedding", 0),
+        ("scdr", 16, True, "rating", 3),
+        ("scdr", 16, False, "rating", 3),
+        ("scdr", 16, True, "embedding", 3),
+        ("scdr", 1, True, "rating", 2),
+        ("scdr", 1000, True, "rating", 3),
+    ])
+    def test_matches_per_user_reference(self, method, batch_size, tune, supervision, k):
+        scn, src, tgt = equivalence_scenario()
+        assert 16 < len(scn.train_pairs) < 1000  # a proper mini-batch, and one past the split
+        base = TrainConfig(epochs=8, batch_size=batch_size, dim=6, seed=2)
+        perturb = PerturbConfig(rho=0.3, k=k)
+        if method == "emcdr":
+            res = emcdr_train(scn, src, tgt, base)
+            net, tuned, trace = res.net, src.U, res.loss_trace
+            ref = _train_mapping(scn, src, tgt, base, None, False, SUPERVISION_EMBEDDING, 50)
+        else:
+            res = scdr_train(scn, src, tgt, ScdrTrainConfig(
+                base=base, perturb=perturb, tune_source_embeddings=tune,
+                supervision=supervision))
+            net, tuned, trace = res.net, res.tuned_source_U, res.loss_trace
+            ref = _train_mapping(scn, src, tgt, base, perturb, tune, supervision, 50)
+        ref_net, ref_tuned, ref_trace = ref
+        for got, want in ((net.W1, ref_net.W1), (net.b1, ref_net.b1),
+                          (net.W2, ref_net.W2), (net.b2, ref_net.b2),
+                          (tuned, ref_tuned), (trace, ref_trace)):
+            assert_close(got, want)
+        assert tune == (not np.array_equal(tuned, src.U))
+
+
+class TestPerRowPick:
+    """One batched ascent picks, per row, the iterate that a separate one-row
+    find_delta call picks: the origin, a mid-path iterate or the last one."""
+
+    def test_pick_matches_one_row_ascents(self):
+        # f(u)_0 = tanh(u_0) - tanh(u_0 - 2) peaks at u_0 = 1 and is symmetric
+        # about it; with rating -10 a row's loss is (10 + f_0)^2, so each row
+        # climbs toward u_0 = 1 in steps of 0.5.
+        net = MappingNet(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.0, -2.0]),
+                         np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros(2))
+        origin = np.array([
+            [1.125, 0.0],   # overshoots to 0.625 and back: the origin is best
+            [0.375, 0.0],   # 0.875 (step 1) is the highest point of its path
+            [-3.0, 0.0],    # every step climbs: the last step is best
+            [0.75, 0.0],    # 1.25 ties the origin exactly; a tie does not move it
+        ])
+        counts = np.ones(4, dtype=int)
+        items, ratings = np.tile([1.0, 0.0], (4, 1)), np.full(4, -10.0)
+        cfg = PerturbConfig(rho=2.5, k=3, alpha=0.5)
+        pick = _worst_case(net, _rating_target(items, ratings, counts), origin, cfg)
+
+        best_steps = []
+        for i in range(4):
+            loss_at, grad_at = _rating_closures(net, items[i:i + 1], ratings[i:i + 1])
+            seen = []
+
+            def recording(u, loss_at=loss_at, seen=seen):
+                seen.append(loss_at(u))
+                return seen[-1]
+
+            delta = find_delta(recording, grad_at, origin[i], cfg).delta
+            best_steps.append(int(np.argmax(seen)))
+            assert np.allclose(pick[i] - origin[i], delta, rtol=0.0, atol=1e-12)
+        assert best_steps == [0, 1, 3, 0]
+        assert np.array_equal(pick[3], origin[3])
+
+    def test_random_rows_match_one_row_ascents(self, rng):
+        net = random_net(rng)
+        counts = rng.integers(1, 5, size=30)
+        items = rng.normal(size=(int(counts.sum()), 4))
+        ratings = rng.normal(3.0, 1.0, size=int(counts.sum()))
+        origin = rng.normal(size=(30, 4))
+        cfg = PerturbConfig(rho=0.5, k=5)
+        pick = _worst_case(net, _rating_target(items, ratings, counts), origin, cfg)
+        for i, end in enumerate(np.cumsum(counts)):
+            rows = slice(end - counts[i], end)
+            loss_at, grad_at = _rating_closures(net, items[rows], ratings[rows])
+            delta = find_delta(loss_at, grad_at, origin[i], cfg).delta
+            assert np.allclose(pick[i] - origin[i], delta, rtol=0.0, atol=1e-12)
+
+
+class TestBatchDivergence:
+    def test_one_row_overflowing_mid_ascent_raises(self):
+        # row 1's loss is finite at the origin (about 1.77e308) and overflows
+        # once the first ascent step pushes its prediction away from the rating
+        net = MappingNet(np.array([[1.0, 0.0]]), np.zeros(1),
+                         np.array([[1e153], [0.0]]), np.zeros(2))
+        items = np.array([[1.0, 0.0], [1.0, 0.0]])
+        ratings = np.array([1.0, 1.33e154])
+        target = _rating_target(items, ratings, np.ones(2, dtype=int))
+        origin = np.zeros((2, 2))
+        pair = _WorstCase(net, target)
+        assert math.isfinite(pair.loss_at(origin))
+        assert np.isfinite(pair.grad_at(origin)).all()
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="ascent step 0"):
+            _worst_case(net, target, origin, PerturbConfig(rho=0.5, k=2))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-user mapping trainer that the batched one replaced, kept
+# verbatim apart from the removed output-space branch. One find_delta call per
+# user, one forward/backward per user, gradients accumulated in a Python loop.
+# ---------------------------------------------------------------------------
+
+def _forward_cache(net: MappingNet, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = np.tanh(net.W1 @ u + net.b1)
+    return net.W2 @ a + net.b2, a
+
+
+def _backward_cached(net: MappingNet, u: np.ndarray, a: np.ndarray,
+                     upstream: np.ndarray) -> MappingGradient:
+    dW2 = np.outer(upstream, a)
+    dz = (net.W2.T @ upstream) * (1.0 - a * a)
+    dW1 = np.outer(dz, u)
+    du = net.W1.T @ dz
+    return MappingGradient(dW1, dz, dW2, upstream.copy(), du)
+
+
+
+def _rating_closures(net: MappingNet, v_rows: np.ndarray, ratings: np.ndarray):
+    """Loss and input-gradient of the summed squared rating error at f(u).
+
+    Both read one memoized forward pass per point.
+    """
+
+    @memo_last_point
+    def forward_at(u):
+        y, a = _forward_cache(net, u)
+        return ratings - v_rows @ y, a
+
+    def loss_at(u):
+        res, _ = forward_at(u)
+        return float(res @ res)
+
+    def grad_at(u):
+        res, a = forward_at(u)
+        upstream = -2.0 * (v_rows.T @ res)
+        dz = (net.W2.T @ upstream) * (1.0 - a * a)
+        return net.W1.T @ dz
+
+    return loss_at, grad_at
+
+
+def _embedding_closures(net: MappingNet, target: np.ndarray):
+    """Loss and input-gradient of the per-component MSE to a target embedding.
+
+    Both read one memoized forward pass per point.
+    """
+    inv_d = 1.0 / net.d
+
+    @memo_last_point
+    def forward_at(u):
+        y, a = _forward_cache(net, u)
+        return y - target, a
+
+    def loss_at(u):
+        diff, _ = forward_at(u)
+        return inv_d * float(diff @ diff)
+
+    def grad_at(u):
+        diff, a = forward_at(u)
+        upstream = (2.0 * inv_d) * diff
+        dz = (net.W2.T @ upstream) * (1.0 - a * a)
+        return net.W1.T @ dz
+
+    return loss_at, grad_at
+
+
+def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str):
+    """Per train-user supervision payloads, frozen snapshots of target-side data."""
+    if supervision == SUPERVISION_EMBEDDING:
+        return [target_model.U[t].copy() for _, t in scenario.train_pairs]
+    payload = []
+    for _, t in scenario.train_pairs:
+        items, ratings = scenario.target.user_interactions(t)
+        if items.size == 0:
+            raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
+        payload.append((target_model.V[items].copy(), ratings.copy()))
+    return payload
+
+
+# overflow on the way to the divergence guard is expected, not a warning
+@np.errstate(over="ignore", invalid="ignore")
+def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
+                   base: TrainConfig, perturb: PerturbConfig | None, tune_source: bool,
+                   supervision: str, hidden: int):
+    if source_model.d != target_model.d:
+        raise ValidationError(
+            f"factor models disagree on latent dim: {source_model.d} vs {target_model.d}"
+        )
+    if not scenario.train_pairs:
+        raise ValidationError("mapping-train split is empty")
+    d = source_model.d
+    rng = np.random.default_rng(base.seed)
+    net = init_mapping_net(d, hidden, rng)
+    u_src = source_model.U.copy()
+    src_rows = [s for s, _ in scenario.train_pairs]
+    payload = _gather_supervision(scenario, target_model, supervision)
+    n_train = len(src_rows)
+    embedding = supervision == SUPERVISION_EMBEDDING
+    use_pert = perturb is not None and perturb.k > 0 and perturb.rho > 0.0
+    inv_d = 1.0 / d
+
+    # The embedding objective is the literal sum over users of the
+    # per-component MSE; the rating objective is the mean over observed
+    # (user, item) pairs. Gradient scaling matches in each case.
+    def epoch_loss() -> float:
+        total, pairs = 0.0, 0
+        for j in range(n_train):
+            y, _ = _forward_cache(net, u_src[src_rows[j]])
+            if embedding:
+                diff = y - payload[j]
+                total += inv_d * float(diff @ diff)
+            else:
+                v_rows, ratings = payload[j]
+                res = ratings - v_rows @ y
+                total += float(res @ res)
+                pairs += ratings.size
+        return total if embedding else total / pairs
+
+    trace: list[float] = []
+    for epoch in range(base.epochs):
+        perm = rng.permutation(n_train)
+        for start in range(0, n_train, base.batch_size):
+            sel = perm[start:start + base.batch_size]
+            dW1 = np.zeros_like(net.W1)
+            db1 = np.zeros_like(net.b1)
+            dW2 = np.zeros_like(net.W2)
+            db2 = np.zeros_like(net.b2)
+            du_updates: list[tuple[int, np.ndarray]] = []
+            pairs = 0
+            for j in sel.tolist():
+                u0 = u_src[src_rows[j]]
+                if embedding:
+                    target = payload[j]
+                    if use_pert:
+                        loss_at, grad_at = _embedding_closures(net, target)
+                        u_eval = u0 + find_delta(loss_at, grad_at, u0, perturb).delta
+                    else:
+                        u_eval = u0
+                    y, a = _forward_cache(net, u_eval)
+                    upstream = (2.0 * inv_d) * (y - target)
+                else:
+                    v_rows, ratings = payload[j]
+                    if use_pert:
+                        loss_at, grad_at = _rating_closures(net, v_rows, ratings)
+                        u_eval = u0 + find_delta(loss_at, grad_at, u0, perturb).delta
+                    else:
+                        u_eval = u0
+                    y, a = _forward_cache(net, u_eval)
+                    res = ratings - v_rows @ y
+                    upstream = -2.0 * (v_rows.T @ res)
+                    pairs += int(ratings.size)
+                g = _backward_cached(net, u_eval, a, upstream)
+                dW1 += g.W1
+                db1 += g.b1
+                dW2 += g.W2
+                db2 += g.b2
+                du_updates.append((src_rows[j], g.u))
+            # synchronous update: all gradients were taken at pre-update parameters
+            scale = base.learning_rate if embedding else base.learning_rate / pairs
+            net.W1 -= scale * dW1
+            net.b1 -= scale * db1
+            net.W2 -= scale * dW2
+            net.b2 -= scale * db2
+            if tune_source:
+                for row, du in du_updates:
+                    u_src[row] -= scale * du
+        loss = epoch_loss()
+        if not math.isfinite(loss):
+            raise DivergenceError(
+                "mapping training loss became non-finite",
+                epoch=epoch, learning_rate=base.learning_rate,
+            )
+        trace.append(loss)
+    return net, u_src, trace
