@@ -28,7 +28,6 @@ from .factorization import (
     TrainConfig,
     mf_grad,
     mf_loss,
-    predict,
     train_mf,
     train_smf,
 )
@@ -37,9 +36,7 @@ from .mapping import (
     ScdrTrainConfig,
     emcdr_train,
     forward,
-    infer_cold_start,
     mapping_backward,
-    scdr_loss,
     scdr_train,
 )
 from .perturbation import PerturbConfig, Perturbation, find_delta, pgd_step
@@ -75,7 +72,6 @@ __all__ = [
     "find_delta",
     "forward",
     "generate_synthetic",
-    "infer_cold_start",
     "ingest_domain",
     "landscape_grid",
     "lipschitz_estimate",
@@ -84,8 +80,6 @@ __all__ = [
     "mf_grad",
     "mf_loss",
     "pgd_step",
-    "predict",
-    "scdr_loss",
     "scdr_train",
     "train_mf",
     "train_smf",

@@ -2,7 +2,12 @@
 
 All four operations score a trained mapping against the withheld
 target-domain interactions of the scenario's cold-start test users, and all
-are deterministic functions of their inputs and seeds.
+are deterministic functions of their inputs and seeds. They read those
+interactions in one flat, user-major layout
+(``CdrScenario.target_interactions``, the layout the rating-supervised
+trainer reads) and take losses and input gradients from the mapping's
+training kernel: the attack from one batched kernel pass, the sharpness
+probe from one batched ball ascent over all test users.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from .data import CdrScenario, write_atomic
 from .errors import ValidationError
 from .factorization import FactorModel
-from .mapping import MappingNet, forward, mapping_backward
+from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, _WorstCase, forward
 from .perturbation import PerturbConfig, fgsm_step, find_delta
 
 REPORT_VERSION = 1
@@ -96,24 +101,17 @@ class SharpnessReport:
             raise ValidationError("estimate must be >= 0")
 
 
-def _checked_withheld(scenario: CdrScenario):
-    withheld = scenario.withheld_interactions()
-    if not withheld:
+def _withheld(scenario: CdrScenario):
+    """The test users' withheld interactions, flat and user-major."""
+    if not scenario.test_pairs:
         raise ValidationError("test split is empty")
-    for s, t, items, _ in withheld:
-        if items.size == 0:
-            raise ValidationError(
-                f"test user {scenario.target.users[t]} has no withheld target interactions"
-            )
-    return withheld
-
-
-def _pooled_residuals(net: MappingNet, target_model: FactorModel, user_vectors, withheld) -> np.ndarray:
-    residuals = []
-    for (s, t, items, ratings), u in zip(withheld, user_vectors):
-        preds = target_model.V[items] @ forward(net, u)
-        residuals.append(ratings - preds)
-    return np.concatenate(residuals)
+    src, items, ratings, counts = scenario.target_interactions(scenario.test_pairs)
+    if not counts.all():
+        t = scenario.test_pairs[int(counts.argmin())][1]
+        raise ValidationError(
+            f"test user {scenario.target.users[t]} has no withheld target interactions"
+        )
+    return src, items, ratings, counts
 
 
 def _report_from_residuals(resid: np.ndarray, seed: int) -> EvalReport:
@@ -130,17 +128,9 @@ def evaluate(net: MappingNet, source_model: FactorModel, target_model: FactorMod
     Each test user's target embedding is inferred through the mapping net;
     MAE and RMSE are pooled over all withheld (user, item) pairs.
     """
-    withheld = _checked_withheld(scenario)
-    user_vectors = [source_model.U[s] for s, _, _, _ in withheld]
-    resid = _pooled_residuals(net, target_model, user_vectors, withheld)
-    return _report_from_residuals(resid, scenario.seed)
-
-
-def _composed_input_gradient(net: MappingNet, u: np.ndarray, v_rows: np.ndarray,
-                             ratings: np.ndarray) -> np.ndarray:
-    res = ratings - v_rows @ forward(net, u)
-    upstream = -2.0 * (v_rows.T @ res)
-    return mapping_backward(net, u, upstream).u
+    src, items, ratings, counts = _withheld(scenario)
+    preds = _rating_predictions(target_model.V[items], counts, forward(net, source_model.U[src]))
+    return _report_from_residuals(ratings - preds, scenario.seed)
 
 
 def fgsm_sweep(net: MappingNet, source_model: FactorModel, target_model: FactorModel,
@@ -154,21 +144,18 @@ def fgsm_sweep(net: MappingNet, source_model: FactorModel, target_model: FactorM
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValidationError("epsilons must be non-empty")
-    if any(e < 0 for e in eps):
-        raise ValidationError("epsilons must be non-negative")
+    if not all(math.isfinite(e) and e >= 0 for e in eps):
+        raise ValidationError("epsilons must be finite and non-negative")
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise ValidationError("epsilons must be sorted ascending")
-    withheld = _checked_withheld(scenario)
-    clean = [source_model.U[s] for s, _, _, _ in withheld]
-    grads = [
-        _composed_input_gradient(net, u, target_model.V[items], ratings)
-        for (s, t, items, ratings), u in zip(withheld, clean)
-    ]
+    src, items, ratings, counts = _withheld(scenario)
+    v_rows = target_model.V[items]
+    clean = source_model.U[src]
+    grad = _kernel(net, clean, _rating_target(v_rows, ratings, counts)).grad.u
     out = []
     for e in eps:
-        attacked = [fgsm_step(u, g, e) for u, g in zip(clean, grads)]
-        resid = _pooled_residuals(net, target_model, attacked, withheld)
-        out.append((e, _report_from_residuals(resid, scenario.seed)))
+        preds = _rating_predictions(v_rows, counts, forward(net, fgsm_step(clean, grad, e)))
+        out.append((e, _report_from_residuals(ratings - preds, scenario.seed)))
     return out
 
 
@@ -181,15 +168,8 @@ def landscape_grid(net: MappingNet, source_model: FactorModel, target_model: Fac
     norm); each lattice point averages |R - <f(u + gamma*d1 + zeta*d2), v>|
     over the same seeded sample of withheld test pairs.
     """
-    withheld = _checked_withheld(scenario)
-    src, items, ratings = [], [], []
-    for s, t, it, rr in withheld:
-        src.extend([s] * it.size)
-        items.extend(it.tolist())
-        ratings.extend(rr.tolist())
-    pool_users = np.array(src, dtype=np.int64)
-    pool_items = np.array(items, dtype=np.int64)
-    pool_ratings = np.array(ratings, dtype=np.float64)
+    src, pool_items, pool_ratings, counts = _withheld(scenario)
+    pool_users = np.repeat(src, counts)
     available = pool_users.size
 
     rng = np.random.default_rng(spec.seed)
@@ -219,63 +199,50 @@ def landscape_grid(net: MappingNet, source_model: FactorModel, target_model: Fac
 
 
 def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model: FactorModel,
-                       scenario: CdrScenario, perturb: PerturbConfig,
-                       output: str = "rating") -> SharpnessReport:
+                       scenario: CdrScenario, perturb: PerturbConfig) -> SharpnessReport:
     """Landscape sharpness proxy from the PGD maximizers of the test users.
 
     For each test user the ball-constrained worst-case perturbation of the
-    source embedding is found against that user's withheld rating loss; the
+    source embedding is found against that user's withheld rating loss (one
+    batched ascent, each user keeping their own highest-loss iterate); the
     reported value is the mean over users of
     |prediction(u) - prediction(u + delta)| / ||delta||, predictions being
     each user's mean predicted rating over their withheld items. Users with
-    a numerically null maximizer are skipped. ``output="embedding"`` is the
-    variant reading that measures the L2 distance between the mapped
-    embeddings instead of the rating change.
+    a numerically null maximizer are skipped.
     """
-    if output not in ("rating", "embedding"):
-        raise ValidationError(f"unknown output reading {output!r}")
     if perturb.rho <= 0.0:
         raise ValidationError("lipschitz estimation requires rho > 0")
     if perturb.k < 1:
         raise ValidationError("lipschitz estimation requires k >= 1")
-    withheld = _checked_withheld(scenario)
+    src, items, ratings, counts = _withheld(scenario)
     if not net.W1.any() or not net.W2.any():
         # constant predictor: outputs do not depend on the input, so the
         # ratio is exactly 0 even though every ascent stalls at the origin
-        return SharpnessReport(0.0, perturb.rho, perturb.k, len(withheld), 0)
-    ratios = []
-    skipped = 0
-    for s, t, items, ratings in withheld:
-        v_rows = target_model.V[items]
-        u0 = source_model.U[s]
-
-        def loss_at(u):
-            res = ratings - v_rows @ forward(net, u)
-            return float(res @ res)
-
-        def grad_at(u):
-            return _composed_input_gradient(net, u, v_rows, ratings)
-
-        pert = find_delta(loss_at, grad_at, u0, perturb)
-        delta_norm = float(np.linalg.norm(pert.delta))
-        if delta_norm < 1e-12:
-            skipped += 1
-            continue
-        if output == "rating":
-            pred_clean = float(np.mean(v_rows @ forward(net, u0)))
-            pred_pert = float(np.mean(v_rows @ forward(net, u0 + pert.delta)))
-            change = abs(pred_clean - pred_pert)
-        else:
-            change = float(np.linalg.norm(forward(net, u0) - forward(net, u0 + pert.delta)))
-        ratios.append(change / delta_norm)
-    if not ratios:
+        return SharpnessReport(0.0, perturb.rho, perturb.k, src.size, 0)
+    v_rows = target_model.V[items]
+    origin = source_model.U[src]
+    pair = _WorstCase(net, _rating_target(v_rows, ratings, counts))
+    # callables defined here, so that a tracer wrapping find_delta credits
+    # their time to this module
+    find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), origin, perturb)
+    delta_norm = np.linalg.norm(pair.point - origin, axis=1)
+    moved = delta_norm >= 1e-12
+    if not moved.any():
         raise ValidationError("every test user produced a degenerate perturbation")
+    starts = np.cumsum(counts) - counts
+
+    def mean_prediction(u):
+        preds = _rating_predictions(v_rows, counts, forward(net, u))
+        return np.add.reduceat(preds, starts) / counts
+
+    change = np.abs(mean_prediction(origin) - mean_prediction(pair.point))
+    ratios = change[moved] / delta_norm[moved]
     return SharpnessReport(
         lipschitz_estimate=float(np.mean(ratios)),
         rho=perturb.rho,
         k=perturb.k,
-        n_users=len(ratios),
-        n_skipped=skipped,
+        n_users=int(moved.sum()),
+        n_skipped=int(src.size - moved.sum()),
     )
 
 

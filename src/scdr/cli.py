@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import math
 import sys
 from pathlib import Path
 
@@ -83,8 +84,12 @@ _OPTIONAL_KINDS = {"pretrain.alpha": float, "train.alpha": float,
 
 
 def _number(kind: type, value):
-    """``value`` as ``kind``; a bool, a non-number, or a fraction for an int is a TypeError."""
+    """``value`` as ``kind``; a TypeError for a bool, a non-number, NaN, an
+    infinity, or a fraction for an int."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    # JSON documents may spell NaN and Infinity; no config number means either
+    if isinstance(value, float) and not math.isfinite(value):
         raise TypeError
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise TypeError
@@ -107,7 +112,8 @@ def _typed(name: str, default, value):
             raise TypeError
         return value
     except (TypeError, ValueError, OverflowError):
-        expected = "a list of numbers" if kind is list else kind.__name__
+        expected = {list: "a list of finite numbers", float: "a finite float"}.get(
+            kind, kind.__name__)
         raise ValidationError(f"config value {name} must be {expected}, got {value!r}") from None
 
 

@@ -349,13 +349,18 @@ class CdrScenario:
         """Target dataset with every test user's interactions withheld."""
         return self.target.filter_users(t for _, t in self.test_pairs)
 
-    def withheld_interactions(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Per test user: (source_idx, target_idx, item indices, ratings) held out of training."""
-        out = []
-        for s, t in self.test_pairs:
-            items, ratings = self.target.user_interactions(t)
-            out.append((s, t, items, ratings))
-        return out
+    def target_interactions(self, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Target-domain interactions of ``pairs``, laid out flat and user-major.
+
+        Returns (source rows, item indices, ratings, per-user counts): the
+        ``i``-th pair's user owns the next ``counts[i]`` items and ratings.
+        ``pairs`` must be non-empty; a count may be 0, so callers that need
+        every user rated check the counts.
+        """
+        items, ratings = zip(*(self.target.user_interactions(t) for _, t in pairs))
+        src = np.array([s for s, _ in pairs], dtype=np.int64)
+        counts = np.array([i.size for i in items], dtype=np.int64)
+        return src, np.concatenate(items), np.concatenate(ratings), counts
 
 
 def compute_overlap(source: DomainDataset, target: DomainDataset) -> list[tuple[int, int]]:

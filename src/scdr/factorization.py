@@ -83,15 +83,6 @@ class MfTrainResult(NamedTuple):
     loss_trace: list[float]
 
 
-def predict(model: FactorModel, user_index: int, item_index: int) -> float:
-    """Unclipped rating estimate: the inner product of one user and one item row."""
-    if not 0 <= user_index < model.U.shape[0]:
-        raise ValidationError(f"user index {user_index} out of range")
-    if not 0 <= item_index < model.V.shape[0]:
-        raise ValidationError(f"item index {item_index} out of range")
-    return float(np.dot(model.U[user_index], model.V[item_index]))
-
-
 def _batch_arrays(model: FactorModel, batch):
     batch = list(batch)
     if not batch:

@@ -7,13 +7,14 @@ users by mean squared error. ``scdr_train`` instead minimizes the withheld
 target-domain rating error evaluated at each user's own worst-case
 perturbation of the source embedding inside a ball, updating both the
 network and (optionally) the overlapping users' source rows with the
-gradient taken at the perturbed point. Cold-start users are scored through
-``infer_cold_start``.
+gradient taken at the perturbed point. A cold-start user is scored by
+mapping their source embedding through ``forward``.
 
 Both trainers work a mini-batch at a time: one kernel (``_kernel``) runs the
 forward and backward pass over the batch's rows, and one ``find_delta``
 ascent per batch solves every user's inner problem at once, each row keeping
-its own highest-loss iterate.
+its own highest-loss iterate. The analyses in ``scdr.analysis`` run through
+the same kernel and ascent pair.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def _kernel(net: MappingNet, u: np.ndarray, target) -> _Pass:
     """The net's one loss/gradient kernel, over the rows of ``u``.
 
     ``target`` maps the outputs to per-row losses and their gradient at the
-    output. Training, the ball ascent, ``scdr_loss`` and ``mapping_backward``
-    all run through it.
+    output. Training, the ball ascent, the attack and sharpness probes and
+    ``mapping_backward`` all run through it.
     """
     a = np.tanh(u @ net.W1.T + net.b1)
     y = a @ net.W2.T + net.b2
@@ -179,6 +180,14 @@ def _embedding_target(targets: np.ndarray):
     return at
 
 
+def _rating_predictions(items: np.ndarray, counts: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Predicted rating of each interaction: its item vector dotted with its row's output.
+
+    Row ``i`` of ``y`` owns the next ``counts[i]`` entries of ``items``.
+    """
+    return np.einsum("ij,ij->i", items, np.repeat(y, counts, axis=0))
+
+
 def _rating_target(items: np.ndarray, ratings: np.ndarray, counts: np.ndarray):
     """Summed squared rating error of each row over its own interactions.
 
@@ -188,7 +197,7 @@ def _rating_target(items: np.ndarray, ratings: np.ndarray, counts: np.ndarray):
     starts = np.cumsum(counts) - counts
 
     def at(y):
-        res = ratings - np.einsum("ij,ij->i", items, np.repeat(y, counts, axis=0))
+        res = ratings - _rating_predictions(items, counts, y)
         loss = np.add.reduceat(res * res, starts)
         return loss, -2.0 * np.add.reduceat(items * res[:, None], starts, axis=0)
 
@@ -229,29 +238,12 @@ def _worst_case(net: MappingNet, target, origin: np.ndarray, perturb: PerturbCon
     return pair.point
 
 
-def scdr_loss(net: MappingNet, u_src: np.ndarray, target_items, perturb: PerturbConfig) -> float:
-    """Worst-case rating loss of one user inside the perturbation ball.
-
-    ``target_items`` lists the user's observed target interactions as
-    (item vector, rating) pairs. The ball maximizer is approximated by
-    projected sign ascent over the source embedding; with k = 0 this is
-    exactly the unperturbed rating loss.
-    """
-    target_items = list(target_items)
-    if not target_items:
-        raise ValidationError("target_items must be non-empty")
-    v_rows = np.asarray([np.asarray(v, dtype=np.float64) for v, _ in target_items])
-    ratings = np.asarray([float(r) for _, r in target_items])
-    pair = _WorstCase(net, _rating_target(v_rows, ratings, np.array([ratings.size])))
-    origin = np.asarray(u_src, dtype=np.float64)[None]
-    return find_delta(pair.loss_at, pair.grad_at, origin, perturb).achieved_loss
-
-
 def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str):
     """Train users' supervision laid out once, as frozen snapshots.
 
     Embedding supervision is an (n, d) block of target embeddings. Rating
-    supervision is flat item vectors and ratings with per-user offsets.
+    supervision is flat item vectors and ratings with per-user offsets, in
+    the layout of ``CdrScenario.target_interactions``.
     Returns ``batch(sel) -> (target, weight)`` for train-user indices
     ``sel``: the kernel target of those rows and the divisor of their summed
     loss (1 for the embedding sum, the pair count for the rating mean).
@@ -259,17 +251,12 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
     if supervision == SUPERVISION_EMBEDDING:
         targets = target_model.U[[t for _, t in scenario.train_pairs]]
         return lambda sel: (_embedding_target(targets[sel]), 1)
-    items, ratings = [], []
-    for _, t in scenario.train_pairs:
-        user_items, user_ratings = scenario.target.user_interactions(t)
-        if user_items.size == 0:
-            raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
-        items.append(user_items)
-        ratings.append(user_ratings)
-    counts = np.array([r.size for r in ratings])
+    _, items, ratings, counts = scenario.target_interactions(scenario.train_pairs)
+    if not counts.all():
+        t = scenario.train_pairs[int(counts.argmin())][1]
+        raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
     offsets = np.cumsum(counts) - counts
-    vectors = target_model.V[np.concatenate(items)]
-    ratings = np.concatenate(ratings)
+    vectors = target_model.V[items]
 
     def batch(sel):
         c = counts[sel]
@@ -365,13 +352,6 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
         supervision=config.supervision, hidden=config.hidden,
     )
     return ScdrTrainResult(net, tuned, trace)
-
-
-def infer_cold_start(net: MappingNet, source_model: FactorModel, user_index: int) -> np.ndarray:
-    """Target-space embedding for a user with no target history: f(u_source)."""
-    if not 0 <= user_index < source_model.U.shape[0]:
-        raise ValidationError(f"unknown user index {user_index}")
-    return forward(net, source_model.U[user_index])
 
 
 def save_mapping(net: MappingNet, path, config: dict | None = None,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from scdr.analysis import (
     save_landscape,
     save_sharpness_report,
 )
-from scdr.data import CdrScenario, SyntheticSpec, build_scenario, generate_synthetic
+from scdr.data import CdrScenario, DomainDataset, SyntheticSpec, build_scenario, generate_synthetic
 from scdr.errors import ValidationError
 from scdr.factorization import FactorModel, TrainConfig, train_mf
-from scdr.mapping import MappingNet, ScdrTrainConfig, forward, scdr_train
-from scdr.perturbation import PerturbConfig
+from scdr.mapping import MappingNet, ScdrTrainConfig, forward, mapping_backward, scdr_train
+from scdr.perturbation import PerturbConfig, fgsm_step, find_delta
 
 from conftest import dataset
 
@@ -57,6 +58,100 @@ def residual_scenario(ratings):
     src = FactorModel(np.ones((scn.source.n_users, d)), np.ones((scn.source.n_items, d)), d)
     tgt = FactorModel(np.ones((scn.target.n_users, d)), np.ones((scn.target.n_items, d)), d)
     return scn, src, tgt
+
+
+def per_user_pool(scn):
+    """(source row, item, rating) of every withheld pair, user by user."""
+    return [(s, i, r) for s, _, items, ratings in reference_withheld(scn)
+            for i, r in zip(items.tolist(), ratings.tolist())]
+
+
+# Reference: the per-user attack and sharpness probe that the batched ones
+# replaced, one user (and one find_delta call) at a time.
+
+def reference_withheld(scn):
+    return [(s, t, *scn.target.user_interactions(t)) for s, t in scn.test_pairs]
+
+
+def reference_residuals(net, target_model, user_vectors, withheld):
+    residuals = []
+    for (s, t, items, ratings), u in zip(withheld, user_vectors):
+        preds = target_model.V[items] @ forward(net, u)
+        residuals.append(ratings - preds)
+    return np.concatenate(residuals)
+
+
+def reference_input_gradient(net, u, v_rows, ratings):
+    res = ratings - v_rows @ forward(net, u)
+    upstream = -2.0 * (v_rows.T @ res)
+    return mapping_backward(net, u, upstream).u
+
+
+def reference_fgsm_sweep(net, source_model, target_model, scenario, epsilons):
+    withheld = reference_withheld(scenario)
+    clean = [source_model.U[s] for s, _, _, _ in withheld]
+    grads = [
+        reference_input_gradient(net, u, target_model.V[items], ratings)
+        for (s, t, items, ratings), u in zip(withheld, clean)
+    ]
+    out = []
+    for e in epsilons:
+        attacked = [fgsm_step(u, g, e) for u, g in zip(clean, grads)]
+        resid = reference_residuals(net, target_model, attacked, withheld)
+        out.append((e, _report_from_residuals(resid, scenario.seed)))
+    return out
+
+
+def reference_lipschitz(net, source_model, target_model, scenario, perturb):
+    ratios = []
+    skipped = 0
+    for s, t, items, ratings in reference_withheld(scenario):
+        v_rows = target_model.V[items]
+        u0 = source_model.U[s]
+
+        def loss_at(u):
+            res = ratings - v_rows @ forward(net, u)
+            return float(res @ res)
+
+        def grad_at(u):
+            return reference_input_gradient(net, u, v_rows, ratings)
+
+        pert = find_delta(loss_at, grad_at, u0, perturb)
+        delta_norm = float(np.linalg.norm(pert.delta))
+        if delta_norm < 1e-12:
+            skipped += 1
+            continue
+        pred_clean = float(np.mean(v_rows @ forward(net, u0)))
+        pred_pert = float(np.mean(v_rows @ forward(net, u0 + pert.delta)))
+        ratios.append(abs(pred_clean - pred_pert) / delta_norm)
+    return float(np.mean(ratios)), len(ratios), skipped
+
+
+def stalling_stack(rng, d=4):
+    """Six test users, three of whose withheld items have zero target vectors.
+
+    Those three users' predictions, and so their loss, do not depend on
+    their source embedding: the input gradient is exactly zero, the ascent
+    never leaves the origin, and the probe must skip them.
+    """
+    n = 10
+    src_rows = [(f"u{i}", "s0", 1.0) for i in range(n)]
+    tgt_rows = [(f"u{i}", f"t{i}{k}", float(rng.uniform(1, 5))) for i in range(n) for k in "ab"]
+    scn = build_scenario(dataset(src_rows), dataset(tgt_rows), beta=0.5, seed=0)
+    test_tokens = {f"u{i}" for i in range(6)}
+    test = [p for p in scn.overlap if scn.source.users[p[0]] in test_tokens]
+    train = [p for p in scn.overlap if p not in test]
+    scn = CdrScenario(scn.source, scn.target, scn.overlap, 0.5, 0, train_pairs=train, test_pairs=test)
+    V = rng.normal(size=(scn.target.n_items, d))
+    for i in (0, 2, 4):
+        for k in "ab":
+            V[scn.target.items.index(f"t{i}{k}")] = 0.0
+    src = FactorModel(rng.normal(size=(scn.source.n_users, d)), np.ones((1, d)), d)
+    tgt = FactorModel(np.ones((scn.target.n_users, d)), V, d)
+    h = 6
+    net = MappingNet(0.5 * rng.normal(size=(h, d)), 0.1 * rng.normal(size=h),
+                     0.5 * rng.normal(size=(d, h)), 0.1 * rng.normal(size=d))
+    return scn, src, tgt, net
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +189,28 @@ class TestEvaluate:
             report = _report_from_residuals(resid, seed=0)
             assert report.rmse >= report.mae >= 0.0
 
+    def test_unscorable_test_split_rejected(self):
+        # u1 is in both domains but rates nothing in the target domain
+        src_ds = DomainDataset(("u0", "u1"), ("s0",), [0, 1], [0, 0], [1.0, 2.0])
+        tgt_ds = DomainDataset(("u0", "u1"), ("t0",), [0], [0], [3.0])
+        overlap = [(0, 0), (1, 1)]
+        src = FactorModel(np.ones((2, 3)), np.ones((1, 3)), 3)
+        tgt = FactorModel(np.ones((2, 3)), np.ones((1, 3)), 3)
+        net = near_identity_net(3)
+        analyses = [
+            lambda scn: evaluate(net, src, tgt, scn),
+            lambda scn: fgsm_sweep(net, src, tgt, scn, [0.0]),
+            lambda scn: landscape_grid(net, src, tgt, scn, LandscapeSpec()),
+            lambda scn: lipschitz_estimate(net, src, tgt, scn, PerturbConfig(rho=0.1, k=1)),
+        ]
+        for test_pairs, message in (([(1, 1)], "test user u1 has no withheld"),
+                                    ([], "test split is empty")):
+            train_pairs = [p for p in overlap if p not in test_pairs]
+            scn = CdrScenario(src_ds, tgt_ds, overlap, 0.5, 0, train_pairs, test_pairs)
+            for analysis in analyses:
+                with pytest.raises(ValidationError, match=message):
+                    analysis(scn)
+
     def test_report_validation(self):
         with pytest.raises(ValidationError):
             EvalReport(mae=1.0, rmse=1.0, n=0, per_seed=[])
@@ -122,6 +239,9 @@ class TestFgsmSweep:
             fgsm_sweep(net, src, tgt, scn, [-0.1, 0.5])
         with pytest.raises(ValidationError):
             fgsm_sweep(net, src, tgt, scn, [])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="finite"):
+                fgsm_sweep(net, src, tgt, scn, [0.0, bad])
 
 
 class TestLandscape:
@@ -131,15 +251,14 @@ class TestLandscape:
         assert grid.loss.shape == (21, 21)
         assert np.all(np.isfinite(grid.loss))
         assert np.all(np.diff(grid.zeta_axis) > 0) and np.all(np.diff(grid.gamma_axis) > 0)
-        assert grid.n_samples == min(256, sum(i.size for _, _, i, _ in scn.withheld_interactions()))
+        assert grid.n_samples == min(256, int(scn.target_interactions(scn.test_pairs)[3].sum()))
 
     def test_center_cell_is_unperturbed_error(self, trained_stack):
         scn, src, tgt, net = trained_stack
         spec = LandscapeSpec(resolution=21, seed=4)
         grid = landscape_grid(net, src, tgt, scn, spec)
         # replicate the seeded sampling to score the same pairs unperturbed
-        pool = [(s, i, r) for s, t, items, ratings in scn.withheld_interactions()
-                for i, r in zip(items.tolist(), ratings.tolist())]
+        pool = per_user_pool(scn)
         rng = np.random.default_rng(4)
         rng.standard_normal(src.d)
         rng.standard_normal(src.d)
@@ -163,8 +282,7 @@ class TestLandscape:
         lspec = LandscapeSpec(resolution=5, n_samples=20, seed=9)
         grid = landscape_grid(net, src, tgt, scn, lspec)
 
-        pool = [(s, i, r) for s, t, items, ratings in scn.withheld_interactions()
-                for i, r in zip(items.tolist(), ratings.tolist())]
+        pool = per_user_pool(scn)
         rng = np.random.default_rng(9)
         g1 = rng.standard_normal(4)
         g2 = rng.standard_normal(4)
@@ -226,7 +344,7 @@ class TestLipschitz:
         w2 = np.linalg.norm(net.W2, 2)
         vbar_max = max(
             float(np.linalg.norm(np.mean(tgt.V[items], axis=0)))
-            for _, _, items, _ in scn.withheld_interactions()
+            for _, _, items, _ in reference_withheld(scn)
         )
         assert report.lipschitz_estimate <= w1 * w2 * vbar_max * (1 + 1e-12)
 
@@ -243,26 +361,44 @@ class TestLipschitz:
         with pytest.raises(ValidationError):
             lipschitz_estimate(net, src, tgt, scn, PerturbConfig(rho=0.2, k=3))
 
-    def test_embedding_distance_variant(self, trained_stack):
-        scn, src, tgt, net = trained_stack
-        cfg = PerturbConfig(rho=0.3, k=3)
-        rating = lipschitz_estimate(net, src, tgt, scn, cfg)
-        embedding = lipschitz_estimate(net, src, tgt, scn, cfg, output="embedding")
-        assert embedding.lipschitz_estimate > 0.0
-        assert embedding.lipschitz_estimate != rating.lipschitz_estimate
-        # the mapped-embedding change can never exceed the net's operator norm
-        bound = np.linalg.norm(net.W1, 2) * np.linalg.norm(net.W2, 2)
-        assert embedding.lipschitz_estimate <= bound * (1 + 1e-12)
-
     def test_config_validation(self, trained_stack):
         scn, src, tgt, net = trained_stack
         with pytest.raises(ValidationError):
             lipschitz_estimate(net, src, tgt, scn, PerturbConfig(rho=0.0, k=3))
         with pytest.raises(ValidationError):
             lipschitz_estimate(net, src, tgt, scn, PerturbConfig(rho=0.5, k=0))
-        with pytest.raises(ValidationError):
-            lipschitz_estimate(net, src, tgt, scn, PerturbConfig(rho=0.5, k=3),
-                               output="loss")
+
+
+class TestPerUserReference:
+    """The batched attack and probe against the per-user code they replaced."""
+
+    def test_fgsm_sweep(self, trained_stack):
+        scn, src, tgt, net = trained_stack
+        eps = [0.0, 0.25, 0.5, 1.0]
+        got = fgsm_sweep(net, src, tgt, scn, eps)
+        want = reference_fgsm_sweep(net, src, tgt, scn, eps)
+        for (e, r), (we, w) in zip(got, want):
+            assert e == we and r.n == w.n
+            assert r.mae == pytest.approx(w.mae, rel=1e-12, abs=0)
+            assert r.rmse == pytest.approx(w.rmse, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("rho,k", [(0.3, 4), (0.05, 1), (1.0, 6)])
+    def test_lipschitz_estimate(self, trained_stack, rho, k):
+        scn, src, tgt, net = trained_stack
+        cfg = PerturbConfig(rho=rho, k=k)
+        got = lipschitz_estimate(net, src, tgt, scn, cfg)
+        estimate, n_users, n_skipped = reference_lipschitz(net, src, tgt, scn, cfg)
+        assert got.lipschitz_estimate == pytest.approx(estimate, rel=1e-12, abs=0)
+        assert (got.n_users, got.n_skipped) == (n_users, n_skipped)
+
+    def test_lipschitz_skips_rows_left_at_origin(self, rng):
+        scn, src, tgt, net = stalling_stack(rng)
+        cfg = PerturbConfig(rho=0.3, k=4)
+        got = lipschitz_estimate(net, src, tgt, scn, cfg)
+        estimate, n_users, n_skipped = reference_lipschitz(net, src, tgt, scn, cfg)
+        assert (got.n_users, got.n_skipped) == (n_users, n_skipped) == (3, 3)
+        assert got.lipschitz_estimate == pytest.approx(estimate, rel=1e-12, abs=0)
+        assert math.isfinite(got.lipschitz_estimate) and got.lipschitz_estimate > 0.0
 
 
 class TestReportFiles:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -242,6 +243,11 @@ class TestCorruptInputs:
         ("pretrain", "learning_rate", True),
         ("pretrain", "learning_rate", "0.01"),
         ("attack", "epsilons", [0.0, "0.5"]),
+        # json writes and reads these as NaN, Infinity and -Infinity
+        ("attack", "epsilons", [0.0, math.nan]),
+        ("pretrain", "weight_decay", math.nan),
+        ("train", "learning_rate", math.inf),
+        ("synth", "noise", -math.inf),
     ])
     def test_strict_config_numbers(self, tmp_path, capsys, section, key, value):
         cfg_doc = small_config(tmp_path / "run")

@@ -253,9 +253,17 @@ class TestScenario:
         held_users = {t for _, t in scn.test_pairs}
         train_ds = scn.target_training_dataset()
         assert not held_users & set(train_ds.user_index.tolist())
-        # withheld interactions are exactly the test users' target history
+        # withheld interactions are exactly the test users' target history,
+        # laid out user by user in split order
         total = scn.target.n_interactions - train_ds.n_interactions
-        assert total == sum(it.size for _, _, it, _ in scn.withheld_interactions())
+        src, items, ratings, counts = scn.target_interactions(scn.test_pairs)
+        assert total == items.size == ratings.size == counts.sum()
+        assert src.tolist() == [s for s, _ in scn.test_pairs]
+        ends = np.cumsum(counts)
+        for (s, t), start, end in zip(scn.test_pairs, ends - counts, ends):
+            user_items, user_ratings = scn.target.user_interactions(t)
+            assert np.array_equal(items[start:end], user_items)
+            assert np.array_equal(ratings[start:end], user_ratings)
 
 
 class TestSynthetic:

@@ -12,7 +12,6 @@ from scdr.factorization import (
     load_factor_model,
     mf_grad,
     mf_loss,
-    predict,
     save_factor_model,
     train_mf,
     train_smf,
@@ -37,28 +36,6 @@ def rank_one_dataset(a=(1.0, 0.8, 1.2, 0.9), b=(1.1, 0.9, 1.0, 1.3)):
 def mse(model, ds):
     resid = ds.rating - np.einsum("ij,ij->i", model.U[ds.user_index], model.V[ds.item_index])
     return float(np.mean(resid ** 2))
-
-
-class TestPredict:
-    def test_orthogonal(self):
-        m = model_from([[1.0, 0.0]], [[0.0, 1.0]])
-        assert predict(m, 0, 0) == 0.0
-
-    def test_hand_inner_product(self):
-        m = model_from([[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]])
-        assert predict(m, 0, 0) == 32.0
-
-    def test_constant_rows(self):
-        c, d = 0.7, 5
-        m = model_from([[c] * d], [[c] * d])
-        assert predict(m, 0, 0) == pytest.approx(d * c * c, rel=1e-15)
-
-    def test_index_errors(self):
-        m = model_from([[1.0]], [[1.0]])
-        with pytest.raises(ValidationError):
-            predict(m, 1, 0)
-        with pytest.raises(ValidationError):
-            predict(m, 0, -1)
 
 
 class TestLoss:

@@ -14,17 +14,16 @@ from scdr.mapping import (
     MappingNet,
     ScdrTrainConfig,
     _embedding_target,
+    _kernel,
     _rating_target,
     _WorstCase,
     _worst_case,
     emcdr_train,
     forward,
-    infer_cold_start,
     init_mapping_net,
     load_mapping,
     mapping_backward,
     save_mapping,
-    scdr_loss,
     scdr_train,
 )
 from scdr.perturbation import PerturbConfig, find_delta, memo_last_point
@@ -247,7 +246,29 @@ class TestEmcdrTrain:
         assert exc.value.epoch is not None
 
 
+def scdr_loss(net, u_src, target_items, perturb):
+    """One user's worst-case rating loss inside the ball, as the trainer finds it.
+
+    ``target_items`` lists the user's (item vector, rating) pairs.
+    """
+    v_rows = np.array([v for v, _ in target_items], dtype=np.float64)
+    ratings = np.array([r for _, r in target_items], dtype=np.float64)
+    target = _rating_target(v_rows, ratings, np.array([ratings.size]))
+    point = _worst_case(net, target, np.asarray(u_src, dtype=np.float64)[None], perturb)
+    return float(_kernel(net, point, target).loss[0])
+
+
+def unrated_train_user_scenario():
+    """A scenario whose one train user has no target-domain interactions."""
+    src = DomainDataset(("u0", "u1"), ("s0",), [0, 1], [0, 0], [1.0, 2.0])
+    tgt = DomainDataset(("u0", "u1"), ("t0",), [1], [0], [3.0])
+    return CdrScenario(src, tgt, [(0, 0), (1, 1)], 0.5, 0,
+                       train_pairs=[(0, 0)], test_pairs=[(1, 1)])
+
+
 class TestScdrLoss:
+    """The sharpness-aware rating loss through ``_worst_case``, the code that trains."""
+
     def test_k_zero_equals_unperturbed(self, rng):
         net = random_net(rng)
         u = rng.normal(size=4)
@@ -291,9 +312,14 @@ class TestScdrLoss:
                     best = max(best, loss_at(u + np.array([dx, dy])))
         assert got >= 0.95 * best
 
-    def test_empty_items_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            scdr_loss(random_net(rng), np.zeros(4), [], PerturbConfig(rho=0.1, k=1))
+    def test_empty_items_rejected(self):
+        # a train user without target items has no rating loss to train on
+        scn = unrated_train_user_scenario()
+        src = FactorModel(np.ones((2, 3)), np.ones((1, 3)), 3)
+        tgt = FactorModel(np.ones((2, 3)), np.ones((1, 3)), 3)
+        with pytest.raises(ValidationError, match="train user u0 has no target interactions"):
+            scdr_train(scn, src, tgt, ScdrTrainConfig(
+                base=TrainConfig(epochs=1, dim=3, seed=0), perturb=PerturbConfig(rho=0.1, k=1)))
 
 
 class TestScdrTrain:
@@ -411,28 +437,24 @@ class TestScdrTrain:
 
 
 class TestInference:
+    """Cold-start inference: a user's source row mapped through ``forward``."""
+
     def test_zero_net_zero_embedding(self):
         src = FactorModel(np.ones((3, 3)), np.ones((2, 3)), 3)
-        assert np.array_equal(infer_cold_start(zero_net(3, 4), src, 1), np.zeros(3))
+        assert np.array_equal(forward(zero_net(3, 4), src.U[1]), np.zeros(3))
 
     def test_pure_function(self, rng):
         net = random_net(rng)
         src = FactorModel(rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), 4)
-        a = infer_cold_start(net, src, 2)
-        b = infer_cold_start(net, src, 2)
+        a = forward(net, src.U[2])
+        b = forward(net, src.U[2])
         assert np.array_equal(a, b)
-
-    def test_unknown_user(self, rng):
-        net = random_net(rng)
-        src = FactorModel(rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), 4)
-        with pytest.raises(ValidationError):
-            infer_cold_start(net, src, 3)
 
     def test_recovers_planted_target_latents(self):
         scn, sc, src, tgt = identity_scenario()
         res = emcdr_train(scn, src, tgt, TrainConfig(epochs=800, dim=10, seed=5))
-        errs = [np.linalg.norm(infer_cold_start(res.net, src, s) - sc.target_user_latents[t])
-                for s, t, _, _ in scn.withheld_interactions()]
+        s, t = np.array(scn.test_pairs).T
+        errs = np.linalg.norm(forward(res.net, src.U[s]) - sc.target_user_latents[t], axis=1)
         assert float(np.mean(errs)) < 0.1
 
 
