@@ -13,8 +13,6 @@ from .analysis import (
 from .data import (
     CdrScenario,
     DomainDataset,
-    RatingFileFormat,
-    RatingTriple,
     SyntheticSidecar,
     SyntheticSpec,
     build_scenario,
@@ -39,7 +37,7 @@ from .mapping import (
     mapping_backward,
     scdr_train,
 )
-from .perturbation import PerturbConfig, Perturbation, find_delta, pgd_step
+from .perturbation import PerturbConfig, Perturbation, find_delta
 
 __version__ = "0.1.0"
 
@@ -56,8 +54,6 @@ __all__ = [
     "MissingInputError",
     "PerturbConfig",
     "Perturbation",
-    "RatingFileFormat",
-    "RatingTriple",
     "ScdrError",
     "ScdrTrainConfig",
     "SharpnessReport",
@@ -79,7 +75,6 @@ __all__ = [
     "mapping_backward",
     "mf_grad",
     "mf_loss",
-    "pgd_step",
     "scdr_train",
     "train_mf",
     "train_smf",

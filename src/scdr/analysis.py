@@ -22,19 +22,19 @@ from .data import CdrScenario, write_atomic
 from .errors import ValidationError
 from .factorization import FactorModel
 from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, _WorstCase, forward
-from .perturbation import PerturbConfig, fgsm_step, find_delta
+from .perturbation import PerturbConfig, find_delta
 
 REPORT_VERSION = 1
 
 
 @dataclass
 class EvalReport:
-    """Pooled MAE/RMSE over all withheld test interactions."""
+    """Pooled MAE/RMSE over all withheld test interactions, and the scenario seed."""
 
     mae: float
     rmse: float
     n: int
-    per_seed: list[dict]
+    seed: int
 
     def __post_init__(self):
         if self.n < 1:
@@ -117,8 +117,7 @@ def _withheld(scenario: CdrScenario):
 def _report_from_residuals(resid: np.ndarray, seed: int) -> EvalReport:
     mae = float(np.mean(np.abs(resid)))
     rmse = float(math.sqrt(float(resid @ resid) / resid.size))
-    return EvalReport(mae, rmse, int(resid.size),
-                      per_seed=[{"seed": seed, "mae": mae, "rmse": rmse, "n": int(resid.size)}])
+    return EvalReport(mae, rmse, int(resid.size), seed)
 
 
 def evaluate(net: MappingNet, source_model: FactorModel, target_model: FactorModel,
@@ -137,9 +136,10 @@ def fgsm_sweep(net: MappingNet, source_model: FactorModel, target_model: FactorM
                scenario: CdrScenario, epsilons) -> list[tuple[float, EvalReport]]:
     """White-box FGSM attack on test users' source embeddings at each rate.
 
-    The sign direction comes from the gradient of each user's withheld
-    rating loss taken through the composed map. The rate-0 entry scores the
-    clean embeddings and therefore equals :func:`evaluate` exactly.
+    Each embedding moves by the rate times the sign of the gradient of its
+    user's withheld rating loss taken through the composed map. The rate-0
+    entry scores the clean embeddings and therefore equals :func:`evaluate`
+    exactly.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -151,10 +151,11 @@ def fgsm_sweep(net: MappingNet, source_model: FactorModel, target_model: FactorM
     src, items, ratings, counts = _withheld(scenario)
     v_rows = target_model.V[items]
     clean = source_model.U[src]
-    grad = _kernel(net, clean, _rating_target(v_rows, ratings, counts)).grad.u
+    sign = np.sign(_kernel(net, clean, _rating_target(v_rows, ratings, counts)).grad.u)
     out = []
     for e in eps:
-        preds = _rating_predictions(v_rows, counts, forward(net, fgsm_step(clean, grad, e)))
+        attacked = clean + e * sign if e else clean
+        preds = _rating_predictions(v_rows, counts, forward(net, attacked))
         out.append((e, _report_from_residuals(ratings - preds, scenario.seed)))
     return out
 
@@ -253,7 +254,7 @@ def save_eval_report(report: EvalReport, path) -> None:
         "mae": report.mae,
         "rmse": report.rmse,
         "n": report.n,
-        "per_seed": report.per_seed,
+        "seed": report.seed,
     }
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

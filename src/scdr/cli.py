@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import math
 import sys
 from pathlib import Path
 
@@ -83,19 +82,6 @@ _OPTIONAL_KINDS = {"pretrain.alpha": float, "train.alpha": float,
                    "landscape.n_samples": int, "landscape.seed": int}
 
 
-def _number(kind: type, value):
-    """``value`` as ``kind``; a TypeError for a bool, a non-number, NaN, an
-    infinity, or a fraction for an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError
-    # JSON documents may spell NaN and Infinity; no config number means either
-    if isinstance(value, float) and not math.isfinite(value):
-        raise TypeError
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise TypeError
-    return kind(value)
-
-
 def _typed(name: str, default, value):
     """``value`` read as the kind of its default; ValidationError names the key."""
     kind = _OPTIONAL_KINDS.get(name, type(default))
@@ -105,9 +91,9 @@ def _typed(name: str, default, value):
         if kind is list:
             if not isinstance(value, list):
                 raise TypeError
-            return [_number(float, v) for v in value]
+            return [data.number(float, v, name) for v in value]
         if kind in (int, float):
-            return _number(kind, value)
+            return data.number(kind, value, name)
         if not isinstance(value, kind):
             raise TypeError
         return value

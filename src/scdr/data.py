@@ -1,5 +1,6 @@
 """Rating data ingestion, cross-domain scenarios, and synthetic generators.
 
+A rating file holds one ``user,item,rating`` row per line, with no header.
 A scenario couples a source and a target domain that share users but no
 items. Overlapping users are split by a seeded shuffle into a mapping-train
 set and a cold-start test set; the target-domain history of test users is
@@ -13,7 +14,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,20 @@ def json_document(path, what: str):
         raise ValidationError(f"malformed {what} {path}: {detail}") from None
 
 
+def number(kind: type, value, name: str):
+    """``value`` as ``kind`` (int or float) for JSON-read config and manifest values.
+
+    A bool, a non-number, NaN, an infinity, or a fraction for an int raises
+    a TypeError naming ``name``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            # JSON documents may spell NaN and Infinity; no number here means either
+            or isinstance(value, float) and not math.isfinite(value)
+            or kind is int and isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"{name} must be a finite {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def write_atomic(path, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path`` through a temp file beside it.
 
@@ -65,32 +80,6 @@ def write_atomic(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-@dataclass
-class RatingTriple:
-    """One observed (user, item, rating) interaction."""
-
-    user_id: str
-    item_id: str
-    rating: float
-
-    def __post_init__(self):
-        if not self.user_id:
-            raise ValidationError("user_id must be non-empty")
-        if not self.item_id:
-            raise ValidationError("item_id must be non-empty")
-        self.rating = float(self.rating)
-        if not math.isfinite(self.rating):
-            raise ValidationError(f"rating must be finite, got {self.rating!r}")
-
-
-@dataclass
-class RatingFileFormat:
-    """Shape of a delimited rating file: one (user, item, rating) per line."""
-
-    delimiter: str = ","
-    has_header: bool = False
 
 
 @dataclass
@@ -144,13 +133,24 @@ class DomainDataset:
         return int(self.user_index.size)
 
     @classmethod
-    def from_triples(cls, triples) -> "DomainDataset":
-        """Build a dataset from token triples, collapsing duplicates last-write-wins."""
-        rows = [(t.user_id, t.item_id, t.rating) for t in triples]
-        if not rows:
-            raise IngestError("empty dataset: no interactions")
-        users, items, ratings = zip(*rows)
-        return _from_columns(users, items, np.array(ratings, dtype=np.float64))
+    def from_columns(cls, users, items, ratings) -> "DomainDataset":
+        """Index parallel token and rating columns, collapsing repeated pairs last-write-wins.
+
+        Tokens get dense indices in first-appearance order. Each surviving
+        (user, item) pair keeps the position of its first appearance and the
+        rating of its last one.
+        """
+        users, ui = _dense_index(users)
+        items, vi = _dense_index(items)
+        rating = np.asarray(ratings, dtype=np.float64)
+        keys = ui * len(items) + vi
+        _, first = np.unique(keys, return_index=True)
+        _, last_from_end = np.unique(keys[::-1], return_index=True)
+        order = np.argsort(first)
+        first = first[order]
+        last = keys.size - 1 - last_from_end[order]
+        return cls(users, items, ui[first], vi[first], rating[last],
+                   duplicate_count=int(keys.size - first.size))
 
     def user_interactions(self, user_index: int) -> tuple[np.ndarray, np.ndarray]:
         """Item indices and ratings observed for one user."""
@@ -189,24 +189,6 @@ def _dense_index(tokens) -> tuple[tuple[str, ...], np.ndarray]:
     return distinct, np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 
-def _from_columns(user_tokens, item_tokens, rating: np.ndarray) -> DomainDataset:
-    """Index token columns and collapse repeated (user, item) pairs last-write-wins.
-
-    Each surviving pair keeps the position of its first appearance and the
-    rating of its last one.
-    """
-    users, ui = _dense_index(user_tokens)
-    items, vi = _dense_index(item_tokens)
-    keys = ui * len(items) + vi
-    _, first = np.unique(keys, return_index=True)
-    _, last_from_end = np.unique(keys[::-1], return_index=True)
-    order = np.argsort(first)
-    first = first[order]
-    last = keys.size - 1 - last_from_end[order]
-    return DomainDataset(users, items, ui[first], vi[first], rating[last],
-                         duplicate_count=int(keys.size - first.size))
-
-
 def _split_lines(text: str) -> list[str]:
     """Lines split on universal newlines: LF, CRLF and a lone CR."""
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -225,23 +207,20 @@ def _read_lines(path: Path) -> list[str]:
     return _split_lines(text)
 
 
-def _parse_columns(path: Path, fmt: RatingFileFormat):
+def _parse_columns(path: Path):
     """Bulk-parse a rating file into (user tokens, item tokens, ratings).
 
     Returns None when any row is malformed; :func:`_raise_first_bad_row`
     then names the first one.
     """
-    lines = _read_lines(path)
-    body = list(filter(None, islice(lines, 1 if fmt.has_header else 0, None)))
-    del lines
+    body = list(filter(None, _read_lines(path)))
     if not body:
         raise IngestError(f"empty dataset: {path}")
-    delim = fmt.delimiter
-    if set(map(str.count, body, repeat(delim))) != {2}:
+    if set(map(str.count, body, repeat(","))) != {2}:
         return None
-    joined = delim.join(body)
+    joined = ",".join(body)
     del body
-    fields = joined.split(delim)
+    fields = joined.split(",")
     del joined
     try:
         rating = np.array(fields[2::3], dtype=np.float64)
@@ -255,17 +234,14 @@ def _parse_columns(path: Path, fmt: RatingFileFormat):
     return users, items, rating
 
 
-def _raise_first_bad_row(path: Path, fmt: RatingFileFormat) -> None:
+def _raise_first_bad_row(path: Path) -> None:
     """Check rows one at a time and raise :class:`IngestError` for the first bad one."""
     for lineno, line in enumerate(_read_lines(path), start=1):
-        if fmt.has_header and lineno == 1 or not line:
+        if not line:
             continue
-        parts = line.split(fmt.delimiter)
+        parts = line.split(",")
         if len(parts) != 3:
-            raise IngestError(
-                f"expected 3 fields separated by {fmt.delimiter!r}, got {len(parts)}",
-                row=lineno,
-            )
+            raise IngestError(f"expected 3 fields separated by ',', got {len(parts)}", row=lineno)
         user, item, raw = (p.strip() for p in parts)
         try:
             rating = float(raw)
@@ -277,37 +253,33 @@ def _raise_first_bad_row(path: Path, fmt: RatingFileFormat) -> None:
             raise IngestError("empty user or item token", row=lineno)
 
 
-def ingest_domain(path, fmt: RatingFileFormat | None = None) -> DomainDataset:
-    """Parse a delimited rating file into a :class:`DomainDataset`.
+def ingest_domain(path) -> DomainDataset:
+    """Parse a rating file into a :class:`DomainDataset`.
 
-    The file is UTF-8 text with one ``user<delim>item<delim>rating`` row per
-    line; LF, CRLF and a lone CR all end a line. Blank lines (and the first
-    line, when ``fmt.has_header``) are skipped, and each field is trimmed of
-    surrounding whitespace. Tokens get dense indices in first-appearance
-    order; a repeated (user, item) pair keeps its first position and its
-    last rating, and ``duplicate_count`` counts the overwrites. A row with
-    the wrong field count, a rating that is not a finite number, or an
-    empty token raises :class:`IngestError` naming the 1-based line number
-    of the first such row; so does a byte sequence that is not UTF-8.
+    The file is UTF-8 text with one ``user,item,rating`` row per line and
+    no header line; LF, CRLF and a lone CR all end a line. Blank lines are
+    skipped, and each field is trimmed of surrounding whitespace. Tokens
+    get dense indices in first-appearance order; a repeated (user, item)
+    pair keeps its first position and its last rating, and
+    ``duplicate_count`` counts the overwrites. A row with the wrong field
+    count, a rating that is not a finite number (a header row's
+    ``rating``, say), or an empty token raises :class:`IngestError` naming
+    the 1-based line number of the first such row; so does a byte sequence
+    that is not UTF-8.
     """
-    fmt = fmt or RatingFileFormat()
     path = Path(path)
     if not path.is_file():
         raise MissingInputError(f"rating file not found: {path}")
-    columns = _parse_columns(path, fmt)
+    columns = _parse_columns(path)
     if columns is None:
-        _raise_first_bad_row(path, fmt)
-    return _from_columns(*columns)
+        _raise_first_bad_row(path)
+    return DomainDataset.from_columns(*columns)
 
 
-def write_ratings(dataset: DomainDataset, path, fmt: RatingFileFormat | None = None) -> None:
-    """Write a dataset back out as a delimited rating file (exact float text)."""
-    fmt = fmt or RatingFileFormat()
-    lines = []
-    if fmt.has_header:
-        lines.append(fmt.delimiter.join(("user", "item", "rating")))
-    for u, v, r in zip(dataset.user_index.tolist(), dataset.item_index.tolist(), dataset.rating.tolist()):
-        lines.append(fmt.delimiter.join((dataset.users[u], dataset.items[v], repr(r))))
+def write_ratings(dataset: DomainDataset, path) -> None:
+    """Write a dataset back out as a ``user,item,rating`` file (exact float text)."""
+    lines = [f"{dataset.users[u]},{dataset.items[v]},{r!r}" for u, v, r in
+             zip(dataset.user_index.tolist(), dataset.item_index.tolist(), dataset.rating.tolist())]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -568,20 +540,26 @@ def _user_tokens(value) -> list[str]:
     return value
 
 
-def load_scenario(manifest_path, fmt: RatingFileFormat | None = None) -> CdrScenario:
-    """Rebuild a scenario from its manifest, trusting the stored membership lists."""
+def load_scenario(manifest_path) -> CdrScenario:
+    """Rebuild a scenario from its manifest, trusting the stored membership lists.
+
+    ``beta`` and ``seed`` must be a finite float and an integer. The split
+    membership lists ``train_users`` and ``test_users`` come together or not
+    at all; without them the split is recomputed from ``(beta, seed)``.
+    """
     manifest_path = Path(manifest_path)
     with json_document(manifest_path, "manifest") as doc:
         if doc.get("format_version") != MANIFEST_VERSION:
             raise ValidationError(f"unsupported manifest version {doc.get('format_version')!r}")
         source_path = manifest_path.parent / doc["source_ratings"]
         target_path = manifest_path.parent / doc["target_ratings"]
-        beta, seed = float(doc["beta"]), int(doc["seed"])
+        beta, seed = number(float, doc["beta"], "beta"), number(int, doc["seed"], "seed")
         split = None
-        if "train_users" in doc and "test_users" in doc:
+        if "train_users" in doc or "test_users" in doc:
+            # one list without the other is a missing key, not a recomputed split
             split = _user_tokens(doc["train_users"]), _user_tokens(doc["test_users"])
-    source = ingest_domain(source_path, fmt)
-    target = ingest_domain(target_path, fmt)
+    source = ingest_domain(source_path)
+    target = ingest_domain(target_path)
     shared_items = set(source.items) & set(target.items)
     if shared_items:
         raise ValidationError("domains share item tokens; item sets must be disjoint")

@@ -1,10 +1,10 @@
 """Loss-maximizing perturbations inside an L2 ball.
 
-Multi-step sign-gradient ascent with projection back onto the ball
-(``pgd_step`` / ``find_delta``) drives the sharpness-aware trainers and the
-sharpness probe; the one-step ``fgsm_step`` drives the attack harness.
-``find_delta`` tracks the best iterate including the unperturbed origin, so
-its achieved loss never falls below the loss at zero perturbation.
+``find_delta``'s multi-step sign-gradient ascent, each step projected back
+onto the ball by ``project_ball``, drives the sharpness-aware trainers and
+the sharpness probe. It tracks the best iterate including the unperturbed
+origin, so its achieved loss never falls below the loss at zero
+perturbation.
 """
 
 from __future__ import annotations
@@ -55,21 +55,15 @@ class Perturbation:
 
 
 def project_ball(point: np.ndarray, origin: np.ndarray, rho: float) -> np.ndarray:
-    """Rescale ``point - origin`` onto the radius-``rho`` sphere when outside the ball.
+    """Rescale each row of ``point - origin`` onto the radius-``rho`` sphere when outside the ball.
 
-    Points already inside are returned untouched (per row when the inputs
-    are batches of rows).
+    Rows already inside are returned untouched; a 1-D point is one row.
     """
     point = np.asarray(point, dtype=np.float64)
     origin = np.asarray(origin, dtype=np.float64)
     if point.shape != origin.shape:
         raise ValidationError(f"shape mismatch: point {point.shape} vs origin {origin.shape}")
     diff = point - origin
-    if point.ndim == 1:
-        norm = float(np.linalg.norm(diff))
-        if norm > rho:
-            return origin + diff * (rho / norm)
-        return point
     # the expression np.linalg.norm evaluates here, without its dispatch
     norms = np.sqrt(np.add.reduce(diff * diff, axis=-1, keepdims=True))
     outside = norms > rho
@@ -80,19 +74,6 @@ def project_ball(point: np.ndarray, origin: np.ndarray, rho: float) -> np.ndarra
         return point
     safe = np.where(norms > 0.0, norms, 1.0)
     return np.where(outside, origin + diff * (rho / safe), point)
-
-
-def pgd_step(current_point: np.ndarray, origin: np.ndarray, gradient: np.ndarray,
-             config: PerturbConfig) -> np.ndarray:
-    """One sign-gradient ascent step followed by projection onto the ball."""
-    current_point = np.asarray(current_point, dtype=np.float64)
-    gradient = np.asarray(gradient, dtype=np.float64)
-    if gradient.shape != current_point.shape:
-        raise ValidationError(
-            f"shape mismatch: gradient {gradient.shape} vs point {current_point.shape}"
-        )
-    stepped = current_point + config.alpha * np.sign(gradient)
-    return project_ball(stepped, origin, config.rho)
 
 
 def memo_last_point(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
@@ -120,8 +101,10 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
                config: PerturbConfig) -> Perturbation:
     """Approximate the loss maximizer inside the ball by k projected sign steps.
 
-    The returned delta points to the highest-loss iterate seen, the origin
-    included, so ``achieved_loss >= loss_at(origin)`` always holds and
+    Each step moves ``alpha`` along the sign of the gradient and projects
+    back onto the radius-``rho`` ball around ``origin``. The returned delta
+    points to the highest-loss iterate seen, the origin included, so
+    ``achieved_loss >= loss_at(origin)`` always holds and
     ``||delta||_2 <= rho`` up to float slack.
     """
     origin = np.asarray(origin, dtype=np.float64)
@@ -132,9 +115,11 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
     point = origin
     for step in range(config.k):
         grad = np.asarray(grad_at(point), dtype=np.float64)
+        if grad.shape != origin.shape:
+            raise ValidationError(f"shape mismatch: gradient {grad.shape} vs origin {origin.shape}")
         if not np.isfinite(grad).all():
             raise DivergenceError(f"non-finite gradient at ascent step {step}")
-        point = pgd_step(point, origin, grad, config)
+        point = project_ball(point + config.alpha * np.sign(grad), origin, config.rho)
         loss = float(loss_at(point))
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at ascent step {step}")
@@ -142,16 +127,3 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
             best_loss = loss
             best_point = point
     return Perturbation(delta=best_point - origin, achieved_loss=best_loss)
-
-
-def fgsm_step(vector: np.ndarray, gradient: np.ndarray, epsilon: float) -> np.ndarray:
-    """One unprojected sign step of magnitude epsilon; epsilon 0 is the identity."""
-    if epsilon < 0.0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-    vector = np.asarray(vector, dtype=np.float64)
-    if epsilon == 0.0:
-        return vector
-    gradient = np.asarray(gradient, dtype=np.float64)
-    if gradient.shape != vector.shape:
-        raise ValidationError(f"shape mismatch: gradient {gradient.shape} vs vector {vector.shape}")
-    return vector + epsilon * np.sign(gradient)

@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 import scdr.data
-from scdr.data import DomainDataset, RatingTriple, build_scenario
-
-
-def triples(rows):
-    return [RatingTriple(u, i, r) for u, i, r in rows]
+from scdr.data import DomainDataset, build_scenario
 
 
 def dataset(rows) -> DomainDataset:
-    return DomainDataset.from_triples(triples(rows))
+    return DomainDataset.from_columns(*zip(*rows))
 
 
 def two_domain_scenario(n_overlap=10, beta=0.5, seed=0):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -23,7 +24,7 @@ from scdr.data import CdrScenario, DomainDataset, SyntheticSpec, build_scenario,
 from scdr.errors import ValidationError
 from scdr.factorization import FactorModel, TrainConfig, train_mf
 from scdr.mapping import MappingNet, ScdrTrainConfig, forward, mapping_backward, scdr_train
-from scdr.perturbation import PerturbConfig, fgsm_step, find_delta
+from scdr.perturbation import PerturbConfig, find_delta
 
 from conftest import dataset
 
@@ -96,7 +97,7 @@ def reference_fgsm_sweep(net, source_model, target_model, scenario, epsilons):
     ]
     out = []
     for e in epsilons:
-        attacked = [fgsm_step(u, g, e) for u, g in zip(clean, grads)]
+        attacked = [u + e * np.sign(g) for u, g in zip(clean, grads)]
         resid = reference_residuals(net, target_model, attacked, withheld)
         out.append((e, _report_from_residuals(resid, scenario.seed)))
     return out
@@ -178,10 +179,14 @@ class TestEvaluate:
         report = evaluate(zero_net(3), src, tgt, scn)
         assert report.mae == 0.75 and report.rmse == 1.5
 
-    def test_per_seed_echo(self):
+    def test_seed_echo(self, tmp_path):
         scn, src, tgt = residual_scenario([2.0])
+        scn = dataclasses.replace(scn, seed=7)
         report = evaluate(zero_net(3), src, tgt, scn)
-        assert report.per_seed == [{"seed": scn.seed, "mae": 2.0, "rmse": 2.0, "n": 1}]
+        assert (report.seed, report.mae, report.rmse, report.n) == (7, 2.0, 2.0, 1)
+        save_eval_report(report, tmp_path / "e.json")
+        doc = json.loads((tmp_path / "e.json").read_text())
+        assert doc["seed"] == 7 and "per_seed" not in doc
 
     def test_rmse_dominates_mae_on_random_sets(self, rng):
         for _ in range(200):
@@ -213,7 +218,7 @@ class TestEvaluate:
 
     def test_report_validation(self):
         with pytest.raises(ValidationError):
-            EvalReport(mae=1.0, rmse=1.0, n=0, per_seed=[])
+            EvalReport(mae=1.0, rmse=1.0, n=0, seed=0)
 
 
 class TestFgsmSweep:
@@ -403,14 +408,13 @@ class TestPerUserReference:
 
 class TestReportFiles:
     def test_eval_report_file(self, tmp_path):
-        report = EvalReport(mae=1.5, rmse=2.0, n=10,
-                            per_seed=[{"seed": 3, "mae": 1.5, "rmse": 2.0, "n": 10}])
+        report = EvalReport(mae=1.5, rmse=2.0, n=10, seed=3)
         save_eval_report(report, tmp_path / "e.json")
         doc = json.loads((tmp_path / "e.json").read_text())
         assert doc["kind"] == "eval_report" and doc["mae"] == 1.5 and doc["n"] == 10
 
     def test_attack_report_file(self, tmp_path):
-        entries = [(0.0, EvalReport(1.0, 1.0, 4, [])), (0.5, EvalReport(2.0, 2.5, 4, []))]
+        entries = [(0.0, EvalReport(1.0, 1.0, 4, 0)), (0.5, EvalReport(2.0, 2.5, 4, 0))]
         save_attack_report(entries, tmp_path / "a.json")
         doc = json.loads((tmp_path / "a.json").read_text())
         assert [e["epsilon"] for e in doc["entries"]] == [0.0, 0.5]

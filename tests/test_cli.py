@@ -207,6 +207,18 @@ def drop_key(key):
     return corrupt
 
 
+def set_key(key, value):
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
+def header_line(path):
+    path.write_bytes(b"user,item,rating\n" + path.read_bytes())
+
+
 def non_utf8_row_3(path):
     lines = path.read_bytes().split(b"\n")
     lines[2] = b"\xff" + lines[2]
@@ -216,18 +228,32 @@ def non_utf8_row_3(path):
 class TestCorruptInputs:
     @pytest.mark.parametrize("name, corrupt, message", [
         ("source_ratings.csv", non_utf8_row_3, "row 3: "),
+        ("target_ratings.csv", header_line, "row 1: rating 'rating' is not a number"),
         ("scenario.json", truncate, "malformed manifest"),
         ("source_model_sharpness_aware.json", truncate, "malformed factor checkpoint"),
         ("mapping_scdr.json", truncate, "malformed mapping checkpoint"),
         ("scenario.json", drop_key("source_ratings"), "missing key 'source_ratings'"),
         ("mapping_scdr.json", drop_key("W1"), "missing key 'W1'"),
+        # manifest numbers are as strict as config numbers
+        ("scenario.json", set_key("seed", 1.7),
+         "scenario.json: seed must be a finite int, got 1.7"),
+        ("scenario.json", set_key("seed", "7"),
+         "scenario.json: seed must be a finite int, got '7'"),
+        ("scenario.json", set_key("seed", True),
+         "scenario.json: seed must be a finite int, got True"),
+        ("scenario.json", set_key("beta", "0.8"),
+         "scenario.json: beta must be a finite float, got '0.8'"),
+        # one membership list without the other is not a recomputed split
+        ("scenario.json", drop_key("test_users"), "missing key 'test_users'"),
+        ("scenario.json", drop_key("train_users"), "missing key 'train_users'"),
     ])
     def test_eval_exits_2_and_writes_nothing(self, run_copy, capsys, name, corrupt, message):
         out, cfg = run_copy
         corrupt(out / name)
+        before = sorted(p.name for p in out.iterdir())
         assert run("eval", "--config", cfg, "--method", "scdr") == 2
         assert message in capsys.readouterr().err
-        assert not (out / "eval_scdr.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == before
 
     def test_mistyped_synth_value(self, tmp_path, capsys):
         cfg_doc = small_config(tmp_path / "run")

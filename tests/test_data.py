@@ -8,8 +8,6 @@ import pytest
 
 from scdr.data import (
     DomainDataset,
-    RatingFileFormat,
-    RatingTriple,
     SyntheticSpec,
     build_scenario,
     compute_overlap,
@@ -25,7 +23,7 @@ from scdr.data import (
 )
 from scdr.errors import IngestError, MissingInputError, ValidationError
 
-from conftest import dataset, fail_halfway, triples, two_domain_scenario
+from conftest import dataset, fail_halfway, two_domain_scenario
 
 
 class TestIngest:
@@ -53,19 +51,16 @@ class TestIngest:
         assert exc.value.row == 1
         assert "row 1" in str(exc.value)
 
-    def test_malformed_row_after_header(self, tmp_path):
-        p = tmp_path / "r.tsv"
-        p.write_text("user\titem\trating\nu1\ti1\t4.5\nu2\ti1\n")
-        fmt = RatingFileFormat(delimiter="\t", has_header=True)
-        with pytest.raises(IngestError) as exc:
-            ingest_domain(p, fmt)
-        assert exc.value.row == 3
-
     def test_header_and_delimiter(self, tmp_path):
-        p = tmp_path / "r.tsv"
-        p.write_text("user\titem\trating\nu1\ti1\t4.5\n")
-        ds = ingest_domain(p, RatingFileFormat(delimiter="\t", has_header=True))
-        assert ds.n_interactions == 1 and ds.rating[0] == 4.5
+        # a rating file has no header line and only commas separate fields
+        p = tmp_path / "r.csv"
+        for text, message in (("user,item,rating\nu1,i1,4.5\n", "rating 'rating' is not a number"),
+                              ("u1\ti1\t4.5\n", "expected 3 fields separated by ',', got 1")):
+            p.write_text(text)
+            with pytest.raises(IngestError) as exc:
+                ingest_domain(p)
+            assert exc.value.row == 1
+            assert str(exc.value) == f"row 1: {message}"
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -95,21 +90,17 @@ class TestIngest:
 
 
 INGEST_CASES = {
-    "crlf": (b"u1,i1,5\r\nu2,i1,4\r\n", RatingFileFormat(),
+    "crlf": (b"u1,i1,5\r\nu2,i1,4\r\n",
              ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
-    "lone_cr": (b"u1,i1,5\ru2,i1,4\r", RatingFileFormat(),
+    "lone_cr": (b"u1,i1,5\ru2,i1,4\r",
                 ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
-    "blank_lines": (b"\nu1,i1,5\n\n\r\nu2,i1,4\n\n", RatingFileFormat(),
+    "blank_lines": (b"\nu1,i1,5\n\n\r\nu2,i1,4\n\n",
                     ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
-    "header": (b"user,item,rating\nu1,i1,5\nu2,i1,4\n", RatingFileFormat(has_header=True),
-               ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
-    "tab": (b"u1\ti1\t5\nu2\ti1\t4", RatingFileFormat(delimiter="\t"),
-            ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
-    "padded": (b"  u1 , i1 ,  5 \n\tu2,i1\t, 4\n", RatingFileFormat(),
+    "padded": (b"  u1 , i1 ,  5 \n\tu2,i1\t, 4\n",
                ("u1", "u2"), ("i1",), [(0, 0, 5.0), (1, 0, 4.0)], 0),
     # pairs keep their first position and their last rating
     "duplicates": (b"u2,i2,1\nu1,i1,5\nu2,i2,3\nu1,i2,2\nu2,i2,4\nu1,i1,5\n",
-                   RatingFileFormat(), ("u2", "u1"), ("i2", "i1"),
+                   ("u2", "u1"), ("i2", "i1"),
                    [(0, 0, 4.0), (1, 1, 5.0), (1, 0, 2.0)], 3),
 }
 
@@ -125,10 +116,10 @@ def same_dataset(a: DomainDataset, b: DomainDataset) -> bool:
 class TestIngestContract:
     @pytest.mark.parametrize("case", sorted(INGEST_CASES))
     def test_table(self, tmp_path, case):
-        raw, fmt, users, items, cells, duplicates = INGEST_CASES[case]
+        raw, users, items, cells, duplicates = INGEST_CASES[case]
         p = tmp_path / "r.csv"
         p.write_bytes(raw)
-        ds = ingest_domain(p, fmt)
+        ds = ingest_domain(p)
         assert ds.users == users and ds.items == items
         got = list(zip(ds.user_index.tolist(), ds.item_index.tolist(), ds.rating.tolist()))
         assert got == cells
@@ -171,20 +162,12 @@ class TestIngestContract:
         assert ds.rating.tobytes() == source.rating.tobytes()
         write_ratings(ds, tmp_path / "b.csv")
         assert same_dataset(ingest_domain(tmp_path / "b.csv"), ds)
-        rows = zip([ds.users[u] for u in ds.user_index], [ds.items[v] for v in ds.item_index],
+        columns = ([ds.users[u] for u in ds.user_index], [ds.items[v] for v in ds.item_index],
                    ds.rating.tolist())
-        assert same_dataset(DomainDataset.from_triples(triples(rows)), ds)
+        assert same_dataset(DomainDataset.from_columns(*columns), ds)
 
 
 class TestDatasetInvariants:
-    def test_triple_validation(self):
-        with pytest.raises(ValidationError):
-            RatingTriple("", "i", 1.0)
-        with pytest.raises(ValidationError):
-            RatingTriple("u", "", 1.0)
-        with pytest.raises(ValidationError):
-            RatingTriple("u", "i", float("nan"))
-
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(ValidationError):
             DomainDataset(("u",), ("i",), np.array([0, 0]), np.array([0, 0]),

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from scdr.errors import DivergenceError, ValidationError
-from scdr.perturbation import (
-    PerturbConfig,
-    fgsm_step,
-    find_delta,
-    memo_last_point,
-    pgd_step,
-    project_ball,
-)
+from scdr.perturbation import PerturbConfig, find_delta, memo_last_point, project_ball
 
 
 def quadratic(center):
@@ -70,16 +63,20 @@ class TestConfig:
 
 
 class TestPgdStep:
+    """The projected sign step of ``find_delta``, and ``project_ball``."""
+
     def test_zero_gradient_fixed_point(self):
         origin = np.array([1.0, -2.0])
-        cfg = PerturbConfig(rho=1.0, k=1)
-        out = pgd_step(origin, origin, np.zeros(2), cfg)
-        assert np.array_equal(out, origin)
+        seen = []
+        find_delta(lambda x: seen.append(x) or 0.0, np.zeros_like, origin,
+                   PerturbConfig(rho=1.0, k=1))
+        assert len(seen) == 2 and np.array_equal(seen[1], origin)
 
     def test_sign_step_inside_ball(self):
-        cfg = PerturbConfig(rho=10.0, k=1, alpha=1.0)
-        out = pgd_step(np.zeros(2), np.zeros(2), np.array([2.0, -3.0]), cfg)
-        assert out.tolist() == [1.0, -1.0]
+        g = np.array([2.0, -3.0])
+        pert = find_delta(lambda x: float(x @ g), lambda x: g, np.zeros(2),
+                          PerturbConfig(rho=10.0, k=1, alpha=1.0))
+        assert pert.delta.tolist() == [1.0, -1.0] and pert.achieved_loss == 5.0
 
     def test_projection_rescales(self):
         out = project_ball(np.array([3.0, 4.0]), np.zeros(2), 2.5)
@@ -99,11 +96,11 @@ class TestPgdStep:
             assert np.allclose(once, twice, atol=1e-12, rtol=0)
 
     def test_dimension_mismatch(self):
-        cfg = PerturbConfig(rho=1.0, k=1)
         with pytest.raises(ValidationError):
-            pgd_step(np.zeros(2), np.zeros(3), np.zeros(2), cfg)
-        with pytest.raises(ValidationError):
-            pgd_step(np.zeros(2), np.zeros(2), np.zeros(3), cfg)
+            project_ball(np.zeros(2), np.zeros(3), 1.0)
+        with pytest.raises(ValidationError, match="gradient"):
+            find_delta(lambda x: 0.0, lambda x: np.zeros(3), np.zeros(2),
+                       PerturbConfig(rho=1.0, k=1))
 
     def test_batch_rows_projected_independently(self):
         origin = np.zeros((2, 2))
@@ -134,6 +131,15 @@ class TestProjectRows:
             point[::7] = origin[::7]
         out = project_ball(point, origin, rho)
         assert out.tobytes() == reference_project_rows(point, origin, rho).tobytes()
+
+    @pytest.mark.parametrize("scale", [0.01, 100.0])
+    def test_1d_point_is_one_row(self, rng, scale):
+        origin = rng.normal(size=10)
+        point = origin + scale * rng.normal(size=10)
+        out = project_ball(point, origin, 0.5)
+        assert out.shape == (10,)
+        assert out.tobytes() == project_ball(point[None], origin[None], 0.5)[0].tobytes()
+        assert np.linalg.norm(out - origin) <= 0.5 + 1e-12
 
 
 class TestFindDelta:
@@ -223,9 +229,3 @@ class TestMemoLastPoint:
         assert len(calls) == 1
         assert f(b) == 3.0 and f(a) == 3.0
         assert len(calls) == 3
-
-
-class TestFgsm:
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValidationError):
-            fgsm_step(np.zeros(2), np.ones(2), -0.1)

@@ -1,8 +1,10 @@
 """The benchmark's span tracer patches names of the program from outside.
 
-``perfbench/spans.py`` lists every ``(owner, attribute)`` it wraps. A
-refactor that renames or drops one of them breaks a traced benchmark run;
-this check makes it fail the test suite instead.
+``perfbench/spans.py`` lists every ``(owner, attribute)`` it wraps, and
+credits the time of the callables handed to ``find_delta`` to the module
+that defines them. A refactor that renames or drops a wrapped name, or that
+moves those callables to another module, breaks or skews a traced benchmark
+run; these checks make it fail the test suite instead.
 """
 
 from __future__ import annotations
@@ -10,6 +12,12 @@ from __future__ import annotations
 import importlib
 import importlib.util
 from pathlib import Path
+
+import scdr.analysis
+import scdr.factorization
+import scdr.mapping
+from scdr.data import SyntheticSpec, generate_synthetic
+from scdr.perturbation import PerturbConfig, find_delta
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -41,3 +49,24 @@ def test_every_wrapped_site_resolves():
     missing = [f"{owner}.{attr}" for owner, attr in wrapped
                if not callable(getattr(resolve(owner), attr, None))]
     assert not missing, f"the tracer wraps names the program no longer has: {missing}"
+
+
+def test_find_delta_callables_are_defined_by_the_caller(monkeypatch):
+    callers = (scdr.factorization, scdr.mapping, scdr.analysis)
+    seen = {}
+    for module in callers:
+        def recorder(loss_at, grad_at, origin, config, caller=module.__name__):
+            seen.setdefault(caller, set()).update((loss_at.__module__, grad_at.__module__))
+            return find_delta(loss_at, grad_at, origin, config)
+        monkeypatch.setattr(module, "find_delta", recorder)
+
+    scenario, _ = generate_synthetic(SyntheticSpec(users=40, items=20, overlap_ratio=0.5,
+                                                   dim=3, seed=1, ratings_per_user=5))
+    base = scdr.factorization.TrainConfig(epochs=1, batch_size=64, dim=3, seed=1)
+    perturb = PerturbConfig(rho=0.1, k=2)
+    src = scdr.factorization.train_smf(scenario.source, base, perturb).model
+    tgt = scdr.factorization.train_smf(scenario.target_training_dataset(), base, perturb).model
+    net = scdr.mapping.scdr_train(scenario, src, tgt, scdr.mapping.ScdrTrainConfig(
+        base=base, perturb=perturb, hidden=4)).net
+    scdr.analysis.lipschitz_estimate(net, src, tgt, scenario, perturb)
+    assert seen == {m.__name__: {m.__name__} for m in callers}
