@@ -25,6 +25,7 @@ from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, _
 from .perturbation import PerturbConfig, find_delta
 
 REPORT_VERSION = 1
+EVAL_REPORT_VERSION = 2  # version 1 held the seed in a one-entry list
 
 
 @dataclass
@@ -249,7 +250,7 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
 
 def save_eval_report(report: EvalReport, path) -> None:
     doc = {
-        "format_version": REPORT_VERSION,
+        "format_version": EVAL_REPORT_VERSION,
         "kind": "eval_report",
         "mae": report.mae,
         "rmse": report.rmse,

@@ -187,6 +187,7 @@ class TestEvaluate:
         save_eval_report(report, tmp_path / "e.json")
         doc = json.loads((tmp_path / "e.json").read_text())
         assert doc["seed"] == 7 and "per_seed" not in doc
+        assert (doc["format_version"], doc["kind"]) == (2, "eval_report")
 
     def test_rmse_dominates_mae_on_random_sets(self, rng):
         for _ in range(200):
