@@ -5,7 +5,8 @@ Subcommands cover the full workflow: ``synth`` writes a synthetic scenario,
 ``train`` fits a mapping (emcdr | scdr | scdr_minus), and ``eval`` /
 ``attack`` / ``landscape`` / ``sharpness`` produce report files. Every
 command is a pure function of (config file, input files, seed): re-runs are
-byte-identical. Existing outputs are never overwritten without --force.
+byte-identical. Existing outputs are never overwritten without --force, and
+a command that fails partway removes the outputs it had created.
 
 Exit codes: 0 success, 2 validation error, 3 numeric divergence,
 4 missing input.
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import analysis, data, factorization, mapping
@@ -128,26 +131,35 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _check_outputs(paths, force: bool) -> None:
-    if force:
-        return
-    existing = [str(p) for p in paths if Path(p).exists()]
-    if existing:
+@contextmanager
+def _check_outputs(paths, force: bool):
+    """Guard the ``with`` body that computes and writes ``paths``.
+
+    Without ``force``, an existing output raises before the body runs. If
+    the body raises, the outputs that did not exist before it are removed,
+    so a crash leaves nothing for the no-overwrite rule to protect.
+    """
+    paths = [Path(p) for p in paths]
+    existing = [p for p in paths if p.exists()]
+    if existing and not force:
         raise ValidationError(
-            "refusing to overwrite existing outputs (use --force): " + ", ".join(existing)
+            "refusing to overwrite existing outputs (use --force): "
+            + ", ".join(map(str, existing))
         )
+    try:
+        yield
+    except BaseException:
+        for p in paths:
+            if p not in existing:
+                p.unlink(missing_ok=True)
+        raise
 
 
-def _train_config(section: dict, seed: int) -> factorization.TrainConfig:
+def _train_config(section: dict, seed: int, **given) -> factorization.TrainConfig:
+    """The section's TrainConfig fields; ``given`` sets fields the section lacks."""
+    names = {f.name for f in dataclasses.fields(factorization.TrainConfig)}
     return factorization.TrainConfig(
-        epochs=section["epochs"],
-        learning_rate=section["learning_rate"],
-        batch_size=section["batch_size"],
-        weight_decay=section["weight_decay"],
-        init_std=section["init_std"],
-        dim=section["dim"],
-        seed=seed,
-    )
+        seed=seed, **{k: v for k, v in section.items() if k in names}, **given)
 
 
 def _perturb_config(section: dict) -> PerturbConfig:
@@ -168,14 +180,14 @@ def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
     spec = data.SyntheticSpec(seed=seed, **cfg["synth"])
     outputs = [out / n for n in
                ("source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json")]
-    _check_outputs(outputs, force)
-    scenario, sidecar = data.generate_synthetic(spec)
-    out.mkdir(parents=True, exist_ok=True)
-    data.write_ratings(scenario.source, outputs[0])
-    data.write_ratings(scenario.target, outputs[1])
-    data.save_manifest(scenario, outputs[2], "source_ratings.csv", "target_ratings.csv",
-                       sidecar="ground_truth.json")
-    data.save_sidecar(sidecar, outputs[3])
+    with _check_outputs(outputs, force):
+        scenario, sidecar = data.generate_synthetic(spec)
+        out.mkdir(parents=True, exist_ok=True)
+        data.write_ratings(scenario.source, outputs[0])
+        data.write_ratings(scenario.target, outputs[1])
+        data.save_manifest(scenario, outputs[2], "source_ratings.csv", "target_ratings.csv",
+                           sidecar="ground_truth.json")
+        data.save_sidecar(sidecar, outputs[3])
     print(f"wrote scenario with {len(scenario.overlap)} overlapping users to {out}")
 
 
@@ -189,17 +201,17 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
     outputs = [out / f"{stem}_{mode}.{ext}"
                for stem, ext in (("source_model", "json"), ("target_model", "json"),
                                  ("source_trace", "csv"), ("target_trace", "csv"))]
-    _check_outputs(outputs, force)
-    if perturb is None:
-        src = factorization.train_mf(scenario.source, train_cfg)
-        tgt = factorization.train_mf(scenario.target_training_dataset(), train_cfg)
-    else:
-        src = factorization.train_smf(scenario.source, train_cfg, perturb)
-        tgt = factorization.train_smf(scenario.target_training_dataset(), train_cfg, perturb)
-    factorization.save_factor_model(src.model, outputs[0], train_cfg, perturb)
-    factorization.save_factor_model(tgt.model, outputs[1], train_cfg, perturb)
-    _write_trace(src.loss_trace, outputs[2])
-    _write_trace(tgt.loss_trace, outputs[3])
+    with _check_outputs(outputs, force):
+        if perturb is None:
+            src = factorization.train_mf(scenario.source, train_cfg)
+            tgt = factorization.train_mf(scenario.target_training_dataset(), train_cfg)
+        else:
+            src = factorization.train_smf(scenario.source, train_cfg, perturb)
+            tgt = factorization.train_smf(scenario.target_training_dataset(), train_cfg, perturb)
+        factorization.save_factor_model(src.model, outputs[0], train_cfg, perturb)
+        factorization.save_factor_model(tgt.model, outputs[1], train_cfg, perturb)
+        _write_trace(src.loss_trace, outputs[2])
+        _write_trace(tgt.loss_trace, outputs[3])
     print(f"pretrained {mode} factor models (final losses "
           f"{src.loss_trace[-1] if src.loss_trace else float('nan'):.4f} / "
           f"{tgt.loss_trace[-1] if tgt.loss_trace else float('nan'):.4f})")
@@ -211,12 +223,10 @@ def _load_models_for(method: str, out: Path, scenario: data.CdrScenario):
     tgt_model, _ = factorization.load_factor_model(out / f"target_model_{mode}.json")
     if src_model.d != tgt_model.d:
         raise ValidationError("source and target checkpoints disagree on latent dim")
-    if (src_model.U.shape[0] != scenario.source.n_users
-            or src_model.V.shape[0] != scenario.source.n_items):
-        raise ValidationError("source checkpoint does not match the scenario's shape")
-    if (tgt_model.U.shape[0] != scenario.target.n_users
-            or tgt_model.V.shape[0] != scenario.target.n_items):
-        raise ValidationError("target checkpoint does not match the scenario's shape")
+    for name, model, domain in (("source", src_model, scenario.source),
+                                ("target", tgt_model, scenario.target)):
+        if model.U.shape[0] != domain.n_users or model.V.shape[0] != domain.n_items:
+            raise ValidationError(f"{name} checkpoint does not match the scenario's shape")
     return src_model, tgt_model
 
 
@@ -226,40 +236,33 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
     scenario = _load_scenario(out)
     src_model, tgt_model = _load_models_for(method, out, scenario)
     section = cfg["train"]
-    base = factorization.TrainConfig(
-        epochs=section["epochs"],
-        learning_rate=section["learning_rate"],
-        batch_size=section["batch_size"],
-        dim=src_model.d,
-        seed=seed,
-    )
+    base = _train_config(section, seed, dim=src_model.d)
     outputs = [out / f"mapping_{method}.json", out / f"mapping_trace_{method}.csv"]
-    _check_outputs(outputs, force)
     echo = {"method": method, "seed": seed, "epochs": base.epochs,
             "learning_rate": base.learning_rate, "batch_size": base.batch_size,
             "hidden": section["hidden"]}
-    if method == "emcdr":
-        result = mapping.emcdr_train(scenario, src_model, tgt_model, base,
-                                     hidden=section["hidden"])
-        mapping.save_mapping(result.net, outputs[0], config=echo)
-        _write_trace(result.loss_trace, outputs[1])
-    else:
-        perturb = _perturb_config(section)
-        echo.update({"rho": perturb.rho, "k": perturb.k, "alpha": perturb.alpha,
-                     "tune_source_embeddings": section["tune_source_embeddings"]})
-        train_cfg = mapping.ScdrTrainConfig(
-            base=base,
-            perturb=perturb,
-            tune_source_embeddings=section["tune_source_embeddings"],
-            hidden=section["hidden"],
-        )
-        result = mapping.scdr_train(scenario, src_model, tgt_model, train_cfg)
-        rows = [s for s, _ in scenario.train_pairs]
-        mapping.save_mapping(
-            result.net, outputs[0], config=echo,
-            tuned_users=scenario.train_user_tokens,
-            tuned_vectors=result.tuned_source_U[rows],
-        )
+    with _check_outputs(outputs, force):
+        if method == "emcdr":
+            result = mapping.emcdr_train(scenario, src_model, tgt_model, base,
+                                         hidden=section["hidden"])
+            mapping.save_mapping(result.net, outputs[0], config=echo)
+        else:
+            perturb = _perturb_config(section)
+            echo.update({"rho": perturb.rho, "k": perturb.k, "alpha": perturb.alpha,
+                         "tune_source_embeddings": section["tune_source_embeddings"]})
+            train_cfg = mapping.ScdrTrainConfig(
+                base=base,
+                perturb=perturb,
+                tune_source_embeddings=section["tune_source_embeddings"],
+                hidden=section["hidden"],
+            )
+            result = mapping.scdr_train(scenario, src_model, tgt_model, train_cfg)
+            rows = [s for s, _ in scenario.train_pairs]
+            mapping.save_mapping(
+                result.net, outputs[0], config=echo,
+                tuned_users=scenario.train_user_tokens,
+                tuned_vectors=result.tuned_source_U[rows],
+            )
         _write_trace(result.loss_trace, outputs[1])
     print(f"trained {method} mapping (final loss "
           f"{result.loss_trace[-1] if result.loss_trace else float('nan'):.4f})")
@@ -277,18 +280,19 @@ def _load_eval_inputs(out: Path, method: str):
 def cmd_eval(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
     target = out / f"eval_{method}.json"
-    _check_outputs([target], force)
-    report = analysis.evaluate(net, src_model, tgt_model, scenario)
-    analysis.save_eval_report(report, target)
+    with _check_outputs([target], force):
+        report = analysis.evaluate(net, src_model, tgt_model, scenario)
+        analysis.save_eval_report(report, target)
     print(f"{method}: MAE {report.mae:.4f}  RMSE {report.rmse:.4f}  (n={report.n})")
 
 
 def cmd_attack(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
     target = out / f"attack_{method}.json"
-    _check_outputs([target], force)
-    entries = analysis.fgsm_sweep(net, src_model, tgt_model, scenario, cfg["attack"]["epsilons"])
-    analysis.save_attack_report(entries, target)
+    with _check_outputs([target], force):
+        entries = analysis.fgsm_sweep(net, src_model, tgt_model, scenario,
+                                      cfg["attack"]["epsilons"])
+        analysis.save_attack_report(entries, target)
     for eps, report in entries:
         print(f"{method} eps={eps:g}: MAE {report.mae:.4f}  RMSE {report.rmse:.4f}")
 
@@ -300,9 +304,9 @@ def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> 
         section["seed"] = seed
     spec = analysis.LandscapeSpec(**section)
     target = out / f"landscape_{method}.csv"
-    _check_outputs([target], force)
-    grid = analysis.landscape_grid(net, src_model, tgt_model, scenario, spec)
-    analysis.save_landscape(grid, target)
+    with _check_outputs([target], force):
+        grid = analysis.landscape_grid(net, src_model, tgt_model, scenario, spec)
+        analysis.save_landscape(grid, target)
     print(f"{method}: {grid.loss.shape[0]}x{grid.loss.shape[1]} landscape grid, "
           f"loss range [{grid.loss.min():.4f}, {grid.loss.max():.4f}]")
 
@@ -310,10 +314,10 @@ def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> 
 def cmd_sharpness(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
     target = out / f"sharpness_{method}.json"
-    _check_outputs([target], force)
-    report = analysis.lipschitz_estimate(net, src_model, tgt_model, scenario,
-                                         _perturb_config(cfg["sharpness"]))
-    analysis.save_sharpness_report(report, target)
+    with _check_outputs([target], force):
+        report = analysis.lipschitz_estimate(net, src_model, tgt_model, scenario,
+                                             _perturb_config(cfg["sharpness"]))
+        analysis.save_sharpness_report(report, target)
     print(f"{method}: lipschitz estimate {report.lipschitz_estimate:.6f} "
           f"over {report.n_users} users ({report.n_skipped} skipped)")
 
@@ -325,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, method=False, mode=False):
+    def add(name, run, help_text, method=False, mode=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="JSON config file (defaults built in)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
@@ -337,25 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=MODES, default="plain")
         return p
 
-    add("synth", "generate a synthetic two-domain scenario")
-    add("pretrain", "train per-domain factor models", mode=True)
-    add("train", "train a cross-domain mapping", method=True)
-    add("eval", "cold-start MAE/RMSE report", method=True)
-    add("attack", "FGSM robustness sweep", method=True)
-    add("landscape", "2-D loss landscape grid export", method=True)
-    add("sharpness", "Lipschitz sharpness estimate", method=True)
+    add("synth", cmd_synth, "generate a synthetic two-domain scenario")
+    add("pretrain", cmd_pretrain, "train per-domain factor models", mode=True)
+    add("train", cmd_train, "train a cross-domain mapping", method=True)
+    add("eval", cmd_eval, "cold-start MAE/RMSE report", method=True)
+    add("attack", cmd_attack, "FGSM robustness sweep", method=True)
+    add("landscape", cmd_landscape, "2-D loss landscape grid export", method=True)
+    add("sharpness", cmd_sharpness, "Lipschitz sharpness estimate", method=True)
     return parser
-
-
-_DISPATCH = {
-    "synth": cmd_synth,
-    "pretrain": cmd_pretrain,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "attack": cmd_attack,
-    "landscape": cmd_landscape,
-    "sharpness": cmd_sharpness,
-}
 
 
 def main(argv=None) -> int:
@@ -366,14 +360,9 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["out"] = args.out
-        out = Path(cfg["out"])
-        seed = cfg["seed"]
-        kwargs = {}
-        if args.command == "pretrain":
-            kwargs["mode"] = args.mode
-        elif args.command in ("train", "eval", "attack", "landscape", "sharpness"):
-            kwargs["method"] = args.method
-        _DISPATCH[args.command](cfg, out, seed, args.force, **kwargs)
+        # --mode and --method exist only on the subcommands whose run takes them
+        options = {k: getattr(args, k) for k in ("mode", "method") if k in args}
+        args.run(cfg, Path(cfg["out"]), cfg["seed"], args.force, **options)
     except MissingInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -13,7 +13,8 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -98,7 +99,6 @@ class DomainDataset:
     item_index: np.ndarray
     rating: np.ndarray
     duplicate_count: int = 0
-    _per_user: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.user_index = np.asarray(self.user_index, dtype=np.int64)
@@ -152,16 +152,18 @@ class DomainDataset:
         return cls(users, items, ui[first], vi[first], rating[last],
                    duplicate_count=int(keys.size - first.size))
 
+    @cached_property
+    def _user_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Interaction positions grouped by user (each in interaction order), and group offsets."""
+        order = np.argsort(self.user_index, kind="stable")
+        ends = np.cumsum(np.bincount(self.user_index, minlength=self.n_users))
+        return order, np.concatenate(([0], ends))
+
     def user_interactions(self, user_index: int) -> tuple[np.ndarray, np.ndarray]:
         """Item indices and ratings observed for one user."""
         if not 0 <= user_index < self.n_users:
             raise ValidationError(f"user index {user_index} out of range")
-        if self._per_user is None:
-            # positions grouped by user, each group in interaction order
-            order = np.argsort(self.user_index, kind="stable")
-            ends = np.cumsum(np.bincount(self.user_index, minlength=self.n_users))
-            self._per_user = (order, np.concatenate(([0], ends)))
-        order, offsets = self._per_user
+        order, offsets = self._user_groups
         u = int(user_index)
         pos = order[offsets[u]:offsets[u + 1]]
         return self.item_index[pos], self.rating[pos]
@@ -439,15 +441,13 @@ _TANH_WARP = 0.5
 
 
 def _overlap_transform(latents: np.ndarray, mean: np.ndarray, kind: str, q: np.ndarray) -> np.ndarray:
-    centered = latents - mean
+    """Target latents of overlapping users; :class:`SyntheticSpec` has checked ``kind``."""
     if kind == "identity":
         return latents.copy()
+    z = (latents - mean) @ q.T
     if kind == "linear":
-        return mean + centered @ q.T
-    if kind == "tanh":
-        z = centered @ q.T
-        return mean + _TANH_WARP * np.tanh(z / _TANH_WARP)
-    raise ValidationError(f"unknown map kind {kind!r}")
+        return mean + z
+    return mean + _TANH_WARP * np.tanh(z / _TANH_WARP)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[CdrScenario, SyntheticSidecar]:
@@ -558,24 +558,17 @@ def load_scenario(manifest_path) -> CdrScenario:
         if "train_users" in doc or "test_users" in doc:
             # one list without the other is a missing key, not a recomputed split
             split = _user_tokens(doc["train_users"]), _user_tokens(doc["test_users"])
-    source = ingest_domain(source_path)
-    target = ingest_domain(target_path)
-    shared_items = set(source.items) & set(target.items)
-    if shared_items:
-        raise ValidationError("domains share item tokens; item sets must be disjoint")
-    overlap = compute_overlap(source, target)
-    if not overlap:
-        raise ValidationError("no overlapping users between the domains")
-    if split is not None:
-        train_users, test_users = split
-        by_token = {source.users[s]: (s, t) for s, t in overlap}
-        missing = [u for u in train_users + test_users if u not in by_token]
-        if missing:
-            raise ValidationError(f"manifest split names non-overlap users: {missing[:3]}")
-        train_pairs = [by_token[u] for u in train_users]
-        test_pairs = [by_token[u] for u in test_users]
-        return CdrScenario(source, target, overlap, beta, seed, train_pairs, test_pairs)
-    return build_scenario(source, target, beta, seed)
+    scenario = build_scenario(ingest_domain(source_path), ingest_domain(target_path), beta, seed)
+    if split is None:
+        return scenario
+    train_users, test_users = split
+    by_token = {scenario.source.users[s]: (s, t) for s, t in scenario.overlap}
+    missing = [u for u in train_users + test_users if u not in by_token]
+    if missing:
+        raise ValidationError(f"manifest split names non-overlap users: {missing[:3]}")
+    # replace() re-runs the partition checks on the stored membership
+    return replace(scenario, train_pairs=[by_token[u] for u in train_users],
+                   test_pairs=[by_token[u] for u in test_users])
 
 
 def save_sidecar(sidecar: SyntheticSidecar, path) -> None:

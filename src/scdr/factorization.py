@@ -11,12 +11,12 @@ zero-step perturbation it reduces bitwise to ``train_mf``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import DomainDataset, json_document, write_atomic
+from .data import DomainDataset, json_document, number, write_atomic
 from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
@@ -147,6 +147,18 @@ class _Batch:
         return sums.reshape(n_rows, self.d)
 
 
+def _objective(resid: np.ndarray, weight_decay: float, *rows: np.ndarray) -> float:
+    """Summed squared residual plus ``weight_decay`` times each row block's squared norm.
+
+    The one factor objective: ``mf_loss``, the ascent of ``train_smf`` and
+    the per-epoch trace all evaluate it.
+    """
+    loss = float(resid @ resid)
+    if weight_decay > 0.0:
+        loss += weight_decay * sum(float((m * m).sum()) for m in rows)
+    return loss
+
+
 def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
     """Summed squared rating error over a batch of (user, item, rating) triples.
 
@@ -157,11 +169,7 @@ def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
     b = _Batch(ui, vi, r, model.d)
     uu = model.U[b.uniq_u]
     vv = model.V[b.uniq_v]
-    resid = b.residual(uu[b.inv_u], vv[b.inv_v])
-    loss = float(resid @ resid)
-    if weight_decay > 0.0:
-        loss += float(weight_decay) * (float((uu * uu).sum()) + float((vv * vv).sum()))
-    return loss
+    return _objective(b.residual(uu[b.inv_u], vv[b.inv_v]), float(weight_decay), uu, vv)
 
 
 def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
@@ -172,14 +180,6 @@ def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
     return MfGradient(b.uniq_u, du, b.uniq_v, dv)
 
 
-def _full_objective(U: np.ndarray, V: np.ndarray, dataset: DomainDataset, weight_decay: float) -> float:
-    resid = dataset.rating - np.einsum("ij,ij->i", U[dataset.user_index], V[dataset.item_index])
-    loss = float(resid @ resid)
-    if weight_decay > 0.0:
-        loss += weight_decay * (float((U * U).sum()) + float((V * V).sum()))
-    return loss
-
-
 def _ascent_pair(b: _Batch, v_touched: np.ndarray, weight_decay: float):
     """Loss and gradient of one batch as functions of its touched user rows.
 
@@ -187,15 +187,10 @@ def _ascent_pair(b: _Batch, v_touched: np.ndarray, weight_decay: float):
     each ascent iterate costs one residual.
     """
     v_rows = v_touched[b.inv_v]
-    v_sq = float((v_touched ** 2).sum()) if weight_decay > 0.0 else 0.0
     residual_at = memo_last_point(lambda rows: b.residual(rows[b.inv_u], v_rows))
 
     def loss_at(rows):
-        res = residual_at(rows)
-        val = float(res @ res)
-        if weight_decay > 0.0:
-            val += weight_decay * (float((rows * rows).sum()) + v_sq)
-        return val
+        return _objective(residual_at(rows), weight_decay, rows, v_touched)
 
     def grad_at(rows):
         g = b.user_grad(residual_at(rows), v_rows)
@@ -235,7 +230,7 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig |
         for start in range(0, n, config.batch_size):
             sel = perm[start:start + config.batch_size]
             _sgd_step(U, V, ui[sel], vi[sel], r[sel], config, perturb)
-        loss = _full_objective(U, V, dataset, config.weight_decay)
+        loss = _objective(r - np.einsum("ij,ij->i", U[ui], V[vi]), config.weight_decay, U, V)
         if not np.isfinite(loss):
             raise DivergenceError(
                 "training loss became non-finite",
@@ -271,18 +266,8 @@ def save_factor_model(model: FactorModel, path, config: TrainConfig | None = Non
         "n_items": int(model.V.shape[0]),
         "U": model.U.tolist(),
         "V": model.V.tolist(),
-        "config": None if config is None else {
-            "epochs": config.epochs,
-            "learning_rate": config.learning_rate,
-            "batch_size": config.batch_size,
-            "weight_decay": config.weight_decay,
-            "init_std": config.init_std,
-            "dim": config.dim,
-            "seed": config.seed,
-        },
-        "perturb": None if perturb is None else {
-            "rho": perturb.rho, "k": perturb.k, "alpha": perturb.alpha,
-        },
+        "config": None if config is None else asdict(config),
+        "perturb": None if perturb is None else asdict(perturb),
     }
     write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
@@ -292,7 +277,8 @@ def load_factor_model(path) -> tuple[FactorModel, dict]:
     with json_document(path, "factor checkpoint") as doc:
         if doc.get("format_version") != CHECKPOINT_VERSION or doc.get("kind") != "factor_model":
             raise ValidationError(f"not a factor-model checkpoint: {path}")
-        model = FactorModel(np.asarray(doc["U"]), np.asarray(doc["V"]), int(doc["d"]))
-        if model.U.shape[0] != doc["n_users"] or model.V.shape[0] != doc["n_items"]:
-            raise ValidationError("checkpoint shape metadata disagrees with payload")
+        d, n_users, n_items = (number(int, doc[k], k) for k in ("d", "n_users", "n_items"))
+        model = FactorModel(np.asarray(doc["U"]), np.asarray(doc["V"]), d)
+        if model.U.shape[0] != n_users or model.V.shape[0] != n_items:
+            raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
     return model, doc

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CdrScenario, json_document, write_atomic
+from .data import CdrScenario, json_document, number, write_atomic
 from .errors import DivergenceError, ValidationError
 from .factorization import FactorModel, TrainConfig
 from .perturbation import PerturbConfig, find_delta, memo_last_point
@@ -45,15 +45,12 @@ class MappingNet:
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
-    activation: str = "tanh"
 
     def __post_init__(self):
         self.W1 = np.asarray(self.W1, dtype=np.float64)
         self.b1 = np.asarray(self.b1, dtype=np.float64)
         self.W2 = np.asarray(self.W2, dtype=np.float64)
         self.b2 = np.asarray(self.b2, dtype=np.float64)
-        if self.activation != "tanh":
-            raise ValidationError(f"unsupported activation {self.activation!r}")
         h, d = self.W1.shape
         if self.b1.shape != (h,) or self.W2.shape != (d, h) or self.b2.shape != (d,):
             raise ValidationError("mapping-net parameter shapes are inconsistent")
@@ -118,13 +115,18 @@ def init_mapping_net(dim: int, hidden: int, rng: np.random.Generator) -> Mapping
     return MappingNet(w1, np.zeros(hidden), w2, np.zeros(dim))
 
 
+def _forward(net: MappingNet, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The net's tanh activations and outputs over the rows of ``u``."""
+    a = np.tanh(u @ net.W1.T + net.b1)
+    return a, a @ net.W2.T + net.b2
+
+
 def forward(net: MappingNet, u: np.ndarray) -> np.ndarray:
     """Map a source embedding (or rows of them) into the target space."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1] != net.d:
         raise ValidationError(f"input dim {u.shape[-1]} does not match net dim {net.d}")
-    hidden = np.tanh(u @ net.W1.T + net.b1)
-    return hidden @ net.W2.T + net.b2
+    return _forward(net, u)[1]
 
 
 class _Pass(NamedTuple):
@@ -144,8 +146,7 @@ def _kernel(net: MappingNet, u: np.ndarray, target) -> _Pass:
     output. Training, the ball ascent, the attack and sharpness probes and
     ``mapping_backward`` all run through it.
     """
-    a = np.tanh(u @ net.W1.T + net.b1)
-    y = a @ net.W2.T + net.b2
+    a, y = _forward(net, u)
     loss, up = target(y)
     dz = (up @ net.W2) * (1.0 - a * a)
     grad = MappingGradient(dz.T @ u, np.add.reduce(dz), up.T @ a, np.add.reduce(up), dz @ net.W1)
@@ -365,7 +366,7 @@ def save_mapping(net: MappingNet, path, config: dict | None = None,
         "kind": "mapping_net",
         "d": net.d,
         "hidden": net.hidden,
-        "activation": net.activation,
+        "activation": "tanh",
         "W1": net.W1.tolist(),
         "b1": net.b1.tolist(),
         "W2": net.W2.tolist(),
@@ -384,11 +385,11 @@ def load_mapping(path) -> tuple[MappingNet, dict]:
     with json_document(path, "mapping checkpoint") as doc:
         if doc.get("format_version") != MAPPING_CHECKPOINT_VERSION or doc.get("kind") != "mapping_net":
             raise ValidationError(f"not a mapping checkpoint: {path}")
-        net = MappingNet(
-            np.asarray(doc["W1"]), np.asarray(doc["b1"]),
-            np.asarray(doc["W2"]), np.asarray(doc["b2"]),
-            activation=doc.get("activation", "tanh"),
-        )
-        if net.d != doc["d"] or net.hidden != doc["hidden"]:
-            raise ValidationError("checkpoint shape metadata disagrees with payload")
+        if doc.get("activation", "tanh") != "tanh":
+            raise ValidationError(f"unsupported activation {doc['activation']!r} in {path}")
+        d, hidden = (number(int, doc[k], k) for k in ("d", "hidden"))
+        net = MappingNet(np.asarray(doc["W1"]), np.asarray(doc["b1"]),
+                         np.asarray(doc["W2"]), np.asarray(doc["b2"]))
+        if net.d != d or net.hidden != hidden:
+            raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
     return net, doc

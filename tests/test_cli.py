@@ -140,19 +140,29 @@ class TestValidation:
         assert not (tmp_path / "run" / "mapping_scdr.json").exists()
         assert not (tmp_path / "run" / "mapping_trace_scdr.csv").exists()
 
-    def test_failed_checkpoint_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("stage, failing", [
+        (0, "ground_truth.json"),
+        (1, "target_trace_plain.csv"),
+        (2, "mapping_emcdr.json"),
+        (2, "mapping_trace_emcdr.csv"),
+    ])
+    def test_failed_checkpoint_write_leaves_no_partial_file(self, tmp_path, monkeypatch,
+                                                            stage, failing):
+        # a write fails after the stage has already written its earlier outputs
+        stages = [("synth",), ("pretrain", "--mode", "plain"), ("train", "--method", "emcdr")]
         out = tmp_path / "run"
         cfg = write_config(tmp_path, small_config(out))
-        assert run("synth", "--config", cfg) == 0
-        assert run("pretrain", "--config", cfg, "--mode", "plain") == 0
+        for earlier in stages[:stage]:
+            assert run(*earlier, "--config", cfg) == 0
+        out.mkdir(exist_ok=True)
         before = sorted(p.name for p in out.iterdir())
         with monkeypatch.context() as patch:
-            fail_halfway(patch, "mapping_emcdr.json")
+            fail_halfway(patch, failing)
             with pytest.raises(OSError):
-                run("train", "--config", cfg, "--method", "emcdr")
+                run(*stages[stage], "--config", cfg)
         assert sorted(p.name for p in out.iterdir()) == before
         # nothing half-written is left for the no-overwrite rule to guard
-        assert run("train", "--config", cfg, "--method", "emcdr") == 0
+        assert run(*stages[stage], "--config", cfg) == 0
 
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, {"sed": 1})

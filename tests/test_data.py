@@ -345,6 +345,29 @@ class TestManifest:
         back = load_scenario(tmp_path / "m.json")
         assert back.test_pairs == scn.test_pairs
 
+    def test_stored_membership_wins_over_recomputed_split(self, tmp_path):
+        scn = two_domain_scenario(n_overlap=8, beta=0.5, seed=11)
+        write_ratings(scn.source, tmp_path / "s.csv")
+        write_ratings(scn.target, tmp_path / "t.csv")
+        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        train, test = doc["train_users"], doc["test_users"]
+        train[0], test[0] = test[0], train[0]
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        back = load_scenario(tmp_path / "m.json")
+        assert back.train_user_tokens == train and back.test_user_tokens == test
+        assert back.train_pairs != scn.train_pairs and back.test_pairs != scn.test_pairs
+
+    @pytest.mark.parametrize("membership", [{}, {"train_users": ["a"], "test_users": []}])
+    def test_shared_item_token_rejected(self, tmp_path, membership):
+        (tmp_path / "s.csv").write_text("a,x,1\nb,y,2\n")
+        (tmp_path / "t.csv").write_text("a,x,3\nc,z,2\n")
+        doc = {"format_version": 1, "source_ratings": "s.csv", "target_ratings": "t.csv",
+               "beta": 0.5, "seed": 0, **membership}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="item sets must be disjoint"):
+            load_scenario(tmp_path / "m.json")
+
     def test_bad_membership_rejected(self, tmp_path):
         scn = two_domain_scenario(n_overlap=4, beta=0.5, seed=0)
         write_ratings(scn.source, tmp_path / "s.csv")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -335,3 +337,16 @@ class TestCheckpoint:
         p.write_text('{"format_version": 1, "kind": "something"}')
         with pytest.raises(ValidationError):
             load_factor_model(p)
+
+    @pytest.mark.parametrize("key", ["d", "n_users", "n_items"])
+    @pytest.mark.parametrize("value", [3.9, "3", True])
+    def test_metadata_numbers_are_strict(self, tmp_path, rng, key, value):
+        # a 3 x 3 model, so a lenient int() of 3.9 or "3" would pass the shape check
+        p = tmp_path / "m.json"
+        save_factor_model(model_from(rng.normal(size=(3, 3)), rng.normal(size=(3, 3))), p)
+        doc = json.loads(p.read_text())
+        doc[key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"{key} must be a finite int") as exc:
+            load_factor_model(p)
+        assert str(p) in str(exc.value)

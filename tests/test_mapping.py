@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -95,9 +96,6 @@ class TestForward:
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
             MappingNet(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 4)), np.zeros(3))
-        with pytest.raises(ValidationError):
-            MappingNet(np.zeros((4, 3)), np.zeros(4), np.zeros((3, 4)), np.zeros(3),
-                       activation="relu")
 
 
 def fd_mapping_gradients(net, u, upstream, h=1e-5):
@@ -477,6 +475,29 @@ class TestMappingCheckpoint:
     def test_tuned_fields_must_pair(self, tmp_path, rng):
         with pytest.raises(ValidationError):
             save_mapping(random_net(rng), tmp_path / "x.json", tuned_users=["a"])
+
+    def test_other_activation_rejected(self, tmp_path, rng):
+        p = tmp_path / "net.json"
+        save_mapping(random_net(rng), p)
+        doc = json.loads(p.read_text())
+        assert doc["activation"] == "tanh"
+        doc["activation"] = "relu"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="unsupported activation 'relu'") as exc:
+            load_mapping(p)
+        assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["d", "hidden"])
+    @pytest.mark.parametrize("value", [3.9, "3", True])
+    def test_metadata_numbers_are_strict(self, tmp_path, key, value):
+        p = tmp_path / "net.json"
+        save_mapping(zero_net(d=3, h=3), p)
+        doc = json.loads(p.read_text())
+        doc[key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"{key} must be a finite int") as exc:
+            load_mapping(p)
+        assert str(p) in str(exc.value)
 
 
 def equivalence_scenario():

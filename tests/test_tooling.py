@@ -4,22 +4,26 @@
 credits the time of the callables handed to ``find_delta`` to the module
 that defines them. A refactor that renames or drops a wrapped name, or that
 moves those callables to another module, breaks or skews a traced benchmark
-run; these checks make it fail the test suite instead.
+run; these checks make it fail the test suite instead. README's example
+config is checked against the keys the CLI accepts in the same way.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import scdr.analysis
 import scdr.factorization
 import scdr.mapping
+from scdr.cli import load_config
 from scdr.data import SyntheticSpec, generate_synthetic
 from scdr.perturbation import PerturbConfig, find_delta
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -70,3 +74,13 @@ def test_find_delta_callables_are_defined_by_the_caller(monkeypatch):
         base=base, perturb=perturb, hidden=4)).net
     scdr.analysis.lipschitz_estimate(net, src, tgt, scenario, perturb)
     assert seen == {m.__name__: {m.__name__} for m in callers}
+
+
+def test_readme_config_block_loads(tmp_path):
+    """README's example config uses only keys and value kinds the CLI accepts."""
+    blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.json"
+    path.write_text(blocks[0])
+    cfg = load_config(str(path))
+    assert cfg["seed"] == 1 and cfg["out"] == "runs/exp"
