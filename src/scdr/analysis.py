@@ -12,13 +12,12 @@ probe from one batched ball ascent over all test users.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import CdrScenario, write_atomic
+from .data import CdrScenario, write_artifact, write_atomic
 from .errors import ValidationError
 from .factorization import FactorModel
 from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, _WorstCase, forward
@@ -193,10 +192,10 @@ def landscape_grid(net: MappingNet, source_model: FactorModel, target_model: Fac
     gamma_axis = np.linspace(spec.gamma_min, spec.gamma_max, spec.resolution)
     loss = np.empty((zeta_axis.size, gamma_axis.size))
     for zi, zeta in enumerate(zeta_axis):
-        for gi, gamma in enumerate(gamma_axis):
-            displaced = u_sel + gamma * d1 + zeta * d2
-            preds = np.einsum("ij,ij->i", forward(net, displaced), v_sel)
-            loss[zi, gi] = float(np.mean(np.abs(r_sel - preds)))
+        # one forward pass per lattice row: a (resolution, n, d) block of displacements
+        displaced = u_sel + gamma_axis[:, None, None] * d1 + zeta * d2
+        preds = np.einsum("gij,ij->gi", forward(net, displaced), v_sel)
+        loss[zi] = np.mean(np.abs(r_sel - preds), axis=1)
     return LandscapeGrid(zeta_axis, gamma_axis, loss, spec.seed, int(n))
 
 
@@ -249,26 +248,13 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
 
 
 def save_eval_report(report: EvalReport, path) -> None:
-    doc = {
-        "format_version": EVAL_REPORT_VERSION,
-        "kind": "eval_report",
-        "mae": report.mae,
-        "rmse": report.rmse,
-        "n": report.n,
-        "seed": report.seed,
-    }
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_artifact(path, "eval_report", EVAL_REPORT_VERSION, asdict(report), indent=2)
 
 
 def save_attack_report(entries: list[tuple[float, EvalReport]], path) -> None:
-    doc = {
-        "format_version": REPORT_VERSION,
-        "kind": "fgsm_attack_report",
-        "entries": [
-            {"epsilon": e, "mae": r.mae, "rmse": r.rmse, "n": r.n} for e, r in entries
-        ],
-    }
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_artifact(path, "fgsm_attack_report", REPORT_VERSION, {"entries": [
+        {"epsilon": e, "mae": r.mae, "rmse": r.rmse, "n": r.n} for e, r in entries
+    ]}, indent=2)
 
 
 def save_landscape(grid: LandscapeGrid, path) -> None:
@@ -282,13 +268,4 @@ def save_landscape(grid: LandscapeGrid, path) -> None:
 
 
 def save_sharpness_report(report: SharpnessReport, path) -> None:
-    doc = {
-        "format_version": REPORT_VERSION,
-        "kind": "sharpness_report",
-        "lipschitz_estimate": report.lipschitz_estimate,
-        "rho": report.rho,
-        "k": report.k,
-        "n_users": report.n_users,
-        "n_skipped": report.n_skipped,
-    }
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_artifact(path, "sharpness_report", REPORT_VERSION, asdict(report), indent=2)

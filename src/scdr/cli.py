@@ -6,7 +6,7 @@ Subcommands cover the full workflow: ``synth`` writes a synthetic scenario,
 ``attack`` / ``landscape`` / ``sharpness`` produce report files. Every
 command is a pure function of (config file, input files, seed): re-runs are
 byte-identical. Existing outputs are never overwritten without --force, and
-a command that fails partway removes the outputs it had created.
+a command that fails partway leaves every output as it was.
 
 Exit codes: 0 success, 2 validation error, 3 numeric divergence,
 4 missing input.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -133,11 +134,13 @@ def load_config(path: str | None) -> dict:
 
 @contextmanager
 def _check_outputs(paths, force: bool):
-    """Guard the ``with`` body that computes and writes ``paths``.
+    """Guard the ``with`` body that computes ``paths``; it yields their staging paths.
 
-    Without ``force``, an existing output raises before the body runs. If
-    the body raises, the outputs that did not exist before it are removed,
-    so a crash leaves nothing for the no-overwrite rule to protect.
+    Without ``force``, an existing output raises before the body runs. The
+    body writes each output to its staging path, ``.<name>.staged`` beside
+    it, and only once the body completes do the staged files replace the
+    outputs. A body that raises leaves every output as it was, so neither
+    a crash nor the no-overwrite rule can keep a mix of old and new outputs.
     """
     paths = [Path(p) for p in paths]
     existing = [p for p in paths if p.exists()]
@@ -146,13 +149,14 @@ def _check_outputs(paths, force: bool):
             "refusing to overwrite existing outputs (use --force): "
             + ", ".join(map(str, existing))
         )
+    staged = [p.with_name(f".{p.name}.staged") for p in paths]
     try:
-        yield
-    except BaseException:
-        for p in paths:
-            if p not in existing:
-                p.unlink(missing_ok=True)
-        raise
+        yield staged
+        for s, p in zip(staged, paths):
+            os.replace(s, p)
+    finally:
+        for s in staged:
+            s.unlink(missing_ok=True)
 
 
 def _train_config(section: dict, seed: int, **given) -> factorization.TrainConfig:
@@ -172,52 +176,47 @@ def _write_trace(trace: list[float], path: Path) -> None:
     data.write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _load_scenario(out: Path) -> data.CdrScenario:
-    return data.load_scenario(out / "scenario.json")
-
-
 def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
     spec = data.SyntheticSpec(seed=seed, **cfg["synth"])
     outputs = [out / n for n in
                ("source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json")]
-    with _check_outputs(outputs, force):
+    with _check_outputs(outputs, force) as staged:
         scenario, sidecar = data.generate_synthetic(spec)
         out.mkdir(parents=True, exist_ok=True)
-        data.write_ratings(scenario.source, outputs[0])
-        data.write_ratings(scenario.target, outputs[1])
-        data.save_manifest(scenario, outputs[2], "source_ratings.csv", "target_ratings.csv",
+        data.write_ratings(scenario.source, staged[0])
+        data.write_ratings(scenario.target, staged[1])
+        data.save_manifest(scenario, staged[2], "source_ratings.csv", "target_ratings.csv",
                            sidecar="ground_truth.json")
-        data.save_sidecar(sidecar, outputs[3])
+        data.save_sidecar(sidecar, staged[3])
     print(f"wrote scenario with {len(scenario.overlap)} overlapping users to {out}")
 
 
 def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> None:
-    if mode not in MODES:
-        raise ValidationError(f"unknown pretrain mode {mode!r}")
-    scenario = _load_scenario(out)
+    scenario = data.load_scenario(out / "scenario.json")
     section = cfg["pretrain"]
     train_cfg = _train_config(section, seed)
     perturb = _perturb_config(section) if mode == "sharpness_aware" else None
     outputs = [out / f"{stem}_{mode}.{ext}"
                for stem, ext in (("source_model", "json"), ("target_model", "json"),
                                  ("source_trace", "csv"), ("target_trace", "csv"))]
-    with _check_outputs(outputs, force):
+    with _check_outputs(outputs, force) as staged:
         if perturb is None:
             src = factorization.train_mf(scenario.source, train_cfg)
             tgt = factorization.train_mf(scenario.target_training_dataset(), train_cfg)
         else:
             src = factorization.train_smf(scenario.source, train_cfg, perturb)
             tgt = factorization.train_smf(scenario.target_training_dataset(), train_cfg, perturb)
-        factorization.save_factor_model(src.model, outputs[0], train_cfg, perturb)
-        factorization.save_factor_model(tgt.model, outputs[1], train_cfg, perturb)
-        _write_trace(src.loss_trace, outputs[2])
-        _write_trace(tgt.loss_trace, outputs[3])
+        factorization.save_factor_model(src.model, staged[0], train_cfg, perturb)
+        factorization.save_factor_model(tgt.model, staged[1], train_cfg, perturb)
+        _write_trace(src.loss_trace, staged[2])
+        _write_trace(tgt.loss_trace, staged[3])
     print(f"pretrained {mode} factor models (final losses "
           f"{src.loss_trace[-1] if src.loss_trace else float('nan'):.4f} / "
           f"{tgt.loss_trace[-1] if tgt.loss_trace else float('nan'):.4f})")
 
 
-def _load_models_for(method: str, out: Path, scenario: data.CdrScenario):
+def _load_train_inputs(out: Path, method: str):
+    scenario = data.load_scenario(out / "scenario.json")
     mode = _METHOD_MODE[method]
     src_model, _ = factorization.load_factor_model(out / f"source_model_{mode}.json")
     tgt_model, _ = factorization.load_factor_model(out / f"target_model_{mode}.json")
@@ -227,25 +226,22 @@ def _load_models_for(method: str, out: Path, scenario: data.CdrScenario):
                                 ("target", tgt_model, scenario.target)):
         if model.U.shape[0] != domain.n_users or model.V.shape[0] != domain.n_items:
             raise ValidationError(f"{name} checkpoint does not match the scenario's shape")
-    return src_model, tgt_model
+    return scenario, src_model, tgt_model
 
 
 def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
-    if method not in METHODS:
-        raise ValidationError(f"unknown train method {method!r}")
-    scenario = _load_scenario(out)
-    src_model, tgt_model = _load_models_for(method, out, scenario)
+    scenario, src_model, tgt_model = _load_train_inputs(out, method)
     section = cfg["train"]
     base = _train_config(section, seed, dim=src_model.d)
     outputs = [out / f"mapping_{method}.json", out / f"mapping_trace_{method}.csv"]
     echo = {"method": method, "seed": seed, "epochs": base.epochs,
             "learning_rate": base.learning_rate, "batch_size": base.batch_size,
             "hidden": section["hidden"]}
-    with _check_outputs(outputs, force):
+    with _check_outputs(outputs, force) as staged:
         if method == "emcdr":
             result = mapping.emcdr_train(scenario, src_model, tgt_model, base,
                                          hidden=section["hidden"])
-            mapping.save_mapping(result.net, outputs[0], config=echo)
+            mapping.save_mapping(result.net, staged[0], config=echo)
         else:
             perturb = _perturb_config(section)
             echo.update({"rho": perturb.rho, "k": perturb.k, "alpha": perturb.alpha,
@@ -259,18 +255,17 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
             result = mapping.scdr_train(scenario, src_model, tgt_model, train_cfg)
             rows = [s for s, _ in scenario.train_pairs]
             mapping.save_mapping(
-                result.net, outputs[0], config=echo,
+                result.net, staged[0], config=echo,
                 tuned_users=scenario.train_user_tokens,
                 tuned_vectors=result.tuned_source_U[rows],
             )
-        _write_trace(result.loss_trace, outputs[1])
+        _write_trace(result.loss_trace, staged[1])
     print(f"trained {method} mapping (final loss "
           f"{result.loss_trace[-1] if result.loss_trace else float('nan'):.4f})")
 
 
 def _load_eval_inputs(out: Path, method: str):
-    scenario = _load_scenario(out)
-    src_model, tgt_model = _load_models_for(method, out, scenario)
+    scenario, src_model, tgt_model = _load_train_inputs(out, method)
     net, _ = mapping.load_mapping(out / f"mapping_{method}.json")
     if net.d != src_model.d:
         raise ValidationError("mapping checkpoint does not match the factor models' latent dim")
@@ -279,20 +274,18 @@ def _load_eval_inputs(out: Path, method: str):
 
 def cmd_eval(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
-    target = out / f"eval_{method}.json"
-    with _check_outputs([target], force):
+    with _check_outputs([out / f"eval_{method}.json"], force) as (staged,):
         report = analysis.evaluate(net, src_model, tgt_model, scenario)
-        analysis.save_eval_report(report, target)
+        analysis.save_eval_report(report, staged)
     print(f"{method}: MAE {report.mae:.4f}  RMSE {report.rmse:.4f}  (n={report.n})")
 
 
 def cmd_attack(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
-    target = out / f"attack_{method}.json"
-    with _check_outputs([target], force):
+    with _check_outputs([out / f"attack_{method}.json"], force) as (staged,):
         entries = analysis.fgsm_sweep(net, src_model, tgt_model, scenario,
                                       cfg["attack"]["epsilons"])
-        analysis.save_attack_report(entries, target)
+        analysis.save_attack_report(entries, staged)
     for eps, report in entries:
         print(f"{method} eps={eps:g}: MAE {report.mae:.4f}  RMSE {report.rmse:.4f}")
 
@@ -303,21 +296,19 @@ def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> 
     if section["seed"] is None:
         section["seed"] = seed
     spec = analysis.LandscapeSpec(**section)
-    target = out / f"landscape_{method}.csv"
-    with _check_outputs([target], force):
+    with _check_outputs([out / f"landscape_{method}.csv"], force) as (staged,):
         grid = analysis.landscape_grid(net, src_model, tgt_model, scenario, spec)
-        analysis.save_landscape(grid, target)
+        analysis.save_landscape(grid, staged)
     print(f"{method}: {grid.loss.shape[0]}x{grid.loss.shape[1]} landscape grid, "
           f"loss range [{grid.loss.min():.4f}, {grid.loss.max():.4f}]")
 
 
 def cmd_sharpness(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
-    target = out / f"sharpness_{method}.json"
-    with _check_outputs([target], force):
+    with _check_outputs([out / f"sharpness_{method}.json"], force) as (staged,):
         report = analysis.lipschitz_estimate(net, src_model, tgt_model, scenario,
                                              _perturb_config(cfg["sharpness"]))
-        analysis.save_sharpness_report(report, target)
+        analysis.save_sharpness_report(report, staged)
     print(f"{method}: lipschitz estimate {report.lipschitz_estimate:.6f} "
           f"over {report.n_users} users ({report.n_skipped} skipped)")
 

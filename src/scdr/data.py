@@ -1,4 +1,4 @@
-"""Rating data ingestion, cross-domain scenarios, and synthetic generators.
+"""Rating data ingestion, cross-domain scenarios, synthetic generators, and the JSON artifact codec.
 
 A rating file holds one ``user,item,rating`` row per line, with no header.
 A scenario couples a source and a target domain that share users but no
@@ -13,7 +13,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -24,6 +24,7 @@ from .errors import IngestError, MissingInputError, ScdrError, ValidationError
 
 MANIFEST_VERSION = 1
 SIDECAR_VERSION = 1
+MAP_KINDS = ("identity", "linear", "tanh")
 
 
 @contextmanager
@@ -81,6 +82,28 @@ def write_atomic(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, doc: dict, indent: int | None = None) -> None:
+    """Write ``doc`` as sorted-key JSON text with one trailing newline."""
+    write_atomic(path, json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+
+
+def write_artifact(path, kind: str, version: int, payload: dict, indent: int | None = None) -> None:
+    """Write ``payload`` under the ``format_version``/``kind`` header every artifact carries."""
+    write_json(path, {"format_version": version, "kind": kind, **payload}, indent)
+
+
+@contextmanager
+def read_artifact(path, kind: str, version: int, what: str):
+    """:func:`json_document` of an artifact whose header must name ``kind`` and ``version``.
+
+    Any other header raises :class:`ValidationError` naming the file.
+    """
+    with json_document(path, what) as doc:
+        if doc.get("format_version") != version or doc.get("kind") != kind:
+            raise ValidationError(f"not a {what}: {path}")
+        yield doc
 
 
 @dataclass
@@ -347,9 +370,10 @@ def split_overlap(n_overlap: int, beta: float, seed: int) -> tuple[list[int], li
     """Seeded uniform shuffle assigning ceil(beta * n) overlap positions to test."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_overlap)
-    n_test = int(math.ceil(beta * n_overlap - 1e-9))
-    test = sorted(int(i) for i in perm[:n_test])
-    train = sorted(int(i) for i in perm[n_test:])
+    # the first ceil(beta * n) positions; a NaN or infinite beta reaches CdrScenario's check
+    in_test = np.arange(n_overlap) < beta * n_overlap - 1e-9
+    test = sorted(int(i) for i in perm[in_test])
+    train = sorted(int(i) for i in perm[~in_test])
     return train, test
 
 
@@ -360,8 +384,6 @@ def build_scenario(source: DomainDataset, target: DomainDataset, beta: float, se
     assigns ``ceil(beta * |overlap|)`` users to the cold-start test set;
     the same inputs and seed always produce the same partition.
     """
-    if not 0.0 < float(beta) < 1.0:
-        raise ValidationError(f"beta must lie in (0, 1), got {beta}")
     shared_items = set(source.items) & set(target.items)
     if shared_items:
         raise ValidationError(
@@ -411,7 +433,7 @@ class SyntheticSpec:
             raise ValidationError("latent dim must be >= 1")
         if self.noise < 0.0:
             raise ValidationError("noise level must be >= 0")
-        if self.map_kind not in ("identity", "linear", "tanh"):
+        if self.map_kind not in MAP_KINDS:
             raise ValidationError(f"unknown map kind {self.map_kind!r}")
         if not 0.0 < self.beta < 1.0:
             raise ValidationError(f"beta must lie in (0, 1), got {self.beta}")
@@ -531,7 +553,7 @@ def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratin
     }
     if sidecar is not None:
         doc["sidecar"] = sidecar
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc, indent=2)
 
 
 def _user_tokens(value) -> list[str]:
@@ -571,32 +593,24 @@ def load_scenario(manifest_path) -> CdrScenario:
                    test_pairs=[by_token[u] for u in test_users])
 
 
+_SIDECAR_ARRAYS = tuple(f.name for f in fields(SyntheticSidecar) if f.type == "np.ndarray")
+
+
 def save_sidecar(sidecar: SyntheticSidecar, path) -> None:
-    doc = {
-        "format_version": SIDECAR_VERSION,
-        "map_kind": sidecar.map_kind,
-        "seed": sidecar.seed,
-        "latent_mean": sidecar.latent_mean.tolist(),
-        "map_matrix": sidecar.map_matrix.tolist(),
-        "source_user_latents": sidecar.source_user_latents.tolist(),
-        "target_user_latents": sidecar.target_user_latents.tolist(),
-        "source_item_latents": sidecar.source_item_latents.tolist(),
-        "target_item_latents": sidecar.target_item_latents.tolist(),
-    }
-    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+    arrays = {name: getattr(sidecar, name).tolist() for name in _SIDECAR_ARRAYS}
+    write_json(path, {"format_version": SIDECAR_VERSION, "map_kind": sidecar.map_kind,
+                      "seed": sidecar.seed, **arrays})
 
 
 def load_sidecar(path) -> SyntheticSidecar:
+    """Read a sidecar back; ``seed`` must be an integer and ``map_kind`` one of ``MAP_KINDS``."""
     with json_document(path, "sidecar") as doc:
         if doc.get("format_version") != SIDECAR_VERSION:
             raise ValidationError(f"unsupported sidecar version {doc.get('format_version')!r}")
+        if doc["map_kind"] not in MAP_KINDS:
+            raise ValidationError(f"unknown map kind {doc['map_kind']!r} in {path}")
         return SyntheticSidecar(
-            source_user_latents=np.asarray(doc["source_user_latents"], dtype=np.float64),
-            target_user_latents=np.asarray(doc["target_user_latents"], dtype=np.float64),
-            source_item_latents=np.asarray(doc["source_item_latents"], dtype=np.float64),
-            target_item_latents=np.asarray(doc["target_item_latents"], dtype=np.float64),
-            latent_mean=np.asarray(doc["latent_mean"], dtype=np.float64),
+            **{name: np.asarray(doc[name], dtype=np.float64) for name in _SIDECAR_ARRAYS},
             map_kind=doc["map_kind"],
-            map_matrix=np.asarray(doc["map_matrix"], dtype=np.float64),
-            seed=int(doc["seed"]),
+            seed=number(int, doc["seed"], "seed"),
         )

@@ -10,13 +10,12 @@ zero-step perturbation it reduces bitwise to ``train_mf``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import DomainDataset, json_document, number, write_atomic
+from .data import DomainDataset, number, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
@@ -258,9 +257,7 @@ def train_smf(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfi
 def save_factor_model(model: FactorModel, path, config: TrainConfig | None = None,
                       perturb: PerturbConfig | None = None) -> None:
     """Checkpoint a factor model as JSON; floats round-trip bit-exact."""
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "factor_model",
+    write_artifact(path, "factor_model", CHECKPOINT_VERSION, {
         "d": model.d,
         "n_users": int(model.U.shape[0]),
         "n_items": int(model.V.shape[0]),
@@ -268,15 +265,12 @@ def save_factor_model(model: FactorModel, path, config: TrainConfig | None = Non
         "V": model.V.tolist(),
         "config": None if config is None else asdict(config),
         "perturb": None if perturb is None else asdict(perturb),
-    }
-    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+    })
 
 
 def load_factor_model(path) -> tuple[FactorModel, dict]:
     """Load a checkpoint, returning the model and the full document (config echo)."""
-    with json_document(path, "factor checkpoint") as doc:
-        if doc.get("format_version") != CHECKPOINT_VERSION or doc.get("kind") != "factor_model":
-            raise ValidationError(f"not a factor-model checkpoint: {path}")
+    with read_artifact(path, "factor_model", CHECKPOINT_VERSION, "factor checkpoint") as doc:
         d, n_users, n_items = (number(int, doc[k], k) for k in ("d", "n_users", "n_items"))
         model = FactorModel(np.asarray(doc["U"]), np.asarray(doc["V"]), d)
         if model.U.shape[0] != n_users or model.V.shape[0] != n_items:

@@ -19,14 +19,13 @@ the same kernel and ascent pair.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import CdrScenario, json_document, number, write_atomic
+from .data import CdrScenario, number, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
 from .factorization import FactorModel, TrainConfig
 from .perturbation import PerturbConfig, find_delta, memo_last_point
@@ -76,11 +75,6 @@ class MappingGradient(NamedTuple):
 
 
 class MappingTrainResult(NamedTuple):
-    net: MappingNet
-    loss_trace: list[float]
-
-
-class ScdrTrainResult(NamedTuple):
     net: MappingNet
     tuned_source_U: np.ndarray
     loss_trace: list[float]
@@ -132,10 +126,7 @@ def forward(net: MappingNet, u: np.ndarray) -> np.ndarray:
 class _Pass(NamedTuple):
     """One forward and backward pass of the net over a block of rows."""
 
-    hidden: np.ndarray      # (n, hidden) tanh activations
-    out: np.ndarray         # (n, d) mapped embeddings
     loss: np.ndarray        # (n,) per-row loss
-    upstream: np.ndarray    # (n, d) loss gradient at the output
     grad: MappingGradient   # parameter gradients summed over rows; ``u`` per row
 
 
@@ -150,7 +141,7 @@ def _kernel(net: MappingNet, u: np.ndarray, target) -> _Pass:
     loss, up = target(y)
     dz = (up @ net.W2) * (1.0 - a * a)
     grad = MappingGradient(dz.T @ u, np.add.reduce(dz), up.T @ a, np.add.reduce(up), dz @ net.W1)
-    return _Pass(a, y, loss, up, grad)
+    return _Pass(loss, grad)
 
 
 def mapping_backward(net: MappingNet, u: np.ndarray, upstream: np.ndarray) -> MappingGradient:
@@ -271,7 +262,7 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
 @np.errstate(over="ignore", invalid="ignore")
 def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
                    base: TrainConfig, perturb: PerturbConfig | None, tune_source: bool,
-                   supervision: str, hidden: int):
+                   supervision: str, hidden: int) -> MappingTrainResult:
     if source_model.d != target_model.d:
         raise ValidationError(
             f"factor models disagree on latent dim: {source_model.d} vs {target_model.d}"
@@ -318,22 +309,22 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
                 epoch=epoch, learning_rate=base.learning_rate,
             )
         trace.append(loss)
-    return net, u_src, trace
+    return MappingTrainResult(net, u_src, trace)
 
 
 def emcdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
                 config: TrainConfig, hidden: int = 50) -> MappingTrainResult:
     """Baseline mapping trainer: MSE between f(u_source) and the pretrained
-    target embedding over mapping-train users, embeddings frozen."""
-    net, _, trace = _train_mapping(
+    target embedding over mapping-train users, embeddings frozen; the
+    returned source matrix is an untouched copy."""
+    return _train_mapping(
         scenario, source_model, target_model, config,
         perturb=None, tune_source=False, supervision=SUPERVISION_EMBEDDING, hidden=hidden,
     )
-    return MappingTrainResult(net, trace)
 
 
 def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
-               config: ScdrTrainConfig) -> ScdrTrainResult:
+               config: ScdrTrainConfig) -> MappingTrainResult:
     """Bi-level mapping trainer.
 
     Per mini-batch of mapping-train users: find each user's ball-constrained
@@ -347,12 +338,11 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
     per-epoch unperturbed loss trace. Target rows of cold-start test users
     are never read.
     """
-    net, tuned, trace = _train_mapping(
+    return _train_mapping(
         scenario, source_model, target_model, config.base,
         perturb=config.perturb, tune_source=config.tune_source_embeddings,
         supervision=config.supervision, hidden=config.hidden,
     )
-    return ScdrTrainResult(net, tuned, trace)
 
 
 def save_mapping(net: MappingNet, path, config: dict | None = None,
@@ -361,9 +351,7 @@ def save_mapping(net: MappingNet, path, config: dict | None = None,
     """Checkpoint a mapping net (and optional tuned source rows) as JSON."""
     if (tuned_users is None) != (tuned_vectors is None):
         raise ValidationError("tuned_users and tuned_vectors must be given together")
-    doc = {
-        "format_version": MAPPING_CHECKPOINT_VERSION,
-        "kind": "mapping_net",
+    write_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, {
         "d": net.d,
         "hidden": net.hidden,
         "activation": "tanh",
@@ -376,15 +364,12 @@ def save_mapping(net: MappingNet, path, config: dict | None = None,
             "users": list(tuned_users),
             "vectors": np.asarray(tuned_vectors, dtype=np.float64).tolist(),
         },
-    }
-    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+    })
 
 
 def load_mapping(path) -> tuple[MappingNet, dict]:
     """Load a mapping checkpoint, returning the net and the full document."""
-    with json_document(path, "mapping checkpoint") as doc:
-        if doc.get("format_version") != MAPPING_CHECKPOINT_VERSION or doc.get("kind") != "mapping_net":
-            raise ValidationError(f"not a mapping checkpoint: {path}")
+    with read_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, "mapping checkpoint") as doc:
         if doc.get("activation", "tanh") != "tanh":
             raise ValidationError(f"unsupported activation {doc['activation']!r} in {path}")
         d, hidden = (number(int, doc[k], k) for k in ("d", "hidden"))

@@ -305,6 +305,26 @@ class TestLandscape:
                 expect = float(np.mean(np.abs(r - np.einsum("ij,ij->i", displaced, v))))
                 assert abs(grid.loss[zi, gi] - expect) < 1e-10
 
+    def test_every_cell_matches_a_per_cell_forward_pass(self, trained_stack):
+        # reference: one forward pass per lattice cell, which the batched rows reproduce bitwise
+        scn, src, tgt, net = trained_stack
+        grid = landscape_grid(net, src, tgt, scn, LandscapeSpec(resolution=7, n_samples=60, seed=5))
+        pool = per_user_pool(scn)
+        rng = np.random.default_rng(5)
+        g1 = rng.standard_normal(src.d)
+        g2 = rng.standard_normal(src.d)
+        sel = rng.choice(len(pool), size=60, replace=False)
+        u = src.U[[pool[i][0] for i in sel]]
+        v = tgt.V[[pool[i][1] for i in sel]]
+        r = np.array([pool[i][2] for i in sel])
+        norms = np.linalg.norm(u, axis=1, keepdims=True)
+        d1 = (g1 / np.linalg.norm(g1))[None, :] * norms
+        d2 = (g2 / np.linalg.norm(g2))[None, :] * norms
+        for zi, zeta in enumerate(grid.zeta_axis):
+            for gi, gamma in enumerate(grid.gamma_axis):
+                preds = np.einsum("ij,ij->i", forward(net, u + gamma * d1 + zeta * d2), v)
+                assert grid.loss[zi, gi] == np.mean(np.abs(r - preds))
+
     def test_insufficient_samples(self, trained_stack):
         scn, src, tgt, net = trained_stack
         with pytest.raises(ValidationError):

@@ -164,6 +164,23 @@ class TestValidation:
         # nothing half-written is left for the no-overwrite rule to guard
         assert run(*stages[stage], "--config", cfg) == 0
 
+    def test_crashed_force_run_keeps_every_output(self, tmp_path, monkeypatch):
+        # a --force re-run that fails partway must not leave new outputs beside old ones
+        out = tmp_path / "run"
+        cfg_doc = small_config(out)
+        cfg_doc["pretrain"]["epochs"] = 2
+        cfg = write_config(tmp_path, cfg_doc)
+        assert run("synth", "--config", cfg) == 0
+        assert run("pretrain", "--config", cfg, "--mode", "plain") == 0
+        before = {p.name: digest(p) for p in out.iterdir()}
+        cfg_doc["pretrain"]["epochs"] = 7
+        longer = write_config(tmp_path, cfg_doc, "longer.json")
+        with monkeypatch.context() as patch:
+            fail_halfway(patch, "target_model_plain.json")
+            with pytest.raises(OSError):
+                run("pretrain", "--config", longer, "--mode", "plain", "--force")
+        assert {p.name: digest(p) for p in out.iterdir()} == before
+
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, {"sed": 1})
         assert run("synth", "--config", cfg) == 2

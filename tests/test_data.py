@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,8 +228,8 @@ class TestScenario:
     def test_bad_beta_rejected(self):
         src = dataset([("a", "x", 1.0)])
         tgt = dataset([("a", "y", 2.0)])
-        for beta in (0.0, 1.0, -0.5):
-            with pytest.raises(ValidationError):
+        for beta in (0.0, 1.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="beta must lie in"):
                 build_scenario(src, tgt, beta, 0)
 
     def test_withholding(self):
@@ -392,6 +393,20 @@ class TestManifest:
         loader = load_scenario if name == "m.json" else load_sidecar
         with pytest.raises(ValidationError, match="malformed"):
             loader(tmp_path / name)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 3.9), ("seed", "3"), ("seed", True), ("map_kind", "bogus"),
+    ])
+    def test_sidecar_values_are_strict(self, tmp_path, key, value):
+        _, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=2,
+                                                 ratings_per_user=3))
+        path = tmp_path / "g.json"
+        save_sidecar(sc, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=re.escape(str(path))):
+            load_sidecar(path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingInputError):

@@ -5,7 +5,8 @@ credits the time of the callables handed to ``find_delta`` to the module
 that defines them. A refactor that renames or drops a wrapped name, or that
 moves those callables to another module, breaks or skews a traced benchmark
 run; these checks make it fail the test suite instead. README's example
-config is checked against the keys the CLI accepts in the same way.
+config is checked against the keys the CLI accepts in the same way, and the
+JSON artifact format is checked to stay behind ``scdr.data``'s codec.
 """
 
 from __future__ import annotations
@@ -84,3 +85,11 @@ def test_readme_config_block_loads(tmp_path):
     path.write_text(blocks[0])
     cfg = load_config(str(path))
     assert cfg["seed"] == 1 and cfg["out"] == "runs/exp"
+
+
+def test_only_data_spells_the_json_artifact_format():
+    """JSON text and the ``format_version``/``kind`` header are written and read in ``scdr.data``."""
+    spelled = re.compile(r'^import json|json\.dumps|"format_version"|"kind"', re.M)
+    modules = sorted(p.name for p in (ROOT / "src" / "scdr").glob("*.py")
+                     if spelled.search(p.read_text(encoding="utf-8")))
+    assert modules == ["data.py"]
