@@ -179,12 +179,13 @@ def _write_trace(trace: list[float], path: Path) -> None:
 def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
     spec = data.SyntheticSpec(seed=seed, **cfg["synth"])
     outputs = [out / n for n in
-               ("source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json")]
+               ("source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json",
+                "source_ratings.csv.npy", "target_ratings.csv.npy")]
     with _check_outputs(outputs, force) as staged:
         scenario, sidecar = data.generate_synthetic(spec)
         out.mkdir(parents=True, exist_ok=True)
-        data.write_ratings(scenario.source, staged[0])
-        data.write_ratings(scenario.target, staged[1])
+        data.write_ratings(scenario.source, staged[0], snapshot=staged[4])
+        data.write_ratings(scenario.target, staged[1], snapshot=staged[5])
         data.save_manifest(scenario, staged[2], "source_ratings.csv", "target_ratings.csv",
                            sidecar="ground_truth.json")
         data.save_sidecar(sidecar, staged[3])
@@ -206,8 +207,8 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
         else:
             src = factorization.train_smf(scenario.source, train_cfg, perturb)
             tgt = factorization.train_smf(scenario.target_training_dataset(), train_cfg, perturb)
-        factorization.save_factor_model(src.model, staged[0], train_cfg, perturb)
-        factorization.save_factor_model(tgt.model, staged[1], train_cfg, perturb)
+        factorization.save_factor_model(src.model, staged[0], train_cfg, perturb, scenario.inputs)
+        factorization.save_factor_model(tgt.model, staged[1], train_cfg, perturb, scenario.inputs)
         _write_trace(src.loss_trace, staged[2])
         _write_trace(tgt.loss_trace, staged[3])
     print(f"pretrained {mode} factor models (final losses "
@@ -218,8 +219,8 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
 def _load_train_inputs(out: Path, method: str):
     scenario = data.load_scenario(out / "scenario.json")
     mode = _METHOD_MODE[method]
-    src_model, _ = factorization.load_factor_model(out / f"source_model_{mode}.json")
-    tgt_model, _ = factorization.load_factor_model(out / f"target_model_{mode}.json")
+    src_model, tgt_model = (factorization.load_factor_model(
+        out / f"{side}_model_{mode}.json", scenario.inputs)[0] for side in ("source", "target"))
     if src_model.d != tgt_model.d:
         raise ValidationError("source and target checkpoints disagree on latent dim")
     for name, model, domain in (("source", src_model, scenario.source),

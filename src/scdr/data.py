@@ -9,6 +9,7 @@ withheld from every training stream.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -66,22 +67,29 @@ def number(kind: type, value, name: str):
     return kind(value)
 
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path`` through a temp file beside it.
+@contextmanager
+def _atomic_file(path):
+    """A binary file for the ``with`` body to write ``path`` through, as a temp file beside it.
 
-    The temp file replaces ``path`` only once it is complete, and is removed
-    if the write fails, so a failed write leaves neither a partial ``path``
-    nor the temp file behind.
+    The temp file replaces ``path`` only once the body completes, and is
+    removed if the body fails, so a failed write leaves neither a partial
+    ``path`` nor the temp file behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through :func:`_atomic_file`."""
+    with _atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def write_json(path, doc: dict, indent: int | None = None) -> None:
@@ -89,20 +97,24 @@ def write_json(path, doc: dict, indent: int | None = None) -> None:
     write_atomic(path, json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
-def write_artifact(path, kind: str, version: int, payload: dict, indent: int | None = None) -> None:
-    """Write ``payload`` under the ``format_version``/``kind`` header every artifact carries."""
-    write_json(path, {"format_version": version, "kind": kind, **payload}, indent)
+def write_artifact(path, kind: str, version: int, payload: dict, indent: int | None = None,
+                   inputs: dict | None = None) -> None:
+    """Write ``payload`` under the ``format_version``/``kind`` header and the ``inputs`` digests."""
+    inputs = {} if inputs is None else {"inputs": inputs}
+    write_json(path, {"format_version": version, "kind": kind, **inputs, **payload}, indent)
 
 
 @contextmanager
-def read_artifact(path, kind: str, version: int, what: str):
+def read_artifact(path, kind: str, version: int, what: str, inputs: dict | None = None):
     """:func:`json_document` of an artifact whose header must name ``kind`` and ``version``.
 
-    Any other header raises :class:`ValidationError` naming the file.
+    Another header, or digests other than the given ``inputs``, raises ValidationError naming it.
     """
     with json_document(path, what) as doc:
         if doc.get("format_version") != version or doc.get("kind") != kind:
             raise ValidationError(f"not a {what}: {path}")
+        if inputs is not None and doc.get("inputs") != inputs:
+            raise ValidationError(f"stale {what} {path}: it was made from other input files")
         yield doc
 
 
@@ -114,6 +126,7 @@ class DomainDataset:
     are parallel arrays (user_index, item_index, rating); (user, item)
     pairs are unique, duplicates having been collapsed last-write-wins at
     construction time with the overwrite count kept in ``duplicate_count``.
+    ``digest`` is the sha256 of the rating file the dataset was read from.
     """
 
     users: tuple[str, ...]
@@ -122,6 +135,7 @@ class DomainDataset:
     item_index: np.ndarray
     rating: np.ndarray
     duplicate_count: int = 0
+    digest: str | None = None
 
     def __post_init__(self):
         self.user_index = np.asarray(self.user_index, dtype=np.int64)
@@ -219,26 +233,24 @@ def _split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The lines of a UTF-8 file; a decoding error names its 1-based row."""
-    raw = path.read_bytes()
+def _read_lines(raw: bytes, path: Path) -> list[str]:
+    """The lines of a file's UTF-8 bytes; a decoding error names its 1-based row."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         row = len(_split_lines(raw[:exc.start].decode("utf-8")))
         raise IngestError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
                           row=row) from None
-    del raw
     return _split_lines(text)
 
 
-def _parse_columns(path: Path):
-    """Bulk-parse a rating file into (user tokens, item tokens, ratings).
+def _parse_columns(raw: bytes, path: Path):
+    """Bulk-parse a rating file's bytes into (user tokens, item tokens, ratings).
 
     Returns None when any row is malformed; :func:`_raise_first_bad_row`
     then names the first one.
     """
-    body = list(filter(None, _read_lines(path)))
+    body = list(filter(None, _read_lines(raw, path)))
     if not body:
         raise IngestError(f"empty dataset: {path}")
     if set(map(str.count, body, repeat(","))) != {2}:
@@ -259,23 +271,45 @@ def _parse_columns(path: Path):
     return users, items, rating
 
 
-def _raise_first_bad_row(path: Path) -> None:
+def _raise_first_bad_row(raw: bytes, path: Path) -> None:
     """Check rows one at a time and raise :class:`IngestError` for the first bad one."""
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(_read_lines(raw, path), start=1):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 3:
             raise IngestError(f"expected 3 fields separated by ',', got {len(parts)}", row=lineno)
-        user, item, raw = (p.strip() for p in parts)
+        user, item, raw_rating = (p.strip() for p in parts)
         try:
-            rating = float(raw)
+            rating = float(raw_rating)
         except ValueError:
-            raise IngestError(f"rating {raw!r} is not a number", row=lineno) from None
+            raise IngestError(f"rating {raw_rating!r} is not a number", row=lineno) from None
         if not math.isfinite(rating):
-            raise IngestError(f"rating {raw!r} is not finite", row=lineno)
+            raise IngestError(f"rating {raw_rating!r} is not finite", row=lineno)
         if not user or not item:
             raise IngestError("empty user or item token", row=lineno)
+
+
+def _load_snapshot(snapshot: Path, digest: str) -> DomainDataset | None:
+    """The dataset stored in ``snapshot``, or None if it is absent or records another digest."""
+    if not snapshot.is_file():
+        return None
+    arrays = []
+    try:
+        with open(snapshot, "rb") as fh:
+            # (dtype, ndim) of each array, in write_ratings' order; "U": any str width
+            for dtype, ndim in zip("U64 U U i8 i8 f8 i8".split(), (0, 1, 1, 1, 1, 1, 0)):
+                arr = np.load(fh, allow_pickle=False)
+                if not (isinstance(arr, np.ndarray) and arr.ndim == ndim
+                        and (arr.dtype.kind == "U" if dtype == "U" else arr.dtype == dtype)):
+                    raise TypeError(f"array {len(arrays)} is not {ndim}-D {dtype}")
+                if not arrays and str(arr) != digest:
+                    return None
+                arrays.append(arr)
+        _, users, items, *columns, dups = arrays
+        return DomainDataset(tuple(users.tolist()), tuple(items.tolist()), *columns, int(dups))
+    except (OSError, EOFError, TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"unreadable rating snapshot {snapshot}: {exc}") from None
 
 
 def ingest_domain(path) -> DomainDataset:
@@ -291,21 +325,55 @@ def ingest_domain(path) -> DomainDataset:
     ``rating``, say), or an empty token raises :class:`IngestError` naming
     the 1-based line number of the first such row; so does a byte sequence
     that is not UTF-8.
+
+    The file is read once; its sha256 is the dataset's ``digest``. A snapshot ``<path>.npy``
+    (see :func:`write_ratings`) recording it is loaded instead of parsing, and raises
+    :class:`ValidationError` naming it if unreadable or ill-typed; others are ignored.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingInputError(f"rating file not found: {path}")
-    columns = _parse_columns(path)
-    if columns is None:
-        _raise_first_bad_row(path)
-    return DomainDataset.from_columns(*columns)
+    raw = path.read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    dataset = _load_snapshot(path.with_name(path.name + ".npy"), digest)
+    if dataset is None:
+        columns = _parse_columns(raw, path)
+        if columns is None:
+            _raise_first_bad_row(raw, path)
+        dataset = DomainDataset.from_columns(*columns)
+    dataset.digest = digest
+    return dataset
 
 
-def write_ratings(dataset: DomainDataset, path) -> None:
-    """Write a dataset back out as a ``user,item,rating`` file (exact float text)."""
-    lines = [f"{dataset.users[u]},{dataset.items[v]},{r!r}" for u, v, r in
-             zip(dataset.user_index.tolist(), dataset.item_index.tolist(), dataset.rating.tolist())]
-    write_atomic(path, "\n".join(lines) + "\n")
+def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
+    """Write a dataset back out as a ``user,item,rating`` file (exact float text).
+
+    With ``snapshot`` (``<path>.npy`` or its staging path), also write there the file's sha256
+    and the dataset :func:`ingest_domain` parses from it; tokens must survive the format.
+    """
+    # one gather per token column is cheaper than a tuple lookup per row
+    row_users = np.array(dataset.users, dtype=object)[dataset.user_index].tolist()
+    row_items = np.array(dataset.items, dtype=object)[dataset.item_index].tolist()
+    lines = [f"{u},{v},{r!r}" for u, v, r in zip(row_users, row_items, dataset.rating.tolist())]
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    with _atomic_file(path) as fh:
+        fh.write(raw)
+    if snapshot is None:
+        return
+    columns = []
+    for index, tokens in ((dataset.user_index, dataset.users), (dataset.item_index, dataset.items)):
+        # parsing meets tokens in order of first use, and never meets unused ones
+        first = np.full(len(tokens), index.size, dtype=np.int64)
+        np.minimum.at(first, index, np.arange(index.size))
+        order = np.argsort(first)
+        used = order[:np.count_nonzero(first < index.size)]
+        columns.append((np.array(tokens)[used], np.argsort(order)[index]))
+    (users, ui), (items, vi) = columns
+    with _atomic_file(snapshot) as fh:
+        # the file's pairs are unique, so parsing it overwrites none
+        for arr in (np.array(hashlib.sha256(raw).hexdigest()), users, items, ui, vi,
+                    dataset.rating, np.array(0, dtype=np.int64)):
+            np.save(fh, arr, allow_pickle=False)
 
 
 @dataclass
@@ -314,6 +382,7 @@ class CdrScenario:
 
     ``overlap`` pairs (source_user_index, target_user_index) for every
     shared user token; ``train_pairs`` and ``test_pairs`` partition it.
+    ``inputs`` holds the sha256 of the manifest and rating files it was loaded from.
     """
 
     source: DomainDataset
@@ -323,6 +392,7 @@ class CdrScenario:
     seed: int
     train_pairs: list[tuple[int, int]]
     test_pairs: list[tuple[int, int]]
+    inputs: dict[str, str] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -581,6 +651,9 @@ def load_scenario(manifest_path) -> CdrScenario:
             # one list without the other is a missing key, not a recomputed split
             split = _user_tokens(doc["train_users"]), _user_tokens(doc["test_users"])
     scenario = build_scenario(ingest_domain(source_path), ingest_domain(target_path), beta, seed)
+    scenario.inputs = {"manifest": hashlib.sha256(manifest_path.read_bytes()).hexdigest(),
+                       "source_ratings": scenario.source.digest,
+                       "target_ratings": scenario.target.digest}
     if split is None:
         return scenario
     train_users, test_users = split

@@ -19,7 +19,7 @@ from .data import DomainDataset, number, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -255,8 +255,8 @@ def train_smf(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfi
 
 
 def save_factor_model(model: FactorModel, path, config: TrainConfig | None = None,
-                      perturb: PerturbConfig | None = None) -> None:
-    """Checkpoint a factor model as JSON; floats round-trip bit-exact."""
+                      perturb: PerturbConfig | None = None, inputs: dict | None = None) -> None:
+    """Checkpoint a factor model as JSON (floats bit-exact) with ``CdrScenario.inputs``."""
     write_artifact(path, "factor_model", CHECKPOINT_VERSION, {
         "d": model.d,
         "n_users": int(model.U.shape[0]),
@@ -265,12 +265,13 @@ def save_factor_model(model: FactorModel, path, config: TrainConfig | None = Non
         "V": model.V.tolist(),
         "config": None if config is None else asdict(config),
         "perturb": None if perturb is None else asdict(perturb),
-    })
+    }, inputs=inputs)
 
 
-def load_factor_model(path) -> tuple[FactorModel, dict]:
-    """Load a checkpoint, returning the model and the full document (config echo)."""
-    with read_artifact(path, "factor_model", CHECKPOINT_VERSION, "factor checkpoint") as doc:
+def load_factor_model(path, inputs: dict | None = None) -> tuple[FactorModel, dict]:
+    """Load a checkpoint and its full document; one made from other ``inputs`` raises."""
+    with read_artifact(path, "factor_model", CHECKPOINT_VERSION, "factor checkpoint",
+                       inputs) as doc:
         d, n_users, n_items = (number(int, doc[k], k) for k in ("d", "n_users", "n_items"))
         model = FactorModel(np.asarray(doc["U"]), np.asarray(doc["V"]), d)
         if model.U.shape[0] != n_users or model.V.shape[0] != n_items:

@@ -64,7 +64,7 @@ class TestPipeline:
         out, _ = pipeline
         expected = [
             "source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json",
-            "source_model_plain.json", "target_model_plain.json",
+            "source_ratings.csv.npy", "target_ratings.csv.npy", "source_model_plain.json", "target_model_plain.json",
             "source_model_sharpness_aware.json", "target_model_sharpness_aware.json",
             "mapping_emcdr.json", "mapping_scdr.json", "mapping_scdr_minus.json",
             "eval_emcdr.json", "eval_scdr.json", "eval_scdr_minus.json",
@@ -181,6 +181,45 @@ class TestValidation:
                 run("pretrain", "--config", longer, "--mode", "plain", "--force")
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
+    def test_synth_refuses_existing_snapshot(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "target_ratings.csv.npy").write_bytes(b"old")
+        cfg = write_config(tmp_path, small_config(out))
+        assert run("synth", "--config", cfg) == 2
+        assert "target_ratings.csv.npy" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["target_ratings.csv.npy"]
+        assert (out / "target_ratings.csv.npy").read_bytes() == b"old"
+
+    def test_crashed_force_synth_keeps_old_snapshots(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, small_config(out))
+        assert run("synth", "--config", cfg) == 0
+        before = {p.name: digest(p) for p in out.iterdir()}
+        assert "source_ratings.csv.npy" in before and "target_ratings.csv.npy" in before
+        with monkeypatch.context() as patch:
+            # the last output written; both new snapshots are staged by then
+            fail_halfway(patch, "ground_truth.json")
+            with pytest.raises(OSError):
+                run("synth", "--config", cfg, "--seed", "7", "--force")
+        assert {p.name: digest(p) for p in out.iterdir()} == before
+
+    def test_factor_checkpoints_of_another_scenario_exit_2(self, tmp_path, capsys):
+        # checkpoints of the seed-1 scenario have the shapes of the seed-7 one
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, small_config(out))
+        assert run("synth", "--config", cfg, "--seed", "1") == 0
+        assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 0
+        assert run("train", "--config", cfg, "--method", "scdr") == 0
+        assert run("synth", "--config", cfg, "--seed", "7", "--force") == 0
+        before = {p.name: digest(p) for p in out.iterdir()}
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--method", "scdr") == 2
+        err = capsys.readouterr().err
+        assert "stale factor checkpoint" in err and "source_model_sharpness_aware.json" in err
+        assert run("train", "--config", cfg, "--method", "scdr", "--force") == 2
+        assert {p.name: digest(p) for p in out.iterdir()} == before
+
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, {"sed": 1})
         assert run("synth", "--config", cfg) == 2
@@ -226,6 +265,24 @@ def truncate(path):
     path.write_bytes(raw[:min(500, len(raw) // 2)])
 
 
+def truncate_to(size):
+    def corrupt(path):
+        path.write_bytes(path.read_bytes()[:size])
+    return corrupt
+
+
+def rewrite_snapshot(position, convert):
+    """Replace array ``position`` of a rating snapshot by ``convert`` of it; the digest stays."""
+    def corrupt(path):
+        with path.open("rb") as fh:
+            arrays = [np.load(fh) for _ in range(7)]
+        arrays[position] = convert(arrays[position])
+        with path.open("wb") as fh:
+            for arr in arrays:
+                np.save(fh, arr, allow_pickle=True)
+    return corrupt
+
+
 def drop_key(key):
     def corrupt(path):
         doc = json.loads(path.read_text())
@@ -256,6 +313,16 @@ class TestCorruptInputs:
     @pytest.mark.parametrize("name, corrupt, message", [
         ("source_ratings.csv", non_utf8_row_3, "row 3: "),
         ("target_ratings.csv", header_line, "row 1: rating 'rating' is not a number"),
+        # a snapshot whose digest matches its rating file but whose payload is bad;
+        # 500 bytes keep the digest record and cut the payload, 100 cut the record
+        ("source_ratings.csv.npy", truncate, "unreadable rating snapshot"),
+        ("source_ratings.csv.npy", truncate_to(100), "unreadable rating snapshot"),
+        ("target_ratings.csv.npy", rewrite_snapshot(3, lambda a: a.astype(np.int32)),
+         "target_ratings.csv.npy: array 3 is not 1-D i8"),
+        ("target_ratings.csv.npy", rewrite_snapshot(5, lambda a: a.astype(np.float32)),
+         "target_ratings.csv.npy: array 5 is not 1-D f8"),
+        ("source_ratings.csv.npy", rewrite_snapshot(1, lambda a: a.astype(object)),
+         "source_ratings.csv.npy: Object arrays cannot be loaded"),
         ("scenario.json", truncate, "malformed manifest"),
         ("source_model_sharpness_aware.json", truncate, "malformed factor checkpoint"),
         ("mapping_scdr.json", truncate, "malformed mapping checkpoint"),

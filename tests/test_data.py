@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
 
+import scdr.data
 from scdr.data import (
+    MAP_KINDS,
     DomainDataset,
     SyntheticSpec,
     build_scenario,
@@ -166,6 +170,70 @@ class TestIngestContract:
         columns = ([ds.users[u] for u in ds.user_index], [ds.items[v] for v in ds.item_index],
                    ds.rating.tolist())
         assert same_dataset(DomainDataset.from_columns(*columns), ds)
+
+
+def parse_only(path) -> DomainDataset:
+    """``ingest_domain`` of a copy of ``path`` that has no snapshot beside it."""
+    copy = path.with_name(f"copy_of_{path.name}")
+    shutil.copyfile(path, copy)
+    return ingest_domain(copy)
+
+
+def written_with_snapshot(ds: DomainDataset, path):
+    write_ratings(ds, path, snapshot=path.with_name(path.name + ".npy"))
+    return path
+
+
+SNAPSHOT_SPECS = [SyntheticSpec(users=60, items=40, overlap_ratio=0.25, dim=4, noise=0.3,
+                                map_kind=kind, seed=7, ratings_per_user=8) for kind in MAP_KINDS]
+# 10 users rate 3 of 200 items each, so most items are unrated and dropped on reading
+SNAPSHOT_SPECS.append(SyntheticSpec(users=10, items=200, overlap_ratio=0.5, dim=3, seed=4,
+                                    ratings_per_user=3))
+
+
+class TestSnapshot:
+    @pytest.mark.parametrize("spec", SNAPSHOT_SPECS,
+                             ids=[*MAP_KINDS, "unrated_items"])
+    def test_snapshot_equals_parse(self, tmp_path, monkeypatch, spec):
+        scenario, _ = generate_synthetic(spec)
+        for name, ds in (("s.csv", scenario.source), ("t.csv", scenario.target)):
+            path = written_with_snapshot(ds, tmp_path / name)
+            parsed = parse_only(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(scdr.data, "_parse_columns", None)  # the snapshot must serve
+                loaded = ingest_domain(path)
+            assert same_dataset(loaded, parsed)
+            assert loaded.user_index.dtype == loaded.item_index.dtype == np.int64
+            assert loaded.rating.dtype == np.float64
+            assert loaded.digest == parsed.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        if spec.items == 200:
+            assert parsed.n_items < spec.items
+
+    def test_snapshot_bytes_are_stable(self, tmp_path):
+        ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
+        a = written_with_snapshot(ds, tmp_path / "a.csv")
+        b = written_with_snapshot(ds, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv.npy").read_bytes() == (tmp_path / "b.csv.npy").read_bytes()
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_edited_file_is_parsed(self, tmp_path):
+        ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
+        path = written_with_snapshot(ds, tmp_path / "r.csv")
+        path.write_text(path.read_text().replace(",", " ,", 1) + "new_user,si000001,2.5\n")
+        got = ingest_domain(path)
+        assert got.n_users == ds.n_users + 1
+        assert same_dataset(got, parse_only(path))
+
+    def test_missing_snapshot_is_parsed(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
+        path = tmp_path / "r.csv"
+        write_ratings(ds, path)
+        assert not (tmp_path / "r.csv.npy").exists()
+        calls = []
+        real = scdr.data._parse_columns
+        monkeypatch.setattr(scdr.data, "_parse_columns", lambda *a: calls.append(1) or real(*a))
+        assert ingest_domain(path).n_interactions == ds.n_interactions
+        assert calls == [1]
 
 
 class TestDatasetInvariants:

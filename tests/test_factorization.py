@@ -328,6 +328,18 @@ class TestCheckpoint:
         assert doc["config"]["seed"] == 11
         assert doc["perturb"]["rho"] == 0.1
 
+    def test_input_digests_are_checked(self, tmp_path, rng):
+        inputs = {"manifest": "a" * 64, "source_ratings": "b" * 64, "target_ratings": "c" * 64}
+        p = tmp_path / "m.json"
+        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p,
+                          inputs=inputs)
+        _, doc = load_factor_model(p, inputs)
+        assert doc["inputs"] == inputs and doc["format_version"] == 2
+        for other in ({**inputs, "target_ratings": "d" * 64}, {}):
+            with pytest.raises(ValidationError, match="stale factor checkpoint") as exc:
+                load_factor_model(p, other)
+            assert str(p) in str(exc.value)
+
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(MissingInputError):
             load_factor_model(tmp_path / "none.json")

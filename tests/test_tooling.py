@@ -5,8 +5,9 @@ credits the time of the callables handed to ``find_delta`` to the module
 that defines them. A refactor that renames or drops a wrapped name, or that
 moves those callables to another module, breaks or skews a traced benchmark
 run; these checks make it fail the test suite instead. README's example
-config is checked against the keys the CLI accepts in the same way, and the
-JSON artifact format is checked to stay behind ``scdr.data``'s codec.
+config is checked against the keys the CLI accepts in the same way, the
+JSON artifact format is checked to stay behind ``scdr.data``'s codec, and
+numpy's binary loading is checked to stay in ``scdr.data`` and pickle-free.
 """
 
 from __future__ import annotations
@@ -93,3 +94,19 @@ def test_only_data_spells_the_json_artifact_format():
     modules = sorted(p.name for p in (ROOT / "src" / "scdr").glob("*.py")
                      if spelled.search(p.read_text(encoding="utf-8")))
     assert modules == ["data.py"]
+
+
+def test_numpy_files_load_only_in_data_and_never_unpickle():
+    """``np.load`` is called only in ``scdr.data``, always with ``allow_pickle=False``.
+
+    Nothing else in ``src`` names ``np.load`` (an alias would dodge the check),
+    imports from numpy by name, unpickles, or writes ``.npz`` files.
+    """
+    calls = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"savez|pickle\.load|from numpy import|\b(np|numpy)\.load\b(?!\()",
+                             text), path.name
+        calls[path.name] = re.findall(r"\b(?:np|numpy)\.load\((.*)\)", text)
+    assert {name for name, args in calls.items() if args} == {"data.py"}
+    assert all("allow_pickle=False" in args for args in calls["data.py"])
