@@ -97,13 +97,16 @@ def _typed(name: str, default, value):
                 raise TypeError
             return [data.number(float, v, name) for v in value]
         if kind in (int, float):
-            return data.number(kind, value, name)
+            value = data.number(kind, value, name)
+            if name.endswith("seed") and value < 0:
+                raise ValueError
+            return value
         if not isinstance(value, kind):
             raise TypeError
         return value
     except (TypeError, ValueError, OverflowError):
         expected = {list: "a list of finite numbers", float: "a finite float"}.get(
-            kind, kind.__name__)
+            kind, "a non-negative int" if name.endswith("seed") else kind.__name__)
         raise ValidationError(f"config value {name} must be {expected}, got {value!r}") from None
 
 
@@ -116,7 +119,7 @@ def load_config(path: str | None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
         return cfg
-    with data.json_document(path, "config file") as user:
+    with data.json_document(path, "config file") as (user, _):
         for key, value in user.items():
             if key not in cfg:
                 raise ValidationError(f"unknown config key {key!r}")
@@ -217,21 +220,22 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
 
 
 def _load_train_inputs(out: Path, method: str):
+    """The scenario, both factor models and the sha256 of their checkpoints."""
     scenario = data.load_scenario(out / "scenario.json")
     mode = _METHOD_MODE[method]
-    src_model, tgt_model = (factorization.load_factor_model(
-        out / f"{side}_model_{mode}.json", scenario.inputs)[0] for side in ("source", "target"))
+    (src_model, _, src_digest), (tgt_model, _, tgt_digest) = (factorization.load_factor_model(
+        out / f"{side}_model_{mode}.json", scenario.inputs) for side in ("source", "target"))
     if src_model.d != tgt_model.d:
         raise ValidationError("source and target checkpoints disagree on latent dim")
     for name, model, domain in (("source", src_model, scenario.source),
                                 ("target", tgt_model, scenario.target)):
         if model.U.shape[0] != domain.n_users or model.V.shape[0] != domain.n_items:
             raise ValidationError(f"{name} checkpoint does not match the scenario's shape")
-    return scenario, src_model, tgt_model
+    return scenario, src_model, tgt_model, {"source_model": src_digest, "target_model": tgt_digest}
 
 
 def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
-    scenario, src_model, tgt_model = _load_train_inputs(out, method)
+    scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
     section = cfg["train"]
     base = _train_config(section, seed, dim=src_model.d)
     outputs = [out / f"mapping_{method}.json", out / f"mapping_trace_{method}.csv"]
@@ -242,7 +246,7 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
         if method == "emcdr":
             result = mapping.emcdr_train(scenario, src_model, tgt_model, base,
                                          hidden=section["hidden"])
-            mapping.save_mapping(result.net, staged[0], config=echo)
+            mapping.save_mapping(result.net, staged[0], config=echo, inputs=inputs)
         else:
             perturb = _perturb_config(section)
             echo.update({"rho": perturb.rho, "k": perturb.k, "alpha": perturb.alpha,
@@ -258,7 +262,7 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
             mapping.save_mapping(
                 result.net, staged[0], config=echo,
                 tuned_users=scenario.train_user_tokens,
-                tuned_vectors=result.tuned_source_U[rows],
+                tuned_vectors=result.tuned_source_U[rows], inputs=inputs,
             )
         _write_trace(result.loss_trace, staged[1])
     print(f"trained {method} mapping (final loss "
@@ -266,8 +270,8 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
 
 
 def _load_eval_inputs(out: Path, method: str):
-    scenario, src_model, tgt_model = _load_train_inputs(out, method)
-    net, _ = mapping.load_mapping(out / f"mapping_{method}.json")
+    scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
+    net, _ = mapping.load_mapping(out / f"mapping_{method}.json", inputs)
     if net.d != src_model.d:
         raise ValidationError("mapping checkpoint does not match the factor models' latent dim")
     return scenario, src_model, tgt_model, net
@@ -349,7 +353,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg["seed"] = _typed("seed", 0, args.seed)
         if args.out is not None:
             cfg["out"] = args.out
         # --mode and --method exist only on the subcommands whose run takes them

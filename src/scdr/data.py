@@ -32,7 +32,8 @@ MAP_KINDS = ("identity", "linear", "tanh")
 def json_document(path, what: str):
     """Read the JSON object stored at ``path`` for the ``with`` body.
 
-    A missing file raises :class:`MissingInputError`. Text that is not
+    Yields the object and the sha256 of the file's bytes, which are read
+    once. A missing file raises :class:`MissingInputError`. Text that is not
     UTF-8 JSON (nesting too deep to decode included), a top level that is
     not an object, and any key, type or value error the body raises while
     reading the document become a :class:`ValidationError` naming the
@@ -42,10 +43,11 @@ def json_document(path, what: str):
     if not path.is_file():
         raise MissingInputError(f"{what} not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        raw = path.read_bytes()
+        doc = json.loads(raw.decode("utf-8"))
         if not isinstance(doc, dict):
             raise TypeError("top level is not a JSON object")
-        yield doc
+        yield doc, hashlib.sha256(raw).hexdigest()
     except ScdrError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
@@ -108,14 +110,15 @@ def write_artifact(path, kind: str, version: int, payload: dict, indent: int | N
 def read_artifact(path, kind: str, version: int, what: str, inputs: dict | None = None):
     """:func:`json_document` of an artifact whose header must name ``kind`` and ``version``.
 
-    Another header, or digests other than the given ``inputs``, raises ValidationError naming it.
+    Yields the document and its sha256. Another header, or digests other than the given
+    ``inputs``, raises ValidationError naming it.
     """
-    with json_document(path, what) as doc:
+    with json_document(path, what) as (doc, digest):
         if doc.get("format_version") != version or doc.get("kind") != kind:
             raise ValidationError(f"not a {what}: {path}")
         if inputs is not None and doc.get("inputs") != inputs:
             raise ValidationError(f"stale {what} {path}: it was made from other input files")
-        yield doc
+        yield doc, digest
 
 
 @dataclass
@@ -635,23 +638,25 @@ def _user_tokens(value) -> list[str]:
 def load_scenario(manifest_path) -> CdrScenario:
     """Rebuild a scenario from its manifest, trusting the stored membership lists.
 
-    ``beta`` and ``seed`` must be a finite float and an integer. The split
-    membership lists ``train_users`` and ``test_users`` come together or not
-    at all; without them the split is recomputed from ``(beta, seed)``.
+    ``beta`` and ``seed`` must be a finite float and a non-negative integer.
+    The membership lists ``train_users`` and ``test_users`` come together or
+    not at all; without them the split is recomputed from ``(beta, seed)``.
     """
     manifest_path = Path(manifest_path)
-    with json_document(manifest_path, "manifest") as doc:
+    with json_document(manifest_path, "manifest") as (doc, manifest_digest):
         if doc.get("format_version") != MANIFEST_VERSION:
             raise ValidationError(f"unsupported manifest version {doc.get('format_version')!r}")
         source_path = manifest_path.parent / doc["source_ratings"]
         target_path = manifest_path.parent / doc["target_ratings"]
         beta, seed = number(float, doc["beta"], "beta"), number(int, doc["seed"], "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         split = None
         if "train_users" in doc or "test_users" in doc:
             # one list without the other is a missing key, not a recomputed split
             split = _user_tokens(doc["train_users"]), _user_tokens(doc["test_users"])
     scenario = build_scenario(ingest_domain(source_path), ingest_domain(target_path), beta, seed)
-    scenario.inputs = {"manifest": hashlib.sha256(manifest_path.read_bytes()).hexdigest(),
+    scenario.inputs = {"manifest": manifest_digest,
                        "source_ratings": scenario.source.digest,
                        "target_ratings": scenario.target.digest}
     if split is None:
@@ -677,7 +682,7 @@ def save_sidecar(sidecar: SyntheticSidecar, path) -> None:
 
 def load_sidecar(path) -> SyntheticSidecar:
     """Read a sidecar back; ``seed`` must be an integer and ``map_kind`` one of ``MAP_KINDS``."""
-    with json_document(path, "sidecar") as doc:
+    with json_document(path, "sidecar") as (doc, _):
         if doc.get("format_version") != SIDECAR_VERSION:
             raise ValidationError(f"unsupported sidecar version {doc.get('format_version')!r}")
         if doc["map_kind"] not in MAP_KINDS:

@@ -268,12 +268,12 @@ def save_factor_model(model: FactorModel, path, config: TrainConfig | None = Non
     }, inputs=inputs)
 
 
-def load_factor_model(path, inputs: dict | None = None) -> tuple[FactorModel, dict]:
-    """Load a checkpoint and its full document; one made from other ``inputs`` raises."""
+def load_factor_model(path, inputs: dict | None = None) -> tuple[FactorModel, dict, str]:
+    """A checkpoint's model, full document and sha256; one made from other ``inputs`` raises."""
     with read_artifact(path, "factor_model", CHECKPOINT_VERSION, "factor checkpoint",
-                       inputs) as doc:
+                       inputs) as (doc, digest):
         d, n_users, n_items = (number(int, doc[k], k) for k in ("d", "n_users", "n_items"))
         model = FactorModel(np.asarray(doc["U"]), np.asarray(doc["V"]), d)
         if model.U.shape[0] != n_users or model.V.shape[0] != n_items:
             raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
-    return model, doc
+    return model, doc, digest

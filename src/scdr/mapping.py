@@ -30,7 +30,11 @@ from .errors import DivergenceError, ValidationError
 from .factorization import FactorModel, TrainConfig
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
-MAPPING_CHECKPOINT_VERSION = 1
+MAPPING_CHECKPOINT_VERSION = 2
+
+# An epoch loss above this multiple of the untrained net's loss is divergence. Runs
+# that converge stay at or below 1.0 times it; emcdr blowing up passes 2.7e4 by epoch 1.
+DIVERGENCE_FACTOR = 1e3
 
 SUPERVISION_RATING = "rating"
 SUPERVISION_EMBEDDING = "embedding"
@@ -258,6 +262,11 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
     return batch
 
 
+def _epoch_loss(net: MappingNet, u: np.ndarray, target, weight) -> float:
+    """The trained objective over every train row, unperturbed."""
+    return float(_kernel(net, u, target).loss.sum()) / weight
+
+
 # overflow on the way to the divergence guard is expected, not a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
@@ -276,6 +285,7 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
     n_train = src_rows.size
     batch = _gather_supervision(scenario, target_model, supervision)
     everyone = batch(np.arange(n_train))
+    bound = DIVERGENCE_FACTOR * _epoch_loss(net, u_src[src_rows], *everyone)
     use_pert = perturb is not None and perturb.k > 0 and perturb.rho > 0.0
 
     # The embedding objective is the literal sum over users of the
@@ -301,12 +311,12 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
             net.b2 -= scale * g.b2
             if tune_source:
                 u_src[rows] -= scale * g.u
-        target, weight = everyone
-        loss = float(_kernel(net, u_src[src_rows], target).loss.sum()) / weight
-        if not math.isfinite(loss):
+        loss = _epoch_loss(net, u_src[src_rows], *everyone)
+        # also false for a NaN or infinite loss
+        if not loss <= bound:
             raise DivergenceError(
-                "mapping training loss became non-finite",
-                epoch=epoch, learning_rate=base.learning_rate,
+                f"mapping training loss {loss:.4g} exceeds {DIVERGENCE_FACTOR:g} times "
+                "the untrained net's", epoch=epoch, learning_rate=base.learning_rate,
             )
         trace.append(loss)
     return MappingTrainResult(net, u_src, trace)
@@ -347,8 +357,8 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
 
 def save_mapping(net: MappingNet, path, config: dict | None = None,
                  tuned_users: list[str] | None = None,
-                 tuned_vectors: np.ndarray | None = None) -> None:
-    """Checkpoint a mapping net (and optional tuned source rows) as JSON."""
+                 tuned_vectors: np.ndarray | None = None, inputs: dict | None = None) -> None:
+    """Checkpoint a mapping net (and optional tuned source rows) as JSON with ``inputs`` digests."""
     if (tuned_users is None) != (tuned_vectors is None):
         raise ValidationError("tuned_users and tuned_vectors must be given together")
     write_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, {
@@ -364,12 +374,13 @@ def save_mapping(net: MappingNet, path, config: dict | None = None,
             "users": list(tuned_users),
             "vectors": np.asarray(tuned_vectors, dtype=np.float64).tolist(),
         },
-    })
+    }, inputs=inputs)
 
 
-def load_mapping(path) -> tuple[MappingNet, dict]:
-    """Load a mapping checkpoint, returning the net and the full document."""
-    with read_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, "mapping checkpoint") as doc:
+def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict]:
+    """The net and full document of a checkpoint; one trained on other ``inputs`` raises."""
+    with read_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, "mapping checkpoint",
+                       inputs) as (doc, _):
         if doc.get("activation", "tanh") != "tanh":
             raise ValidationError(f"unsupported activation {doc['activation']!r} in {path}")
         d, hidden = (number(int, doc[k], k) for k in ("d", "hidden"))

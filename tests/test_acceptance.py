@@ -10,6 +10,7 @@ pretraining and 0.3 for mapping training.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -55,19 +56,55 @@ def desk_spec(seed, beta):
                          map_kind="tanh", seed=seed, beta=beta, ratings_per_user=30)
 
 
+_FACTOR_MODELS: dict = {}
+
+
+def factor_model(dataset, seed, perturb=None):
+    """The pretrained factor model of ``dataset`` at ``seed``, plain or sharpness-aware.
+
+    Memoized by the dataset's tokens and arrays, the seed and the
+    perturbation: training is a pure function of them, so a domain that
+    scenarios share (the source at every beta) is trained once, and one
+    whose content differs is trained anew.
+    """
+    key = (dataset.users, dataset.items, seed,
+           *(hashlib.sha256(a.tobytes()).hexdigest()
+             for a in (dataset.user_index, dataset.item_index, dataset.rating)),
+           None if perturb is None else (perturb.rho, perturb.k, perturb.alpha))
+    if key not in _FACTOR_MODELS:
+        cfg = TrainConfig(epochs=PRE_EPOCHS, dim=10, seed=seed)
+        result = train_mf(dataset, cfg) if perturb is None else train_smf(dataset, cfg, perturb)
+        _FACTOR_MODELS[key] = result.model
+    return _FACTOR_MODELS[key]
+
+
 def pretrain_pair(scenario, seed, perturb=None):
-    cfg = TrainConfig(epochs=PRE_EPOCHS, dim=10, seed=seed)
-    target_ds = scenario.target_training_dataset()
-    if perturb is None:
-        return train_mf(scenario.source, cfg).model, train_mf(target_ds, cfg).model
-    return (train_smf(scenario.source, cfg, perturb).model,
-            train_smf(target_ds, cfg, perturb).model)
+    return (factor_model(scenario.source, seed, perturb),
+            factor_model(scenario.target_training_dataset(), seed, perturb))
 
 
 def train_scdr(scenario, src, tgt, seed, rho, k):
     cfg = ScdrTrainConfig(base=TrainConfig(epochs=MAP_EPOCHS, dim=10, seed=seed),
                           perturb=PerturbConfig(rho=rho, k=k))
     return scdr_train(scenario, src, tgt, cfg).net
+
+
+@functools.cache
+def desk_models(seed, beta):
+    """The desk scenario at (seed, beta), its plain and nominal-radius-5
+    factor pairs, and the three methods' nets trained on them."""
+    scenario, _ = generate_synthetic(desk_spec(seed, beta))
+    plain = pretrain_pair(scenario, seed)
+    smf5 = pretrain_pair(scenario, seed, PerturbConfig(rho=5.0 * PRE_RHO_SCALE, k=5))
+    return {
+        "scenario": scenario,
+        "plain": plain,
+        "smf5": smf5,
+        "emcdr": emcdr_train(scenario, *plain,
+                             TrainConfig(epochs=MAP_EPOCHS, dim=10, seed=seed)).net,
+        "scdr_minus": train_scdr(scenario, *plain, seed, rho=5.0 * MAP_RHO_SCALE, k=5),
+        "scdr": train_scdr(scenario, *smf5, seed, rho=5.0 * MAP_RHO_SCALE, k=5),
+    }
 
 
 @pytest.fixture(scope="session")
@@ -77,33 +114,14 @@ def stack08():
     t0 = time.monotonic()
     per_seed = {}
     for seed in SEEDS:
-        scenario, _ = generate_synthetic(desk_spec(seed, 0.8))
-        src_plain, tgt_plain = pretrain_pair(scenario, seed)
-        smf5 = PerturbConfig(rho=5.0 * PRE_RHO_SCALE, k=5)
-        src_smf5, tgt_smf5 = pretrain_pair(scenario, seed, smf5)
-        smf1 = PerturbConfig(rho=1.0 * PRE_RHO_SCALE, k=1)
-        src_smf1, tgt_smf1 = pretrain_pair(scenario, seed, smf1)
-
-        emcdr_net = emcdr_train(scenario, src_plain, tgt_plain,
-                                TrainConfig(epochs=MAP_EPOCHS, dim=10, seed=seed)).net
-        scdr_minus_net = train_scdr(scenario, src_plain, tgt_plain, seed,
-                                    rho=5.0 * MAP_RHO_SCALE, k=5)
-        scdr_net = train_scdr(scenario, src_smf5, tgt_smf5, seed,
-                              rho=5.0 * MAP_RHO_SCALE, k=5)
-        weak_net = train_scdr(scenario, src_smf1, tgt_smf1, seed,
-                              rho=1.0 * MAP_RHO_SCALE, k=1)
-        k0_net = train_scdr(scenario, src_plain, tgt_plain, seed, rho=0.0, k=0)
-
+        entry = desk_models(seed, 0.8)
+        scenario = entry["scenario"]
+        smf1 = pretrain_pair(scenario, seed, PerturbConfig(rho=1.0 * PRE_RHO_SCALE, k=1))
         per_seed[seed] = {
-            "scenario": scenario,
-            "plain": (src_plain, tgt_plain),
-            "smf5": (src_smf5, tgt_smf5),
-            "smf1": (src_smf1, tgt_smf1),
-            "emcdr": emcdr_net,
-            "scdr_minus": scdr_minus_net,
-            "scdr": scdr_net,
-            "scdr_weak": weak_net,
-            "k0": k0_net,
+            **entry,
+            "smf1": smf1,
+            "scdr_weak": train_scdr(scenario, *smf1, seed, rho=1.0 * MAP_RHO_SCALE, k=1),
+            "k0": train_scdr(scenario, *entry["plain"], seed, rho=0.0, k=0),
         }
     per_seed["elapsed"] = time.monotonic() - t0
     return per_seed
@@ -116,32 +134,10 @@ def trend_maes(stack08):
     maes = {m: {b: [] for b in BETAS} for m in ("emcdr", "scdr_minus", "scdr")}
     for seed in SEEDS:
         for beta in BETAS:
-            if beta == 0.8:
-                entry = stack08[seed]
-                scenario = entry["scenario"]
-                src_plain, tgt_plain = entry["plain"]
-                src_smf, tgt_smf = entry["smf5"]
-                nets = {"emcdr": entry["emcdr"], "scdr_minus": entry["scdr_minus"],
-                        "scdr": entry["scdr"]}
-            else:
-                scenario, _ = generate_synthetic(desk_spec(seed, beta))
-                src_plain, tgt_plain = pretrain_pair(scenario, seed)
-                src_smf, tgt_smf = pretrain_pair(
-                    scenario, seed, PerturbConfig(rho=5.0 * PRE_RHO_SCALE, k=5))
-                nets = {
-                    "emcdr": emcdr_train(scenario, src_plain, tgt_plain,
-                                         TrainConfig(epochs=MAP_EPOCHS, dim=10, seed=seed)).net,
-                    "scdr_minus": train_scdr(scenario, src_plain, tgt_plain, seed,
-                                             rho=5.0 * MAP_RHO_SCALE, k=5),
-                    "scdr": train_scdr(scenario, src_smf, tgt_smf, seed,
-                                       rho=5.0 * MAP_RHO_SCALE, k=5),
-                }
-            maes["emcdr"][beta].append(
-                evaluate(nets["emcdr"], src_plain, tgt_plain, scenario).mae)
-            maes["scdr_minus"][beta].append(
-                evaluate(nets["scdr_minus"], src_plain, tgt_plain, scenario).mae)
-            maes["scdr"][beta].append(
-                evaluate(nets["scdr"], src_smf, tgt_smf, scenario).mae)
+            entry = desk_models(seed, beta)
+            for method, pair in (("emcdr", "plain"), ("scdr_minus", "plain"), ("scdr", "smf5")):
+                maes[method][beta].append(
+                    evaluate(entry[method], *entry[pair], entry["scenario"]).mae)
     means = {m: {b: float(np.mean(v)) for b, v in per.items()} for m, per in maes.items()}
     means["elapsed"] = stack08["elapsed"] + (time.monotonic() - t0)
     return means

@@ -140,6 +140,25 @@ class TestValidation:
         assert not (tmp_path / "run" / "mapping_scdr.json").exists()
         assert not (tmp_path / "run" / "mapping_trace_scdr.csv").exists()
 
+    def test_emcdr_blow_up_is_exit_3(self, tmp_path, capsys):
+        # the wide-overlap benchmark data: 800 train users make emcdr's summed
+        # objective step too far at the default rate, with every weight finite
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {
+            "seed": 1, "out": str(out),
+            "synth": {"overlap_ratio": 0.5, "beta": 0.2},
+            "pretrain": {"epochs": 3},
+            "train": {"epochs": 10},
+        })
+        assert run("synth", "--config", cfg) == 0
+        assert run("pretrain", "--config", cfg, "--mode", "plain") == 0
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--method", "emcdr") == 3
+        err = capsys.readouterr().err
+        assert "times the untrained net's (epoch 1, learning_rate 0.01)" in err
+        assert not (out / "mapping_emcdr.json").exists()
+        assert not (out / "mapping_trace_emcdr.csv").exists()
+
     @pytest.mark.parametrize("stage, failing", [
         (0, "ground_truth.json"),
         (1, "target_trace_plain.csv"),
@@ -218,6 +237,26 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "stale factor checkpoint" in err and "source_model_sharpness_aware.json" in err
         assert run("train", "--config", cfg, "--method", "scdr", "--force") == 2
+        assert {p.name: digest(p) for p in out.iterdir()} == before
+
+    def test_mapping_of_other_factor_checkpoints_exit_2(self, tmp_path, capsys):
+        # the mapping was trained on the 2-epoch checkpoints that --force replaced
+        out = tmp_path / "run"
+        cfg_doc = small_config(out)
+        cfg_doc["pretrain"]["epochs"] = 2
+        cfg = write_config(tmp_path, cfg_doc)
+        assert run("synth", "--config", cfg) == 0
+        assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 0
+        assert run("train", "--config", cfg, "--method", "scdr") == 0
+        cfg_doc["pretrain"]["epochs"] = 9
+        longer = write_config(tmp_path, cfg_doc, "longer.json")
+        assert run("pretrain", "--config", longer, "--mode", "sharpness_aware", "--force") == 0
+        before = {p.name: digest(p) for p in out.iterdir()}
+        for command in ("eval", "attack", "landscape", "sharpness"):
+            capsys.readouterr()
+            assert run(command, "--config", longer, "--method", "scdr") == 2, command
+            err = capsys.readouterr().err
+            assert "stale mapping checkpoint" in err and "mapping_scdr.json" in err
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
     def test_unknown_config_key(self, tmp_path):
@@ -392,6 +431,28 @@ class TestCorruptInputs:
         assert "config value attack.epsilons" in capsys.readouterr().err
         assert not (out / "attack_scdr.json").exists()
 
+    @pytest.mark.parametrize("args, config, manifest_seed, message", [
+        (["synth", "--seed", "-1"], {}, None, "config value seed must be a non-negative int"),
+        (["pretrain", "--mode", "plain", "--seed", "-2"], {}, None,
+         "config value seed must be a non-negative int"),
+        (["landscape", "--method", "scdr"], {"landscape": {"seed": -3}}, None,
+         "config value landscape.seed must be a non-negative int"),
+        (["eval", "--method", "scdr"], {}, -1, "scenario.json: seed must be >= 0, got -1"),
+    ], ids=["seed-flag", "seed-flag-pretrain", "landscape-seed", "manifest-seed"])
+    def test_negative_seed_exits_2(self, run_copy, tmp_path, capsys, args, config,
+                                   manifest_seed, message):
+        out, _ = run_copy
+        cfg_doc = small_config(out)
+        for section, values in config.items():
+            cfg_doc[section].update(values)
+        cfg = write_config(tmp_path, cfg_doc, name="negative.json")
+        if manifest_seed is not None:
+            set_key("seed", manifest_seed)(out / "scenario.json")
+        before = {p.name: digest(p) for p in out.iterdir()}
+        assert run(*args, "--config", cfg, "--force") == 2
+        assert message in capsys.readouterr().err
+        assert {p.name: digest(p) for p in out.iterdir()} == before
+
 
 class TestReproducibility:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -492,7 +553,9 @@ class TestSharpnessCommand:
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 0
         d = 6
         net = MappingNet(np.zeros((50, d)), np.zeros(50), np.zeros((d, 50)), np.zeros(d))
-        save_mapping(net, out / "mapping_emcdr.json", config={"method": "emcdr"})
+        inputs = {f"{side}_model": digest(out / f"{side}_model_plain.json")
+                  for side in ("source", "target")}
+        save_mapping(net, out / "mapping_emcdr.json", config={"method": "emcdr"}, inputs=inputs)
         assert run("sharpness", "--config", cfg, "--method", "emcdr") == 0
         doc = json.loads((out / "sharpness_emcdr.json").read_text())
         assert doc["lipschitz_estimate"] == 0.0

@@ -357,6 +357,25 @@ class TestSynthetic:
         assert np.array_equal(a.target.item_index, b.target.item_index)
         assert a.source.users == b.source.users
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_beta_moves_only_the_split(self, seed):
+        # the acceptance suite trains a domain once for every beta that shares it
+        scenarios = [generate_synthetic(SyntheticSpec(
+            users=200, items=50, overlap_ratio=0.2, dim=4, noise=0.3, map_kind="tanh",
+            seed=seed, beta=beta, ratings_per_user=10))[0] for beta in (0.2, 0.5, 0.8)]
+        first = scenarios[0]
+        for other in scenarios[1:]:
+            for a, b in ((first.source, other.source), (first.target, other.target)):
+                assert (a.users, a.items, a.duplicate_count, a.digest) == (
+                    b.users, b.items, b.duplicate_count, b.digest)
+                for name in ("user_index", "item_index", "rating"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+            assert (first.overlap, first.seed, first.inputs) == (
+                other.overlap, other.seed, other.inputs)
+            assert first.test_pairs != other.test_pairs
+            assert first.train_pairs != other.train_pairs
+
     def test_map_kinds_plant_expected_transform(self):
         for kind in ("identity", "linear", "tanh"):
             spec = SyntheticSpec(users=40, items=20, overlap_ratio=0.25, dim=5, noise=0.0,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -322,7 +323,8 @@ class TestCheckpoint:
         cfg = TrainConfig(epochs=7, dim=3, seed=11)
         p = tmp_path / "m.json"
         save_factor_model(model, p, cfg, PerturbConfig(rho=0.1, k=2))
-        back, doc = load_factor_model(p)
+        back, doc, digest = load_factor_model(p)
+        assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
         assert np.array_equal(back.U, model.U)
         assert np.array_equal(back.V, model.V)
         assert doc["config"]["seed"] == 11
@@ -333,7 +335,7 @@ class TestCheckpoint:
         p = tmp_path / "m.json"
         save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p,
                           inputs=inputs)
-        _, doc = load_factor_model(p, inputs)
+        _, doc, _ = load_factor_model(p, inputs)
         assert doc["inputs"] == inputs and doc["format_version"] == 2
         for other in ({**inputs, "target_ratings": "d" * 64}, {}):
             with pytest.raises(ValidationError, match="stale factor checkpoint") as exc:

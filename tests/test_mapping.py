@@ -468,6 +468,17 @@ class TestMappingCheckpoint:
         assert doc["config"]["seed"] == 3
         assert np.array_equal(np.asarray(doc["tuned_source"]["vectors"]), tuned)
 
+    def test_input_digests_are_checked(self, tmp_path, rng):
+        inputs = {"source_model": "a" * 64, "target_model": "b" * 64}
+        p = tmp_path / "net.json"
+        save_mapping(random_net(rng), p, inputs=inputs)
+        _, doc = load_mapping(p, inputs)
+        assert doc["inputs"] == inputs and doc["format_version"] == 2
+        for other in ({**inputs, "target_model": "c" * 64}, {}):
+            with pytest.raises(ValidationError, match="stale mapping checkpoint") as exc:
+                load_mapping(p, other)
+            assert str(p) in str(exc.value)
+
     def test_missing(self, tmp_path):
         with pytest.raises(MissingInputError):
             load_mapping(tmp_path / "none.json")
