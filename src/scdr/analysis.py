@@ -23,8 +23,10 @@ from .factorization import FactorModel
 from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, _WorstCase, forward
 from .perturbation import PerturbConfig, find_delta
 
-REPORT_VERSION = 1
-EVAL_REPORT_VERSION = 2  # version 1 held the seed in a one-entry list
+# Reports record the sha256 of the mapping they scored under ``inputs`` from version 2
+# (attack, sharpness) and 3 (eval); eval version 1 held the seed in a one-entry list.
+REPORT_VERSION = 2
+EVAL_REPORT_VERSION = 3
 
 
 @dataclass
@@ -247,14 +249,16 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
     )
 
 
-def save_eval_report(report: EvalReport, path) -> None:
-    write_artifact(path, "eval_report", EVAL_REPORT_VERSION, asdict(report), indent=2)
+def save_eval_report(report: EvalReport, path, inputs: dict | None = None) -> None:
+    write_artifact(path, "eval_report", EVAL_REPORT_VERSION, asdict(report), indent=2,
+                   inputs=inputs)
 
 
-def save_attack_report(entries: list[tuple[float, EvalReport]], path) -> None:
+def save_attack_report(entries: list[tuple[float, EvalReport]], path,
+                       inputs: dict | None = None) -> None:
     write_artifact(path, "fgsm_attack_report", REPORT_VERSION, {"entries": [
         {"epsilon": e, "mae": r.mae, "rmse": r.rmse, "n": r.n} for e, r in entries
-    ]}, indent=2)
+    ]}, indent=2, inputs=inputs)
 
 
 def save_landscape(grid: LandscapeGrid, path) -> None:
@@ -267,5 +271,6 @@ def save_landscape(grid: LandscapeGrid, path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def save_sharpness_report(report: SharpnessReport, path) -> None:
-    write_artifact(path, "sharpness_report", REPORT_VERSION, asdict(report), indent=2)
+def save_sharpness_report(report: SharpnessReport, path, inputs: dict | None = None) -> None:
+    write_artifact(path, "sharpness_report", REPORT_VERSION, asdict(report), indent=2,
+                   inputs=inputs)

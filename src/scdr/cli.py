@@ -19,7 +19,7 @@ import copy
 import dataclasses
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import analysis, data, factorization, mapping
@@ -157,9 +157,12 @@ def _check_outputs(paths, force: bool):
         yield staged
         for s, p in zip(staged, paths):
             os.replace(s, p)
-    finally:
+    except BaseException:
         for s in staged:
-            s.unlink(missing_ok=True)
+            # the body's exception is the one to report, not a failed cleanup
+            with suppress(OSError):
+                s.unlink(missing_ok=True)
+        raise
 
 
 def _train_config(section: dict, seed: int, **given) -> factorization.TrainConfig:
@@ -181,6 +184,9 @@ def _write_trace(trace: list[float], path: Path) -> None:
 
 def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
     spec = data.SyntheticSpec(seed=seed, **cfg["synth"])
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise ValidationError(f"cannot make output directory {out}: {blocker} is not a directory")
     outputs = [out / n for n in
                ("source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json",
                 "source_ratings.csv.npy", "target_ratings.csv.npy")]
@@ -270,33 +276,34 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
 
 
 def _load_eval_inputs(out: Path, method: str):
+    """The scenario, both factor models, the mapping and a report's ``inputs`` (its sha256)."""
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
-    net, _ = mapping.load_mapping(out / f"mapping_{method}.json", inputs)
+    net, _, digest = mapping.load_mapping(out / f"mapping_{method}.json", inputs)
     if net.d != src_model.d:
         raise ValidationError("mapping checkpoint does not match the factor models' latent dim")
-    return scenario, src_model, tgt_model, net
+    return scenario, src_model, tgt_model, net, {"mapping": digest}
 
 
 def cmd_eval(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
-    scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
+    scenario, src_model, tgt_model, net, inputs = _load_eval_inputs(out, method)
     with _check_outputs([out / f"eval_{method}.json"], force) as (staged,):
         report = analysis.evaluate(net, src_model, tgt_model, scenario)
-        analysis.save_eval_report(report, staged)
+        analysis.save_eval_report(report, staged, inputs)
     print(f"{method}: MAE {report.mae:.4f}  RMSE {report.rmse:.4f}  (n={report.n})")
 
 
 def cmd_attack(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
-    scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
+    scenario, src_model, tgt_model, net, inputs = _load_eval_inputs(out, method)
     with _check_outputs([out / f"attack_{method}.json"], force) as (staged,):
         entries = analysis.fgsm_sweep(net, src_model, tgt_model, scenario,
                                       cfg["attack"]["epsilons"])
-        analysis.save_attack_report(entries, staged)
+        analysis.save_attack_report(entries, staged, inputs)
     for eps, report in entries:
         print(f"{method} eps={eps:g}: MAE {report.mae:.4f}  RMSE {report.rmse:.4f}")
 
 
 def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
-    scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
+    scenario, src_model, tgt_model, net, _ = _load_eval_inputs(out, method)
     section = dict(cfg["landscape"])
     if section["seed"] is None:
         section["seed"] = seed
@@ -309,11 +316,11 @@ def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> 
 
 
 def cmd_sharpness(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
-    scenario, src_model, tgt_model, net = _load_eval_inputs(out, method)
+    scenario, src_model, tgt_model, net, inputs = _load_eval_inputs(out, method)
     with _check_outputs([out / f"sharpness_{method}.json"], force) as (staged,):
         report = analysis.lipschitz_estimate(net, src_model, tgt_model, scenario,
                                              _perturb_config(cfg["sharpness"]))
-        analysis.save_sharpness_report(report, staged)
+        analysis.save_sharpness_report(report, staged, inputs)
     print(f"{method}: lipschitz estimate {report.lipschitz_estimate:.6f} "
           f"over {report.n_users} users ({report.n_skipped} skipped)")
 

@@ -200,12 +200,12 @@ def _ascent_pair(b: _Batch, v_touched: np.ndarray, weight_decay: float):
     return loss_at, grad_at
 
 
-def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig | None) -> None:
+def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig) -> None:
     b = _Batch(ui, vi, r, U.shape[1])
     wd = config.weight_decay
     u_base = U[b.uniq_u]
     v_base = V[b.uniq_v]
-    if perturb is not None and perturb.k > 0 and perturb.rho > 0.0:
+    if perturb.k > 0 and perturb.rho > 0.0:
         loss_at, grad_at = _ascent_pair(b, v_base, wd)
         u_eval = u_base + find_delta(loss_at, grad_at, u_base, perturb).delta
     else:
@@ -217,7 +217,7 @@ def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig | Non
 
 # overflow on the way to the divergence guard is expected, not a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig | None) -> MfTrainResult:
+def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) -> MfTrainResult:
     rng = np.random.default_rng(config.seed)
     U = rng.normal(0.0, config.init_std, (dataset.n_users, config.dim))
     V = rng.normal(0.0, config.init_std, (dataset.n_items, config.dim))
@@ -240,8 +240,8 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig |
 
 
 def train_mf(dataset: DomainDataset, config: TrainConfig) -> MfTrainResult:
-    """Seeded mini-batch SGD on the squared-error factorization objective."""
-    return _train(dataset, config, None)
+    """Seeded mini-batch SGD on the squared-error objective: :func:`train_smf` at zero radius."""
+    return _train(dataset, config, PerturbConfig(rho=0.0, k=0))
 
 
 def train_smf(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) -> MfTrainResult:

@@ -10,11 +10,13 @@ network and (optionally) the overlapping users' source rows with the
 gradient taken at the perturbed point. A cold-start user is scored by
 mapping their source embedding through ``forward``.
 
-Both trainers work a mini-batch at a time: one kernel (``_kernel``) runs the
-forward and backward pass over the batch's rows, and one ``find_delta``
-ascent per batch solves every user's inner problem at once, each row keeping
-its own highest-loss iterate. The analyses in ``scdr.analysis`` run through
-the same kernel and ascent pair.
+Both trainers run one path, ``_train_mapping``: ``emcdr_train`` is its
+zero-radius case with frozen embeddings and embedding supervision. It works
+a mini-batch at a time: one kernel (``_kernel``) runs the forward and
+backward pass over the batch's rows, and one ``find_delta`` ascent per batch
+solves every user's inner problem at once, each row keeping its own
+highest-loss iterate. The analyses in ``scdr.analysis`` run through the same
+kernel and ascent pair.
 """
 
 from __future__ import annotations
@@ -270,23 +272,23 @@ def _epoch_loss(net: MappingNet, u: np.ndarray, target, weight) -> float:
 # overflow on the way to the divergence guard is expected, not a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
-                   base: TrainConfig, perturb: PerturbConfig | None, tune_source: bool,
-                   supervision: str, hidden: int) -> MappingTrainResult:
+                   config: ScdrTrainConfig) -> MappingTrainResult:
     if source_model.d != target_model.d:
         raise ValidationError(
             f"factor models disagree on latent dim: {source_model.d} vs {target_model.d}"
         )
     if not scenario.train_pairs:
         raise ValidationError("mapping-train split is empty")
+    base, perturb = config.base, config.perturb
     rng = np.random.default_rng(base.seed)
-    net = init_mapping_net(source_model.d, hidden, rng)
+    net = init_mapping_net(source_model.d, config.hidden, rng)
     u_src = source_model.U.copy()
     src_rows = np.array([s for s, _ in scenario.train_pairs])
     n_train = src_rows.size
-    batch = _gather_supervision(scenario, target_model, supervision)
+    batch = _gather_supervision(scenario, target_model, config.supervision)
     everyone = batch(np.arange(n_train))
     bound = DIVERGENCE_FACTOR * _epoch_loss(net, u_src[src_rows], *everyone)
-    use_pert = perturb is not None and perturb.k > 0 and perturb.rho > 0.0
+    use_pert = perturb.k > 0 and perturb.rho > 0.0
 
     # The embedding objective is the literal sum over users of the
     # per-component MSE; the rating objective is the mean over observed
@@ -309,7 +311,7 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
             net.b1 -= scale * g.b1
             net.W2 -= scale * g.W2
             net.b2 -= scale * g.b2
-            if tune_source:
+            if config.tune_source_embeddings:
                 u_src[rows] -= scale * g.u
         loss = _epoch_loss(net, u_src[src_rows], *everyone)
         # also false for a NaN or infinite loss
@@ -324,13 +326,13 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
 
 def emcdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
                 config: TrainConfig, hidden: int = 50) -> MappingTrainResult:
-    """Baseline mapping trainer: MSE between f(u_source) and the pretrained
-    target embedding over mapping-train users, embeddings frozen; the
-    returned source matrix is an untouched copy."""
-    return _train_mapping(
-        scenario, source_model, target_model, config,
-        perturb=None, tune_source=False, supervision=SUPERVISION_EMBEDDING, hidden=hidden,
-    )
+    """Baseline mapping trainer: ``scdr_train`` at zero radius, with frozen
+    embeddings and embedding supervision, so MSE between f(u_source) and the
+    pretrained target embedding over mapping-train users; the returned
+    source matrix is an untouched copy."""
+    return _train_mapping(scenario, source_model, target_model, ScdrTrainConfig(
+        base=config, perturb=PerturbConfig(rho=0.0, k=0), tune_source_embeddings=False,
+        supervision=SUPERVISION_EMBEDDING, hidden=hidden))
 
 
 def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
@@ -348,11 +350,7 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
     per-epoch unperturbed loss trace. Target rows of cold-start test users
     are never read.
     """
-    return _train_mapping(
-        scenario, source_model, target_model, config.base,
-        perturb=config.perturb, tune_source=config.tune_source_embeddings,
-        supervision=config.supervision, hidden=config.hidden,
-    )
+    return _train_mapping(scenario, source_model, target_model, config)
 
 
 def save_mapping(net: MappingNet, path, config: dict | None = None,
@@ -377,10 +375,10 @@ def save_mapping(net: MappingNet, path, config: dict | None = None,
     }, inputs=inputs)
 
 
-def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict]:
-    """The net and full document of a checkpoint; one trained on other ``inputs`` raises."""
+def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict, str]:
+    """A checkpoint's net, full document and sha256; one trained on other ``inputs`` raises."""
     with read_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, "mapping checkpoint",
-                       inputs) as (doc, _):
+                       inputs) as (doc, digest):
         if doc.get("activation", "tanh") != "tanh":
             raise ValidationError(f"unsupported activation {doc['activation']!r} in {path}")
         d, hidden = (number(int, doc[k], k) for k in ("d", "hidden"))
@@ -388,4 +386,4 @@ def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict]:
                          np.asarray(doc["W2"]), np.asarray(doc["b2"]))
         if net.d != d or net.hidden != hidden:
             raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
-    return net, doc
+    return net, doc, digest

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from scdr.cli import load_config, main
+from scdr.cli import _check_outputs, load_config, main
 from scdr.errors import ValidationError
 from scdr.mapping import MappingNet, save_mapping
 
@@ -209,6 +209,29 @@ class TestValidation:
         assert "target_ratings.csv.npy" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["target_ratings.csv.npy"]
         assert (out / "target_ratings.csv.npy").read_bytes() == b"old"
+
+    def test_synth_into_existing_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        out.write_bytes(b"old")
+        cfg = write_config(tmp_path, small_config(out))
+
+        def refuse(spec):
+            raise AssertionError("generated a scenario for an output path that cannot be made")
+
+        monkeypatch.setattr("scdr.data.generate_synthetic", refuse)
+        for target in (out, out / "sub"):
+            assert run("synth", "--config", cfg, "--out", str(target)) == 2
+            assert f"{out} is not a directory" in capsys.readouterr().err
+        assert out.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "run"]
+
+    def test_failed_cleanup_keeps_the_body_exception(self, tmp_path):
+        # staging beside a regular file: the cleanup's own unlink fails too
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        with pytest.raises(RuntimeError, match="body"):
+            with _check_outputs([blocker / "out.json"], force=False):
+                raise RuntimeError("body")
 
     def test_crashed_force_synth_keeps_old_snapshots(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -422,6 +445,17 @@ class TestCorruptInputs:
         assert cfg["pretrain"]["epochs"] == 3 and type(cfg["pretrain"]["epochs"]) is int
         assert type(cfg["pretrain"]["learning_rate"]) is float
 
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_bad_hidden_width_exits_2(self, run_copy, tmp_path, capsys, hidden):
+        out, _ = run_copy
+        cfg_doc = small_config(out)
+        cfg_doc["train"]["hidden"] = hidden
+        cfg = write_config(tmp_path, cfg_doc, name="hidden.json")
+        before = {p.name: digest(p) for p in out.iterdir()}
+        assert run("train", "--config", cfg, "--method", "emcdr", "--force") == 2
+        assert f"hidden width must be >= 1, got {hidden}" in capsys.readouterr().err
+        assert {p.name: digest(p) for p in out.iterdir()} == before
+
     def test_mistyped_attack_value(self, run_copy, tmp_path, capsys):
         out, _ = run_copy
         cfg_doc = small_config(out)
@@ -452,6 +486,28 @@ class TestCorruptInputs:
         assert run(*args, "--config", cfg, "--force") == 2
         assert message in capsys.readouterr().err
         assert {p.name: digest(p) for p in out.iterdir()} == before
+
+
+class TestReportInputs:
+    def test_reports_record_the_mapping_they_scored(self, run_copy):
+        out, cfg = run_copy
+        reports = {"eval": ("eval_scdr.json", 3), "attack": ("attack_scdr.json", 2),
+                   "sharpness": ("sharpness_scdr.json", 2)}
+
+        def recorded():
+            docs = {}
+            for command, (name, version) in reports.items():
+                assert run(command, "--config", cfg, "--method", "scdr", "--force") == 0
+                docs[name] = json.loads((out / name).read_text())
+                assert docs[name]["format_version"] == version, name
+            return {name: doc["inputs"] for name, doc in docs.items()}
+
+        first = digest(out / "mapping_scdr.json")
+        assert recorded() == {name: {"mapping": first} for name, _ in reports.values()}
+        assert run("train", "--config", cfg, "--method", "scdr", "--force", "--seed", "7") == 0
+        second = digest(out / "mapping_scdr.json")
+        assert second != first
+        assert recorded() == {name: {"mapping": second} for name, _ in reports.values()}
 
 
 class TestReproducibility:

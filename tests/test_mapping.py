@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -243,6 +244,12 @@ class TestEmcdrTrain:
             emcdr_train(scn, src, tgt, TrainConfig(epochs=50, learning_rate=50.0, dim=10, seed=0))
         assert exc.value.epoch is not None
 
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_hidden_width_checked(self, hidden):
+        scn, _, src, tgt = identity_scenario()
+        with pytest.raises(ValidationError, match=f"hidden width must be >= 1, got {hidden}"):
+            emcdr_train(scn, src, tgt, TrainConfig(epochs=1, dim=10, seed=0), hidden=hidden)
+
 
 def scdr_loss(net, u_src, target_items, perturb):
     """One user's worst-case rating loss inside the ball, as the trainer finds it.
@@ -417,6 +424,8 @@ class TestScdrTrain:
                                  scn.train_pairs, scn.test_pairs)
         scdr_train(logged_scn, src, tgt, ScdrTrainConfig(
             base=TrainConfig(epochs=3, dim=10, seed=1), perturb=PerturbConfig(rho=0.1, k=1)))
+        # a trainer that stopped reading through user_interactions would pass vacuously
+        assert log
         emcdr_train(logged_scn, src, tgt, TrainConfig(epochs=3, dim=10, seed=1))
         train_targets = {t for _, t in scn.train_pairs}
         assert set(log) <= train_targets
@@ -462,7 +471,8 @@ class TestMappingCheckpoint:
         tuned = rng.normal(size=(2, 4))
         p = tmp_path / "net.json"
         save_mapping(net, p, config={"seed": 3}, tuned_users=["a", "b"], tuned_vectors=tuned)
-        back, doc = load_mapping(p)
+        back, doc, sha = load_mapping(p)
+        assert sha == hashlib.sha256(p.read_bytes()).hexdigest()
         assert np.array_equal(back.W1, net.W1) and np.array_equal(back.b1, net.b1)
         assert np.array_equal(back.W2, net.W2) and np.array_equal(back.b2, net.b2)
         assert doc["config"]["seed"] == 3
@@ -472,7 +482,7 @@ class TestMappingCheckpoint:
         inputs = {"source_model": "a" * 64, "target_model": "b" * 64}
         p = tmp_path / "net.json"
         save_mapping(random_net(rng), p, inputs=inputs)
-        _, doc = load_mapping(p, inputs)
+        _, doc, _ = load_mapping(p, inputs)
         assert doc["inputs"] == inputs and doc["format_version"] == 2
         for other in ({**inputs, "target_model": "c" * 64}, {}):
             with pytest.raises(ValidationError, match="stale mapping checkpoint") as exc:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 import scdr.analysis
+import scdr.cli
 import scdr.factorization
 import scdr.mapping
 from scdr.cli import load_config
@@ -76,6 +78,43 @@ def test_find_delta_callables_are_defined_by_the_caller(monkeypatch):
         base=base, perturb=perturb, hidden=4)).net
     scdr.analysis.lipschitz_estimate(net, src, tgt, scenario, perturb)
     assert seen == {m.__name__: {m.__name__} for m in callers}
+
+
+def test_every_traced_name_is_called(tmp_path, monkeypatch):
+    """A tiny pipeline enters every span the tracer wraps and credits every kernel module.
+
+    A refactor that stops calling a wrapped name (say, by reading rating
+    rows without ``DomainDataset.user_interactions``) leaves a per-layer
+    metric unmeasured; this catches it without a benchmark run.
+    """
+    spans = load_spans()
+    tracer = spans.Tracer("tier-1")
+    wrappers = {}
+    for (owner, attr), name in spans.WRAPPED.items():
+        target = resolve(owner)
+        wrappers.setdefault(name, tracer.wrap(name, getattr(target, attr)))
+        monkeypatch.setattr(target, attr, wrappers[name])
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 1, "out": str(tmp_path / "run"),
+        "synth": {"users": 40, "items": 20, "overlap_ratio": 0.5, "dim": 3,
+                  "ratings_per_user": 5},
+        "pretrain": {"epochs": 1, "dim": 3, "k": 2},
+        "train": {"epochs": 1, "hidden": 4, "k": 2},
+        "landscape": {"resolution": 2, "n_samples": 8},
+    }))
+    stages = [["synth"], ["pretrain", "--mode", "plain"],
+              ["pretrain", "--mode", "sharpness_aware"]]
+    stages += [["train", "--method", m] for m in ("emcdr", "scdr_minus", "scdr")]
+    stages += [[c, "--method", "scdr"] for c in ("eval", "attack", "landscape", "sharpness")]
+    for stage in stages:
+        assert scdr.cli.main([*stage, "--config", str(cfg)]) == 0, stage
+
+    entered = {span[0] for span in tracer.spans}
+    assert set(spans.WRAPPED.values()) - entered == set()
+    kernels = {f"{m}.kernel_s" for m in ("factorization", "mapping", "analysis")}
+    assert {k for k in kernels if tracer.counters.get(k, 0.0) > 0.0} == kernels
 
 
 def test_readme_config_block_loads(tmp_path):
