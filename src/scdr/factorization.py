@@ -82,7 +82,82 @@ class MfTrainResult(NamedTuple):
     loss_trace: list[float]
 
 
-def _batch_arrays(model: FactorModel, batch):
+def _unique_inverse(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(idx, return_inverse=True)`` for a non-empty 1-D integer array.
+
+    One argsort, a flag on each change of value in sorted order and its
+    running count give the sorted distinct values and each entry's position
+    among them, in fewer calls than numpy's generic unique path. The cost
+    depends only on ``idx.size``, not on how many rows the indices address.
+    """
+    order = idx.argsort()
+    ordered = idx.take(order)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inv = np.empty(ordered.size, dtype=np.intp)
+    inv[order] = first.cumsum() - 1
+    return ordered.compress(first), inv
+
+
+class _Batch:
+    """Index bookkeeping and the squared-error kernel of one batch.
+
+    Every factor loss and gradient (``mf_loss``, ``mf_grad``, the ascent of
+    ``train_smf`` and the SGD update) goes through ``residual`` and the
+    ``*_sums`` scatters. ``uniq_*`` are the rows the batch touches and
+    ``inv_*`` each rating's position among them. A scatter sums per-rating
+    rows with one ``np.bincount`` over the flattened ``row * d + col``
+    index; like ``np.add.at`` it adds in rating order starting from 0.0, so
+    the sums are bitwise the same.
+    """
+
+    def __init__(self, ui: np.ndarray, vi: np.ndarray, r: np.ndarray, d: int):
+        self.r = r
+        self.d = d
+        self.uniq_u, self.inv_u = _unique_inverse(ui)
+        self.uniq_v, self.inv_v = _unique_inverse(vi)
+        self._flat_u = self._flat_index(self.inv_u, self.uniq_u.size)
+        self._flat_v = self._flat_index(self.inv_v, self.uniq_v.size)
+
+    def _flat_index(self, inv: np.ndarray, n_rows: int) -> np.ndarray:
+        """``row * d + col`` of every rating's entries, gathered from the grid of touched rows."""
+        return np.arange(n_rows * self.d).reshape(n_rows, self.d).take(inv, axis=0).ravel()
+
+    def residual(self, u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
+        """Rating minus prediction for each rating, given its user and item rows."""
+        return self.r - np.einsum("ij,ij->i", u_rows, v_rows)
+
+    def user_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Per-rating rows summed into the touched user rows (``uniq_u`` order)."""
+        return self._scatter(self._flat_u, self.uniq_u.size, terms)
+
+    def item_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Per-rating rows summed into the touched item rows (``uniq_v`` order)."""
+        return self._scatter(self._flat_v, self.uniq_v.size, terms)
+
+    def grads(self, u_touched: np.ndarray, v_touched: np.ndarray, v_rows: np.ndarray,
+              weight_decay: float):
+        """Gradient of the batch loss for the touched user and item rows.
+
+        ``v_rows`` is ``v_touched`` gathered per rating (``inv_v``).
+        """
+        u_rows = u_touched.take(self.inv_u, axis=0)
+        m2r = -2.0 * self.residual(u_rows, v_rows)[:, None]
+        du = self.user_sums(m2r * v_rows)
+        dv = self.item_sums(m2r * u_rows)
+        if weight_decay > 0.0:
+            du += 2.0 * weight_decay * u_touched
+            dv += 2.0 * weight_decay * v_touched
+        return du, dv
+
+    def _scatter(self, flat: np.ndarray, n_rows: int, terms: np.ndarray) -> np.ndarray:
+        sums = np.bincount(flat, weights=terms.ravel(), minlength=n_rows * self.d)
+        return sums.reshape(n_rows, self.d)
+
+
+def _model_batch(model: FactorModel, batch) -> _Batch:
+    """The checked index arrays of (user, item, rating) triples, as a :class:`_Batch`."""
     batch = list(batch)
     if not batch:
         raise ValidationError("batch must be non-empty")
@@ -93,57 +168,7 @@ def _batch_arrays(model: FactorModel, batch):
         raise ValidationError("user index out of range")
     if vi.min() < 0 or vi.max() >= model.V.shape[0]:
         raise ValidationError("item index out of range")
-    return ui, vi, r
-
-
-class _Batch:
-    """Index bookkeeping and the squared-error kernel of one batch.
-
-    Every factor loss and gradient (``mf_loss``, ``mf_grad``, the ascent of
-    ``train_smf`` and the SGD update) goes through ``residual`` and the
-    ``*_grad`` scatters. ``uniq_*`` are the rows the batch touches and
-    ``inv_*`` each rating's position among them. A scatter sums the
-    per-rating gradient rows with one ``np.bincount`` over the flattened
-    ``row * d + col`` index; like ``np.add.at`` it adds in rating order
-    starting from 0.0, so the sums are bitwise the same.
-    """
-
-    def __init__(self, ui: np.ndarray, vi: np.ndarray, r: np.ndarray, d: int):
-        self.r = r
-        self.d = d
-        self.uniq_u, self.inv_u = np.unique(ui, return_inverse=True)
-        self.uniq_v, self.inv_v = np.unique(vi, return_inverse=True)
-        cols = np.arange(d)
-        self._flat_u = (self.inv_u[:, None] * d + cols).ravel()
-        self._flat_v = (self.inv_v[:, None] * d + cols).ravel()
-
-    def residual(self, u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
-        """Rating minus prediction for each rating, given its user and item rows."""
-        return self.r - np.einsum("ij,ij->i", u_rows, v_rows)
-
-    def user_grad(self, resid: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
-        """Squared-error gradient of the touched user rows (``uniq_u`` order)."""
-        return self._scatter(self._flat_u, self.uniq_u.size, -2.0 * resid[:, None] * v_rows)
-
-    def item_grad(self, resid: np.ndarray, u_rows: np.ndarray) -> np.ndarray:
-        """Squared-error gradient of the touched item rows (``uniq_v`` order)."""
-        return self._scatter(self._flat_v, self.uniq_v.size, -2.0 * resid[:, None] * u_rows)
-
-    def grads(self, u_touched: np.ndarray, v_touched: np.ndarray, weight_decay: float):
-        """Gradient of the batch loss for the touched user and item rows."""
-        u_rows = u_touched[self.inv_u]
-        v_rows = v_touched[self.inv_v]
-        resid = self.residual(u_rows, v_rows)
-        du = self.user_grad(resid, v_rows)
-        dv = self.item_grad(resid, u_rows)
-        if weight_decay > 0.0:
-            du += 2.0 * weight_decay * u_touched
-            dv += 2.0 * weight_decay * v_touched
-        return du, dv
-
-    def _scatter(self, flat: np.ndarray, n_rows: int, terms: np.ndarray) -> np.ndarray:
-        sums = np.bincount(flat, weights=terms.ravel(), minlength=n_rows * self.d)
-        return sums.reshape(n_rows, self.d)
+    return _Batch(ui, vi, r, model.d)
 
 
 def _objective(resid: np.ndarray, weight_decay: float, *rows: np.ndarray) -> float:
@@ -164,8 +189,7 @@ def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
     With positive ``weight_decay`` the squared norms of the rows the batch
     touches (each row once) are added, scaled by the decay.
     """
-    ui, vi, r = _batch_arrays(model, batch)
-    b = _Batch(ui, vi, r, model.d)
+    b = _model_batch(model, batch)
     uu = model.U[b.uniq_u]
     vv = model.V[b.uniq_v]
     return _objective(b.residual(uu[b.inv_u], vv[b.inv_v]), float(weight_decay), uu, vv)
@@ -173,26 +197,29 @@ def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
 
 def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
     """Analytic gradient of :func:`mf_loss` for the touched U and V rows."""
-    ui, vi, r = _batch_arrays(model, batch)
-    b = _Batch(ui, vi, r, model.d)
-    du, dv = b.grads(model.U[b.uniq_u], model.V[b.uniq_v], weight_decay)
+    b = _model_batch(model, batch)
+    vv = model.V[b.uniq_v]
+    du, dv = b.grads(model.U[b.uniq_u], vv, vv[b.inv_v], weight_decay)
     return MfGradient(b.uniq_u, du, b.uniq_v, dv)
 
 
-def _ascent_pair(b: _Batch, v_touched: np.ndarray, weight_decay: float):
+def _ascent_pair(b: _Batch, v_touched: np.ndarray, v_rows: np.ndarray, weight_decay: float):
     """Loss and gradient of one batch as functions of its touched user rows.
 
-    The item rows stay fixed. Both read one memoized residual per point, so
-    each ascent iterate costs one residual.
+    The item rows stay fixed; ``v_rows`` is ``v_touched`` gathered per
+    rating. Both read one memoized residual per point, so each ascent
+    iterate costs one residual. ``r * (-2 v)`` rounds the same exact
+    product as ``(-2 r) * v``, so hoisting ``-2 v`` keeps the gradient's
+    bits.
     """
-    v_rows = v_touched[b.inv_v]
-    residual_at = memo_last_point(lambda rows: b.residual(rows[b.inv_u], v_rows))
+    m2v = -2.0 * v_rows
+    residual_at = memo_last_point(lambda rows: b.residual(rows.take(b.inv_u, axis=0), v_rows))
 
     def loss_at(rows):
         return _objective(residual_at(rows), weight_decay, rows, v_touched)
 
     def grad_at(rows):
-        g = b.user_grad(residual_at(rows), v_rows)
+        g = b.user_sums(residual_at(rows)[:, None] * m2v)
         if weight_decay > 0.0:
             g += 2.0 * weight_decay * rows
         return g
@@ -203,16 +230,19 @@ def _ascent_pair(b: _Batch, v_touched: np.ndarray, weight_decay: float):
 def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig) -> None:
     b = _Batch(ui, vi, r, U.shape[1])
     wd = config.weight_decay
-    u_base = U[b.uniq_u]
-    v_base = V[b.uniq_v]
+    u_base = U.take(b.uniq_u, axis=0)
+    v_base = V.take(b.uniq_v, axis=0)
+    v_rows = v_base.take(b.inv_v, axis=0)
+    u_eval = u_base
     if perturb.k > 0 and perturb.rho > 0.0:
-        loss_at, grad_at = _ascent_pair(b, v_base, wd)
+        loss_at, grad_at = _ascent_pair(b, v_base, v_rows, wd)
         u_eval = u_base + find_delta(loss_at, grad_at, u_base, perturb).delta
-    else:
-        u_eval = u_base
-    du, dv = b.grads(u_eval, v_base, wd)
-    U[b.uniq_u] -= config.learning_rate * du
-    V[b.uniq_v] -= config.learning_rate * dv
+    du, dv = b.grads(u_eval, v_base, v_rows, wd)
+    # the rows still hold u_base and v_base, so this is the in-place -= update
+    du *= config.learning_rate
+    dv *= config.learning_rate
+    U[b.uniq_u] = np.subtract(u_base, du, out=du)
+    V[b.uniq_v] = np.subtract(v_base, dv, out=dv)
 
 
 # overflow on the way to the divergence guard is expected, not a warning
@@ -226,10 +256,16 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) 
     trace: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            sel = perm[start:start + config.batch_size]
-            _sgd_step(U, V, ui[sel], vi[sel], r[sel], config, perturb)
-        loss = _objective(r - np.einsum("ij,ij->i", U[ui], V[vi]), config.weight_decay, U, V)
+        try:
+            for start in range(0, n, config.batch_size):
+                sel = perm[start:start + config.batch_size]
+                _sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb)
+        except DivergenceError as exc:
+            # find_delta's ascent guard does not know the epoch
+            raise DivergenceError(str(exc), epoch=epoch,
+                                  learning_rate=config.learning_rate) from exc
+        resid = r - np.einsum("ij,ij->i", U.take(ui, axis=0), V.take(vi, axis=0))
+        loss = _objective(resid, config.weight_decay, U, V)
         if not np.isfinite(loss):
             raise DivergenceError(
                 "training loss became non-finite",

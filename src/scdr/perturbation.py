@@ -58,6 +58,7 @@ def project_ball(point: np.ndarray, origin: np.ndarray, rho: float) -> np.ndarra
     """Rescale each row of ``point - origin`` onto the radius-``rho`` sphere when outside the ball.
 
     Rows already inside are returned untouched; a 1-D point is one row.
+    Neither ``point`` nor ``origin`` is written.
     """
     point = np.asarray(point, dtype=np.float64)
     origin = np.asarray(origin, dtype=np.float64)
@@ -65,12 +66,18 @@ def project_ball(point: np.ndarray, origin: np.ndarray, rho: float) -> np.ndarra
         raise ValidationError(f"shape mismatch: point {point.shape} vs origin {origin.shape}")
     diff = point - origin
     # the expression np.linalg.norm evaluates here, without its dispatch
-    norms = np.sqrt(np.add.reduce(diff * diff, axis=-1, keepdims=True))
+    norms = np.add.reduce(diff * diff, axis=-1, keepdims=True)
+    np.sqrt(norms, out=norms)
     outside = norms > rho
+    n_outside = np.count_nonzero(outside)
     # whole-batch shortcuts give the same bits as the masked form below
-    if outside.all():
-        return origin + diff * (rho / norms)
-    if not outside.any():
+    if n_outside == outside.size:
+        # origin + diff * (rho / norms), on the temporaries
+        np.divide(rho, norms, out=norms)
+        diff *= norms
+        diff += origin
+        return diff
+    if n_outside == 0:
         return point
     safe = np.where(norms > 0.0, norms, 1.0)
     return np.where(outside, origin + diff * (rho / safe), point)
@@ -119,7 +126,12 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
             raise ValidationError(f"shape mismatch: gradient {grad.shape} vs origin {origin.shape}")
         if not np.isfinite(grad).all():
             raise DivergenceError(f"non-finite gradient at ascent step {step}")
-        point = project_ball(point + config.alpha * np.sign(grad), origin, config.rho)
+        # point + alpha * sign(grad), built on a fresh array: points handed
+        # to loss_at are never written, as memo_last_point requires
+        moved = np.sign(grad)
+        moved *= config.alpha
+        moved += point
+        point = project_ball(moved, origin, config.rho)
         loss = float(loss_at(point))
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at ascent step {step}")

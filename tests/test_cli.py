@@ -126,6 +126,19 @@ class TestValidation:
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 3
         assert not (tmp_path / "run" / "source_model_plain.json").exists()
 
+    def test_sharpness_aware_divergence_names_epoch(self, tmp_path, capsys):
+        # the ascent meets the blow-up first; the error still names where
+        cfg_doc = small_config(tmp_path / "run")
+        cfg_doc["pretrain"]["learning_rate"] = 50.0
+        cfg = write_config(tmp_path, cfg_doc)
+        assert run("synth", "--config", cfg) == 0
+        listing = sorted(p.name for p in (tmp_path / "run").iterdir())
+        capsys.readouterr()
+        assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 3
+        err = capsys.readouterr().err
+        assert "loss is non-finite at the unperturbed origin (epoch 0, learning_rate 50.0)" in err
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == listing
+
     def test_mapping_divergence_is_exit_3(self, tmp_path, capsys):
         # the first update blows the net up; the next mini-batch's ascent
         # meets the overflow and training stops before writing anything

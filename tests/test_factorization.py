@@ -207,6 +207,43 @@ class TestTrainSmf:
                         PerturbConfig(rho=0.5, k=5))
         assert mse(res.model, ds) < 5e-2
 
+    def test_ascent_divergence_reports_epoch(self):
+        # one rating per step: the first update overflows the next step's
+        # origin loss inside find_delta, before the epoch-end check
+        ds = rank_one_dataset()
+        cfg = TrainConfig(epochs=5, learning_rate=50.0, batch_size=1, dim=2, seed=0)
+        with pytest.raises(DivergenceError, match=r"^loss is non-finite at the unperturbed "
+                           r"origin \(epoch 0, learning_rate 50.0\)$") as exc:
+            train_smf(ds, cfg, PerturbConfig(rho=0.05, k=5))
+        assert exc.value.epoch == 0 and exc.value.learning_rate == 50.0
+
+    def test_ascent_work_per_step(self, synthetic_source, monkeypatch):
+        """One find_delta per batch, each with k+1 loss and k gradient evaluations.
+
+        A faster step must not come from doing less ascent.
+        """
+        counts = {"calls": 0, "loss": 0, "grad": 0}
+
+        def counting(loss_at, grad_at, origin, config):
+            counts["calls"] += 1
+
+            def counted(fn, key):
+                def call(x):
+                    counts[key] += 1
+                    return fn(x)
+                return call
+
+            return find_delta(counted(loss_at, "loss"), counted(grad_at, "grad"), origin, config)
+
+        monkeypatch.setattr(factorization, "find_delta", counting)
+        cfg = TrainConfig(epochs=2, batch_size=96, seed=3)
+        k = 4
+        train_smf(synthetic_source, cfg, PerturbConfig(rho=0.05, k=k))
+        n = synthetic_source.n_interactions
+        assert n % cfg.batch_size != 0
+        calls = cfg.epochs * -(-n // cfg.batch_size)
+        assert counts == {"calls": calls, "loss": calls * (k + 1), "grad": calls * k}
+
     def test_deterministic(self):
         ds = rank_one_dataset()
         cfg = TrainConfig(epochs=15, dim=2, seed=9)
@@ -272,20 +309,48 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def assert_matches_reference(ds, cfg, pert, monkeypatch):
+    """train_mf and train_smf give the bits of the same training with ``reference_sgd_step``."""
+    runs = [(train_mf(ds, cfg), train_smf(ds, cfg, pert))]
+    with monkeypatch.context() as patch:
+        patch.setattr(factorization, "_sgd_step", reference_sgd_step)
+        runs.append((train_mf(ds, cfg), train_smf(ds, cfg, pert)))
+    for new, ref in zip(*runs):
+        assert same_bits(new.model.U, ref.model.U)
+        assert same_bits(new.model.V, ref.model.V)
+        assert new.loss_trace == ref.loss_trace
+
+
 class TestKernelEquivalence:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     @pytest.mark.parametrize("rho, k", [(0.05, 5), (0.3, 1)])
     def test_training_matches_reference_step(self, synthetic_source, monkeypatch,
                                              weight_decay, rho, k):
         cfg = TrainConfig(epochs=3, init_std=0.1, weight_decay=weight_decay, seed=2)
-        pert = PerturbConfig(rho=rho, k=k)
-        runs = [(train_mf(synthetic_source, cfg), train_smf(synthetic_source, cfg, pert))]
-        monkeypatch.setattr(factorization, "_sgd_step", reference_sgd_step)
-        runs.append((train_mf(synthetic_source, cfg), train_smf(synthetic_source, cfg, pert)))
-        for new, ref in zip(*runs):
-            assert same_bits(new.model.U, ref.model.U)
-            assert same_bits(new.model.V, ref.model.V)
-            assert new.loss_trace == ref.loss_trace
+        assert_matches_reference(synthetic_source, cfg, PerturbConfig(rho=rho, k=k), monkeypatch)
+
+    @pytest.mark.parametrize("batch_size", [1, 97])
+    def test_edge_batch_sizes_match_reference_step(self, synthetic_source, monkeypatch,
+                                                   batch_size):
+        # 97 leaves a final partial batch; 1 makes every batch one rating
+        ds = synthetic_source
+        if batch_size == 1:
+            ds = DomainDataset(ds.users, ds.items, ds.user_index[:500], ds.item_index[:500],
+                               ds.rating[:500])
+        else:
+            assert ds.n_interactions % batch_size != 0
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, init_std=0.1, weight_decay=0.05,
+                          seed=5)
+        assert_matches_reference(ds, cfg, PerturbConfig(rho=0.1, k=3), monkeypatch)
+
+    @pytest.mark.parametrize("shared", ["user", "item"])
+    def test_single_row_batches_match_reference_step(self, monkeypatch, shared):
+        # every rating of every batch shares one user (or one item)
+        ratings = np.random.default_rng(8).uniform(1.0, 5.0, size=70)
+        pair = (lambda j: ("u0", f"i{j}")) if shared == "user" else (lambda j: (f"u{j}", "i0"))
+        rows = [(*pair(j), float(x)) for j, x in enumerate(ratings)]
+        cfg = TrainConfig(epochs=3, batch_size=32, init_std=0.3, weight_decay=0.05, seed=6)
+        assert_matches_reference(dataset(rows), cfg, PerturbConfig(rho=0.2, k=4), monkeypatch)
 
     @pytest.mark.parametrize("n_rows", [1, 7])
     def test_bincount_scatter_matches_add_at(self, n_rows):
@@ -301,8 +366,8 @@ class TestKernelEquivalence:
         dv = np.zeros((b.uniq_v.size, 4))
         np.add.at(du, b.inv_u, -2.0 * resid[:, None] * v_rows)
         np.add.at(dv, b.inv_v, -2.0 * resid[:, None] * u_rows)
-        assert same_bits(b.user_grad(resid, v_rows), du)
-        assert same_bits(b.item_grad(resid, u_rows), dv)
+        assert same_bits(b.user_sums(-2.0 * resid[:, None] * v_rows), du)
+        assert same_bits(b.item_sums(-2.0 * resid[:, None] * u_rows), dv)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.2])
     def test_ascent_gradient_at_unseen_point_matches_mf_grad(self, rng, weight_decay):
@@ -310,11 +375,30 @@ class TestKernelEquivalence:
         batch = [(0, 1, 2.5), (4, 0, 4.0), (0, 3, 1.0), (2, 1, 3.3), (4, 4, 2.0)]
         ui, vi, r = (np.array(col) for col in zip(*batch))
         b = factorization._Batch(ui, vi, r, 3)
-        loss_at, grad_at = factorization._ascent_pair(b, m.V[b.uniq_v], weight_decay)
+        v_touched = m.V[b.uniq_v]
+        loss_at, grad_at = factorization._ascent_pair(b, v_touched, v_touched[b.inv_v],
+                                                      weight_decay)
         loss_at(m.U[b.uniq_u] + 0.5)
         g = mf_grad(m, batch, weight_decay=weight_decay)
         assert same_bits(grad_at(m.U[b.uniq_u]), g.user_grad)
         assert loss_at(m.U[b.uniq_u]) == mf_loss(m, batch, weight_decay=weight_decay)
+
+    @pytest.mark.parametrize("idx", [
+        [3],
+        [4, 4, 4, 4, 4, 4, 4],
+        list(range(12)),
+        [0, 2, 2, 5, 7, 7, 7, 8],
+        [9, 1, 9, 0, 3, 1, 1, 6, 0],
+        np.random.default_rng(21).integers(0, 40, size=256).tolist(),
+        np.random.default_rng(22).integers(0, 10**6, size=256).tolist(),
+    ], ids=["one", "all-equal", "sorted-distinct", "sorted-repeats", "unsorted", "random",
+            "sparse-large-ids"])
+    def test_unique_inverse_matches_np_unique(self, idx):
+        idx = np.array(idx, dtype=np.int64)
+        uniq, inv = factorization._unique_inverse(idx)
+        ref_uniq, ref_inv = np.unique(idx, return_inverse=True)
+        assert same_bits(uniq, ref_uniq)
+        assert same_bits(inv, ref_inv)
 
 
 class TestCheckpoint:

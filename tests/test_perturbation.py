@@ -129,8 +129,11 @@ class TestProjectRows:
         point = origin + scale * rng.normal(size=(40, 10))
         if origin_rows:
             point[::7] = origin[::7]
+        inputs = point.copy(), origin.copy()
         out = project_ball(point, origin, rho)
         assert out.tobytes() == reference_project_rows(point, origin, rho).tobytes()
+        # the inputs are read, never written
+        assert (point.tobytes(), origin.tobytes()) == tuple(a.tobytes() for a in inputs)
 
     @pytest.mark.parametrize("scale", [0.01, 100.0])
     def test_1d_point_is_one_row(self, rng, scale):
@@ -229,3 +232,45 @@ class TestMemoLastPoint:
         assert len(calls) == 1
         assert f(b) == 3.0 and f(a) == 3.0
         assert len(calls) == 3
+
+
+def recording(fn, seen):
+    """``fn`` keeping each argument it is called with and a copy taken at call time."""
+    def call(x):
+        seen.append((x, x.copy()))
+        return fn(x)
+    return call
+
+
+def unchanged(seen):
+    return all(x.tobytes() == copy.tobytes() for x, copy in seen)
+
+
+class TestNoMutation:
+    """``find_delta`` writes neither the origin nor any point it handed out.
+
+    ``memo_last_point`` keys on the identity of the point, and the mapping's
+    worst-case pick keeps the points themselves, so a step computed in place
+    on a point already passed to ``loss_at`` or ``grad_at`` would corrupt
+    both.
+    """
+
+    # alpha 1 moves each coordinate whose gradient is nonzero by 1; with a
+    # zero gradient in 6 of the 10 coordinates of every other row, those rows
+    # stay inside a 2.5 ball while the others leave it
+    @pytest.mark.parametrize("rho, mixed", [(0.1, False), (50.0, False), (2.5, True)],
+                             ids=["all-outside", "all-inside", "mixed"])
+    def test_find_delta(self, rng, rho, mixed):
+        origin = rng.normal(size=(12, 10))
+        center = origin + rng.normal(size=origin.shape)
+        if mixed:
+            center[::2, 4:] = origin[::2, 4:]
+        loss_at, grad_at = quadratic(center)
+        before = origin.copy()
+        seen = []
+        pert = find_delta(recording(loss_at, seen), recording(grad_at, seen), origin,
+                          PerturbConfig(rho=rho, k=4, alpha=1.0))
+        assert origin.tobytes() == before.tobytes()
+        assert len(seen) == 9 and unchanged(seen)
+        assert all(x is not origin for x, _ in seen[2:])
+        assert pert.achieved_loss >= loss_at(origin)

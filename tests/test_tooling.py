@@ -60,12 +60,29 @@ def test_every_wrapped_site_resolves():
 
 
 def test_find_delta_callables_are_defined_by_the_caller(monkeypatch):
+    """Each caller defines its own loss and gradient, and no point they see is written.
+
+    ``memo_last_point`` keys on the identity of a point, so a ``find_delta``
+    that wrote its step into the origin or into a point it already handed out
+    would corrupt every caller's memoized residual.
+    """
     callers = (scdr.factorization, scdr.mapping, scdr.analysis)
     seen = {}
+    intact = []
     for module in callers:
         def recorder(loss_at, grad_at, origin, config, caller=module.__name__):
             seen.setdefault(caller, set()).update((loss_at.__module__, grad_at.__module__))
-            return find_delta(loss_at, grad_at, origin, config)
+            points = [(origin, origin.copy())]
+
+            def keeping(fn):
+                def call(x):
+                    points.append((x, x.copy()))
+                    return fn(x)
+                return call
+
+            out = find_delta(keeping(loss_at), keeping(grad_at), origin, config)
+            intact.append(all(x.tobytes() == copy.tobytes() for x, copy in points))
+            return out
         monkeypatch.setattr(module, "find_delta", recorder)
 
     scenario, _ = generate_synthetic(SyntheticSpec(users=40, items=20, overlap_ratio=0.5,
@@ -78,6 +95,7 @@ def test_find_delta_callables_are_defined_by_the_caller(monkeypatch):
         base=base, perturb=perturb, hidden=4)).net
     scdr.analysis.lipschitz_estimate(net, src, tgt, scenario, perturb)
     assert seen == {m.__name__: {m.__name__} for m in callers}
+    assert intact and all(intact)
 
 
 def test_every_traced_name_is_called(tmp_path, monkeypatch):
