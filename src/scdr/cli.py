@@ -207,7 +207,7 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
     train_cfg = _train_config(section, seed)
     perturb = _perturb_config(section) if mode == "sharpness_aware" else None
     outputs = [out / f"{stem}_{mode}.{ext}"
-               for stem, ext in (("source_model", "json"), ("target_model", "json"),
+               for stem, ext in (("source_model", "npy"), ("target_model", "npy"),
                                  ("source_trace", "csv"), ("target_trace", "csv"))]
     with _check_outputs(outputs, force) as staged:
         if perturb is None:
@@ -230,7 +230,7 @@ def _load_train_inputs(out: Path, method: str):
     scenario = data.load_scenario(out / "scenario.json")
     mode = _METHOD_MODE[method]
     (src_model, _, src_digest), (tgt_model, _, tgt_digest) = (factorization.load_factor_model(
-        out / f"{side}_model_{mode}.json", scenario.inputs) for side in ("source", "target"))
+        out / f"{side}_model_{mode}.npy", scenario.inputs) for side in ("source", "target"))
     if src_model.d != tgt_model.d:
         raise ValidationError("source and target checkpoints disagree on latent dim")
     for name, model, domain in (("source", src_model, scenario.source),

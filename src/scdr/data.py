@@ -1,4 +1,4 @@
-"""Rating data ingestion, cross-domain scenarios, synthetic generators, and the JSON artifact codec.
+"""Rating data ingestion, cross-domain scenarios, synthetic generators, and the artifact codec.
 
 A rating file holds one ``user,item,rating`` row per line, with no header.
 A scenario couples a source and a target domain that share users but no
@@ -10,6 +10,7 @@ withheld from every training stream.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -29,28 +30,37 @@ MAP_KINDS = ("identity", "linear", "tanh")
 
 
 @contextmanager
-def json_document(path, what: str):
+def json_document(path, what: str, arrays: dict | None = None):
     """Read the JSON object stored at ``path`` for the ``with`` body.
 
     Yields the object and the sha256 of the file's bytes, which are read
-    once. A missing file raises :class:`MissingInputError`. Text that is not
-    UTF-8 JSON (nesting too deep to decode included), a top level that is
-    not an object, and any key, type or value error the body raises while
-    reading the document become a :class:`ValidationError` naming the
-    file; package errors pass through.
+    once. With ``arrays`` (names to ``(dtype, ndim)``) the file holds
+    :func:`write_artifact`'s records, and the object carries each array
+    under its name. A missing file raises :class:`MissingInputError`. Text
+    that is not UTF-8 JSON (nesting too deep to decode included), a top
+    level that is not an object, a truncated, pickled or ill-typed record,
+    and any key, type or value error the body raises while reading the
+    document become a :class:`ValidationError` naming the file; package
+    errors pass through.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingInputError(f"{what} not found: {path}")
     try:
         raw = path.read_bytes()
-        doc = json.loads(raw.decode("utf-8"))
+        if arrays is None:
+            doc = json.loads(raw.decode("utf-8"))
+        else:
+            head, *values = _typed_arrays(io.BytesIO(raw), [("U", 0), *arrays.values()])
+            doc = json.loads(head.item())
         if not isinstance(doc, dict):
             raise TypeError("top level is not a JSON object")
+        if arrays is not None:
+            doc.update(zip(arrays, values))
         yield doc, hashlib.sha256(raw).hexdigest()
     except ScdrError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, EOFError, OverflowError, RecursionError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ValidationError(f"malformed {what} {path}: {detail}") from None
 
@@ -99,21 +109,51 @@ def write_json(path, doc: dict, indent: int | None = None) -> None:
     write_atomic(path, json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
+def _write_arrays(path, arrays) -> None:
+    """Write each array to ``path`` as a pickle-free ``np.save`` record, atomically."""
+    with _atomic_file(path) as fh:
+        for arr in arrays:
+            np.save(fh, arr, allow_pickle=False)
+
+
+def _typed_arrays(fh, layout):
+    """Yield ``np.save`` records from ``fh``, one per ``(dtype, ndim)`` of ``layout``.
+
+    ``"U"`` admits a string of any width; another dtype or rank raises TypeError naming
+    the record's position. Pickled records are refused.
+    """
+    for i, (dtype, ndim) in enumerate(layout):
+        arr = np.load(fh, allow_pickle=False)
+        if not (isinstance(arr, np.ndarray) and arr.ndim == ndim
+                and (arr.dtype.kind == "U" if dtype == "U" else arr.dtype == dtype)):
+            raise TypeError(f"array {i} is not {ndim}-D {dtype}")
+        yield arr
+
+
 def write_artifact(path, kind: str, version: int, payload: dict, indent: int | None = None,
-                   inputs: dict | None = None) -> None:
-    """Write ``payload`` under the ``format_version``/``kind`` header and the ``inputs`` digests."""
+                   inputs: dict | None = None, arrays: dict | None = None) -> None:
+    """Write ``payload`` under the ``format_version``/``kind`` header and the ``inputs`` digests.
+
+    With ``arrays``, the file is the document's JSON text as a 0-d string followed by
+    each array, as pickle-free ``np.save`` records.
+    """
     inputs = {} if inputs is None else {"inputs": inputs}
-    write_json(path, {"format_version": version, "kind": kind, **inputs, **payload}, indent)
+    doc = {"format_version": version, "kind": kind, **inputs, **payload}
+    if arrays is None:
+        write_json(path, doc, indent)
+    else:
+        _write_arrays(path, [np.array(json.dumps(doc, sort_keys=True)), *arrays.values()])
 
 
 @contextmanager
-def read_artifact(path, kind: str, version: int, what: str, inputs: dict | None = None):
+def read_artifact(path, kind: str, version: int, what: str, inputs: dict | None = None,
+                  arrays: dict | None = None):
     """:func:`json_document` of an artifact whose header must name ``kind`` and ``version``.
 
     Yields the document and its sha256. Another header, or digests other than the given
     ``inputs``, raises ValidationError naming it.
     """
-    with json_document(path, what) as (doc, digest):
+    with json_document(path, what, arrays) as (doc, digest):
         if doc.get("format_version") != version or doc.get("kind") != kind:
             raise ValidationError(f"not a {what}: {path}")
         if inputs is not None and doc.get("inputs") != inputs:
@@ -297,19 +337,13 @@ def _load_snapshot(snapshot: Path, digest: str) -> DomainDataset | None:
     """The dataset stored in ``snapshot``, or None if it is absent or records another digest."""
     if not snapshot.is_file():
         return None
-    arrays = []
     try:
         with open(snapshot, "rb") as fh:
-            # (dtype, ndim) of each array, in write_ratings' order; "U": any str width
-            for dtype, ndim in zip("U64 U U i8 i8 f8 i8".split(), (0, 1, 1, 1, 1, 1, 0)):
-                arr = np.load(fh, allow_pickle=False)
-                if not (isinstance(arr, np.ndarray) and arr.ndim == ndim
-                        and (arr.dtype.kind == "U" if dtype == "U" else arr.dtype == dtype)):
-                    raise TypeError(f"array {len(arrays)} is not {ndim}-D {dtype}")
-                if not arrays and str(arr) != digest:
-                    return None
-                arrays.append(arr)
-        _, users, items, *columns, dups = arrays
+            # (dtype, ndim) of each array, in write_ratings' order
+            arrays = _typed_arrays(fh, zip("U64 U U i8 i8 f8 i8".split(), (0, 1, 1, 1, 1, 1, 0)))
+            if str(next(arrays)) != digest:
+                return None
+            users, items, *columns, dups = arrays
         return DomainDataset(tuple(users.tolist()), tuple(items.tolist()), *columns, int(dups))
     except (OSError, EOFError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"unreadable rating snapshot {snapshot}: {exc}") from None
@@ -372,11 +406,9 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
         used = order[:np.count_nonzero(first < index.size)]
         columns.append((np.array(tokens)[used], np.argsort(order)[index]))
     (users, ui), (items, vi) = columns
-    with _atomic_file(snapshot) as fh:
-        # the file's pairs are unique, so parsing it overwrites none
-        for arr in (np.array(hashlib.sha256(raw).hexdigest()), users, items, ui, vi,
-                    dataset.rating, np.array(0, dtype=np.int64)):
-            np.save(fh, arr, allow_pickle=False)
+    # the file's pairs are unique, so parsing it overwrites none
+    _write_arrays(snapshot, (np.array(hashlib.sha256(raw).hexdigest()), users, items, ui, vi,
+                             dataset.rating, np.array(0, dtype=np.int64)))
 
 
 @dataclass

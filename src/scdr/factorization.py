@@ -19,7 +19,7 @@ from .data import DomainDataset, number, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -292,24 +292,22 @@ def train_smf(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfi
 
 def save_factor_model(model: FactorModel, path, config: TrainConfig | None = None,
                       perturb: PerturbConfig | None = None, inputs: dict | None = None) -> None:
-    """Checkpoint a factor model as JSON (floats bit-exact) with ``CdrScenario.inputs``."""
+    """Checkpoint a factor model: a header with ``CdrScenario.inputs``, then U and V as arrays."""
     write_artifact(path, "factor_model", CHECKPOINT_VERSION, {
         "d": model.d,
         "n_users": int(model.U.shape[0]),
         "n_items": int(model.V.shape[0]),
-        "U": model.U.tolist(),
-        "V": model.V.tolist(),
         "config": None if config is None else asdict(config),
         "perturb": None if perturb is None else asdict(perturb),
-    }, inputs=inputs)
+    }, inputs=inputs, arrays={"U": model.U, "V": model.V})
 
 
 def load_factor_model(path, inputs: dict | None = None) -> tuple[FactorModel, dict, str]:
-    """A checkpoint's model, full document and sha256; one made from other ``inputs`` raises."""
-    with read_artifact(path, "factor_model", CHECKPOINT_VERSION, "factor checkpoint",
-                       inputs) as (doc, digest):
+    """A checkpoint's model, header and sha256; one made from other ``inputs`` raises."""
+    with read_artifact(path, "factor_model", CHECKPOINT_VERSION, "factor checkpoint", inputs,
+                       arrays={"U": ("f8", 2), "V": ("f8", 2)}) as (doc, digest):
         d, n_users, n_items = (number(int, doc[k], k) for k in ("d", "n_users", "n_items"))
-        model = FactorModel(np.asarray(doc["U"]), np.asarray(doc["V"]), d)
+        model = FactorModel(doc.pop("U"), doc.pop("V"), d)
         if model.U.shape[0] != n_users or model.V.shape[0] != n_items:
             raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
     return model, doc, digest

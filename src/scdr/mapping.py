@@ -302,7 +302,12 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
             target, weight = batch(sel)
             u_eval = u_src[rows]
             if use_pert:
-                u_eval = _worst_case(net, target, u_eval, perturb)
+                try:
+                    u_eval = _worst_case(net, target, u_eval, perturb)
+                except DivergenceError as exc:
+                    # find_delta's ascent guard does not know the epoch
+                    raise DivergenceError(str(exc), epoch=epoch,
+                                          learning_rate=base.learning_rate) from exc
             g = _kernel(net, u_eval, target).grad
             # synchronous update: all gradients were taken at pre-update
             # parameters; train rows are distinct (the scenario's partition)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +29,30 @@ def two_domain_scenario(n_overlap=10, beta=0.5, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def load_records(path, count):
+    """The first ``count`` ``np.save`` records of ``path``, pickled ones included."""
+    with open(path, "rb") as fh:
+        return [np.load(fh, allow_pickle=True) for _ in range(count)]
+
+
+def rewrite_record(path, count, position, convert):
+    """Replace record ``position`` of ``count`` ``np.save`` records in ``path`` by ``convert`` of it.
+
+    Object arrays are written pickled, which every reader in the package refuses.
+    """
+    records = load_records(path, count)
+    records[position] = convert(records[position])
+    with open(path, "wb") as fh:
+        for arr in records:
+            np.save(fh, arr, allow_pickle=True)
+
+
+def rewrite_header(path, **changes):
+    """Set ``changes`` in the JSON header of a factor checkpoint; U and V stay."""
+    rewrite_record(path, 3, 0, lambda head: np.array(
+        json.dumps({**json.loads(head.item()), **changes})))
 
 
 def fail_halfway(monkeypatch, name):

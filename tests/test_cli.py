@@ -10,9 +10,10 @@ import pytest
 
 from scdr.cli import _check_outputs, load_config, main
 from scdr.errors import ValidationError
+from scdr.factorization import load_factor_model
 from scdr.mapping import MappingNet, save_mapping
 
-from conftest import fail_halfway
+from conftest import fail_halfway, load_records, rewrite_header, rewrite_record
 
 
 def small_config(out, seed=1):
@@ -64,8 +65,8 @@ class TestPipeline:
         out, _ = pipeline
         expected = [
             "source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json",
-            "source_ratings.csv.npy", "target_ratings.csv.npy", "source_model_plain.json", "target_model_plain.json",
-            "source_model_sharpness_aware.json", "target_model_sharpness_aware.json",
+            "source_ratings.csv.npy", "target_ratings.csv.npy", "source_model_plain.npy", "target_model_plain.npy",
+            "source_model_sharpness_aware.npy", "target_model_sharpness_aware.npy",
             "mapping_emcdr.json", "mapping_scdr.json", "mapping_scdr_minus.json",
             "eval_emcdr.json", "eval_scdr.json", "eval_scdr_minus.json",
             "attack_scdr.json", "landscape_scdr.csv", "sharpness_scdr.json",
@@ -124,7 +125,7 @@ class TestValidation:
         cfg = write_config(tmp_path, cfg_doc)
         assert run("synth", "--config", cfg) == 0
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 3
-        assert not (tmp_path / "run" / "source_model_plain.json").exists()
+        assert not (tmp_path / "run" / "source_model_plain.npy").exists()
 
     def test_sharpness_aware_divergence_names_epoch(self, tmp_path, capsys):
         # the ascent meets the blow-up first; the error still names where
@@ -149,7 +150,9 @@ class TestValidation:
         assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 0
         capsys.readouterr()
         assert run("train", "--config", cfg, "--method", "scdr") == 3
-        assert "unperturbed origin" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unperturbed origin" in err
+        assert "(epoch " in err and "learning_rate 1e+200" in err
         assert not (tmp_path / "run" / "mapping_scdr.json").exists()
         assert not (tmp_path / "run" / "mapping_trace_scdr.csv").exists()
 
@@ -208,7 +211,7 @@ class TestValidation:
         cfg_doc["pretrain"]["epochs"] = 7
         longer = write_config(tmp_path, cfg_doc, "longer.json")
         with monkeypatch.context() as patch:
-            fail_halfway(patch, "target_model_plain.json")
+            fail_halfway(patch, "target_model_plain.npy")
             with pytest.raises(OSError):
                 run("pretrain", "--config", longer, "--mode", "plain", "--force")
         assert {p.name: digest(p) for p in out.iterdir()} == before
@@ -271,7 +274,7 @@ class TestValidation:
         capsys.readouterr()
         assert run("eval", "--config", cfg, "--method", "scdr") == 2
         err = capsys.readouterr().err
-        assert "stale factor checkpoint" in err and "source_model_sharpness_aware.json" in err
+        assert "stale factor checkpoint" in err and "source_model_sharpness_aware.npy" in err
         assert run("train", "--config", cfg, "--method", "scdr", "--force") == 2
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
@@ -348,14 +351,24 @@ def truncate_to(size):
 
 def rewrite_snapshot(position, convert):
     """Replace array ``position`` of a rating snapshot by ``convert`` of it; the digest stays."""
-    def corrupt(path):
-        with path.open("rb") as fh:
-            arrays = [np.load(fh) for _ in range(7)]
-        arrays[position] = convert(arrays[position])
-        with path.open("wb") as fh:
-            for arr in arrays:
-                np.save(fh, arr, allow_pickle=True)
-    return corrupt
+    return lambda path: rewrite_record(path, 7, position, convert)
+
+
+def rewrite_checkpoint_u(convert):
+    """Replace U, record 1 of a factor checkpoint, by ``convert`` of it."""
+    return lambda path: rewrite_record(path, 3, 1, convert)
+
+
+def checkpoint_header(**changes):
+    """Set ``changes`` in a factor checkpoint's JSON header."""
+    return lambda path: rewrite_header(path, **changes)
+
+
+def as_version_2_json(path):
+    """Put the version-2 JSON checkpoint of the same model at ``path``."""
+    head, u, v = load_records(path, 3)
+    doc = {**json.loads(head.item()), "format_version": 2, "U": u.tolist(), "V": v.tolist()}
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def drop_key(key):
@@ -399,7 +412,19 @@ class TestCorruptInputs:
         ("source_ratings.csv.npy", rewrite_snapshot(1, lambda a: a.astype(object)),
          "source_ratings.csv.npy: Object arrays cannot be loaded"),
         ("scenario.json", truncate, "malformed manifest"),
-        ("source_model_sharpness_aware.json", truncate, "malformed factor checkpoint"),
+        ("source_model_sharpness_aware.npy", truncate, "malformed factor checkpoint"),
+        ("target_model_sharpness_aware.npy", truncate_to(-1), "malformed factor checkpoint"),
+        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(lambda a: a.astype(np.float32)),
+         "source_model_sharpness_aware.npy: array 1 is not 2-D f8"),
+        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(np.ravel),
+         "source_model_sharpness_aware.npy: array 1 is not 2-D f8"),
+        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(lambda a: a.astype(object)),
+         "source_model_sharpness_aware.npy: Object arrays cannot be loaded"),
+        ("target_model_sharpness_aware.npy", checkpoint_header(kind="mapping_net"),
+         "not a factor checkpoint"),
+        ("target_model_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
+        ("source_model_sharpness_aware.npy", checkpoint_header(inputs={"manifest": "0" * 64}),
+         "stale factor checkpoint"),
         ("mapping_scdr.json", truncate, "malformed mapping checkpoint"),
         ("scenario.json", drop_key("source_ratings"), "missing key 'source_ratings'"),
         ("mapping_scdr.json", drop_key("W1"), "missing key 'W1'"),
@@ -422,6 +447,16 @@ class TestCorruptInputs:
         before = sorted(p.name for p in out.iterdir())
         assert run("eval", "--config", cfg, "--method", "scdr") == 2
         assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    @pytest.mark.parametrize("replace", [lambda p: p.unlink(), lambda p: (p.unlink(), p.mkdir())],
+                             ids=["missing", "directory"])
+    def test_absent_checkpoint_exits_4_and_writes_nothing(self, run_copy, capsys, replace):
+        out, cfg = run_copy
+        replace(out / "target_model_sharpness_aware.npy")
+        before = sorted(p.name for p in out.iterdir())
+        assert run("eval", "--config", cfg, "--method", "scdr") == 4
+        assert "factor checkpoint not found" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == before
 
     def test_mistyped_synth_value(self, tmp_path, capsys):
@@ -579,9 +614,9 @@ class TestReductions:
         assert run("synth", "--config", cfg) == 0
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 0
         assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 0
-        plain = json.loads((out / "source_model_plain.json").read_text())
-        sam = json.loads((out / "source_model_sharpness_aware.json").read_text())
-        assert plain["U"] == sam["U"] and plain["V"] == sam["V"]
+        plain, _, _ = load_factor_model(out / "source_model_plain.npy")
+        sam, _, _ = load_factor_model(out / "source_model_sharpness_aware.npy")
+        assert plain.U.tobytes() == sam.U.tobytes() and plain.V.tobytes() == sam.V.tobytes()
 
     def test_scdr_equals_scdr_minus_with_k_zero(self, tmp_path):
         out = tmp_path / "run"
@@ -622,7 +657,7 @@ class TestSharpnessCommand:
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 0
         d = 6
         net = MappingNet(np.zeros((50, d)), np.zeros(50), np.zeros((d, 50)), np.zeros(d))
-        inputs = {f"{side}_model": digest(out / f"{side}_model_plain.json")
+        inputs = {f"{side}_model": digest(out / f"{side}_model_plain.npy")
                   for side in ("source", "target")}
         save_mapping(net, out / "mapping_emcdr.json", config={"method": "emcdr"}, inputs=inputs)
         assert run("sharpness", "--config", cfg, "--method", "emcdr") == 0

@@ -21,7 +21,7 @@ from scdr.factorization import (
 )
 from scdr.perturbation import PerturbConfig, find_delta
 
-from conftest import dataset
+from conftest import dataset, rewrite_header, rewrite_record
 
 
 def model_from(u_rows, v_rows):
@@ -405,7 +405,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         model = model_from(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)))
         cfg = TrainConfig(epochs=7, dim=3, seed=11)
-        p = tmp_path / "m.json"
+        p = tmp_path / "m.npy"
         save_factor_model(model, p, cfg, PerturbConfig(rho=0.1, k=2))
         back, doc, digest = load_factor_model(p)
         assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
@@ -413,14 +413,26 @@ class TestCheckpoint:
         assert np.array_equal(back.V, model.V)
         assert doc["config"]["seed"] == 11
         assert doc["perturb"]["rho"] == 0.1
+        assert set(doc) == {"format_version", "kind", "d", "n_users", "n_items", "config",
+                            "perturb"}
+
+    def test_extreme_floats_round_trip_bitwise(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e308, -1e308]
+        model = model_from([edge, edge[::-1]], [edge[1:] + edge[:1]])
+        p = tmp_path / "m.npy"
+        save_factor_model(model, p)
+        back, _, _ = load_factor_model(p)
+        assert back.U.tobytes() == model.U.tobytes()
+        assert back.V.tobytes() == model.V.tobytes()
+        assert np.signbit(back.U[0, 0])
 
     def test_input_digests_are_checked(self, tmp_path, rng):
         inputs = {"manifest": "a" * 64, "source_ratings": "b" * 64, "target_ratings": "c" * 64}
-        p = tmp_path / "m.json"
+        p = tmp_path / "m.npy"
         save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p,
                           inputs=inputs)
         _, doc, _ = load_factor_model(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 2
+        assert doc["inputs"] == inputs and doc["format_version"] == 3
         for other in ({**inputs, "target_ratings": "d" * 64}, {}):
             with pytest.raises(ValidationError, match="stale factor checkpoint") as exc:
                 load_factor_model(p, other)
@@ -428,23 +440,58 @@ class TestCheckpoint:
 
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(MissingInputError):
-            load_factor_model(tmp_path / "none.json")
+            load_factor_model(tmp_path / "none.npy")
+        (tmp_path / "dir.npy").mkdir()
+        with pytest.raises(MissingInputError):
+            load_factor_model(tmp_path / "dir.npy")
 
-    def test_wrong_kind_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text('{"format_version": 1, "kind": "something"}')
-        with pytest.raises(ValidationError):
+    def test_wrong_kind_rejected(self, tmp_path, rng):
+        p = tmp_path / "m.npy"
+        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
+        rewrite_header(p, kind="something")
+        with pytest.raises(ValidationError, match="not a factor checkpoint"):
+            load_factor_model(p)
+        rewrite_header(p, kind="factor_model", format_version=2)
+        with pytest.raises(ValidationError, match="not a factor checkpoint"):
+            load_factor_model(p)
+
+    def test_version_2_json_checkpoint_rejected(self, tmp_path, rng):
+        model = model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
+        p = tmp_path / "m.npy"
+        p.write_text(json.dumps({"format_version": 2, "kind": "factor_model", "d": 2,
+                                 "n_users": 3, "n_items": 4, "U": model.U.tolist(),
+                                 "V": model.V.tolist(), "config": None, "perturb": None}))
+        with pytest.raises(ValidationError, match="malformed factor checkpoint") as exc:
+            load_factor_model(p)
+        assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize("convert, message", [
+        (lambda a: a.astype(np.float32), "array 1 is not 2-D f8"),
+        (np.ravel, "array 1 is not 2-D f8"),
+        (lambda a: a.astype(object), "Object arrays cannot be loaded"),
+    ], ids=["float32", "1-D", "object"])
+    def test_ill_typed_u_rejected(self, tmp_path, rng, convert, message):
+        p = tmp_path / "m.npy"
+        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
+        rewrite_record(p, 3, 1, convert)
+        with pytest.raises(ValidationError, match=f"malformed factor checkpoint .*{message}"):
+            load_factor_model(p)
+
+    @pytest.mark.parametrize("keep", [0, 50, -1])
+    def test_truncated_checkpoint_rejected(self, tmp_path, rng, keep):
+        p = tmp_path / "m.npy"
+        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(ValidationError, match="malformed factor checkpoint"):
             load_factor_model(p)
 
     @pytest.mark.parametrize("key", ["d", "n_users", "n_items"])
     @pytest.mark.parametrize("value", [3.9, "3", True])
     def test_metadata_numbers_are_strict(self, tmp_path, rng, key, value):
         # a 3 x 3 model, so a lenient int() of 3.9 or "3" would pass the shape check
-        p = tmp_path / "m.json"
+        p = tmp_path / "m.npy"
         save_factor_model(model_from(rng.normal(size=(3, 3)), rng.normal(size=(3, 3))), p)
-        doc = json.loads(p.read_text())
-        doc[key] = value
-        p.write_text(json.dumps(doc))
+        rewrite_header(p, **{key: value})
         with pytest.raises(ValidationError, match=f"{key} must be a finite int") as exc:
             load_factor_model(p)
         assert str(p) in str(exc.value)

@@ -7,7 +7,8 @@ moves those callables to another module, breaks or skews a traced benchmark
 run; these checks make it fail the test suite instead. README's example
 config is checked against the keys the CLI accepts in the same way, the
 JSON artifact format is checked to stay behind ``scdr.data``'s codec, and
-numpy's binary loading is checked to stay in ``scdr.data`` and pickle-free.
+numpy's binary loading and writing are checked to stay in ``scdr.data`` and
+pickle-free.
 """
 
 from __future__ import annotations
@@ -167,3 +168,19 @@ def test_numpy_files_load_only_in_data_and_never_unpickle():
         calls[path.name] = re.findall(r"\b(?:np|numpy)\.load\((.*)\)", text)
     assert {name for name, args in calls.items() if args} == {"data.py"}
     assert all("allow_pickle=False" in args for args in calls["data.py"])
+
+
+def test_numpy_files_are_written_only_in_data_and_never_pickle():
+    """``np.save`` is called only in ``scdr.data``, always with ``allow_pickle=False``.
+
+    The rating snapshot and the factor checkpoint then share one writer, as
+    they share one reader. Nothing else in ``src`` names ``np.save`` outside a
+docstring's literal (an alias would dodge the check) or calls ``tofile``.
+    """
+    calls = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\b(np|numpy)\.save\b(?![(`])|\.tofile\(", text), path.name
+        calls[path.name] = re.findall(r"\b(?:np|numpy)\.save\((.*)\)", text)
+    assert {name for name, args in calls.items() if args} == {"data.py"}
+    assert calls["data.py"] and all("allow_pickle=False" in args for args in calls["data.py"])
