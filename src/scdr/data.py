@@ -27,6 +27,8 @@ from .errors import IngestError, MissingInputError, ScdrError, ValidationError
 MANIFEST_VERSION = 1
 SIDECAR_VERSION = 1
 MAP_KINDS = ("identity", "linear", "tanh")
+# rows per slice of a pass over all ratings, so its temporaries stay this size
+CHUNK_ROWS = 8192
 
 
 @contextmanager
@@ -387,14 +389,21 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
 
     With ``snapshot`` (``<path>.npy`` or its staging path), also write there the file's sha256
     and the dataset :func:`ingest_domain` parses from it; tokens must survive the format.
+    The text is formatted, written and hashed ``CHUNK_ROWS`` rows at a time.
     """
-    # one gather per token column is cheaper than a tuple lookup per row
-    row_users = np.array(dataset.users, dtype=object)[dataset.user_index].tolist()
-    row_items = np.array(dataset.items, dtype=object)[dataset.item_index].tolist()
-    lines = [f"{u},{v},{r!r}" for u, v, r in zip(row_users, row_items, dataset.rating.tolist())]
-    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    user_tokens = np.array(dataset.users, dtype=object)
+    item_tokens = np.array(dataset.items, dtype=object)
+    sha256 = hashlib.sha256()
     with _atomic_file(path) as fh:
-        fh.write(raw)
+        for start in range(0, dataset.n_interactions, CHUNK_ROWS):
+            part = slice(start, start + CHUNK_ROWS)
+            # one gather per token column is cheaper than a tuple lookup per row
+            rows = zip(user_tokens[dataset.user_index[part]].tolist(),
+                       item_tokens[dataset.item_index[part]].tolist(),
+                       dataset.rating[part].tolist())
+            raw = "".join([f"{u},{v},{r!r}\n" for u, v, r in rows]).encode("utf-8")
+            fh.write(raw)
+            sha256.update(raw)
     if snapshot is None:
         return
     columns = []
@@ -407,7 +416,7 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
         columns.append((np.array(tokens)[used], np.argsort(order)[index]))
     (users, ui), (items, vi) = columns
     # the file's pairs are unique, so parsing it overwrites none
-    _write_arrays(snapshot, (np.array(hashlib.sha256(raw).hexdigest()), users, items, ui, vi,
+    _write_arrays(snapshot, (np.array(sha256.hexdigest()), users, items, ui, vi,
                              dataset.rating, np.array(0, dtype=np.int64)))
 
 
@@ -610,16 +619,21 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CdrScenario, SyntheticSidec
 
     def emit(user_latents, item_latents, prefix):
         tokens = [f"{prefix}{j:06d}" for j in range(spec.items)]
-        ui, vi, rr = [], [], []
-        for i in range(user_latents.shape[0]):
-            chosen = rng.choice(spec.items, size=spec.ratings_per_user, replace=False)
-            raw = user_latents[i] @ item_latents[chosen].T
+        n_users, k = user_latents.shape[0], spec.ratings_per_user
+        vi, raw, noise = [], [], []
+        # the loop keeps only the draws, in their order, and the per-user product,
+        # whose bits a product over all users at once would change
+        for i in range(n_users):
+            chosen = rng.choice(spec.items, size=k, replace=False)
+            vi.append(chosen)
+            raw.append(user_latents[i] @ item_latents[chosen].T)
             if spec.noise > 0.0:
-                raw = raw + spec.noise * rng.standard_normal(spec.ratings_per_user)
-            ui.append(np.full(spec.ratings_per_user, i, dtype=np.int64))
-            vi.append(np.asarray(chosen, dtype=np.int64))
-            rr.append(np.clip(raw, 1.0, 5.0))
-        return tokens, np.concatenate(ui), np.concatenate(vi), np.concatenate(rr)
+                noise.append(rng.standard_normal(k))
+        rr = np.concatenate(raw)
+        if spec.noise > 0.0:
+            rr += spec.noise * np.concatenate(noise)
+        ui = np.repeat(np.arange(n_users, dtype=np.int64), k)
+        return tokens, ui, np.concatenate(vi), np.clip(rr, 1.0, 5.0, out=rr)
 
     s_tokens, s_ui, s_vi, s_r = emit(source_user_latents, source_items, "si")
     t_tokens, t_ui, t_vi, t_r = emit(target_user_latents, target_items, "ti")

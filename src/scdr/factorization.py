@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DomainDataset, number, read_artifact, write_artifact
+from .data import CHUNK_ROWS, DomainDataset, number, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
@@ -253,6 +253,7 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) 
     V = rng.normal(0.0, config.init_std, (dataset.n_items, config.dim))
     ui, vi, r = dataset.user_index, dataset.item_index, dataset.rating
     n = dataset.n_interactions
+    resid = np.empty(n)
     trace: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -264,7 +265,10 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) 
             # find_delta's ascent guard does not know the epoch
             raise DivergenceError(str(exc), epoch=epoch,
                                   learning_rate=config.learning_rate) from exc
-        resid = r - np.einsum("ij,ij->i", U.take(ui, axis=0), V.take(vi, axis=0))
+        for start in range(0, n, CHUNK_ROWS):
+            part = slice(start, start + CHUNK_ROWS)
+            resid[part] = r[part] - np.einsum("ij,ij->i", U.take(ui[part], axis=0),
+                                              V.take(vi[part], axis=0))
         loss = _objective(resid, config.weight_decay, U, V)
         if not np.isfinite(loss):
             raise DivergenceError(
@@ -307,7 +311,10 @@ def load_factor_model(path, inputs: dict | None = None) -> tuple[FactorModel, di
     with read_artifact(path, "factor_model", CHECKPOINT_VERSION, "factor checkpoint", inputs,
                        arrays={"U": ("f8", 2), "V": ("f8", 2)}) as (doc, digest):
         d, n_users, n_items = (number(int, doc[k], k) for k in ("d", "n_users", "n_items"))
-        model = FactorModel(doc.pop("U"), doc.pop("V"), d)
+        try:
+            model = FactorModel(doc.pop("U"), doc.pop("V"), d)
+        except ValidationError as exc:
+            raise ValidationError(f"malformed factor checkpoint {path}: {exc}") from None
         if model.U.shape[0] != n_users or model.V.shape[0] != n_items:
             raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
     return model, doc, digest

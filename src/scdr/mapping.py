@@ -387,8 +387,11 @@ def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict, st
         if doc.get("activation", "tanh") != "tanh":
             raise ValidationError(f"unsupported activation {doc['activation']!r} in {path}")
         d, hidden = (number(int, doc[k], k) for k in ("d", "hidden"))
-        net = MappingNet(np.asarray(doc["W1"]), np.asarray(doc["b1"]),
-                         np.asarray(doc["W2"]), np.asarray(doc["b2"]))
+        try:
+            net = MappingNet(np.asarray(doc["W1"]), np.asarray(doc["b1"]),
+                             np.asarray(doc["W2"]), np.asarray(doc["b2"]))
+        except ValidationError as exc:
+            raise ValidationError(f"malformed mapping checkpoint {path}: {exc}") from None
         if net.d != d or net.hidden != hidden:
             raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
     return net, doc, digest

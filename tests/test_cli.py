@@ -387,6 +387,19 @@ def set_key(key, value):
     return corrupt
 
 
+def nan_at_origin(values):
+    """A float copy of ``values`` with NaN as its first entry."""
+    values = np.array(values, dtype=np.float64)
+    values.flat[0] = math.nan
+    return values
+
+
+def nan_in_w1(path):
+    doc = json.loads(path.read_text())
+    doc["W1"] = nan_at_origin(doc["W1"]).tolist()
+    path.write_text(json.dumps(doc))
+
+
 def header_line(path):
     path.write_bytes(b"user,item,rating\n" + path.read_bytes())
 
@@ -426,6 +439,11 @@ class TestCorruptInputs:
         ("source_model_sharpness_aware.npy", checkpoint_header(inputs={"manifest": "0" * 64}),
          "stale factor checkpoint"),
         ("mapping_scdr.json", truncate, "malformed mapping checkpoint"),
+        # a non-finite parameter names the checkpoint it was read from
+        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(nan_at_origin),
+         "source_model_sharpness_aware.npy: factor matrices must be finite"),
+        ("mapping_scdr.json", nan_in_w1,
+         "mapping_scdr.json: mapping-net parameters must be finite"),
         ("scenario.json", drop_key("source_ratings"), "missing key 'source_ratings'"),
         ("mapping_scdr.json", drop_key("W1"), "missing key 'W1'"),
         # manifest numbers are as strict as config numbers

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from scdr.data import (
 )
 from scdr.errors import IngestError, MissingInputError, ValidationError
 
-from conftest import dataset, fail_halfway, two_domain_scenario
+from conftest import dataset, fail_halfway, load_records, two_domain_scenario
 
 
 class TestIngest:
@@ -224,6 +225,34 @@ class TestSnapshot:
         assert got.n_users == ds.n_users + 1
         assert same_dataset(got, parse_only(path))
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("n_rows", [14, 15])
+    def test_chunked_write_matches_one_shot_text(self, tmp_path, monkeypatch, chunk, n_rows):
+        ratings = np.random.default_rng(n_rows).uniform(1.0, 5.0, size=n_rows).tolist()
+        rows = [("usér" if j % 4 == 0 else f"u{j % 3}", f"i{j}", r)
+                for j, r in enumerate(ratings)]
+        expect = ("\n".join(f"{u},{v},{r!r}" for u, v, r in rows) + "\n").encode("utf-8")
+        monkeypatch.setattr(scdr.data, "CHUNK_ROWS", chunk)
+        path = written_with_snapshot(dataset(rows), tmp_path / "r.csv")
+        assert path.read_bytes() == expect
+        digest = load_records(tmp_path / "r.csv.npy", 1)[0].item()
+        assert digest == hashlib.sha256(expect).hexdigest()
+
+    def test_write_keeps_per_row_temporaries_to_a_chunk(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(users=4000, items=500, ratings_per_user=25,
+                                              seed=1))[0].source
+        assert ds.n_interactions >= 100_000
+        tracemalloc.start()
+        try:
+            path = written_with_snapshot(ds, tmp_path / "r.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # writing the whole file at once held every row's text, their join and its bytes,
+        # 18 MB for this 3.6 MB file; chunked, the peak is the snapshot's index columns and
+        # one chunk's rows (1.9 MB). The bound is one whole-file copy.
+        assert peak < path.stat().st_size
+
     def test_missing_snapshot_is_parsed(self, tmp_path, monkeypatch):
         ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
         path = tmp_path / "r.csv"
@@ -392,6 +421,41 @@ class TestSynthetic:
             else:
                 expect = sc.latent_mean + 0.5 * np.tanh((centered @ sc.map_matrix.T) / 0.5)
             assert np.allclose(tgt, expect, atol=0, rtol=0)
+
+    @pytest.mark.parametrize("spec", [
+        *(SyntheticSpec(users=40, items=25, overlap_ratio=0.25, dim=4, noise=noise,
+                        map_kind=kind, seed=11, ratings_per_user=7)
+          for kind in MAP_KINDS for noise in (0.0, 0.3)),
+        SyntheticSpec(users=30, items=12, overlap_ratio=1.0, dim=3, noise=0.2, seed=12,
+                      ratings_per_user=5),
+    ], ids=[*(f"{kind}-noise{noise}" for kind in MAP_KINDS for noise in (0.0, 0.3)),
+            "full-overlap"])
+    def test_ratings_match_per_user_loop(self, spec):
+        scenario, sidecar = generate_synthetic(spec)
+        rng = np.random.default_rng(spec.seed)
+        n_overlap = int(spec.overlap_ratio * spec.users)
+        # the draws that precede the ratings: map, user and item latents, one normal per entry
+        rng.standard_normal(spec.dim * (spec.dim + 2 * spec.users - n_overlap + 2 * spec.items))
+
+        def emit(user_latents, item_latents):
+            """The generator's per-user loop as it was before its work left the loop."""
+            ui, vi, rr = [], [], []
+            for i in range(user_latents.shape[0]):
+                chosen = rng.choice(spec.items, size=spec.ratings_per_user, replace=False)
+                raw = user_latents[i] @ item_latents[chosen].T
+                if spec.noise > 0.0:
+                    raw = raw + spec.noise * rng.standard_normal(spec.ratings_per_user)
+                ui.append(np.full(spec.ratings_per_user, i, dtype=np.int64))
+                vi.append(np.asarray(chosen, dtype=np.int64))
+                rr.append(np.clip(raw, 1.0, 5.0))
+            return np.concatenate(ui), np.concatenate(vi), np.concatenate(rr)
+
+        for ds, users, items in (
+                (scenario.source, sidecar.source_user_latents, sidecar.source_item_latents),
+                (scenario.target, sidecar.target_user_latents, sidecar.target_item_latents)):
+            for name, expect in zip(("user_index", "item_index", "rating"), emit(users, items)):
+                got = getattr(ds, name)
+                assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), name
 
     def test_invalid_specs(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,22 @@ class TestTrainMf:
         assert np.array_equal(res.model.U[1], u0[1])
         assert np.array_equal(res.model.V[1], v0[1])
         assert not np.array_equal(res.model.U[0], u0[0])
+
+    def test_epoch_keeps_per_rating_temporaries_to_a_chunk(self):
+        ds = generate_synthetic(SyntheticSpec(users=4000, items=500, ratings_per_user=25,
+                                              seed=1))[0].source
+        n, d = ds.n_interactions, 10
+        assert n >= 100_000
+        tracemalloc.start()
+        try:
+            train_mf(ds, TrainConfig(epochs=1, dim=d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an epoch loss over all ratings at once gathers two (n x d) float64 row blocks,
+        # 16 MB here; chunked, the peak is the permutation, the residual and one chunk's
+        # rows (3.3 MB). The bound is half of one such block.
+        assert peak < n * d * 8 / 2
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -351,6 +368,30 @@ class TestKernelEquivalence:
         rows = [(*pair(j), float(x)) for j, x in enumerate(ratings)]
         cfg = TrainConfig(epochs=3, batch_size=32, init_std=0.3, weight_decay=0.05, seed=6)
         assert_matches_reference(dataset(rows), cfg, PerturbConfig(rho=0.2, k=4), monkeypatch)
+
+    @pytest.mark.parametrize("n_rows", [42, 43])
+    def test_epoch_loss_is_bitwise_across_chunk_sizes(self, synthetic_source, monkeypatch,
+                                                      n_rows):
+        # 42 rows are a multiple of every chunk size tried, 43 of none but 1
+        ds = synthetic_source
+        ds = DomainDataset(ds.users, ds.items, ds.user_index[:n_rows], ds.item_index[:n_rows],
+                           ds.rating[:n_rows])
+        cfg = TrainConfig(epochs=3, batch_size=8, init_std=0.1, weight_decay=0.05, seed=3)
+        pert = PerturbConfig(rho=0.1, k=2)
+        runs = []
+        for chunk in (factorization.CHUNK_ROWS, 1, 2, 7):
+            monkeypatch.setattr(factorization, "CHUNK_ROWS", chunk)
+            runs.append((train_mf(ds, cfg), train_smf(ds, cfg, pert)))
+        for run in runs:
+            for new, ref in zip(run, runs[0]):
+                assert same_bits(new.model.U, ref.model.U)
+                assert same_bits(new.model.V, ref.model.V)
+                assert new.loss_trace == ref.loss_trace
+                # the last entry is the one-shot loss of the returned model
+                U, V = new.model.U, new.model.V
+                resid = ds.rating - np.einsum("ij,ij->i", U[ds.user_index], V[ds.item_index])
+                loss = factorization._objective(resid, cfg.weight_decay, U, V)
+                assert new.loss_trace[-1] == loss
 
     @pytest.mark.parametrize("n_rows", [1, 7])
     def test_bincount_scatter_matches_add_at(self, n_rows):
