@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import CdrScenario, write_artifact, write_atomic
+from .data import CHUNK_ROWS, CdrScenario, write_artifact, write_atomic
 from .errors import ValidationError
 from .factorization import FactorModel
 from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, _WorstCase, forward
@@ -130,7 +130,7 @@ def evaluate(net: MappingNet, source_model: FactorModel, target_model: FactorMod
     MAE and RMSE are pooled over all withheld (user, item) pairs.
     """
     src, items, ratings, counts = _withheld(scenario)
-    preds = _rating_predictions(target_model.V[items], counts, forward(net, source_model.U[src]))
+    preds = _rating_predictions(target_model.V, counts, forward(net, source_model.U[src]), items)
     return _report_from_residuals(ratings - preds, scenario.seed)
 
 
@@ -151,13 +151,13 @@ def fgsm_sweep(net: MappingNet, source_model: FactorModel, target_model: FactorM
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise ValidationError("epsilons must be sorted ascending")
     src, items, ratings, counts = _withheld(scenario)
-    v_rows = target_model.V[items]
+    V = target_model.V
     clean = source_model.U[src]
-    sign = np.sign(_kernel(net, clean, _rating_target(v_rows, ratings, counts)).grad.u)
+    sign = np.sign(_kernel(net, clean, _rating_target(V, ratings, counts, items)).grad.u)
     out = []
     for e in eps:
         attacked = clean + e * sign if e else clean
-        preds = _rating_predictions(v_rows, counts, forward(net, attacked))
+        preds = _rating_predictions(V, counts, forward(net, attacked), items)
         out.append((e, _report_from_residuals(ratings - preds, scenario.seed)))
     return out
 
@@ -190,14 +190,19 @@ def landscape_grid(net: MappingNet, source_model: FactorModel, target_model: Fac
     d1 = (g1 / np.linalg.norm(g1))[None, :] * norms
     d2 = (g2 / np.linalg.norm(g2))[None, :] * norms
 
+    # the output first, so that a lattice too large to hold fails before any work
+    loss = np.empty((spec.resolution, spec.resolution))
     zeta_axis = np.linspace(spec.zeta_min, spec.zeta_max, spec.resolution)
     gamma_axis = np.linspace(spec.gamma_min, spec.gamma_max, spec.resolution)
-    loss = np.empty((zeta_axis.size, gamma_axis.size))
+    # a lattice row's gamma axis in sub-blocks of at most CHUNK_ROWS sample rows (one gamma
+    # when n exceeds it); each (n, d) slice keeps its own matmul, so the bits do not change
+    per_block = max(1, CHUNK_ROWS // n)
     for zi, zeta in enumerate(zeta_axis):
-        # one forward pass per lattice row: a (resolution, n, d) block of displacements
-        displaced = u_sel + gamma_axis[:, None, None] * d1 + zeta * d2
-        preds = np.einsum("gij,ij->gi", forward(net, displaced), v_sel)
-        loss[zi] = np.mean(np.abs(r_sel - preds), axis=1)
+        for start in range(0, gamma_axis.size, per_block):
+            gammas = slice(start, start + per_block)
+            displaced = u_sel + gamma_axis[gammas, None, None] * d1 + zeta * d2
+            preds = np.einsum("gij,ij->gi", forward(net, displaced), v_sel)
+            loss[zi, gammas] = np.mean(np.abs(r_sel - preds), axis=1)
     return LandscapeGrid(zeta_axis, gamma_axis, loss, spec.seed, int(n))
 
 
@@ -222,9 +227,9 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
         # constant predictor: outputs do not depend on the input, so the
         # ratio is exactly 0 even though every ascent stalls at the origin
         return SharpnessReport(0.0, perturb.rho, perturb.k, src.size, 0)
-    v_rows = target_model.V[items]
+    V = target_model.V
     origin = source_model.U[src]
-    pair = _WorstCase(net, _rating_target(v_rows, ratings, counts))
+    pair = _WorstCase(net, _rating_target(V, ratings, counts, items))
     # callables defined here, so that a tracer wrapping find_delta credits
     # their time to this module
     find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), origin, perturb)
@@ -235,7 +240,7 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
     starts = np.cumsum(counts) - counts
 
     def mean_prediction(u):
-        preds = _rating_predictions(v_rows, counts, forward(net, u))
+        preds = _rating_predictions(V, counts, forward(net, u), items)
         return np.add.reduceat(preds, starts) / counts
 
     change = np.abs(mean_prediction(origin) - mean_prediction(pair.point))

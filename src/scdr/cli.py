@@ -8,8 +8,8 @@ command is a pure function of (config file, input files, seed): re-runs are
 byte-identical. Existing outputs are never overwritten without --force, and
 a command that fails partway leaves every output as it was.
 
-Exit codes: 0 success, 2 validation error, 3 numeric divergence,
-4 missing input.
+Exit codes: 0 success, 2 validation error (or an allocation the inputs and
+config make too large), 3 numeric divergence, 4 missing input.
 """
 
 from __future__ import annotations
@@ -374,6 +374,12 @@ def main(argv=None) -> int:
         return 3
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the inputs and config ask for more memory than there is; the staging guard
+        # has removed any partial output
+        print(f"error: {args.command}: out of memory: {exc or 'an allocation failed'}",
+              file=sys.stderr)
         return 2
     return 0
 

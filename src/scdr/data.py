@@ -198,7 +198,12 @@ class DomainDataset:
             raise ValidationError("interaction references an invalid item index")
         if not np.all(np.isfinite(self.rating)):
             raise ValidationError("ratings must be finite")
-        keys = np.sort(self.user_index * len(self.items) + self.item_index)
+        # one key column, of the narrowest integer that holds every key, sorted in place
+        wide = self.n_users * self.n_items > np.iinfo(np.int32).max
+        keys = self.user_index.astype(np.int64 if wide else np.int32)
+        keys *= self.n_items
+        keys += self.item_index
+        keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             raise ValidationError("duplicate (user, item) interaction pairs")
 
@@ -346,7 +351,9 @@ def _load_snapshot(snapshot: Path, digest: str) -> DomainDataset | None:
             if str(next(arrays)) != digest:
                 return None
             users, items, *columns, dups = arrays
-        return DomainDataset(tuple(users.tolist()), tuple(items.tolist()), *columns, int(dups))
+        # rebinding frees the token arrays before the dataset's checks run
+        users, items = tuple(users.tolist()), tuple(items.tolist())
+        return DomainDataset(users, items, *columns, int(dups))
     except (OSError, EOFError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"unreadable rating snapshot {snapshot}: {exc}") from None
 
@@ -365,22 +372,33 @@ def ingest_domain(path) -> DomainDataset:
     the 1-based line number of the first such row; so does a byte sequence
     that is not UTF-8.
 
-    The file is read once; its sha256 is the dataset's ``digest``. A snapshot ``<path>.npy``
-    (see :func:`write_ratings`) recording it is loaded instead of parsing, and raises
+    The file's sha256 is the dataset's ``digest``. A snapshot ``<path>.npy`` (see
+    :func:`write_ratings`) recording it is loaded instead of parsing, and raises
     :class:`ValidationError` naming it if unreadable or ill-typed; others are ignored.
+    With a snapshot beside it, the file is hashed from fixed-size reads and its text is
+    read whole only when the snapshot records another digest; the digest of a parsed
+    file is always that of the bytes parsed.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingInputError(f"rating file not found: {path}")
+    snapshot = path.with_name(path.name + ".npy")
+    if snapshot.is_file():
+        sha256 = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 18):
+                sha256.update(block)
+        digest = sha256.hexdigest()
+        dataset = _load_snapshot(snapshot, digest)
+        if dataset is not None:
+            dataset.digest = digest
+            return dataset
     raw = path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    dataset = _load_snapshot(path.with_name(path.name + ".npy"), digest)
-    if dataset is None:
-        columns = _parse_columns(raw, path)
-        if columns is None:
-            _raise_first_bad_row(raw, path)
-        dataset = DomainDataset.from_columns(*columns)
-    dataset.digest = digest
+    columns = _parse_columns(raw, path)
+    if columns is None:
+        _raise_first_bad_row(raw, path)
+    dataset = DomainDataset.from_columns(*columns)
+    dataset.digest = hashlib.sha256(raw).hexdigest()
     return dataset
 
 
@@ -720,10 +738,37 @@ def load_scenario(manifest_path) -> CdrScenario:
 _SIDECAR_ARRAYS = tuple(f.name for f in fields(SyntheticSidecar) if f.type == "np.ndarray")
 
 
+def _write_json_array(fh, arr: np.ndarray) -> None:
+    """Write ``json.dumps(arr.tolist())``'s text, encoding ``CHUNK_ROWS`` numbers at a time."""
+    per_block = max(1, CHUNK_ROWS // max(1, math.prod(arr.shape[1:])))
+    fh.write(b"[")
+    for start in range(0, len(arr), per_block):
+        if start:
+            fh.write(b", ")
+        # the block's list text without its brackets: the separators json.dumps puts between rows
+        fh.write(json.dumps(arr[start:start + per_block].tolist())[1:-1].encode("utf-8"))
+    fh.write(b"]")
+
+
 def save_sidecar(sidecar: SyntheticSidecar, path) -> None:
-    arrays = {name: getattr(sidecar, name).tolist() for name in _SIDECAR_ARRAYS}
-    write_json(path, {"format_version": SIDECAR_VERSION, "map_kind": sidecar.map_kind,
-                      "seed": sidecar.seed, **arrays})
+    """Write ``json.dumps(doc, sort_keys=True)`` plus a newline, one array block at a time.
+
+    ``doc`` holds the version, ``map_kind``, ``seed`` and each latent array as nested lists;
+    no whole-document text and no whole-matrix list is built.
+    """
+    doc = {"format_version": SIDECAR_VERSION, "map_kind": sidecar.map_kind, "seed": sidecar.seed,
+           **{name: getattr(sidecar, name) for name in _SIDECAR_ARRAYS}}
+    with _atomic_file(path) as fh:
+        fh.write(b"{")
+        for i, key in enumerate(sorted(doc)):
+            if i:
+                fh.write(b", ")
+            fh.write(f"{json.dumps(key)}: ".encode("utf-8"))
+            if isinstance(doc[key], np.ndarray):
+                _write_json_array(fh, doc[key])
+            else:
+                fh.write(json.dumps(doc[key]).encode("utf-8"))
+        fh.write(b"}\n")
 
 
 def load_sidecar(path) -> SyntheticSidecar:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CdrScenario, number, read_artifact, write_artifact
+from .data import CHUNK_ROWS, CdrScenario, number, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
 from .factorization import FactorModel, TrainConfig
 from .perturbation import PerturbConfig, find_delta, memo_last_point
@@ -116,9 +116,13 @@ def init_mapping_net(dim: int, hidden: int, rng: np.random.Generator) -> Mapping
 
 
 def _forward(net: MappingNet, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The net's tanh activations and outputs over the rows of ``u``."""
-    a = np.tanh(u @ net.W1.T + net.b1)
-    return a, a @ net.W2.T + net.b2
+    """The net's tanh activations and outputs over the rows of ``u``, built in place."""
+    a = u @ net.W1.T
+    a += net.b1
+    np.tanh(a, out=a)
+    y = a @ net.W2.T
+    y += net.b2
+    return a, y
 
 
 def forward(net: MappingNet, u: np.ndarray) -> np.ndarray:
@@ -145,8 +149,13 @@ def _kernel(net: MappingNet, u: np.ndarray, target) -> _Pass:
     """
     a, y = _forward(net, u)
     loss, up = target(y)
-    dz = (up @ net.W2) * (1.0 - a * a)
-    grad = MappingGradient(dz.T @ u, np.add.reduce(dz), up.T @ a, np.add.reduce(up), dz @ net.W1)
+    g_w2 = up.T @ a
+    # a becomes tanh's derivative 1 - a * a in place, as does dz its product with up @ W2
+    a *= a
+    np.subtract(1.0, a, out=a)
+    dz = up @ net.W2
+    dz *= a
+    grad = MappingGradient(dz.T @ u, np.add.reduce(dz), g_w2, np.add.reduce(up), dz @ net.W1)
     return _Pass(loss, grad)
 
 
@@ -178,26 +187,63 @@ def _embedding_target(targets: np.ndarray):
     return at
 
 
-def _rating_predictions(items: np.ndarray, counts: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _user_blocks(counts: np.ndarray):
+    """The flat layout's user-aligned blocks, as (user slice, interaction slice) pairs.
+
+    Row ``i`` owns the next ``counts[i]`` interactions. A block holds whole
+    users and at most ``CHUNK_ROWS`` interactions; a user with more is a
+    block by itself.
+    """
+    ends = np.cumsum(counts)
+    user = start = 0
+    while user < counts.size:
+        stop = max(int(np.searchsorted(ends, start + CHUNK_ROWS, "right")), user + 1)
+        end = int(ends[stop - 1])
+        yield slice(user, stop), slice(start, end)
+        user, start = stop, end
+
+
+def _rating_predictions(vectors: np.ndarray, counts: np.ndarray, y: np.ndarray,
+                        items: np.ndarray) -> np.ndarray:
     """Predicted rating of each interaction: its item vector dotted with its row's output.
 
-    Row ``i`` of ``y`` owns the next ``counts[i]`` entries of ``items``.
+    Row ``i`` of ``y`` owns the next ``counts[i]`` interactions, whose item
+    vectors ``vectors[items]`` are gathered one block at a time.
     """
-    return np.einsum("ij,ij->i", items, np.repeat(y, counts, axis=0))
+    preds = np.empty(int(counts.sum()))
+    for rows, span in _user_blocks(counts):
+        owner = np.repeat(y[rows], counts[rows], axis=0)
+        preds[span] = np.einsum("ij,ij->i", vectors[items[span]], owner)
+    return preds
 
 
-def _rating_target(items: np.ndarray, ratings: np.ndarray, counts: np.ndarray):
+def _rating_target(vectors: np.ndarray, ratings: np.ndarray, counts: np.ndarray,
+                   items: np.ndarray | None = None):
     """Summed squared rating error of each row over its own interactions.
 
-    Row ``i`` owns the next ``counts[i]`` entries of ``items`` (item vectors)
-    and ``ratings``; every count is positive, so no segment is empty.
+    Row ``i`` owns the next ``counts[i]`` entries of ``ratings``, whose item
+    vectors are ``vectors[items]`` (the rows of ``vectors`` when ``items``
+    is None); every count is positive, so no segment is empty. Each pass
+    works one user-aligned block at a time.
     """
-    starts = np.cumsum(counts) - counts
+    blocks = []
+    for rows, span in _user_blocks(counts):
+        c = counts[rows]
+        blocks.append((rows, span, np.cumsum(c) - c, c))
 
     def at(y):
-        res = ratings - _rating_predictions(items, counts, y)
-        loss = np.add.reduceat(res * res, starts)
-        return loss, -2.0 * np.add.reduceat(items * res[:, None], starts, axis=0)
+        loss = np.empty(counts.size)
+        grad = np.empty_like(y)
+        for rows, span, starts, c in blocks:
+            v = vectors[span] if items is None else vectors[items[span]]
+            owner = np.repeat(y[rows], c, axis=0)
+            res = ratings[span] - np.einsum("ij,ij->i", v, owner)
+            np.add.reduceat(res * res, starts, out=loss[rows])
+            # v * res[:, None], written over the repeated outputs
+            np.multiply(v, res[:, None], out=owner)
+            np.add.reduceat(owner, starts, axis=0, out=grad[rows])
+        grad *= -2.0
+        return loss, grad
 
     return at
 
@@ -237,31 +283,33 @@ def _worst_case(net: MappingNet, target, origin: np.ndarray, perturb: PerturbCon
 
 
 def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str):
-    """Train users' supervision laid out once, as frozen snapshots.
+    """Train users' supervision, laid out once.
 
     Embedding supervision is an (n, d) block of target embeddings. Rating
-    supervision is flat item vectors and ratings with per-user offsets, in
+    supervision is flat item indices and ratings with per-user offsets, in
     the layout of ``CdrScenario.target_interactions``.
-    Returns ``batch(sel) -> (target, weight)`` for train-user indices
-    ``sel``: the kernel target of those rows and the divisor of their summed
-    loss (1 for the embedding sum, the pair count for the rating mean).
+    Returns ``(batch, everyone)``. ``batch(sel)`` gives, for train-user
+    indices ``sel``, the kernel target of those rows and the divisor of
+    their summed loss (1 for the embedding sum, the pair count for the
+    rating mean); a rating batch gathers its item vectors once. ``everyone``
+    is that pair over all train users, which gathers a block at a time.
     """
     if supervision == SUPERVISION_EMBEDDING:
         targets = target_model.U[[t for _, t in scenario.train_pairs]]
-        return lambda sel: (_embedding_target(targets[sel]), 1)
+        return lambda sel: (_embedding_target(targets[sel]), 1), (_embedding_target(targets), 1)
     _, items, ratings, counts = scenario.target_interactions(scenario.train_pairs)
     if not counts.all():
         t = scenario.train_pairs[int(counts.argmin())][1]
         raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
     offsets = np.cumsum(counts) - counts
-    vectors = target_model.V[items]
+    V = target_model.V
 
     def batch(sel):
         c = counts[sel]
         idx = np.repeat(offsets[sel] - (np.cumsum(c) - c), c) + np.arange(c.sum())
-        return _rating_target(vectors[idx], ratings[idx], c), int(c.sum())
+        return _rating_target(V[items[idx]], ratings[idx], c), int(c.sum())
 
-    return batch
+    return batch, (_rating_target(V, ratings, counts, items), int(counts.sum()))
 
 
 def _epoch_loss(net: MappingNet, u: np.ndarray, target, weight) -> float:
@@ -285,8 +333,7 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
     u_src = source_model.U.copy()
     src_rows = np.array([s for s, _ in scenario.train_pairs])
     n_train = src_rows.size
-    batch = _gather_supervision(scenario, target_model, config.supervision)
-    everyone = batch(np.arange(n_train))
+    batch, everyone = _gather_supervision(scenario, target_model, config.supervision)
     bound = DIVERGENCE_FACTOR * _epoch_loss(net, u_src[src_rows], *everyone)
     use_pert = perturb.k > 0 and perturb.rho > 0.0
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scdr.data
-from scdr.data import DomainDataset, build_scenario
+from scdr.data import DomainDataset, build_scenario, generate_synthetic
 
 
 def dataset(rows) -> DomainDataset:
@@ -24,6 +24,30 @@ def two_domain_scenario(n_overlap=10, beta=0.5, seed=0):
     src_rows += [("solo_s", "sa", 1.0)]
     tgt_rows += [("solo_t", "ta", 5.0)]
     return build_scenario(dataset(src_rows), dataset(tgt_rows), beta, seed)
+
+
+def uneven_scenario(spec):
+    """``generate_synthetic(spec)`` with each target user keeping from one to all of their ratings.
+
+    Returns the scenario and the sidecar; uneven per-user counts put block
+    boundaries at every offset within a user.
+    """
+    scn, sidecar = generate_synthetic(spec)
+    t = scn.target
+    rng = np.random.default_rng(spec.seed)
+    keep = rng.random(t.n_interactions) < rng.uniform(0.1, 1.0, t.n_users)[t.user_index]
+    keep[np.unique(t.user_index, return_index=True)[1]] = True  # every user keeps one
+    target = DomainDataset(t.users, t.items, t.user_index[keep], t.item_index[keep],
+                           t.rating[keep])
+    return build_scenario(scn.source, target, spec.beta, spec.seed), sidecar
+
+
+def set_chunk_rows(monkeypatch, rows):
+    """Make every user-aligned pass of the mapping and the analyses use blocks of ``rows``."""
+    import scdr.analysis
+    import scdr.mapping
+    monkeypatch.setattr(scdr.mapping, "CHUNK_ROWS", rows)
+    monkeypatch.setattr(scdr.analysis, "CHUNK_ROWS", rows)
 
 
 @pytest.fixture

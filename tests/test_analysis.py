@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from scdr.analysis import (
 from scdr.data import CdrScenario, DomainDataset, SyntheticSpec, build_scenario, generate_synthetic
 from scdr.errors import ValidationError
 from scdr.factorization import FactorModel, TrainConfig, train_mf
-from scdr.mapping import MappingNet, ScdrTrainConfig, forward, mapping_backward, scdr_train
+from scdr.mapping import (MappingNet, ScdrTrainConfig, forward, init_mapping_net, mapping_backward,
+                          scdr_train)
 from scdr.perturbation import PerturbConfig, find_delta
 
-from conftest import dataset
+from conftest import dataset, set_chunk_rows, uneven_scenario
 
 
 def zero_net(d):
@@ -455,3 +457,72 @@ class TestReportFiles:
         save_sharpness_report(SharpnessReport(0.25, 0.3, 5, 8, 2), tmp_path / "s.json")
         doc = json.loads((tmp_path / "s.json").read_text())
         assert doc["lipschitz_estimate"] == 0.25 and doc["n_skipped"] == 2
+
+
+def latent_stack(scenario, sidecar, d, hidden=12, seed=0):
+    """The planted latents as factor models, and a freshly initialised net."""
+    src = FactorModel(sidecar.source_user_latents, sidecar.source_item_latents, d)
+    tgt = FactorModel(sidecar.target_user_latents, sidecar.target_item_latents, d)
+    return scenario, src, tgt, init_mapping_net(d, hidden, np.random.default_rng(seed))
+
+
+class TestBlockBoundaries:
+    """Every block size gives the bits of one block over all withheld interactions."""
+
+    @staticmethod
+    def results(stack):
+        scn, src, tgt, net = stack
+        grid = landscape_grid(net, src, tgt, scn, LandscapeSpec(resolution=5, n_samples=30, seed=2))
+        return (evaluate(net, src, tgt, scn),
+                fgsm_sweep(net, src, tgt, scn, [0.0, 0.1, 0.5]),
+                lipschitz_estimate(net, src, tgt, scn, PerturbConfig(rho=0.3, k=3)),
+                grid.loss.tobytes())
+
+    # 45 ends blocks inside users; 64 puts two 30-sample gammas in a landscape block,
+    # so a 5-point lattice row ends on a partial one
+    @pytest.mark.parametrize("rows", [1, 7, 45, 64])
+    def test_bitwise_equal_to_one_block(self, monkeypatch, rows):
+        spec = SyntheticSpec(users=150, items=60, overlap_ratio=0.6, dim=5, noise=0.2,
+                             map_kind="tanh", seed=3, beta=0.5, ratings_per_user=20)
+        stack = latent_stack(*uneven_scenario(spec), d=5)
+        set_chunk_rows(monkeypatch, 10**9)
+        want = self.results(stack)
+        set_chunk_rows(monkeypatch, rows)
+        assert self.results(stack) == want
+
+
+class TestMemoryBound:
+    """The scoring passes hold no per-interaction array of item vectors."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        # 4,000 test users with the default 30 ratings each, and the CLI's 50 hidden units
+        spec = SyntheticSpec(users=5000, items=500, overlap_ratio=1.0, dim=10, beta=0.8, seed=3)
+        stack = latent_stack(*generate_synthetic(spec), d=10, hidden=50)
+        m = len(stack[0].test_pairs) * spec.ratings_per_user
+        assert m >= 100_000
+        return stack, m
+
+    @staticmethod
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_evaluate_peaks_below_one_item_vector_block(self, big):
+        (scn, src, tgt, net), m = big
+        # gathering V[items] and the repeated outputs held two (m, d) blocks: 23.8 MB at
+        # m = 120,000; blocked, the peak is the flat layout, the (m,) predictions and
+        # residuals and one block of rows: 6.2 MB. The bound is one (m, d) float64 block.
+        assert self.peak(evaluate, net, src, tgt, scn) < m * src.d * 8
+
+    def test_lipschitz_estimate_peaks_below_one_item_vector_block(self, big):
+        (scn, src, tgt, net), m = big
+        # 26.9 MB with V[items] held through the ascent; blocked, 8.8 MB, most of it the
+        # flat layout, the ascent's per-user rows and the net's (users, hidden) activations.
+        # The bound is one (m, d) float64 block (9.6 MB).
+        assert self.peak(lipschitz_estimate, net, src, tgt, scn,
+                         PerturbConfig(rho=0.3, k=5)) < m * src.d * 8

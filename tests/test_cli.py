@@ -681,3 +681,20 @@ class TestSharpnessCommand:
         assert run("sharpness", "--config", cfg, "--method", "emcdr") == 0
         doc = json.loads((out / "sharpness_emcdr.json").read_text())
         assert doc["lipschitz_estimate"] == 0.0
+
+
+class TestOutOfMemory:
+    def test_unallocatable_landscape_exits_2_writing_nothing(self, run_copy, capsys):
+        out, _ = run_copy
+        (out / "landscape_scdr.csv").unlink()
+        before = sorted(p.name for p in out.iterdir())
+        cfg_doc = small_config(out)
+        # a 5e6 x 5e6 float64 grid is 182 TiB, beyond any address space
+        cfg_doc["landscape"]["resolution"] = 5_000_000
+        cfg = write_config(out.parent, cfg_doc)
+        capsys.readouterr()
+        assert run("landscape", "--config", cfg, "--method", "scdr") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: landscape: out of memory: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == before

@@ -253,6 +253,61 @@ class TestSnapshot:
         # one chunk's rows (1.9 MB). The bound is one whole-file copy.
         assert peak < path.stat().st_size
 
+    def test_served_ingest_reports_the_file_digest(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(SyntheticSpec(users=400, items=100, ratings_per_user=30,
+                                              seed=2))[0].source
+        path = written_with_snapshot(ds, tmp_path / "r.csv")
+        assert path.stat().st_size > 1 << 18  # hashed in more than one read
+        with monkeypatch.context() as patch:
+            patch.setattr(scdr.data, "_parse_columns", None)  # the snapshot must serve
+            got = ingest_domain(path)
+        assert got.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("line, edit", [
+        (3, lambda line: line + ",extra"),
+        (5, lambda line: line.rsplit(",", 1)[0] + ",high"),
+        (2, lambda line: line.rsplit(",", 1)[0] + ",nan"),
+        (4, lambda line: " ," + line.split(",", 1)[1]),
+    ])
+    def test_stale_snapshot_still_parses_with_the_same_errors(self, tmp_path, line, edit):
+        ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
+        path = written_with_snapshot(ds, tmp_path / "r.csv")
+        lines = path.read_text().split("\n")
+        lines[line - 1] = edit(lines[line - 1])
+        path.write_text("\n".join(lines))
+        with pytest.raises(IngestError) as served:
+            ingest_domain(path)
+        with pytest.raises(IngestError) as parsed:
+            parse_only(path)
+        assert served.value.row == parsed.value.row == line
+        assert str(served.value) == str(parsed.value)
+
+    def test_stale_snapshot_digest_is_of_the_parsed_bytes(self, tmp_path):
+        ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
+        path = written_with_snapshot(ds, tmp_path / "r.csv")
+        path.write_bytes(path.read_bytes() + b"new_user,si000001,2.5\n")
+        got = ingest_domain(path)
+        assert got.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got.digest == parse_only(path).digest
+
+    def test_served_ingest_peaks_below_the_file_size(self, tmp_path):
+        # the cold-read benchmark's size: 3,000 users with 30 ratings each
+        ds = generate_synthetic(SyntheticSpec(users=3000, items=1000, ratings_per_user=30,
+                                              seed=1))[0].source
+        path = written_with_snapshot(ds, tmp_path / "r.csv")
+        tracemalloc.start()
+        try:
+            got = ingest_domain(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        # reading the file whole to hash it held its bytes beside the loaded dataset and a
+        # 64-bit key column: 7.2 MB for this 3.2 MB file. Hashed in fixed-size reads, the
+        # peak is the dataset itself (2.2 MB of columns, the token tuples) and one 32-bit
+        # key column for the duplicate check: 2.9 MB. The bound is one copy of the file.
+        assert peak < path.stat().st_size
+
     def test_missing_snapshot_is_parsed(self, tmp_path, monkeypatch):
         ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
         path = tmp_path / "r.csv"
@@ -544,6 +599,42 @@ class TestManifest:
         loader = load_scenario if name == "m.json" else load_sidecar
         with pytest.raises(ValidationError, match="malformed"):
             loader(tmp_path / name)
+
+    @pytest.mark.parametrize("chunk", [1, 10, 8192])
+    @pytest.mark.parametrize("overlap_ratio", [0.3, 1.0])
+    def test_streamed_sidecar_is_the_one_document_text(self, tmp_path, monkeypatch, chunk,
+                                                       overlap_ratio):
+        _, sc = generate_synthetic(SyntheticSpec(users=33, items=21, overlap_ratio=overlap_ratio,
+                                                 dim=4, ratings_per_user=3, seed=5))
+        # the text save_sidecar wrote as one json.dumps of the whole document
+        expect = json.dumps({"format_version": 1, "map_kind": sc.map_kind, "seed": sc.seed,
+                             **{name: getattr(sc, name).tolist()
+                                for name in scdr.data._SIDECAR_ARRAYS}}, sort_keys=True) + "\n"
+        # a 10-number block holds two 4-wide rows, so 33 users end on a partial block
+        monkeypatch.setattr(scdr.data, "CHUNK_ROWS", chunk)
+        path = tmp_path / "g.json"
+        save_sidecar(sc, path)
+        assert path.read_bytes() == expect.encode("utf-8")
+        back = load_sidecar(path)
+        for name in scdr.data._SIDECAR_ARRAYS:
+            assert np.array_equal(getattr(back, name), getattr(sc, name))
+        assert (back.map_kind, back.seed) == (sc.map_kind, sc.seed)
+
+    def test_sidecar_write_keeps_its_temporaries_to_a_block(self, tmp_path):
+        _, sc = generate_synthetic(SyntheticSpec(users=3000, items=1000, overlap_ratio=0.5,
+                                                 ratings_per_user=2, seed=1))
+        path = tmp_path / "g.json"
+        tracemalloc.start()
+        try:
+            save_sidecar(sc, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one whole-document json.dumps held every latent as a Python float, the text and
+        # its bytes: 7.9 MB for this 1.6 MB file. Streamed, the peak is one block of 8,192
+        # numbers as floats, their repr strings and their text: 1.2 MB, whatever the user
+        # count. The bound is one copy of the file.
+        assert peak < path.stat().st_size
 
     @pytest.mark.parametrize("key, value", [
         ("seed", 3.9), ("seed", "3"), ("seed", True), ("map_kind", "bogus"),

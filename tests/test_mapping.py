@@ -18,6 +18,7 @@ from scdr.mapping import (
     _embedding_target,
     _kernel,
     _rating_target,
+    _user_blocks,
     _WorstCase,
     _worst_case,
     emcdr_train,
@@ -29,6 +30,8 @@ from scdr.mapping import (
     scdr_train,
 )
 from scdr.perturbation import PerturbConfig, find_delta, memo_last_point
+
+from conftest import set_chunk_rows, uneven_scenario
 
 
 def zero_net(d=3, h=4):
@@ -569,6 +572,51 @@ class TestBatchedEquivalence:
                           (tuned, ref_tuned), (trace, ref_trace)):
             assert_close(got, want)
         assert tune == (not np.array_equal(tuned, src.U))
+
+
+class TestUserBlocks:
+    @pytest.mark.parametrize("rows", [1, 3, 7, 45])
+    def test_blocks_tile_whole_users(self, monkeypatch, rows):
+        counts = np.random.default_rng(rows).integers(1, 20, size=40)
+        counts[5] = 60  # one user larger than every block
+        set_chunk_rows(monkeypatch, rows)
+        blocks = list(_user_blocks(counts))
+        ends = np.cumsum(counts)
+        assert blocks[0][0].start == blocks[0][1].start == 0
+        for (users, span), (after, _) in zip(blocks, blocks[1:] + [(slice(40, None), None)]):
+            assert users.stop == after.start > users.start
+            assert span.start == ends[users.start] - counts[users.start]
+            assert span.stop == ends[users.stop - 1]
+            # at most one block of rows, unless the block is one user
+            assert span.stop - span.start <= rows or users.stop - users.start == 1
+            # and as many users as fit
+            if users.stop < 40:
+                assert ends[users.stop] - span.start > rows
+
+
+class TestBlockBoundaries:
+    """Training with any block size gives the bits of one block."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 45])
+    @pytest.mark.parametrize("tune", [True, False])
+    def test_scdr_train_bitwise_equal_to_one_block(self, monkeypatch, rows, tune):
+        spec = SyntheticSpec(users=120, items=60, overlap_ratio=0.5, dim=5, noise=0.2,
+                             map_kind="tanh", seed=9, beta=0.3, ratings_per_user=20)
+        scn, sc = uneven_scenario(spec)
+        src = FactorModel(sc.source_user_latents, sc.source_item_latents, 5)
+        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents, 5)
+        config = ScdrTrainConfig(base=TrainConfig(epochs=3, batch_size=8, dim=5, seed=4),
+                                 perturb=PerturbConfig(rho=0.3, k=3), tune_source_embeddings=tune)
+
+        def trained():
+            res = scdr_train(scn, src, tgt, config)
+            return ([p.tobytes() for p in (res.net.W1, res.net.b1, res.net.W2, res.net.b2)],
+                    res.tuned_source_U.tobytes(), res.loss_trace)
+
+        set_chunk_rows(monkeypatch, 10**9)
+        want = trained()
+        set_chunk_rows(monkeypatch, rows)
+        assert trained() == want
 
 
 class TestPerRowPick:
