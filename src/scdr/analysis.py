@@ -4,7 +4,7 @@ All four operations score a trained mapping against the withheld
 target-domain interactions of the scenario's cold-start test users, and all
 are deterministic functions of their inputs and seeds. They read those
 interactions in one flat, user-major layout
-(``CdrScenario.target_interactions``, the layout the rating-supervised
+(``DomainDataset.user_interactions``, the layout the rating-supervised
 trainer reads) and take losses and input gradients from the mapping's
 training kernel: the attack from one batched kernel pass, the sharpness
 probe from one batched ball ascent over all test users.
@@ -107,9 +107,10 @@ def _withheld(scenario: CdrScenario):
     """The test users' withheld interactions, flat and user-major."""
     if not scenario.test_pairs:
         raise ValidationError("test split is empty")
-    src, items, ratings, counts = scenario.target_interactions(scenario.test_pairs)
+    src, targets = np.array(scenario.test_pairs).T
+    items, ratings, counts = scenario.target.user_interactions(targets)
     if not counts.all():
-        t = scenario.test_pairs[int(counts.argmin())][1]
+        t = targets[counts.argmin()]
         raise ValidationError(
             f"test user {scenario.target.users[t]} has no withheld target interactions"
         )

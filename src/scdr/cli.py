@@ -244,7 +244,7 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
     section = cfg["train"]
     base = _train_config(section, seed, dim=src_model.d)
-    outputs = [out / f"mapping_{method}.json", out / f"mapping_trace_{method}.csv"]
+    outputs = [out / f"mapping_{method}.npy", out / f"mapping_trace_{method}.csv"]
     echo = {"method": method, "seed": seed, "epochs": base.epochs,
             "learning_rate": base.learning_rate, "batch_size": base.batch_size,
             "hidden": section["hidden"]}
@@ -278,7 +278,7 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
 def _load_eval_inputs(out: Path, method: str):
     """The scenario, both factor models, the mapping and a report's ``inputs`` (its sha256)."""
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
-    net, _, digest = mapping.load_mapping(out / f"mapping_{method}.json", inputs)
+    net, _, digest = mapping.load_mapping(out / f"mapping_{method}.npy", inputs)
     if net.d != src_model.d:
         raise ValidationError("mapping checkpoint does not match the factor models' latent dim")
     return scenario, src_model, tgt_model, net, {"mapping": digest}

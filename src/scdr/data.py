@@ -246,14 +246,23 @@ class DomainDataset:
         ends = np.cumsum(np.bincount(self.user_index, minlength=self.n_users))
         return order, np.concatenate(([0], ends))
 
-    def user_interactions(self, user_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Item indices and ratings observed for one user."""
-        if not 0 <= user_index < self.n_users:
-            raise ValidationError(f"user index {user_index} out of range")
+    def user_interactions(self, users) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interactions of ``users`` (a 1-D array of user indices), flat and user-major.
+
+        Returns (item indices, ratings, per-user counts): the ``i``-th user owns
+        the next ``counts[i]`` items and ratings, in dataset order. A count may
+        be 0, so callers that need every user rated check the counts.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        if users.ndim != 1 or users.size and not 0 <= users.min() <= users.max() < self.n_users:
+            raise ValidationError(f"user indices must be a 1-D array within [0, {self.n_users})")
         order, offsets = self._user_groups
-        u = int(user_index)
-        pos = order[offsets[u]:offsets[u + 1]]
-        return self.item_index[pos], self.rating[pos]
+        starts = offsets[users]
+        counts = offsets[users + 1] - starts
+        ends = np.cumsum(counts)
+        # each user's run of positions in ``order``, in one gather
+        pos = order[np.repeat(starts - (ends - counts), counts) + np.arange(counts.sum())]
+        return self.item_index[pos], self.rating[pos], counts
 
     def filter_users(self, drop_user_indices) -> "DomainDataset":
         """Copy with all interactions of the given users removed; index space unchanged."""
@@ -284,14 +293,14 @@ def _split_lines(text: str) -> list[str]:
 
 
 def _read_lines(raw: bytes, path: Path) -> list[str]:
-    """The lines of a file's UTF-8 bytes; a decoding error names its 1-based row."""
+    """The lines of a file's UTF-8 bytes less a leading BOM; a decoding error names its row."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         row = len(_split_lines(raw[:exc.start].decode("utf-8")))
         raise IngestError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
                           row=row) from None
-    return _split_lines(text)
+    return _split_lines(text.removeprefix("\ufeff"))
 
 
 def _parse_columns(raw: bytes, path: Path):
@@ -362,11 +371,12 @@ def ingest_domain(path) -> DomainDataset:
     """Parse a rating file into a :class:`DomainDataset`.
 
     The file is UTF-8 text with one ``user,item,rating`` row per line and
-    no header line; LF, CRLF and a lone CR all end a line. Blank lines are
-    skipped, and each field is trimmed of surrounding whitespace. Tokens
-    get dense indices in first-appearance order; a repeated (user, item)
-    pair keeps its first position and its last rating, and
-    ``duplicate_count`` counts the overwrites. A row with the wrong field
+    no header line; LF, CRLF and a lone CR all end a line, and one leading
+    byte-order mark is dropped. Blank lines are skipped, and each field is
+    trimmed of surrounding whitespace. Tokens get dense indices in
+    first-appearance order; a repeated (user, item) pair keeps its first
+    position and its last rating, and ``duplicate_count`` counts the
+    overwrites. A row with the wrong field
     count, a rating that is not a finite number (a header row's
     ``rating``, say), or an empty token raises :class:`IngestError` naming
     the 1-based line number of the first such row; so does a byte sequence
@@ -477,19 +487,6 @@ class CdrScenario:
     def target_training_dataset(self) -> DomainDataset:
         """Target dataset with every test user's interactions withheld."""
         return self.target.filter_users(t for _, t in self.test_pairs)
-
-    def target_interactions(self, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Target-domain interactions of ``pairs``, laid out flat and user-major.
-
-        Returns (source rows, item indices, ratings, per-user counts): the
-        ``i``-th pair's user owns the next ``counts[i]`` items and ratings.
-        ``pairs`` must be non-empty; a count may be 0, so callers that need
-        every user rated check the counts.
-        """
-        items, ratings = zip(*(self.target.user_interactions(t) for _, t in pairs))
-        src = np.array([s for s, _ in pairs], dtype=np.int64)
-        counts = np.array([i.size for i in items], dtype=np.int64)
-        return src, np.concatenate(items), np.concatenate(ratings), counts
 
 
 def compute_overlap(source: DomainDataset, target: DomainDataset) -> list[tuple[int, int]]:
@@ -638,20 +635,21 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CdrScenario, SyntheticSidec
     def emit(user_latents, item_latents, prefix):
         tokens = [f"{prefix}{j:06d}" for j in range(spec.items)]
         n_users, k = user_latents.shape[0], spec.ratings_per_user
-        vi, raw, noise = [], [], []
+        vi = np.empty((n_users, k), dtype=np.int64)
+        rr = np.empty((n_users, k))
+        noise = np.empty((n_users, k)) if spec.noise > 0.0 else None
         # the loop keeps only the draws, in their order, and the per-user product,
         # whose bits a product over all users at once would change
         for i in range(n_users):
-            chosen = rng.choice(spec.items, size=k, replace=False)
-            vi.append(chosen)
-            raw.append(user_latents[i] @ item_latents[chosen].T)
-            if spec.noise > 0.0:
-                noise.append(rng.standard_normal(k))
-        rr = np.concatenate(raw)
-        if spec.noise > 0.0:
-            rr += spec.noise * np.concatenate(noise)
+            vi[i] = rng.choice(spec.items, size=k, replace=False)
+            rr[i] = user_latents[i] @ item_latents[vi[i]].T
+            if noise is not None:
+                noise[i] = rng.standard_normal(k)
+        if noise is not None:
+            noise *= spec.noise
+            rr += noise
         ui = np.repeat(np.arange(n_users, dtype=np.int64), k)
-        return tokens, ui, np.concatenate(vi), np.clip(rr, 1.0, 5.0, out=rr)
+        return tokens, ui, vi.ravel(), np.clip(rr, 1.0, 5.0, out=rr).ravel()
 
     s_tokens, s_ui, s_vi, s_r = emit(source_user_latents, source_items, "si")
     t_tokens, t_ui, t_vi, t_r = emit(target_user_latents, target_items, "ti")

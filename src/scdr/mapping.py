@@ -32,7 +32,10 @@ from .errors import DivergenceError, ValidationError
 from .factorization import FactorModel, TrainConfig
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
-MAPPING_CHECKPOINT_VERSION = 2
+MAPPING_CHECKPOINT_VERSION = 3
+# (dtype, ndim) of each array after the checkpoint's header
+_CHECKPOINT_ARRAYS = {"W1": ("f8", 2), "b1": ("f8", 1), "W2": ("f8", 2), "b2": ("f8", 1),
+                      "tuned_vectors": ("f8", 2)}
 
 # An epoch loss above this multiple of the untrained net's loss is divergence. Runs
 # that converge stay at or below 1.0 times it; emcdr blowing up passes 2.7e4 by epoch 1.
@@ -286,28 +289,26 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
     """Train users' supervision, laid out once.
 
     Embedding supervision is an (n, d) block of target embeddings. Rating
-    supervision is flat item indices and ratings with per-user offsets, in
-    the layout of ``CdrScenario.target_interactions``.
+    supervision is ``DomainDataset.user_interactions`` of the train users.
     Returns ``(batch, everyone)``. ``batch(sel)`` gives, for train-user
     indices ``sel``, the kernel target of those rows and the divisor of
     their summed loss (1 for the embedding sum, the pair count for the
-    rating mean); a rating batch gathers its item vectors once. ``everyone``
-    is that pair over all train users, which gathers a block at a time.
+    rating mean); a rating batch gathers its ratings and item vectors once.
+    ``everyone`` is that pair over all train users, which gathers a block at a time.
     """
+    targets = np.array([t for _, t in scenario.train_pairs])
     if supervision == SUPERVISION_EMBEDDING:
-        targets = target_model.U[[t for _, t in scenario.train_pairs]]
-        return lambda sel: (_embedding_target(targets[sel]), 1), (_embedding_target(targets), 1)
-    _, items, ratings, counts = scenario.target_interactions(scenario.train_pairs)
+        U = target_model.U[targets]
+        return lambda sel: (_embedding_target(U[sel]), 1), (_embedding_target(U), 1)
+    items, ratings, counts = scenario.target.user_interactions(targets)
     if not counts.all():
-        t = scenario.train_pairs[int(counts.argmin())][1]
+        t = targets[counts.argmin()]
         raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
-    offsets = np.cumsum(counts) - counts
     V = target_model.V
 
     def batch(sel):
-        c = counts[sel]
-        idx = np.repeat(offsets[sel] - (np.cumsum(c) - c), c) + np.arange(c.sum())
-        return _rating_target(V[items[idx]], ratings[idx], c), int(c.sum())
+        b_items, b_ratings, c = scenario.target.user_interactions(targets[sel])
+        return _rating_target(V[b_items], b_ratings, c), int(c.sum())
 
     return batch, (_rating_target(V, ratings, counts, items), int(counts.sum()))
 
@@ -408,37 +409,34 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
 def save_mapping(net: MappingNet, path, config: dict | None = None,
                  tuned_users: list[str] | None = None,
                  tuned_vectors: np.ndarray | None = None, inputs: dict | None = None) -> None:
-    """Checkpoint a mapping net (and optional tuned source rows) as JSON with ``inputs`` digests."""
+    """Write a header with ``inputs`` digests, then W1, b1, W2, b2 and the tuned source rows."""
     if (tuned_users is None) != (tuned_vectors is None):
         raise ValidationError("tuned_users and tuned_vectors must be given together")
+    tuned = np.empty((0, net.d)) if tuned_vectors is None else tuned_vectors
     write_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, {
         "d": net.d,
         "hidden": net.hidden,
         "activation": "tanh",
-        "W1": net.W1.tolist(),
-        "b1": net.b1.tolist(),
-        "W2": net.W2.tolist(),
-        "b2": net.b2.tolist(),
         "config": config,
-        "tuned_source": None if tuned_users is None else {
-            "users": list(tuned_users),
-            "vectors": np.asarray(tuned_vectors, dtype=np.float64).tolist(),
-        },
-    }, inputs=inputs)
+        "tuned_users": list(tuned_users or []),
+    }, inputs=inputs, arrays={"W1": net.W1, "b1": net.b1, "W2": net.W2, "b2": net.b2,
+                              "tuned_vectors": np.asarray(tuned, dtype=np.float64)})
 
 
 def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict, str]:
-    """A checkpoint's net, full document and sha256; one trained on other ``inputs`` raises."""
+    """A checkpoint's net, header and sha256; one trained on other ``inputs`` raises."""
     with read_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, "mapping checkpoint",
-                       inputs) as (doc, digest):
+                       inputs, arrays=_CHECKPOINT_ARRAYS) as (doc, digest):
         if doc.get("activation", "tanh") != "tanh":
             raise ValidationError(f"unsupported activation {doc['activation']!r} in {path}")
         d, hidden = (number(int, doc[k], k) for k in ("d", "hidden"))
         try:
-            net = MappingNet(np.asarray(doc["W1"]), np.asarray(doc["b1"]),
-                             np.asarray(doc["W2"]), np.asarray(doc["b2"]))
+            net = MappingNet(*(doc.pop(k) for k in ("W1", "b1", "W2", "b2")))
         except ValidationError as exc:
             raise ValidationError(f"malformed mapping checkpoint {path}: {exc}") from None
         if net.d != d or net.hidden != hidden:
             raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
+        if doc["tuned_vectors"].shape != (len(doc["tuned_users"]), d):
+            raise ValidationError(f"malformed mapping checkpoint {path}: "
+                                  "tuned_users and tuned_vectors disagree")
     return net, doc, digest

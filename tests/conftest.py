@@ -73,9 +73,12 @@ def rewrite_record(path, count, position, convert):
             np.save(fh, arr, allow_pickle=True)
 
 
-def rewrite_header(path, **changes):
-    """Set ``changes`` in the JSON header of a factor checkpoint; U and V stay."""
-    rewrite_record(path, 3, 0, lambda head: np.array(
+def rewrite_header(path, count=3, **changes):
+    """Set ``changes`` in the JSON header of a checkpoint of ``count`` records; the arrays stay.
+
+    A factor checkpoint has 3 records, a mapping checkpoint 6.
+    """
+    rewrite_record(path, count, 0, lambda head: np.array(
         json.dumps({**json.loads(head.item()), **changes})))
 
 

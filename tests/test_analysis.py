@@ -73,7 +73,12 @@ def per_user_pool(scn):
 # replaced, one user (and one find_delta call) at a time.
 
 def reference_withheld(scn):
-    return [(s, t, *scn.target.user_interactions(t)) for s, t in scn.test_pairs]
+    """(source row, target user, items, ratings) per test user, found by a mask."""
+    target, withheld = scn.target, []
+    for s, t in scn.test_pairs:
+        pos = np.flatnonzero(target.user_index == t)
+        withheld.append((s, t, target.item_index[pos], target.rating[pos]))
+    return withheld
 
 
 def reference_residuals(net, target_model, user_vectors, withheld):
@@ -259,7 +264,8 @@ class TestLandscape:
         assert grid.loss.shape == (21, 21)
         assert np.all(np.isfinite(grid.loss))
         assert np.all(np.diff(grid.zeta_axis) > 0) and np.all(np.diff(grid.gamma_axis) > 0)
-        assert grid.n_samples == min(256, int(scn.target_interactions(scn.test_pairs)[3].sum()))
+        withheld = scn.target.n_interactions - scn.target_training_dataset().n_interactions
+        assert grid.n_samples == min(256, withheld)
 
     def test_center_cell_is_unperturbed_error(self, trained_stack):
         scn, src, tgt, net = trained_stack

@@ -11,7 +11,7 @@ import pytest
 from scdr.cli import _check_outputs, load_config, main
 from scdr.errors import ValidationError
 from scdr.factorization import load_factor_model
-from scdr.mapping import MappingNet, save_mapping
+from scdr.mapping import MappingNet, load_mapping, save_mapping
 
 from conftest import fail_halfway, load_records, rewrite_header, rewrite_record
 
@@ -67,7 +67,7 @@ class TestPipeline:
             "source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json",
             "source_ratings.csv.npy", "target_ratings.csv.npy", "source_model_plain.npy", "target_model_plain.npy",
             "source_model_sharpness_aware.npy", "target_model_sharpness_aware.npy",
-            "mapping_emcdr.json", "mapping_scdr.json", "mapping_scdr_minus.json",
+            "mapping_emcdr.npy", "mapping_scdr.npy", "mapping_scdr_minus.npy",
             "eval_emcdr.json", "eval_scdr.json", "eval_scdr_minus.json",
             "attack_scdr.json", "landscape_scdr.csv", "sharpness_scdr.json",
         ]
@@ -153,7 +153,7 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "unperturbed origin" in err
         assert "(epoch " in err and "learning_rate 1e+200" in err
-        assert not (tmp_path / "run" / "mapping_scdr.json").exists()
+        assert not (tmp_path / "run" / "mapping_scdr.npy").exists()
         assert not (tmp_path / "run" / "mapping_trace_scdr.csv").exists()
 
     def test_emcdr_blow_up_is_exit_3(self, tmp_path, capsys):
@@ -172,13 +172,13 @@ class TestValidation:
         assert run("train", "--config", cfg, "--method", "emcdr") == 3
         err = capsys.readouterr().err
         assert "times the untrained net's (epoch 1, learning_rate 0.01)" in err
-        assert not (out / "mapping_emcdr.json").exists()
+        assert not (out / "mapping_emcdr.npy").exists()
         assert not (out / "mapping_trace_emcdr.csv").exists()
 
     @pytest.mark.parametrize("stage, failing", [
         (0, "ground_truth.json"),
         (1, "target_trace_plain.csv"),
-        (2, "mapping_emcdr.json"),
+        (2, "mapping_emcdr.npy"),
         (2, "mapping_trace_emcdr.csv"),
     ])
     def test_failed_checkpoint_write_leaves_no_partial_file(self, tmp_path, monkeypatch,
@@ -295,7 +295,7 @@ class TestValidation:
             capsys.readouterr()
             assert run(command, "--config", longer, "--method", "scdr") == 2, command
             err = capsys.readouterr().err
-            assert "stale mapping checkpoint" in err and "mapping_scdr.json" in err
+            assert "stale mapping checkpoint" in err and "mapping_scdr.npy" in err
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
     def test_unknown_config_key(self, tmp_path):
@@ -394,10 +394,27 @@ def nan_at_origin(values):
     return values
 
 
-def nan_in_w1(path):
-    doc = json.loads(path.read_text())
-    doc["W1"] = nan_at_origin(doc["W1"]).tolist()
-    path.write_text(json.dumps(doc))
+def rewrite_mapping_array(position, convert):
+    """Replace record ``position`` of a mapping checkpoint by ``convert`` of it.
+
+    Record 0 is the header, 1 to 4 are W1, b1, W2 and b2, and 5 is tuned_vectors.
+    """
+    return lambda path: rewrite_record(path, 6, position, convert)
+
+
+def mapping_header(edit):
+    """Replace a mapping checkpoint's JSON header by ``edit`` of it; the arrays stay."""
+    return lambda path: rewrite_record(path, 6, 0, lambda head: np.array(
+        json.dumps(edit(json.loads(head.item())))))
+
+
+def mapping_as_version_2_json(path):
+    """Put the version-2 JSON checkpoint of the same net at ``path``."""
+    head, w1, b1, w2, b2, tuned = load_records(path, 6)
+    doc = json.loads(head.item())
+    doc.update(format_version=2, W1=w1.tolist(), b1=b1.tolist(), W2=w2.tolist(), b2=b2.tolist(),
+               tuned_source={"users": doc.pop("tuned_users"), "vectors": tuned.tolist()})
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def header_line(path):
@@ -438,14 +455,10 @@ class TestCorruptInputs:
         ("target_model_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
         ("source_model_sharpness_aware.npy", checkpoint_header(inputs={"manifest": "0" * 64}),
          "stale factor checkpoint"),
-        ("mapping_scdr.json", truncate, "malformed mapping checkpoint"),
         # a non-finite parameter names the checkpoint it was read from
         ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(nan_at_origin),
          "source_model_sharpness_aware.npy: factor matrices must be finite"),
-        ("mapping_scdr.json", nan_in_w1,
-         "mapping_scdr.json: mapping-net parameters must be finite"),
         ("scenario.json", drop_key("source_ratings"), "missing key 'source_ratings'"),
-        ("mapping_scdr.json", drop_key("W1"), "missing key 'W1'"),
         # manifest numbers are as strict as config numbers
         ("scenario.json", set_key("seed", 1.7),
          "scenario.json: seed must be a finite int, got 1.7"),
@@ -465,6 +478,30 @@ class TestCorruptInputs:
         before = sorted(p.name for p in out.iterdir())
         assert run("eval", "--config", cfg, "--method", "scdr") == 2
         assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (mapping_as_version_2_json, ""),
+        (truncate, ""),
+        (truncate_to(-1), ""),
+        (rewrite_mapping_array(1, lambda a: a.astype(np.float32)), "array 1 is not 2-D f8"),
+        (rewrite_mapping_array(1, np.ravel), "array 1 is not 2-D f8"),
+        (rewrite_mapping_array(1, nan_at_origin), "mapping-net parameters must be finite"),
+        (rewrite_mapping_array(5, lambda a: a[1:]), "tuned_users and tuned_vectors disagree"),
+        (rewrite_mapping_array(5, lambda a: a[:, 1:]), "tuned_users and tuned_vectors disagree"),
+        (mapping_header(lambda doc: {**doc, "tuned_users": doc["tuned_users"][1:]}),
+         "tuned_users and tuned_vectors disagree"),
+        (mapping_header(lambda doc: {k: v for k, v in doc.items() if k != "tuned_users"}),
+         "missing key 'tuned_users'"),
+    ], ids=["version-2-json", "truncated", "last-byte-cut", "float32-W1", "1-D-W1", "nan-in-W1",
+            "fewer-tuned-rows", "narrower-tuned-rows", "fewer-tuned-users", "no-tuned-users"])
+    def test_bad_mapping_checkpoint_exits_2_naming_it(self, run_copy, capsys, corrupt, message):
+        out, cfg = run_copy
+        corrupt(out / "mapping_scdr.npy")
+        before = sorted(p.name for p in out.iterdir())
+        assert run("eval", "--config", cfg, "--method", "scdr") == 2
+        err = capsys.readouterr().err
+        assert f"malformed mapping checkpoint {out / 'mapping_scdr.npy'}: {message}" in err
         assert sorted(p.name for p in out.iterdir()) == before
 
     @pytest.mark.parametrize("replace", [lambda p: p.unlink(), lambda p: (p.unlink(), p.mkdir())],
@@ -568,10 +605,10 @@ class TestReportInputs:
                 assert docs[name]["format_version"] == version, name
             return {name: doc["inputs"] for name, doc in docs.items()}
 
-        first = digest(out / "mapping_scdr.json")
+        first = digest(out / "mapping_scdr.npy")
         assert recorded() == {name: {"mapping": first} for name, _ in reports.values()}
         assert run("train", "--config", cfg, "--method", "scdr", "--force", "--seed", "7") == 0
-        second = digest(out / "mapping_scdr.json")
+        second = digest(out / "mapping_scdr.npy")
         assert second != first
         assert recorded() == {name: {"mapping": second} for name, _ in reports.values()}
 
@@ -647,10 +684,12 @@ class TestReductions:
         assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 0
         assert run("train", "--config", cfg, "--method", "scdr") == 0
         assert run("train", "--config", cfg, "--method", "scdr_minus") == 0
-        a = json.loads((out / "mapping_scdr.json").read_text())
-        b = json.loads((out / "mapping_scdr_minus.json").read_text())
-        assert a["W1"] == b["W1"] and a["b2"] == b["b2"]
-        assert a["tuned_source"] == b["tuned_source"]
+        (a_net, a, _), (b_net, b, _) = (load_mapping(out / f"mapping_{method}.npy")
+                                        for method in ("scdr", "scdr_minus"))
+        assert a_net.W1.tobytes() == b_net.W1.tobytes()
+        assert a_net.b2.tobytes() == b_net.b2.tobytes()
+        assert a["tuned_users"] == b["tuned_users"]
+        assert a["tuned_vectors"].tobytes() == b["tuned_vectors"].tobytes()
 
 
 class TestDefaultLandscape:
@@ -677,7 +716,7 @@ class TestSharpnessCommand:
         net = MappingNet(np.zeros((50, d)), np.zeros(50), np.zeros((d, 50)), np.zeros(d))
         inputs = {f"{side}_model": digest(out / f"{side}_model_plain.npy")
                   for side in ("source", "target")}
-        save_mapping(net, out / "mapping_emcdr.json", config={"method": "emcdr"}, inputs=inputs)
+        save_mapping(net, out / "mapping_emcdr.npy", config={"method": "emcdr"}, inputs=inputs)
         assert run("sharpness", "--config", cfg, "--method", "emcdr") == 0
         doc = json.loads((out / "sharpness_emcdr.json").read_text())
         assert doc["lipschitz_estimate"] == 0.0

@@ -29,7 +29,7 @@ from scdr.data import (
 )
 from scdr.errors import IngestError, MissingInputError, ValidationError
 
-from conftest import dataset, fail_halfway, load_records, two_domain_scenario
+from conftest import dataset, fail_halfway, load_records, two_domain_scenario, uneven_scenario
 
 
 class TestIngest:
@@ -154,6 +154,31 @@ class TestIngestContract:
             ingest_domain(p)
         assert exc.value.row == 3
         assert "not UTF-8" in str(exc.value)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        text = b"u1,i1,5\r\nu2,i2,4\r\nu1,i2,3\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        a, b = ingest_domain(plain), ingest_domain(marked)
+        assert b.users == a.users == ("u1", "u2") and b.items == a.items
+        for name in ("user_index", "item_index", "rating"):
+            assert getattr(b, name).tobytes() == getattr(a, name).tobytes(), name
+        assert b.digest == hashlib.sha256(marked.read_bytes()).hexdigest() != a.digest
+
+    @pytest.mark.parametrize("raw, row, message", [
+        (b"user,item,rating\nu1,i1,5\n", 1, "rating 'rating' is not a number"),
+        (b"u1,i1,5\nu2,i1\n", 2, "expected 3 fields"),
+        (b"u1,i1,5\r\n\r\n,i1,2\r\n", 3, "empty user or item token"),
+        (b"u1,i1,5\nu2,i1,4\nu\xff3,i1,2\n", 3, "not UTF-8"),
+    ])
+    def test_byte_order_mark_keeps_error_rows(self, tmp_path, raw, row, message):
+        p = tmp_path / "r.csv"
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            p.write_bytes(prefix + raw)
+            with pytest.raises(IngestError) as exc:
+                ingest_domain(p)
+            assert exc.value.row == row and message in str(exc.value)
 
     def test_round_trip_is_bitwise(self, tmp_path):
         spec = SyntheticSpec(users=200, items=60, overlap_ratio=0.2, dim=4, noise=0.3,
@@ -330,10 +355,45 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError):
             DomainDataset(("u",), ("i",), np.array([1]), np.array([0]), np.array([1.0]))
 
-    def test_user_interactions_lookup(self):
-        ds = dataset([("a", "x", 1.0), ("b", "x", 2.0), ("a", "y", 3.0)])
-        items, ratings = ds.user_interactions(0)
-        assert items.tolist() == [0, 1] and ratings.tolist() == [1.0, 3.0]
+    def test_user_interactions_are_user_major_in_dataset_order(self):
+        ds = dataset([("a", "x", 1.0), ("b", "x", 2.0), ("a", "y", 3.0), ("c", "y", 4.0)])
+        items, ratings, counts = ds.user_interactions(np.array([2, 0, 1, 0]))
+        assert counts.tolist() == [1, 2, 1, 2]
+        assert items.tolist() == [1, 0, 1, 0, 0, 1]
+        assert ratings.tolist() == [4.0, 1.0, 3.0, 2.0, 1.0, 3.0]
+
+    def test_user_interactions_of_no_users(self):
+        ds = dataset([("a", "x", 1.0)])
+        for users in ([], np.array([], dtype=np.int64)):
+            items, ratings, counts = ds.user_interactions(users)
+            assert items.size == ratings.size == counts.size == 0
+
+    def test_user_interactions_of_a_user_without_interactions(self):
+        # filtering keeps the index space, so user "a" stays with no interactions
+        ds = dataset([("a", "x", 1.0), ("b", "x", 2.0), ("a", "y", 3.0)]).filter_users([0])
+        items, ratings, counts = ds.user_interactions(np.array([1, 0, 1]))
+        assert counts.tolist() == [1, 0, 1]
+        assert items.tolist() == [0, 0] and ratings.tolist() == [2.0, 2.0]
+
+    @pytest.mark.parametrize("users", [np.array([[0]]), np.array([-1]), np.array([0, 2]), 0],
+                             ids=["2-D", "negative", "past-the-end", "scalar"])
+    def test_user_interactions_rejects_bad_indices(self, users):
+        ds = dataset([("a", "x", 1.0), ("b", "x", 2.0)])
+        with pytest.raises(ValidationError, match=r"1-D array within \[0, 2\)"):
+            ds.user_interactions(users)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_user_interactions_match_a_mask_per_user(self, seed):
+        ds = uneven_scenario(SyntheticSpec(users=60, items=30, overlap_ratio=0.5, dim=3,
+                                           seed=seed, ratings_per_user=12))[0].target
+        users = np.random.default_rng(seed).integers(0, ds.n_users, size=90)
+        items, ratings, counts = ds.user_interactions(users)
+        ends = np.cumsum(counts)
+        for t, start, end in zip(users, ends - counts, ends):
+            pos = np.flatnonzero(ds.user_index == t)
+            assert np.array_equal(items[start:end], ds.item_index[pos])
+            assert np.array_equal(ratings[start:end], ds.rating[pos])
+        assert ends[-1] == items.size == ratings.size
 
     def test_filter_users_preserves_index_space(self):
         ds = dataset([("a", "x", 1.0), ("b", "x", 2.0), ("a", "y", 3.0)])
@@ -392,14 +452,13 @@ class TestScenario:
         # withheld interactions are exactly the test users' target history,
         # laid out user by user in split order
         total = scn.target.n_interactions - train_ds.n_interactions
-        src, items, ratings, counts = scn.target_interactions(scn.test_pairs)
+        items, ratings, counts = scn.target.user_interactions([t for _, t in scn.test_pairs])
         assert total == items.size == ratings.size == counts.sum()
-        assert src.tolist() == [s for s, _ in scn.test_pairs]
         ends = np.cumsum(counts)
-        for (s, t), start, end in zip(scn.test_pairs, ends - counts, ends):
-            user_items, user_ratings = scn.target.user_interactions(t)
-            assert np.array_equal(items[start:end], user_items)
-            assert np.array_equal(ratings[start:end], user_ratings)
+        for (_, t), start, end in zip(scn.test_pairs, ends - counts, ends):
+            pos = np.flatnonzero(scn.target.user_index == t)
+            assert np.array_equal(items[start:end], scn.target.item_index[pos])
+            assert np.array_equal(ratings[start:end], scn.target.rating[pos])
 
 
 class TestSynthetic:
@@ -511,6 +570,24 @@ class TestSynthetic:
             for name, expect in zip(("user_index", "item_index", "rating"), emit(users, items)):
                 got = getattr(ds, name)
                 assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), name
+
+    def test_generator_peak_stays_near_its_output(self):
+        # the CLI's synth defaults at 3,000 users and 1,000 items: 90,000 ratings per domain
+        spec = SyntheticSpec(users=3000, items=1000, overlap_ratio=0.5, dim=10, noise=0.3,
+                             map_kind="tanh", beta=0.8, ratings_per_user=30, seed=1)
+        tracemalloc.start()
+        try:
+            scenario, _ = generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(ds, name).nbytes for ds in (scenario.source, scenario.target)
+                      for name in ("user_index", "item_index", "rating"))
+        # the six rating columns are 4.3 MB. Keeping one small array per user in three lists
+        # and concatenating them peaked at 9.2 MB (2.1 times that); filling preallocated
+        # (users, k) arrays peaks at 6.6 MB (1.5 times), the columns, one domain's noise
+        # draws and the duplicate-pair key column. The bound is 1.75 times the columns.
+        assert peak < 1.75 * columns
 
     def test_invalid_specs(self):
         with pytest.raises(ValidationError):

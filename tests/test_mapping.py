@@ -31,7 +31,7 @@ from scdr.mapping import (
 )
 from scdr.perturbation import PerturbConfig, find_delta, memo_last_point
 
-from conftest import set_chunk_rows, uneven_scenario
+from conftest import load_records, rewrite_header, set_chunk_rows, uneven_scenario
 
 
 def zero_net(d=3, h=4):
@@ -417,9 +417,9 @@ class TestScdrTrain:
         log: list[int] = []
 
         class LoggingDataset(DomainDataset):
-            def user_interactions(self, user_index):
-                log.append(int(user_index))
-                return super().user_interactions(user_index)
+            def user_interactions(self, users):
+                log.extend(np.asarray(users).tolist())
+                return super().user_interactions(users)
 
         logged = LoggingDataset(scn.target.users, scn.target.items, scn.target.user_index,
                                 scn.target.item_index, scn.target.rating)
@@ -472,21 +472,39 @@ class TestMappingCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         net = random_net(rng)
         tuned = rng.normal(size=(2, 4))
-        p = tmp_path / "net.json"
+        p = tmp_path / "net.npy"
         save_mapping(net, p, config={"seed": 3}, tuned_users=["a", "b"], tuned_vectors=tuned)
         back, doc, sha = load_mapping(p)
         assert sha == hashlib.sha256(p.read_bytes()).hexdigest()
-        assert np.array_equal(back.W1, net.W1) and np.array_equal(back.b1, net.b1)
-        assert np.array_equal(back.W2, net.W2) and np.array_equal(back.b2, net.b2)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(back, name).tobytes() == getattr(net, name).tobytes(), name
         assert doc["config"]["seed"] == 3
-        assert np.array_equal(np.asarray(doc["tuned_source"]["vectors"]), tuned)
+        assert doc["tuned_users"] == ["a", "b"]
+        assert doc["tuned_vectors"].tobytes() == tuned.tobytes()
+
+    def test_untuned_net_stores_no_rows(self, tmp_path, rng):
+        p = tmp_path / "net.npy"
+        save_mapping(random_net(rng), p)
+        _, doc, _ = load_mapping(p)
+        assert doc["tuned_users"] == [] and doc["tuned_vectors"].shape == (0, 4)
+
+    def test_records_are_a_header_and_five_float64_arrays(self, tmp_path, rng):
+        net = random_net(rng)
+        p = tmp_path / "net.npy"
+        save_mapping(net, p, tuned_users=["a"], tuned_vectors=rng.normal(size=(1, 4)))
+        head, *arrays = load_records(p, 6)
+        assert sorted(json.loads(head.item())) == [
+            "activation", "config", "d", "format_version", "hidden", "kind", "tuned_users"]
+        assert [(a.dtype.str, a.shape) for a in arrays] == [
+            ("<f8", net.W1.shape), ("<f8", net.b1.shape), ("<f8", net.W2.shape),
+            ("<f8", net.b2.shape), ("<f8", (1, 4))]
 
     def test_input_digests_are_checked(self, tmp_path, rng):
         inputs = {"source_model": "a" * 64, "target_model": "b" * 64}
-        p = tmp_path / "net.json"
+        p = tmp_path / "net.npy"
         save_mapping(random_net(rng), p, inputs=inputs)
         _, doc, _ = load_mapping(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 2
+        assert doc["inputs"] == inputs and doc["format_version"] == 3
         for other in ({**inputs, "target_model": "c" * 64}, {}):
             with pytest.raises(ValidationError, match="stale mapping checkpoint") as exc:
                 load_mapping(p, other)
@@ -494,19 +512,17 @@ class TestMappingCheckpoint:
 
     def test_missing(self, tmp_path):
         with pytest.raises(MissingInputError):
-            load_mapping(tmp_path / "none.json")
+            load_mapping(tmp_path / "none.npy")
 
     def test_tuned_fields_must_pair(self, tmp_path, rng):
         with pytest.raises(ValidationError):
-            save_mapping(random_net(rng), tmp_path / "x.json", tuned_users=["a"])
+            save_mapping(random_net(rng), tmp_path / "x.npy", tuned_users=["a"])
 
     def test_other_activation_rejected(self, tmp_path, rng):
-        p = tmp_path / "net.json"
+        p = tmp_path / "net.npy"
         save_mapping(random_net(rng), p)
-        doc = json.loads(p.read_text())
-        assert doc["activation"] == "tanh"
-        doc["activation"] = "relu"
-        p.write_text(json.dumps(doc))
+        assert load_mapping(p)[1]["activation"] == "tanh"
+        rewrite_header(p, 6, activation="relu")
         with pytest.raises(ValidationError, match="unsupported activation 'relu'") as exc:
             load_mapping(p)
         assert str(p) in str(exc.value)
@@ -514,11 +530,9 @@ class TestMappingCheckpoint:
     @pytest.mark.parametrize("key", ["d", "hidden"])
     @pytest.mark.parametrize("value", [3.9, "3", True])
     def test_metadata_numbers_are_strict(self, tmp_path, key, value):
-        p = tmp_path / "net.json"
+        p = tmp_path / "net.npy"
         save_mapping(zero_net(d=3, h=3), p)
-        doc = json.loads(p.read_text())
-        doc[key] = value
-        p.write_text(json.dumps(doc))
+        rewrite_header(p, 6, **{key: value})
         with pytest.raises(ValidationError, match=f"{key} must be a finite int") as exc:
             load_mapping(p)
         assert str(p) in str(exc.value)
@@ -763,7 +777,8 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
         return [target_model.U[t].copy() for _, t in scenario.train_pairs]
     payload = []
     for _, t in scenario.train_pairs:
-        items, ratings = scenario.target.user_interactions(t)
+        pos = np.flatnonzero(scenario.target.user_index == t)
+        items, ratings = scenario.target.item_index[pos], scenario.target.rating[pos]
         if items.size == 0:
             raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
         payload.append((target_model.V[items].copy(), ratings.copy()))

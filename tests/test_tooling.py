@@ -6,9 +6,9 @@ that defines them. A refactor that renames or drops a wrapped name, or that
 moves those callables to another module, breaks or skews a traced benchmark
 run; these checks make it fail the test suite instead. README's example
 config is checked against the keys the CLI accepts in the same way, the
-JSON artifact format is checked to stay behind ``scdr.data``'s codec, and
-numpy's binary loading and writing are checked to stay in ``scdr.data`` and
-pickle-free.
+JSON artifact format and the path from arrays to file bytes are checked to
+stay behind ``scdr.data``'s codec, and numpy's binary loading and writing
+are checked to stay in ``scdr.data`` and pickle-free.
 """
 
 from __future__ import annotations
@@ -184,3 +184,14 @@ docstring's literal (an alias would dodge the check) or calls ``tofile``.
         calls[path.name] = re.findall(r"\b(?:np|numpy)\.save\((.*)\)", text)
     assert {name for name, args in calls.items() if args} == {"data.py"}
     assert calls["data.py"] and all("allow_pickle=False" in args for args in calls["data.py"])
+
+
+def test_arrays_reach_files_only_through_data():
+    """``mapping``, ``factorization`` and ``cli`` turn no array into a Python list.
+
+    Checkpoints hand their arrays to ``scdr.data``'s codec; a ``.tolist()`` in
+    these modules would be a second path from arrays to file bytes.
+    """
+    listed = [name for name in ("mapping.py", "factorization.py", "cli.py")
+              if ".tolist(" in (ROOT / "src" / "scdr" / name).read_text(encoding="utf-8")]
+    assert listed == []
