@@ -188,7 +188,7 @@ def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
     if not blocker.is_dir():
         raise ValidationError(f"cannot make output directory {out}: {blocker} is not a directory")
     outputs = [out / n for n in
-               ("source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json",
+               ("source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.npy",
                 "source_ratings.csv.npy", "target_ratings.csv.npy")]
     with _check_outputs(outputs, force) as staged:
         scenario, sidecar = data.generate_synthetic(spec)
@@ -196,7 +196,7 @@ def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
         data.write_ratings(scenario.source, staged[0], snapshot=staged[4])
         data.write_ratings(scenario.target, staged[1], snapshot=staged[5])
         data.save_manifest(scenario, staged[2], "source_ratings.csv", "target_ratings.csv",
-                           sidecar="ground_truth.json")
+                           sidecar="ground_truth.npy")
         data.save_sidecar(sidecar, staged[3])
     print(f"wrote scenario with {len(scenario.overlap)} overlapping users to {out}")
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import IngestError, MissingInputError, ScdrError, ValidationError
 
 MANIFEST_VERSION = 1
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 MAP_KINDS = ("identity", "linear", "tanh")
 # rows per slice of a pass over all ratings, so its temporaries stay this size
 CHUNK_ROWS = 8192
@@ -416,9 +416,16 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
     """Write a dataset back out as a ``user,item,rating`` file (exact float text).
 
     With ``snapshot`` (``<path>.npy`` or its staging path), also write there the file's sha256
-    and the dataset :func:`ingest_domain` parses from it; tokens must survive the format.
-    The text is formatted, written and hashed ``CHUNK_ROWS`` rows at a time.
+    and the dataset :func:`ingest_domain` parses from it. The text is formatted, written and
+    hashed ``CHUNK_ROWS`` rows at a time. A token that would not read back as itself (empty,
+    holding ``,``, ``\\r`` or ``\\n``, with surrounding whitespace, or led by a byte-order mark)
+    raises :class:`ValidationError` naming the first one, before anything is written.
     """
+    bad = next((tok for tok in (*dataset.users, *dataset.items)
+                if tok != tok.strip() or not {",", "\r", "\n"}.isdisjoint(tok)
+                or tok[:1] in ("", "\ufeff")), None)
+    if bad is not None:
+        raise ValidationError(f"token {bad!r} would not survive the rating file format")
     user_tokens = np.array(dataset.users, dtype=object)
     item_tokens = np.array(dataset.items, dtype=object)
     sha256 = hashlib.sha256()
@@ -638,13 +645,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CdrScenario, SyntheticSidec
         vi = np.empty((n_users, k), dtype=np.int64)
         rr = np.empty((n_users, k))
         noise = np.empty((n_users, k)) if spec.noise > 0.0 else None
-        # the loop keeps only the draws, in their order, and the per-user product,
-        # whose bits a product over all users at once would change
+        # the loop keeps only the draws, in their order
         for i in range(n_users):
             vi[i] = rng.choice(spec.items, size=k, replace=False)
-            rr[i] = user_latents[i] @ item_latents[vi[i]].T
             if noise is not None:
-                noise[i] = rng.standard_normal(k)
+                rng.standard_normal(out=noise[i])
+        # one stacked (1, d) @ (d, k) product per user, a block of users at a time: each
+        # user's product is the same BLAS call, and so the same bits, as a product of its own
+        per_block = max(1, CHUNK_ROWS // k)
+        for start in range(0, n_users, per_block):
+            part = slice(start, start + per_block)
+            np.matmul(user_latents[part, None, :], item_latents[vi[part]].transpose(0, 2, 1),
+                      out=rr[part, None, :])
         if noise is not None:
             noise *= spec.noise
             rr += noise
@@ -733,51 +745,32 @@ def load_scenario(manifest_path) -> CdrScenario:
                    test_pairs=[by_token[u] for u in test_users])
 
 
-_SIDECAR_ARRAYS = tuple(f.name for f in fields(SyntheticSidecar) if f.type == "np.ndarray")
-
-
-def _write_json_array(fh, arr: np.ndarray) -> None:
-    """Write ``json.dumps(arr.tolist())``'s text, encoding ``CHUNK_ROWS`` numbers at a time."""
-    per_block = max(1, CHUNK_ROWS // max(1, math.prod(arr.shape[1:])))
-    fh.write(b"[")
-    for start in range(0, len(arr), per_block):
-        if start:
-            fh.write(b", ")
-        # the block's list text without its brackets: the separators json.dumps puts between rows
-        fh.write(json.dumps(arr[start:start + per_block].tolist())[1:-1].encode("utf-8"))
-    fh.write(b"]")
+# (dtype, ndim) of each array of a sidecar, in file order
+_SIDECAR_ARRAYS = {"source_user_latents": ("f8", 2), "target_user_latents": ("f8", 2),
+                   "source_item_latents": ("f8", 2), "target_item_latents": ("f8", 2),
+                   "latent_mean": ("f8", 1), "map_matrix": ("f8", 2)}
 
 
 def save_sidecar(sidecar: SyntheticSidecar, path) -> None:
-    """Write ``json.dumps(doc, sort_keys=True)`` plus a newline, one array block at a time.
-
-    ``doc`` holds the version, ``map_kind``, ``seed`` and each latent array as nested lists;
-    no whole-document text and no whole-matrix list is built.
-    """
-    doc = {"format_version": SIDECAR_VERSION, "map_kind": sidecar.map_kind, "seed": sidecar.seed,
-           **{name: getattr(sidecar, name) for name in _SIDECAR_ARRAYS}}
-    with _atomic_file(path) as fh:
-        fh.write(b"{")
-        for i, key in enumerate(sorted(doc)):
-            if i:
-                fh.write(b", ")
-            fh.write(f"{json.dumps(key)}: ".encode("utf-8"))
-            if isinstance(doc[key], np.ndarray):
-                _write_json_array(fh, doc[key])
-            else:
-                fh.write(json.dumps(doc[key]).encode("utf-8"))
-        fh.write(b"}\n")
+    """Write a header with ``map_kind`` and ``seed``, then the six latents as float64 records."""
+    write_artifact(path, "synthetic_sidecar", SIDECAR_VERSION,
+                   {"map_kind": sidecar.map_kind, "seed": sidecar.seed},
+                   arrays={name: np.asarray(getattr(sidecar, name), dtype=np.float64)
+                           for name in _SIDECAR_ARRAYS})
 
 
 def load_sidecar(path) -> SyntheticSidecar:
-    """Read a sidecar back; ``seed`` must be an integer and ``map_kind`` one of ``MAP_KINDS``."""
-    with json_document(path, "sidecar") as (doc, _):
-        if doc.get("format_version") != SIDECAR_VERSION:
-            raise ValidationError(f"unsupported sidecar version {doc.get('format_version')!r}")
+    """Read a sidecar back, each array of its own rank as float64.
+
+    ``seed`` must be a non-negative integer and ``map_kind`` one of ``MAP_KINDS``; another
+    header, a truncated, pickled or ill-typed record raises ValidationError naming ``path``.
+    """
+    with read_artifact(path, "synthetic_sidecar", SIDECAR_VERSION, "sidecar",
+                       arrays=_SIDECAR_ARRAYS) as (doc, _):
         if doc["map_kind"] not in MAP_KINDS:
             raise ValidationError(f"unknown map kind {doc['map_kind']!r} in {path}")
-        return SyntheticSidecar(
-            **{name: np.asarray(doc[name], dtype=np.float64) for name in _SIDECAR_ARRAYS},
-            map_kind=doc["map_kind"],
-            seed=number(int, doc["seed"], "seed"),
-        )
+        seed = number(int, doc["seed"], "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        return SyntheticSidecar(**{name: doc[name] for name in _SIDECAR_ARRAYS},
+                                map_kind=doc["map_kind"], seed=seed)

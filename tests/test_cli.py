@@ -64,7 +64,7 @@ class TestPipeline:
     def test_outputs_exist(self, pipeline):
         out, _ = pipeline
         expected = [
-            "source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.json",
+            "source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.npy",
             "source_ratings.csv.npy", "target_ratings.csv.npy", "source_model_plain.npy", "target_model_plain.npy",
             "source_model_sharpness_aware.npy", "target_model_sharpness_aware.npy",
             "mapping_emcdr.npy", "mapping_scdr.npy", "mapping_scdr_minus.npy",
@@ -176,7 +176,7 @@ class TestValidation:
         assert not (out / "mapping_trace_emcdr.csv").exists()
 
     @pytest.mark.parametrize("stage, failing", [
-        (0, "ground_truth.json"),
+        (0, "ground_truth.npy"),
         (1, "target_trace_plain.csv"),
         (2, "mapping_emcdr.npy"),
         (2, "mapping_trace_emcdr.csv"),
@@ -257,7 +257,7 @@ class TestValidation:
         assert "source_ratings.csv.npy" in before and "target_ratings.csv.npy" in before
         with monkeypatch.context() as patch:
             # the last output written; both new snapshots are staged by then
-            fail_halfway(patch, "ground_truth.json")
+            fail_halfway(patch, "ground_truth.npy")
             with pytest.raises(OSError):
                 run("synth", "--config", cfg, "--seed", "7", "--force")
         assert {p.name: digest(p) for p in out.iterdir()} == before

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import re
@@ -29,7 +30,15 @@ from scdr.data import (
 )
 from scdr.errors import IngestError, MissingInputError, ValidationError
 
-from conftest import dataset, fail_halfway, load_records, two_domain_scenario, uneven_scenario
+from conftest import (dataset, fail_halfway, load_records, rewrite_header, rewrite_record,
+                      two_domain_scenario, uneven_scenario)
+
+
+def record_bytes(arr) -> bytes:
+    """``arr`` as one pickle-free ``np.save`` record."""
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=False)
+    return buf.getvalue()
 
 
 class TestIngest:
@@ -344,6 +353,23 @@ class TestSnapshot:
         assert ingest_domain(path).n_interactions == ds.n_interactions
         assert calls == [1]
 
+    @pytest.mark.parametrize("column", ["users", "items"])
+    @pytest.mark.parametrize("token", ["", "a,b", "a\rb", "a\nb", " c", "c\t", "\ufeffc"],
+                             ids=["empty", "comma", "cr", "lf", "leading-space", "trailing-tab",
+                                  "byte-order-mark"])
+    def test_token_that_would_not_read_back_is_refused(self, tmp_path, column, token):
+        # such a token, written, reads back as another token or as a malformed row
+        ds = dataset([("u0", "i0", 1.0), ("u1", "i1", 2.0), ("u2", "i2", 3.0)])
+        tokens = list(getattr(ds, column))
+        tokens[1] = token
+        tokens[2] = "x,y"  # a later bad token is not the one named
+        ds = DomainDataset(*(tuple(tokens) if name == column else getattr(ds, name)
+                             for name in ("users", "items")),
+                           ds.user_index, ds.item_index, ds.rating)
+        with pytest.raises(ValidationError, match=re.escape(f"token {token!r} ")):
+            written_with_snapshot(ds, tmp_path / "r.csv")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDatasetInvariants:
     def test_duplicate_pairs_rejected(self):
@@ -536,15 +562,21 @@ class TestSynthetic:
                 expect = sc.latent_mean + 0.5 * np.tanh((centered @ sc.map_matrix.T) / 0.5)
             assert np.allclose(tgt, expect, atol=0, rtol=0)
 
+    @pytest.mark.parametrize("chunk", [8192, 10])
     @pytest.mark.parametrize("spec", [
         *(SyntheticSpec(users=40, items=25, overlap_ratio=0.25, dim=4, noise=noise,
                         map_kind=kind, seed=11, ratings_per_user=7)
           for kind in MAP_KINDS for noise in (0.0, 0.3)),
         SyntheticSpec(users=30, items=12, overlap_ratio=1.0, dim=3, noise=0.2, seed=12,
                       ratings_per_user=5),
+        # 1,300 users of 7 ratings are 9,100 per domain: a block of 1,170 users and a partial one
+        SyntheticSpec(users=1300, items=30, overlap_ratio=0.4, dim=6, noise=0.2,
+                      map_kind="tanh", seed=13, ratings_per_user=7),
     ], ids=[*(f"{kind}-noise{noise}" for kind in MAP_KINDS for noise in (0.0, 0.3)),
-            "full-overlap"])
-    def test_ratings_match_per_user_loop(self, spec):
+            "full-overlap", "two-blocks"])
+    def test_ratings_match_per_user_loop(self, monkeypatch, spec, chunk):
+        # blocks of 10 rows hold one user of 7 or two of 5 ratings, ending on partial blocks
+        monkeypatch.setattr(scdr.data, "CHUNK_ROWS", chunk)
         scenario, sidecar = generate_synthetic(spec)
         rng = np.random.default_rng(spec.seed)
         n_overlap = int(spec.overlap_ratio * spec.users)
@@ -552,7 +584,7 @@ class TestSynthetic:
         rng.standard_normal(spec.dim * (spec.dim + 2 * spec.users - n_overlap + 2 * spec.items))
 
         def emit(user_latents, item_latents):
-            """The generator's per-user loop as it was before its work left the loop."""
+            """The generator's per-user loop as it was before its products left the loop."""
             ui, vi, rr = [], [], []
             for i in range(user_latents.shape[0]):
                 chosen = rng.choice(spec.items, size=spec.ratings_per_user, replace=False)
@@ -607,15 +639,15 @@ class TestManifest:
         scn, sc = generate_synthetic(spec)
         write_ratings(scn.source, tmp_path / "s.csv")
         write_ratings(scn.target, tmp_path / "t.csv")
-        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv", sidecar="g.json")
-        save_sidecar(sc, tmp_path / "g.json")
+        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv", sidecar="g.npy")
+        save_sidecar(sc, tmp_path / "g.npy")
 
         back = load_scenario(tmp_path / "m.json")
         assert back.beta == scn.beta and back.seed == scn.seed
         assert back.train_pairs == scn.train_pairs and back.test_pairs == scn.test_pairs
         assert np.array_equal(back.source.rating, scn.source.rating)
 
-        sc_back = load_sidecar(tmp_path / "g.json")
+        sc_back = load_sidecar(tmp_path / "g.npy")
         assert np.array_equal(sc_back.target_user_latents, sc.target_user_latents)
         assert sc_back.map_kind == sc.map_kind
 
@@ -662,39 +694,51 @@ class TestManifest:
         with pytest.raises(ValidationError):
             load_scenario(tmp_path / "m.json")
 
-    @pytest.mark.parametrize("name", ["m.json", "g.json"])
+    @pytest.mark.parametrize("name", ["m.json", "g.npy"])
     def test_truncated_document_is_validation_error(self, tmp_path, name):
         spec = SyntheticSpec(users=60, items=30, overlap_ratio=0.2, dim=4, seed=4,
                              ratings_per_user=8)
         scn, sc = generate_synthetic(spec)
         write_ratings(scn.source, tmp_path / "s.csv")
         write_ratings(scn.target, tmp_path / "t.csv")
-        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv", sidecar="g.json")
-        save_sidecar(sc, tmp_path / "g.json")
+        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv", sidecar="g.npy")
+        save_sidecar(sc, tmp_path / "g.npy")
         raw = (tmp_path / name).read_bytes()
         (tmp_path / name).write_bytes(raw[:len(raw) // 2])
         loader = load_scenario if name == "m.json" else load_sidecar
         with pytest.raises(ValidationError, match="malformed"):
             loader(tmp_path / name)
 
-    @pytest.mark.parametrize("chunk", [1, 10, 8192])
     @pytest.mark.parametrize("overlap_ratio", [0.3, 1.0])
-    def test_streamed_sidecar_is_the_one_document_text(self, tmp_path, monkeypatch, chunk,
-                                                       overlap_ratio):
+    def test_sidecar_is_a_header_and_six_float64_records(self, tmp_path, overlap_ratio):
         _, sc = generate_synthetic(SyntheticSpec(users=33, items=21, overlap_ratio=overlap_ratio,
                                                  dim=4, ratings_per_user=3, seed=5))
-        # the text save_sidecar wrote as one json.dumps of the whole document
-        expect = json.dumps({"format_version": 1, "map_kind": sc.map_kind, "seed": sc.seed,
-                             **{name: getattr(sc, name).tolist()
-                                for name in scdr.data._SIDECAR_ARRAYS}}, sort_keys=True) + "\n"
-        # a 10-number block holds two 4-wide rows, so 33 users end on a partial block
-        monkeypatch.setattr(scdr.data, "CHUNK_ROWS", chunk)
-        path = tmp_path / "g.json"
+        path = tmp_path / "g.npy"
         save_sidecar(sc, path)
-        assert path.read_bytes() == expect.encode("utf-8")
+        with open(path, "rb") as fh:
+            head, *arrays = (np.load(fh, allow_pickle=False) for _ in range(7))
+            assert fh.read() == b""
+        assert json.loads(head.item()) == {"format_version": 2, "kind": "synthetic_sidecar",
+                                           "map_kind": sc.map_kind, "seed": sc.seed}
+        names = ["source_user_latents", "target_user_latents", "source_item_latents",
+                 "target_item_latents", "latent_mean", "map_matrix"]
+        assert [a.shape for a in arrays] == [(33, 4), (33, 4), (21, 4), (21, 4), (4,), (4, 4)]
+        for name, arr in zip(names, arrays):
+            assert arr.dtype == np.float64 and arr.tobytes() == getattr(sc, name).tobytes(), name
+
+    def test_sidecar_round_trip_is_bitwise(self, tmp_path):
+        _, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=3,
+                                                 ratings_per_user=3, seed=6))
+        sc.source_user_latents[0] = [-0.0, 5e-324, 2.2250738585072014e-308 / 3]
+        sc.map_matrix[1, 2] = -0.0
+        path = tmp_path / "g.npy"
+        save_sidecar(sc, path)
         back = load_sidecar(path)
         for name in scdr.data._SIDECAR_ARRAYS:
-            assert np.array_equal(getattr(back, name), getattr(sc, name))
+            got, expect = getattr(back, name), getattr(sc, name)
+            assert got.dtype == np.float64 and got.shape == expect.shape, name
+            assert got.tobytes() == expect.tobytes(), name
+        assert np.signbit(back.source_user_latents[0, 0])
         assert (back.map_kind, back.seed) == (sc.map_kind, sc.seed)
 
     def test_sidecar_write_keeps_its_temporaries_to_a_block(self, tmp_path):
@@ -714,17 +758,43 @@ class TestManifest:
         assert peak < path.stat().st_size
 
     @pytest.mark.parametrize("key, value", [
-        ("seed", 3.9), ("seed", "3"), ("seed", True), ("map_kind", "bogus"),
+        ("seed", 3.9), ("seed", "3"), ("seed", True), ("map_kind", "bogus"), ("seed", -1),
     ])
     def test_sidecar_values_are_strict(self, tmp_path, key, value):
         _, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=2,
                                                  ratings_per_user=3))
-        path = tmp_path / "g.json"
+        path = tmp_path / "g.npy"
         save_sidecar(sc, path)
-        doc = json.loads(path.read_text())
-        doc[key] = value
-        path.write_text(json.dumps(doc))
+        rewrite_header(path, 7, **{key: value})
         with pytest.raises(ValidationError, match=re.escape(str(path))):
+            load_sidecar(path)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda path, sc: path.write_text(json.dumps(
+            {"format_version": 1, "map_kind": sc.map_kind, "seed": sc.seed,
+             **{name: getattr(sc, name).tolist() for name in scdr.data._SIDECAR_ARRAYS}},
+            sort_keys=True) + "\n"), "malformed sidecar {}: "),
+        (lambda path, sc: path.write_bytes(path.read_bytes()[:-1]), "malformed sidecar {}: "),
+        (lambda path, sc: rewrite_record(path, 7, 1, lambda a: a.astype(np.float32)),
+         "malformed sidecar {}: array 1 is not 2-D f8"),
+        (lambda path, sc: rewrite_record(path, 7, 3, np.ravel),
+         "malformed sidecar {}: array 3 is not 2-D f8"),
+        (lambda path, sc: rewrite_record(path, 7, 5, lambda a: a[:, None]),
+         "malformed sidecar {}: array 5 is not 1-D f8"),
+        (lambda path, sc: rewrite_record(path, 7, 6, lambda a: a.astype(object)),
+         "malformed sidecar {}: "),
+        (lambda path, sc: path.write_bytes(b"".join(
+            record_bytes(arr) for arr in load_records(path, 6))), "malformed sidecar {}: "),
+        (lambda path, sc: rewrite_header(path, 7, kind="factor_model"), "not a sidecar: {}"),
+    ], ids=["version-1-json", "last-byte-cut", "float32-latents", "1-D-latents", "2-D-mean",
+            "pickled-map", "missing-record", "other-kind"])
+    def test_bad_sidecar_names_its_path(self, tmp_path, corrupt, message):
+        _, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=2,
+                                                 ratings_per_user=3))
+        path = tmp_path / "g.npy"
+        save_sidecar(sc, path)
+        corrupt(path, sc)
+        with pytest.raises(ValidationError, match=re.escape(message.format(path))):
             load_sidecar(path)
 
     def test_missing_manifest(self, tmp_path):
