@@ -29,6 +29,8 @@ SIDECAR_VERSION = 2
 MAP_KINDS = ("identity", "linear", "tanh")
 # rows per slice of a pass over all ratings, so its temporaries stay this size
 CHUNK_ROWS = 8192
+# tokens a domain may index: every index column is int32
+INDEX_LIMIT = np.iinfo(np.int32).max
 
 
 @contextmanager
@@ -122,9 +124,15 @@ def _typed_arrays(fh, layout):
     """Yield ``np.save`` records from ``fh``, one per ``(dtype, ndim)`` of ``layout``.
 
     ``"U"`` admits a string of any width; another dtype or rank raises TypeError naming
-    the record's position. Pickled records are refused.
+    the record's position. Pickled records, and bytes that do not start with the ``.npy``
+    magic (an older JSON document at the path, say), raise ValueError.
     """
     for i, (dtype, ndim) in enumerate(layout):
+        magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
+        # numpy would take other bytes for a pickle and advise loading it unsafely
+        if magic and magic != np.lib.format.MAGIC_PREFIX:
+            raise ValueError(f"not `np.save` records (array {i} lacks the .npy magic)")
+        fh.seek(-len(magic), io.SEEK_CUR)
         arr = np.load(fh, allow_pickle=False)
         if not (isinstance(arr, np.ndarray) and arr.ndim == ndim
                 and (arr.dtype.kind == "U" if dtype == "U" else arr.dtype == dtype)):
@@ -171,7 +179,9 @@ class DomainDataset:
     are parallel arrays (user_index, item_index, rating); (user, item)
     pairs are unique, duplicates having been collapsed last-write-wins at
     construction time with the overwrite count kept in ``duplicate_count``.
-    ``digest`` is the sha256 of the rating file the dataset was read from.
+    The index columns are int32, so a domain holds at most ``2**31 - 1``
+    users and as many items. ``digest`` is the sha256 of the rating file
+    the dataset was read from.
     """
 
     users: tuple[str, ...]
@@ -183,23 +193,20 @@ class DomainDataset:
     digest: str | None = None
 
     def __post_init__(self):
-        self.user_index = np.asarray(self.user_index, dtype=np.int64)
-        self.item_index = np.asarray(self.item_index, dtype=np.int64)
-        self.rating = np.asarray(self.rating, dtype=np.float64)
+        _check_token_count(max(len(self.users), len(self.items)))
         if len(self.users) < 1 or len(self.items) < 1:
             raise ValidationError("dataset must contain at least one user and one item")
+        self.user_index = _index_column(self.user_index, self.n_users, "user")
+        self.item_index = _index_column(self.item_index, self.n_items, "item")
+        self.rating = np.asarray(self.rating, dtype=np.float64)
         if not (self.user_index.shape == self.item_index.shape == self.rating.shape):
             raise ValidationError("interaction arrays must share a shape")
         if self.n_interactions == 0:
             raise ValidationError("dataset must contain at least one interaction")
-        if self.user_index.min() < 0 or self.user_index.max() >= self.n_users:
-            raise ValidationError("interaction references an invalid user index")
-        if self.item_index.min() < 0 or self.item_index.max() >= self.n_items:
-            raise ValidationError("interaction references an invalid item index")
         if not np.all(np.isfinite(self.rating)):
             raise ValidationError("ratings must be finite")
         # one key column, of the narrowest integer that holds every key, sorted in place
-        wide = self.n_users * self.n_items > np.iinfo(np.int32).max
+        wide = self.n_users * self.n_items > INDEX_LIMIT
         keys = self.user_index.astype(np.int64 if wide else np.int32)
         keys *= self.n_items
         keys += self.item_index
@@ -230,7 +237,10 @@ class DomainDataset:
         users, ui = _dense_index(users)
         items, vi = _dense_index(items)
         rating = np.asarray(ratings, dtype=np.float64)
-        keys = ui * len(items) + vi
+        # a pair key can pass the int32 range even where every index is within it
+        keys = ui.astype(np.int64)
+        keys *= len(items)
+        keys += vi
         _, first = np.unique(keys, return_index=True)
         _, last_from_end = np.unique(keys[::-1], return_index=True)
         order = np.argsort(first)
@@ -242,7 +252,7 @@ class DomainDataset:
     @cached_property
     def _user_groups(self) -> tuple[np.ndarray, np.ndarray]:
         """Interaction positions grouped by user (each in interaction order), and group offsets."""
-        order = np.argsort(self.user_index, kind="stable")
+        order = np.argsort(self.user_index, kind="stable").astype(np.int32)
         ends = np.cumsum(np.bincount(self.user_index, minlength=self.n_users))
         return order, np.concatenate(([0], ends))
 
@@ -280,11 +290,28 @@ class DomainDataset:
         )
 
 
+def _check_token_count(count: int) -> None:
+    if count > INDEX_LIMIT:
+        raise ValidationError(f"a domain holds at most {INDEX_LIMIT} users and as many items")
+
+
+def _index_column(values, n: int, what: str) -> np.ndarray:
+    """``values`` as an int32 column of indices into ``n`` tokens; one out of range raises.
+
+    The range is checked before the cast, so with ``n`` within ``INDEX_LIMIT`` no value wraps.
+    """
+    column = np.asarray(values)
+    if column.size and not 0 <= column.min() <= column.max() < n:
+        raise ValidationError(f"interaction references an invalid {what} index")
+    return column.astype(np.int32, copy=False)
+
+
 def _dense_index(tokens) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct tokens in first-appearance order, and each token's index among them."""
+    """Distinct tokens in first-appearance order, and each token's int32 index among them."""
     distinct = tuple(dict.fromkeys(tokens))
+    _check_token_count(len(distinct))
     index = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    return distinct, np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=len(tokens))
 
 
 def _split_lines(text: str) -> list[str]:
@@ -356,7 +383,7 @@ def _load_snapshot(snapshot: Path, digest: str) -> DomainDataset | None:
     try:
         with open(snapshot, "rb") as fh:
             # (dtype, ndim) of each array, in write_ratings' order
-            arrays = _typed_arrays(fh, zip("U64 U U i8 i8 f8 i8".split(), (0, 1, 1, 1, 1, 1, 0)))
+            arrays = _typed_arrays(fh, zip("U64 U U i4 i4 f8 i8".split(), (0, 1, 1, 1, 1, 1, 0)))
             if str(next(arrays)) != digest:
                 return None
             users, items, *columns, dups = arrays
@@ -448,7 +475,7 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
         np.minimum.at(first, index, np.arange(index.size))
         order = np.argsort(first)
         used = order[:np.count_nonzero(first < index.size)]
-        columns.append((np.array(tokens)[used], np.argsort(order)[index]))
+        columns.append((np.array(tokens)[used], np.argsort(order).astype(np.int32)[index]))
     (users, ui), (items, vi) = columns
     # the file's pairs are unique, so parsing it overwrites none
     _write_arrays(snapshot, (np.array(sha256.hexdigest()), users, items, ui, vi,
@@ -638,29 +665,29 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CdrScenario, SyntheticSidec
     target_users = overlap_tokens + [f"tu{i:06d}" for i in range(n_solo)]
     source_user_latents = np.vstack([overlap_src, source_solo]) if n_solo else overlap_src
     target_user_latents = np.vstack([overlap_tgt, target_solo]) if n_solo else overlap_tgt
+    # the stacked copies are the only latents the ratings need
+    del overlap_src, source_solo, target_solo, overlap_tgt
 
     def emit(user_latents, item_latents, prefix):
         tokens = [f"{prefix}{j:06d}" for j in range(spec.items)]
         n_users, k = user_latents.shape[0], spec.ratings_per_user
-        vi = np.empty((n_users, k), dtype=np.int64)
-        rr = np.empty((n_users, k))
-        noise = np.empty((n_users, k)) if spec.noise > 0.0 else None
-        # the loop keeps only the draws, in their order
+        vi = np.empty((n_users, k), dtype=np.int32)
+        rr = np.zeros((n_users, k))
+        # the loop keeps only the draws, in their order; each user's noise lands in its row
         for i in range(n_users):
             vi[i] = rng.choice(spec.items, size=k, replace=False)
-            if noise is not None:
-                rng.standard_normal(out=noise[i])
+            if spec.noise > 0.0:
+                rng.standard_normal(out=rr[i])
+        rr *= spec.noise
         # one stacked (1, d) @ (d, k) product per user, a block of users at a time: each
-        # user's product is the same BLAS call, and so the same bits, as a product of its own
+        # user's product is the same BLAS call, and so the same bits, as a product of its own.
+        # Adding it to the scaled noise is the same sum as adding the noise to it.
         per_block = max(1, CHUNK_ROWS // k)
         for start in range(0, n_users, per_block):
             part = slice(start, start + per_block)
-            np.matmul(user_latents[part, None, :], item_latents[vi[part]].transpose(0, 2, 1),
-                      out=rr[part, None, :])
-        if noise is not None:
-            noise *= spec.noise
-            rr += noise
-        ui = np.repeat(np.arange(n_users, dtype=np.int64), k)
+            rr[part] += np.matmul(user_latents[part, None, :],
+                                  item_latents[vi[part]].transpose(0, 2, 1))[:, 0, :]
+        ui = np.repeat(np.arange(n_users, dtype=np.int32), k)
         return tokens, ui, vi.ravel(), np.clip(rr, 1.0, 5.0, out=rr).ravel()
 
     s_tokens, s_ui, s_vi, s_r = emit(source_user_latents, source_items, "si")

@@ -435,8 +435,8 @@ class TestCorruptInputs:
         # 500 bytes keep the digest record and cut the payload, 100 cut the record
         ("source_ratings.csv.npy", truncate, "unreadable rating snapshot"),
         ("source_ratings.csv.npy", truncate_to(100), "unreadable rating snapshot"),
-        ("target_ratings.csv.npy", rewrite_snapshot(3, lambda a: a.astype(np.int32)),
-         "target_ratings.csv.npy: array 3 is not 1-D i8"),
+        ("target_ratings.csv.npy", rewrite_snapshot(3, lambda a: a.astype(np.int64)),
+         "target_ratings.csv.npy: array 3 is not 1-D i4"),
         ("target_ratings.csv.npy", rewrite_snapshot(5, lambda a: a.astype(np.float32)),
          "target_ratings.csv.npy: array 5 is not 1-D f8"),
         ("source_ratings.csv.npy", rewrite_snapshot(1, lambda a: a.astype(object)),
@@ -502,6 +502,21 @@ class TestCorruptInputs:
         assert run("eval", "--config", cfg, "--method", "scdr") == 2
         err = capsys.readouterr().err
         assert f"malformed mapping checkpoint {out / 'mapping_scdr.npy'}: {message}" in err
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    @pytest.mark.parametrize("name, corrupt, what", [
+        ("source_model_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
+        ("mapping_scdr.npy", mapping_as_version_2_json, "malformed mapping checkpoint"),
+    ], ids=["factor", "mapping"])
+    def test_json_checkpoint_at_npy_path_is_not_records(self, run_copy, capsys, name, corrupt,
+                                                         what):
+        out, cfg = run_copy
+        corrupt(out / name)
+        before = sorted(p.name for p in out.iterdir())
+        assert run("eval", "--config", cfg, "--method", "scdr") == 2
+        err = capsys.readouterr().err
+        assert f"{what} {out / name}: not `np.save` records" in err
+        assert "pickle" not in err
         assert sorted(p.name for p in out.iterdir()) == before
 
     @pytest.mark.parametrize("replace", [lambda p: p.unlink(), lambda p: (p.unlink(), p.mkdir())],

@@ -238,7 +238,7 @@ class TestSnapshot:
                 patch.setattr(scdr.data, "_parse_columns", None)  # the snapshot must serve
                 loaded = ingest_domain(path)
             assert same_dataset(loaded, parsed)
-            assert loaded.user_index.dtype == loaded.item_index.dtype == np.int64
+            assert loaded.user_index.dtype == loaded.item_index.dtype == np.int32
             assert loaded.rating.dtype == np.float64
             assert loaded.digest == parsed.digest == hashlib.sha256(path.read_bytes()).hexdigest()
         if spec.items == 200:
@@ -338,9 +338,26 @@ class TestSnapshot:
         assert got.digest == hashlib.sha256(path.read_bytes()).hexdigest()
         # reading the file whole to hash it held its bytes beside the loaded dataset and a
         # 64-bit key column: 7.2 MB for this 3.2 MB file. Hashed in fixed-size reads, the
-        # peak is the dataset itself (2.2 MB of columns, the token tuples) and one 32-bit
-        # key column for the duplicate check: 2.9 MB. The bound is one copy of the file.
+        # peak is the dataset itself (1.4 MB of int32 and float64 columns, the token tuples)
+        # and one 32-bit key column for the duplicate check: 2.2 MB. The bound is one copy
+        # of the file.
         assert peak < path.stat().st_size
+
+    def test_served_ingest_peak_per_interaction(self, tmp_path):
+        # the cold-read benchmark's size: 90,000 interactions
+        ds = generate_synthetic(SyntheticSpec(users=3000, items=1000, ratings_per_user=30,
+                                              seed=1))[0].source
+        path = written_with_snapshot(ds, tmp_path / "r.csv")
+        tracemalloc.start()
+        try:
+            got = ingest_domain(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the loaded columns are 16 bytes per interaction (two int32 indices and a float64
+        # rating) and the duplicate check's key column 4 more; with int64 index columns the
+        # peak was 32.5 bytes per interaction, with int32 ones it is 24.0. The bound is 28.
+        assert peak / got.n_interactions < 28
 
     def test_missing_snapshot_is_parsed(self, tmp_path, monkeypatch):
         ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
@@ -380,6 +397,51 @@ class TestDatasetInvariants:
     def test_bad_index_rejected(self):
         with pytest.raises(ValidationError):
             DomainDataset(("u",), ("i",), np.array([1]), np.array([0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("build", [
+        lambda tmp_path: parse_only(written_with_snapshot(
+            generate_synthetic(SNAPSHOT_SPECS[0])[0].source, tmp_path / "r.csv")),
+        lambda tmp_path: ingest_domain(written_with_snapshot(
+            generate_synthetic(SNAPSHOT_SPECS[0])[0].source, tmp_path / "r.csv")),
+        lambda tmp_path: generate_synthetic(SNAPSHOT_SPECS[0])[0].target,
+        lambda tmp_path: generate_synthetic(SNAPSHOT_SPECS[0])[0].target_training_dataset(),
+        lambda tmp_path: DomainDataset.from_columns(["a", "b", "a"], ["x", "x", "y"],
+                                                    [1.0, 2.0, 3.0]),
+    ], ids=["parse", "snapshot", "generate_synthetic", "filter_users", "from_columns"])
+    def test_index_columns_are_int32(self, tmp_path, build):
+        ds = build(tmp_path)
+        assert ds.user_index.dtype == ds.item_index.dtype == np.int32
+        items, _, _ = ds.user_interactions(np.arange(ds.n_users))
+        assert items.dtype == np.int32 and items.size == ds.n_interactions
+
+    def test_token_count_past_int32_is_refused(self):
+        class Huge(tuple):
+            def __len__(self):
+                return 2**31
+
+        for users, items in ((Huge(("u",)), ("i",)), (("u",), Huge(("i",)))):
+            with pytest.raises(ValidationError, match="at most 2147483647 users"):
+                DomainDataset(users, items, [0], [0], [1.0])
+
+    @pytest.mark.parametrize("column", ["user_index", "item_index"])
+    def test_index_that_an_int32_cast_would_wrap_is_refused(self, column):
+        # 2**32 wraps to the valid index 0
+        columns = {"user_index": np.array([0, 0]), "item_index": np.array([0, 1]),
+                   column: np.array([2**32, 1], dtype=np.int64)}
+        with pytest.raises(ValidationError, match="invalid (user|item) index"):
+            DomainDataset(("u", "v"), ("x", "y"), rating=np.array([1.0, 2.0]), **columns)
+
+    def test_pair_keys_past_the_int32_range_keep_every_pair(self, tmp_path):
+        # 65,537 users and items, each in one row of its own, put (user, item) keys past
+        # 2**32; the crossed last row's key (1, 65,535) equals (65,536, 65,536) modulo 2**32,
+        # so keys formed in int32 would collapse the two pairs
+        n = 65_537
+        lines = [f"u{i},i{i},{1 + i % 5}" for i in range(n)] + ["u1,i65535,2.5"]
+        (tmp_path / "r.csv").write_text("\n".join(lines) + "\n")
+        ds = ingest_domain(tmp_path / "r.csv")
+        assert (ds.n_users, ds.n_items) == (n, n)
+        assert ds.n_interactions == n + 1 and ds.duplicate_count == 0
+        assert ds.rating[-1] == 2.5 and ds.rating[-2] == 1 + (n - 1) % 5
 
     def test_user_interactions_are_user_major_in_dataset_order(self):
         ds = dataset([("a", "x", 1.0), ("b", "x", 2.0), ("a", "y", 3.0), ("c", "y", 4.0)])
@@ -591,8 +653,8 @@ class TestSynthetic:
                 raw = user_latents[i] @ item_latents[chosen].T
                 if spec.noise > 0.0:
                     raw = raw + spec.noise * rng.standard_normal(spec.ratings_per_user)
-                ui.append(np.full(spec.ratings_per_user, i, dtype=np.int64))
-                vi.append(np.asarray(chosen, dtype=np.int64))
+                ui.append(np.full(spec.ratings_per_user, i, dtype=np.int32))
+                vi.append(np.asarray(chosen, dtype=np.int32))
                 rr.append(np.clip(raw, 1.0, 5.0))
             return np.concatenate(ui), np.concatenate(vi), np.concatenate(rr)
 
@@ -615,10 +677,13 @@ class TestSynthetic:
             tracemalloc.stop()
         columns = sum(getattr(ds, name).nbytes for ds in (scenario.source, scenario.target)
                       for name in ("user_index", "item_index", "rating"))
-        # the six rating columns are 4.3 MB. Keeping one small array per user in three lists
-        # and concatenating them peaked at 9.2 MB (2.1 times that); filling preallocated
-        # (users, k) arrays peaks at 6.6 MB (1.5 times), the columns, one domain's noise
-        # draws and the duplicate-pair key column. The bound is 1.75 times the columns.
+        # the six rating columns are 4.3 MB with int64 indices and 2.9 MB with int32 ones.
+        # Keeping one small array per user in three lists and concatenating them peaked at
+        # 9.2 MB (2.1 times the int64 columns); filling preallocated (users, k) arrays peaked
+        # at 6.6 MB (1.5 times), the columns, one domain's noise draws and the duplicate-pair
+        # key column. With int32 columns a separate noise array reads 1.92 times the columns;
+        # drawn straight into the rating rows, with the unstacked user latents freed, the peak
+        # is 4.5 MB (1.56 times). The bound is 1.75 times the columns.
         assert peak < 1.75 * columns
 
     def test_invalid_specs(self):
@@ -796,6 +861,24 @@ class TestManifest:
         corrupt(path, sc)
         with pytest.raises(ValidationError, match=re.escape(message.format(path))):
             load_sidecar(path)
+
+    @pytest.mark.parametrize("name, what, load, read", [
+        ("g.npy", "malformed sidecar", load_sidecar, "g.npy"),
+        ("r.csv.npy", "unreadable rating snapshot", ingest_domain, "r.csv"),
+    ], ids=["sidecar", "snapshot"])
+    def test_json_document_at_npy_path_is_not_records(self, tmp_path, name, what, load, read):
+        scn, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5,
+                                                   dim=2, ratings_per_user=3))
+        save_sidecar(sc, tmp_path / "g.npy")
+        written_with_snapshot(scn.source, tmp_path / "r.csv")
+        # a JSON document, as a version-1 sidecar was
+        path = tmp_path / name
+        path.write_text(json.dumps({"format_version": 1, "map_kind": sc.map_kind,
+                                    "seed": sc.seed}) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            load(tmp_path / read)
+        assert f"{what} {path}: not `np.save` records" in str(exc.value)
+        assert "pickle" not in str(exc.value)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingInputError):
