@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -180,8 +181,9 @@ class DomainDataset:
     pairs are unique, duplicates having been collapsed last-write-wins at
     construction time with the overwrite count kept in ``duplicate_count``.
     The index columns are int32, so a domain holds at most ``2**31 - 1``
-    users and as many items. ``digest`` is the sha256 of the rating file
-    the dataset was read from.
+    users and as many items. A repeated user or item token raises
+    :class:`ValidationError` naming it. ``digest`` is the sha256 of the
+    rating file the dataset was read from.
     """
 
     users: tuple[str, ...]
@@ -196,6 +198,10 @@ class DomainDataset:
         _check_token_count(max(len(self.users), len(self.items)))
         if len(self.users) < 1 or len(self.items) < 1:
             raise ValidationError("dataset must contain at least one user and one item")
+        for what, tokens in (("user", self.users), ("item", self.items)):
+            if len(set(tokens)) < len(tokens):
+                repeated = next(tok for tok, count in Counter(tokens).items() if count > 1)
+                raise ValidationError(f"repeated {what} token {repeated!r}")
         self.user_index = _index_column(self.user_index, self.n_users, "user")
         self.item_index = _index_column(self.item_index, self.n_items, "item")
         self.rating = np.asarray(self.rating, dtype=np.float64)
@@ -445,11 +451,12 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
     With ``snapshot`` (``<path>.npy`` or its staging path), also write there the file's sha256
     and the dataset :func:`ingest_domain` parses from it. The text is formatted, written and
     hashed ``CHUNK_ROWS`` rows at a time. A token that would not read back as itself (empty,
-    holding ``,``, ``\\r`` or ``\\n``, with surrounding whitespace, or led by a byte-order mark)
-    raises :class:`ValidationError` naming the first one, before anything is written.
+    holding ``,``, ``\\r``, ``\\n`` or U+0000, with surrounding whitespace, or led by a
+    byte-order mark) raises :class:`ValidationError` naming the first one, before anything is
+    written; the snapshot's string records would drop a trailing U+0000.
     """
     bad = next((tok for tok in (*dataset.users, *dataset.items)
-                if tok != tok.strip() or not {",", "\r", "\n"}.isdisjoint(tok)
+                if tok != tok.strip() or not {",", "\r", "\n", "\x00"}.isdisjoint(tok)
                 or tok[:1] in ("", "\ufeff")), None)
     if bad is not None:
         raise ValidationError(f"token {bad!r} would not survive the rating file format")

@@ -441,6 +441,9 @@ class TestCorruptInputs:
          "target_ratings.csv.npy: array 5 is not 1-D f8"),
         ("source_ratings.csv.npy", rewrite_snapshot(1, lambda a: a.astype(object)),
          "source_ratings.csv.npy: Object arrays cannot be loaded"),
+        # user token 1 copied over token 0: two users under one token
+        ("source_ratings.csv.npy", rewrite_snapshot(1, lambda a: np.concatenate([a[1:2], a[1:]])),
+         "source_ratings.csv.npy: repeated user token"),
         ("scenario.json", truncate, "malformed manifest"),
         ("source_model_sharpness_aware.npy", truncate, "malformed factor checkpoint"),
         ("target_model_sharpness_aware.npy", truncate_to(-1), "malformed factor checkpoint"),

@@ -371,9 +371,9 @@ class TestSnapshot:
         assert calls == [1]
 
     @pytest.mark.parametrize("column", ["users", "items"])
-    @pytest.mark.parametrize("token", ["", "a,b", "a\rb", "a\nb", " c", "c\t", "\ufeffc"],
+    @pytest.mark.parametrize("token", ["", "a,b", "a\rb", "a\nb", " c", "c\t", "\ufeffc", "c\x00"],
                              ids=["empty", "comma", "cr", "lf", "leading-space", "trailing-tab",
-                                  "byte-order-mark"])
+                                  "byte-order-mark", "trailing-nul"])
     def test_token_that_would_not_read_back_is_refused(self, tmp_path, column, token):
         # such a token, written, reads back as another token or as a malformed row
         ds = dataset([("u0", "i0", 1.0), ("u1", "i1", 2.0), ("u2", "i2", 3.0)])
@@ -397,6 +397,15 @@ class TestDatasetInvariants:
     def test_bad_index_rejected(self):
         with pytest.raises(ValidationError):
             DomainDataset(("u",), ("i",), np.array([1]), np.array([0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("users, items, message", [
+        (("u0", "u1", "u0"), ("i0", "i1", "i2"), "repeated user token 'u0'"),
+        (("u0", "u1", "u2"), ("i0", "i1", "i1"), "repeated item token 'i1'"),
+    ], ids=["user", "item"])
+    def test_repeated_token_rejected(self, users, items, message):
+        # two indices under one token are one user (or item) to every lookup by token
+        with pytest.raises(ValidationError, match=message):
+            DomainDataset(users, items, np.arange(3), np.arange(3), np.ones(3))
 
     @pytest.mark.parametrize("build", [
         lambda tmp_path: parse_only(written_with_snapshot(
@@ -669,6 +678,8 @@ class TestSynthetic:
         # the CLI's synth defaults at 3,000 users and 1,000 items: 90,000 ratings per domain
         spec = SyntheticSpec(users=3000, items=1000, overlap_ratio=0.5, dim=10, noise=0.3,
                              map_kind="tanh", beta=0.8, ratings_per_user=30, seed=1)
+        # numpy 2 imports numpy.random on first use; its module objects are not the generator's
+        np.random
         tracemalloc.start()
         try:
             scenario, _ = generate_synthetic(spec)

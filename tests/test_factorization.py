@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scdr import factorization
+import scdr.factorization as factorization
 from scdr.data import DomainDataset, SyntheticSpec, generate_synthetic
 from scdr.errors import DivergenceError, MissingInputError, ValidationError
 from scdr.factorization import (

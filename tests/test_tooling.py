@@ -5,22 +5,29 @@ credits the time of the callables handed to ``find_delta`` to the module
 that defines them. A refactor that renames or drops a wrapped name, or that
 moves those callables to another module, breaks or skews a traced benchmark
 run; these checks make it fail the test suite instead. README's example
-config is checked against the keys the CLI accepts in the same way, the
-JSON artifact format and the path from arrays to file bytes are checked to
-stay behind ``scdr.data``'s codec, and numpy's binary loading and writing
-are checked to stay in ``scdr.data`` and pickle-free.
+config is checked against the keys the CLI accepts in the same way, and
+its import lines against the package's modules, which load only the
+modules they use. The JSON artifact format and the path from arrays to
+file bytes are checked to stay behind ``scdr.data``'s codec, and numpy's
+binary loading and writing are checked to stay in ``scdr.data`` and
+pickle-free.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import scdr.analysis
 import scdr.cli
+import scdr.data
 import scdr.factorization
 import scdr.mapping
 from scdr.cli import load_config
@@ -144,6 +151,27 @@ def test_readme_config_block_loads(tmp_path):
     path.write_text(blocks[0])
     cfg = load_config(str(path))
     assert cfg["seed"] == 1 and cfg["out"] == "runs/exp"
+
+
+def test_readme_imports_resolve():
+    """Every import statement of README's Python blocks names a path the package has."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    imports = [node for block in blocks for node in ast.parse(block).body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+def test_a_module_imports_only_its_dependencies():
+    """Importing ``scdr.data`` loads the package and ``scdr.errors``, and no other module."""
+    code = ("import sys, scdr.data\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scdr'))")
+    # the child imports the same scdr as this process
+    path = os.pathsep.join([str(Path(scdr.data.__file__).parents[1]),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == str(["scdr", "scdr.data", "scdr.errors"])
 
 
 def test_only_data_spells_the_json_artifact_format():
