@@ -154,7 +154,7 @@ def fgsm_sweep(net: MappingNet, source_model: FactorModel, target_model: FactorM
     src, items, ratings, counts = _withheld(scenario)
     V = target_model.V
     clean = source_model.U[src]
-    sign = np.sign(_kernel(net, clean, _rating_target(V, ratings, counts, items)).grad.u)
+    sign = np.sign(_kernel(net, clean, _rating_target(V, ratings, counts, items)).grad_u)
     out = []
     for e in eps:
         attacked = clean + e * sign if e else clean

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import tokenize
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -125,8 +126,9 @@ def _typed_arrays(fh, layout):
     """Yield ``np.save`` records from ``fh``, one per ``(dtype, ndim)`` of ``layout``.
 
     ``"U"`` admits a string of any width; another dtype or rank raises TypeError naming
-    the record's position. Pickled records, and bytes that do not start with the ``.npy``
-    magic (an older JSON document at the path, say), raise ValueError.
+    the record's position. Pickled records, bytes that do not start with the ``.npy``
+    magic (an older JSON document at the path, say) and a header numpy cannot parse
+    raise ValueError.
     """
     for i, (dtype, ndim) in enumerate(layout):
         magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
@@ -134,7 +136,11 @@ def _typed_arrays(fh, layout):
         if magic and magic != np.lib.format.MAGIC_PREFIX:
             raise ValueError(f"not `np.save` records (array {i} lacks the .npy magic)")
         fh.seek(-len(magic), io.SEEK_CUR)
-        arr = np.load(fh, allow_pickle=False)
+        # numpy's header parse lets these through, e.g. for a header dict cut short
+        try:
+            arr = np.load(fh, allow_pickle=False)
+        except (tokenize.TokenError, SyntaxError) as exc:
+            raise ValueError(f"array {i} has an unparsable header: {exc}") from None
         if not (isinstance(arr, np.ndarray) and arr.ndim == ndim
                 and (arr.dtype.kind == "U" if dtype == "U" else arr.dtype == dtype)):
             raise TypeError(f"array {i} is not {ndim}-D {dtype}")

@@ -12,17 +12,21 @@ mapping their source embedding through ``forward``.
 
 Both trainers run one path, ``_train_mapping``: ``emcdr_train`` is its
 zero-radius case with frozen embeddings and embedding supervision. It works
-a mini-batch at a time: one kernel (``_kernel``) runs the forward and
-backward pass over the batch's rows, and one ``find_delta`` ascent per batch
-solves every user's inner problem at once, each row keeping its own
-highest-loss iterate. The analyses in ``scdr.analysis`` run through the same
-kernel and ascent pair.
+a mini-batch at a time: one ``find_delta`` ascent per batch solves every
+user's inner problem at once, each row keeping its own highest-loss
+iterate, and one kernel (``_kernel``) serves every pass over the rows. The
+kernel runs the forward pass and the per-row losses at once, and the
+backward only when a gradient is read: the input gradient alone for an
+ascent step, every parameter gradient for the update, none for an ascent's
+last iterate or an epoch loss. The analyses in ``scdr.analysis`` run
+through the same kernel and ascent pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -136,30 +140,61 @@ def forward(net: MappingNet, u: np.ndarray) -> np.ndarray:
     return _forward(net, u)[1]
 
 
-class _Pass(NamedTuple):
-    """One forward and backward pass of the net over a block of rows."""
+class _Pass:
+    """One forward pass of the net over a block of rows, and its backward once read.
 
-    loss: np.ndarray        # (n,) per-row loss
-    grad: MappingGradient   # parameter gradients summed over rows; ``u`` per row
+    ``loss`` is the per-row loss. ``grad_u`` is the input gradient alone, as
+    the ball ascent reads it; ``grad`` adds the parameter gradients summed
+    over rows, as a training step reads them. Each part of the backward
+    runs on its first read, so a pass read only for its loss runs none. It
+    reads the net's weights when it runs: read a gradient before they change.
+    """
+
+    def __init__(self, net: MappingNet, u: np.ndarray, a: np.ndarray, loss: np.ndarray,
+                 output_grad):
+        self._net, self._u, self._a = net, u, a
+        self.loss = loss
+        self._output_grad = output_grad
+
+    @cached_property
+    def _up(self) -> np.ndarray:
+        up = self._output_grad()
+        # it runs once: dropping it frees what the target kept for it (per-rating residuals)
+        self._output_grad = None
+        return up
+
+    @cached_property
+    def _dz(self) -> np.ndarray:
+        # the output gradient first, so that its temporaries are gone before slope exists
+        dz = self._up @ self._net.W2
+        # tanh's derivative 1 - a * a, in a new array: the full gradient reads a itself
+        slope = self._a * self._a
+        np.subtract(1.0, slope, out=slope)
+        dz *= slope
+        return dz
+
+    @cached_property
+    def grad_u(self) -> np.ndarray:
+        return self._dz @ self._net.W1
+
+    @cached_property
+    def grad(self) -> MappingGradient:
+        up, dz = self._up, self._dz
+        return MappingGradient(dz.T @ self._u, np.add.reduce(dz), up.T @ self._a,
+                               np.add.reduce(up), self.grad_u)
 
 
 def _kernel(net: MappingNet, u: np.ndarray, target) -> _Pass:
     """The net's one loss/gradient kernel, over the rows of ``u``.
 
-    ``target`` maps the outputs to per-row losses and their gradient at the
-    output. Training, the ball ascent, the attack and sharpness probes and
-    ``mapping_backward`` all run through it.
+    ``target`` maps the outputs to per-row losses and a callable giving
+    their gradient at the output. The forward pass and the losses run here;
+    the returned pass runs the backward when a gradient is read. Training,
+    the ball ascent, the attack and sharpness probes and ``mapping_backward``
+    all run through it.
     """
     a, y = _forward(net, u)
-    loss, up = target(y)
-    g_w2 = up.T @ a
-    # a becomes tanh's derivative 1 - a * a in place, as does dz its product with up @ W2
-    a *= a
-    np.subtract(1.0, a, out=a)
-    dz = up @ net.W2
-    dz *= a
-    grad = MappingGradient(dz.T @ u, np.add.reduce(dz), g_w2, np.add.reduce(up), dz @ net.W1)
-    return _Pass(loss, grad)
+    return _Pass(net, u, a, *target(y))
 
 
 def mapping_backward(net: MappingNet, u: np.ndarray, upstream: np.ndarray) -> MappingGradient:
@@ -175,7 +210,7 @@ def mapping_backward(net: MappingNet, u: np.ndarray, upstream: np.ndarray) -> Ma
         raise ValidationError(f"u must have shape ({net.d},), got {u.shape}")
     if upstream.shape != (net.d,):
         raise ValidationError(f"upstream must have shape ({net.d},), got {upstream.shape}")
-    *params, du = _kernel(net, u[None], lambda y: (y @ upstream, upstream[None])).grad
+    *params, du = _kernel(net, u[None], lambda y: (y @ upstream, lambda: upstream[None])).grad
     return MappingGradient(*params, du[0])
 
 
@@ -185,7 +220,7 @@ def _embedding_target(targets: np.ndarray):
 
     def at(y):
         diff = y - targets
-        return inv_d * np.einsum("ij,ij->i", diff, diff), (2.0 * inv_d) * diff
+        return inv_d * np.einsum("ij,ij->i", diff, diff), lambda: (2.0 * inv_d) * diff
 
     return at
 
@@ -227,8 +262,14 @@ def _rating_target(vectors: np.ndarray, ratings: np.ndarray, counts: np.ndarray,
     Row ``i`` owns the next ``counts[i]`` entries of ``ratings``, whose item
     vectors are ``vectors[items]`` (the rows of ``vectors`` when ``items``
     is None); every count is positive, so no segment is empty. Each pass
-    works one user-aligned block at a time.
+    works one user-aligned block at a time and keeps the block's residuals
+    for the gradient, which sums item vectors times residuals over
+    feature-major (d, ratings) blocks, so that each sum runs along a
+    contiguous axis: a batch's vectors are transposed once here, the flat
+    layout's gathered per block from ``vectors.T``. The products and each
+    segment's summation order, and so the bits, are the row-major form's.
     """
+    vectors_t = np.ascontiguousarray(vectors.T) if items is None else None
     blocks = []
     for rows, span in _user_blocks(counts):
         c = counts[rows]
@@ -236,17 +277,24 @@ def _rating_target(vectors: np.ndarray, ratings: np.ndarray, counts: np.ndarray,
 
     def at(y):
         loss = np.empty(counts.size)
-        grad = np.empty_like(y)
+        residuals = []
         for rows, span, starts, c in blocks:
             v = vectors[span] if items is None else vectors[items[span]]
-            owner = np.repeat(y[rows], c, axis=0)
-            res = ratings[span] - np.einsum("ij,ij->i", v, owner)
+            # row-major: other forms of this dot product round differently
+            res = ratings[span] - np.einsum("ij,ij->i", v, np.repeat(y[rows], c, axis=0))
             np.add.reduceat(res * res, starts, out=loss[rows])
-            # v * res[:, None], written over the repeated outputs
-            np.multiply(v, res[:, None], out=owner)
-            np.add.reduceat(owner, starts, axis=0, out=grad[rows])
-        grad *= -2.0
-        return loss, grad
+            residuals.append(res)
+
+        def output_grad():
+            grad = np.empty_like(y)
+            for (rows, span, starts, _), res in zip(blocks, residuals):
+                v_t = (vectors_t[:, span] if items is None
+                       else np.take(vectors.T, items[span], axis=1))
+                np.add.reduceat(np.multiply(v_t, res), starts, axis=1, out=grad.T[:, rows])
+            grad *= -2.0
+            return grad
+
+        return loss, output_grad
 
     return at
 
@@ -275,7 +323,7 @@ class _WorstCase:
         return float(loss.sum())
 
     def grad_at(self, u: np.ndarray) -> np.ndarray:
-        return self._at(u).grad.u
+        return self._at(u).grad_u
 
 
 def _worst_case(net: MappingNet, target, origin: np.ndarray, perturb: PerturbConfig) -> np.ndarray:

@@ -89,12 +89,14 @@ def memo_last_point(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
     :func:`find_delta` asks for the loss and then the gradient at the same
     array object, so a loss/gradient pair that reads one memoized forward
     pass computes it once per iterate. The key is object identity: a point
-    must not be mutated in place between calls.
+    must not be mutated in place between calls. The held result is dropped
+    before ``fn`` runs on a new point, so no two results are alive at once.
     """
     last: list = [None, None]
 
     def at(point):
         if last[0] is not point:
+            last[:] = None, None
             last[1] = fn(point)
             last[0] = point
         return last[1]

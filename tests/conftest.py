@@ -50,6 +50,11 @@ def set_chunk_rows(monkeypatch, rows):
     monkeypatch.setattr(scdr.analysis, "CHUNK_ROWS", rows)
 
 
+def same_bits(a, b):
+    """Whether two arrays have the same shape, dtype and bytes."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -417,6 +417,11 @@ def mapping_as_version_2_json(path):
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def unclosed_npy_header(path):
+    """Replace the file's first ``}``, the end of its first record's ``.npy`` header, by a space."""
+    path.write_bytes(path.read_bytes().replace(b"}", b" ", 1))
+
+
 def header_line(path):
     path.write_bytes(b"user,item,rating\n" + path.read_bytes())
 
@@ -435,6 +440,8 @@ class TestCorruptInputs:
         # 500 bytes keep the digest record and cut the payload, 100 cut the record
         ("source_ratings.csv.npy", truncate, "unreadable rating snapshot"),
         ("source_ratings.csv.npy", truncate_to(100), "unreadable rating snapshot"),
+        ("source_ratings.csv.npy", unclosed_npy_header,
+         "source_ratings.csv.npy: array 0 has an unparsable header"),
         ("target_ratings.csv.npy", rewrite_snapshot(3, lambda a: a.astype(np.int64)),
          "target_ratings.csv.npy: array 3 is not 1-D i4"),
         ("target_ratings.csv.npy", rewrite_snapshot(5, lambda a: a.astype(np.float32)),
@@ -447,6 +454,8 @@ class TestCorruptInputs:
         ("scenario.json", truncate, "malformed manifest"),
         ("source_model_sharpness_aware.npy", truncate, "malformed factor checkpoint"),
         ("target_model_sharpness_aware.npy", truncate_to(-1), "malformed factor checkpoint"),
+        ("target_model_sharpness_aware.npy", unclosed_npy_header,
+         "target_model_sharpness_aware.npy: array 0 has an unparsable header"),
         ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(lambda a: a.astype(np.float32)),
          "source_model_sharpness_aware.npy: array 1 is not 2-D f8"),
         ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(np.ravel),
@@ -487,6 +496,7 @@ class TestCorruptInputs:
         (mapping_as_version_2_json, ""),
         (truncate, ""),
         (truncate_to(-1), ""),
+        (unclosed_npy_header, "array 0 has an unparsable header"),
         (rewrite_mapping_array(1, lambda a: a.astype(np.float32)), "array 1 is not 2-D f8"),
         (rewrite_mapping_array(1, np.ravel), "array 1 is not 2-D f8"),
         (rewrite_mapping_array(1, nan_at_origin), "mapping-net parameters must be finite"),
@@ -496,8 +506,9 @@ class TestCorruptInputs:
          "tuned_users and tuned_vectors disagree"),
         (mapping_header(lambda doc: {k: v for k, v in doc.items() if k != "tuned_users"}),
          "missing key 'tuned_users'"),
-    ], ids=["version-2-json", "truncated", "last-byte-cut", "float32-W1", "1-D-W1", "nan-in-W1",
-            "fewer-tuned-rows", "narrower-tuned-rows", "fewer-tuned-users", "no-tuned-users"])
+    ], ids=["version-2-json", "truncated", "last-byte-cut", "unclosed-header", "float32-W1",
+            "1-D-W1", "nan-in-W1", "fewer-tuned-rows", "narrower-tuned-rows", "fewer-tuned-users",
+            "no-tuned-users"])
     def test_bad_mapping_checkpoint_exits_2_naming_it(self, run_copy, capsys, corrupt, message):
         out, cfg = run_copy
         corrupt(out / "mapping_scdr.npy")

@@ -22,7 +22,7 @@ from scdr.factorization import (
 )
 from scdr.perturbation import PerturbConfig, find_delta
 
-from conftest import dataset, rewrite_header, rewrite_record
+from conftest import dataset, rewrite_header, rewrite_record, same_bits
 
 
 def model_from(u_rows, v_rows):
@@ -320,10 +320,6 @@ def reference_sgd_step(U, V, ui, vi, r, config, perturb):
 def synthetic_source():
     scenario, _ = generate_synthetic(SyntheticSpec(users=200, items=80, seed=4))
     return scenario.source
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def assert_matches_reference(ds, cfg, pert, monkeypatch):

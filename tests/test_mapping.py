@@ -3,10 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import scdr.mapping as mapping
 from scdr.data import CdrScenario, DomainDataset, SyntheticSpec, generate_synthetic
 from scdr.errors import DivergenceError, MissingInputError, ValidationError
 from scdr.factorization import FactorModel, TrainConfig
@@ -31,7 +34,7 @@ from scdr.mapping import (
 )
 from scdr.perturbation import PerturbConfig, find_delta, memo_last_point
 
-from conftest import load_records, rewrite_header, set_chunk_rows, uneven_scenario
+from conftest import load_records, rewrite_header, same_bits, set_chunk_rows, uneven_scenario
 
 
 def zero_net(d=3, h=4):
@@ -701,6 +704,110 @@ class TestBatchDivergence:
             _worst_case(net, target, origin, PerturbConfig(rho=0.5, k=2))
 
 
+def kernel_case(rng, counts, d=5, hidden=8):
+    """A net, its input rows, and each row's ratings and item vectors, flat and gathered."""
+    m = int(counts.sum())
+    vectors = rng.normal(size=(40, d))
+    items = rng.integers(0, 40, size=m).astype(np.int32)
+    return (random_net(rng, d, hidden), rng.normal(size=(counts.size, d)), vectors, items,
+            rng.normal(3.0, 1.0, size=m))
+
+
+# counts with single-rating users, and one user of 20 ratings, larger than a 7-row block
+KERNEL_COUNTS = np.array([1, 3, 1, 20, 2, 5, 1, 4, 6, 1, 2, 3])
+
+
+class TestKernelReference:
+    """The kernel gives the bits of ``reference_kernel`` and ``reference_rating_target``
+    (at the end of this file): losses, all five gradient fields and the ascent's picks,
+    whether a gradient is read alone or after the other."""
+
+    @pytest.mark.parametrize("rows", [10**9, 7, 1], ids=["one-block", "7-row-blocks",
+                                                          "1-row-blocks"])
+    @pytest.mark.parametrize("flat", [False, True], ids=["batch", "items"])
+    def test_loss_gradients_and_picks_match_reference(self, monkeypatch, rng, rows, flat):
+        set_chunk_rows(monkeypatch, rows)
+        net, u, vectors, items, ratings = kernel_case(rng, KERNEL_COUNTS)
+        args = ((vectors, ratings, KERNEL_COUNTS, items) if flat
+                else (vectors[items], ratings, KERNEL_COUNTS))
+        ref = reference_kernel(net, u, reference_rating_target(*args))
+        full_first = _kernel(net, u, _rating_target(*args))
+        input_first = _kernel(net, u, _rating_target(*args))
+        assert same_bits(input_first.grad_u, ref.grad.u)
+        for got in (full_first, input_first):
+            assert same_bits(got.loss, ref.loss)
+            for field in MappingGradient._fields:
+                assert same_bits(getattr(got.grad, field), getattr(ref.grad, field)), field
+        assert same_bits(full_first.grad_u, ref.grad.u)
+
+        perturb = PerturbConfig(rho=0.4, k=4)
+        pick = _worst_case(net, _rating_target(*args), u, perturb)
+        monkeypatch.setattr(mapping, "_kernel", reference_kernel)
+        assert same_bits(pick, _worst_case(net, reference_rating_target(*args), u, perturb))
+
+    @pytest.mark.parametrize("rows", [10**9, 7])
+    def test_scdr_train_matches_reference(self, monkeypatch, rows):
+        spec = SyntheticSpec(users=80, items=40, overlap_ratio=0.5, dim=4, noise=0.2,
+                             map_kind="tanh", seed=7, beta=0.3, ratings_per_user=12)
+        scn, sc = uneven_scenario(spec)
+        src = FactorModel(sc.source_user_latents, sc.source_item_latents, 4)
+        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents, 4)
+        config = ScdrTrainConfig(base=TrainConfig(epochs=3, batch_size=8, dim=4, seed=3),
+                                 perturb=PerturbConfig(rho=0.3, k=3), hidden=6)
+        set_chunk_rows(monkeypatch, rows)
+
+        def trained():
+            res = scdr_train(scn, src, tgt, config)
+            return ([p.tobytes() for p in (res.net.W1, res.net.b1, res.net.W2, res.net.b2)],
+                    res.tuned_source_U.tobytes(), res.loss_trace)
+
+        got = trained()
+        monkeypatch.setattr(mapping, "_kernel", reference_kernel)
+        monkeypatch.setattr(mapping, "_rating_target", reference_rating_target)
+        assert got == trained()
+
+
+class TestBackwardWork:
+    def test_ascent_and_update_work_per_batch(self, monkeypatch):
+        """Each find_delta runs k+1 forward passes and k input-gradient backwards, each
+        mini-batch one full parameter gradient, and the epoch loss no backward.
+
+        A faster step must not come from doing less ascent.
+        """
+        passes, counts = [], {"calls": 0, "loss": 0, "grad": 0}
+        kernel = mapping._kernel
+
+        def recording(*args):
+            passes.append(kernel(*args))
+            return passes[-1]
+
+        def counting(loss_at, grad_at, origin, config):
+            counts["calls"] += 1
+
+            def counted(fn, key):
+                def call(x):
+                    counts[key] += 1
+                    return fn(x)
+                return call
+
+            return find_delta(counted(loss_at, "loss"), counted(grad_at, "grad"), origin, config)
+
+        monkeypatch.setattr(mapping, "_kernel", recording)
+        monkeypatch.setattr(mapping, "find_delta", counting)
+        scn, src, tgt = equivalence_scenario()
+        base, k = TrainConfig(epochs=2, batch_size=16, dim=6, seed=2), 3
+        scdr_train(scn, src, tgt, ScdrTrainConfig(base=base, perturb=PerturbConfig(rho=0.3, k=k)))
+        n = len(scn.train_pairs)
+        assert n % base.batch_size != 0
+        batches = base.epochs * -(-n // base.batch_size)
+        assert counts == {"calls": batches, "loss": batches * (k + 1), "grad": batches * k}
+        read = Counter("full" if "grad" in vars(p) else "input" if "grad_u" in vars(p) else "none"
+                       for p in passes)
+        # loss alone: each ascent's last iterate, each epoch's loss and the untrained bound
+        assert read == {"full": batches, "input": batches * k,
+                        "none": batches + base.epochs + 1}
+
+
 # ---------------------------------------------------------------------------
 # Reference: the per-user mapping trainer that the batched one replaced, kept
 # verbatim apart from the removed output-space branch. One find_delta call per
@@ -880,3 +987,58 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
             )
         trace.append(loss)
     return net, u_src, trace
+
+
+# ---------------------------------------------------------------------------
+# Reference: the mapping kernel and rating target as they were before the
+# backward ran on demand, kept verbatim apart from the ``grad_u`` accessor
+# that the trainer and the ascent now read. Every pass runs the full
+# backward; the rating gradient sums row-major (ratings, d) blocks.
+# ---------------------------------------------------------------------------
+
+class _ReferencePass(NamedTuple):
+    """One forward and backward pass of the net over a block of rows."""
+
+    loss: np.ndarray        # (n,) per-row loss
+    grad: MappingGradient   # parameter gradients summed over rows; ``u`` per row
+
+    @property
+    def grad_u(self):
+        return self.grad.u
+
+
+def reference_kernel(net: MappingNet, u: np.ndarray, target) -> _ReferencePass:
+    a, y = mapping._forward(net, u)
+    loss, up = target(y)
+    g_w2 = up.T @ a
+    # a becomes tanh's derivative 1 - a * a in place, as does dz its product with up @ W2
+    a *= a
+    np.subtract(1.0, a, out=a)
+    dz = up @ net.W2
+    dz *= a
+    grad = MappingGradient(dz.T @ u, np.add.reduce(dz), g_w2, np.add.reduce(up), dz @ net.W1)
+    return _ReferencePass(loss, grad)
+
+
+def reference_rating_target(vectors: np.ndarray, ratings: np.ndarray, counts: np.ndarray,
+                            items: np.ndarray | None = None):
+    blocks = []
+    for rows, span in _user_blocks(counts):
+        c = counts[rows]
+        blocks.append((rows, span, np.cumsum(c) - c, c))
+
+    def at(y):
+        loss = np.empty(counts.size)
+        grad = np.empty_like(y)
+        for rows, span, starts, c in blocks:
+            v = vectors[span] if items is None else vectors[items[span]]
+            owner = np.repeat(y[rows], c, axis=0)
+            res = ratings[span] - np.einsum("ij,ij->i", v, owner)
+            np.add.reduceat(res * res, starts, out=loss[rows])
+            # v * res[:, None], written over the repeated outputs
+            np.multiply(v, res[:, None], out=owner)
+            np.add.reduceat(owner, starts, axis=0, out=grad[rows])
+        grad *= -2.0
+        return loss, grad
+
+    return at

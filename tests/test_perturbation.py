@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,24 @@ class TestMemoLastPoint:
         assert len(calls) == 1
         assert f(b) == 3.0 and f(a) == 3.0
         assert len(calls) == 3
+
+    def test_no_earlier_result_is_alive_while_fn_runs(self):
+        # a result may hold a whole forward pass, so two alive at once double the peak
+        class Result:
+            pass
+
+        earlier = []
+
+        def fn(x):
+            assert all(ref() is None for ref in earlier)
+            result = Result()
+            earlier.append(weakref.ref(result))
+            return result
+
+        f = memo_last_point(fn)
+        for _ in range(3):
+            f(np.zeros(2))
+        assert len(earlier) == 3
 
 
 def recording(fn, seen):
