@@ -388,22 +388,33 @@ def _raise_first_bad_row(raw: bytes, path: Path) -> None:
             raise IngestError("empty user or item token", row=lineno)
 
 
+def _records_digest(records) -> str:
+    """sha256 of each snapshot record's dtype, shape and bytes, hashed from its buffer."""
+    sha256 = hashlib.sha256()
+    for arr in records:
+        sha256.update(f"{arr.dtype.str}{arr.shape}".encode())
+        sha256.update(np.ascontiguousarray(arr))
+    return sha256.hexdigest()
+
+
 def _load_snapshot(snapshot: Path, digest: str) -> DomainDataset | None:
-    """The dataset stored in ``snapshot``, or None if it is absent or records another digest."""
-    if not snapshot.is_file():
-        return None
+    """The dataset stored in ``snapshot``, or None if it is stale: if it records another
+    file digest, or its records do not hash to the digest it records for them."""
     try:
         with open(snapshot, "rb") as fh:
             # (dtype, ndim) of each array, in write_ratings' order
-            arrays = _typed_arrays(fh, zip("U64 U U i4 i4 f8 i8".split(), (0, 1, 1, 1, 1, 1, 0)))
-            if str(next(arrays)) != digest:
+            arrays = _typed_arrays(fh, zip("U64 U U i4 i4 f8 i8".split(), (1, 1, 1, 1, 1, 1, 0)))
+            file_digest, records_digest = next(arrays)
+            if file_digest != digest:
                 return None
             users, items, *columns, dups = arrays
+        intact = _records_digest((users, items, *columns, dups)) == records_digest
         # rebinding frees the token arrays before the dataset's checks run
         users, items = tuple(users.tolist()), tuple(items.tolist())
-        return DomainDataset(users, items, *columns, int(dups))
+        dataset = DomainDataset(users, items, *columns, int(dups), digest)
     except (OSError, EOFError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"unreadable rating snapshot {snapshot}: {exc}") from None
+    return dataset if intact else None
 
 
 def ingest_domain(path) -> DomainDataset:
@@ -422,10 +433,10 @@ def ingest_domain(path) -> DomainDataset:
     that is not UTF-8.
 
     The file's sha256 is the dataset's ``digest``. A snapshot ``<path>.npy`` (see
-    :func:`write_ratings`) recording it is loaded instead of parsing, and raises
-    :class:`ValidationError` naming it if unreadable or ill-typed; others are ignored.
+    :func:`write_ratings`) recording it and its records' digest is loaded instead of parsing,
+    and raises :class:`ValidationError` naming it if unreadable or ill-typed; others are ignored.
     With a snapshot beside it, the file is hashed from fixed-size reads and its text is
-    read whole only when the snapshot records another digest; the digest of a parsed
+    read whole only when the snapshot is stale; the digest of a parsed
     file is always that of the bytes parsed.
     """
     path = Path(path)
@@ -440,7 +451,6 @@ def ingest_domain(path) -> DomainDataset:
         digest = sha256.hexdigest()
         dataset = _load_snapshot(snapshot, digest)
         if dataset is not None:
-            dataset.digest = digest
             return dataset
     raw = path.read_bytes()
     columns = _parse_columns(raw, path)
@@ -455,11 +465,12 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
     """Write a dataset back out as a ``user,item,rating`` file (exact float text).
 
     With ``snapshot`` (``<path>.npy`` or its staging path), also write there the file's sha256
-    and the dataset :func:`ingest_domain` parses from it. The text is formatted, written and
-    hashed ``CHUNK_ROWS`` rows at a time. A token that would not read back as itself (empty,
-    holding ``,``, ``\\r``, ``\\n`` or U+0000, with surrounding whitespace, or led by a
-    byte-order mark) raises :class:`ValidationError` naming the first one, before anything is
-    written; the snapshot's string records would drop a trailing U+0000.
+    and that of the records that follow, the dataset :func:`ingest_domain` parses from it.
+    The text is formatted, written and hashed ``CHUNK_ROWS`` rows at a time. A token that
+    would not read back as itself (empty, holding ``,``, ``\\r``, ``\\n`` or U+0000, with
+    surrounding whitespace, or led by a byte-order mark) raises :class:`ValidationError`
+    naming the first one, before anything is written; the snapshot's string records would
+    drop a trailing U+0000.
     """
     bad = next((tok for tok in (*dataset.users, *dataset.items)
                 if tok != tok.strip() or not {",", "\r", "\n", "\x00"}.isdisjoint(tok)
@@ -491,8 +502,8 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
         columns.append((np.array(tokens)[used], np.argsort(order).astype(np.int32)[index]))
     (users, ui), (items, vi) = columns
     # the file's pairs are unique, so parsing it overwrites none
-    _write_arrays(snapshot, (np.array(sha256.hexdigest()), users, items, ui, vi,
-                             dataset.rating, np.array(0, dtype=np.int64)))
+    records = (users, items, ui, vi, dataset.rating, np.array(0, dtype=np.int64))
+    _write_arrays(snapshot, (np.array([sha256.hexdigest(), _records_digest(records)]), *records))
 
 
 @dataclass

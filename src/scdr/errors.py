@@ -26,18 +26,13 @@ class IngestError(ValidationError):
 
 
 class DivergenceError(ScdrError, ArithmeticError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss or gradient, or a loss past the divergence bound."""
 
     def __init__(self, message: str, epoch: int | None = None, learning_rate: float | None = None):
         self.epoch = epoch
         self.learning_rate = learning_rate
-        detail = []
         if epoch is not None:
-            detail.append(f"epoch {epoch}")
-        if learning_rate is not None:
-            detail.append(f"learning_rate {learning_rate}")
-        if detail:
-            message = f"{message} ({', '.join(detail)})"
+            message = f"{message} (epoch {epoch}, learning_rate {learning_rate})"
         super().__init__(message)
 
 

@@ -6,6 +6,9 @@ sharpness-aware variant: each step first finds a loss-maximizing L2-ball
 perturbation of the batch's user rows and applies the gradient evaluated at
 the perturbed point to the unperturbed parameters. With a zero-radius or
 zero-step perturbation it reduces bitwise to ``train_mf``.
+
+``_run_epochs`` is the one epoch loop, with the one divergence guard, of these
+trainers and of the mapping trainers in ``scdr.mapping``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
 CHECKPOINT_VERSION = 3
+# An epoch loss above this multiple of the untrained loss is divergence. Runs that train
+# stay below 1.00001 times it; emcdr blowing up passes 2.7e4 by epoch 1.
+DIVERGENCE_FACTOR = 1e3
 
 
 @dataclass
@@ -66,6 +72,33 @@ class TrainConfig:
             raise ValidationError(f"init_std must be > 0, got {self.init_std}")
         if self.dim < 1:
             raise ValidationError(f"dim must be >= 1, got {self.dim}")
+
+
+def _run_epochs(n: int, config: TrainConfig, rng, step, epoch_loss, model: str) -> list[float]:
+    """The one epoch loop of factor and mapping training; returns each epoch's loss.
+
+    ``step`` gets each ``batch_size`` slice of one ``rng.permutation(n)`` per epoch. An epoch
+    loss not at most ``DIVERGENCE_FACTOR`` times the untrained ``model``'s (NaN and inf
+    included) raises :class:`DivergenceError`; it, and one a step raises, come out naming
+    the epoch and the learning rate.
+    """
+    # overflow on the way to the divergence guard is expected, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = DIVERGENCE_FACTOR * epoch_loss()
+        trace: list[float] = []
+        for epoch in range(config.epochs):
+            perm = rng.permutation(n)
+            try:
+                for start in range(0, n, config.batch_size):
+                    step(perm[start:start + config.batch_size])
+                trace.append(epoch_loss())
+                if not trace[-1] <= bound:
+                    raise DivergenceError(f"training loss {trace[-1]:.4g} exceeds "
+                                          f"{DIVERGENCE_FACTOR:g} times the untrained {model}'s")
+            except DivergenceError as exc:
+                raise DivergenceError(str(exc), epoch=epoch,
+                                      learning_rate=config.learning_rate) from exc
+    return trace
 
 
 class MfGradient(NamedTuple):
@@ -245,37 +278,24 @@ def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig) -> N
     V[b.uniq_v] = np.subtract(v_base, dv, out=dv)
 
 
-# overflow on the way to the divergence guard is expected, not a warning
-@np.errstate(over="ignore", invalid="ignore")
 def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) -> MfTrainResult:
     rng = np.random.default_rng(config.seed)
     U = rng.normal(0.0, config.init_std, (dataset.n_users, config.dim))
     V = rng.normal(0.0, config.init_std, (dataset.n_items, config.dim))
     ui, vi, r = dataset.user_index, dataset.item_index, dataset.rating
-    n = dataset.n_interactions
-    resid = np.empty(n)
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        try:
-            for start in range(0, n, config.batch_size):
-                sel = perm[start:start + config.batch_size]
-                _sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb)
-        except DivergenceError as exc:
-            # find_delta's ascent guard does not know the epoch
-            raise DivergenceError(str(exc), epoch=epoch,
-                                  learning_rate=config.learning_rate) from exc
-        for start in range(0, n, CHUNK_ROWS):
+    resid = np.empty(r.size)
+
+    def step(sel):
+        _sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb)
+
+    def epoch_loss():
+        for start in range(0, r.size, CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
             resid[part] = r[part] - np.einsum("ij,ij->i", U.take(ui[part], axis=0),
                                               V.take(vi[part], axis=0))
-        loss = _objective(resid, config.weight_decay, U, V)
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                "training loss became non-finite",
-                epoch=epoch, learning_rate=config.learning_rate,
-            )
-        trace.append(loss)
+        return _objective(resid, config.weight_decay, U, V)
+
+    trace = _run_epochs(r.size, config, rng, step, epoch_loss, "model")
     return MfTrainResult(FactorModel(U, V, config.dim), trace)
 
 

@@ -11,7 +11,8 @@ gradient taken at the perturbed point. A cold-start user is scored by
 mapping their source embedding through ``forward``.
 
 Both trainers run one path, ``_train_mapping``: ``emcdr_train`` is its
-zero-radius case with frozen embeddings and embedding supervision. It works
+zero-radius case with frozen embeddings and embedding supervision. It runs
+in ``factorization``'s one epoch loop, as factor training does, and works
 a mini-batch at a time: one ``find_delta`` ascent per batch solves every
 user's inner problem at once, each row keeping its own highest-loss
 iterate, and one kernel (``_kernel``) serves every pass over the rows. The
@@ -32,18 +33,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import CHUNK_ROWS, CdrScenario, number, read_artifact, write_artifact
-from .errors import DivergenceError, ValidationError
-from .factorization import FactorModel, TrainConfig
+from .errors import ValidationError
+from .factorization import FactorModel, TrainConfig, _run_epochs
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
 MAPPING_CHECKPOINT_VERSION = 3
 # (dtype, ndim) of each array after the checkpoint's header
 _CHECKPOINT_ARRAYS = {"W1": ("f8", 2), "b1": ("f8", 1), "W2": ("f8", 2), "b2": ("f8", 1),
                       "tuned_vectors": ("f8", 2)}
-
-# An epoch loss above this multiple of the untrained net's loss is divergence. Runs
-# that converge stay at or below 1.0 times it; emcdr blowing up passes 2.7e4 by epoch 1.
-DIVERGENCE_FACTOR = 1e3
 
 SUPERVISION_RATING = "rating"
 SUPERVISION_EMBEDDING = "embedding"
@@ -361,13 +358,6 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
     return batch, (_rating_target(V, ratings, counts, items), int(counts.sum()))
 
 
-def _epoch_loss(net: MappingNet, u: np.ndarray, target, weight) -> float:
-    """The trained objective over every train row, unperturbed."""
-    return float(_kernel(net, u, target).loss.sum()) / weight
-
-
-# overflow on the way to the divergence guard is expected, not a warning
-@np.errstate(over="ignore", invalid="ignore")
 def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
                    config: ScdrTrainConfig) -> MappingTrainResult:
     if source_model.d != target_model.d:
@@ -381,47 +371,30 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
     net = init_mapping_net(source_model.d, config.hidden, rng)
     u_src = source_model.U.copy()
     src_rows = np.array([s for s, _ in scenario.train_pairs])
-    n_train = src_rows.size
-    batch, everyone = _gather_supervision(scenario, target_model, config.supervision)
-    bound = DIVERGENCE_FACTOR * _epoch_loss(net, u_src[src_rows], *everyone)
-    use_pert = perturb.k > 0 and perturb.rho > 0.0
+    batch, (everyone, total) = _gather_supervision(scenario, target_model, config.supervision)
 
     # The embedding objective is the literal sum over users of the
     # per-component MSE; the rating objective is the mean over observed
     # (user, item) pairs. Gradient scaling matches in each case.
-    trace: list[float] = []
-    for epoch in range(base.epochs):
-        perm = rng.permutation(n_train)
-        for start in range(0, n_train, base.batch_size):
-            sel = perm[start:start + base.batch_size]
-            rows = src_rows[sel]
-            target, weight = batch(sel)
-            u_eval = u_src[rows]
-            if use_pert:
-                try:
-                    u_eval = _worst_case(net, target, u_eval, perturb)
-                except DivergenceError as exc:
-                    # find_delta's ascent guard does not know the epoch
-                    raise DivergenceError(str(exc), epoch=epoch,
-                                          learning_rate=base.learning_rate) from exc
-            g = _kernel(net, u_eval, target).grad
-            # synchronous update: all gradients were taken at pre-update
-            # parameters; train rows are distinct (the scenario's partition)
-            scale = base.learning_rate / weight
-            net.W1 -= scale * g.W1
-            net.b1 -= scale * g.b1
-            net.W2 -= scale * g.W2
-            net.b2 -= scale * g.b2
-            if config.tune_source_embeddings:
-                u_src[rows] -= scale * g.u
-        loss = _epoch_loss(net, u_src[src_rows], *everyone)
-        # also false for a NaN or infinite loss
-        if not loss <= bound:
-            raise DivergenceError(
-                f"mapping training loss {loss:.4g} exceeds {DIVERGENCE_FACTOR:g} times "
-                "the untrained net's", epoch=epoch, learning_rate=base.learning_rate,
-            )
-        trace.append(loss)
+    def step(sel):
+        rows = src_rows[sel]
+        target, weight = batch(sel)
+        u_eval = u_src[rows]
+        if perturb.k > 0 and perturb.rho > 0.0:
+            u_eval = _worst_case(net, target, u_eval, perturb)
+        g = _kernel(net, u_eval, target).grad
+        # synchronous update: all gradients were taken at pre-update
+        # parameters; train rows are distinct (the scenario's partition)
+        scale = base.learning_rate / weight
+        for param, grad in zip((net.W1, net.b1, net.W2, net.b2), g):
+            param -= scale * grad
+        if config.tune_source_embeddings:
+            u_src[rows] -= scale * g.u
+
+    def epoch_loss():
+        return float(_kernel(net, u_src[src_rows], everyone).loss.sum()) / total
+
+    trace = _run_epochs(src_rows.size, base, rng, step, epoch_loss, "net")
     return MappingTrainResult(net, u_src, trace)
 
 

@@ -55,6 +55,15 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def same_dataset(a: DomainDataset, b: DomainDataset) -> bool:
+    """Whether two datasets have the same tokens, overwrite count and column bytes."""
+    return (a.users == b.users and a.items == b.items
+            and a.duplicate_count == b.duplicate_count
+            and a.user_index.tobytes() == b.user_index.tobytes()
+            and a.item_index.tobytes() == b.item_index.tobytes()
+            and a.rating.tobytes() == b.rating.tobytes())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -4,16 +4,18 @@ import hashlib
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scdr.data
 from scdr.cli import _check_outputs, load_config, main
 from scdr.errors import ValidationError
 from scdr.factorization import load_factor_model
 from scdr.mapping import MappingNet, load_mapping, save_mapping
 
-from conftest import fail_halfway, load_records, rewrite_header, rewrite_record
+from conftest import fail_halfway, load_records, rewrite_header, rewrite_record, same_dataset
 
 
 def small_config(out, seed=1):
@@ -442,6 +444,9 @@ class TestCorruptInputs:
         ("source_ratings.csv.npy", truncate_to(100), "unreadable rating snapshot"),
         ("source_ratings.csv.npy", unclosed_npy_header,
          "source_ratings.csv.npy: array 0 has an unparsable header"),
+        # the header of a snapshot written before it held the records' digest
+        ("source_ratings.csv.npy", rewrite_snapshot(0, lambda head: head[0]),
+         "source_ratings.csv.npy: array 0 is not 1-D U64"),
         ("target_ratings.csv.npy", rewrite_snapshot(3, lambda a: a.astype(np.int64)),
          "target_ratings.csv.npy: array 3 is not 1-D i4"),
         ("target_ratings.csv.npy", rewrite_snapshot(5, lambda a: a.astype(np.float32)),
@@ -618,6 +623,94 @@ class TestCorruptInputs:
         assert run(*args, "--config", cfg, "--force") == 2
         assert message in capsys.readouterr().err
         assert {p.name: digest(p) for p in out.iterdir()} == before
+
+
+FUZZ_COMMANDS = ("train", "eval", "attack", "landscape", "sharpness")
+# each file those commands read, and the commands that read it
+FUZZ_FILES = {name: FUZZ_COMMANDS for name in (
+    "scenario.json", "source_ratings.csv", "target_ratings.csv", "source_ratings.csv.npy",
+    "target_ratings.csv.npy", "source_model_sharpness_aware.npy",
+    "target_model_sharpness_aware.npy")}
+FUZZ_FILES["mapping_scdr.npy"] = FUZZ_COMMANDS[1:]
+
+
+def fuzz_mutations(raw: bytes, seed: int) -> list[tuple[str, bytes]]:
+    """A fixed, seeded list of (what, mutated bytes): 4 truncations, then 16 overwrites of 1-3 bytes."""
+    rng = np.random.default_rng(seed)
+    cases = [(f"cut to {size} bytes", raw[:size])
+             for size in sorted(rng.integers(0, len(raw), 4).tolist())]
+    for _ in range(16):
+        width = int(rng.integers(1, 4))
+        at = int(rng.integers(0, len(raw) - width + 1))
+        patch = rng.integers(0, 256, width, dtype=np.uint8).tobytes()
+        cases.append((f"{patch.hex()} written at byte {at}", raw[:at] + patch + raw[at + width:]))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """A tiny run directory with scdr's inputs, its config, and each rating file's parse."""
+    base = tmp_path_factory.mktemp("fuzz")
+    out = base / "run"
+    cfg = write_config(base, {
+        "seed": 1, "out": str(out),
+        "synth": {"users": 200, "items": 60, "overlap_ratio": 0.5, "dim": 4,
+                  "ratings_per_user": 8},
+        "pretrain": {"epochs": 2, "dim": 4, "k": 2},
+        "train": {"epochs": 3, "hidden": 8, "k": 2},
+        "landscape": {"resolution": 3, "n_samples": 16},
+        "sharpness": {"k": 2},
+    })
+    for stage in (["synth"], ["pretrain", "--mode", "sharpness_aware"],
+                  ["train", "--method", "scdr"]):
+        assert run(*stage, "--config", cfg) == 0
+    parsed = {}
+    for name in ("source_ratings.csv", "target_ratings.csv"):
+        shutil.copyfile(out / name, base / name)  # no snapshot beside it
+        parsed[name] = scdr.data.ingest_domain(base / name)
+    return out, cfg, parsed
+
+
+class TestCorruptionFuzz:
+    @pytest.mark.parametrize("name", FUZZ_FILES)
+    def test_seeded_mutations_exit_cleanly(self, fuzz_run, tmp_path, monkeypatch, name):
+        """Each mutation exits 0, 2, 3 or 4; a failure writes nothing; a snapshot serves its file.
+
+        The reading command rotates over the commands that read the file. A
+        snapshot mutation may exit 0 only if every dataset served equals the
+        parse of its rating file.
+        """
+        base, cfg, parsed = fuzz_run
+        served = {}
+        ingest = scdr.data.ingest_domain
+
+        def recording(path):
+            served[Path(path).name] = ingest(path)
+            return served[Path(path).name]
+
+        monkeypatch.setattr(scdr.data, "ingest_domain", recording)
+        commands = FUZZ_FILES[name]
+        mutations = fuzz_mutations((base / name).read_bytes(), seed=list(FUZZ_FILES).index(name))
+        for i, (what, raw) in enumerate(mutations):
+            command = commands[i % len(commands)]
+            case = f"{command} with {name} {what}"
+            out = tmp_path / str(i)
+            shutil.copytree(base, out)
+            (out / name).write_bytes(raw)
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            served.clear()
+            try:
+                code = run(command, "--config", cfg, "--out", str(out), "--method", "scdr",
+                           "--force")
+            except Exception as exc:  # main maps every package error to an exit code
+                pytest.fail(f"{case}: {exc!r} escaped main")
+            assert code in (0, 2, 3, 4), case
+            if code:
+                assert {p.name: p.read_bytes() for p in out.iterdir()} == before, case
+            elif name.endswith(".csv.npy"):
+                assert served.keys() == parsed.keys(), case
+                assert all(same_dataset(served[k], parsed[k]) for k in parsed), case
+            shutil.rmtree(out)
 
 
 class TestReportInputs:

@@ -31,7 +31,7 @@ from scdr.data import (
 from scdr.errors import IngestError, MissingInputError, ValidationError
 
 from conftest import (dataset, fail_halfway, load_records, rewrite_header, rewrite_record,
-                      two_domain_scenario, uneven_scenario)
+                      same_dataset, two_domain_scenario, uneven_scenario)
 
 
 def record_bytes(arr) -> bytes:
@@ -118,14 +118,6 @@ INGEST_CASES = {
                    ("u2", "u1"), ("i2", "i1"),
                    [(0, 0, 4.0), (1, 1, 5.0), (1, 0, 2.0)], 3),
 }
-
-
-def same_dataset(a: DomainDataset, b: DomainDataset) -> bool:
-    return (a.users == b.users and a.items == b.items
-            and a.duplicate_count == b.duplicate_count
-            and a.user_index.tobytes() == b.user_index.tobytes()
-            and a.item_index.tobytes() == b.item_index.tobytes()
-            and a.rating.tobytes() == b.rating.tobytes())
 
 
 class TestIngestContract:
@@ -269,8 +261,21 @@ class TestSnapshot:
         monkeypatch.setattr(scdr.data, "CHUNK_ROWS", chunk)
         path = written_with_snapshot(dataset(rows), tmp_path / "r.csv")
         assert path.read_bytes() == expect
-        digest = load_records(tmp_path / "r.csv.npy", 1)[0].item()
-        assert digest == hashlib.sha256(expect).hexdigest()
+        file_digest, _ = load_records(tmp_path / "r.csv.npy", 1)[0]
+        assert file_digest == hashlib.sha256(expect).hexdigest()
+
+    def test_flipped_record_bit_is_parsed(self, tmp_path):
+        # the header's file digest still matches, so only the records digest can tell
+        ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
+        path = written_with_snapshot(ds, tmp_path / "r.csv")
+        snapshot = tmp_path / "r.csv.npy"
+        raw = bytearray(snapshot.read_bytes())
+        top = raw.rfind(ds.rating[-1:].tobytes()) + 7  # the last rating's sign and exponent
+        raw[top] ^= 0x40
+        snapshot.write_bytes(raw)
+        assert load_records(snapshot, 6)[5][-1] != ds.rating[-1]
+        got = ingest_domain(path)
+        assert same_dataset(got, parse_only(path)) and got.rating[-1] == ds.rating[-1]
 
     def test_write_keeps_per_row_temporaries_to_a_chunk(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(users=4000, items=500, ratings_per_user=25,

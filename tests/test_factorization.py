@@ -157,6 +157,15 @@ class TestTrainMf:
         assert exc.value.epoch is not None
         assert exc.value.learning_rate == 5.0
 
+    def test_finite_blow_up_stops_at_the_bound(self):
+        # the epoch 1 loss is 2.4e4 times the untrained 18.4 and still finite, so only the
+        # bound stops it; a guard on non-finite losses alone returned this trace
+        ds = rank_one_dataset()
+        with pytest.raises(DivergenceError, match=r"^training loss 4\.363e\+05 exceeds 1000 times "
+                           r"the untrained model's \(epoch 1, learning_rate 1\.0\)$") as exc:
+            train_mf(ds, TrainConfig(epochs=2, learning_rate=1.0, batch_size=4, dim=2, seed=0))
+        assert exc.value.epoch == 1
+
     def test_untouched_rows_unchanged(self):
         # extra user/item rows with no interactions must keep their init values
         ds = dataset([("u0", "i0", 3.0)])

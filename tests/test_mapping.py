@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import scdr.factorization as factorization
 import scdr.mapping as mapping
 from scdr.data import CdrScenario, DomainDataset, SyntheticSpec, generate_synthetic
 from scdr.errors import DivergenceError, MissingInputError, ValidationError
@@ -702,6 +703,60 @@ class TestBatchDivergence:
         assert np.isfinite(pair.grad_at(origin)).all()
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="ascent step 0"):
             _worst_case(net, target, origin, PerturbConfig(rho=0.5, k=2))
+
+
+def raising_on_call(fn, n):
+    """``fn``, except that its ``n``-th call raises a DivergenceError that names no epoch."""
+    calls = []
+
+    def call(*args):
+        calls.append(None)
+        if len(calls) == n:
+            raise DivergenceError("injected")
+        return fn(*args)
+
+    return call
+
+
+# each trainer on equivalence_scenario(), given the shared TrainConfig
+LOOP_TRAINERS = {
+    "train_mf": lambda scn, src, tgt, base: factorization.train_mf(scn.source, base),
+    "train_smf": lambda scn, src, tgt, base: factorization.train_smf(
+        scn.source, base, PerturbConfig(rho=0.05, k=2)),
+    "emcdr_train": lambda scn, src, tgt, base: emcdr_train(scn, src, tgt, base),
+    "scdr_train": lambda scn, src, tgt, base: scdr_train(scn, src, tgt, ScdrTrainConfig(
+        base=base, perturb=PerturbConfig(rho=0.3, k=2))),
+}
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("trainer", LOOP_TRAINERS)
+    def test_step_divergence_names_the_epoch(self, monkeypatch, trainer):
+        """A DivergenceError from any batch step leaves the loop with its epoch and rate.
+
+        The error is raised in the first step of epoch 1: by the factor SGD
+        step, or by the mapping trainers' per-batch supervision gather.
+        """
+        scn, src, tgt = equivalence_scenario()
+        base = TrainConfig(epochs=3, batch_size=64, dim=6, seed=2)
+        if trainer in ("train_mf", "train_smf"):
+            first_of_epoch_1 = -(-scn.source.n_interactions // base.batch_size) + 1
+            monkeypatch.setattr(factorization, "_sgd_step",
+                                raising_on_call(factorization._sgd_step, first_of_epoch_1))
+        else:
+            first_of_epoch_1 = -(-len(scn.train_pairs) // base.batch_size) + 1
+            gather = mapping._gather_supervision
+
+            def gather_raising(*args):
+                batch, everyone = gather(*args)
+                return raising_on_call(batch, first_of_epoch_1), everyone
+
+            monkeypatch.setattr(mapping, "_gather_supervision", gather_raising)
+        with pytest.raises(DivergenceError,
+                           match=r"^injected \(epoch 1, learning_rate 0\.01\)$") as exc:
+            LOOP_TRAINERS[trainer](scn, src, tgt, base)
+        assert exc.value.epoch == 1 and exc.value.learning_rate == base.learning_rate
+        assert str(exc.value.__cause__) == "injected"
 
 
 def kernel_case(rng, counts, d=5, hidden=8):

@@ -10,7 +10,7 @@ its import lines against the package's modules, which load only the
 modules they use. The JSON artifact format and the path from arrays to
 file bytes are checked to stay behind ``scdr.data``'s codec, and numpy's
 binary loading and writing are checked to stay in ``scdr.data`` and
-pickle-free.
+pickle-free. Factor and mapping training are checked to share one epoch loop.
 """
 
 from __future__ import annotations
@@ -223,3 +223,23 @@ def test_arrays_reach_files_only_through_data():
     listed = [name for name in ("mapping.py", "factorization.py", "cli.py")
               if ".tolist(" in (ROOT / "src" / "scdr" / name).read_text(encoding="utf-8")]
     assert listed == []
+
+
+def test_one_epoch_loop_draws_batches_and_guards_divergence():
+    """One function of ``factorization`` and ``mapping`` shuffles epochs and applies the guard.
+
+    Factor and mapping training share one epoch loop; a second function that
+    draws ``rng.permutation`` or reads ``DIVERGENCE_FACTOR`` would fork it.
+    """
+    def functions(hit):
+        found = set()
+        for name in ("factorization.py", "mapping.py"):
+            tree = ast.parse((ROOT / "src" / "scdr" / name).read_text(encoding="utf-8"))
+            found |= {f"{name}:{fn.name}" for fn in ast.walk(tree)
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and any(hit(node) for node in ast.walk(fn))}
+        return found
+
+    draws = functions(lambda node: isinstance(node, ast.Attribute) and node.attr == "permutation")
+    guards = functions(lambda node: isinstance(node, ast.Name) and node.id == "DIVERGENCE_FACTOR")
+    assert draws == guards == {"factorization.py:_run_epochs"}
