@@ -27,7 +27,7 @@ import numpy as np
 from .errors import IngestError, MissingInputError, ScdrError, ValidationError
 
 MANIFEST_VERSION = 1
-SIDECAR_VERSION = 2
+SIDECAR_VERSION = 3
 MAP_KINDS = ("identity", "linear", "tanh")
 # rows per slice of a pass over all ratings, so its temporaries stay this size
 CHUNK_ROWS = 8192
@@ -152,13 +152,15 @@ def write_artifact(path, kind: str, version: int, payload: dict, indent: int | N
     """Write ``payload`` under the ``format_version``/``kind`` header and the ``inputs`` digests.
 
     With ``arrays``, the file is the document's JSON text as a 0-d string followed by
-    each array, as pickle-free ``np.save`` records.
+    each array, as pickle-free ``np.save`` records; the document's ``records`` is the
+    :func:`_records_digest` of those arrays.
     """
     inputs = {} if inputs is None else {"inputs": inputs}
     doc = {"format_version": version, "kind": kind, **inputs, **payload}
     if arrays is None:
         write_json(path, doc, indent)
     else:
+        doc["records"] = _records_digest(arrays.values())
         _write_arrays(path, [np.array(json.dumps(doc, sort_keys=True)), *arrays.values()])
 
 
@@ -167,14 +169,18 @@ def read_artifact(path, kind: str, version: int, what: str, inputs: dict | None 
                   arrays: dict | None = None):
     """:func:`json_document` of an artifact whose header must name ``kind`` and ``version``.
 
-    Yields the document and its sha256. Another header, or digests other than the given
-    ``inputs``, raises ValidationError naming it.
+    Yields the document and its sha256. Another header, digests other than the given
+    ``inputs``, or ``arrays`` that do not hash to the header's ``records`` digest raise
+    ValidationError naming it. The yielded document holds no ``records`` key.
     """
     with json_document(path, what, arrays) as (doc, digest):
         if doc.get("format_version") != version or doc.get("kind") != kind:
             raise ValidationError(f"not a {what}: {path}")
         if inputs is not None and doc.get("inputs") != inputs:
             raise ValidationError(f"stale {what} {path}: it was made from other input files")
+        if arrays is not None and doc.pop("records", None) != _records_digest(
+                doc[name] for name in arrays):
+            raise ValueError("its records do not match the digest in its header")
         yield doc, digest
 
 
@@ -389,7 +395,7 @@ def _raise_first_bad_row(raw: bytes, path: Path) -> None:
 
 
 def _records_digest(records) -> str:
-    """sha256 of each snapshot record's dtype, shape and bytes, hashed from its buffer."""
+    """sha256 of each record's dtype, shape and bytes, hashed from its buffer."""
     sha256 = hashlib.sha256()
     for arr in records:
         sha256.update(f"{arr.dtype.str}{arr.shape}".encode())

@@ -20,9 +20,9 @@ import numpy as np
 
 from .data import CHUNK_ROWS, DomainDataset, number, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
-from .perturbation import PerturbConfig, find_delta, memo_last_point
+from .perturbation import PerturbConfig, find_delta
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # An epoch loss above this multiple of the untrained loss is divergence. Runs that train
 # stay below 1.00001 times it; emcdr blowing up passes 2.7e4 by epoch 1.
 DIVERGENCE_FACTOR = 1e3
@@ -133,6 +133,20 @@ def _unique_inverse(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered.compress(first), inv
 
 
+class _Pass:
+    """One forward pass of a batch at its touched user rows ``rows``.
+
+    ``u_rows`` is ``rows`` gathered per rating and ``resid`` the residual there. ``loss``
+    and ``grad`` (the user gradient) are set once read.
+    """
+
+    __slots__ = ("rows", "u_rows", "resid", "loss", "grad")
+
+    def __init__(self, rows: np.ndarray, u_rows: np.ndarray, resid: np.ndarray):
+        self.rows, self.u_rows, self.resid = rows, u_rows, resid
+        self.loss = self.grad = None
+
+
 class _Batch:
     """Index bookkeeping and the squared-error kernel of one batch.
 
@@ -161,6 +175,11 @@ class _Batch:
         """Rating minus prediction for each rating, given its user and item rows."""
         return self.r - np.einsum("ij,ij->i", u_rows, v_rows)
 
+    def forward(self, u_touched: np.ndarray, v_rows: np.ndarray) -> _Pass:
+        """The pass at touched user rows ``u_touched``; ``v_rows`` are the item rows per rating."""
+        u_rows = u_touched.take(self.inv_u, axis=0)
+        return _Pass(u_touched, u_rows, self.residual(u_rows, v_rows))
+
     def user_sums(self, terms: np.ndarray) -> np.ndarray:
         """Per-rating rows summed into the touched user rows (``uniq_u`` order)."""
         return self._scatter(self._flat_u, self.uniq_u.size, terms)
@@ -169,18 +188,20 @@ class _Batch:
         """Per-rating rows summed into the touched item rows (``uniq_v`` order)."""
         return self._scatter(self._flat_v, self.uniq_v.size, terms)
 
-    def grads(self, u_touched: np.ndarray, v_touched: np.ndarray, v_rows: np.ndarray,
-              weight_decay: float):
-        """Gradient of the batch loss for the touched user and item rows.
+    def grads(self, at: _Pass, v_touched: np.ndarray, v_rows: np.ndarray, weight_decay: float):
+        """Gradient of the batch loss for the touched user and item rows, from the pass ``at``.
 
-        ``v_rows`` is ``v_touched`` gathered per rating (``inv_v``).
+        ``v_rows`` is ``v_touched`` gathered per rating (``inv_v``). The user gradient is
+        ``at.grad`` itself when it was read, so the caller owns it.
         """
-        u_rows = u_touched.take(self.inv_u, axis=0)
-        m2r = -2.0 * self.residual(u_rows, v_rows)[:, None]
-        du = self.user_sums(m2r * v_rows)
-        dv = self.item_sums(m2r * u_rows)
+        m2r = -2.0 * at.resid[:, None]
+        du = at.grad
+        if du is None:
+            du = self.user_sums(m2r * v_rows)
+            if weight_decay > 0.0:
+                du += 2.0 * weight_decay * at.rows
+        dv = self.item_sums(m2r * at.u_rows)
         if weight_decay > 0.0:
-            du += 2.0 * weight_decay * u_touched
             dv += 2.0 * weight_decay * v_touched
         return du, dv
 
@@ -232,45 +253,71 @@ def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
     """Analytic gradient of :func:`mf_loss` for the touched U and V rows."""
     b = _model_batch(model, batch)
     vv = model.V[b.uniq_v]
-    du, dv = b.grads(model.U[b.uniq_u], vv, vv[b.inv_v], weight_decay)
+    v_rows = vv[b.inv_v]
+    du, dv = b.grads(b.forward(model.U[b.uniq_u], v_rows), vv, v_rows, weight_decay)
     return MfGradient(b.uniq_u, du, b.uniq_v, dv)
 
 
 def _ascent_pair(b: _Batch, v_touched: np.ndarray, v_rows: np.ndarray, weight_decay: float):
-    """Loss and gradient of one batch as functions of its touched user rows.
+    """Loss and gradient of one batch as functions of its touched user rows, and the kept pass.
 
-    The item rows stay fixed; ``v_rows`` is ``v_touched`` gathered per
-    rating. Both read one memoized residual per point, so each ascent
-    iterate costs one residual. ``r * (-2 v)`` rounds the same exact
-    product as ``(-2 r) * v``, so hoisting ``-2 v`` keeps the gradient's
-    bits.
+    The item rows stay fixed; ``v_rows`` is ``v_touched`` gathered per rating. A point's
+    loss and gradient read one :class:`_Pass`, so each ascent iterate costs one residual.
+    ``kept()`` is the pass of the best point by :func:`find_delta`'s rule: the first point
+    whose loss is read, then each point whose loss is strictly higher. Only it and the
+    newest pass are held, in two slots that swap on an improvement. ``r * (-2 v)`` rounds
+    the same exact product as ``(-2 r) * v``, so hoisting ``-2 v`` keeps the gradient's bits.
     """
     m2v = -2.0 * v_rows
-    residual_at = memo_last_point(lambda rows: b.residual(rows.take(b.inv_u, axis=0), v_rows))
+    slots: list = [None, None]  # the kept pass, the newest other pass
+
+    def pass_at(rows):
+        for held in slots:
+            if held is not None and held.rows is rows:
+                return held
+        slots[1] = None  # dropped before the new pass is built
+        slots[1] = b.forward(rows, v_rows)
+        return slots[1]
 
     def loss_at(rows):
-        return _objective(residual_at(rows), weight_decay, rows, v_touched)
+        at = pass_at(rows)
+        at.loss = _objective(at.resid, weight_decay, rows, v_touched)
+        if slots[0] is None or (at is slots[1] and at.loss > slots[0].loss):
+            slots.reverse()
+        return at.loss
 
     def grad_at(rows):
-        g = b.user_sums(residual_at(rows)[:, None] * m2v)
-        if weight_decay > 0.0:
-            g += 2.0 * weight_decay * rows
-        return g
+        at = pass_at(rows)
+        if at.grad is None:
+            at.grad = b.user_sums(at.resid[:, None] * m2v)
+            if weight_decay > 0.0:
+                at.grad += 2.0 * weight_decay * rows
+        return at.grad
 
-    return loss_at, grad_at
+    return loss_at, grad_at, lambda: slots[0]
 
 
 def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig) -> None:
+    """One SGD update of the rows a batch touches, at the ascent's pick if ``perturb`` moves.
+
+    The update reads the kept pass of :func:`_ascent_pair` when ``u_base + delta`` has its
+    point's bytes (so -0.0 and 0.0 differ), and a fresh pass otherwise.
+    """
     b = _Batch(ui, vi, r, U.shape[1])
     wd = config.weight_decay
     u_base = U.take(b.uniq_u, axis=0)
     v_base = V.take(b.uniq_v, axis=0)
     v_rows = v_base.take(b.inv_v, axis=0)
+    at = None
     u_eval = u_base
     if perturb.k > 0 and perturb.rho > 0.0:
-        loss_at, grad_at = _ascent_pair(b, v_base, v_rows, wd)
+        loss_at, grad_at, kept = _ascent_pair(b, v_base, v_rows, wd)
         u_eval = u_base + find_delta(loss_at, grad_at, u_base, perturb).delta
-    du, dv = b.grads(u_eval, v_base, v_rows, wd)
+        if kept().rows.tobytes() == u_eval.tobytes():
+            at = kept()
+    if at is None:
+        at = b.forward(u_eval, v_rows)
+    du, dv = b.grads(at, v_base, v_rows, wd)
     # the rows still hold u_base and v_base, so this is the in-place -= update
     du *= config.learning_rate
     dv *= config.learning_rate

@@ -37,7 +37,7 @@ from .errors import ValidationError
 from .factorization import FactorModel, TrainConfig, _run_epochs
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
-MAPPING_CHECKPOINT_VERSION = 3
+MAPPING_CHECKPOINT_VERSION = 4
 # (dtype, ndim) of each array after the checkpoint's header
 _CHECKPOINT_ARRAYS = {"W1": ("f8", 2), "b1": ("f8", 1), "W2": ("f8", 2), "b2": ("f8", 1),
                       "tuned_vectors": ("f8", 2)}

@@ -1,10 +1,10 @@
 """Loss-maximizing perturbations inside an L2 ball.
 
 ``find_delta``'s multi-step sign-gradient ascent, each step projected back
-onto the ball by ``project_ball``, drives the sharpness-aware trainers and
-the sharpness probe. It tracks the best iterate including the unperturbed
-origin, so its achieved loss never falls below the loss at zero
-perturbation.
+onto the ball by ``project_ball`` (the first one only when it could leave
+the ball), drives the sharpness-aware trainers and the sharpness probe. It
+tracks the best iterate including the unperturbed origin, so its achieved
+loss never falls below the loss at zero perturbation.
 """
 
 from __future__ import annotations
@@ -104,6 +104,25 @@ def memo_last_point(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
     return at
 
 
+def _first_step_inside(origin: np.ndarray, config: PerturbConfig) -> bool:
+    """Whether ``project_ball`` leaves ``origin + alpha * sign(g)`` in place for every finite g.
+
+    ``project_ball`` recomputes each entry of the step as at most
+    ``alpha + eps/2 * (alpha + max|origin|)`` in size, after two roundings. Its squares,
+    their sum over ``d`` entries and the square root add at most ``(d + 4) * eps / 4``
+    relative error. The bound below doubles the first term and quadruples the second,
+    which covers its own rounding. A non-finite origin never passes.
+    """
+    if origin.ndim == 0 or origin.size == 0:
+        return False
+    d = origin.shape[-1]
+    if not config.alpha * math.sqrt(d) < config.rho:
+        return False
+    eps = math.ulp(1.0)
+    entry = config.alpha + eps * (config.alpha + float(np.abs(origin).max()))
+    return entry * math.sqrt(d) * (1.0 + (d + 4) * eps) < config.rho
+
+
 def find_delta(loss_at: Callable[[np.ndarray], float],
                grad_at: Callable[[np.ndarray], np.ndarray],
                origin: np.ndarray,
@@ -114,7 +133,12 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
     back onto the radius-``rho`` ball around ``origin``. The returned delta
     points to the highest-loss iterate seen, the origin included, so
     ``achieved_loss >= loss_at(origin)`` always holds and
-    ``||delta||_2 <= rho`` up to float slack.
+    ``||delta||_2 <= rho`` up to float slack. Only a strictly higher loss
+    replaces the best iterate.
+
+    The first step is not projected when it provably stays inside: when
+    ``alpha * sqrt(d)``, widened by a rounding bound from ``max|origin|``,
+    is below ``rho``. ``project_ball`` would return that step unchanged.
     """
     origin = np.asarray(origin, dtype=np.float64)
     best_point = origin
@@ -133,7 +157,10 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
         moved = np.sign(grad)
         moved *= config.alpha
         moved += point
-        point = project_ball(moved, origin, config.rho)
+        if step == 0 and _first_step_inside(origin, config):
+            point = moved
+        else:
+            point = project_ball(moved, origin, config.rho)
         loss = float(loss_at(point))
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at ascent step {step}")

@@ -75,13 +75,19 @@ def load_records(path, count):
         return [np.load(fh, allow_pickle=True) for _ in range(count)]
 
 
-def rewrite_record(path, count, position, convert):
+def rewrite_record(path, count, position, convert, restamp=False):
     """Replace record ``position`` of ``count`` ``np.save`` records in ``path`` by ``convert`` of it.
 
-    Object arrays are written pickled, which every reader in the package refuses.
+    Object arrays are written pickled, which every reader in the package refuses. With
+    ``restamp``, the ``records`` digest of the JSON header becomes that of the new arrays,
+    as in a file whose writer stored bad arrays.
     """
     records = load_records(path, count)
     records[position] = convert(records[position])
+    if restamp:
+        head = json.loads(records[0].item())
+        head["records"] = scdr.data._records_digest(records[1:])
+        records[0] = np.array(json.dumps(head))
     with open(path, "wb") as fh:
         for arr in records:
             np.save(fh, arr, allow_pickle=True)

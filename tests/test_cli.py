@@ -356,9 +356,9 @@ def rewrite_snapshot(position, convert):
     return lambda path: rewrite_record(path, 7, position, convert)
 
 
-def rewrite_checkpoint_u(convert):
-    """Replace U, record 1 of a factor checkpoint, by ``convert`` of it."""
-    return lambda path: rewrite_record(path, 3, 1, convert)
+def rewrite_checkpoint_u(convert, restamp=False):
+    """Replace U, record 1 of a factor checkpoint, by ``convert`` of it (see ``rewrite_record``)."""
+    return lambda path: rewrite_record(path, 3, 1, convert, restamp)
 
 
 def checkpoint_header(**changes):
@@ -396,12 +396,20 @@ def nan_at_origin(values):
     return values
 
 
-def rewrite_mapping_array(position, convert):
+def flip_first_bit(values):
+    """A copy of ``values`` with the lowest bit of its first byte flipped: a one-ulp change."""
+    values = np.array(values)
+    values.reshape(-1).view(np.uint8)[0] ^= 1
+    return values
+
+
+def rewrite_mapping_array(position, convert, restamp=False):
     """Replace record ``position`` of a mapping checkpoint by ``convert`` of it.
 
     Record 0 is the header, 1 to 4 are W1, b1, W2 and b2, and 5 is tuned_vectors.
+    ``restamp`` is ``rewrite_record``'s.
     """
-    return lambda path: rewrite_record(path, 6, position, convert)
+    return lambda path: rewrite_record(path, 6, position, convert, restamp)
 
 
 def mapping_header(edit):
@@ -472,9 +480,12 @@ class TestCorruptInputs:
         ("target_model_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
         ("source_model_sharpness_aware.npy", checkpoint_header(inputs={"manifest": "0" * 64}),
          "stale factor checkpoint"),
-        # a non-finite parameter names the checkpoint it was read from
-        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(nan_at_origin),
+        # a non-finite parameter names the checkpoint it was read from, even one its
+        # writer stored with a matching records digest
+        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(nan_at_origin, restamp=True),
          "source_model_sharpness_aware.npy: factor matrices must be finite"),
+        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(nan_at_origin),
+         "source_model_sharpness_aware.npy: its records do not match the digest in its header"),
         ("scenario.json", drop_key("source_ratings"), "missing key 'source_ratings'"),
         # manifest numbers are as strict as config numbers
         ("scenario.json", set_key("seed", 1.7),
@@ -504,16 +515,20 @@ class TestCorruptInputs:
         (unclosed_npy_header, "array 0 has an unparsable header"),
         (rewrite_mapping_array(1, lambda a: a.astype(np.float32)), "array 1 is not 2-D f8"),
         (rewrite_mapping_array(1, np.ravel), "array 1 is not 2-D f8"),
-        (rewrite_mapping_array(1, nan_at_origin), "mapping-net parameters must be finite"),
-        (rewrite_mapping_array(5, lambda a: a[1:]), "tuned_users and tuned_vectors disagree"),
-        (rewrite_mapping_array(5, lambda a: a[:, 1:]), "tuned_users and tuned_vectors disagree"),
+        (rewrite_mapping_array(1, nan_at_origin, restamp=True),
+         "mapping-net parameters must be finite"),
+        (rewrite_mapping_array(5, lambda a: a[1:], restamp=True),
+         "tuned_users and tuned_vectors disagree"),
+        (rewrite_mapping_array(5, lambda a: a[:, 1:], restamp=True),
+         "tuned_users and tuned_vectors disagree"),
+        (rewrite_mapping_array(5, lambda a: a[1:]), "its records do not match the digest"),
         (mapping_header(lambda doc: {**doc, "tuned_users": doc["tuned_users"][1:]}),
          "tuned_users and tuned_vectors disagree"),
         (mapping_header(lambda doc: {k: v for k, v in doc.items() if k != "tuned_users"}),
          "missing key 'tuned_users'"),
     ], ids=["version-2-json", "truncated", "last-byte-cut", "unclosed-header", "float32-W1",
-            "1-D-W1", "nan-in-W1", "fewer-tuned-rows", "narrower-tuned-rows", "fewer-tuned-users",
-            "no-tuned-users"])
+            "1-D-W1", "nan-in-W1", "fewer-tuned-rows", "narrower-tuned-rows",
+            "fewer-tuned-rows-unstamped", "fewer-tuned-users", "no-tuned-users"])
     def test_bad_mapping_checkpoint_exits_2_naming_it(self, run_copy, capsys, corrupt, message):
         out, cfg = run_copy
         corrupt(out / "mapping_scdr.npy")
@@ -537,6 +552,22 @@ class TestCorruptInputs:
         assert f"{what} {out / name}: not `np.save` records" in err
         assert "pickle" not in err
         assert sorted(p.name for p in out.iterdir()) == before
+
+    @pytest.mark.parametrize("name, count, command, what", [
+        ("source_model_sharpness_aware.npy", 3, "train", "factor checkpoint"),
+        ("mapping_scdr.npy", 6, "eval", "mapping checkpoint"),
+    ], ids=["factor-train", "mapping-eval"])
+    def test_flipped_weight_bit_exits_2_naming_the_file(self, run_copy, capsys, name, count,
+                                                        command, what):
+        # nothing downstream records these files' digests for train, and eval's mapping
+        # records none of its own, so only the records digest in the header catches this
+        out, cfg = run_copy
+        rewrite_record(out / name, count, 1, flip_first_bit)
+        before = {p.name: digest(p) for p in out.iterdir()}
+        assert run(command, "--config", cfg, "--method", "scdr", "--force") == 2
+        assert (f"malformed {what} {out / name}: its records do not match the digest in its "
+                "header") in capsys.readouterr().err
+        assert {p.name: digest(p) for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("replace", [lambda p: p.unlink(), lambda p: (p.unlink(), p.mkdir())],
                              ids=["missing", "directory"])

@@ -799,8 +799,9 @@ class TestManifest:
         with open(path, "rb") as fh:
             head, *arrays = (np.load(fh, allow_pickle=False) for _ in range(7))
             assert fh.read() == b""
-        assert json.loads(head.item()) == {"format_version": 2, "kind": "synthetic_sidecar",
-                                           "map_kind": sc.map_kind, "seed": sc.seed}
+        assert json.loads(head.item()) == {"format_version": 3, "kind": "synthetic_sidecar",
+                                           "map_kind": sc.map_kind, "seed": sc.seed,
+                                           "records": scdr.data._records_digest(arrays)}
         names = ["source_user_latents", "target_user_latents", "source_item_latents",
                  "target_item_latents", "latent_mean", "map_matrix"]
         assert [a.shape for a in arrays] == [(33, 4), (33, 4), (21, 4), (21, 4), (4,), (4, 4)]

@@ -422,8 +422,8 @@ class TestKernelEquivalence:
         ui, vi, r = (np.array(col) for col in zip(*batch))
         b = factorization._Batch(ui, vi, r, 3)
         v_touched = m.V[b.uniq_v]
-        loss_at, grad_at = factorization._ascent_pair(b, v_touched, v_touched[b.inv_v],
-                                                      weight_decay)
+        loss_at, grad_at, _ = factorization._ascent_pair(b, v_touched, v_touched[b.inv_v],
+                                                         weight_decay)
         loss_at(m.U[b.uniq_u] + 0.5)
         g = mf_grad(m, batch, weight_decay=weight_decay)
         assert same_bits(grad_at(m.U[b.uniq_u]), g.user_grad)
@@ -445,6 +445,97 @@ class TestKernelEquivalence:
         ref_uniq, ref_inv = np.unique(idx, return_inverse=True)
         assert same_bits(uniq, ref_uniq)
         assert same_bits(inv, ref_inv)
+
+
+def step_pair(U, V, ui, vi, r, cfg, pert):
+    """``(U, V)`` after one ``_sgd_step``, and after one ``reference_sgd_step``, from copies."""
+    new, ref = (U.copy(), V.copy()), (U.copy(), V.copy())
+    factorization._sgd_step(*new, ui, vi, r, cfg, pert)
+    reference_sgd_step(*ref, ui, vi, r, cfg, pert)
+    return new, ref
+
+
+@pytest.fixture
+def step_log(monkeypatch):
+    """The pick of each ``find_delta`` that ``factorization`` calls (0 is the origin, k the
+    last iterate) and the count of ``_Batch.residual`` calls."""
+    log = {"picks": [], "residuals": 0}
+    residual = factorization._Batch.residual
+
+    def counting(self, u_rows, v_rows):
+        log["residuals"] += 1
+        return residual(self, u_rows, v_rows)
+
+    def picking(loss_at, grad_at, origin, config):
+        losses = []
+
+        def kept(x):
+            losses.append(loss_at(x))
+            return losses[-1]
+
+        out = find_delta(kept, grad_at, origin, config)
+        log["picks"].append(losses.index(max(losses)))  # the first highest, as find_delta keeps
+        return out
+
+    monkeypatch.setattr(factorization._Batch, "residual", counting)
+    monkeypatch.setattr(factorization, "find_delta", picking)
+    return log
+
+
+class TestReusedUpdate:
+    """The update read from the ascent's kept pass has the bits of the reference step.
+
+    A step costs k+1 residuals, one per ascent iterate, when ``u_base + delta`` has the
+    bytes of the kept point, and one more for the fresh pass when it does not.
+    """
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.2])
+    def test_middle_and_last_picks_match_reference(self, synthetic_source, step_log,
+                                                   weight_decay):
+        ds = synthetic_source
+        rng = np.random.default_rng(7)
+        U = rng.normal(0.0, 0.1, (ds.n_users, 10))
+        V = rng.normal(0.0, 0.1, (ds.n_items, 10))
+        cfg = TrainConfig(epochs=1, learning_rate=0.05, weight_decay=weight_decay)
+        seen = set()
+        for k in (5, 2, 1):
+            pert = PerturbConfig(rho=0.05, k=k)
+            for _ in range(6):
+                sel = rng.choice(ds.n_interactions, 64, replace=False)
+                before = step_log["residuals"]
+                new, ref = step_pair(U, V, ds.user_index[sel], ds.item_index[sel],
+                                     ds.rating[sel], cfg, pert)
+                assert same_bits(new[0], ref[0]) and same_bits(new[1], ref[1])
+                assert step_log["residuals"] - before == k + 1
+                pick = step_log["picks"][-1]
+                seen.add("last" if pick == k else "middle" if pick else "origin")
+        assert seen == {"middle", "last"}
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.2])
+    @pytest.mark.parametrize("zero, fresh_passes", [(0.0, 0), (-0.0, 1)], ids=["+0", "-0"])
+    def test_origin_pick_matches_reference(self, step_log, weight_decay, zero, fresh_passes):
+        # zero user rows and ratings: a zero gradient, so every iterate ties with the
+        # origin and the origin is kept; -0.0 + 0.0 is +0.0, so at -0.0 rows
+        # u_base + delta misses the origin's bytes and the update takes a fresh pass
+        rng = np.random.default_rng(3)
+        U = rng.normal(size=(6, 4))
+        V = rng.normal(size=(5, 4))
+        U[[1, 4]] = zero
+        ui, vi = np.array([1, 4, 1, 4, 1]), np.array([0, 2, 3, 3, 4])
+        cfg = TrainConfig(epochs=1, learning_rate=0.05, weight_decay=weight_decay)
+        k = 3
+        new, ref = step_pair(U, V, ui, vi, np.zeros(5), cfg, PerturbConfig(rho=0.05, k=k))
+        assert same_bits(new[0], ref[0]) and same_bits(new[1], ref[1])
+        assert step_log["picks"] == [0]
+        assert step_log["residuals"] == k + 1 + fresh_passes
+
+    def test_training_computes_k_plus_1_residuals_per_step(self, synthetic_source, step_log):
+        cfg = TrainConfig(epochs=2, batch_size=96, seed=3)
+        k = 4
+        train_smf(synthetic_source, cfg, PerturbConfig(rho=0.05, k=k))
+        steps = cfg.epochs * -(-synthetic_source.n_interactions // cfg.batch_size)
+        assert len(step_log["picks"]) == steps
+        assert step_log["residuals"] == steps * (k + 1)
 
 
 class TestCheckpoint:
@@ -478,7 +569,7 @@ class TestCheckpoint:
         save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p,
                           inputs=inputs)
         _, doc, _ = load_factor_model(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 3
+        assert doc["inputs"] == inputs and doc["format_version"] == 4
         for other in ({**inputs, "target_ratings": "d" * 64}, {}):
             with pytest.raises(ValidationError, match="stale factor checkpoint") as exc:
                 load_factor_model(p, other)

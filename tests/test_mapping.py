@@ -498,7 +498,8 @@ class TestMappingCheckpoint:
         save_mapping(net, p, tuned_users=["a"], tuned_vectors=rng.normal(size=(1, 4)))
         head, *arrays = load_records(p, 6)
         assert sorted(json.loads(head.item())) == [
-            "activation", "config", "d", "format_version", "hidden", "kind", "tuned_users"]
+            "activation", "config", "d", "format_version", "hidden", "kind", "records",
+            "tuned_users"]
         assert [(a.dtype.str, a.shape) for a in arrays] == [
             ("<f8", net.W1.shape), ("<f8", net.b1.shape), ("<f8", net.W2.shape),
             ("<f8", net.b2.shape), ("<f8", (1, 4))]
@@ -508,7 +509,7 @@ class TestMappingCheckpoint:
         p = tmp_path / "net.npy"
         save_mapping(random_net(rng), p, inputs=inputs)
         _, doc, _ = load_mapping(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 3
+        assert doc["inputs"] == inputs and doc["format_version"] == 4
         for other in ({**inputs, "target_model": "c" * 64}, {}):
             with pytest.raises(ValidationError, match="stale mapping checkpoint") as exc:
                 load_mapping(p, other)

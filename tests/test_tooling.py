@@ -8,9 +8,11 @@ run; these checks make it fail the test suite instead. README's example
 config is checked against the keys the CLI accepts in the same way, and
 its import lines against the package's modules, which load only the
 modules they use. The JSON artifact format and the path from arrays to
-file bytes are checked to stay behind ``scdr.data``'s codec, and numpy's
+file bytes are checked to stay behind ``scdr.data``'s codec, numpy's
 binary loading and writing are checked to stay in ``scdr.data`` and
-pickle-free. Factor and mapping training are checked to share one epoch loop.
+pickle-free, and array records are checked to be read only where their
+digest is checked. Factor and mapping training are checked to share one
+epoch loop.
 """
 
 from __future__ import annotations
@@ -180,6 +182,28 @@ def test_only_data_spells_the_json_artifact_format():
     modules = sorted(p.name for p in (ROOT / "src" / "scdr").glob("*.py")
                      if spelled.search(p.read_text(encoding="utf-8")))
     assert modules == ["data.py"]
+
+
+def test_only_read_artifact_reads_array_records():
+    """``json_document`` is given ``arrays`` only by ``read_artifact``.
+
+    ``read_artifact`` checks the records against the digest in their header; a reader
+    that called ``json_document`` with ``arrays`` itself would skip that check.
+    """
+    callers = set()
+    for path in sorted((ROOT / "src" / "scdr").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        == "json_document"
+                        and (len(node.args) > 2
+                             or any(kw.arg in ("arrays", None) for kw in node.keywords))):
+                    callers.add(f"{path.name}:{fn.name}")
+    assert callers == {"data.py:read_artifact"}
 
 
 def test_numpy_files_load_only_in_data_and_never_unpickle():
