@@ -17,7 +17,7 @@ import os
 import tokenize
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -570,12 +570,16 @@ def split_overlap(n_overlap: int, beta: float, seed: int) -> tuple[list[int], li
     return train, test
 
 
-def build_scenario(source: DomainDataset, target: DomainDataset, beta: float, seed: int) -> CdrScenario:
+def build_scenario(source: DomainDataset, target: DomainDataset, beta: float, seed: int,
+                   membership: tuple[list[str], list[str]] | None = None) -> CdrScenario:
     """Pair two domains and split the overlapping users into train/test sets.
 
     Overlap is computed by user-token equality. A seeded uniform shuffle
     assigns ``ceil(beta * |overlap|)`` users to the cold-start test set;
-    the same inputs and seed always produce the same partition.
+    the same inputs and seed always produce the same partition. Given
+    ``membership``, the (train, test) user tokens a manifest stores, that
+    split is used as is and nothing is drawn; a token that is not an overlap
+    user raises, as does a split that does not partition the overlap.
     """
     shared_items = set(source.items) & set(target.items)
     if shared_items:
@@ -585,15 +589,25 @@ def build_scenario(source: DomainDataset, target: DomainDataset, beta: float, se
     overlap = compute_overlap(source, target)
     if not overlap:
         raise ValidationError("no overlapping users between the domains")
-    train_pos, test_pos = split_overlap(len(overlap), float(beta), int(seed))
+    if membership is None:
+        train_pos, test_pos = split_overlap(len(overlap), float(beta), int(seed))
+        train_pairs, test_pairs = [overlap[i] for i in train_pos], [overlap[i] for i in test_pos]
+    else:
+        train_users, test_users = membership
+        by_token = {source.users[s]: (s, t) for s, t in overlap}
+        missing = [u for u in train_users + test_users if u not in by_token]
+        if missing:
+            raise ValidationError(f"manifest split names non-overlap users: {missing[:3]}")
+        train_pairs = [by_token[u] for u in train_users]
+        test_pairs = [by_token[u] for u in test_users]
     return CdrScenario(
         source=source,
         target=target,
         overlap=overlap,
         beta=float(beta),
         seed=int(seed),
-        train_pairs=[overlap[i] for i in train_pos],
-        test_pairs=[overlap[i] for i in test_pos],
+        train_pairs=train_pairs,
+        test_pairs=test_pairs,
     )
 
 
@@ -771,7 +785,8 @@ def load_scenario(manifest_path) -> CdrScenario:
 
     ``beta`` and ``seed`` must be a finite float and a non-negative integer.
     The membership lists ``train_users`` and ``test_users`` come together or
-    not at all; without them the split is recomputed from ``(beta, seed)``.
+    not at all. They are used as is, without drawing the seeded split;
+    without them the split is recomputed from ``(beta, seed)``.
     """
     manifest_path = Path(manifest_path)
     with json_document(manifest_path, "manifest") as (doc, manifest_digest):
@@ -782,24 +797,16 @@ def load_scenario(manifest_path) -> CdrScenario:
         beta, seed = number(float, doc["beta"], "beta"), number(int, doc["seed"], "seed")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
-        split = None
+        membership = None
         if "train_users" in doc or "test_users" in doc:
             # one list without the other is a missing key, not a recomputed split
-            split = _user_tokens(doc["train_users"]), _user_tokens(doc["test_users"])
-    scenario = build_scenario(ingest_domain(source_path), ingest_domain(target_path), beta, seed)
+            membership = _user_tokens(doc["train_users"]), _user_tokens(doc["test_users"])
+    scenario = build_scenario(ingest_domain(source_path), ingest_domain(target_path), beta, seed,
+                              membership)
     scenario.inputs = {"manifest": manifest_digest,
                        "source_ratings": scenario.source.digest,
                        "target_ratings": scenario.target.digest}
-    if split is None:
-        return scenario
-    train_users, test_users = split
-    by_token = {scenario.source.users[s]: (s, t) for s, t in scenario.overlap}
-    missing = [u for u in train_users + test_users if u not in by_token]
-    if missing:
-        raise ValidationError(f"manifest split names non-overlap users: {missing[:3]}")
-    # replace() re-runs the partition checks on the stored membership
-    return replace(scenario, train_pairs=[by_token[u] for u in train_users],
-                   test_pairs=[by_token[u] for u in test_users])
+    return scenario
 
 
 # (dtype, ndim) of each array of a sidecar, in file order

@@ -331,6 +331,10 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) 
     V = rng.normal(0.0, config.init_std, (dataset.n_items, config.dim))
     ui, vi, r = dataset.user_index, dataset.item_index, dataset.rating
     resid = np.empty(r.size)
+    # One block's gathered rows, written in place by every epoch loss: fresh arrays this
+    # large would be mapped and unmapped by malloc at each block.
+    block = min(r.size, CHUNK_ROWS)
+    u_block, v_block = np.empty((block, config.dim)), np.empty((block, config.dim))
 
     def step(sel):
         _sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb)
@@ -338,8 +342,14 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) 
     def epoch_loss():
         for start in range(0, r.size, CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            resid[part] = r[part] - np.einsum("ij,ij->i", U.take(ui[part], axis=0),
-                                              V.take(vi[part], axis=0))
+            n = min(CHUNK_ROWS, r.size - start)
+            # mode="clip" spares take a copy of ``out``; it clips nothing, as DomainDataset
+            # range-checks both index columns and U and V are sized from that dataset
+            u_rows = U.take(ui[part], axis=0, out=u_block[:n], mode="clip")
+            v_rows = V.take(vi[part], axis=0, out=v_block[:n], mode="clip")
+            # the predictions, then the residuals, in the block's own slice of resid
+            np.einsum("ij,ij->i", u_rows, v_rows, out=resid[part])
+            np.subtract(r[part], resid[part], out=resid[part])
         return _objective(resid, config.weight_decay, U, V)
 
     trace = _run_epochs(r.size, config, rng, step, epoch_loss, "model")

@@ -252,8 +252,18 @@ def _rating_predictions(vectors: np.ndarray, counts: np.ndarray, y: np.ndarray,
     return preds
 
 
+def _take_rows(vectors: np.ndarray, items: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """``vectors[items]``, written into the front of the flat float64 ``buffer``.
+
+    ``mode="clip"`` spares ``take`` a copy of its ``out``; it clips nothing, as
+    every caller checks that ``items`` index rows of ``vectors``.
+    """
+    out = buffer[:items.size * vectors.shape[1]].reshape(items.size, vectors.shape[1])
+    return vectors.take(items, axis=0, out=out, mode="clip")
+
+
 def _rating_target(vectors: np.ndarray, ratings: np.ndarray, counts: np.ndarray,
-                   items: np.ndarray | None = None):
+                   items: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """Summed squared rating error of each row over its own interactions.
 
     Row ``i`` owns the next ``counts[i]`` entries of ``ratings``, whose item
@@ -265,20 +275,37 @@ def _rating_target(vectors: np.ndarray, ratings: np.ndarray, counts: np.ndarray,
     contiguous axis: a batch's vectors are transposed once here, the flat
     layout's gathered per block from ``vectors.T``. The products and each
     segment's summation order, and so the bits, are the row-major form's.
+
+    A flat float64 ``scratch``, when given, holds those copies instead of
+    fresh arrays: the transposed vectors, or each block's gathered rows in
+    turn, whose ``items`` must then index rows of ``vectors``.
     """
-    vectors_t = np.ascontiguousarray(vectors.T) if items is None else None
+    if items is not None:
+        vectors_t = None
+    elif scratch is None:
+        vectors_t = np.ascontiguousarray(vectors.T)
+    else:
+        vectors_t = scratch[:vectors.size].reshape(vectors.shape[::-1])
+        np.copyto(vectors_t, vectors.T)
     blocks = []
     for rows, span in _user_blocks(counts):
         c = counts[rows]
         blocks.append((rows, span, np.cumsum(c) - c, c))
 
+    def gathered(span):
+        if items is None:
+            return vectors[span]
+        if scratch is None:
+            return vectors[items[span]]
+        return _take_rows(vectors, items[span], scratch)
+
     def at(y):
         loss = np.empty(counts.size)
         residuals = []
         for rows, span, starts, c in blocks:
-            v = vectors[span] if items is None else vectors[items[span]]
             # row-major: other forms of this dot product round differently
-            res = ratings[span] - np.einsum("ij,ij->i", v, np.repeat(y[rows], c, axis=0))
+            res = ratings[span] - np.einsum("ij,ij->i", gathered(span),
+                                            np.repeat(y[rows], c, axis=0))
             np.add.reduceat(res * res, starts, out=loss[rows])
             residuals.append(res)
 
@@ -330,16 +357,22 @@ def _worst_case(net: MappingNet, target, origin: np.ndarray, perturb: PerturbCon
     return pair.point
 
 
-def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str):
+def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str,
+                        batch_size: int):
     """Train users' supervision, laid out once.
 
     Embedding supervision is an (n, d) block of target embeddings. Rating
     supervision is ``DomainDataset.user_interactions`` of the train users.
-    Returns ``(batch, everyone)``. ``batch(sel)`` gives, for train-user
-    indices ``sel``, the kernel target of those rows and the divisor of
-    their summed loss (1 for the embedding sum, the pair count for the
-    rating mean); a rating batch gathers its ratings and item vectors once.
-    ``everyone`` is that pair over all train users, which gathers a block at a time.
+    Returns ``(batch, everyone)``. ``batch(sel)`` gives, for at most
+    ``batch_size`` train-user indices ``sel``, the kernel target of those
+    rows and the divisor of their summed loss (1 for the embedding sum, the
+    pair count for the rating mean); a rating batch gathers its ratings and
+    item vectors once. ``everyone`` is that pair over all train users, which
+    gathers a block at a time.
+
+    The item vectors go into two buffers allocated here, once per training:
+    fresh arrays this large would be mapped anew by malloc at every batch and
+    block. So a batch's target is good until the next batch or ``everyone`` pass.
     """
     targets = np.array([t for _, t in scenario.train_pairs])
     if supervision == SUPERVISION_EMBEDDING:
@@ -350,12 +383,21 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
         t = targets[counts.argmin()]
         raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
     V = target_model.V
+    # the target domain range-checks its item column, so this makes every gather exact
+    if V.shape[0] != scenario.target.n_items:
+        raise ValidationError(f"target model has {V.shape[0]} item rows, "
+                              f"the target domain {scenario.target.n_items} items")
+    # a batch's ratings, or one block of the flat layout's (a user above CHUNK_ROWS alone)
+    rows = max(int(np.sort(counts)[-batch_size:].sum()),
+               min(int(counts.sum()), max(CHUNK_ROWS, int(counts.max()))))
+    gathered, transposed = np.empty(rows * V.shape[1]), np.empty(rows * V.shape[1])
 
     def batch(sel):
         b_items, b_ratings, c = scenario.target.user_interactions(targets[sel])
-        return _rating_target(V[b_items], b_ratings, c), int(c.sum())
+        return (_rating_target(_take_rows(V, b_items, gathered), b_ratings, c, scratch=transposed),
+                int(c.sum()))
 
-    return batch, (_rating_target(V, ratings, counts, items), int(counts.sum()))
+    return batch, (_rating_target(V, ratings, counts, items, scratch=gathered), int(counts.sum()))
 
 
 def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
@@ -371,7 +413,8 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
     net = init_mapping_net(source_model.d, config.hidden, rng)
     u_src = source_model.U.copy()
     src_rows = np.array([s for s, _ in scenario.train_pairs])
-    batch, (everyone, total) = _gather_supervision(scenario, target_model, config.supervision)
+    batch, (everyone, total) = _gather_supervision(scenario, target_model,
+                                                    config.supervision, base.batch_size)
 
     # The embedding objective is the literal sum over users of the
     # per-component MSE; the rating objective is the mean over observed

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def same_dataset(a: DomainDataset, b: DomainDataset) -> bool:
             and a.user_index.tobytes() == b.user_index.tobytes()
             and a.item_index.tobytes() == b.item_index.tobytes()
             and a.rating.tobytes() == b.rating.tobytes())
+
+
+def minor_faults(run) -> int:
+    """Minor page faults of this process while ``run()`` runs; skips the test off Linux.
+
+    Each fault is a page the process touched for the first time since it was mapped, so
+    an array that malloc maps and unmaps on every use costs its pages again at every use.
+    """
+    if not sys.platform.startswith("linux"):
+        pytest.skip("minor fault counts are read through Linux getrusage")
+    import resource
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 @pytest.fixture

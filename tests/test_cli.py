@@ -3,7 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +445,21 @@ def non_utf8_row_3(path):
     path.write_bytes(b"\n".join(lines))
 
 
+@pytest.mark.parametrize("command", ["eval", "attack", "sharpness"])
+def test_stored_split_is_used_without_numpy_random(run_copy, command):
+    """The manifest stores the split, so these commands never import ``numpy.random``."""
+    out, cfg = run_copy
+    code = ("import sys\nfrom scdr.cli import main\n"
+            f"code = main({[command, '--config', cfg, '--method', 'scdr', '--force']!r})\n"
+            "print(code, 'numpy.random' in sys.modules)")
+    # the child imports the same scdr as this process
+    path = os.pathsep.join([str(Path(scdr.data.__file__).parents[1]),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert res.stdout.splitlines()[-1] == "0 False", res.stderr
+
+
 class TestCorruptInputs:
     @pytest.mark.parametrize("name, corrupt, message", [
         ("source_ratings.csv", non_utf8_row_3, "row 3: "),
@@ -499,6 +517,10 @@ class TestCorruptInputs:
         # one membership list without the other is not a recomputed split
         ("scenario.json", drop_key("test_users"), "missing key 'test_users'"),
         ("scenario.json", drop_key("train_users"), "missing key 'train_users'"),
+        # a bad beta beside the stored lists, which are used without drawing a split
+        ("scenario.json", set_key("beta", 1.5), "beta must lie in (0, 1), got 1.5"),
+        ("scenario.json", set_key("beta", math.nan),
+         "scenario.json: beta must be a finite float, got nan"),
     ])
     def test_eval_exits_2_and_writes_nothing(self, run_copy, capsys, name, corrupt, message):
         out, cfg = run_copy

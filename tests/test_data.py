@@ -437,6 +437,15 @@ class TestDatasetInvariants:
             with pytest.raises(ValidationError, match="at most 2147483647 users"):
                 DomainDataset(users, items, [0], [0], [1.0])
 
+    @pytest.mark.parametrize("what", ["user", "item"])
+    @pytest.mark.parametrize("value", [2, -1], ids=["past-the-end", "negative"])
+    def test_out_of_range_index_is_refused(self, what, value):
+        """Factor training gathers rows with ``take(mode="clip")``, exact only because of this."""
+        columns = {"user_index": np.array([0, 1]), "item_index": np.array([1, 0]),
+                   f"{what}_index": np.array([value, 0])}
+        with pytest.raises(ValidationError, match=f"invalid {what} index"):
+            DomainDataset(("u", "v"), ("x", "y"), rating=np.array([1.0, 2.0]), **columns)
+
     @pytest.mark.parametrize("column", ["user_index", "item_index"])
     def test_index_that_an_int32_cast_would_wrap_is_refused(self, column):
         # 2**32 wraps to the valid index 0
@@ -754,6 +763,21 @@ class TestManifest:
         back = load_scenario(tmp_path / "m.json")
         assert back.train_user_tokens == train and back.test_user_tokens == test
         assert back.train_pairs != scn.train_pairs and back.test_pairs != scn.test_pairs
+
+    def test_stored_membership_draws_nothing(self, tmp_path, monkeypatch):
+        scn, _ = generate_synthetic(SyntheticSpec(users=60, items=30, overlap_ratio=0.5, dim=3,
+                                                  seed=6, beta=0.4, ratings_per_user=5))
+        write_ratings(scn.source, tmp_path / "s.csv")
+        write_ratings(scn.target, tmp_path / "t.csv")
+        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the stored split was drawn again")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        back = load_scenario(tmp_path / "m.json")
+        assert back.train_pairs == scn.train_pairs and back.test_pairs == scn.test_pairs
+        assert back.beta == scn.beta and back.seed == scn.seed
 
     @pytest.mark.parametrize("membership", [{}, {"train_users": ["a"], "test_users": []}])
     def test_shared_item_token_rejected(self, tmp_path, membership):
