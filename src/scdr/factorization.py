@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import CHUNK_ROWS, DomainDataset, number, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
-from .perturbation import PerturbConfig, find_delta
+from .perturbation import PerturbConfig, find_delta, memo_last_point
 
 CHECKPOINT_VERSION = 4
 # An epoch loss above this multiple of the untrained loss is divergence. Runs that train
@@ -258,32 +258,37 @@ def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
     return MfGradient(b.uniq_u, du, b.uniq_v, dv)
 
 
+def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """``vectors[rows]``, written into the front of the flat float64 ``buffer``.
+
+    ``mode="clip"`` spares ``take`` a copy of its ``out``. It clips nothing: a
+    :class:`DomainDataset` range-checks its index columns, ``_train`` sizes U and V from
+    the dataset, and the mapping trainer checks its V against the target domain.
+    """
+    out = buffer[:rows.size * vectors.shape[1]].reshape(rows.size, vectors.shape[1])
+    return vectors.take(rows, axis=0, out=out, mode="clip")
+
+
 def _ascent_pair(b: _Batch, v_touched: np.ndarray, v_rows: np.ndarray, weight_decay: float):
     """Loss and gradient of one batch as functions of its touched user rows, and the kept pass.
 
     The item rows stay fixed; ``v_rows`` is ``v_touched`` gathered per rating. A point's
-    loss and gradient read one :class:`_Pass`, so each ascent iterate costs one residual.
-    ``kept()`` is the pass of the best point by :func:`find_delta`'s rule: the first point
-    whose loss is read, then each point whose loss is strictly higher. Only it and the
-    newest pass are held, in two slots that swap on an improvement. ``r * (-2 v)`` rounds
-    the same exact product as ``(-2 r) * v``, so hoisting ``-2 v`` keeps the gradient's bits.
+    loss and gradient read one :class:`_Pass` through :func:`memo_last_point`, so each
+    ascent iterate costs one residual. ``kept()`` is the pass of the best point by
+    :func:`find_delta`'s rule (the first loss read, then only a strictly higher one), so at
+    most it and the newest pass are alive. ``r * (-2 v)`` rounds the same exact product as
+    ``(-2 r) * v``, so hoisting ``-2 v`` keeps the gradient's bits.
     """
     m2v = -2.0 * v_rows
-    slots: list = [None, None]  # the kept pass, the newest other pass
-
-    def pass_at(rows):
-        for held in slots:
-            if held is not None and held.rows is rows:
-                return held
-        slots[1] = None  # dropped before the new pass is built
-        slots[1] = b.forward(rows, v_rows)
-        return slots[1]
+    pass_at = memo_last_point(lambda rows: b.forward(rows, v_rows))
+    kept = None
 
     def loss_at(rows):
+        nonlocal kept
         at = pass_at(rows)
         at.loss = _objective(at.resid, weight_decay, rows, v_touched)
-        if slots[0] is None or (at is slots[1] and at.loss > slots[0].loss):
-            slots.reverse()
+        if kept is None or at.loss > kept.loss:
+            kept = at
         return at.loss
 
     def grad_at(rows):
@@ -294,29 +299,26 @@ def _ascent_pair(b: _Batch, v_touched: np.ndarray, v_rows: np.ndarray, weight_de
                 at.grad += 2.0 * weight_decay * rows
         return at.grad
 
-    return loss_at, grad_at, lambda: slots[0]
+    return loss_at, grad_at, lambda: kept
 
 
 def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig) -> None:
     """One SGD update of the rows a batch touches, at the ascent's pick if ``perturb`` moves.
 
-    The update reads the kept pass of :func:`_ascent_pair` when ``u_base + delta`` has its
-    point's bytes (so -0.0 and 0.0 differ), and a fresh pass otherwise.
+    The update reads the kept pass of :func:`_ascent_pair`, so a sharpness-aware step costs
+    k+1 residuals and a plain step one.
     """
     b = _Batch(ui, vi, r, U.shape[1])
     wd = config.weight_decay
     u_base = U.take(b.uniq_u, axis=0)
     v_base = V.take(b.uniq_v, axis=0)
     v_rows = v_base.take(b.inv_v, axis=0)
-    at = None
-    u_eval = u_base
     if perturb.k > 0 and perturb.rho > 0.0:
         loss_at, grad_at, kept = _ascent_pair(b, v_base, v_rows, wd)
-        u_eval = u_base + find_delta(loss_at, grad_at, u_base, perturb).delta
-        if kept().rows.tobytes() == u_eval.tobytes():
-            at = kept()
-    if at is None:
-        at = b.forward(u_eval, v_rows)
+        find_delta(loss_at, grad_at, u_base, perturb)
+        at = kept()
+    else:
+        at = b.forward(u_base, v_rows)
     du, dv = b.grads(at, v_base, v_rows, wd)
     # the rows still hold u_base and v_base, so this is the in-place -= update
     du *= config.learning_rate
@@ -333,8 +335,8 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) 
     resid = np.empty(r.size)
     # One block's gathered rows, written in place by every epoch loss: fresh arrays this
     # large would be mapped and unmapped by malloc at each block.
-    block = min(r.size, CHUNK_ROWS)
-    u_block, v_block = np.empty((block, config.dim)), np.empty((block, config.dim))
+    block = min(r.size, CHUNK_ROWS) * config.dim
+    u_block, v_block = np.empty(block), np.empty(block)
 
     def step(sel):
         _sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb)
@@ -342,11 +344,8 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) 
     def epoch_loss():
         for start in range(0, r.size, CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            n = min(CHUNK_ROWS, r.size - start)
-            # mode="clip" spares take a copy of ``out``; it clips nothing, as DomainDataset
-            # range-checks both index columns and U and V are sized from that dataset
-            u_rows = U.take(ui[part], axis=0, out=u_block[:n], mode="clip")
-            v_rows = V.take(vi[part], axis=0, out=v_block[:n], mode="clip")
+            u_rows = _take_rows(U, ui[part], u_block)
+            v_rows = _take_rows(V, vi[part], v_block)
             # the predictions, then the residuals, in the block's own slice of resid
             np.einsum("ij,ij->i", u_rows, v_rows, out=resid[part])
             np.subtract(r[part], resid[part], out=resid[part])

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import CHUNK_ROWS, CdrScenario, number, read_artifact, write_artifact
 from .errors import ValidationError
-from .factorization import FactorModel, TrainConfig, _run_epochs
+from .factorization import FactorModel, TrainConfig, _run_epochs, _take_rows
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
 MAPPING_CHECKPOINT_VERSION = 4
@@ -250,16 +250,6 @@ def _rating_predictions(vectors: np.ndarray, counts: np.ndarray, y: np.ndarray,
         owner = np.repeat(y[rows], counts[rows], axis=0)
         preds[span] = np.einsum("ij,ij->i", vectors[items[span]], owner)
     return preds
-
-
-def _take_rows(vectors: np.ndarray, items: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """``vectors[items]``, written into the front of the flat float64 ``buffer``.
-
-    ``mode="clip"`` spares ``take`` a copy of its ``out``; it clips nothing, as
-    every caller checks that ``items`` index rows of ``vectors``.
-    """
-    out = buffer[:items.size * vectors.shape[1]].reshape(items.size, vectors.shape[1])
-    return vectors.take(items, axis=0, out=out, mode="clip")
 
 
 def _rating_target(vectors: np.ndarray, ratings: np.ndarray, counts: np.ndarray,

@@ -88,9 +88,10 @@ def memo_last_point(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
 
     :func:`find_delta` asks for the loss and then the gradient at the same
     array object, so a loss/gradient pair that reads one memoized forward
-    pass computes it once per iterate. The key is object identity: a point
-    must not be mutated in place between calls. The held result is dropped
-    before ``fn`` runs on a new point, so no two results are alive at once.
+    pass computes it once per iterate. Three ascents do: the factor and the
+    mapping trainers' and the Lipschitz probe's. The key is object identity:
+    a point must not be mutated in place between calls. The held result is
+    dropped before ``fn`` runs on a new point, so no two are alive at once.
     """
     last: list = [None, None]
 

@@ -12,7 +12,7 @@ file bytes are checked to stay behind ``scdr.data``'s codec, numpy's
 binary loading and writing are checked to stay in ``scdr.data`` and
 pickle-free, and array records are checked to be read only where their
 digest is checked. Factor and mapping training are checked to share one
-epoch loop.
+epoch loop, and the ascents one memo of a point's pass.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ def test_every_wrapped_site_resolves():
 def test_find_delta_callables_are_defined_by_the_caller(monkeypatch):
     """Each caller defines its own loss and gradient, and no point they see is written.
 
-    ``memo_last_point`` keys on the identity of a point, so a ``find_delta``
-    that wrote its step into the origin or into a point it already handed out
-    would corrupt every caller's memoized residual.
+    ``memo_last_point`` keys on the identity of a point, and every caller (the
+    factor ascent, the mapping ascent and the Lipschitz probe) reads its passes
+    through it, so a ``find_delta`` that wrote its step into the origin or into
+    a point it already handed out would corrupt every caller's memoized residual.
     """
     callers = (scdr.factorization, scdr.mapping, scdr.analysis)
     seen = {}
@@ -267,3 +268,26 @@ def test_one_epoch_loop_draws_batches_and_guards_divergence():
     draws = functions(lambda node: isinstance(node, ast.Attribute) and node.attr == "permutation")
     guards = functions(lambda node: isinstance(node, ast.Name) and node.id == "DIVERGENCE_FACTOR")
     assert draws == guards == {"factorization.py:_run_epochs"}
+
+
+def test_only_the_memo_keys_on_a_point_identity():
+    """``perturbation.memo_last_point`` is the one memo keyed on a point's identity.
+
+    A second identity memo in an ascent's loss/gradient pair would fork the rule
+    that no point handed out is written; in the modules that ascend, ``is`` and
+    ``is not`` compare against ``None`` only.
+    """
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    found = []
+    for name in ("factorization.py", "mapping.py", "analysis.py"):
+        tree = ast.parse((ROOT / "src" / "scdr" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                found += [f"{name}:{node.lineno}"
+                          for op, left, right in zip(node.ops, operands, operands[1:])
+                          if isinstance(op, (ast.Is, ast.IsNot))
+                          and not (is_none(left) or is_none(right))]
+    assert found == []
