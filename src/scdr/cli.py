@@ -26,6 +26,7 @@ from . import analysis, data, factorization, mapping
 from .errors import DivergenceError, MissingInputError, ValidationError
 from .perturbation import PerturbConfig
 
+# Training takes one ascent step per update, as SAM does; the probe, a measurement, takes five.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "out": "runs/default",
@@ -47,7 +48,7 @@ DEFAULT_CONFIG: dict = {
         "init_std": 0.01,
         "dim": 10,
         "rho": 0.05,
-        "k": 5,
+        "k": 1,
         "alpha": None,
     },
     "train": {
@@ -56,7 +57,7 @@ DEFAULT_CONFIG: dict = {
         "batch_size": 256,
         "hidden": 50,
         "rho": 0.3,
-        "k": 5,
+        "k": 1,
         "alpha": None,
         "tune_source_embeddings": True,
     },

@@ -25,7 +25,9 @@ class PerturbConfig:
     """Ball radius ``rho``, ascent step count ``k``, and step size ``alpha``.
 
     ``alpha`` defaults to ``rho / max(k, 1)`` so the unprojected sign path
-    can traverse the ball.
+    can traverse the ball. At ``k = 1`` that makes ``alpha = rho``: the one
+    sign step is always projected, and any row with a nonzero gradient ends
+    on the radius-``rho`` sphere.
     """
 
     rho: float

@@ -9,6 +9,7 @@ import pytest
 
 import scdr.data
 from scdr.data import DomainDataset, build_scenario, generate_synthetic
+from scdr.perturbation import find_delta
 
 
 def dataset(rows) -> DomainDataset:
@@ -77,6 +78,28 @@ def minor_faults(run) -> int:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run()
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def count_ascent_work(monkeypatch, module):
+    """Count ``module``'s ``find_delta`` calls and the loss and gradient reads they make.
+
+    Returns the counts, which grow in place as ``module`` runs.
+    """
+    counts = {"calls": 0, "loss": 0, "grad": 0}
+
+    def counting(loss_at, grad_at, origin, config):
+        counts["calls"] += 1
+
+        def counted(fn, key):
+            def call(x):
+                counts[key] += 1
+                return fn(x)
+            return call
+
+        return find_delta(counted(loss_at, "loss"), counted(grad_at, "grad"), origin, config)
+
+    monkeypatch.setattr(module, "find_delta", counting)
+    return counts
 
 
 @pytest.fixture

@@ -143,6 +143,12 @@ def trend_maes(stack08):
     return means
 
 
+def zero_predictor_mae(scenario):
+    """MAE of predicting 0 for every withheld test rating: the mean |r| over the test pairs."""
+    _, ratings, _ = scenario.target.user_interactions([t for _, t in scenario.test_pairs])
+    return float(np.abs(ratings).mean())
+
+
 def max_rel_err(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
 
@@ -317,10 +323,11 @@ def test_criterion_4_trend_gate(trend_maes):
 
 def test_criterion_5_robustness_gate(stack08):
     t0 = time.monotonic()
-    last_eps = {}
+    last_eps, clean = {}, {}
     for seed in SEEDS:
         entry = stack08[seed]
         scenario = entry["scenario"]
+        zero, worst = zero_predictor_mae(scenario), 0.0
         sweeps = {
             "scdr(k=5,rho=5)": (entry["scdr"], entry["smf5"]),
             "scdr(k=1,rho=1)": (entry["scdr_weak"], entry["smf1"]),
@@ -328,12 +335,16 @@ def test_criterion_5_robustness_gate(stack08):
         }
         for name, (net, (src, tgt)) in sweeps.items():
             curve = [r.mae for _, r in fgsm_sweep(net, src, tgt, scenario, EPSILONS)]
+            # a constant model's curve is flat: it must not pass as robust
+            assert curve[0] < zero, f"{name} seed {seed}: clean MAE {curve[0]} !< zero {zero}"
+            worst = max(worst, curve[0])
             tolerance = 0.01 * curve[0]
             inversions = [(a, b) for a, b in zip(curve, curve[1:]) if b < a]
             assert len(inversions) <= 1, f"{name} seed {seed}: {curve}"
             assert all(a - b <= tolerance for a, b in inversions), (
                 f"{name} seed {seed}: inversion beyond 1% of clean MAE: {curve}")
             last_eps.setdefault(name, {})[seed] = curve[-1]
+        clean[seed] = (worst, zero)
 
     wins = sum(last_eps["scdr(k=5,rho=5)"][s] < last_eps["scdr(k=1,rho=1)"][s] for s in SEEDS)
     assert wins >= 2, f"strong SAM beat weak SAM on only {wins}/3 seeds: {last_eps}"
@@ -341,13 +352,15 @@ def test_criterion_5_robustness_gate(stack08):
     assert elapsed < 600.0
     strong = [f"{last_eps['scdr(k=5,rho=5)'][s]:.3f}" for s in SEEDS]
     weak = [f"{last_eps['scdr(k=1,rho=1)'][s]:.3f}" for s in SEEDS]
+    guard = "  ".join(f"seed {s}: {clean[s][0]:.3f}<{clean[s][1]:.3f}" for s in SEEDS)
     print(f"\n[criterion 5] PASS robustness gate ({elapsed:.0f}s): robust MAE at eps=1 "
-          f"strong {strong} vs weak {weak}, wins {wins}/3")
+          f"strong {strong} vs weak {weak}, wins {wins}/3\n"
+          f"  worst clean MAE below the zero predictor's: {guard}")
 
 
 def test_criterion_6_sharpness_gate(stack08, tmp_path):
     t0 = time.monotonic()
-    lips, ranges = {}, {}
+    lips, ranges, clean = {}, {}, {}
 
     def exported_range(grid, path):
         save_landscape(grid, path)
@@ -361,6 +374,14 @@ def test_criterion_6_sharpness_gate(stack08, tmp_path):
         scenario = entry["scenario"]
         src_s, tgt_s = entry["smf5"]
         src_p, tgt_p = entry["plain"]
+
+        # a constant model has no slope and a flat landscape: it must not pass as flat
+        zero = zero_predictor_mae(scenario)
+        mae_scdr = evaluate(entry["scdr"], src_s, tgt_s, scenario).mae
+        mae_base = evaluate(entry["k0"], src_p, tgt_p, scenario).mae
+        assert max(mae_scdr, mae_base) < zero, (
+            f"seed {seed}: clean MAE scdr {mae_scdr}, k0 {mae_base} !< zero {zero}")
+        clean[seed] = (max(mae_scdr, mae_base), zero)
 
         lip_scdr = lipschitz_estimate(entry["scdr"], src_s, tgt_s, scenario, LIP_PROBE)
         lip_base = lipschitz_estimate(entry["k0"], src_p, tgt_p, scenario, LIP_PROBE)
@@ -380,7 +401,8 @@ def test_criterion_6_sharpness_gate(stack08, tmp_path):
     elapsed = stack08["elapsed"] + (time.monotonic() - t0)
     assert elapsed < 300.0
     detail = "  ".join(f"seed {s}: lipschitz {lips[s][0]:.3f}<{lips[s][1]:.3f} "
-                       f"range {ranges[s][0]:.3f}<{ranges[s][1]:.3f}" for s in SEEDS)
+                       f"range {ranges[s][0]:.3f}<{ranges[s][1]:.3f} "
+                       f"clean MAE {clean[s][0]:.3f}<zero {clean[s][1]:.3f}" for s in SEEDS)
     print(f"\n[criterion 6] PASS sharpness gate ({elapsed:.0f}s)\n  {detail}")
 
 

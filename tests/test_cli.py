@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import scdr.data
+import scdr.factorization
+import scdr.mapping
 from scdr.cli import _check_outputs, load_config, main
 from scdr.errors import ValidationError
 from scdr.factorization import load_factor_model
 from scdr.mapping import MappingNet, load_mapping, save_mapping
 
-from conftest import fail_halfway, load_records, rewrite_header, rewrite_record, same_dataset
+from conftest import count_ascent_work, fail_halfway, load_records, rewrite_header, rewrite_record, same_dataset
 
 
 def small_config(out, seed=1):
@@ -325,12 +327,46 @@ class TestValidation:
         cfg = load_config(None)
         assert cfg["train"]["hidden"] == 50
         assert cfg["attack"]["epsilons"] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        # training ascends once per step; the sharpness probe keeps five steps
+        assert cfg["pretrain"]["k"] == cfg["train"]["k"] == 1
+        assert cfg["sharpness"]["k"] == 5
 
     def test_load_config_rejects_non_object(self, tmp_path):
         p = tmp_path / "arr.json"
         p.write_text("[1, 2]")
         with pytest.raises(ValidationError):
             load_config(str(p))
+
+
+class TestDefaultAscentWork:
+    def test_one_ascent_step_per_training_step(self, tmp_path, monkeypatch):
+        """With ``k`` unset, each sharpness-aware pretraining ascent reads 2 losses and
+        1 gradient, and each scdr mapping batch runs 3 kernel forwards: the origin, the
+        one step and the update.
+
+        Beyond the batches, mapping training runs one forward per epoch loss and one
+        for the untrained bound.
+        """
+        doc = small_config(tmp_path / "run")
+        del doc["pretrain"]["k"], doc["train"]["k"]
+        cfg = write_config(tmp_path, doc)
+        assert run("synth", "--config", cfg) == 0
+        counts = count_ascent_work(monkeypatch, scdr.factorization)
+        assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 0
+        steps = counts["calls"]
+        assert steps > 0 and counts == {"calls": steps, "loss": 2 * steps, "grad": steps}
+
+        forwards, kernel = [0], scdr.mapping._kernel
+
+        def recording(*args):
+            forwards[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(scdr.mapping, "_kernel", recording)
+        counts = count_ascent_work(monkeypatch, scdr.mapping)
+        assert run("train", "--config", cfg, "--method", "scdr") == 0
+        batches = counts["calls"]
+        assert batches > 0 and forwards[0] == 3 * batches + doc["train"]["epochs"] + 1
 
 
 @pytest.fixture

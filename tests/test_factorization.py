@@ -22,7 +22,7 @@ from scdr.factorization import (
 )
 from scdr.perturbation import PerturbConfig, find_delta
 
-from conftest import dataset, minor_faults, rewrite_header, rewrite_record, same_bits
+from conftest import count_ascent_work, dataset, minor_faults, rewrite_header, rewrite_record, same_bits
 
 
 def model_from(u_rows, v_rows):
@@ -248,20 +248,7 @@ class TestTrainSmf:
 
         A faster step must not come from doing less ascent.
         """
-        counts = {"calls": 0, "loss": 0, "grad": 0}
-
-        def counting(loss_at, grad_at, origin, config):
-            counts["calls"] += 1
-
-            def counted(fn, key):
-                def call(x):
-                    counts[key] += 1
-                    return fn(x)
-                return call
-
-            return find_delta(counted(loss_at, "loss"), counted(grad_at, "grad"), origin, config)
-
-        monkeypatch.setattr(factorization, "find_delta", counting)
+        counts = count_ascent_work(monkeypatch, factorization)
         cfg = TrainConfig(epochs=2, batch_size=96, seed=3)
         k = 4
         train_smf(synthetic_source, cfg, PerturbConfig(rho=0.05, k=k))

@@ -35,8 +35,8 @@ from scdr.mapping import (
 )
 from scdr.perturbation import PerturbConfig, find_delta, memo_last_point
 
-from conftest import (load_records, minor_faults, rewrite_header, same_bits, set_chunk_rows,
-                      uneven_scenario)
+from conftest import (count_ascent_work, load_records, minor_faults, rewrite_header, same_bits,
+                      set_chunk_rows, uneven_scenario)
 
 
 def zero_net(d=3, h=4):
@@ -900,26 +900,14 @@ class TestBackwardWork:
 
         A faster step must not come from doing less ascent.
         """
-        passes, counts = [], {"calls": 0, "loss": 0, "grad": 0}
-        kernel = mapping._kernel
+        passes, kernel = [], mapping._kernel
 
         def recording(*args):
             passes.append(kernel(*args))
             return passes[-1]
 
-        def counting(loss_at, grad_at, origin, config):
-            counts["calls"] += 1
-
-            def counted(fn, key):
-                def call(x):
-                    counts[key] += 1
-                    return fn(x)
-                return call
-
-            return find_delta(counted(loss_at, "loss"), counted(grad_at, "grad"), origin, config)
-
         monkeypatch.setattr(mapping, "_kernel", recording)
-        monkeypatch.setattr(mapping, "find_delta", counting)
+        counts = count_ascent_work(monkeypatch, mapping)
         scn, src, tgt = equivalence_scenario()
         base, k = TrainConfig(epochs=2, batch_size=16, dim=6, seed=2), 3
         scdr_train(scn, src, tgt, ScdrTrainConfig(base=base, perturb=PerturbConfig(rho=0.3, k=k)))
