@@ -253,7 +253,6 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
         if method == "emcdr":
             result = mapping.emcdr_train(scenario, src_model, tgt_model, base,
                                          hidden=section["hidden"])
-            mapping.save_mapping(result.net, staged[0], config=echo, inputs=inputs)
         else:
             perturb = _perturb_config(section)
             echo.update({"rho": perturb.rho, "k": perturb.k, "alpha": perturb.alpha,
@@ -265,12 +264,7 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
                 hidden=section["hidden"],
             )
             result = mapping.scdr_train(scenario, src_model, tgt_model, train_cfg)
-            rows = [s for s, _ in scenario.train_pairs]
-            mapping.save_mapping(
-                result.net, staged[0], config=echo,
-                tuned_users=scenario.train_user_tokens,
-                tuned_vectors=result.tuned_source_U[rows], inputs=inputs,
-            )
+        mapping.save_mapping(result.net, staged[0], config=echo, inputs=inputs)
         _write_trace(result.loss_trace, staged[1])
     print(f"trained {method} mapping (final loss "
           f"{result.loss_trace[-1] if result.loss_trace else float('nan'):.4f})")

@@ -36,7 +36,7 @@ INDEX_LIMIT = np.iinfo(np.int32).max
 
 
 @contextmanager
-def json_document(path, what: str, arrays: dict | None = None):
+def json_document(path, what: str, arrays: dict | None = None, header: dict | None = None):
     """Read the JSON object stored at ``path`` for the ``with`` body.
 
     Yields the object and the sha256 of the file's bytes, which are read
@@ -47,7 +47,9 @@ def json_document(path, what: str, arrays: dict | None = None):
     level that is not an object, a truncated, pickled or ill-typed record,
     and any key, type or value error the body raises while reading the
     document become a :class:`ValidationError` naming the file; package
-    errors pass through.
+    errors pass through. With ``header``, an object that differs from it under any of its
+    keys raises ValidationError ``not a <what>`` before any array is read, so a file of
+    another version is refused as such whatever its layout.
     """
     path = Path(path)
     if not path.is_file():
@@ -57,12 +59,15 @@ def json_document(path, what: str, arrays: dict | None = None):
         if arrays is None:
             doc = json.loads(raw.decode("utf-8"))
         else:
-            head, *values = _typed_arrays(io.BytesIO(raw), [("U", 0), *arrays.values()])
-            doc = json.loads(head.item())
+            records = _typed_arrays(io.BytesIO(raw), [("U", 0), *arrays.values()])
+            doc = json.loads(next(records).item())
         if not isinstance(doc, dict):
             raise TypeError("top level is not a JSON object")
+        if any(doc.get(key) != value for key, value in (header or {}).items()):
+            raise ValidationError(f"not a {what}: {path}")
         if arrays is not None:
-            doc.update(zip(arrays, values))
+            # list() runs the records to their end, where trailing bytes are refused
+            doc.update(zip(arrays, list(records)))
         yield doc, hashlib.sha256(raw).hexdigest()
     except ScdrError:
         raise
@@ -127,8 +132,8 @@ def _typed_arrays(fh, layout):
 
     ``"U"`` admits a string of any width; another dtype or rank raises TypeError naming
     the record's position. Pickled records, bytes that do not start with the ``.npy``
-    magic (an older JSON document at the path, say) and a header numpy cannot parse
-    raise ValueError.
+    magic (an older JSON document at the path, say), a header numpy cannot parse and
+    bytes after the last record raise ValueError.
     """
     for i, (dtype, ndim) in enumerate(layout):
         magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
@@ -145,6 +150,8 @@ def _typed_arrays(fh, layout):
                 and (arr.dtype.kind == "U" if dtype == "U" else arr.dtype == dtype)):
             raise TypeError(f"array {i} is not {ndim}-D {dtype}")
         yield arr
+    if fh.read(1):
+        raise ValueError(f"trailing bytes after array {i}")
 
 
 def write_artifact(path, kind: str, version: int, payload: dict, indent: int | None = None,
@@ -173,9 +180,8 @@ def read_artifact(path, kind: str, version: int, what: str, inputs: dict | None 
     ``inputs``, or ``arrays`` that do not hash to the header's ``records`` digest raise
     ValidationError naming it. The yielded document holds no ``records`` key.
     """
-    with json_document(path, what, arrays) as (doc, digest):
-        if doc.get("format_version") != version or doc.get("kind") != kind:
-            raise ValidationError(f"not a {what}: {path}")
+    header = {"format_version": version, "kind": kind}
+    with json_document(path, what, arrays, header) as (doc, digest):
         if inputs is not None and doc.get("inputs") != inputs:
             raise ValidationError(f"stale {what} {path}: it was made from other input files")
         if arrays is not None and doc.pop("records", None) != _records_digest(

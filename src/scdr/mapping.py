@@ -37,10 +37,9 @@ from .errors import ValidationError
 from .factorization import FactorModel, TrainConfig, _run_epochs, _take_rows
 from .perturbation import PerturbConfig, find_delta, memo_last_point
 
-MAPPING_CHECKPOINT_VERSION = 4
+MAPPING_CHECKPOINT_VERSION = 5
 # (dtype, ndim) of each array after the checkpoint's header
-_CHECKPOINT_ARRAYS = {"W1": ("f8", 2), "b1": ("f8", 1), "W2": ("f8", 2), "b2": ("f8", 1),
-                      "tuned_vectors": ("f8", 2)}
+_CHECKPOINT_ARRAYS = {"W1": ("f8", 2), "b1": ("f8", 1), "W2": ("f8", 2), "b2": ("f8", 1)}
 
 SUPERVISION_RATING = "rating"
 SUPERVISION_EMBEDDING = "embedding"
@@ -461,27 +460,21 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
 
 
 def save_mapping(net: MappingNet, path, config: dict | None = None,
-                 tuned_users: list[str] | None = None,
-                 tuned_vectors: np.ndarray | None = None, inputs: dict | None = None) -> None:
-    """Write a header with ``inputs`` digests, then W1, b1, W2, b2 and the tuned source rows."""
-    if (tuned_users is None) != (tuned_vectors is None):
-        raise ValidationError("tuned_users and tuned_vectors must be given together")
-    tuned = np.empty((0, net.d)) if tuned_vectors is None else tuned_vectors
+                 inputs: dict | None = None) -> None:
+    """Write a header with ``inputs`` digests, then W1, b1, W2 and b2."""
     write_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, {
         "d": net.d,
         "hidden": net.hidden,
         "activation": "tanh",
         "config": config,
-        "tuned_users": list(tuned_users or []),
-    }, inputs=inputs, arrays={"W1": net.W1, "b1": net.b1, "W2": net.W2, "b2": net.b2,
-                              "tuned_vectors": np.asarray(tuned, dtype=np.float64)})
+    }, inputs=inputs, arrays={"W1": net.W1, "b1": net.b1, "W2": net.W2, "b2": net.b2})
 
 
 def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict, str]:
     """A checkpoint's net, header and sha256; one trained on other ``inputs`` raises."""
     with read_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, "mapping checkpoint",
                        inputs, arrays=_CHECKPOINT_ARRAYS) as (doc, digest):
-        if doc.get("activation", "tanh") != "tanh":
+        if doc["activation"] != "tanh":
             raise ValidationError(f"unsupported activation {doc['activation']!r} in {path}")
         d, hidden = (number(int, doc[k], k) for k in ("d", "hidden"))
         try:
@@ -490,7 +483,4 @@ def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict, st
             raise ValidationError(f"malformed mapping checkpoint {path}: {exc}") from None
         if net.d != d or net.hidden != hidden:
             raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
-        if doc["tuned_vectors"].shape != (len(doc["tuned_users"]), d):
-            raise ValidationError(f"malformed mapping checkpoint {path}: "
-                                  "tuned_users and tuned_vectors disagree")
     return net, doc, digest

@@ -1,10 +1,10 @@
 """Loss-maximizing perturbations inside an L2 ball.
 
 ``find_delta``'s multi-step sign-gradient ascent, each step projected back
-onto the ball by ``project_ball`` (the first one only when it could leave
-the ball), drives the sharpness-aware trainers and the sharpness probe. It
-tracks the best iterate including the unperturbed origin, so its achieved
-loss never falls below the loss at zero perturbation.
+onto the ball by ``project_ball``, drives the sharpness-aware trainers and
+the sharpness probe. It tracks the best iterate including the unperturbed
+origin, so its achieved loss never falls below the loss at zero
+perturbation.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ T = TypeVar("T")
 class PerturbConfig:
     """Ball radius ``rho``, ascent step count ``k``, and step size ``alpha``.
 
-    ``alpha`` defaults to ``rho / max(k, 1)`` so the unprojected sign path
-    can traverse the ball. At ``k = 1`` that makes ``alpha = rho``: the one
-    sign step is always projected, and any row with a nonzero gradient ends
-    on the radius-``rho`` sphere.
+    ``alpha`` defaults to ``rho / max(k, 1)`` so that k sign steps can
+    traverse the ball. At ``k = 1`` that makes ``alpha = rho``: any row
+    with a nonzero gradient ends on the radius-``rho`` sphere.
     """
 
     rho: float
@@ -107,25 +106,6 @@ def memo_last_point(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
     return at
 
 
-def _first_step_inside(origin: np.ndarray, config: PerturbConfig) -> bool:
-    """Whether ``project_ball`` leaves ``origin + alpha * sign(g)`` in place for every finite g.
-
-    ``project_ball`` recomputes each entry of the step as at most
-    ``alpha + eps/2 * (alpha + max|origin|)`` in size, after two roundings. Its squares,
-    their sum over ``d`` entries and the square root add at most ``(d + 4) * eps / 4``
-    relative error. The bound below doubles the first term and quadruples the second,
-    which covers its own rounding. A non-finite origin never passes.
-    """
-    if origin.ndim == 0 or origin.size == 0:
-        return False
-    d = origin.shape[-1]
-    if not config.alpha * math.sqrt(d) < config.rho:
-        return False
-    eps = math.ulp(1.0)
-    entry = config.alpha + eps * (config.alpha + float(np.abs(origin).max()))
-    return entry * math.sqrt(d) * (1.0 + (d + 4) * eps) < config.rho
-
-
 def find_delta(loss_at: Callable[[np.ndarray], float],
                grad_at: Callable[[np.ndarray], np.ndarray],
                origin: np.ndarray,
@@ -138,10 +118,6 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
     ``achieved_loss >= loss_at(origin)`` always holds and
     ``||delta||_2 <= rho`` up to float slack. Only a strictly higher loss
     replaces the best iterate.
-
-    The first step is not projected when it provably stays inside: when
-    ``alpha * sqrt(d)``, widened by a rounding bound from ``max|origin|``,
-    is below ``rho``. ``project_ball`` would return that step unchanged.
     """
     origin = np.asarray(origin, dtype=np.float64)
     best_point = origin
@@ -160,10 +136,7 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
         moved = np.sign(grad)
         moved *= config.alpha
         moved += point
-        if step == 0 and _first_step_inside(origin, config):
-            point = moved
-        else:
-            point = project_ball(moved, origin, config.rho)
+        point = project_ball(moved, origin, config.rho)
         loss = float(loss_at(point))
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at ascent step {step}")

@@ -134,7 +134,7 @@ def rewrite_record(path, count, position, convert, restamp=False):
 def rewrite_header(path, count=3, **changes):
     """Set ``changes`` in the JSON header of a checkpoint of ``count`` records; the arrays stay.
 
-    A factor checkpoint has 3 records, a mapping checkpoint 6.
+    A factor checkpoint has 3 records, a mapping checkpoint 5.
     """
     rewrite_record(path, count, 0, lambda head: np.array(
         json.dumps({**json.loads(head.item()), **changes})))

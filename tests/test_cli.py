@@ -445,25 +445,47 @@ def flip_first_bit(values):
 def rewrite_mapping_array(position, convert, restamp=False):
     """Replace record ``position`` of a mapping checkpoint by ``convert`` of it.
 
-    Record 0 is the header, 1 to 4 are W1, b1, W2 and b2, and 5 is tuned_vectors.
-    ``restamp`` is ``rewrite_record``'s.
+    Record 0 is the header and 1 to 4 are W1, b1, W2 and b2. ``restamp`` is
+    ``rewrite_record``'s.
     """
-    return lambda path: rewrite_record(path, 6, position, convert, restamp)
+    return lambda path: rewrite_record(path, 5, position, convert, restamp)
 
 
 def mapping_header(edit):
     """Replace a mapping checkpoint's JSON header by ``edit`` of it; the arrays stay."""
-    return lambda path: rewrite_record(path, 6, 0, lambda head: np.array(
+    return lambda path: rewrite_record(path, 5, 0, lambda head: np.array(
         json.dumps(edit(json.loads(head.item())))))
 
 
 def mapping_as_version_2_json(path):
     """Put the version-2 JSON checkpoint of the same net at ``path``."""
-    head, w1, b1, w2, b2, tuned = load_records(path, 6)
+    head, w1, b1, w2, b2 = load_records(path, 5)
     doc = json.loads(head.item())
-    doc.update(format_version=2, W1=w1.tolist(), b1=b1.tolist(), W2=w2.tolist(), b2=b2.tolist(),
-               tuned_source={"users": doc.pop("tuned_users"), "vectors": tuned.tolist()})
+    doc.update(format_version=2, W1=w1.tolist(), b1=b1.tolist(), W2=w2.tolist(), b2=b2.tolist())
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def mapping_as_version_4(path):
+    """Put a version-4 checkpoint of the same net at ``path``, laid out as version 4 was:
+    the header lists the train users, and a fifth array holds one source row per user."""
+    head, *arrays = load_records(path, 5)
+    users = json.loads((path.parent / "scenario.json").read_text())["train_users"]
+    tuned = np.ones((len(users), arrays[3].shape[0]))
+    doc = {**json.loads(head.item()), "format_version": 4, "tuned_users": users,
+           "records": scdr.data._records_digest([*arrays, tuned])}
+    with open(path, "wb") as fh:
+        for arr in (np.array(json.dumps(doc, sort_keys=True)), *arrays, tuned):
+            np.save(fh, arr, allow_pickle=False)
+
+
+# how eval and the other analyses begin the error for a malformed mapping checkpoint
+MALFORMED_MAPPING = "malformed mapping checkpoint {path}: "
+
+
+def append_byte(path):
+    """Put one stray byte after the file's last record."""
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
 
 
 def unclosed_npy_header(path):
@@ -518,6 +540,9 @@ class TestCorruptInputs:
         # user token 1 copied over token 0: two users under one token
         ("source_ratings.csv.npy", rewrite_snapshot(1, lambda a: np.concatenate([a[1:2], a[1:]])),
          "source_ratings.csv.npy: repeated user token"),
+        # bytes after the last record would change the file's sha256 that reports record
+        ("target_ratings.csv.npy", append_byte,
+         "target_ratings.csv.npy: trailing bytes after array 6"),
         ("scenario.json", truncate, "malformed manifest"),
         ("source_model_sharpness_aware.npy", truncate, "malformed factor checkpoint"),
         ("target_model_sharpness_aware.npy", truncate_to(-1), "malformed factor checkpoint"),
@@ -529,6 +554,8 @@ class TestCorruptInputs:
          "source_model_sharpness_aware.npy: array 1 is not 2-D f8"),
         ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(lambda a: a.astype(object)),
          "source_model_sharpness_aware.npy: Object arrays cannot be loaded"),
+        ("target_model_sharpness_aware.npy", append_byte,
+         "target_model_sharpness_aware.npy: trailing bytes after array 2"),
         ("target_model_sharpness_aware.npy", checkpoint_header(kind="mapping_net"),
          "not a factor checkpoint"),
         ("target_model_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
@@ -567,34 +594,32 @@ class TestCorruptInputs:
         assert sorted(p.name for p in out.iterdir()) == before
 
     @pytest.mark.parametrize("corrupt, message", [
-        (mapping_as_version_2_json, ""),
-        (truncate, ""),
-        (truncate_to(-1), ""),
-        (unclosed_npy_header, "array 0 has an unparsable header"),
-        (rewrite_mapping_array(1, lambda a: a.astype(np.float32)), "array 1 is not 2-D f8"),
-        (rewrite_mapping_array(1, np.ravel), "array 1 is not 2-D f8"),
+        (mapping_as_version_2_json, MALFORMED_MAPPING),
+        (truncate, MALFORMED_MAPPING),
+        (truncate_to(-1), MALFORMED_MAPPING),
+        (append_byte, MALFORMED_MAPPING + "trailing bytes after array 4"),
+        (unclosed_npy_header, MALFORMED_MAPPING + "array 0 has an unparsable header"),
+        (rewrite_mapping_array(1, lambda a: a.astype(np.float32)),
+         MALFORMED_MAPPING + "array 1 is not 2-D f8"),
+        (rewrite_mapping_array(1, np.ravel), MALFORMED_MAPPING + "array 1 is not 2-D f8"),
         (rewrite_mapping_array(1, nan_at_origin, restamp=True),
-         "mapping-net parameters must be finite"),
-        (rewrite_mapping_array(5, lambda a: a[1:], restamp=True),
-         "tuned_users and tuned_vectors disagree"),
-        (rewrite_mapping_array(5, lambda a: a[:, 1:], restamp=True),
-         "tuned_users and tuned_vectors disagree"),
-        (rewrite_mapping_array(5, lambda a: a[1:]), "its records do not match the digest"),
-        (mapping_header(lambda doc: {**doc, "tuned_users": doc["tuned_users"][1:]}),
-         "tuned_users and tuned_vectors disagree"),
-        (mapping_header(lambda doc: {k: v for k, v in doc.items() if k != "tuned_users"}),
-         "missing key 'tuned_users'"),
-    ], ids=["version-2-json", "truncated", "last-byte-cut", "unclosed-header", "float32-W1",
-            "1-D-W1", "nan-in-W1", "fewer-tuned-rows", "narrower-tuned-rows",
-            "fewer-tuned-rows-unstamped", "fewer-tuned-users", "no-tuned-users"])
+         MALFORMED_MAPPING + "mapping-net parameters must be finite"),
+        (mapping_header(lambda doc: {k: v for k, v in doc.items() if k != "activation"}),
+         MALFORMED_MAPPING + "missing key 'activation'"),
+        # the layout before the tuned source rows were dropped is another version
+        (mapping_as_version_4, "not a mapping checkpoint: {path}"),
+    ], ids=["version-2-json", "truncated", "last-byte-cut", "trailing-bytes", "unclosed-header",
+            "float32-W1", "1-D-W1", "nan-in-W1", "no-activation", "version-4-tuned-rows"])
     def test_bad_mapping_checkpoint_exits_2_naming_it(self, run_copy, capsys, corrupt, message):
         out, cfg = run_copy
+        for name in ("landscape_scdr.csv", "sharpness_scdr.json"):
+            (out / name).unlink()
         corrupt(out / "mapping_scdr.npy")
         before = sorted(p.name for p in out.iterdir())
-        assert run("eval", "--config", cfg, "--method", "scdr") == 2
-        err = capsys.readouterr().err
-        assert f"malformed mapping checkpoint {out / 'mapping_scdr.npy'}: {message}" in err
-        assert sorted(p.name for p in out.iterdir()) == before
+        for command in ("eval", "attack", "landscape", "sharpness"):
+            assert run(command, "--config", cfg, "--method", "scdr") == 2, command
+            assert message.format(path=out / "mapping_scdr.npy") in capsys.readouterr().err
+            assert sorted(p.name for p in out.iterdir()) == before
 
     @pytest.mark.parametrize("name, corrupt, what", [
         ("source_model_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
@@ -613,7 +638,7 @@ class TestCorruptInputs:
 
     @pytest.mark.parametrize("name, count, command, what", [
         ("source_model_sharpness_aware.npy", 3, "train", "factor checkpoint"),
-        ("mapping_scdr.npy", 6, "eval", "mapping checkpoint"),
+        ("mapping_scdr.npy", 5, "eval", "mapping checkpoint"),
     ], ids=["factor-train", "mapping-eval"])
     def test_flipped_weight_bit_exits_2_naming_the_file(self, run_copy, capsys, name, count,
                                                         command, what):
@@ -895,12 +920,10 @@ class TestReductions:
         assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 0
         assert run("train", "--config", cfg, "--method", "scdr") == 0
         assert run("train", "--config", cfg, "--method", "scdr_minus") == 0
-        (a_net, a, _), (b_net, b, _) = (load_mapping(out / f"mapping_{method}.npy")
-                                        for method in ("scdr", "scdr_minus"))
-        assert a_net.W1.tobytes() == b_net.W1.tobytes()
-        assert a_net.b2.tobytes() == b_net.b2.tobytes()
-        assert a["tuned_users"] == b["tuned_users"]
-        assert a["tuned_vectors"].tobytes() == b["tuned_vectors"].tobytes()
+        a_net, b_net = (load_mapping(out / f"mapping_{method}.npy")[0]
+                        for method in ("scdr", "scdr_minus"))
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(a_net, name).tobytes() == getattr(b_net, name).tobytes(), name
 
 
 class TestDefaultLandscape:

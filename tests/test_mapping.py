@@ -476,41 +476,35 @@ class TestInference:
 class TestMappingCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         net = random_net(rng)
-        tuned = rng.normal(size=(2, 4))
         p = tmp_path / "net.npy"
-        save_mapping(net, p, config={"seed": 3}, tuned_users=["a", "b"], tuned_vectors=tuned)
+        save_mapping(net, p, config={"seed": 3})
         back, doc, sha = load_mapping(p)
         assert sha == hashlib.sha256(p.read_bytes()).hexdigest()
         for name in ("W1", "b1", "W2", "b2"):
             assert getattr(back, name).tobytes() == getattr(net, name).tobytes(), name
         assert doc["config"]["seed"] == 3
-        assert doc["tuned_users"] == ["a", "b"]
-        assert doc["tuned_vectors"].tobytes() == tuned.tobytes()
 
-    def test_untuned_net_stores_no_rows(self, tmp_path, rng):
-        p = tmp_path / "net.npy"
-        save_mapping(random_net(rng), p)
-        _, doc, _ = load_mapping(p)
-        assert doc["tuned_users"] == [] and doc["tuned_vectors"].shape == (0, 4)
-
-    def test_records_are_a_header_and_five_float64_arrays(self, tmp_path, rng):
+    def test_records_are_a_header_and_four_float64_arrays(self, tmp_path, rng):
         net = random_net(rng)
         p = tmp_path / "net.npy"
-        save_mapping(net, p, tuned_users=["a"], tuned_vectors=rng.normal(size=(1, 4)))
-        head, *arrays = load_records(p, 6)
+        save_mapping(net, p)
+        head, *arrays = load_records(p, 5)
         assert sorted(json.loads(head.item())) == [
-            "activation", "config", "d", "format_version", "hidden", "kind", "records",
-            "tuned_users"]
+            "activation", "config", "d", "format_version", "hidden", "kind", "records"]
         assert [(a.dtype.str, a.shape) for a in arrays] == [
             ("<f8", net.W1.shape), ("<f8", net.b1.shape), ("<f8", net.W2.shape),
-            ("<f8", net.b2.shape), ("<f8", (1, 4))]
+            ("<f8", net.b2.shape)]
+        with open(p, "rb") as fh:
+            for _ in range(5):
+                np.load(fh)
+            assert fh.read() == b""
 
     def test_input_digests_are_checked(self, tmp_path, rng):
         inputs = {"source_model": "a" * 64, "target_model": "b" * 64}
         p = tmp_path / "net.npy"
         save_mapping(random_net(rng), p, inputs=inputs)
         _, doc, _ = load_mapping(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 4
+        assert doc["inputs"] == inputs and doc["format_version"] == 5
         for other in ({**inputs, "target_model": "c" * 64}, {}):
             with pytest.raises(ValidationError, match="stale mapping checkpoint") as exc:
                 load_mapping(p, other)
@@ -520,15 +514,11 @@ class TestMappingCheckpoint:
         with pytest.raises(MissingInputError):
             load_mapping(tmp_path / "none.npy")
 
-    def test_tuned_fields_must_pair(self, tmp_path, rng):
-        with pytest.raises(ValidationError):
-            save_mapping(random_net(rng), tmp_path / "x.npy", tuned_users=["a"])
-
     def test_other_activation_rejected(self, tmp_path, rng):
         p = tmp_path / "net.npy"
         save_mapping(random_net(rng), p)
         assert load_mapping(p)[1]["activation"] == "tanh"
-        rewrite_header(p, 6, activation="relu")
+        rewrite_header(p, 5, activation="relu")
         with pytest.raises(ValidationError, match="unsupported activation 'relu'") as exc:
             load_mapping(p)
         assert str(p) in str(exc.value)
@@ -538,7 +528,7 @@ class TestMappingCheckpoint:
     def test_metadata_numbers_are_strict(self, tmp_path, key, value):
         p = tmp_path / "net.npy"
         save_mapping(zero_net(d=3, h=3), p)
-        rewrite_header(p, 6, **{key: value})
+        rewrite_header(p, 5, **{key: value})
         with pytest.raises(ValidationError, match=f"{key} must be a finite int") as exc:
             load_mapping(p)
         assert str(p) in str(exc.value)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import weakref
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 import scdr.perturbation as perturbation
 from scdr.errors import DivergenceError, ValidationError
 from scdr.perturbation import (
-    Perturbation,
     PerturbConfig,
     find_delta,
     memo_last_point,
@@ -331,106 +329,20 @@ def counting_projection(monkeypatch):
     return calls
 
 
-class TestFirstStepSkip:
-    """The unprojected first step gives the bits of the always-projecting ascent."""
-
-    @pytest.mark.parametrize("shape", [(10,), (3,), (64, 10), (7, 1)], ids=str)
-    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 30.0])
-    def test_matches_always_project_reference(self, rng, shape, scale):
-        for trial in range(20):
-            origin = rng.normal(size=shape) * scale
-            if trial % 4 == 0:
-                origin.flat[::3] = 0.0
-                origin.flat[1::5] = -0.0
-            center = origin + rng.normal(size=shape) * rng.choice([1e-3, 0.05, 1.0])
-            loss_at, grad_at = row_quadratic(center, rng.uniform(0.5, 2.0, size=shape))
-            rho = float(rng.choice([0.01, 0.05, 0.3]))
-            k = int(rng.integers(1, 7))
-            alpha = None if trial % 3 else float(rng.uniform(0.1, 1.2)) * rho / math.sqrt(k)
-            cfg = PerturbConfig(rho=rho, k=k, alpha=alpha)
-            seen, ref_seen = [], []
-            got = find_delta(recording(loss_at, seen), grad_at, origin, cfg)
-            want = always_project_find_delta(recording(loss_at, ref_seen), grad_at, origin, cfg)
-            assert got.delta.tobytes() == want.delta.tobytes()
-            assert got.achieved_loss == want.achieved_loss
-            assert [x.tobytes() for x, _ in seen] == [x.tobytes() for x, _ in ref_seen]
-
-    @pytest.mark.parametrize("d, rho, k, alpha, origin_scale, skipped", [
-        (10, 0.05, 5, None, 0.1, True),  # alpha * sqrt(d) = 0.032 < rho
-        (3, 1.0, 2, None, 1.0, True),  # 0.87 < 1
-        (10, 0.05, 2, None, 0.1, False),  # 0.079 >= rho
-        (1, 0.05, 1, None, 0.1, False),  # alpha * sqrt(d) == rho exactly
-        (10, 0.05, 5, 0.05, 0.1, False),  # an explicit alpha as large as rho
-        (10, 0.05, 5, None, 1e15, False),  # rounding at |origin| ~ 1e15 exceeds rho
+class TestProjection:
+    @pytest.mark.parametrize("d, rho, k, alpha", [
+        (10, 0.05, 5, None),  # alpha * sqrt(d) = 0.032 < rho: the first step stays inside
+        (3, 1.0, 2, None),  # 0.87 < 1
+        (10, 0.05, 2, None),  # 0.079 >= rho
+        (1, 0.05, 1, None),  # alpha * sqrt(d) == rho exactly
+        (10, 0.05, 5, 0.05),  # an explicit alpha as large as rho
+        (10, 0.05, 0, None),
     ])
-    def test_skip_only_when_the_first_step_stays_inside(self, rng, monkeypatch, d, rho, k,
-                                                        alpha, origin_scale, skipped):
+    def test_each_ascent_step_is_one_projection(self, rng, monkeypatch, d, rho, k, alpha):
         calls = counting_projection(monkeypatch)
         for shape in ((d,), (16, d)):
             calls.clear()
-            origin = rng.normal(size=shape) * origin_scale
+            origin = rng.normal(size=shape) * 0.1
             loss_at, grad_at = row_quadratic(origin + rng.normal(size=shape), np.ones(shape))
             find_delta(loss_at, grad_at, origin, PerturbConfig(rho=rho, k=k, alpha=alpha))
-            assert len(calls) == k - skipped
-
-    def test_k_zero_projects_nothing(self, monkeypatch):
-        calls = counting_projection(monkeypatch)
-        loss_at, grad_at = quadratic(np.ones(4))
-        find_delta(loss_at, grad_at, np.zeros(4), PerturbConfig(rho=0.05, k=0))
-        assert calls == []
-
-    @pytest.mark.parametrize("d", [1, 2, 10, 50])
-    @pytest.mark.parametrize("scale", [0.0, 0.01, 1.0, 1e3])
-    def test_a_skipped_step_is_one_projection_keeps(self, rng, d, scale):
-        # alpha a few ulps below rho / sqrt(d): the first steps closest to the sphere
-        rho = float(rng.uniform(0.01, 1.0))
-        skipped = 0
-        for shrink in (1e-16, 1e-15, 1e-13, 1e-10):
-            cfg = PerturbConfig(rho=rho, k=1, alpha=rho / math.sqrt(d) * (1.0 - shrink))
-            origin = rng.normal(size=(32, d)) * scale
-            if not perturbation._first_step_inside(origin, cfg):
-                continue
-            skipped += 1
-            for _ in range(10):
-                moved = rng.choice([-1.0, 1.0], size=origin.shape)
-                moved *= cfg.alpha
-                moved += origin
-                assert project_ball(moved, origin, rho) is moved
-        assert skipped
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_origin_is_projected(self, value):
-        origin = np.zeros((2, 10))
-        origin[1, 3] = value
-        assert not perturbation._first_step_inside(origin, PerturbConfig(rho=0.05, k=5))
-        assert perturbation._first_step_inside(origin[:1], PerturbConfig(rho=0.05, k=5))
-
-
-def always_project_find_delta(loss_at, grad_at, origin, config):
-    """``find_delta`` as it was when it projected every step, kept verbatim as the bitwise
-    reference."""
-    origin = np.asarray(origin, dtype=np.float64)
-    best_point = origin
-    best_loss = float(loss_at(origin))
-    if not math.isfinite(best_loss):
-        raise DivergenceError("loss is non-finite at the unperturbed origin")
-    point = origin
-    for step in range(config.k):
-        grad = np.asarray(grad_at(point), dtype=np.float64)
-        if grad.shape != origin.shape:
-            raise ValidationError(f"shape mismatch: gradient {grad.shape} vs origin {origin.shape}")
-        if not np.isfinite(grad).all():
-            raise DivergenceError(f"non-finite gradient at ascent step {step}")
-        # point + alpha * sign(grad), built on a fresh array: points handed
-        # to loss_at are never written, as memo_last_point requires
-        moved = np.sign(grad)
-        moved *= config.alpha
-        moved += point
-        point = project_ball(moved, origin, config.rho)
-        loss = float(loss_at(point))
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at ascent step {step}")
-        if loss > best_loss:
-            best_loss = loss
-            best_point = point
-    return Perturbation(delta=best_point - origin, achieved_loss=best_loss)
+            assert len(calls) == k
