@@ -277,6 +277,17 @@ class TestSnapshot:
         got = ingest_domain(path)
         assert same_dataset(got, parse_only(path)) and got.rating[-1] == ds.rating[-1]
 
+    def test_trailing_bytes_are_refused(self, tmp_path):
+        # appended bytes pass every record check, yet change the sha256 reports record
+        ds = generate_synthetic(SNAPSHOT_SPECS[0])[0].source
+        path = written_with_snapshot(ds, tmp_path / "r.csv")
+        snapshot = tmp_path / "r.csv.npy"
+        snapshot.write_bytes(snapshot.read_bytes() + b"\0")
+        with pytest.raises(ValidationError) as exc:
+            ingest_domain(path)
+        assert f"unreadable rating snapshot {snapshot}: trailing bytes after array 6" in str(
+            exc.value)
+
     def test_write_keeps_per_row_temporaries_to_a_chunk(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(users=4000, items=500, ratings_per_user=25,
                                               seed=1))[0].source
@@ -892,8 +903,10 @@ class TestManifest:
         (lambda path, sc: path.write_bytes(b"".join(
             record_bytes(arr) for arr in load_records(path, 6))), "malformed sidecar {}: "),
         (lambda path, sc: rewrite_header(path, 7, kind="factor_model"), "not a sidecar: {}"),
+        (lambda path, sc: path.write_bytes(path.read_bytes() + b"\0"),
+         "malformed sidecar {}: trailing bytes after array 6"),
     ], ids=["version-1-json", "last-byte-cut", "float32-latents", "1-D-latents", "2-D-mean",
-            "pickled-map", "missing-record", "other-kind"])
+            "pickled-map", "missing-record", "other-kind", "trailing-bytes"])
     def test_bad_sidecar_names_its_path(self, tmp_path, corrupt, message):
         _, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=2,
                                                  ratings_per_user=3))

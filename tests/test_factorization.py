@@ -662,6 +662,15 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="malformed factor checkpoint"):
             load_factor_model(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        p = tmp_path / "m.npy"
+        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
+        with open(p, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ValidationError,
+                           match="malformed factor checkpoint .*trailing bytes after array 2"):
+            load_factor_model(p)
+
     @pytest.mark.parametrize("key", ["d", "n_users", "n_items"])
     @pytest.mark.parametrize("value", [3.9, "3", True])
     def test_metadata_numbers_are_strict(self, tmp_path, rng, key, value):

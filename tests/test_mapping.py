@@ -35,7 +35,8 @@ from scdr.mapping import (
 )
 from scdr.perturbation import PerturbConfig, find_delta, memo_last_point
 
-from conftest import (count_ascent_work, load_records, minor_faults, rewrite_header, same_bits,
+from conftest import (count_ascent_work, load_records, minor_faults, rewrite_header,
+                      rewrite_record, same_bits,
                       set_chunk_rows, uneven_scenario)
 
 
@@ -520,6 +521,24 @@ class TestMappingCheckpoint:
         assert load_mapping(p)[1]["activation"] == "tanh"
         rewrite_header(p, 5, activation="relu")
         with pytest.raises(ValidationError, match="unsupported activation 'relu'") as exc:
+            load_mapping(p)
+        assert str(p) in str(exc.value)
+
+    def test_missing_activation_rejected(self, tmp_path, rng):
+        p = tmp_path / "net.npy"
+        save_mapping(random_net(rng), p)
+        rewrite_record(p, 5, 0, lambda head: np.array(json.dumps(
+            {k: v for k, v in json.loads(head.item()).items() if k != "activation"})))
+        with pytest.raises(ValidationError, match="missing key 'activation'") as exc:
+            load_mapping(p)
+        assert str(p) in str(exc.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        p = tmp_path / "net.npy"
+        save_mapping(random_net(rng), p)
+        with open(p, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ValidationError, match="trailing bytes after array 4") as exc:
             load_mapping(p)
         assert str(p) in str(exc.value)
 

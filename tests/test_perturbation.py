@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
@@ -152,6 +153,22 @@ class TestProjectRows:
         assert out.tobytes() == project_ball(point[None], origin[None], 0.5)[0].tobytes()
         assert np.linalg.norm(out - origin) <= 0.5 + 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 10, 50])
+    @pytest.mark.parametrize("scale", [0.0, 0.01, 1.0, 1e3])
+    def test_a_sign_step_inside_the_ball_is_returned_as_is(self, rng, d, scale):
+        # a sign step of alpha < rho / sqrt(d) is what find_delta's first step is at
+        # the defaults of the sharpness probe; the margins stay above the rounding of
+        # (origin + step) - origin at |origin| <= 1e3, so no row may be rescaled
+        rho = float(rng.uniform(0.01, 1.0))
+        for shrink in (1e-8, 1e-4, 0.1):
+            alpha = rho / math.sqrt(d) * (1.0 - shrink)
+            origin = rng.normal(size=(32, d)) * scale
+            for _ in range(10):
+                moved = rng.choice([-1.0, 1.0], size=origin.shape)
+                moved *= alpha
+                moved += origin
+                assert project_ball(moved, origin, rho) is moved
+
 
 class TestFindDelta:
     def test_k_zero_returns_origin(self):
@@ -229,6 +246,16 @@ class TestFindDelta:
 
         with pytest.raises(DivergenceError):
             find_delta(loss_at, grad_at, np.zeros(2), PerturbConfig(rho=1.0, k=2))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_origin_aborts_before_a_step(self, value):
+        origin = np.zeros((2, 10))
+        origin[1, 3] = value
+        loss_at, grad_at = row_quadratic(np.ones_like(origin), np.ones_like(origin))
+        seen = []
+        with pytest.raises(DivergenceError, match="non-finite at the unperturbed origin"):
+            find_delta(loss_at, recording(grad_at, seen), origin, PerturbConfig(rho=0.05, k=5))
+        assert seen == []
 
 
 class TestMemoLastPoint:
@@ -346,3 +373,40 @@ class TestProjection:
             loss_at, grad_at = row_quadratic(origin + rng.normal(size=shape), np.ones(shape))
             find_delta(loss_at, grad_at, origin, PerturbConfig(rho=rho, k=k, alpha=alpha))
             assert len(calls) == k
+
+    @pytest.mark.parametrize("shape", [(10,), (3,), (64, 10), (7, 1)], ids=str)
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 30.0])
+    def test_matches_always_project_reference(self, rng, shape, scale):
+        for trial in range(20):
+            origin = rng.normal(size=shape) * scale
+            if trial % 4 == 0:
+                origin.flat[::3] = 0.0
+                origin.flat[1::5] = -0.0
+            center = origin + rng.normal(size=shape) * rng.choice([1e-3, 0.05, 1.0])
+            loss_at, grad_at = row_quadratic(center, rng.uniform(0.5, 2.0, size=shape))
+            rho = float(rng.choice([0.01, 0.05, 0.3]))
+            k = int(rng.integers(1, 7))
+            alpha = None if trial % 3 else float(rng.uniform(0.1, 1.2)) * rho / math.sqrt(k)
+            cfg = PerturbConfig(rho=rho, k=k, alpha=alpha)
+            seen, ref_seen = [], []
+            got = find_delta(recording(loss_at, seen), grad_at, origin, cfg)
+            delta, achieved = always_project_reference(recording(loss_at, ref_seen), grad_at,
+                                                       origin, cfg)
+            assert got.delta.tobytes() == delta.tobytes()
+            assert got.achieved_loss == achieved
+            assert [x.tobytes() for x, _ in seen] == [x.tobytes() for x, _ in ref_seen]
+
+
+def always_project_reference(loss_at, grad_at, origin, config):
+    """Projected sign ascent as the method states it: each step moves ``alpha`` along the
+    gradient's sign and goes through ``reference_project_rows``; the first strictly highest
+    loss, the origin's included, is kept. Returns the delta and that loss."""
+    point = best_point = origin
+    best_loss = loss_at(origin)
+    for _ in range(config.k):
+        point = reference_project_rows(point + config.alpha * np.sign(grad_at(point)), origin,
+                                       config.rho)
+        loss = loss_at(point)
+        if loss > best_loss:
+            best_point, best_loss = point, loss
+    return best_point - origin, best_loss
