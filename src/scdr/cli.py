@@ -49,7 +49,6 @@ DEFAULT_CONFIG: dict = {
         "dim": 10,
         "rho": 0.05,
         "k": 1,
-        "alpha": None,
     },
     "train": {
         "epochs": 300,
@@ -58,7 +57,6 @@ DEFAULT_CONFIG: dict = {
         "hidden": 50,
         "rho": 0.3,
         "k": 1,
-        "alpha": None,
         "tune_source_embeddings": True,
     },
     "attack": {"epsilons": [0.0, 0.25, 0.5, 0.75, 1.0]},
@@ -83,8 +81,7 @@ _METHOD_MODE = {"emcdr": "plain", "scdr": "sharpness_aware", "scdr_minus": "plai
 
 
 # Kind of each config value whose default is None: an optional number.
-_OPTIONAL_KINDS = {"pretrain.alpha": float, "train.alpha": float,
-                   "landscape.n_samples": int, "landscape.seed": int}
+_OPTIONAL_KINDS = {"landscape.n_samples": int, "landscape.seed": int}
 
 
 def _typed(name: str, default, value):
@@ -140,13 +137,18 @@ def load_config(path: str | None) -> dict:
 def _check_outputs(paths, force: bool):
     """Guard the ``with`` body that computes ``paths``; it yields their staging paths.
 
-    Without ``force``, an existing output raises before the body runs. The
-    body writes each output to its staging path, ``.<name>.staged`` beside
-    it, and only once the body completes do the staged files replace the
-    outputs. A body that raises leaves every output as it was, so neither
-    a crash nor the no-overwrite rule can keep a mix of old and new outputs.
+    Without ``force``, an existing output raises before the body runs; so,
+    with or without it, does an output path held by anything but a regular
+    file (a directory, say). The body writes each output to its staging
+    path, ``.<name>.staged`` beside it, and only once the body completes do
+    the staged files replace the outputs. A body that raises leaves every
+    output as it was, so neither a crash nor the no-overwrite rule can keep
+    a mix of old and new outputs.
     """
     paths = [Path(p) for p in paths]
+    for p in paths:
+        if p.exists() and not p.is_file():
+            raise ValidationError(f"output {p} exists and is not a regular file")
     existing = [p for p in paths if p.exists()]
     if existing and not force:
         raise ValidationError(
@@ -174,7 +176,7 @@ def _train_config(section: dict, seed: int, **given) -> factorization.TrainConfi
 
 
 def _perturb_config(section: dict) -> PerturbConfig:
-    return PerturbConfig(rho=section["rho"], k=section["k"], alpha=section.get("alpha"))
+    return PerturbConfig(rho=section["rho"], k=section["k"])
 
 
 def _write_trace(trace: list[float], path: Path) -> None:
@@ -196,8 +198,7 @@ def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
         out.mkdir(parents=True, exist_ok=True)
         data.write_ratings(scenario.source, staged[0], snapshot=staged[4])
         data.write_ratings(scenario.target, staged[1], snapshot=staged[5])
-        data.save_manifest(scenario, staged[2], "source_ratings.csv", "target_ratings.csv",
-                           sidecar="ground_truth.npy")
+        data.save_manifest(scenario, staged[2], "source_ratings.csv", "target_ratings.csv")
         data.save_sidecar(sidecar, staged[3])
     print(f"wrote scenario with {len(scenario.overlap)} overlapping users to {out}")
 
@@ -206,7 +207,9 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
     scenario = data.load_scenario(out / "scenario.json")
     section = cfg["pretrain"]
     train_cfg = _train_config(section, seed)
-    perturb = _perturb_config(section) if mode == "sharpness_aware" else None
+    perturb = _perturb_config(section)  # checked in plain mode too, which runs no ascent
+    if mode == "plain":
+        perturb = None
     outputs = [out / f"{stem}_{mode}.{ext}"
                for stem, ext in (("source_model", "npy"), ("target_model", "npy"),
                                  ("source_trace", "csv"), ("target_trace", "csv"))]
@@ -245,6 +248,7 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
     section = cfg["train"]
     base = _train_config(section, seed, dim=src_model.d)
+    perturb = _perturb_config(section)  # checked for emcdr too, which runs no ascent
     outputs = [out / f"mapping_{method}.npy", out / f"mapping_trace_{method}.csv"]
     echo = {"method": method, "seed": seed, "epochs": base.epochs,
             "learning_rate": base.learning_rate, "batch_size": base.batch_size,
@@ -254,8 +258,7 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
             result = mapping.emcdr_train(scenario, src_model, tgt_model, base,
                                          hidden=section["hidden"])
         else:
-            perturb = _perturb_config(section)
-            echo.update({"rho": perturb.rho, "k": perturb.k, "alpha": perturb.alpha,
+            echo.update({"rho": perturb.rho, "k": perturb.k,
                          "tune_source_embeddings": section["tune_source_embeddings"]})
             train_cfg = mapping.ScdrTrainConfig(
                 base=base,

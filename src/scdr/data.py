@@ -759,8 +759,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CdrScenario, SyntheticSidec
     return scenario, sidecar
 
 
-def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratings: str,
-                  sidecar: str | None = None) -> None:
+def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratings: str) -> None:
     """Write the scenario manifest: paths, beta, seed, and split membership.
 
     Paths are stored as given (conventionally relative to the manifest's
@@ -775,8 +774,6 @@ def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratin
         "train_users": scenario.train_user_tokens,
         "test_users": scenario.test_user_tokens,
     }
-    if sidecar is not None:
-        doc["sidecar"] = sidecar
     write_json(path, doc, indent=2)
 
 

@@ -22,16 +22,16 @@ T = TypeVar("T")
 
 @dataclass
 class PerturbConfig:
-    """Ball radius ``rho``, ascent step count ``k``, and step size ``alpha``.
+    """Ball radius ``rho`` and ascent step count ``k``.
 
-    ``alpha`` defaults to ``rho / max(k, 1)`` so that k sign steps can
+    Each sign step moves ``alpha = rho / max(k, 1)``, so k steps can
     traverse the ball. At ``k = 1`` that makes ``alpha = rho``: any row
-    with a nonzero gradient ends on the radius-``rho`` sphere.
+    with a nonzero gradient ends on the radius-``rho`` sphere. At
+    ``rho = 0`` the step is zero and the ascent stays at the origin.
     """
 
     rho: float
     k: int
-    alpha: float | None = None
 
     def __post_init__(self):
         self.rho = float(self.rho)
@@ -40,11 +40,11 @@ class PerturbConfig:
             raise ValidationError(f"rho must be finite and >= 0, got {self.rho}")
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
-        if self.alpha is None:
-            self.alpha = self.rho / max(self.k, 1) if self.rho > 0.0 else 1.0
-        self.alpha = float(self.alpha)
-        if self.alpha <= 0.0 or not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite and > 0, got {self.alpha}")
+
+    @property
+    def alpha(self) -> float:
+        """The length of each sign step, ``rho / max(k, 1)``."""
+        return self.rho / max(self.k, 1)
 
 
 @dataclass

@@ -420,6 +420,17 @@ def drop_key(key):
     return corrupt
 
 
+def as_directory(path):
+    """Put an empty directory in place of the file at ``path``."""
+    path.unlink()
+    path.mkdir()
+
+
+def listing(out):
+    """Each entry of ``out`` by name: a file's sha256, or ``None`` for a directory."""
+    return {p.name: None if p.is_dir() else digest(p) for p in out.iterdir()}
+
+
 def set_key(key, value):
     def corrupt(path):
         doc = json.loads(path.read_text())
@@ -652,7 +663,7 @@ class TestCorruptInputs:
                 "header") in capsys.readouterr().err
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("replace", [lambda p: p.unlink(), lambda p: (p.unlink(), p.mkdir())],
+    @pytest.mark.parametrize("replace", [lambda p: p.unlink(), as_directory],
                              ids=["missing", "directory"])
     def test_absent_checkpoint_exits_4_and_writes_nothing(self, run_copy, capsys, replace):
         out, cfg = run_copy
@@ -716,27 +727,49 @@ class TestCorruptInputs:
         assert "config value attack.epsilons" in capsys.readouterr().err
         assert not (out / "attack_scdr.json").exists()
 
-    @pytest.mark.parametrize("args, config, manifest_seed, message", [
+    @pytest.mark.parametrize("args, config, prepare, message", [
         (["synth", "--seed", "-1"], {}, None, "config value seed must be a non-negative int"),
         (["pretrain", "--mode", "plain", "--seed", "-2"], {}, None,
          "config value seed must be a non-negative int"),
         (["landscape", "--method", "scdr"], {"landscape": {"seed": -3}}, None,
          "config value landscape.seed must be a non-negative int"),
-        (["eval", "--method", "scdr"], {}, -1, "scenario.json: seed must be >= 0, got -1"),
-    ], ids=["seed-flag", "seed-flag-pretrain", "landscape-seed", "manifest-seed"])
-    def test_negative_seed_exits_2(self, run_copy, tmp_path, capsys, args, config,
-                                   manifest_seed, message):
+        (["eval", "--method", "scdr"], {}, ("scenario.json", set_key("seed", -1)),
+         "scenario.json: seed must be >= 0, got -1"),
+        # an ascent is its radius and step count; no step-size key is read
+        (["pretrain", "--mode", "sharpness_aware"], {"pretrain": {"alpha": 0.05}}, None,
+         "unknown config key pretrain.alpha"),
+        (["train", "--method", "scdr"], {"train": {"alpha": 0.3}}, None,
+         "unknown config key train.alpha"),
+        # every mode and method checks its section's ascent, also where none runs
+        (["pretrain", "--mode", "plain"], {"pretrain": {"rho": -1, "k": -3}}, None,
+         "rho must be finite and >= 0, got -1.0"),
+        (["pretrain", "--mode", "plain"], {"pretrain": {"k": -3}}, None,
+         "k must be >= 0, got -3"),
+        (["train", "--method", "emcdr"], {"train": {"rho": -2}}, None,
+         "rho must be finite and >= 0, got -2.0"),
+        # --force replaces regular files only, and refuses before anything is computed
+        (["eval", "--method", "emcdr"], {}, ("eval_emcdr.json", as_directory),
+         "eval_emcdr.json exists and is not a regular file"),
+        (["pretrain", "--mode", "plain", "--seed", "2"], {},
+         ("target_trace_plain.csv", as_directory),
+         "target_trace_plain.csv exists and is not a regular file"),
+    ], ids=["seed-flag", "seed-flag-pretrain", "landscape-seed", "manifest-seed",
+            "pretrain-alpha", "train-alpha", "plain-ascent", "plain-k", "emcdr-ascent",
+            "eval-output-directory", "pretrain-output-directory"])
+    def test_refused_run_exits_2_and_changes_nothing(self, run_copy, tmp_path, capsys, args,
+                                                     config, prepare, message):
         out, _ = run_copy
         cfg_doc = small_config(out)
         for section, values in config.items():
             cfg_doc[section].update(values)
-        cfg = write_config(tmp_path, cfg_doc, name="negative.json")
-        if manifest_seed is not None:
-            set_key("seed", manifest_seed)(out / "scenario.json")
-        before = {p.name: digest(p) for p in out.iterdir()}
+        cfg = write_config(tmp_path, cfg_doc, name="refused.json")
+        if prepare is not None:
+            name, edit = prepare
+            edit(out / name)
+        before = listing(out)
         assert run(*args, "--config", cfg, "--force") == 2
         assert message in capsys.readouterr().err
-        assert {p.name: digest(p) for p in out.iterdir()} == before
+        assert listing(out) == before
 
 
 FUZZ_COMMANDS = ("train", "eval", "attack", "landscape", "sharpness")

@@ -740,13 +740,19 @@ class TestManifest:
         scn, sc = generate_synthetic(spec)
         write_ratings(scn.source, tmp_path / "s.csv")
         write_ratings(scn.target, tmp_path / "t.csv")
-        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv", sidecar="g.npy")
+        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv")
         save_sidecar(sc, tmp_path / "g.npy")
 
         back = load_scenario(tmp_path / "m.json")
         assert back.beta == scn.beta and back.seed == scn.seed
         assert back.train_pairs == scn.train_pairs and back.test_pairs == scn.test_pairs
         assert np.array_equal(back.source.rating, scn.source.rating)
+        # the manifest does not name the sidecar; an older one that does still loads
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert "sidecar" not in doc
+        (tmp_path / "old.json").write_text(json.dumps({**doc, "sidecar": "g.npy"}))
+        old = load_scenario(tmp_path / "old.json")
+        assert old.train_pairs == scn.train_pairs and old.test_pairs == scn.test_pairs
 
         sc_back = load_sidecar(tmp_path / "g.npy")
         assert np.array_equal(sc_back.target_user_latents, sc.target_user_latents)
@@ -817,7 +823,7 @@ class TestManifest:
         scn, sc = generate_synthetic(spec)
         write_ratings(scn.source, tmp_path / "s.csv")
         write_ratings(scn.target, tmp_path / "t.csv")
-        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv", sidecar="g.npy")
+        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv")
         save_sidecar(sc, tmp_path / "g.npy")
         raw = (tmp_path / name).read_bytes()
         (tmp_path / name).write_bytes(raw[:len(raw) // 2])

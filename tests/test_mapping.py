@@ -655,7 +655,8 @@ class TestPerRowPick:
     def test_pick_matches_one_row_ascents(self):
         # f(u)_0 = tanh(u_0) - tanh(u_0 - 2) peaks at u_0 = 1 and is symmetric
         # about it; with rating -10 a row's loss is (10 + f_0)^2, so each row
-        # climbs toward u_0 = 1 in steps of 0.5.
+        # climbs toward u_0 = 1 in steps of rho / k = 0.5. The longest path,
+        # row 2's, ends on the sphere, inside the closed ball.
         net = MappingNet(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.0, -2.0]),
                          np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros(2))
         origin = np.array([
@@ -666,7 +667,7 @@ class TestPerRowPick:
         ])
         counts = np.ones(4, dtype=int)
         items, ratings = np.tile([1.0, 0.0], (4, 1)), np.full(4, -10.0)
-        cfg = PerturbConfig(rho=2.5, k=3, alpha=0.5)
+        cfg = PerturbConfig(rho=1.5, k=3)
         pick = _worst_case(net, _rating_target(items, ratings, counts), origin, cfg)
 
         best_steps = []

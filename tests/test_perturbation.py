@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import weakref
 
@@ -57,18 +58,23 @@ def disk_grid_max(loss_at, origin, rho, step=0.01):
 
 
 class TestConfig:
-    def test_alpha_default(self):
-        assert PerturbConfig(rho=1.0, k=4).alpha == 0.25
-        assert PerturbConfig(rho=1.0, k=0).alpha == 1.0
-        assert PerturbConfig(rho=0.0, k=3).alpha == 1.0
+    def test_step_is_rho_over_k(self):
+        # an ascent is set by its radius and step count alone
+        assert [f.name for f in dataclasses.fields(PerturbConfig)] == ["rho", "k"]
+        for rho, k in ((1.0, 4), (1.0, 0), (0.05, 1), (0.3, 5), (0.05, 3)):
+            assert PerturbConfig(rho=rho, k=k).alpha == rho / max(k, 1)
+        # a zero radius is a zero step: the ascent stays at the origin
+        assert PerturbConfig(rho=0.0, k=3).alpha == 0.0
+        loss_at, grad_at = quadratic([5.0, 5.0])
+        origin = np.array([1.0, 2.0])
+        pert = find_delta(loss_at, grad_at, origin, PerturbConfig(rho=0.0, k=3))
+        assert pert.delta.tolist() == [0.0, 0.0] and pert.achieved_loss == loss_at(origin)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             PerturbConfig(rho=-1.0, k=1)
         with pytest.raises(ValidationError):
             PerturbConfig(rho=1.0, k=-1)
-        with pytest.raises(ValidationError):
-            PerturbConfig(rho=1.0, k=1, alpha=0.0)
 
 
 class TestPgdStep:
@@ -82,10 +88,12 @@ class TestPgdStep:
         assert len(seen) == 2 and np.array_equal(seen[1], origin)
 
     def test_sign_step_inside_ball(self):
+        # steps of rho / k = 1: the first, of norm sqrt(2) < rho, is not rescaled
         g = np.array([2.0, -3.0])
-        pert = find_delta(lambda x: float(x @ g), lambda x: g, np.zeros(2),
-                          PerturbConfig(rho=10.0, k=1, alpha=1.0))
-        assert pert.delta.tolist() == [1.0, -1.0] and pert.achieved_loss == 5.0
+        seen = []
+        find_delta(lambda x: seen.append(x) or float(x @ g), lambda x: g, np.zeros(2),
+                   PerturbConfig(rho=2.0, k=2))
+        assert seen[1].tolist() == [1.0, -1.0] and float(seen[1] @ g) == 5.0
 
     def test_projection_rescales(self):
         out = project_ball(np.array([3.0, 4.0]), np.zeros(2), 2.5)
@@ -181,8 +189,7 @@ class TestFindDelta:
     def test_quadratic_ball_guarantees(self):
         loss_at, grad_at = quadratic([0.0, 0.0])
         origin = np.array([1.0, 0.0])
-        pert = find_delta(loss_at, grad_at, origin,
-                          PerturbConfig(rho=1.0, k=5, alpha=0.2))
+        pert = find_delta(loss_at, grad_at, origin, PerturbConfig(rho=1.0, k=5))
         assert pert.achieved_loss >= 1.0
         assert np.linalg.norm(pert.delta) <= 1.0 + 1e-9
 
@@ -214,8 +221,7 @@ class TestFindDelta:
         loss_at, grad_at = single_triple(6.0, np.array([1.0, 0.4]))
         achieved = []
         for rho in (0.1, 0.2, 0.4, 0.8):
-            pert = find_delta(loss_at, grad_at, np.zeros(2),
-                              PerturbConfig(rho=rho, k=5, alpha=0.2))
+            pert = find_delta(loss_at, grad_at, np.zeros(2), PerturbConfig(rho=rho, k=5))
             achieved.append(pert.achieved_loss)
         assert all(b >= a for a, b in zip(achieved, achieved[1:]))
 
@@ -308,12 +314,15 @@ class TestNoMutation:
     both.
     """
 
-    # alpha 1 moves each coordinate whose gradient is nonzero by 1; with a
-    # zero gradient in 6 of the 10 coordinates of every other row, those rows
-    # stay inside a 2.5 ball while the others leave it
-    @pytest.mark.parametrize("rho, mixed", [(0.1, False), (50.0, False), (2.5, True)],
+    # a step moves each coordinate whose gradient is nonzero by rho / k, so a
+    # row of 10 such coordinates moves sqrt(10) / k times rho: out of the ball
+    # at k = 3 and inside it at k = 4; with a zero gradient in 6 of the 10
+    # coordinates of every other row, those rows move 2/3 of rho at k = 3 and
+    # stay inside while the others leave
+    @pytest.mark.parametrize("rho, k, mixed",
+                             [(0.1, 3, False), (50.0, 4, False), (2.5, 3, True)],
                              ids=["all-outside", "all-inside", "mixed"])
-    def test_find_delta(self, rng, rho, mixed):
+    def test_find_delta(self, rng, rho, k, mixed):
         origin = rng.normal(size=(12, 10))
         center = origin + rng.normal(size=origin.shape)
         if mixed:
@@ -322,9 +331,9 @@ class TestNoMutation:
         before = origin.copy()
         seen = []
         pert = find_delta(recording(loss_at, seen), recording(grad_at, seen), origin,
-                          PerturbConfig(rho=rho, k=4, alpha=1.0))
+                          PerturbConfig(rho=rho, k=k))
         assert origin.tobytes() == before.tobytes()
-        assert len(seen) == 9 and unchanged(seen)
+        assert len(seen) == 1 + 2 * k and unchanged(seen)
         assert all(x is not origin for x, _ in seen[2:])
         assert pert.achieved_loss >= loss_at(origin)
 
@@ -357,21 +366,21 @@ def counting_projection(monkeypatch):
 
 
 class TestProjection:
-    @pytest.mark.parametrize("d, rho, k, alpha", [
-        (10, 0.05, 5, None),  # alpha * sqrt(d) = 0.032 < rho: the first step stays inside
-        (3, 1.0, 2, None),  # 0.87 < 1
-        (10, 0.05, 2, None),  # 0.079 >= rho
-        (1, 0.05, 1, None),  # alpha * sqrt(d) == rho exactly
-        (10, 0.05, 5, 0.05),  # an explicit alpha as large as rho
-        (10, 0.05, 0, None),
+    @pytest.mark.parametrize("d, rho, k", [
+        (10, 0.05, 5),  # alpha * sqrt(d) = 0.032 < rho: the first step stays inside
+        (3, 1.0, 2),  # 0.87 < 1
+        (10, 0.05, 2),  # 0.079 >= rho
+        (1, 0.05, 1),  # alpha * sqrt(d) == rho exactly
+        (10, 0.05, 1),  # alpha == rho: every row leaves the ball
+        (10, 0.05, 0),
     ])
-    def test_each_ascent_step_is_one_projection(self, rng, monkeypatch, d, rho, k, alpha):
+    def test_each_ascent_step_is_one_projection(self, rng, monkeypatch, d, rho, k):
         calls = counting_projection(monkeypatch)
         for shape in ((d,), (16, d)):
             calls.clear()
             origin = rng.normal(size=shape) * 0.1
             loss_at, grad_at = row_quadratic(origin + rng.normal(size=shape), np.ones(shape))
-            find_delta(loss_at, grad_at, origin, PerturbConfig(rho=rho, k=k, alpha=alpha))
+            find_delta(loss_at, grad_at, origin, PerturbConfig(rho=rho, k=k))
             assert len(calls) == k
 
     @pytest.mark.parametrize("shape", [(10,), (3,), (64, 10), (7, 1)], ids=str)
@@ -385,9 +394,8 @@ class TestProjection:
             center = origin + rng.normal(size=shape) * rng.choice([1e-3, 0.05, 1.0])
             loss_at, grad_at = row_quadratic(center, rng.uniform(0.5, 2.0, size=shape))
             rho = float(rng.choice([0.01, 0.05, 0.3]))
-            k = int(rng.integers(1, 7))
-            alpha = None if trial % 3 else float(rng.uniform(0.1, 1.2)) * rho / math.sqrt(k)
-            cfg = PerturbConfig(rho=rho, k=k, alpha=alpha)
+            # steps of rho / k: from a sphere-length step (k = 1) down to a twelfth of one
+            cfg = PerturbConfig(rho=rho, k=int(rng.integers(1, 13)))
             seen, ref_seen = [], []
             got = find_delta(recording(loss_at, seen), grad_at, origin, cfg)
             delta, achieved = always_project_reference(recording(loss_at, ref_seen), grad_at,

@@ -147,13 +147,19 @@ def test_every_traced_name_is_called(tmp_path, monkeypatch):
 
 
 def test_readme_config_block_loads(tmp_path):
-    """README's example config uses only keys and value kinds the CLI accepts."""
+    """README's example config names every key the CLI accepts, each with a value of its kind."""
     blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     path = tmp_path / "readme.json"
     path.write_text(blocks[0])
     cfg = load_config(str(path))
     assert cfg["seed"] == 1 and cfg["out"] == "runs/exp"
+
+    def keys(doc):
+        return {k: keys(v) if isinstance(v, dict) else None for k, v in doc.items()}
+
+    # so no setting goes undocumented
+    assert keys(json.loads(blocks[0])) == keys(scdr.cli.DEFAULT_CONFIG)
 
 
 def test_readme_imports_resolve():
