@@ -7,13 +7,17 @@ perturbation of the batch's user rows and applies the gradient evaluated at
 the perturbed point to the unperturbed parameters. With a zero-radius or
 zero-step perturbation it reduces bitwise to ``train_mf``.
 
-``_run_epochs`` is the one epoch loop, with the one divergence guard, of these
-trainers and of the mapping trainers in ``scdr.mapping``.
+``_Pass`` is the model's one loss/gradient kernel, built by a ``_Batch`` at
+given user rows: ``mf_loss``, ``mf_grad`` (the finite-difference oracle's
+subject), the ascent and the SGD update all read it. ``_run_epochs`` is the
+one epoch loop, with the one divergence guard, of these trainers and of the
+mapping trainers in ``scdr.mapping``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -133,84 +137,77 @@ def _unique_inverse(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered.compress(first), inv
 
 
-class _Pass:
-    """One forward pass of a batch at its touched user rows ``rows``.
-
-    ``u_rows`` is ``rows`` gathered per rating and ``resid`` the residual there. ``loss``
-    and ``grad`` (the user gradient) are set once read.
-    """
-
-    __slots__ = ("rows", "u_rows", "resid", "loss", "grad")
-
-    def __init__(self, rows: np.ndarray, u_rows: np.ndarray, resid: np.ndarray):
-        self.rows, self.u_rows, self.resid = rows, u_rows, resid
-        self.loss = self.grad = None
-
-
 class _Batch:
-    """Index bookkeeping and the squared-error kernel of one batch.
+    """One batch's index bookkeeping, its fixed item rows and its decay.
 
-    Every factor loss and gradient (``mf_loss``, ``mf_grad``, the ascent of
-    ``train_smf`` and the SGD update) goes through ``residual`` and the
-    ``*_sums`` scatters. ``uniq_*`` are the rows the batch touches and
-    ``inv_*`` each rating's position among them. A scatter sums per-rating
-    rows with one ``np.bincount`` over the flattened ``row * d + col``
-    index; like ``np.add.at`` it adds in rating order starting from 0.0, so
-    the sums are bitwise the same.
+    ``uniq_*`` are the user and item rows the batch touches and ``inv_*`` each
+    rating's position among them. ``v_touched`` are the item rows, which no
+    ascent moves, and ``v_rows`` those rows per rating. ``flat_*`` index each
+    rating's entries in the grid of touched rows, ``row * d + col``.
+    :meth:`at` is the batch's kernel.
     """
 
-    def __init__(self, ui: np.ndarray, vi: np.ndarray, r: np.ndarray, d: int):
-        self.r = r
-        self.d = d
+    def __init__(self, ui: np.ndarray, vi: np.ndarray, r: np.ndarray, V: np.ndarray,
+                 weight_decay: float):
+        self.r, self.weight_decay = r, weight_decay
         self.uniq_u, self.inv_u = _unique_inverse(ui)
         self.uniq_v, self.inv_v = _unique_inverse(vi)
-        self._flat_u = self._flat_index(self.inv_u, self.uniq_u.size)
-        self._flat_v = self._flat_index(self.inv_v, self.uniq_v.size)
+        self.v_touched = V.take(self.uniq_v, axis=0)
+        self.v_rows = self.v_touched.take(self.inv_v, axis=0)
+        grid = np.arange(max(self.uniq_u.size, self.uniq_v.size) * V.shape[1])
+        grid = grid.reshape(-1, V.shape[1])
+        self.flat_u = grid.take(self.inv_u, axis=0).ravel()
+        self.flat_v = grid.take(self.inv_v, axis=0).ravel()
 
-    def _flat_index(self, inv: np.ndarray, n_rows: int) -> np.ndarray:
-        """``row * d + col`` of every rating's entries, gathered from the grid of touched rows."""
-        return np.arange(n_rows * self.d).reshape(n_rows, self.d).take(inv, axis=0).ravel()
-
-    def residual(self, u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
-        """Rating minus prediction for each rating, given its user and item rows."""
-        return self.r - np.einsum("ij,ij->i", u_rows, v_rows)
-
-    def forward(self, u_touched: np.ndarray, v_rows: np.ndarray) -> _Pass:
-        """The pass at touched user rows ``u_touched``; ``v_rows`` are the item rows per rating."""
-        u_rows = u_touched.take(self.inv_u, axis=0)
-        return _Pass(u_touched, u_rows, self.residual(u_rows, v_rows))
-
-    def user_sums(self, terms: np.ndarray) -> np.ndarray:
-        """Per-rating rows summed into the touched user rows (``uniq_u`` order)."""
-        return self._scatter(self._flat_u, self.uniq_u.size, terms)
-
-    def item_sums(self, terms: np.ndarray) -> np.ndarray:
-        """Per-rating rows summed into the touched item rows (``uniq_v`` order)."""
-        return self._scatter(self._flat_v, self.uniq_v.size, terms)
-
-    def grads(self, at: _Pass, v_touched: np.ndarray, v_rows: np.ndarray, weight_decay: float):
-        """Gradient of the batch loss for the touched user and item rows, from the pass ``at``.
-
-        ``v_rows`` is ``v_touched`` gathered per rating (``inv_v``). The user gradient is
-        ``at.grad`` itself when it was read, so the caller owns it.
-        """
-        m2r = -2.0 * at.resid[:, None]
-        du = at.grad
-        if du is None:
-            du = self.user_sums(m2r * v_rows)
-            if weight_decay > 0.0:
-                du += 2.0 * weight_decay * at.rows
-        dv = self.item_sums(m2r * at.u_rows)
-        if weight_decay > 0.0:
-            dv += 2.0 * weight_decay * v_touched
-        return du, dv
-
-    def _scatter(self, flat: np.ndarray, n_rows: int, terms: np.ndarray) -> np.ndarray:
-        sums = np.bincount(flat, weights=terms.ravel(), minlength=n_rows * self.d)
-        return sums.reshape(n_rows, self.d)
+    def at(self, u_touched: np.ndarray) -> _Pass:
+        """The pass at touched user rows ``u_touched`` (``uniq_u`` order)."""
+        return _Pass(self, u_touched)
 
 
-def _model_batch(model: FactorModel, batch) -> _Batch:
+class _Pass:
+    """The factor model's one loss/gradient kernel: a batch at touched user rows ``u_touched``.
+
+    ``u_rows`` (``u_touched`` per rating) and ``resid`` (rating minus
+    prediction) are computed when the pass is built. ``loss`` (the
+    :func:`_objective`), ``grad_u`` and ``grad_v`` are computed on first
+    read, so a pass read only for its loss scatters nothing. Both gradients
+    scatter their per-rating rows times one shared ``-2 * resid`` with
+    ``np.bincount`` over the batch's flat index; like ``np.add.at`` it adds in
+    rating order from 0.0, so the sums are bitwise the same. A gradient is
+    the pass's own array: a caller may write it once it reads the pass no more.
+    """
+
+    def __init__(self, batch: _Batch, u_touched: np.ndarray):
+        self._b, self.u_touched = batch, u_touched
+        self.u_rows = u_touched.take(batch.inv_u, axis=0)
+        self.resid = batch.r - np.einsum("ij,ij->i", self.u_rows, batch.v_rows)
+
+    @cached_property
+    def loss(self) -> float:
+        return _objective(self.resid, self._b.weight_decay, self.u_touched, self._b.v_touched)
+
+    @cached_property
+    def _m2r(self) -> np.ndarray:
+        return -2.0 * self.resid[:, None]
+
+    @cached_property
+    def grad_u(self) -> np.ndarray:
+        return self._grad(self._b.flat_u, self._b.v_rows, self.u_touched)
+
+    @cached_property
+    def grad_v(self) -> np.ndarray:
+        return self._grad(self._b.flat_v, self.u_rows, self._b.v_touched)
+
+    def _grad(self, flat: np.ndarray, other_rows: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """``-2 * resid`` times ``other_rows``, summed into the touched rows ``own``, plus decay."""
+        grad = np.bincount(flat, weights=(self._m2r * other_rows).ravel(), minlength=own.size)
+        grad = grad.reshape(own.shape)
+        if self._b.weight_decay > 0.0:
+            grad += 2.0 * self._b.weight_decay * own
+        return grad
+
+
+def _model_batch(model: FactorModel, batch, weight_decay: float) -> _Batch:
     """The checked index arrays of (user, item, rating) triples, as a :class:`_Batch`."""
     batch = list(batch)
     if not batch:
@@ -222,14 +219,14 @@ def _model_batch(model: FactorModel, batch) -> _Batch:
         raise ValidationError("user index out of range")
     if vi.min() < 0 or vi.max() >= model.V.shape[0]:
         raise ValidationError("item index out of range")
-    return _Batch(ui, vi, r, model.d)
+    return _Batch(ui, vi, r, model.V, float(weight_decay))
 
 
 def _objective(resid: np.ndarray, weight_decay: float, *rows: np.ndarray) -> float:
     """Summed squared residual plus ``weight_decay`` times each row block's squared norm.
 
-    The one factor objective: ``mf_loss``, the ascent of ``train_smf`` and
-    the per-epoch trace all evaluate it.
+    The one factor objective: the kernel's loss and the per-epoch trace both
+    evaluate it.
     """
     loss = float(resid @ resid)
     if weight_decay > 0.0:
@@ -243,19 +240,15 @@ def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
     With positive ``weight_decay`` the squared norms of the rows the batch
     touches (each row once) are added, scaled by the decay.
     """
-    b = _model_batch(model, batch)
-    uu = model.U[b.uniq_u]
-    vv = model.V[b.uniq_v]
-    return _objective(b.residual(uu[b.inv_u], vv[b.inv_v]), float(weight_decay), uu, vv)
+    b = _model_batch(model, batch, weight_decay)
+    return b.at(model.U.take(b.uniq_u, axis=0)).loss
 
 
 def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
     """Analytic gradient of :func:`mf_loss` for the touched U and V rows."""
-    b = _model_batch(model, batch)
-    vv = model.V[b.uniq_v]
-    v_rows = vv[b.inv_v]
-    du, dv = b.grads(b.forward(model.U[b.uniq_u], v_rows), vv, v_rows, weight_decay)
-    return MfGradient(b.uniq_u, du, b.uniq_v, dv)
+    b = _model_batch(model, batch, weight_decay)
+    at = b.at(model.U.take(b.uniq_u, axis=0))
+    return MfGradient(b.uniq_u, at.grad_u, b.uniq_v, at.grad_v)
 
 
 def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -269,62 +262,39 @@ def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.
     return vectors.take(rows, axis=0, out=out, mode="clip")
 
 
-def _ascent_pair(b: _Batch, v_touched: np.ndarray, v_rows: np.ndarray, weight_decay: float):
-    """Loss and gradient of one batch as functions of its touched user rows, and the kept pass.
-
-    The item rows stay fixed; ``v_rows`` is ``v_touched`` gathered per rating. A point's
-    loss and gradient read one :class:`_Pass` through :func:`memo_last_point`, so each
-    ascent iterate costs one residual. ``kept()`` is the pass of the best point by
-    :func:`find_delta`'s rule (the first loss read, then only a strictly higher one), so at
-    most it and the newest pass are alive. ``r * (-2 v)`` rounds the same exact product as
-    ``(-2 r) * v``, so hoisting ``-2 v`` keeps the gradient's bits.
-    """
-    m2v = -2.0 * v_rows
-    pass_at = memo_last_point(lambda rows: b.forward(rows, v_rows))
-    kept = None
-
-    def loss_at(rows):
-        nonlocal kept
-        at = pass_at(rows)
-        at.loss = _objective(at.resid, weight_decay, rows, v_touched)
-        if kept is None or at.loss > kept.loss:
-            kept = at
-        return at.loss
-
-    def grad_at(rows):
-        at = pass_at(rows)
-        if at.grad is None:
-            at.grad = b.user_sums(at.resid[:, None] * m2v)
-            if weight_decay > 0.0:
-                at.grad += 2.0 * weight_decay * rows
-        return at.grad
-
-    return loss_at, grad_at, lambda: kept
-
-
 def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig) -> None:
-    """One SGD update of the rows a batch touches, at the ascent's pick if ``perturb`` moves.
+    """One SGD update of the rows a batch touches, from the pass at the ascent's pick.
 
-    The update reads the kept pass of :func:`_ascent_pair`, so a sharpness-aware step costs
-    k+1 residuals and a plain step one.
+    With a moving ``perturb``, the pass kept is the best by :func:`find_delta`'s
+    rule: the origin's, then only one of strictly higher loss. So a
+    sharpness-aware step costs k+1 residuals and a plain step one.
     """
-    b = _Batch(ui, vi, r, U.shape[1])
-    wd = config.weight_decay
+    b = _Batch(ui, vi, r, V, config.weight_decay)
     u_base = U.take(b.uniq_u, axis=0)
-    v_base = V.take(b.uniq_v, axis=0)
-    v_rows = v_base.take(b.inv_v, axis=0)
     if perturb.k > 0 and perturb.rho > 0.0:
-        loss_at, grad_at, kept = _ascent_pair(b, v_base, v_rows, wd)
+        pass_at = memo_last_point(b.at)
+        kept = None
+
+        def loss_at(rows):
+            nonlocal kept
+            at = pass_at(rows)
+            if kept is None or at.loss > kept.loss:
+                kept = at
+            return at.loss
+
+        def grad_at(rows):
+            return pass_at(rows).grad_u
+
         find_delta(loss_at, grad_at, u_base, perturb)
-        at = kept()
+        at = kept
     else:
-        at = b.forward(u_base, v_rows)
-    du, dv = b.grads(at, v_base, v_rows, wd)
-    # the rows still hold u_base and v_base, so this is the in-place -= update
+        at = b.at(u_base)
+    du, dv = at.grad_u, at.grad_v
+    # the rows still hold u_base and v_touched, so this is the in-place -= update
     du *= config.learning_rate
     dv *= config.learning_rate
     U[b.uniq_u] = np.subtract(u_base, du, out=du)
-    V[b.uniq_v] = np.subtract(v_base, dv, out=dv)
+    V[b.uniq_v] = np.subtract(b.v_touched, dv, out=dv)
 
 
 def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) -> MfTrainResult:

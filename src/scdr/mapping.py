@@ -339,13 +339,6 @@ class _WorstCase:
         return self._at(u).grad_u
 
 
-def _worst_case(net: MappingNet, target, origin: np.ndarray, perturb: PerturbConfig) -> np.ndarray:
-    """Each row's highest-loss ascent iterate, from one ``find_delta`` call."""
-    pair = _WorstCase(net, target)
-    find_delta(pair.loss_at, pair.grad_at, origin, perturb)
-    return pair.point
-
-
 def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str,
                         batch_size: int):
     """Train users' supervision, laid out once.
@@ -413,7 +406,9 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
         target, weight = batch(sel)
         u_eval = u_src[rows]
         if perturb.k > 0 and perturb.rho > 0.0:
-            u_eval = _worst_case(net, target, u_eval, perturb)
+            pair = _WorstCase(net, target)
+            find_delta(pair.loss_at, pair.grad_at, u_eval, perturb)
+            u_eval = pair.point
         g = _kernel(net, u_eval, target).grad
         # synchronous update: all gradients were taken at pre-update
         # parameters; train rows are distinct (the scenario's partition)

@@ -385,36 +385,29 @@ class TestKernelEquivalence:
                 loss = factorization._objective(resid, cfg.weight_decay, U, V)
                 assert new.loss_trace[-1] == loss
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.3])
     @pytest.mark.parametrize("n_rows", [1, 7])
-    def test_bincount_scatter_matches_add_at(self, n_rows):
+    def test_bincount_scatter_matches_add_at(self, n_rows, weight_decay):
         rng = np.random.default_rng(n_rows)
         ui = rng.integers(0, n_rows, size=300)
         vi = rng.integers(0, 11, size=300)
         r = rng.normal(3.0, 1.0, size=300)
-        b = factorization._Batch(ui, vi, r, 4)
-        u_rows = rng.normal(size=(300, 4))
-        v_rows = rng.normal(size=(300, 4))
-        resid = b.residual(u_rows, v_rows)
+        V = rng.normal(size=(11, 4))
+        b = factorization._Batch(ui, vi, r, V, weight_decay)
+        u_touched = rng.normal(size=(b.uniq_u.size, 4))
+        at = b.at(u_touched)
+        u_rows, v_rows = u_touched[b.inv_u], V[vi]
+        resid = r - np.einsum("ij,ij->i", u_rows, v_rows)
+        assert same_bits(at.u_rows, u_rows) and same_bits(at.resid, resid)
         du = np.zeros((b.uniq_u.size, 4))
         dv = np.zeros((b.uniq_v.size, 4))
         np.add.at(du, b.inv_u, -2.0 * resid[:, None] * v_rows)
         np.add.at(dv, b.inv_v, -2.0 * resid[:, None] * u_rows)
-        assert same_bits(b.user_sums(-2.0 * resid[:, None] * v_rows), du)
-        assert same_bits(b.item_sums(-2.0 * resid[:, None] * u_rows), dv)
-
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.2])
-    def test_ascent_gradient_at_unseen_point_matches_mf_grad(self, rng, weight_decay):
-        m = model_from(rng.normal(size=(6, 3)), rng.normal(size=(5, 3)))
-        batch = [(0, 1, 2.5), (4, 0, 4.0), (0, 3, 1.0), (2, 1, 3.3), (4, 4, 2.0)]
-        ui, vi, r = (np.array(col) for col in zip(*batch))
-        b = factorization._Batch(ui, vi, r, 3)
-        v_touched = m.V[b.uniq_v]
-        loss_at, grad_at, _ = factorization._ascent_pair(b, v_touched, v_touched[b.inv_v],
-                                                         weight_decay)
-        loss_at(m.U[b.uniq_u] + 0.5)
-        g = mf_grad(m, batch, weight_decay=weight_decay)
-        assert same_bits(grad_at(m.U[b.uniq_u]), g.user_grad)
-        assert loss_at(m.U[b.uniq_u]) == mf_loss(m, batch, weight_decay=weight_decay)
+        if weight_decay > 0.0:
+            du += 2.0 * weight_decay * u_touched
+            dv += 2.0 * weight_decay * V[b.uniq_v]
+        assert same_bits(at.grad_u, du)
+        assert same_bits(at.grad_v, dv)
 
     @pytest.mark.parametrize("idx", [
         [3],
@@ -445,13 +438,17 @@ def step_pair(U, V, ui, vi, r, cfg, pert):
 @pytest.fixture
 def step_log(monkeypatch):
     """The pick of each ``find_delta`` that ``factorization`` calls (0 is the origin, k the
-    last iterate) and the count of ``_Batch.residual`` calls."""
-    log = {"picks": [], "residuals": 0}
-    residual = factorization._Batch.residual
+    last iterate), the count of residuals (one per ``_Pass`` built) and of scatters."""
+    log = {"picks": [], "residuals": 0, "scatters": 0}
+    init, grad = factorization._Pass.__init__, factorization._Pass._grad
 
-    def counting(self, u_rows, v_rows):
+    def counting_init(self, *args):
         log["residuals"] += 1
-        return residual(self, u_rows, v_rows)
+        init(self, *args)
+
+    def counting_grad(self, *args):
+        log["scatters"] += 1
+        return grad(self, *args)
 
     def picking(loss_at, grad_at, origin, config):
         losses = []
@@ -464,7 +461,8 @@ def step_log(monkeypatch):
         log["picks"].append(losses.index(max(losses)))  # the first highest, as find_delta keeps
         return out
 
-    monkeypatch.setattr(factorization._Batch, "residual", counting)
+    monkeypatch.setattr(factorization._Pass, "__init__", counting_init)
+    monkeypatch.setattr(factorization._Pass, "_grad", counting_grad)
     monkeypatch.setattr(factorization, "find_delta", picking)
     return log
 
@@ -489,12 +487,15 @@ class TestReusedUpdate:
             pert = PerturbConfig(rho=0.05, k=k)
             for _ in range(6):
                 sel = rng.choice(ds.n_interactions, 64, replace=False)
-                before = step_log["residuals"]
+                before = dict(step_log, picks=None)
                 new, ref = step_pair(U, V, ds.user_index[sel], ds.item_index[sel],
                                      ds.rating[sel], cfg, pert)
                 assert same_bits(new[0], ref[0]) and same_bits(new[1], ref[1])
-                assert step_log["residuals"] - before == k + 1
+                assert step_log["residuals"] - before["residuals"] == k + 1
                 pick = step_log["picks"][-1]
+                # k ascent gradients, the update's item gradient, and its user gradient
+                # only when the last iterate, whose gradient the ascent never read, is kept
+                assert step_log["scatters"] - before["scatters"] == k + 1 + (pick == k) <= k + 2
                 seen.add("last" if pick == k else "middle" if pick else "origin")
         assert seen == {"middle", "last"}
 
@@ -515,6 +516,22 @@ class TestReusedUpdate:
         assert same_bits(new[0], ref[0]) and same_bits(new[1], ref[1])
         assert step_log["picks"] == [0]
         assert step_log["residuals"] == k + 1
+
+    def test_plain_step_and_loss_reads_scatter_only_what_is_read(self, synthetic_source,
+                                                                 step_log):
+        ds = synthetic_source
+        rng = np.random.default_rng(4)
+        model = model_from(rng.normal(size=(ds.n_users, 10)), rng.normal(size=(ds.n_items, 10)))
+        batch = list(zip(ds.user_index[:64], ds.item_index[:64], ds.rating[:64]))
+        for weight_decay in (0.0, 0.2):
+            step_log.update(residuals=0, scatters=0)
+            assert mf_loss(model, batch, weight_decay) > 0.0
+            # a pass read only for its loss scatters nothing
+            assert (step_log["residuals"], step_log["scatters"]) == (1, 0)
+            step_pair(model.U, model.V, ds.user_index[:64], ds.item_index[:64], ds.rating[:64],
+                      TrainConfig(epochs=1, weight_decay=weight_decay), PerturbConfig(0.0, 0))
+            # a plain step: one pass, read for the two gradients of its update
+            assert (step_log["residuals"], step_log["scatters"]) == (2, 2)
 
     def test_training_computes_k_plus_1_residuals_per_step(self, synthetic_source, step_log):
         cfg = TrainConfig(epochs=2, batch_size=96, seed=3)

@@ -24,7 +24,6 @@ from scdr.mapping import (
     _rating_target,
     _user_blocks,
     _WorstCase,
-    _worst_case,
     emcdr_train,
     forward,
     init_mapping_net,
@@ -260,6 +259,13 @@ class TestEmcdrTrain:
             emcdr_train(scn, src, tgt, TrainConfig(epochs=1, dim=10, seed=0), hidden=hidden)
 
 
+def worst_case(net, target, origin, perturb):
+    """Each row's highest-loss ascent iterate, found as ``_train_mapping`` finds it."""
+    pair = _WorstCase(net, target)
+    find_delta(pair.loss_at, pair.grad_at, origin, perturb)
+    return pair.point
+
+
 def scdr_loss(net, u_src, target_items, perturb):
     """One user's worst-case rating loss inside the ball, as the trainer finds it.
 
@@ -268,7 +274,7 @@ def scdr_loss(net, u_src, target_items, perturb):
     v_rows = np.array([v for v, _ in target_items], dtype=np.float64)
     ratings = np.array([r for _, r in target_items], dtype=np.float64)
     target = _rating_target(v_rows, ratings, np.array([ratings.size]))
-    point = _worst_case(net, target, np.asarray(u_src, dtype=np.float64)[None], perturb)
+    point = worst_case(net, target, np.asarray(u_src, dtype=np.float64)[None], perturb)
     return float(_kernel(net, point, target).loss[0])
 
 
@@ -281,7 +287,7 @@ def unrated_train_user_scenario():
 
 
 class TestScdrLoss:
-    """The sharpness-aware rating loss through ``_worst_case``, the code that trains."""
+    """The sharpness-aware rating loss through ``_WorstCase``, as the trainer runs it."""
 
     def test_k_zero_equals_unperturbed(self, rng):
         net = random_net(rng)
@@ -668,7 +674,7 @@ class TestPerRowPick:
         counts = np.ones(4, dtype=int)
         items, ratings = np.tile([1.0, 0.0], (4, 1)), np.full(4, -10.0)
         cfg = PerturbConfig(rho=1.5, k=3)
-        pick = _worst_case(net, _rating_target(items, ratings, counts), origin, cfg)
+        pick = worst_case(net, _rating_target(items, ratings, counts), origin, cfg)
 
         best_steps = []
         for i in range(4):
@@ -692,7 +698,7 @@ class TestPerRowPick:
         ratings = rng.normal(3.0, 1.0, size=int(counts.sum()))
         origin = rng.normal(size=(30, 4))
         cfg = PerturbConfig(rho=0.5, k=5)
-        pick = _worst_case(net, _rating_target(items, ratings, counts), origin, cfg)
+        pick = worst_case(net, _rating_target(items, ratings, counts), origin, cfg)
         for i, end in enumerate(np.cumsum(counts)):
             rows = slice(end - counts[i], end)
             loss_at, grad_at = _rating_closures(net, items[rows], ratings[rows])
@@ -714,7 +720,7 @@ class TestBatchDivergence:
         assert math.isfinite(pair.loss_at(origin))
         assert np.isfinite(pair.grad_at(origin)).all()
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="ascent step 0"):
-            _worst_case(net, target, origin, PerturbConfig(rho=0.5, k=2))
+            worst_case(net, target, origin, PerturbConfig(rho=0.5, k=2))
 
 
 def raising_on_call(fn, n):
@@ -808,9 +814,9 @@ class TestKernelReference:
         assert same_bits(full_first.grad_u, ref.grad.u)
 
         perturb = PerturbConfig(rho=0.4, k=4)
-        pick = _worst_case(net, _rating_target(*args), u, perturb)
+        pick = worst_case(net, _rating_target(*args), u, perturb)
         monkeypatch.setattr(mapping, "_kernel", reference_kernel)
-        assert same_bits(pick, _worst_case(net, reference_rating_target(*args), u, perturb))
+        assert same_bits(pick, worst_case(net, reference_rating_target(*args), u, perturb))
 
     @pytest.mark.parametrize("rows", [10**9, 7])
     def test_scdr_train_matches_reference(self, monkeypatch, rows):

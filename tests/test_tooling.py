@@ -12,7 +12,8 @@ file bytes are checked to stay behind ``scdr.data``'s codec, numpy's
 binary loading and writing are checked to stay in ``scdr.data`` and
 pickle-free, and array records are checked to be read only where their
 digest is checked. Factor and mapping training are checked to share one
-epoch loop, and the ascents one memo of a point's pass.
+epoch loop, the ascents one memo of a point's pass, and the factor
+model's gradients one kernel.
 """
 
 from __future__ import annotations
@@ -297,3 +298,26 @@ def test_only_the_memo_keys_on_a_point_identity():
                           if isinstance(op, (ast.Is, ast.IsNot))
                           and not (is_none(left) or is_none(right))]
     assert found == []
+
+
+def test_only_the_factor_pass_scatters():
+    """In ``factorization``, only ``_Pass`` sums per-rating rows into the touched rows.
+
+    Every factor gradient is a scatter of the one kernel. A scatter is a call of
+    ``np.bincount`` or ``np.add.at``, or of a function that makes one; a caller
+    outside ``_Pass`` would be a second gradient formula.
+    """
+    tree = ast.parse((ROOT / "src" / "scdr" / "factorization.py").read_text(encoding="utf-8"))
+    scope = {fn: top.name for top in tree.body for fn in ast.walk(top)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    def callees(fn):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                yield "add.at" if name.endswith("add.at") else name.rpartition(".")[2]
+
+    scatters = {"bincount", "add.at"}
+    while more := {fn.name for fn in scope if scatters & set(callees(fn))} - scatters:
+        scatters |= more
+    assert {scope[fn] for fn in scope if scatters & set(callees(fn))} == {"_Pass"}
