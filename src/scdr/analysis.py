@@ -119,7 +119,8 @@ def _withheld(scenario: CdrScenario):
 
 def _report_from_residuals(resid: np.ndarray, seed: int) -> EvalReport:
     mae = float(np.mean(np.abs(resid)))
-    rmse = float(math.sqrt(float(resid @ resid) / resid.size))
+    # numpy's own sum: a BLAS dot product's rounding depends on its thread count
+    rmse = float(math.sqrt(float(np.einsum("i,i->", resid, resid)) / resid.size))
     return EvalReport(mae, rmse, int(resid.size), seed)
 
 

@@ -226,9 +226,10 @@ def _objective(resid: np.ndarray, weight_decay: float, *rows: np.ndarray) -> flo
     """Summed squared residual plus ``weight_decay`` times each row block's squared norm.
 
     The one factor objective: the kernel's loss and the per-epoch trace both
-    evaluate it.
+    evaluate it. Every sum is numpy's own, which no BLAS thread count changes, and
+    none holds a copy of ``resid``.
     """
-    loss = float(resid @ resid)
+    loss = float(np.einsum("i,i->", resid, resid))
     if weight_decay > 0.0:
         loss += weight_decay * sum(float((m * m).sum()) for m in rows)
     return loss

@@ -898,6 +898,35 @@ class TestReproducibility:
             digests.append({p.name: digest(p) for p in sorted(out.iterdir())})
         assert digests[0] == digests[1]
 
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """Every output has the same bytes at one BLAS thread and at two.
+
+        OpenBLAS splits a long dot product across threads, which moves its
+        rounding; here that showed from 20,000 elements. Each domain has 60,000
+        ratings, the test users 48,000 withheld ones, and one mapping batch holds
+        all 400 train users.
+        """
+        # the children import the same scdr as this process
+        path = os.pathsep.join([str(Path(scdr.data.__file__).parents[1]),
+                                *filter(None, [os.environ.get("PYTHONPATH")])])
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            cfg = write_config(tmp_path, {
+                "seed": 1, "out": str(out),
+                "synth": {"users": 2000, "items": 300, "overlap_ratio": 1.0, "beta": 0.8},
+                "pretrain": {"epochs": 2}, "train": {"epochs": 2, "batch_size": 512},
+            }, name=f"threads-{threads}.json")
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            for args in (["synth"], ["pretrain", "--mode", "sharpness_aware"],
+                         ["train", "--method", "scdr"], ["eval", "--method", "scdr"]):
+                subprocess.run([sys.executable, "-m", "scdr.cli", *args, "--config", cfg],
+                               env=env, check=True)
+            digests.append({p.name: digest(p) for p in sorted(out.iterdir())})
+        assert len(digests[0]) == 13
+        assert digests[0] == digests[1]
+
     def test_seed_changes_outputs(self, tmp_path):
         hashes = []
         for seed in (1, 2):

@@ -269,7 +269,8 @@ class TestTrainSmf:
 def reference_sgd_step(U, V, ui, vi, r, config, perturb):
     """The SGD step as it was before the shared batch kernel: separate loss
     and gradient closures, each computing its own residual, and
-    ``np.add.at`` scatters. Kept verbatim as the bitwise reference."""
+    ``np.add.at`` scatters. Kept verbatim as the bitwise reference, but for the
+    loss's sum of squares, which follows the objective's thread-independent form."""
     uniq_u, inv_u = np.unique(ui, return_inverse=True)
     uniq_v, inv_v = np.unique(vi, return_inverse=True)
     v_rows = V[vi]
@@ -281,7 +282,7 @@ def reference_sgd_step(U, V, ui, vi, r, config, perturb):
 
         def loss_at(rows):
             res = r - np.einsum("ij,ij->i", rows[inv_u], v_rows)
-            val = float(res @ res)
+            val = float(np.einsum("i,i->", res, res))
             if wd > 0.0:
                 val += wd * (float((rows * rows).sum()) + v_sq)
             return val
@@ -384,6 +385,18 @@ class TestKernelEquivalence:
                 resid = ds.rating - np.einsum("ij,ij->i", U[ds.user_index], V[ds.item_index])
                 loss = factorization._objective(resid, cfg.weight_decay, U, V)
                 assert new.loss_trace[-1] == loss
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_objective_sums_squares_with_einsum(self, weight_decay):
+        # at 60,000 residuals a BLAS dot product's last bit moves with its thread count;
+        # on these, it misses this sum's at one thread too
+        rng = np.random.default_rng(10)
+        resid = rng.normal(0.0, 3.0, 60_000)
+        U, V = rng.normal(size=(2000, 10)), rng.normal(size=(500, 10))
+        expect = float(np.einsum("i,i->", resid, resid))
+        if weight_decay > 0.0:
+            expect += weight_decay * (float((U * U).sum()) + float((V * V).sum()))
+        assert factorization._objective(resid, weight_decay, U, V) == expect
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.3])
     @pytest.mark.parametrize("n_rows", [1, 7])
