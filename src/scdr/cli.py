@@ -6,7 +6,8 @@ Subcommands cover the full workflow: ``synth`` writes a synthetic scenario,
 ``attack`` / ``landscape`` / ``sharpness`` produce report files. Every
 command is a pure function of (config file, input files, seed): re-runs are
 byte-identical. Existing outputs are never overwritten without --force, and
-a command that fails partway leaves every output as it was.
+a command that fails before it renames its outputs into place leaves every
+output as it was.
 
 Exit codes: 0 success, 2 validation error (or an allocation the inputs and
 config make too large), 3 numeric divergence, 4 missing input.
@@ -138,24 +139,25 @@ def _check_outputs(paths, force: bool):
     """Guard the ``with`` body that computes ``paths``; it yields their staging paths.
 
     Without ``force``, an existing output raises before the body runs; so,
-    with or without it, does an output path held by anything but a regular
-    file (a directory, say). The body writes each output to its staging
-    path, ``.<name>.staged`` beside it, and only once the body completes do
-    the staged files replace the outputs. A body that raises leaves every
-    output as it was, so neither a crash nor the no-overwrite rule can keep
-    a mix of old and new outputs.
+    with or without it, does an output or staging path held by anything but
+    a regular file (a directory, say). The body writes each output to its
+    staging path, ``.<name>.staged`` beside it, and only once the body
+    completes do the staged files replace the outputs, one rename at a
+    time. A body that raises leaves every output as it was. A rename that
+    fails leaves the outputs renamed before it new and the others old, and
+    nothing detects that mix yet.
     """
     paths = [Path(p) for p in paths]
-    for p in paths:
+    staged = [p.with_name(f".{p.name}.staged") for p in paths]
+    for p in [*paths, *staged]:
         if p.exists() and not p.is_file():
-            raise ValidationError(f"output {p} exists and is not a regular file")
+            raise ValidationError(f"{p} exists and is not a regular file")
     existing = [p for p in paths if p.exists()]
     if existing and not force:
         raise ValidationError(
             "refusing to overwrite existing outputs (use --force): "
             + ", ".join(map(str, existing))
         )
-    staged = [p.with_name(f".{p.name}.staged") for p in paths]
     try:
         yield staged
         for s, p in zip(staged, paths):

@@ -753,9 +753,18 @@ class TestCorruptInputs:
         (["pretrain", "--mode", "plain", "--seed", "2"], {},
          ("target_trace_plain.csv", as_directory),
          "target_trace_plain.csv exists and is not a regular file"),
+        # and so does each staging path, which the body would write
+        (["synth", "--seed", "2"], {}, (".scenario.json.staged", os.mkdir),
+         ".scenario.json.staged exists and is not a regular file"),
+        (["pretrain", "--mode", "plain", "--seed", "2"], {},
+         (".source_model_plain.npy.staged", os.mkdir),
+         ".source_model_plain.npy.staged exists and is not a regular file"),
+        (["train", "--method", "scdr"], {}, (".mapping_trace_scdr.csv.staged", os.mkdir),
+         ".mapping_trace_scdr.csv.staged exists and is not a regular file"),
     ], ids=["seed-flag", "seed-flag-pretrain", "landscape-seed", "manifest-seed",
             "pretrain-alpha", "train-alpha", "plain-ascent", "plain-k", "emcdr-ascent",
-            "eval-output-directory", "pretrain-output-directory"])
+            "eval-output-directory", "pretrain-output-directory", "synth-staging-directory",
+            "pretrain-staging-directory", "train-staging-directory"])
     def test_refused_run_exits_2_and_changes_nothing(self, run_copy, tmp_path, capsys, args,
                                                      config, prepare, message):
         out, _ = run_copy
