@@ -17,7 +17,6 @@ mapping trainers in ``scdr.mapping``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -177,29 +176,39 @@ class _Pass:
     the pass's own array: a caller may write it once it reads the pass no more.
     """
 
+    # slots and None checks: functools.cached_property takes a lock on each first read
+    # (Python 3.11), which made a sharpness-aware desk step 9% slower
+    __slots__ = ("_b", "u_touched", "u_rows", "resid", "_loss", "_m2r", "_grad_u", "_grad_v")
+
     def __init__(self, batch: _Batch, u_touched: np.ndarray):
         self._b, self.u_touched = batch, u_touched
         self.u_rows = u_touched.take(batch.inv_u, axis=0)
         self.resid = batch.r - np.einsum("ij,ij->i", self.u_rows, batch.v_rows)
+        self._loss = self._m2r = self._grad_u = self._grad_v = None
 
-    @cached_property
+    @property
     def loss(self) -> float:
-        return _objective(self.resid, self._b.weight_decay, self.u_touched, self._b.v_touched)
+        if self._loss is None:
+            b = self._b
+            self._loss = _objective(self.resid, b.weight_decay, self.u_touched, b.v_touched)
+        return self._loss
 
-    @cached_property
-    def _m2r(self) -> np.ndarray:
-        return -2.0 * self.resid[:, None]
-
-    @cached_property
+    @property
     def grad_u(self) -> np.ndarray:
-        return self._grad(self._b.flat_u, self._b.v_rows, self.u_touched)
+        if self._grad_u is None:
+            self._grad_u = self._grad(self._b.flat_u, self._b.v_rows, self.u_touched)
+        return self._grad_u
 
-    @cached_property
+    @property
     def grad_v(self) -> np.ndarray:
-        return self._grad(self._b.flat_v, self.u_rows, self._b.v_touched)
+        if self._grad_v is None:
+            self._grad_v = self._grad(self._b.flat_v, self.u_rows, self._b.v_touched)
+        return self._grad_v
 
     def _grad(self, flat: np.ndarray, other_rows: np.ndarray, own: np.ndarray) -> np.ndarray:
         """``-2 * resid`` times ``other_rows``, summed into the touched rows ``own``, plus decay."""
+        if self._m2r is None:
+            self._m2r = -2.0 * self.resid[:, None]
         grad = np.bincount(flat, weights=(self._m2r * other_rows).ravel(), minlength=own.size)
         grad = grad.reshape(own.shape)
         if self._b.weight_decay > 0.0:
