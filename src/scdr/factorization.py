@@ -177,7 +177,7 @@ class _Pass:
     """
 
     # slots and None checks: functools.cached_property takes a lock on each first read
-    # (Python 3.11), which made a sharpness-aware desk step 9% slower
+    # (Python 3.11), which a sharpness-aware step would pay about six times
     __slots__ = ("_b", "u_touched", "u_rows", "resid", "_loss", "_m2r", "_grad_u", "_grad_v")
 
     def __init__(self, batch: _Batch, u_touched: np.ndarray):

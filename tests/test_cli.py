@@ -911,7 +911,8 @@ class TestReproducibility:
         """Every output has the same bytes at one BLAS thread and at two.
 
         OpenBLAS splits a long dot product across threads, which moves its
-        rounding; here that showed from 20,000 elements. Each domain has 60,000
+        rounding; OpenBLAS 0.3.31 on a 2-vCPU Xeon showed it from 20,000
+        elements. Each domain has 60,000
         ratings, the test users 48,000 withheld ones, and one mapping batch holds
         all 400 train users.
         """
