@@ -20,8 +20,8 @@ import numpy as np
 from .data import CHUNK_ROWS, CdrScenario, write_artifact, write_atomic
 from .errors import ValidationError
 from .factorization import FactorModel
-from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, _WorstCase, forward
-from .perturbation import PerturbConfig, find_delta
+from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, forward
+from .perturbation import PerturbConfig, WorstCase, find_delta
 
 # Reports record the sha256 of the mapping they scored under ``inputs`` from version 2
 # (attack, sharpness) and 3 (eval); eval version 1 held the seed in a one-entry list.
@@ -231,9 +231,8 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
         return SharpnessReport(0.0, perturb.rho, perturb.k, src.size, 0)
     V = target_model.V
     origin = source_model.U[src]
-    pair = _WorstCase(net, _rating_target(V, ratings, counts, items))
-    # callables defined here, so that a tracer wrapping find_delta credits
-    # their time to this module
+    target = _rating_target(V, ratings, counts, items)
+    pair = WorstCase(lambda u: _kernel(net, u, target))
     find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), origin, perturb)
     delta_norm = np.linalg.norm(pair.point - origin, axis=1)
     moved = delta_norm >= 1e-12

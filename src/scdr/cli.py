@@ -9,8 +9,8 @@ byte-identical. Existing outputs are never overwritten without --force, and
 a command that fails before it renames its outputs into place leaves every
 output as it was.
 
-Exit codes: 0 success, 2 validation error (or an allocation the inputs and
-config make too large), 3 numeric divergence, 4 missing input.
+Exit codes: 0 success, 2 validation error (or too large an allocation, or a
+failed output rename), 3 numeric divergence, 4 missing input.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def _check_outputs(paths, force: bool):
     staging path, ``.<name>.staged`` beside it, and only once the body
     completes do the staged files replace the outputs, one rename at a
     time. A body that raises leaves every output as it was. A rename that
-    fails leaves the outputs renamed before it new and the others old, and
-    nothing detects that mix yet.
+    fails raises a ValidationError naming it: the outputs renamed before it
+    are new and the others old, and nothing detects that mix yet.
     """
     paths = [Path(p) for p in paths]
     staged = [p.with_name(f".{p.name}.staged") for p in paths]
@@ -160,8 +160,13 @@ def _check_outputs(paths, force: bool):
         )
     try:
         yield staged
-        for s, p in zip(staged, paths):
-            os.replace(s, p)
+        for done, (s, p) in enumerate(zip(staged, paths)):
+            try:
+                os.replace(s, p)
+            except OSError as exc:
+                raise ValidationError(
+                    f"cannot rename {s} to {p}: {exc.strerror or exc}; new outputs "
+                    f"renamed before it: {', '.join(map(str, paths[:done])) or 'none'}") from exc
     except BaseException:
         for s in staged:
             # the body's exception is the one to report, not a failed cleanup

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import CHUNK_ROWS, DomainDataset, number, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
-from .perturbation import PerturbConfig, find_delta, memo_last_point
+from .perturbation import PerturbConfig, WorstCase, find_delta
 
 CHECKPOINT_VERSION = 4
 # An epoch loss above this multiple of the untrained loss is divergence. Runs that train
@@ -275,28 +275,16 @@ def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.
 def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig) -> None:
     """One SGD update of the rows a batch touches, from the pass at the ascent's pick.
 
-    With a moving ``perturb``, the pass kept is the best by :func:`find_delta`'s
-    rule: the origin's, then only one of strictly higher loss. So a
-    sharpness-aware step costs k+1 residuals and a plain step one.
+    With a moving ``perturb``, a :class:`WorstCase` pair over the batch's
+    kernel picks whole iterates by the summed loss and keeps the picked
+    pass. So a sharpness-aware step costs k+1 residuals and a plain step one.
     """
     b = _Batch(ui, vi, r, V, config.weight_decay)
     u_base = U.take(b.uniq_u, axis=0)
     if perturb.k > 0 and perturb.rho > 0.0:
-        pass_at = memo_last_point(b.at)
-        kept = None
-
-        def loss_at(rows):
-            nonlocal kept
-            at = pass_at(rows)
-            if kept is None or at.loss > kept.loss:
-                kept = at
-            return at.loss
-
-        def grad_at(rows):
-            return pass_at(rows).grad_u
-
-        find_delta(loss_at, grad_at, u_base, perturb)
-        at = kept
+        pair = WorstCase(b.at)
+        find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), u_base, perturb)
+        at = pair.best()
     else:
         at = b.at(u_base)
     du, dv = at.grad_u, at.grad_v

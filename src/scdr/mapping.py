@@ -18,9 +18,10 @@ user's inner problem at once, each row keeping its own highest-loss
 iterate, and one kernel (``_kernel``) serves every pass over the rows. The
 kernel runs the forward pass and the per-row losses at once, and the
 backward only when a gradient is read: the input gradient alone for an
-ascent step, every parameter gradient for the update, none for an ascent's
-last iterate or an epoch loss. The analyses in ``scdr.analysis`` run
-through the same kernel and ascent pair.
+ascent step, every parameter gradient for the update, none for an epoch
+loss. The update reads the ascent's last pass when the last iterate is
+every row's pick. The analyses in ``scdr.analysis`` run through the same
+kernel and ``WorstCase`` ascent pair.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .data import CHUNK_ROWS, CdrScenario, number, read_artifact, write_artifact
 from .errors import ValidationError
 from .factorization import FactorModel, TrainConfig, _run_epochs, _take_rows
-from .perturbation import PerturbConfig, find_delta, memo_last_point
+from .perturbation import PerturbConfig, WorstCase, find_delta
 
 MAPPING_CHECKPOINT_VERSION = 5
 # (dtype, ndim) of each array after the checkpoint's header
@@ -312,33 +313,6 @@ def _rating_target(vectors: np.ndarray, ratings: np.ndarray, counts: np.ndarray,
     return at
 
 
-class _WorstCase:
-    """``find_delta``'s loss/input-gradient pair over a block of rows.
-
-    Both read one memoized kernel pass per point. ``loss_at`` returns the
-    summed loss and keeps each row's best iterate in ``point``: the origin
-    counts, and a row moves only to a strictly higher loss of its own. Rows
-    do not interact, so each row ends at its user's own worst case.
-    """
-
-    def __init__(self, net: MappingNet, target):
-        self._at = memo_last_point(lambda u: _kernel(net, u, target))
-        self.point = self.loss = None
-
-    def loss_at(self, u: np.ndarray) -> float:
-        loss = self._at(u).loss
-        if self.point is None:
-            self.point, self.loss = u, loss
-        else:
-            higher = loss > self.loss
-            self.point = np.where(higher[:, None], u, self.point)
-            self.loss = np.where(higher, loss, self.loss)
-        return float(loss.sum())
-
-    def grad_at(self, u: np.ndarray) -> np.ndarray:
-        return self._at(u).grad_u
-
-
 def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str,
                         batch_size: int):
     """Train users' supervision, laid out once.
@@ -404,12 +378,12 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
     def step(sel):
         rows = src_rows[sel]
         target, weight = batch(sel)
-        u_eval = u_src[rows]
         if perturb.k > 0 and perturb.rho > 0.0:
-            pair = _WorstCase(net, target)
-            find_delta(pair.loss_at, pair.grad_at, u_eval, perturb)
-            u_eval = pair.point
-        g = _kernel(net, u_eval, target).grad
+            pair = WorstCase(lambda u: _kernel(net, u, target))
+            find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), u_src[rows], perturb)
+            g = pair.best().grad
+        else:
+            g = _kernel(net, u_src[rows], target).grad
         # synchronous update: all gradients were taken at pre-update
         # parameters; train rows are distinct (the scenario's partition)
         scale = base.learning_rate / weight

@@ -4,14 +4,15 @@
 onto the ball by ``project_ball``, drives the sharpness-aware trainers and
 the sharpness probe. It tracks the best iterate including the unperturbed
 origin, so its achieved loss never falls below the loss at zero
-perturbation.
+perturbation. Each of those ascents reads its kernel through a
+``WorstCase`` pair, which also gives the pass at the pick.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Generic, TypeVar
 
 import numpy as np
 
@@ -84,26 +85,58 @@ def project_ball(point: np.ndarray, origin: np.ndarray, rho: float) -> np.ndarra
     return np.where(outside, origin + diff * (rho / safe), point)
 
 
-def memo_last_point(fn: Callable[[np.ndarray], T]) -> Callable[[np.ndarray], T]:
-    """``fn`` keeping its result for the last point object it was called on.
+class WorstCase(Generic[T]):
+    """:func:`find_delta`'s loss/gradient pair over a kernel ``at``, and the pass at its pick.
 
-    :func:`find_delta` asks for the loss and then the gradient at the same
-    array object, so a loss/gradient pair that reads one memoized forward
-    pass computes it once per iterate. Three ascents do: the factor and the
-    mapping trainers' and the Lipschitz probe's. The key is object identity:
-    a point must not be mutated in place between calls. The held result is
-    dropped before ``fn`` runs on a new point, so no two are alive at once.
+    ``at(point)`` returns a pass: a ``loss``, one number or one per row, and
+    an input gradient ``grad_u``. Each ascent hands ``find_delta`` callables
+    of its own module, ``lambda u: pair.loss_at(u)`` and its ``grad_at``
+    twin, so that a tracer wrapping ``find_delta`` credits their time there.
+    The pair holds the last point's pass, keyed on the point's identity (so
+    no point may be written between calls), and drops it before ``at`` runs
+    anew. ``loss_at`` keeps the pick in ``point`` and ``loss``: the origin,
+    then only a strictly higher loss. A one-number loss picks whole iterates
+    and keeps the picked pass; a per-row loss picks each row and keeps none.
     """
-    last: list = [None, None]
 
-    def at(point):
-        if last[0] is not point:
-            last[:] = None, None
-            last[1] = fn(point)
-            last[0] = point
-        return last[1]
+    def __init__(self, at: Callable[[np.ndarray], T]):
+        self._at = at
+        self._point = self._pass = self._kept = self.point = self.loss = None
 
-    return at
+    def _pass_at(self, point: np.ndarray) -> T:
+        if self._point is not point:
+            self._point = self._pass = None
+            self._pass, self._point = self._at(point), point
+        return self._pass
+
+    def loss_at(self, point: np.ndarray) -> float:
+        at = self._pass_at(point)
+        loss = at.loss
+        if self.point is None:
+            self.point, self.loss = point, loss
+            if not isinstance(loss, np.ndarray):
+                self._kept = at
+        elif self._kept is not None:
+            if loss > self.loss:
+                self.point, self.loss, self._kept = point, loss, at
+        elif (higher := loss > self.loss).all():
+            self.point, self.loss = point, loss
+        else:
+            self.point = np.where(higher[:, None], point, self.point)
+            self.loss = np.where(higher, loss, self.loss)
+        return loss if self._kept is not None else float(loss.sum())
+
+    def grad_at(self, point: np.ndarray) -> np.ndarray:
+        return self._pass_at(point).grad_u
+
+    def best(self) -> T:
+        """The pass at the pick: the kept one, the held one if at the pick, or a new one."""
+        if self._kept is not None:
+            return self._kept
+        if self.point is self._point:
+            return self._pass
+        self._point = self._pass = None
+        return self._at(self.point)
 
 
 def find_delta(loss_at: Callable[[np.ndarray], float],
@@ -132,7 +165,7 @@ def find_delta(loss_at: Callable[[np.ndarray], float],
         if not np.isfinite(grad).all():
             raise DivergenceError(f"non-finite gradient at ascent step {step}")
         # point + alpha * sign(grad), built on a fresh array: points handed
-        # to loss_at are never written, as memo_last_point requires
+        # to loss_at are never written, as WorstCase's memo and pick require
         moved = np.sign(grad)
         moved *= config.alpha
         moved += point

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -341,8 +342,8 @@ class TestValidation:
 class TestDefaultAscentWork:
     def test_one_ascent_step_per_training_step(self, tmp_path, monkeypatch):
         """With ``k`` unset, each sharpness-aware pretraining ascent reads 2 losses and
-        1 gradient, and each scdr mapping batch runs 3 kernel forwards: the origin, the
-        one step and the update.
+        1 gradient, and each scdr mapping batch runs 2 kernel forwards: the origin and
+        the one step, whose pass the update reads, since the step raises every row's loss.
 
         Beyond the batches, mapping training runs one forward per epoch loss and one
         for the untrained bound.
@@ -366,7 +367,7 @@ class TestDefaultAscentWork:
         counts = count_ascent_work(monkeypatch, scdr.mapping)
         assert run("train", "--config", cfg, "--method", "scdr") == 0
         batches = counts["calls"]
-        assert batches > 0 and forwards[0] == 3 * batches + doc["train"]["epochs"] + 1
+        assert batches > 0 and forwards[0] == 2 * batches + doc["train"]["epochs"] + 1
 
 
 @pytest.fixture
@@ -1043,3 +1044,51 @@ class TestOutOfMemory:
         assert err.startswith("error: landscape: out of memory: ")
         assert err.count("\n") == 1
         assert sorted(p.name for p in out.iterdir()) == before
+
+
+def failing_staged_rename(monkeypatch, n):
+    """Make ``os.replace`` raise on its ``n``-th rename of a staged file; other renames run."""
+    replace, staged = os.replace, []
+
+    def failing(src, dst, *args, **kwargs):
+        if str(src).endswith(".staged"):
+            staged.append(src)
+            if len(staged) == n:
+                raise PermissionError(errno.EACCES, "Permission denied", str(src))
+        return replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", failing)
+
+
+class TestFailedRename:
+    """A commit rename that fails exits 2, naming it and the outputs renamed before it.
+
+    Those outputs are new and the others old; nothing refuses that mix yet.
+    """
+
+    @pytest.mark.parametrize("args, outputs, n", [
+        (["synth", "--seed", "2"],
+         ["source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.npy",
+          "source_ratings.csv.npy", "target_ratings.csv.npy"], 4),
+        (["pretrain", "--mode", "plain", "--seed", "2"],
+         ["source_model_plain.npy", "target_model_plain.npy", "source_trace_plain.csv",
+          "target_trace_plain.csv"], 2),
+        (["train", "--method", "scdr", "--seed", "2"],
+         ["mapping_scdr.npy", "mapping_trace_scdr.csv"], 1),
+    ], ids=["synth", "pretrain", "train"])
+    def test_exits_2_naming_the_new_outputs(self, run_copy, capsys, monkeypatch, args,
+                                            outputs, n):
+        out, cfg = run_copy
+        before = listing(out)
+        failing_staged_rename(monkeypatch, n)
+        capsys.readouterr()
+        assert run(*args, "--config", cfg, "--force") == 2
+        err = capsys.readouterr().err
+        failed, new = outputs[n - 1], [out / name for name in outputs[:n - 1]]
+        assert err == (f"error: cannot rename {out / f'.{failed}.staged'} to {out / failed}: "
+                       f"Permission denied; new outputs renamed before it: "
+                       f"{', '.join(map(str, new)) or 'none'}\n")
+        after = listing(out)
+        # no staged file is left, and only the outputs renamed before the failure changed
+        assert after.keys() == before.keys()
+        assert [name for name in outputs if after[name] != before[name]] == outputs[:n - 1]

@@ -23,7 +23,6 @@ from scdr.mapping import (
     _kernel,
     _rating_target,
     _user_blocks,
-    _WorstCase,
     emcdr_train,
     forward,
     init_mapping_net,
@@ -32,7 +31,7 @@ from scdr.mapping import (
     save_mapping,
     scdr_train,
 )
-from scdr.perturbation import PerturbConfig, find_delta, memo_last_point
+from scdr.perturbation import PerturbConfig, WorstCase, find_delta
 
 from conftest import (count_ascent_work, load_records, minor_faults, rewrite_header,
                       rewrite_record, same_bits,
@@ -183,7 +182,7 @@ class TestAscentClosures:
         net = random_net(rng)
         counts = np.array([3, 1, 5])
         items, ratings = rng.normal(size=(9, 4)), rng.normal(3.0, 1.0, size=9)
-        pair = _WorstCase(net, _rating_target(items, ratings, counts))
+        pair = kernel_pair(net, _rating_target(items, ratings, counts))
         u, other = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         pair.loss_at(other)
         grad = pair.grad_at(u)
@@ -199,7 +198,7 @@ class TestAscentClosures:
     def test_embedding_gradient_at_unseen_point(self, rng):
         net = random_net(rng)
         targets = rng.normal(size=(3, 4))
-        pair = _WorstCase(net, _embedding_target(targets))
+        pair = kernel_pair(net, _embedding_target(targets))
         u, other = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         pair.loss_at(other)
         grad = pair.grad_at(u)
@@ -259,9 +258,14 @@ class TestEmcdrTrain:
             emcdr_train(scn, src, tgt, TrainConfig(epochs=1, dim=10, seed=0), hidden=hidden)
 
 
+def kernel_pair(net, target):
+    """The trainer's ascent pair over ``mapping._kernel``, looked up at each call."""
+    return WorstCase(lambda u: mapping._kernel(net, u, target))
+
+
 def worst_case(net, target, origin, perturb):
     """Each row's highest-loss ascent iterate, found as ``_train_mapping`` finds it."""
-    pair = _WorstCase(net, target)
+    pair = kernel_pair(net, target)
     find_delta(pair.loss_at, pair.grad_at, origin, perturb)
     return pair.point
 
@@ -287,7 +291,7 @@ def unrated_train_user_scenario():
 
 
 class TestScdrLoss:
-    """The sharpness-aware rating loss through ``_WorstCase``, as the trainer runs it."""
+    """The sharpness-aware rating loss through ``WorstCase``, as the trainer runs it."""
 
     def test_k_zero_equals_unperturbed(self, rng):
         net = random_net(rng)
@@ -706,6 +710,31 @@ class TestPerRowPick:
             assert np.allclose(pick[i] - origin[i], delta, rtol=0.0, atol=1e-12)
 
 
+class TestUpdatePass:
+    @pytest.mark.parametrize("k, rho", [(1, 0.05), (5, 0.5)])
+    def test_update_reads_the_pass_at_the_pick(self, rng, k, rho):
+        """The pair's best pass is the ascent's last one when the last iterate is every
+        row's pick (here after one short step), and otherwise one built anew (here after
+        five). Either way its loss and gradients have the bits of a pass built at the pick."""
+        net = random_net(rng)
+        counts = rng.integers(1, 5, size=30)
+        items = rng.normal(size=(int(counts.sum()), 4))
+        ratings = rng.normal(3.0, 1.0, size=int(counts.sum()))
+        target = _rating_target(items, ratings, counts)
+        passes = []
+        pair = WorstCase(lambda u: passes.append(_kernel(net, u, target)) or passes[-1])
+        find_delta(pair.loss_at, pair.grad_at, rng.normal(size=(30, 4)),
+                   PerturbConfig(rho=rho, k=k))
+        best = pair.best()
+        last_wins = (passes[k].loss > np.max([p.loss for p in passes[:k]], axis=0)).all()
+        assert last_wins == (k == 1)
+        assert best is passes[-1] and len(passes) == (k + 1 if last_wins else k + 2)
+        fresh = _kernel(net, pair.point, target)
+        assert same_bits(best.loss, fresh.loss)
+        for field in MappingGradient._fields:
+            assert same_bits(getattr(best.grad, field), getattr(fresh.grad, field)), field
+
+
 class TestBatchDivergence:
     def test_one_row_overflowing_mid_ascent_raises(self):
         # row 1's loss is finite at the origin (about 1.77e308) and overflows
@@ -716,7 +745,7 @@ class TestBatchDivergence:
         ratings = np.array([1.0, 1.33e154])
         target = _rating_target(items, ratings, np.ones(2, dtype=int))
         origin = np.zeros((2, 2))
-        pair = _WorstCase(net, target)
+        pair = kernel_pair(net, target)
         assert math.isfinite(pair.loss_at(origin))
         assert np.isfinite(pair.grad_at(origin)).all()
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="ascent step 0"):
@@ -910,11 +939,14 @@ class TestSupervisionBuffers:
 
 
 class TestBackwardWork:
-    def test_ascent_and_update_work_per_batch(self, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_ascent_and_update_work_per_batch(self, monkeypatch, k):
         """Each find_delta runs k+1 forward passes and k input-gradient backwards, each
         mini-batch one full parameter gradient, and the epoch loss no backward.
 
-        A faster step must not come from doing less ascent.
+        The update reads the ascent's last pass when the last iterate is every row's
+        pick, and a pass built anew otherwise. A faster step must not come from doing
+        less ascent.
         """
         passes, kernel = [], mapping._kernel
 
@@ -924,18 +956,39 @@ class TestBackwardWork:
 
         monkeypatch.setattr(mapping, "_kernel", recording)
         counts = count_ascent_work(monkeypatch, mapping)
+        ascents, counting = [], mapping.find_delta
+
+        def keeping(*args):
+            start = len(passes)
+            out = counting(*args)
+            ascents.append(passes[start:])
+            return out
+
+        monkeypatch.setattr(mapping, "find_delta", keeping)
         scn, src, tgt = equivalence_scenario()
-        base, k = TrainConfig(epochs=2, batch_size=16, dim=6, seed=2), 3
+        base = TrainConfig(epochs=2, batch_size=16, dim=6, seed=2)
         scdr_train(scn, src, tgt, ScdrTrainConfig(base=base, perturb=PerturbConfig(rho=0.3, k=k)))
         n = len(scn.train_pairs)
         assert n % base.batch_size != 0
         batches = base.epochs * -(-n // base.batch_size)
         assert counts == {"calls": batches, "loss": batches * (k + 1), "grad": batches * k}
-        read = Counter("full" if "grad" in vars(p) else "input" if "grad_u" in vars(p) else "none"
-                       for p in passes)
-        # loss alone: each ascent's last iterate, each epoch's loss and the untrained bound
-        assert read == {"full": batches, "input": batches * k,
-                        "none": batches + base.epochs + 1}
+        # the last iterate is every row's pick when each row's loss there is strictly the
+        # highest: here after one step in every batch, and after three in none
+        reused = sum(bool((a[-1].loss > np.max([p.loss for p in a[:-1]], axis=0)).all())
+                     for a in ascents)
+        assert reused == (batches if k == 1 else 0)
+
+        def read(p):
+            return "full" if "grad" in vars(p) else "input" if "grad_u" in vars(p) else "none"
+
+        ascent = {id(p) for a in ascents for p in a}
+        assert len(ascent) == batches * (k + 1)
+        # a Counter compares a missing key equal to a zero count
+        assert Counter(read(p) for p in passes if id(p) in ascent) == Counter(
+            full=reused, input=batches * k, none=batches - reused)
+        # outside the ascents: each new update pass, each epoch's loss and the untrained bound
+        assert Counter(read(p) for p in passes if id(p) not in ascent) == Counter(
+            full=batches - reused, none=base.epochs + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -962,10 +1015,9 @@ def _backward_cached(net: MappingNet, u: np.ndarray, a: np.ndarray,
 def _rating_closures(net: MappingNet, v_rows: np.ndarray, ratings: np.ndarray):
     """Loss and input-gradient of the summed squared rating error at f(u).
 
-    Both read one memoized forward pass per point.
+    Each runs its own forward pass.
     """
 
-    @memo_last_point
     def forward_at(u):
         y, a = _forward_cache(net, u)
         return ratings - v_rows @ y, a
@@ -986,11 +1038,10 @@ def _rating_closures(net: MappingNet, v_rows: np.ndarray, ratings: np.ndarray):
 def _embedding_closures(net: MappingNet, target: np.ndarray):
     """Loss and input-gradient of the per-component MSE to a target embedding.
 
-    Both read one memoized forward pass per point.
+    Each runs its own forward pass.
     """
     inv_d = 1.0 / net.d
 
-    @memo_last_point
     def forward_at(u):
         y, a = _forward_cache(net, u)
         return y - target, a

@@ -11,8 +11,8 @@ import scdr.perturbation as perturbation
 from scdr.errors import DivergenceError, ValidationError
 from scdr.perturbation import (
     PerturbConfig,
+    WorstCase,
     find_delta,
-    memo_last_point,
     project_ball,
 )
 
@@ -264,33 +264,113 @@ class TestFindDelta:
         assert seen == []
 
 
-class TestMemoLastPoint:
-    def test_recomputes_only_for_a_new_object(self):
-        calls = []
-        f = memo_last_point(lambda x: calls.append(x) or float(x.sum()))
+class Pass:
+    """A kernel pass at ``point``: its ``loss`` as given, and a gradient."""
+
+    def __init__(self, point, loss):
+        self.point, self.loss = point, loss
+
+    @property
+    def grad_u(self):
+        return 2.0 * self.point
+
+
+def scheduled(losses, built):
+    """A pair's ``at``: the n-th pass it builds has the n-th of ``losses``; ``built`` keeps each."""
+    losses = iter(losses)
+
+    def at(point):
+        made = Pass(point, next(losses))
+        built.append(weakref.ref(made))
+        return made
+
+    return at
+
+
+class TestWorstCase:
+    def test_builds_a_pass_only_for_a_new_object(self):
+        built = []
+        pair = WorstCase(scheduled([3.0, 3.0, 3.0], built))
         a, b = np.ones(3), np.ones(3)
-        assert f(a) == f(a) == 3.0
-        assert len(calls) == 1
-        assert f(b) == 3.0 and f(a) == 3.0
-        assert len(calls) == 3
+        assert pair.loss_at(a) == 3.0 and np.array_equal(pair.grad_at(a), 2.0 * a)
+        assert len(built) == 1
+        pair.grad_at(b)
+        pair.loss_at(a)
+        assert len(built) == 3
 
-    def test_no_earlier_result_is_alive_while_fn_runs(self):
-        # a result may hold a whole forward pass, so two alive at once double the peak
-        class Result:
-            pass
+    @pytest.mark.parametrize("rows", [False, True], ids=["one-number", "per-row"])
+    def test_no_earlier_pass_is_alive_while_at_runs(self, rows):
+        # a pass may hold a whole forward pass, so two alive at once double the peak;
+        # the kept pass of a one-number loss is the one exception
+        built = []
+        origin = np.zeros((2, 2))
+        points = [origin, origin + 1.0, origin + 2.0]
+        # per row, row 0 keeps the origin and row 1 moves to the last step: a mixed
+        # pick, so best() builds a new pass
+        losses = [np.array([2.0, 1.0]), np.array([1.0, 0.5]), np.array([0.0, 3.0]),
+                  np.array([2.0, 3.0])] if rows else [1.0, 2.0, 0.5]
+        at = scheduled(losses, built)
 
-        earlier = []
+        def checked(point):
+            kept = pair._kept
+            assert all(ref() is None or ref() is kept for ref in built)
+            return at(point)
 
-        def fn(x):
-            assert all(ref() is None for ref in earlier)
-            result = Result()
-            earlier.append(weakref.ref(result))
-            return result
+        pair = WorstCase(checked)
+        for point in points:
+            pair.loss_at(point)
+            pair.grad_at(point)
+        best = pair.best()
+        assert len(built) == (4 if rows else 3)
+        assert best is built[-1]() if rows else best is built[1]()
 
-        f = memo_last_point(fn)
-        for _ in range(3):
-            f(np.zeros(2))
-        assert len(earlier) == 3
+    def test_one_number_loss_keeps_the_pass_of_the_whole_iterate(self):
+        built = []
+        pair = WorstCase(scheduled([1.0, 3.0, 3.0, 2.0], built))
+        points = [np.full((2, 2), float(i)) for i in range(4)]
+        assert [pair.loss_at(p) for p in points] == [1.0, 3.0, 3.0, 2.0]
+        # a tie does not replace the pick; the kept pass outlives the memo
+        assert pair.point is points[1] and pair.loss == 3.0
+        assert pair.best() is built[1]() and len(built) == 4
+
+    def test_one_number_loss_keeps_the_origin_unless_beaten(self):
+        built = []
+        pair = WorstCase(scheduled([2.0, 1.0, 2.0], built))
+        points = [np.full(3, float(i)) for i in range(3)]
+        for p in points:
+            pair.loss_at(p)
+        assert pair.point is points[0] and pair.best() is built[0]()
+
+    def test_per_row_loss_picks_each_row_and_keeps_no_pass(self):
+        built = []
+        pair = WorstCase(scheduled([np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0, 1.0]),
+                                    np.array([1.5, 3.0, 0.0])], built))
+        points = [np.full((3, 2), float(i)) for i in range(3)]
+        assert [pair.loss_at(p) for p in points] == [3.0, 3.0, 4.5]
+        # row 0 moves to step 1, row 1 to step 2, and row 2 ties and keeps the origin
+        assert np.array_equal(pair.point, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+        assert np.array_equal(pair.loss, [2.0, 3.0, 1.0])
+        assert [ref() is None for ref in built] == [True, True, False]
+
+    def test_best_is_the_held_pass_when_the_last_iterate_wins_every_row(self):
+        built = []
+        pair = WorstCase(scheduled([np.array([1.0, 1.0]), np.array([0.0, 2.0]),
+                                    np.array([2.0, 3.0])], built))
+        points = [np.full((2, 2), float(i)) for i in range(3)]
+        for p in points:
+            pair.loss_at(p)
+        assert pair.point is points[2] and pair.best() is built[2]()
+        assert len(built) == 3
+
+    def test_best_is_a_new_pass_at_a_mixed_pick(self):
+        built = []
+        pair = WorstCase(scheduled([np.array([1.0, 1.0]), np.array([2.0, 0.0]),
+                                    np.array([2.0, 1.0])], built))
+        for i in range(2):
+            pair.loss_at(np.full((2, 2), float(i)))
+        best = pair.best()
+        assert best is built[2]() and best.point is pair.point
+        assert np.array_equal(best.point, [[1.0, 1.0], [0.0, 0.0]])
 
 
 def recording(fn, seen):
@@ -308,10 +388,9 @@ def unchanged(seen):
 class TestNoMutation:
     """``find_delta`` writes neither the origin nor any point it handed out.
 
-    ``memo_last_point`` keys on the identity of the point, and the mapping's
-    worst-case pick keeps the points themselves, so a step computed in place
-    on a point already passed to ``loss_at`` or ``grad_at`` would corrupt
-    both.
+    ``WorstCase`` keys its memo on the identity of the point and its pick
+    keeps the points themselves, so a step computed in place on a point
+    already passed to ``loss_at`` or ``grad_at`` would corrupt both.
     """
 
     # a step moves each coordinate whose gradient is nonzero by rho / k, so a

@@ -73,10 +73,10 @@ def test_every_wrapped_site_resolves():
 def test_find_delta_callables_are_defined_by_the_caller(monkeypatch):
     """Each caller defines its own loss and gradient, and no point they see is written.
 
-    ``memo_last_point`` keys on the identity of a point, and every caller (the
+    ``WorstCase`` keys its memo on the identity of a point, and every caller (the
     factor ascent, the mapping ascent and the Lipschitz probe) reads its passes
-    through it, so a ``find_delta`` that wrote its step into the origin or into
-    a point it already handed out would corrupt every caller's memoized residual.
+    through one, so a ``find_delta`` that wrote its step into the origin or into
+    a point it already handed out would corrupt every caller's memoized pass and pick.
     """
     callers = (scdr.factorization, scdr.mapping, scdr.analysis)
     seen = {}
@@ -278,20 +278,24 @@ def test_one_epoch_loop_draws_batches_and_guards_divergence():
 
 
 def test_only_the_memo_keys_on_a_point_identity():
-    """``perturbation.memo_last_point`` is the one memo keyed on a point's identity.
+    """``perturbation.WorstCase`` is the one memo keyed on a point's identity.
 
     A second identity memo in an ascent's loss/gradient pair would fork the rule
-    that no point handed out is written; in the modules that ascend, ``is`` and
-    ``is not`` compare against ``None`` only.
+    that no point handed out is written; in the modules that ascend, and in
+    ``perturbation`` outside the pair, ``is`` and ``is not`` compare against
+    ``None`` only.
     """
     def is_none(node):
         return isinstance(node, ast.Constant) and node.value is None
 
     found = []
-    for name in ("factorization.py", "mapping.py", "analysis.py"):
+    for name in ("perturbation.py", "factorization.py", "mapping.py", "analysis.py"):
         tree = ast.parse((ROOT / "src" / "scdr" / name).read_text(encoding="utf-8"))
+        pair = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "WorstCase"]
+        inside = {id(node) for cls in pair for node in ast.walk(cls)}
+        assert (name == "perturbation.py") == bool(pair)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Compare):
+            if isinstance(node, ast.Compare) and id(node) not in inside:
                 operands = [node.left, *node.comparators]
                 found += [f"{name}:{node.lineno}"
                           for op, left, right in zip(node.ops, operands, operands[1:])
