@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import CHUNK_ROWS, CdrScenario, write_artifact, write_atomic
+from .data import CHUNK_ROWS, CdrScenario, write_artifact, write_csv
 from .errors import ValidationError
 from .factorization import FactorModel
 from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, forward
@@ -269,12 +269,10 @@ def save_attack_report(entries: list[tuple[float, EvalReport]], path,
 
 def save_landscape(grid: LandscapeGrid, path) -> None:
     """Delimited text export, row-major in zeta then gamma, exact float text."""
-    lines = ["zeta,gamma,loss"]
-    cells = grid.loss.tolist()
-    for zi, zeta in enumerate(grid.zeta_axis.tolist()):
-        for gi, gamma in enumerate(grid.gamma_axis.tolist()):
-            lines.append(f"{zeta!r},{gamma!r},{cells[zi][gi]!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    gammas = grid.gamma_axis.tolist()
+    write_csv(path, "zeta,gamma,loss",
+              ((zeta, gamma, loss) for zeta, row in zip(grid.zeta_axis.tolist(), grid.loss.tolist())
+               for gamma, loss in zip(gammas, row)))
 
 
 def save_sharpness_report(report: SharpnessReport, path, inputs: dict | None = None) -> None:

@@ -145,7 +145,8 @@ def _check_outputs(paths, force: bool):
     completes do the staged files replace the outputs, one rename at a
     time. A body that raises leaves every output as it was. A rename that
     fails raises a ValidationError naming it: the outputs renamed before it
-    are new and the others old, and nothing detects that mix yet.
+    are new and the others old; ``load_scenario`` and ``_load_train_inputs``
+    refuse the mixes that a later command would read.
     """
     paths = [Path(p) for p in paths]
     staged = [p.with_name(f".{p.name}.staged") for p in paths]
@@ -186,10 +187,16 @@ def _perturb_config(section: dict) -> PerturbConfig:
     return PerturbConfig(rho=section["rho"], k=section["k"])
 
 
+def _mapping_config(section: dict, seed: int, dim: int) -> mapping.ScdrTrainConfig:
+    """The ``train`` section's mapping config; emcdr reads only its ``base`` and ``hidden``."""
+    return mapping.ScdrTrainConfig(base=_train_config(section, seed, dim=dim),
+                                   perturb=_perturb_config(section),
+                                   tune_source_embeddings=section["tune_source_embeddings"],
+                                   hidden=section["hidden"])
+
+
 def _write_trace(trace: list[float], path: Path) -> None:
-    lines = ["epoch,loss"]
-    lines.extend(f"{i},{v!r}" for i, v in enumerate(trace))
-    data.write_atomic(path, "\n".join(lines) + "\n")
+    data.write_csv(path, "epoch,loss", enumerate(trace))
 
 
 def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
@@ -203,9 +210,10 @@ def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
     with _check_outputs(outputs, force) as staged:
         scenario, sidecar = data.generate_synthetic(spec)
         out.mkdir(parents=True, exist_ok=True)
-        data.write_ratings(scenario.source, staged[0], snapshot=staged[4])
-        data.write_ratings(scenario.target, staged[1], snapshot=staged[5])
-        data.save_manifest(scenario, staged[2], "source_ratings.csv", "target_ratings.csv")
+        digests = (data.write_ratings(scenario.source, staged[0], snapshot=staged[4]),
+                   data.write_ratings(scenario.target, staged[1], snapshot=staged[5]))
+        data.save_manifest(scenario, staged[2], "source_ratings.csv", "target_ratings.csv",
+                           digests)
         data.save_sidecar(sidecar, staged[3])
     print(f"wrote scenario with {len(scenario.overlap)} overlapping users to {out}")
 
@@ -237,11 +245,16 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
 
 
 def _load_train_inputs(out: Path, method: str):
-    """The scenario, both factor models and the sha256 of their checkpoints."""
+    """The scenario, both factor models and the sha256 of their checkpoints; a pair whose
+    ``config`` or ``perturb`` differ, which one ``pretrain`` run never writes, is refused."""
     scenario = data.load_scenario(out / "scenario.json")
     mode = _METHOD_MODE[method]
-    (src_model, _, src_digest), (tgt_model, _, tgt_digest) = (factorization.load_factor_model(
-        out / f"{side}_model_{mode}.npy", scenario.inputs) for side in ("source", "target"))
+    paths = [out / f"{side}_model_{mode}.npy" for side in ("source", "target")]
+    (src_model, src_head, src_digest), (tgt_model, tgt_head, tgt_digest) = (
+        factorization.load_factor_model(p, scenario.inputs) for p in paths)
+    if any(src_head.get(key) != tgt_head.get(key) for key in ("config", "perturb")):
+        raise ValidationError(f"{paths[0]} and {paths[1]} record different training settings, "
+                              f"so one pretrain run did not write both; run it again")
     if src_model.d != tgt_model.d:
         raise ValidationError("source and target checkpoints disagree on latent dim")
     for name, model, domain in (("source", src_model, scenario.source),
@@ -253,26 +266,20 @@ def _load_train_inputs(out: Path, method: str):
 
 def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
-    section = cfg["train"]
-    base = _train_config(section, seed, dim=src_model.d)
-    perturb = _perturb_config(section)  # checked for emcdr too, which runs no ascent
+    # the ascent settings are checked for emcdr too, which runs no ascent
+    train_cfg = _mapping_config(cfg["train"], seed, src_model.d)
+    base = train_cfg.base
     outputs = [out / f"mapping_{method}.npy", out / f"mapping_trace_{method}.csv"]
     echo = {"method": method, "seed": seed, "epochs": base.epochs,
             "learning_rate": base.learning_rate, "batch_size": base.batch_size,
-            "hidden": section["hidden"]}
+            "hidden": train_cfg.hidden}
     with _check_outputs(outputs, force) as staged:
         if method == "emcdr":
             result = mapping.emcdr_train(scenario, src_model, tgt_model, base,
-                                         hidden=section["hidden"])
+                                         hidden=train_cfg.hidden)
         else:
-            echo.update({"rho": perturb.rho, "k": perturb.k,
-                         "tune_source_embeddings": section["tune_source_embeddings"]})
-            train_cfg = mapping.ScdrTrainConfig(
-                base=base,
-                perturb=perturb,
-                tune_source_embeddings=section["tune_source_embeddings"],
-                hidden=section["hidden"],
-            )
+            echo.update({"rho": train_cfg.perturb.rho, "k": train_cfg.perturb.k,
+                         "tune_source_embeddings": train_cfg.tune_source_embeddings})
             result = mapping.scdr_train(scenario, src_model, tgt_model, train_cfg)
         mapping.save_mapping(result.net, staged[0], config=echo, inputs=inputs)
         _write_trace(result.loss_trace, staged[1])

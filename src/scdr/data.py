@@ -27,6 +27,8 @@ import numpy as np
 from .errors import IngestError, MissingInputError, ScdrError, ValidationError
 
 MANIFEST_VERSION = 1
+# the manifest keys of the source and the target rating file's sha256
+_DIGEST_KEYS = ("source_ratings_sha256", "target_ratings_sha256")
 SIDECAR_VERSION = 3
 MAP_KINDS = ("identity", "linear", "tanh")
 # rows per slice of a pass over all ratings, so its temporaries stay this size
@@ -113,6 +115,12 @@ def write_atomic(path, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path`` through :func:`_atomic_file`."""
     with _atomic_file(path) as fh:
         fh.write(text.encode("utf-8"))
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header``, then each row's values as their ``repr``, comma-joined: exact float text."""
+    lines = [header, *(",".join(map(repr, row)) for row in rows)]
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, doc: dict, indent: int | None = None) -> None:
@@ -473,8 +481,8 @@ def ingest_domain(path) -> DomainDataset:
     return dataset
 
 
-def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
-    """Write a dataset back out as a ``user,item,rating`` file (exact float text).
+def write_ratings(dataset: DomainDataset, path, snapshot=None) -> str:
+    """Write ``dataset`` as a ``user,item,rating`` file (exact float text); return its sha256.
 
     With ``snapshot`` (``<path>.npy`` or its staging path), also write there the file's sha256
     and that of the records that follow, the dataset :func:`ingest_domain` parses from it.
@@ -502,8 +510,9 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
             raw = "".join([f"{u},{v},{r!r}\n" for u, v, r in rows]).encode("utf-8")
             fh.write(raw)
             sha256.update(raw)
+    digest = sha256.hexdigest()
     if snapshot is None:
-        return
+        return digest
     columns = []
     for index, tokens in ((dataset.user_index, dataset.users), (dataset.item_index, dataset.items)):
         # parsing meets tokens in order of first use, and never meets unused ones
@@ -515,7 +524,8 @@ def write_ratings(dataset: DomainDataset, path, snapshot=None) -> None:
     (users, ui), (items, vi) = columns
     # the file's pairs are unique, so parsing it overwrites none
     records = (users, items, ui, vi, dataset.rating, np.array(0, dtype=np.int64))
-    _write_arrays(snapshot, (np.array([sha256.hexdigest(), _records_digest(records)]), *records))
+    _write_arrays(snapshot, (np.array([digest, _records_digest(records)]), *records))
+    return digest
 
 
 @dataclass
@@ -759,11 +769,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CdrScenario, SyntheticSidec
     return scenario, sidecar
 
 
-def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratings: str) -> None:
+def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratings: str,
+                  digests: tuple[str, str] | None = None) -> None:
     """Write the scenario manifest: paths, beta, seed, and split membership.
 
     Paths are stored as given (conventionally relative to the manifest's
     own directory) so a run directory is relocatable and byte-stable.
+    ``digests``, the sha256 of the source and the target rating file (as
+    :func:`write_ratings` returns them), are stored under
+    ``source_ratings_sha256`` and ``target_ratings_sha256``.
     """
     doc = {
         "format_version": MANIFEST_VERSION,
@@ -774,6 +788,8 @@ def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratin
         "train_users": scenario.train_user_tokens,
         "test_users": scenario.test_user_tokens,
     }
+    if digests is not None:
+        doc.update(zip(_DIGEST_KEYS, digests))
     write_json(path, doc, indent=2)
 
 
@@ -789,14 +805,16 @@ def load_scenario(manifest_path) -> CdrScenario:
     ``beta`` and ``seed`` must be a finite float and a non-negative integer.
     The membership lists ``train_users`` and ``test_users`` come together or
     not at all. They are used as is, without drawing the seeded split;
-    without them the split is recomputed from ``(beta, seed)``.
+    without them the split is recomputed from ``(beta, seed)``. A rating
+    file whose sha256 differs from the one the manifest records for it
+    (``source_ratings_sha256``, ``target_ratings_sha256``; either may be
+    absent) raises ValidationError naming the file, after both files are read.
     """
     manifest_path = Path(manifest_path)
     with json_document(manifest_path, "manifest") as (doc, manifest_digest):
         if doc.get("format_version") != MANIFEST_VERSION:
             raise ValidationError(f"unsupported manifest version {doc.get('format_version')!r}")
-        source_path = manifest_path.parent / doc["source_ratings"]
-        target_path = manifest_path.parent / doc["target_ratings"]
+        paths = [manifest_path.parent / doc[key] for key in ("source_ratings", "target_ratings")]
         beta, seed = number(float, doc["beta"], "beta"), number(int, doc["seed"], "seed")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
@@ -804,8 +822,13 @@ def load_scenario(manifest_path) -> CdrScenario:
         if "train_users" in doc or "test_users" in doc:
             # one list without the other is a missing key, not a recomputed split
             membership = _user_tokens(doc["train_users"]), _user_tokens(doc["test_users"])
-    scenario = build_scenario(ingest_domain(source_path), ingest_domain(target_path), beta, seed,
-                              membership)
+        recorded = [doc.get(key) for key in _DIGEST_KEYS]
+    source, target = map(ingest_domain, paths)
+    for path, dataset, digest in zip(paths, (source, target), recorded):
+        if digest is not None and digest != dataset.digest:
+            raise ValidationError(f"rating file {path} is not the one {manifest_path} was "
+                                  f"written with: its sha256 differs from the recorded one")
+    scenario = build_scenario(source, target, beta, seed, membership)
     scenario.inputs = {"manifest": manifest_digest,
                        "source_ratings": scenario.source.digest,
                        "target_ratings": scenario.target.digest}

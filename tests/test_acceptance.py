@@ -1,11 +1,13 @@
 """Acceptance suite.
 
 Each test enforces one release criterion at its stated tolerance and prints
-a single PASS line (visible with ``pytest -s``). The desk-scale scenario is
-fixed: 2,000 users and 500 items per domain, 5% overlap, latent dim 10,
-seeds {1, 2, 3}. Sharpness-aware radii are scaled to the desk scenario's
-embedding magnitude: a nominal radius of 5 maps to 0.05 for factor
-pretraining and 0.3 for mapping training.
+a single PASS line (visible with ``pytest -s``). The gates check the
+configuration users run: the desk scenario and every training, attack and
+probe setting come from ``scdr.cli.DEFAULT_CONFIG`` (2,000 users and 500
+items per domain, 5% overlap, latent dim 10), read through the CLI's own
+config builders. The gates vary only the seed {1, 2, 3} and beta, and
+criterion 5's weak arm, which trains at a fifth of the default radii with
+one ascent step.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from scdr.analysis import (
     landscape_grid,
     lipschitz_estimate,
 )
+from scdr.cli import DEFAULT_CONFIG, _mapping_config, _perturb_config, _train_config
 from scdr.cli import main as cli_main
 from scdr.data import SyntheticSpec, generate_synthetic
 from scdr.factorization import FactorModel, TrainConfig, mf_grad, mf_loss, train_mf, train_smf
@@ -42,18 +45,18 @@ from scdr.perturbation import PerturbConfig, find_delta
 
 SEEDS = (1, 2, 3)
 BETAS = (0.2, 0.5, 0.8)
-EPSILONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+PRETRAIN, TRAIN = DEFAULT_CONFIG["pretrain"], DEFAULT_CONFIG["train"]
+EPSILONS = DEFAULT_CONFIG["attack"]["epsilons"]
+LIP_PROBE = _perturb_config(DEFAULT_CONFIG["sharpness"])
 
-PRE_EPOCHS = 30
-MAP_EPOCHS = 300
-PRE_RHO_SCALE = 0.01   # nominal radius 5 -> 0.05 during pretraining
-MAP_RHO_SCALE = 0.06   # nominal radius 5 -> 0.30 during mapping training
-LIP_PROBE = PerturbConfig(rho=0.3, k=5)
+
+def weak(section):
+    """``section`` at a fifth of its radius and one ascent step: criterion 5's weak arm."""
+    return {**section, "rho": section["rho"] / 5, "k": 1}
 
 
 def desk_spec(seed, beta):
-    return SyntheticSpec(users=2000, items=500, overlap_ratio=0.05, dim=10, noise=0.3,
-                         map_kind="tanh", seed=seed, beta=beta, ratings_per_user=30)
+    return SyntheticSpec(**{**DEFAULT_CONFIG["synth"], "seed": seed, "beta": beta})
 
 
 _FACTOR_MODELS: dict = {}
@@ -72,7 +75,7 @@ def factor_model(dataset, seed, perturb=None):
              for a in (dataset.user_index, dataset.item_index, dataset.rating)),
            None if perturb is None else (perturb.rho, perturb.k, perturb.alpha))
     if key not in _FACTOR_MODELS:
-        cfg = TrainConfig(epochs=PRE_EPOCHS, dim=10, seed=seed)
+        cfg = _train_config(PRETRAIN, seed)
         result = train_mf(dataset, cfg) if perturb is None else train_smf(dataset, cfg, perturb)
         _FACTOR_MODELS[key] = result.model
     return _FACTOR_MODELS[key]
@@ -83,45 +86,43 @@ def pretrain_pair(scenario, seed, perturb=None):
             factor_model(scenario.target_training_dataset(), seed, perturb))
 
 
-def train_scdr(scenario, src, tgt, seed, rho, k):
-    cfg = ScdrTrainConfig(base=TrainConfig(epochs=MAP_EPOCHS, dim=10, seed=seed),
-                          perturb=PerturbConfig(rho=rho, k=k))
-    return scdr_train(scenario, src, tgt, cfg).net
+def train_scdr(scenario, src, tgt, seed, section=TRAIN):
+    return scdr_train(scenario, src, tgt, _mapping_config(section, seed, src.d)).net
 
 
 @functools.cache
 def desk_models(seed, beta):
-    """The desk scenario at (seed, beta), its plain and nominal-radius-5
-    factor pairs, and the three methods' nets trained on them."""
+    """The desk scenario at (seed, beta), its plain and sharpness-aware factor
+    pairs, and the three methods' nets trained on them, all at the defaults."""
     scenario, _ = generate_synthetic(desk_spec(seed, beta))
     plain = pretrain_pair(scenario, seed)
-    smf5 = pretrain_pair(scenario, seed, PerturbConfig(rho=5.0 * PRE_RHO_SCALE, k=5))
+    smf = pretrain_pair(scenario, seed, _perturb_config(PRETRAIN))
+    emcdr_cfg = _mapping_config(TRAIN, seed, plain[0].d)
     return {
         "scenario": scenario,
         "plain": plain,
-        "smf5": smf5,
-        "emcdr": emcdr_train(scenario, *plain,
-                             TrainConfig(epochs=MAP_EPOCHS, dim=10, seed=seed)).net,
-        "scdr_minus": train_scdr(scenario, *plain, seed, rho=5.0 * MAP_RHO_SCALE, k=5),
-        "scdr": train_scdr(scenario, *smf5, seed, rho=5.0 * MAP_RHO_SCALE, k=5),
+        "smf": smf,
+        "emcdr": emcdr_train(scenario, *plain, emcdr_cfg.base, hidden=emcdr_cfg.hidden).net,
+        "scdr_minus": train_scdr(scenario, *plain, seed),
+        "scdr": train_scdr(scenario, *smf, seed),
     }
 
 
 @pytest.fixture(scope="session")
 def stack08():
-    """Per-seed models at beta = 0.8: the three methods, the nominal-radius
-    variants (5 vs 1), and the sharpness-aware-disabled baseline."""
+    """Per-seed models at beta = 0.8: the three methods, the weak-arm
+    variant of scdr, and the sharpness-aware-disabled baseline."""
     t0 = time.monotonic()
     per_seed = {}
     for seed in SEEDS:
         entry = desk_models(seed, 0.8)
         scenario = entry["scenario"]
-        smf1 = pretrain_pair(scenario, seed, PerturbConfig(rho=1.0 * PRE_RHO_SCALE, k=1))
+        smf_weak = pretrain_pair(scenario, seed, _perturb_config(weak(PRETRAIN)))
         per_seed[seed] = {
             **entry,
-            "smf1": smf1,
-            "scdr_weak": train_scdr(scenario, *smf1, seed, rho=1.0 * MAP_RHO_SCALE, k=1),
-            "k0": train_scdr(scenario, *entry["plain"], seed, rho=0.0, k=0),
+            "smf_weak": smf_weak,
+            "scdr_weak": train_scdr(scenario, *smf_weak, seed, weak(TRAIN)),
+            "k0": train_scdr(scenario, *entry["plain"], seed, {**TRAIN, "rho": 0.0, "k": 0}),
         }
     per_seed["elapsed"] = time.monotonic() - t0
     return per_seed
@@ -135,7 +136,7 @@ def trend_maes(stack08):
     for seed in SEEDS:
         for beta in BETAS:
             entry = desk_models(seed, beta)
-            for method, pair in (("emcdr", "plain"), ("scdr_minus", "plain"), ("scdr", "smf5")):
+            for method, pair in (("emcdr", "plain"), ("scdr_minus", "plain"), ("scdr", "smf")):
                 maes[method][beta].append(
                     evaluate(entry[method], *entry[pair], entry["scenario"]).mae)
     means = {m: {b: float(np.mean(v)) for b, v in per.items()} for m, per in maes.items()}
@@ -329,8 +330,8 @@ def test_criterion_5_robustness_gate(stack08):
         scenario = entry["scenario"]
         zero, worst = zero_predictor_mae(scenario), 0.0
         sweeps = {
-            "scdr(k=5,rho=5)": (entry["scdr"], entry["smf5"]),
-            "scdr(k=1,rho=1)": (entry["scdr_weak"], entry["smf1"]),
+            "strong": (entry["scdr"], entry["smf"]),
+            "weak": (entry["scdr_weak"], entry["smf_weak"]),
             "k0-baseline": (entry["k0"], entry["plain"]),
         }
         for name, (net, (src, tgt)) in sweeps.items():
@@ -346,15 +347,15 @@ def test_criterion_5_robustness_gate(stack08):
             last_eps.setdefault(name, {})[seed] = curve[-1]
         clean[seed] = (worst, zero)
 
-    wins = sum(last_eps["scdr(k=5,rho=5)"][s] < last_eps["scdr(k=1,rho=1)"][s] for s in SEEDS)
+    wins = sum(last_eps["strong"][s] < last_eps["weak"][s] for s in SEEDS)
     assert wins >= 2, f"strong SAM beat weak SAM on only {wins}/3 seeds: {last_eps}"
     elapsed = stack08["elapsed"] + (time.monotonic() - t0)
     assert elapsed < 600.0
-    strong = [f"{last_eps['scdr(k=5,rho=5)'][s]:.3f}" for s in SEEDS]
-    weak = [f"{last_eps['scdr(k=1,rho=1)'][s]:.3f}" for s in SEEDS]
+    strong = [f"{last_eps['strong'][s]:.3f}" for s in SEEDS]
+    weak_maes = [f"{last_eps['weak'][s]:.3f}" for s in SEEDS]
     guard = "  ".join(f"seed {s}: {clean[s][0]:.3f}<{clean[s][1]:.3f}" for s in SEEDS)
     print(f"\n[criterion 5] PASS robustness gate ({elapsed:.0f}s): robust MAE at eps=1 "
-          f"strong {strong} vs weak {weak}, wins {wins}/3\n"
+          f"strong (the defaults) {strong} vs weak (radii/5, k=1) {weak_maes}, wins {wins}/3\n"
           f"  worst clean MAE below the zero predictor's: {guard}")
 
 
@@ -372,7 +373,7 @@ def test_criterion_6_sharpness_gate(stack08, tmp_path):
     for seed in SEEDS:
         entry = stack08[seed]
         scenario = entry["scenario"]
-        src_s, tgt_s = entry["smf5"]
+        src_s, tgt_s = entry["smf"]
         src_p, tgt_p = entry["plain"]
 
         # a constant model has no slope and a flat landscape: it must not pass as flat

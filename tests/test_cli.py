@@ -286,6 +286,23 @@ class TestValidation:
         assert run("train", "--config", cfg, "--method", "scdr", "--force") == 2
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
+    def test_factor_checkpoints_of_two_pretrain_runs_exit_2(self, run_copy, tmp_path, capsys):
+        # both checkpoints record the same scenario inputs and config, but not the same
+        # perturb; TestFailedRename mixes two configs
+        out, cfg = run_copy
+        cfg_doc = small_config(out)
+        cfg_doc["pretrain"]["k"] = 2
+        other = write_config(tmp_path, cfg_doc, "other.json")
+        old_target = (out / "target_model_sharpness_aware.npy").read_bytes()
+        assert run("pretrain", "--config", other, "--mode", "sharpness_aware", "--force") == 0
+        (out / "target_model_sharpness_aware.npy").write_bytes(old_target)
+        before = listing(out)
+        capsys.readouterr()
+        for command in ("train", "eval"):
+            assert run(command, "--config", cfg, "--method", "scdr", "--force") == 2
+            assert "record different training settings" in capsys.readouterr().err
+        assert listing(out) == before
+
     def test_mapping_of_other_factor_checkpoints_exit_2(self, tmp_path, capsys):
         # the mapping was trained on the 2-epoch checkpoints that --force replaced
         out = tmp_path / "run"
@@ -1063,7 +1080,9 @@ def failing_staged_rename(monkeypatch, n):
 class TestFailedRename:
     """A commit rename that fails exits 2, naming it and the outputs renamed before it.
 
-    Those outputs are new and the others old; nothing refuses that mix yet.
+    Those outputs are new and the others old, and the next command that reads
+    a harmful mix refuses it: rating files that the manifest does not record,
+    or two factor checkpoints of different settings.
     """
 
     @pytest.mark.parametrize("args, outputs, n", [
@@ -1092,3 +1111,33 @@ class TestFailedRename:
         # no staged file is left, and only the outputs renamed before the failure changed
         assert after.keys() == before.keys()
         assert [name for name in outputs if after[name] != before[name]] == outputs[:n - 1]
+
+    @pytest.mark.parametrize("args, n, follow_up, refused", [
+        (["synth", "--seed", "2"], 2, ["pretrain", "--mode", "plain"],
+         "rating file {out}/source_ratings.csv is not the one {out}/scenario.json was written "
+         "with: its sha256 differs from the recorded one"),
+        (["synth", "--seed", "2"], 3, ["pretrain", "--mode", "plain"],
+         "rating file {out}/source_ratings.csv is not the one"),
+        # the manifest is new; the old snapshots are stale, so the new files are parsed
+        (["synth", "--seed", "2"], 4, ["pretrain", "--mode", "plain"], None),
+        (["pretrain", "--mode", "plain", "--seed", "2"], 2, ["train", "--method", "emcdr"],
+         "{out}/source_model_plain.npy and {out}/target_model_plain.npy record different "
+         "training settings, so one pretrain run did not write both; run it again"),
+        # both checkpoints are new; only the traces are mixed, and no command reads them
+        (["pretrain", "--mode", "plain", "--seed", "2"], 3, ["train", "--method", "emcdr"], None),
+    ], ids=["synth-2", "synth-3", "synth-4", "pretrain-2", "pretrain-3"])
+    def test_the_next_command_refuses_a_mixed_set(self, run_copy, capsys, monkeypatch, args, n,
+                                                  follow_up, refused):
+        out, cfg = run_copy
+        with monkeypatch.context() as patch:
+            failing_staged_rename(patch, n)
+            assert run(*args, "--config", cfg, "--force") == 2
+        before = listing(out)
+        capsys.readouterr()
+        code = run(*follow_up, "--config", cfg, "--force")
+        if refused is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert refused.format(out=out) in capsys.readouterr().err
+            assert listing(out) == before

@@ -26,6 +26,7 @@ from scdr.data import (
     save_sidecar,
     split_overlap,
     write_atomic,
+    write_csv,
     write_ratings,
 )
 from scdr.errors import IngestError, MissingInputError, ValidationError
@@ -768,6 +769,34 @@ class TestManifest:
         back = load_scenario(tmp_path / "m.json")
         assert back.test_pairs == scn.test_pairs
 
+    def test_recorded_digests_refuse_other_rating_files(self, tmp_path):
+        scn = two_domain_scenario(n_overlap=8, beta=0.5, seed=11)
+        digests = (write_ratings(scn.source, tmp_path / "s.csv"),
+                   write_ratings(scn.target, tmp_path / "t.csv"))
+        assert digests == tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                                for name in ("s.csv", "t.csv"))
+        save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv", digests)
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert (doc["source_ratings_sha256"], doc["target_ratings_sha256"]) == digests
+        back = load_scenario(tmp_path / "m.json")
+        assert (back.inputs["source_ratings"], back.inputs["target_ratings"]) == digests
+
+        # a valid rating file that the manifest does not record
+        with open(tmp_path / "t.csv", "a") as fh:
+            fh.write("u0,tz,1.0\n")
+        message = f"rating file {tmp_path / 't.csv'} is not the one {tmp_path / 'm.json'}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_scenario(tmp_path / "m.json")
+        # a hand-written manifest without the keys reads the same files as they are
+        for key in ("source_ratings_sha256", "target_ratings_sha256"):
+            del doc[key]
+        (tmp_path / "hand.json").write_text(json.dumps(doc))
+        assert load_scenario(tmp_path / "hand.json").target.n_items == scn.target.n_items + 1
+        # an ingest error comes before the digest check
+        (tmp_path / "s.csv").write_text("a,x\n")
+        with pytest.raises(IngestError, match="row 1"):
+            load_scenario(tmp_path / "m.json")
+
     def test_stored_membership_wins_over_recomputed_split(self, tmp_path):
         scn = two_domain_scenario(n_overlap=8, beta=0.5, seed=11)
         write_ratings(scn.source, tmp_path / "s.csv")
@@ -948,6 +977,16 @@ class TestManifest:
         src = dataset([("a", "x", 1.0), ("b", "y", 2.0)])
         tgt = dataset([("b", "z", 1.0), ("c", "w", 2.0)])
         assert compute_overlap(src, tgt) == [(1, 0)]
+
+
+def test_write_csv_writes_exact_float_text(tmp_path):
+    rows = [(0, 0.1), (1, 1e-17), (2, 1 / 3)]
+    write_csv(tmp_path / "a.csv", "epoch,loss", iter(rows))
+    lines = (tmp_path / "a.csv").read_text().splitlines()
+    assert lines[0] == "epoch,loss"
+    assert [(int(i), float(v)) for i, v in (line.split(",") for line in lines[1:])] == rows
+    write_csv(tmp_path / "b.csv", "epoch,loss", [])
+    assert (tmp_path / "b.csv").read_text() == "epoch,loss\n"
 
 
 class TestAtomicWrite:
