@@ -654,8 +654,8 @@ class SyntheticSpec:
             raise ValidationError(f"overlap_ratio must lie in (0, 1], got {self.overlap_ratio}")
         if self.dim < 1:
             raise ValidationError("latent dim must be >= 1")
-        if self.noise < 0.0:
-            raise ValidationError("noise level must be >= 0")
+        if self.noise < 0.0 or not math.isfinite(self.noise):
+            raise ValidationError(f"noise level must be finite and >= 0, got {self.noise}")
         if self.map_kind not in MAP_KINDS:
             raise ValidationError(f"unknown map kind {self.map_kind!r}")
         if not 0.0 < self.beta < 1.0:

@@ -8,14 +8,15 @@ the perturbed point to the unperturbed parameters. With a zero-radius or
 zero-step perturbation it reduces bitwise to ``train_mf``.
 
 ``_Pass`` is the model's one loss/gradient kernel, built by a ``_Batch`` at
-given user rows: ``mf_loss``, ``mf_grad`` (the finite-difference oracle's
-subject), the ascent and the SGD update all read it. ``_run_epochs`` is the
-one epoch loop, with the one divergence guard, of these trainers and of the
-mapping trainers in ``scdr.mapping``.
+given user rows, one per rating: ``mf_loss``, ``mf_grad`` (the
+finite-difference oracle's subject), the ascent and the SGD update all read
+it. ``_run_epochs`` is the one epoch loop, with the one divergence guard, of
+these trainers and of the mapping trainers in ``scdr.mapping``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -65,14 +66,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0.0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.learning_rate <= 0.0 or not math.isfinite(self.learning_rate):
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.weight_decay < 0.0:
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.init_std <= 0.0:
-            raise ValidationError(f"init_std must be > 0, got {self.init_std}")
+        if self.weight_decay < 0.0 or not math.isfinite(self.weight_decay):
+            raise ValidationError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.init_std <= 0.0 or not math.isfinite(self.init_std):
+            raise ValidationError(f"init_std must be finite and > 0, got {self.init_std}")
         if self.dim < 1:
             raise ValidationError(f"dim must be >= 1, got {self.dim}")
 
@@ -118,99 +119,105 @@ class MfTrainResult(NamedTuple):
     loss_trace: list[float]
 
 
-def _unique_inverse(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(idx, return_inverse=True)`` for a non-empty 1-D integer array.
+def _touched(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an index column in sorted order, and each one's first position.
 
-    One argsort, a flag on each change of value in sorted order and its
-    running count give the sorted distinct values and each entry's position
-    among them, in fewer calls than numpy's generic unique path. The cost
-    depends only on ``idx.size``, not on how many rows the indices address.
+    The factor kernel's one sort. Only the objective's weight-decay term and
+    :func:`mf_grad`'s per-row gradients need each touched row once, in order.
     """
-    order = idx.argsort()
-    ordered = idx.take(order)
-    first = np.empty(ordered.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inv = np.empty(ordered.size, dtype=np.intp)
-    inv[order] = first.cumsum() - 1
-    return ordered.compress(first), inv
+    return np.unique(idx, return_index=True)
+
+
+def _index_tables(n_users: int, n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised row-to-position tables for :class:`_Batch`, one per index column."""
+    return np.empty(n_users, dtype=np.intp), np.empty(n_items, dtype=np.intp)
 
 
 class _Batch:
-    """One batch's index bookkeeping, its fixed item rows and its decay.
+    """One batch's ratings, its fixed item rows per rating, its bins and its decay.
 
-    ``uniq_*`` are the user and item rows the batch touches and ``inv_*`` each
-    rating's position among them. ``v_touched`` are the item rows, which no
-    ascent moves, and ``v_rows`` those rows per rating. ``flat_*`` index each
-    rating's entries in the grid of touched rows, ``row * d + col``.
-    :meth:`at` is the batch's kernel.
+    A rating's bin (``bins_*``) is the batch position of its row's last
+    occurrence, read from an index table: ``table[idx] = arange(n)`` writes
+    every entry that ``table.take(idx)`` then reads, so no table is ever
+    cleared and a batch costs the same at any row count. Any one occurrence
+    would do: all of a row's ratings share its bin. ``v_rows`` are the item
+    rows per rating, which no ascent moves. ``flat_*`` index each rating's
+    entries in the grid of bins, ``bin * d + col``. With a positive decay,
+    ``first_u`` is each touched user's first position in sorted row order,
+    and ``v_touched`` the touched item rows in that order. :meth:`at` is the
+    batch's kernel.
     """
 
     def __init__(self, ui: np.ndarray, vi: np.ndarray, r: np.ndarray, V: np.ndarray,
-                 weight_decay: float):
-        self.r, self.weight_decay = r, weight_decay
-        self.uniq_u, self.inv_u = _unique_inverse(ui)
-        self.uniq_v, self.inv_v = _unique_inverse(vi)
-        self.v_touched = V.take(self.uniq_v, axis=0)
-        self.v_rows = self.v_touched.take(self.inv_v, axis=0)
-        grid = np.arange(max(self.uniq_u.size, self.uniq_v.size) * V.shape[1])
-        grid = grid.reshape(-1, V.shape[1])
-        self.flat_u = grid.take(self.inv_u, axis=0).ravel()
-        self.flat_v = grid.take(self.inv_v, axis=0).ravel()
+                 weight_decay: float, tables: tuple[np.ndarray, np.ndarray]):
+        self.ui, self.vi, self.r, self.weight_decay = ui, vi, r, weight_decay
+        self.v_rows = V.take(vi, axis=0)
+        table_u, table_v = tables
+        table_u[ui] = table_v[vi] = np.arange(r.size)
+        self.bins_u, self.bins_v = table_u.take(ui), table_v.take(vi)
+        grid = np.arange(r.size * V.shape[1]).reshape(r.size, V.shape[1])
+        self.flat_u = grid.take(self.bins_u, axis=0).ravel()
+        self.flat_v = grid.take(self.bins_v, axis=0).ravel()
+        self.first_u = self.v_touched = None
+        if weight_decay > 0.0:
+            self.first_u = _touched(ui)[1]
+            self.v_touched = self.v_rows.take(_touched(vi)[1], axis=0)
 
-    def at(self, u_touched: np.ndarray) -> _Pass:
-        """The pass at touched user rows ``u_touched`` (``uniq_u`` order)."""
-        return _Pass(self, u_touched)
+    def at(self, u_rows: np.ndarray) -> _Pass:
+        """The pass at user rows ``u_rows``, one per rating (a repeated user's rows equal)."""
+        return _Pass(self, u_rows)
 
 
 class _Pass:
-    """The factor model's one loss/gradient kernel: a batch at touched user rows ``u_touched``.
+    """The factor model's one loss/gradient kernel: a batch at per-rating user rows ``u_rows``.
 
-    ``u_rows`` (``u_touched`` per rating) and ``resid`` (rating minus
-    prediction) are computed when the pass is built. ``loss`` (the
-    :func:`_objective`), ``grad_u`` and ``grad_v`` are computed on first
-    read, so a pass read only for its loss scatters nothing. Both gradients
-    scatter their per-rating rows times one shared ``-2 * resid`` with
-    ``np.bincount`` over the batch's flat index; like ``np.add.at`` it adds in
-    rating order from 0.0, so the sums are bitwise the same. A gradient is
-    the pass's own array: a caller may write it once it reads the pass no more.
+    ``resid`` (rating minus prediction) is computed when the pass is built.
+    ``loss`` (the :func:`_objective`), ``grad_u`` and ``grad_v`` are computed
+    on first read, so a pass read only for its loss scatters nothing. Both
+    gradients sum their per-rating rows times one shared ``-2 * resid`` into
+    the batch's bins with ``np.bincount``, which like ``np.add.at`` adds in
+    rating order from 0.0, and read the sums back per rating: each rating
+    holds its row's gradient, bitwise the per-row sum. A gradient is the
+    pass's own array: a caller may write it once it reads the pass no more.
     """
 
     # slots and None checks: functools.cached_property takes a lock on each first read
     # (Python 3.11), which a sharpness-aware step would pay about six times
-    __slots__ = ("_b", "u_touched", "u_rows", "resid", "_loss", "_m2r", "_grad_u", "_grad_v")
+    __slots__ = ("_b", "u_rows", "resid", "_loss", "_m2r", "_grad_u", "_grad_v")
 
-    def __init__(self, batch: _Batch, u_touched: np.ndarray):
-        self._b, self.u_touched = batch, u_touched
-        self.u_rows = u_touched.take(batch.inv_u, axis=0)
-        self.resid = batch.r - np.einsum("ij,ij->i", self.u_rows, batch.v_rows)
+    def __init__(self, batch: _Batch, u_rows: np.ndarray):
+        self._b, self.u_rows = batch, u_rows
+        self.resid = batch.r - np.einsum("ij,ij->i", u_rows, batch.v_rows)
         self._loss = self._m2r = self._grad_u = self._grad_v = None
 
     @property
     def loss(self) -> float:
         if self._loss is None:
             b = self._b
-            self._loss = _objective(self.resid, b.weight_decay, self.u_touched, b.v_touched)
+            touched = () if b.first_u is None else (self.u_rows.take(b.first_u, axis=0),
+                                                    b.v_touched)
+            self._loss = _objective(self.resid, b.weight_decay, *touched)
         return self._loss
 
     @property
     def grad_u(self) -> np.ndarray:
         if self._grad_u is None:
-            self._grad_u = self._grad(self._b.flat_u, self._b.v_rows, self.u_touched)
+            self._grad_u = self._grad(self._b.flat_u, self._b.bins_u, self._b.v_rows, self.u_rows)
         return self._grad_u
 
     @property
     def grad_v(self) -> np.ndarray:
         if self._grad_v is None:
-            self._grad_v = self._grad(self._b.flat_v, self.u_rows, self._b.v_touched)
+            self._grad_v = self._grad(self._b.flat_v, self._b.bins_v, self.u_rows, self._b.v_rows)
         return self._grad_v
 
-    def _grad(self, flat: np.ndarray, other_rows: np.ndarray, own: np.ndarray) -> np.ndarray:
-        """``-2 * resid`` times ``other_rows``, summed into the touched rows ``own``, plus decay."""
+    def _grad(self, flat: np.ndarray, bins: np.ndarray, other_rows: np.ndarray,
+              own: np.ndarray) -> np.ndarray:
+        """``-2 * resid`` times ``other_rows``, summed per bin, read back per rating, plus decay."""
         if self._m2r is None:
             self._m2r = -2.0 * self.resid[:, None]
         grad = np.bincount(flat, weights=(self._m2r * other_rows).ravel(), minlength=own.size)
-        grad = grad.reshape(own.shape)
+        grad = grad.reshape(own.shape).take(bins, axis=0)
         if self._b.weight_decay > 0.0:
             grad += 2.0 * self._b.weight_decay * own
         return grad
@@ -228,7 +235,8 @@ def _model_batch(model: FactorModel, batch, weight_decay: float) -> _Batch:
         raise ValidationError("user index out of range")
     if vi.min() < 0 or vi.max() >= model.V.shape[0]:
         raise ValidationError("item index out of range")
-    return _Batch(ui, vi, r, model.V, float(weight_decay))
+    tables = _index_tables(model.U.shape[0], model.V.shape[0])
+    return _Batch(ui, vi, r, model.V, float(weight_decay), tables)
 
 
 def _objective(resid: np.ndarray, weight_decay: float, *rows: np.ndarray) -> float:
@@ -251,14 +259,16 @@ def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
     touches (each row once) are added, scaled by the decay.
     """
     b = _model_batch(model, batch, weight_decay)
-    return b.at(model.U.take(b.uniq_u, axis=0)).loss
+    return b.at(model.U.take(b.ui, axis=0)).loss
 
 
 def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
-    """Analytic gradient of :func:`mf_loss` for the touched U and V rows."""
+    """Analytic gradient of :func:`mf_loss` for the touched U and V rows, in sorted row order."""
     b = _model_batch(model, batch, weight_decay)
-    at = b.at(model.U.take(b.uniq_u, axis=0))
-    return MfGradient(b.uniq_u, at.grad_u, b.uniq_v, at.grad_v)
+    at = b.at(model.U.take(b.ui, axis=0))
+    (uniq_u, first_u), (uniq_v, first_v) = _touched(b.ui), _touched(b.vi)
+    return MfGradient(uniq_u, at.grad_u.take(first_u, axis=0),
+                      uniq_v, at.grad_v.take(first_v, axis=0))
 
 
 def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -272,15 +282,18 @@ def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.
     return vectors.take(rows, axis=0, out=out, mode="clip")
 
 
-def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig) -> None:
+def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig, tables) -> None:
     """One SGD update of the rows a batch touches, from the pass at the ascent's pick.
 
     With a moving ``perturb``, a :class:`WorstCase` pair over the batch's
     kernel picks whole iterates by the summed loss and keeps the picked
     pass. So a sharpness-aware step costs k+1 residuals and a plain step one.
+    The ascent and the update run on per-rating rows; a repeated row is
+    written several times with equal values. ``tables`` are the batch's
+    index tables, from :func:`_index_tables`.
     """
-    b = _Batch(ui, vi, r, V, config.weight_decay)
-    u_base = U.take(b.uniq_u, axis=0)
+    b = _Batch(ui, vi, r, V, config.weight_decay, tables)
+    u_base = U.take(ui, axis=0)
     if perturb.k > 0 and perturb.rho > 0.0:
         pair = WorstCase(b.at)
         find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), u_base, perturb)
@@ -288,11 +301,11 @@ def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig) -> N
     else:
         at = b.at(u_base)
     du, dv = at.grad_u, at.grad_v
-    # the rows still hold u_base and v_touched, so this is the in-place -= update
+    # the rows still hold u_base and v_rows, so this is the in-place -= update
     du *= config.learning_rate
     dv *= config.learning_rate
-    U[b.uniq_u] = np.subtract(u_base, du, out=du)
-    V[b.uniq_v] = np.subtract(b.v_touched, dv, out=dv)
+    U[ui] = np.subtract(u_base, du, out=du)
+    V[vi] = np.subtract(b.v_rows, dv, out=dv)
 
 
 def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) -> MfTrainResult:
@@ -305,9 +318,10 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) 
     # large would be mapped and unmapped by malloc at each block.
     block = min(r.size, CHUNK_ROWS) * config.dim
     u_block, v_block = np.empty(block), np.empty(block)
+    tables = _index_tables(dataset.n_users, dataset.n_items)
 
     def step(sel):
-        _sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb)
+        _sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb, tables)
 
     def epoch_loss():
         for start in range(0, r.size, CHUNK_ROWS):

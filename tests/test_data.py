@@ -733,6 +733,11 @@ class TestSynthetic:
         with pytest.raises(ValidationError):
             SyntheticSpec(users=100, items=10, ratings_per_user=11)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValidationError, match="noise level must be finite"):
+            SyntheticSpec(noise=noise)
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):

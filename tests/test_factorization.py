@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,13 @@ class TestTrainMf:
         with pytest.raises(ValidationError):
             TrainConfig(epochs=1, init_std=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "init_std"])
+    def test_config_rejects_non_finite(self, field, value):
+        # a NaN decay would train with no decay: every ``weight_decay > 0.0`` test is False
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            TrainConfig(epochs=1, **{field: value})
+
 
 class TestTrainSmf:
     def test_k_zero_reduces_to_mf(self):
@@ -266,7 +274,7 @@ class TestTrainSmf:
         assert np.array_equal(a.model.V, b.model.V)
 
 
-def reference_sgd_step(U, V, ui, vi, r, config, perturb):
+def reference_sgd_step(U, V, ui, vi, r, config, perturb, tables):
     """The SGD step as it was before the shared batch kernel: separate loss
     and gradient closures, each computing its own residual, and
     ``np.add.at`` scatters. Kept verbatim as the bitwise reference, but for the
@@ -399,52 +407,46 @@ class TestKernelEquivalence:
         assert factorization._objective(resid, weight_decay, U, V) == expect
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.3])
-    @pytest.mark.parametrize("n_rows", [1, 7])
+    @pytest.mark.parametrize("n_rows", [1, 7, 1000])
     def test_bincount_scatter_matches_add_at(self, n_rows, weight_decay):
+        # every batch repeats items; 1 and 7 rows repeat users too, and 1000 rows a few
         rng = np.random.default_rng(n_rows)
         ui = rng.integers(0, n_rows, size=300)
         vi = rng.integers(0, 11, size=300)
         r = rng.normal(3.0, 1.0, size=300)
-        V = rng.normal(size=(11, 4))
-        b = factorization._Batch(ui, vi, r, V, weight_decay)
-        u_touched = rng.normal(size=(b.uniq_u.size, 4))
-        at = b.at(u_touched)
-        u_rows, v_rows = u_touched[b.inv_u], V[vi]
+        U, V = rng.normal(size=(n_rows, 4)), rng.normal(size=(11, 4))
+        # tables left holding an earlier batch's positions, as in training
+        tables = factorization._index_tables(n_rows, 11)
+        factorization._Batch(ui[::-1], vi[::-1], r, V, weight_decay, tables)
+        b = factorization._Batch(ui, vi, r, V, weight_decay, tables)
+        at = b.at(U[ui])
+        uniq_u, inv_u = np.unique(ui, return_inverse=True)
+        uniq_v, inv_v = np.unique(vi, return_inverse=True)
+        u_rows, v_rows = U[ui], V[vi]
         resid = r - np.einsum("ij,ij->i", u_rows, v_rows)
-        assert same_bits(at.u_rows, u_rows) and same_bits(at.resid, resid)
-        du = np.zeros((b.uniq_u.size, 4))
-        dv = np.zeros((b.uniq_v.size, 4))
-        np.add.at(du, b.inv_u, -2.0 * resid[:, None] * v_rows)
-        np.add.at(dv, b.inv_v, -2.0 * resid[:, None] * u_rows)
+        assert same_bits(at.resid, resid)
+        du = np.zeros((uniq_u.size, 4))
+        dv = np.zeros((uniq_v.size, 4))
+        np.add.at(du, inv_u, -2.0 * resid[:, None] * v_rows)
+        np.add.at(dv, inv_v, -2.0 * resid[:, None] * u_rows)
         if weight_decay > 0.0:
-            du += 2.0 * weight_decay * u_touched
-            dv += 2.0 * weight_decay * V[b.uniq_v]
-        assert same_bits(at.grad_u, du)
-        assert same_bits(at.grad_v, dv)
-
-    @pytest.mark.parametrize("idx", [
-        [3],
-        [4, 4, 4, 4, 4, 4, 4],
-        list(range(12)),
-        [0, 2, 2, 5, 7, 7, 7, 8],
-        [9, 1, 9, 0, 3, 1, 1, 6, 0],
-        np.random.default_rng(21).integers(0, 40, size=256).tolist(),
-        np.random.default_rng(22).integers(0, 10**6, size=256).tolist(),
-    ], ids=["one", "all-equal", "sorted-distinct", "sorted-repeats", "unsorted", "random",
-            "sparse-large-ids"])
-    def test_unique_inverse_matches_np_unique(self, idx):
-        idx = np.array(idx, dtype=np.int64)
-        uniq, inv = factorization._unique_inverse(idx)
-        ref_uniq, ref_inv = np.unique(idx, return_inverse=True)
-        assert same_bits(uniq, ref_uniq)
-        assert same_bits(inv, ref_inv)
+            du += 2.0 * weight_decay * U[uniq_u]
+            dv += 2.0 * weight_decay * V[uniq_v]
+        # each rating reads back its row's sum
+        assert same_bits(at.grad_u, du[inv_u])
+        assert same_bits(at.grad_v, dv[inv_v])
+        loss = float(np.einsum("i,i->", resid, resid))
+        if weight_decay > 0.0:
+            loss += weight_decay * (float((U[uniq_u] ** 2).sum()) + float((V[uniq_v] ** 2).sum()))
+        assert at.loss == loss
 
 
 def step_pair(U, V, ui, vi, r, cfg, pert):
     """``(U, V)`` after one ``_sgd_step``, and after one ``reference_sgd_step``, from copies."""
     new, ref = (U.copy(), V.copy()), (U.copy(), V.copy())
-    factorization._sgd_step(*new, ui, vi, r, cfg, pert)
-    reference_sgd_step(*ref, ui, vi, r, cfg, pert)
+    tables = factorization._index_tables(U.shape[0], V.shape[0])
+    factorization._sgd_step(*new, ui, vi, r, cfg, pert, tables)
+    reference_sgd_step(*ref, ui, vi, r, cfg, pert, tables)
     return new, ref
 
 
@@ -562,9 +564,11 @@ def reference_train(ds, config, perturb):
     V = rng.normal(0.0, config.init_std, (ds.n_items, config.dim))
     ui, vi, r = ds.user_index, ds.item_index, ds.rating
     resid = np.empty(r.size)
+    tables = factorization._index_tables(ds.n_users, ds.n_items)
 
     def step(sel):
-        factorization._sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb)
+        factorization._sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb,
+                                tables)
 
     def epoch_loss():
         for start in range(0, r.size, factorization.CHUNK_ROWS):
@@ -606,6 +610,36 @@ class TestBlockBuffers:
         cfg = TrainConfig(epochs=5, init_std=0.1, seed=1)
         train_mf(desk_source, cfg)
         assert minor_faults(lambda: train_mf(desk_source, cfg)) < 3_000
+
+
+class TestStepCost:
+    """A step's work follows its batch, not the row count of the matrices it updates."""
+
+    def test_step_peak_does_not_grow_with_the_row_count(self):
+        """No step allocates or clears anything of row-count size.
+
+        One plain and one sharpness-aware step on the same 256-rating batch, with U at
+        2,000 and at 300,000 rows and the index tables allocated outside the step. A
+        per-step dense table or mask over the users would add 2.4 MB at 300,000 rows.
+        """
+        rng = np.random.default_rng(13)
+        ui, vi = rng.integers(0, 2_000, 256), rng.integers(0, 500, 256)
+        r = rng.uniform(1.0, 5.0, 256)
+        U0, V0 = rng.normal(0.0, 0.1, (2_000, 10)), rng.normal(0.0, 0.1, (500, 10))
+        cfg = TrainConfig(epochs=1)
+        for pert in (PerturbConfig(rho=0.0, k=0), PerturbConfig(rho=0.05, k=1)):
+            peaks = []
+            for n_users in (2_000, 300_000):
+                U = np.zeros((n_users, 10))
+                U[:2_000] = U0
+                tables = factorization._index_tables(n_users, 500)
+                tracemalloc.start()
+                try:
+                    factorization._sgd_step(U, V0.copy(), ui, vi, r, cfg, pert, tables)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) < 4_096, (pert, peaks)
 
 
 class TestCheckpoint:

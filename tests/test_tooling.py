@@ -325,3 +325,22 @@ def test_only_the_factor_pass_scatters():
     while more := {fn.name for fn in scope if scatters & set(callees(fn))} - scatters:
         scatters |= more
     assert {scope[fn] for fn in scope if scatters & set(callees(fn))} == {"_Pass"}
+
+
+def test_only_the_touched_rows_helper_sorts():
+    """In ``factorization``, only ``_touched`` calls a sort.
+
+    A batch numbers its rows through index tables, without a sort. Only the
+    objective's weight-decay term and ``mf_grad``'s per-row gradients need each
+    touched row once, in sorted order, and both get it from ``_touched``. A call
+    of ``argsort``, ``sort``, ``lexsort`` or ``np.unique`` anywhere else would put
+    a per-step sort back.
+    """
+    tree = ast.parse((ROOT / "src" / "scdr" / "factorization.py").read_text(encoding="utf-8"))
+    scope = {id(node): top.name for top in tree.body if hasattr(top, "name")
+             for node in ast.walk(top)}
+    sorts = {"argsort", "sort", "lexsort", "unique"}
+    callers = {scope.get(id(node), "<module>") for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and ast.unparse(node.func).rpartition(".")[2] in sorts}
+    assert callers == {"_touched"}
