@@ -256,15 +256,14 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
 
 
 def save_eval_report(report: EvalReport, path, inputs: dict | None = None) -> None:
-    write_artifact(path, "eval_report", EVAL_REPORT_VERSION, asdict(report), indent=2,
-                   inputs=inputs)
+    write_artifact(path, "eval_report", EVAL_REPORT_VERSION, asdict(report), inputs=inputs)
 
 
 def save_attack_report(entries: list[tuple[float, EvalReport]], path,
                        inputs: dict | None = None) -> None:
     write_artifact(path, "fgsm_attack_report", REPORT_VERSION, {"entries": [
         {"epsilon": e, "mae": r.mae, "rmse": r.rmse, "n": r.n} for e, r in entries
-    ]}, indent=2, inputs=inputs)
+    ]}, inputs=inputs)
 
 
 def save_landscape(grid: LandscapeGrid, path) -> None:
@@ -276,5 +275,4 @@ def save_landscape(grid: LandscapeGrid, path) -> None:
 
 
 def save_sharpness_report(report: SharpnessReport, path, inputs: dict | None = None) -> None:
-    write_artifact(path, "sharpness_report", REPORT_VERSION, asdict(report), indent=2,
-                   inputs=inputs)
+    write_artifact(path, "sharpness_report", REPORT_VERSION, asdict(report), inputs=inputs)

@@ -68,7 +68,6 @@ DEFAULT_CONFIG: dict = {
         "gamma_max": 1.0,
         "resolution": 21,
         "n_samples": None,
-        "seed": None,
     },
     "sharpness": {"rho": 0.3, "k": 5},
 }
@@ -82,7 +81,7 @@ _METHOD_MODE = {"emcdr": "plain", "scdr": "sharpness_aware", "scdr_minus": "plai
 
 
 # Kind of each config value whose default is None: an optional number.
-_OPTIONAL_KINDS = {"landscape.n_samples": int, "landscape.seed": int}
+_OPTIONAL_KINDS = {"landscape.n_samples": int}
 
 
 def _typed(name: str, default, value):
@@ -97,7 +96,7 @@ def _typed(name: str, default, value):
             return [data.number(float, v, name) for v in value]
         if kind in (int, float):
             value = data.number(kind, value, name)
-            if name.endswith("seed") and value < 0:
+            if name == "seed" and value < 0:
                 raise ValueError
             return value
         if not isinstance(value, kind):
@@ -105,7 +104,7 @@ def _typed(name: str, default, value):
         return value
     except (TypeError, ValueError, OverflowError):
         expected = {list: "a list of finite numbers", float: "a finite float"}.get(
-            kind, "a non-negative int" if name.endswith("seed") else kind.__name__)
+            kind, "a non-negative int" if name == "seed" else kind.__name__)
         raise ValidationError(f"config value {name} must be {expected}, got {value!r}") from None
 
 
@@ -316,10 +315,7 @@ def cmd_attack(cfg: dict, out: Path, seed: int, force: bool, method: str) -> Non
 
 def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, net, _ = _load_eval_inputs(out, method)
-    section = dict(cfg["landscape"])
-    if section["seed"] is None:
-        section["seed"] = seed
-    spec = analysis.LandscapeSpec(**section)
+    spec = analysis.LandscapeSpec(**cfg["landscape"], seed=seed)
     with _check_outputs([out / f"landscape_{method}.csv"], force) as (staged,):
         grid = analysis.landscape_grid(net, src_model, tgt_model, scenario, spec)
         analysis.save_landscape(grid, staged)

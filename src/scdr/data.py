@@ -35,6 +35,8 @@ MAP_KINDS = ("identity", "linear", "tanh")
 CHUNK_ROWS = 8192
 # tokens a domain may index: every index column is int32
 INDEX_LIMIT = np.iinfo(np.int32).max
+# a ratio times a count within this of a whole number is that number: 0.29 * 100 is 28.999...
+_WHOLE = 1e-9
 
 
 @contextmanager
@@ -123,9 +125,9 @@ def write_csv(path, header: str, rows) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_json(path, doc: dict, indent: int | None = None) -> None:
-    """Write ``doc`` as sorted-key JSON text with one trailing newline."""
-    write_atomic(path, json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` as sorted-key JSON text, indented by 2, with one trailing newline."""
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_arrays(path, arrays) -> None:
@@ -140,8 +142,9 @@ def _typed_arrays(fh, layout):
 
     ``"U"`` admits a string of any width; another dtype or rank raises TypeError naming
     the record's position. Pickled records, bytes that do not start with the ``.npy``
-    magic (an older JSON document at the path, say), a header numpy cannot parse and
-    bytes after the last record raise ValueError.
+    magic (an older JSON document at the path, say), a header numpy cannot parse, a
+    string record holding a code point above U+10FFFF and bytes after the last record
+    raise ValueError.
     """
     for i, (dtype, ndim) in enumerate(layout):
         magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
@@ -157,13 +160,17 @@ def _typed_arrays(fh, layout):
         if not (isinstance(arr, np.ndarray) and arr.ndim == ndim
                 and (arr.dtype.kind == "U" if dtype == "U" else arr.dtype == dtype)):
             raise TypeError(f"array {i} is not {ndim}-D {dtype}")
+        # numpy loads such a code unit; making a Python string of it raises SystemError
+        if arr.dtype.kind == "U" and (np.ravel(arr).view(f"{arr.dtype.byteorder}u4")
+                                      > 0x10FFFF).any():
+            raise ValueError(f"array {i} holds a code point above U+10FFFF")
         yield arr
     if fh.read(1):
         raise ValueError(f"trailing bytes after array {i}")
 
 
-def write_artifact(path, kind: str, version: int, payload: dict, indent: int | None = None,
-                   inputs: dict | None = None, arrays: dict | None = None) -> None:
+def write_artifact(path, kind: str, version: int, payload: dict, inputs: dict | None = None,
+                   arrays: dict | None = None) -> None:
     """Write ``payload`` under the ``format_version``/``kind`` header and the ``inputs`` digests.
 
     With ``arrays``, the file is the document's JSON text as a 0-d string followed by
@@ -173,7 +180,7 @@ def write_artifact(path, kind: str, version: int, payload: dict, indent: int | N
     inputs = {} if inputs is None else {"inputs": inputs}
     doc = {"format_version": version, "kind": kind, **inputs, **payload}
     if arrays is None:
-        write_json(path, doc, indent)
+        write_json(path, doc)
     else:
         doc["records"] = _records_digest(arrays.values())
         _write_arrays(path, [np.array(json.dumps(doc, sort_keys=True)), *arrays.values()])
@@ -580,7 +587,7 @@ def split_overlap(n_overlap: int, beta: float, seed: int) -> tuple[list[int], li
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_overlap)
     # the first ceil(beta * n) positions; a NaN or infinite beta reaches CdrScenario's check
-    in_test = np.arange(n_overlap) < beta * n_overlap - 1e-9
+    in_test = np.arange(n_overlap) < beta * n_overlap - _WHOLE
     test = sorted(int(i) for i in perm[in_test])
     train = sorted(int(i) for i in perm[~in_test])
     return train, test
@@ -708,7 +715,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CdrScenario, SyntheticSidec
     std = math.sqrt(_LATENT_VAR / d)
 
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    n_overlap = int(spec.overlap_ratio * spec.users)
+    n_overlap = int(spec.overlap_ratio * spec.users + _WHOLE)
     if n_overlap < 1:
         raise ValidationError("overlap ratio yields zero overlapping users")
     n_solo = spec.users - n_overlap
@@ -790,7 +797,7 @@ def save_manifest(scenario: CdrScenario, path, source_ratings: str, target_ratin
     }
     if digests is not None:
         doc.update(zip(_DIGEST_KEYS, digests))
-    write_json(path, doc, indent=2)
+    write_json(path, doc)
 
 
 def _user_tokens(value) -> list[str]:

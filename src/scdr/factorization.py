@@ -22,11 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CHUNK_ROWS, DomainDataset, number, read_artifact, write_artifact
+from .data import CHUNK_ROWS, DomainDataset, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, WorstCase, find_delta
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # An epoch loss above this multiple of the untrained loss is divergence. Runs that train
 # stay below 1.00001 times it; emcdr blowing up passes 2.7e4 by epoch 1.
 DIVERGENCE_FACTOR = 1e3
@@ -38,17 +38,20 @@ class FactorModel:
 
     U: np.ndarray
     V: np.ndarray
-    d: int
 
     def __post_init__(self):
         self.U = np.asarray(self.U, dtype=np.float64)
         self.V = np.asarray(self.V, dtype=np.float64)
         if self.U.ndim != 2 or self.V.ndim != 2:
             raise ValidationError("U and V must be 2-D matrices")
-        if self.U.shape[1] != self.d or self.V.shape[1] != self.d:
-            raise ValidationError(f"matrix widths must equal d={self.d}")
+        if self.U.shape[1] != self.V.shape[1]:
+            raise ValidationError(f"U and V widths differ: {self.U.shape[1]} vs {self.V.shape[1]}")
         if not (np.all(np.isfinite(self.U)) and np.all(np.isfinite(self.V))):
             raise ValidationError("factor matrices must be finite")
+
+    @property
+    def d(self) -> int:
+        return self.U.shape[1]
 
 
 @dataclass
@@ -334,7 +337,7 @@ def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) 
         return _objective(resid, config.weight_decay, U, V)
 
     trace = _run_epochs(r.size, config, rng, step, epoch_loss, "model")
-    return MfTrainResult(FactorModel(U, V, config.dim), trace)
+    return MfTrainResult(FactorModel(U, V), trace)
 
 
 def train_mf(dataset: DomainDataset, config: TrainConfig) -> MfTrainResult:
@@ -356,9 +359,6 @@ def save_factor_model(model: FactorModel, path, config: TrainConfig | None = Non
                       perturb: PerturbConfig | None = None, inputs: dict | None = None) -> None:
     """Checkpoint a factor model: a header with ``CdrScenario.inputs``, then U and V as arrays."""
     write_artifact(path, "factor_model", CHECKPOINT_VERSION, {
-        "d": model.d,
-        "n_users": int(model.U.shape[0]),
-        "n_items": int(model.V.shape[0]),
         "config": None if config is None else asdict(config),
         "perturb": None if perturb is None else asdict(perturb),
     }, inputs=inputs, arrays={"U": model.U, "V": model.V})
@@ -368,11 +368,8 @@ def load_factor_model(path, inputs: dict | None = None) -> tuple[FactorModel, di
     """A checkpoint's model, header and sha256; one made from other ``inputs`` raises."""
     with read_artifact(path, "factor_model", CHECKPOINT_VERSION, "factor checkpoint", inputs,
                        arrays={"U": ("f8", 2), "V": ("f8", 2)}) as (doc, digest):
-        d, n_users, n_items = (number(int, doc[k], k) for k in ("d", "n_users", "n_items"))
         try:
-            model = FactorModel(doc.pop("U"), doc.pop("V"), d)
+            model = FactorModel(doc.pop("U"), doc.pop("V"))
         except ValidationError as exc:
             raise ValidationError(f"malformed factor checkpoint {path}: {exc}") from None
-        if model.U.shape[0] != n_users or model.V.shape[0] != n_items:
-            raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
     return model, doc, digest

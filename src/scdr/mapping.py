@@ -33,12 +33,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CHUNK_ROWS, CdrScenario, number, read_artifact, write_artifact
+from .data import CHUNK_ROWS, CdrScenario, read_artifact, write_artifact
 from .errors import ValidationError
 from .factorization import FactorModel, TrainConfig, _run_epochs, _take_rows
 from .perturbation import PerturbConfig, WorstCase, find_delta
 
-MAPPING_CHECKPOINT_VERSION = 5
+MAPPING_CHECKPOINT_VERSION = 6
 # (dtype, ndim) of each array after the checkpoint's header
 _CHECKPOINT_ARRAYS = {"W1": ("f8", 2), "b1": ("f8", 1), "W2": ("f8", 2), "b2": ("f8", 1)}
 
@@ -432,8 +432,6 @@ def save_mapping(net: MappingNet, path, config: dict | None = None,
                  inputs: dict | None = None) -> None:
     """Write a header with ``inputs`` digests, then W1, b1, W2 and b2."""
     write_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, {
-        "d": net.d,
-        "hidden": net.hidden,
         "activation": "tanh",
         "config": config,
     }, inputs=inputs, arrays={"W1": net.W1, "b1": net.b1, "W2": net.W2, "b2": net.b2})
@@ -445,11 +443,8 @@ def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict, st
                        inputs, arrays=_CHECKPOINT_ARRAYS) as (doc, digest):
         if doc["activation"] != "tanh":
             raise ValidationError(f"unsupported activation {doc['activation']!r} in {path}")
-        d, hidden = (number(int, doc[k], k) for k in ("d", "hidden"))
         try:
             net = MappingNet(*(doc.pop(k) for k in ("W1", "b1", "W2", "b2")))
         except ValidationError as exc:
             raise ValidationError(f"malformed mapping checkpoint {path}: {exc}") from None
-        if net.d != d or net.hidden != hidden:
-            raise ValidationError(f"checkpoint shape metadata disagrees with payload: {path}")
     return net, doc, digest

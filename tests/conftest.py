@@ -113,6 +113,20 @@ def load_records(path, count):
         return [np.load(fh, allow_pickle=True) for _ in range(count)]
 
 
+def high_bytes(path, position=0):
+    """The file offset of the high byte of each character of string record ``position`` of
+    ``path``, by default the JSON header: records are little-endian, four bytes a character.
+
+    0xF4 there makes a code point above U+10FFFF, which numpy loads and Python cannot make
+    a string of.
+    """
+    with open(path, "rb") as fh:
+        for _ in range(position + 1):
+            arr = np.load(fh)
+        end = fh.tell()
+    return range(end - arr.nbytes + 3, end, 4)
+
+
 def rewrite_record(path, count, position, convert, restamp=False):
     """Replace record ``position`` of ``count`` ``np.save`` records in ``path`` by ``convert`` of it.
 

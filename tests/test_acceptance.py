@@ -163,7 +163,7 @@ def test_criterion_1_gradient_oracles():
         n_u, n_i, d = (int(rng.integers(2, 6)) for _ in range(3))
         d = max(d, 2)
         model = FactorModel(rng.normal(scale=0.8, size=(n_u, d)),
-                            rng.normal(scale=0.8, size=(n_i, d)), d)
+                            rng.normal(scale=0.8, size=(n_i, d)))
         batch = [(int(rng.integers(n_u)), int(rng.integers(n_i)),
                   float(rng.uniform(1, 5))) for _ in range(int(rng.integers(2, 8)))]
         wd = float(rng.choice([0.0, 0.1]))

@@ -58,8 +58,8 @@ def residual_scenario(ratings):
         scn = CdrScenario(scn.source, scn.target, scn.overlap, scn.beta, scn.seed,
                           train_pairs=scn.test_pairs, test_pairs=scn.train_pairs)
     d = 3
-    src = FactorModel(np.ones((scn.source.n_users, d)), np.ones((scn.source.n_items, d)), d)
-    tgt = FactorModel(np.ones((scn.target.n_users, d)), np.ones((scn.target.n_items, d)), d)
+    src = FactorModel(np.ones((scn.source.n_users, d)), np.ones((scn.source.n_items, d)))
+    tgt = FactorModel(np.ones((scn.target.n_users, d)), np.ones((scn.target.n_items, d)))
     return scn, src, tgt
 
 
@@ -154,8 +154,8 @@ def stalling_stack(rng, d=4):
     for i in (0, 2, 4):
         for k in "ab":
             V[scn.target.items.index(f"t{i}{k}")] = 0.0
-    src = FactorModel(rng.normal(size=(scn.source.n_users, d)), np.ones((1, d)), d)
-    tgt = FactorModel(np.ones((scn.target.n_users, d)), V, d)
+    src = FactorModel(rng.normal(size=(scn.source.n_users, d)), np.ones((1, d)))
+    tgt = FactorModel(np.ones((scn.target.n_users, d)), V)
     h = 6
     net = MappingNet(0.5 * rng.normal(size=(h, d)), 0.1 * rng.normal(size=h),
                      0.5 * rng.normal(size=(d, h)), 0.1 * rng.normal(size=d))
@@ -207,8 +207,8 @@ class TestEvaluate:
         src_ds = DomainDataset(("u0", "u1"), ("s0",), [0, 1], [0, 0], [1.0, 2.0])
         tgt_ds = DomainDataset(("u0", "u1"), ("t0",), [0], [0], [3.0])
         overlap = [(0, 0), (1, 1)]
-        src = FactorModel(np.ones((2, 3)), np.ones((1, 3)), 3)
-        tgt = FactorModel(np.ones((2, 3)), np.ones((1, 3)), 3)
+        src = FactorModel(np.ones((2, 3)), np.ones((1, 3)))
+        tgt = FactorModel(np.ones((2, 3)), np.ones((1, 3)))
         net = near_identity_net(3)
         analyses = [
             lambda scn: evaluate(net, src, tgt, scn),
@@ -290,8 +290,8 @@ class TestLandscape:
         spec = SyntheticSpec(users=30, items=15, overlap_ratio=0.5, dim=4, noise=0.0,
                              map_kind="identity", seed=6, beta=0.5, ratings_per_user=15)
         scn, sc = generate_synthetic(spec)
-        src = FactorModel(sc.source_user_latents, sc.source_item_latents, 4)
-        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents, 4)
+        src = FactorModel(sc.source_user_latents, sc.source_item_latents)
+        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents)
         net = near_identity_net(4)
         lspec = LandscapeSpec(resolution=5, n_samples=20, seed=9)
         grid = landscape_grid(net, src, tgt, scn, lspec)
@@ -366,7 +366,7 @@ class TestLipschitz:
         net = near_identity_net(d)
         v = np.zeros(d)
         v[0] = 1.0
-        tgt = FactorModel(tgt.U, np.tile(v, (tgt.V.shape[0], 1)), d)
+        tgt = FactorModel(tgt.U, np.tile(v, (tgt.V.shape[0], 1)))
         cfg = PerturbConfig(rho=0.4, k=4)
         report = lipschitz_estimate(net, src, tgt, scn, cfg)
         assert 0.0 < report.lipschitz_estimate <= 1.0 + 1e-9
@@ -390,8 +390,8 @@ class TestLipschitz:
         src_rows = [("u0", "s0", 1.0), ("u1", "s0", 2.0)]
         tgt_rows = [("u1", "t0", exact), ("u0", "t1", exact), ("u0", "t2", exact)]
         scn = build_scenario(dataset(src_rows), dataset(tgt_rows), beta=0.5, seed=0)
-        src = FactorModel(np.ones((2, d)), np.ones((1, d)), d)
-        tgt = FactorModel(np.ones((2, d)), np.ones((3, d)), d)
+        src = FactorModel(np.ones((2, d)), np.ones((1, d)))
+        tgt = FactorModel(np.ones((2, d)), np.ones((3, d)))
         with pytest.raises(ValidationError):
             lipschitz_estimate(net, src, tgt, scn, PerturbConfig(rho=0.2, k=3))
 
@@ -467,8 +467,8 @@ class TestReportFiles:
 
 def latent_stack(scenario, sidecar, d, hidden=12, seed=0):
     """The planted latents as factor models, and a freshly initialised net."""
-    src = FactorModel(sidecar.source_user_latents, sidecar.source_item_latents, d)
-    tgt = FactorModel(sidecar.target_user_latents, sidecar.target_item_latents, d)
+    src = FactorModel(sidecar.source_user_latents, sidecar.source_item_latents)
+    tgt = FactorModel(sidecar.target_user_latents, sidecar.target_item_latents)
     return scenario, src, tgt, init_mapping_net(d, hidden, np.random.default_rng(seed))
 
 

@@ -13,15 +13,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scdr.cli
 import scdr.data
 import scdr.factorization
 import scdr.mapping
+from scdr.analysis import LandscapeSpec, landscape_grid, save_landscape
 from scdr.cli import _check_outputs, load_config, main
 from scdr.errors import ValidationError
 from scdr.factorization import load_factor_model
 from scdr.mapping import MappingNet, load_mapping, save_mapping
 
-from conftest import count_ascent_work, fail_halfway, load_records, rewrite_header, rewrite_record, same_dataset
+from conftest import (
+    count_ascent_work,
+    fail_halfway,
+    high_bytes,
+    load_records,
+    rewrite_header,
+    rewrite_record,
+    same_dataset,
+)
 
 
 def small_config(out, seed=1):
@@ -413,6 +423,15 @@ def rewrite_snapshot(position, convert):
     return lambda path: rewrite_record(path, 7, position, convert)
 
 
+def above_unicode(position):
+    """Write 0xF4 over the high byte of the first character of string record ``position``."""
+    def corrupt(path):
+        raw = bytearray(path.read_bytes())
+        raw[high_bytes(path, position)[0]] = 0xF4
+        path.write_bytes(raw)
+    return corrupt
+
+
 def rewrite_checkpoint_u(convert, restamp=False):
     """Replace U, record 1 of a factor checkpoint, by ``convert`` of it (see ``rewrite_record``)."""
     return lambda path: rewrite_record(path, 3, 1, convert, restamp)
@@ -564,6 +583,8 @@ class TestCorruptInputs:
          "target_ratings.csv.npy: array 3 is not 1-D i4"),
         ("target_ratings.csv.npy", rewrite_snapshot(5, lambda a: a.astype(np.float32)),
          "target_ratings.csv.npy: array 5 is not 1-D f8"),
+        ("source_ratings.csv.npy", above_unicode(1),
+         "source_ratings.csv.npy: array 1 holds a code point above U+10FFFF"),
         ("source_ratings.csv.npy", rewrite_snapshot(1, lambda a: a.astype(object)),
          "source_ratings.csv.npy: Object arrays cannot be loaded"),
         # user token 1 copied over token 0: two users under one token
@@ -588,6 +609,10 @@ class TestCorruptInputs:
         ("target_model_sharpness_aware.npy", checkpoint_header(kind="mapping_net"),
          "not a factor checkpoint"),
         ("target_model_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
+        # the layout whose header repeated the arrays' shapes is another version
+        ("source_model_sharpness_aware.npy",
+         checkpoint_header(format_version=4, d=6, n_users=120, n_items=60),
+         "not a factor checkpoint"),
         ("source_model_sharpness_aware.npy", checkpoint_header(inputs={"manifest": "0" * 64}),
          "stale factor checkpoint"),
         # a non-finite parameter names the checkpoint it was read from, even one its
@@ -637,8 +662,12 @@ class TestCorruptInputs:
          MALFORMED_MAPPING + "missing key 'activation'"),
         # the layout before the tuned source rows were dropped is another version
         (mapping_as_version_4, "not a mapping checkpoint: {path}"),
+        # and so is the one whose header repeated the arrays' widths
+        (mapping_header(lambda doc: {**doc, "format_version": 5, "d": 6, "hidden": 50}),
+         "not a mapping checkpoint: {path}"),
     ], ids=["version-2-json", "truncated", "last-byte-cut", "trailing-bytes", "unclosed-header",
-            "float32-W1", "1-D-W1", "nan-in-W1", "no-activation", "version-4-tuned-rows"])
+            "float32-W1", "1-D-W1", "nan-in-W1", "no-activation", "version-4-tuned-rows",
+            "version-5-widths"])
     def test_bad_mapping_checkpoint_exits_2_naming_it(self, run_copy, capsys, corrupt, message):
         out, cfg = run_copy
         for name in ("landscape_scdr.csv", "sharpness_scdr.json"):
@@ -679,6 +708,26 @@ class TestCorruptInputs:
         assert run(command, "--config", cfg, "--method", "scdr", "--force") == 2
         assert (f"malformed {what} {out / name}: its records do not match the digest in its "
                 "header") in capsys.readouterr().err
+        assert {p.name: digest(p) for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("name, command, what", [
+        ("source_model_sharpness_aware.npy", "train", "factor checkpoint"),
+        ("mapping_scdr.npy", "eval", "mapping checkpoint"),
+    ], ids=["factor-train", "mapping-eval"])
+    def test_code_point_above_unicode_exits_2_naming_the_file(self, run_copy, capsys, name,
+                                                               command, what):
+        # numpy loads the header record, and json.loads then made a one-character string of
+        # the key "k" (both headers hold one): the SystemError escaped main as exit 1
+        out, cfg = run_copy
+        path = out / name
+        text = load_records(path, 1)[0].item()
+        raw = bytearray(path.read_bytes())
+        raw[high_bytes(path)[text.index('"k"') + 1]] = 0xF4
+        path.write_bytes(raw)
+        before = {p.name: digest(p) for p in out.iterdir()}
+        assert run(command, "--config", cfg, "--method", "scdr", "--force") == 2
+        assert (f"malformed {what} {path}: array 0 holds a code point above U+10FFFF"
+                in capsys.readouterr().err)
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("replace", [lambda p: p.unlink(), as_directory],
@@ -749,8 +798,9 @@ class TestCorruptInputs:
         (["synth", "--seed", "-1"], {}, None, "config value seed must be a non-negative int"),
         (["pretrain", "--mode", "plain", "--seed", "-2"], {}, None,
          "config value seed must be a non-negative int"),
-        (["landscape", "--method", "scdr"], {"landscape": {"seed": -3}}, None,
-         "config value landscape.seed must be a non-negative int"),
+        # the grid is drawn from the command's seed
+        (["landscape", "--method", "scdr"], {"landscape": {"seed": 3}}, None,
+         "unknown config key landscape.seed"),
         (["eval", "--method", "scdr"], {}, ("scenario.json", set_key("seed", -1)),
          "scenario.json: seed must be >= 0, got -1"),
         # an ascent is its radius and step count; no step-size key is read
@@ -1028,6 +1078,19 @@ class TestDefaultLandscape:
         assert run("landscape", "--config", cfg, "--method", "emcdr") == 0
         lines = (out / "landscape_emcdr.csv").read_text().splitlines()
         assert len(lines) == 1 + 441
+
+    def test_grid_is_drawn_from_the_command_seed(self, run_copy, tmp_path):
+        out, cfg = run_copy
+        # the shared run drew this grid at its config's seed, 1
+        at_config_seed = (out / "landscape_scdr.csv").read_bytes()
+        assert run("landscape", "--config", cfg, "--method", "scdr", "--seed", "7",
+                   "--force") == 0
+        scenario, src, tgt, net, _ = scdr.cli._load_eval_inputs(out, "scdr")
+        expected = tmp_path / "expected.csv"
+        save_landscape(landscape_grid(net, src, tgt, scenario, LandscapeSpec(
+            **small_config(out)["landscape"], seed=7)), expected)
+        got = (out / "landscape_scdr.csv").read_bytes()
+        assert got == expected.read_bytes() and got != at_config_seed
 
 
 class TestSharpnessCommand:

@@ -30,9 +30,12 @@ from scdr.data import (
     write_ratings,
 )
 from scdr.errors import IngestError, MissingInputError, ValidationError
+from scdr.factorization import FactorModel, TrainConfig, load_factor_model, save_factor_model
+from scdr.mapping import MappingNet, load_mapping, save_mapping
+from scdr.perturbation import PerturbConfig
 
-from conftest import (dataset, fail_halfway, load_records, rewrite_header, rewrite_record,
-                      same_dataset, two_domain_scenario, uneven_scenario)
+from conftest import (dataset, fail_halfway, high_bytes, load_records, rewrite_header,
+                      rewrite_record, same_dataset, two_domain_scenario, uneven_scenario)
 
 
 def record_bytes(arr) -> bytes:
@@ -585,11 +588,16 @@ class TestScenario:
 
 
 class TestSynthetic:
-    def test_overlap_count(self):
-        spec = SyntheticSpec(users=200, items=50, overlap_ratio=0.05, dim=4, seed=1,
+    @pytest.mark.parametrize("users, overlap_ratio, count", [
+        (200, 0.05, 10),
+        # products a hair below a whole number: 0.29 * 100 is 28.999999999999996
+        (100, 0.29, 29), (100, 0.57, 57),
+    ])
+    def test_overlap_count(self, users, overlap_ratio, count):
+        spec = SyntheticSpec(users=users, items=50, overlap_ratio=overlap_ratio, dim=4, seed=1,
                              ratings_per_user=10)
         scn, _ = generate_synthetic(spec)
-        assert len(scn.overlap) == 10
+        assert len(scn.overlap) == count
 
     def test_overlap_count_at_desk_scale(self):
         spec = SyntheticSpec(users=2000, items=500, overlap_ratio=0.05, dim=10,
@@ -676,7 +684,7 @@ class TestSynthetic:
         monkeypatch.setattr(scdr.data, "CHUNK_ROWS", chunk)
         scenario, sidecar = generate_synthetic(spec)
         rng = np.random.default_rng(spec.seed)
-        n_overlap = int(spec.overlap_ratio * spec.users)
+        n_overlap = len(scenario.overlap)
         # the draws that precede the ratings: map, user and item latents, one normal per entry
         rng.standard_normal(spec.dim * (spec.dim + 2 * spec.users - n_overlap + 2 * spec.items))
 
@@ -982,6 +990,44 @@ class TestManifest:
         src = dataset([("a", "x", 1.0), ("b", "y", 2.0)])
         tgt = dataset([("b", "z", 1.0), ("c", "w", 2.0)])
         assert compute_overlap(src, tgt) == [(1, 0)]
+
+
+def write_factor_checkpoint(path):
+    rng = np.random.default_rng(0)
+    save_factor_model(FactorModel(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), path,
+                      TrainConfig(epochs=1, dim=2), PerturbConfig(rho=0.1, k=1),
+                      inputs={"manifest": "a" * 64})
+
+
+def write_mapping_checkpoint(path):
+    net = MappingNet(np.ones((3, 2)), np.zeros(3), np.ones((2, 3)), np.zeros(2))
+    save_mapping(net, path, config={"method": "scdr"}, inputs={"source_model": "b" * 64})
+
+
+def write_sidecar(path):
+    save_sidecar(generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=2,
+                                                  ratings_per_user=3))[1], path)
+
+
+@pytest.mark.parametrize("write, load", [
+    (write_factor_checkpoint, load_factor_model),
+    (write_mapping_checkpoint, load_mapping),
+    (write_sidecar, load_sidecar),
+], ids=["factor", "mapping", "sidecar"])
+def test_every_header_character_above_unicode_is_refused(tmp_path, write, load):
+    """0xF4 over the high byte of any character of an array document's JSON header is a
+    code point above U+10FFFF; the reader refuses it naming the file, and raises nothing else.
+
+    Before the records were checked for such code points, json.loads raised SystemError
+    on one inside a one-character string, such as the factor checkpoint's key "k".
+    """
+    path = tmp_path / "doc.npy"
+    write(path)
+    raw = path.read_bytes()
+    for at in high_bytes(path):
+        path.write_bytes(raw[:at] + b"\xf4" + raw[at + 1:])
+        with pytest.raises(ValidationError, match=re.escape(str(path))):
+            load(path)
 
 
 def test_write_csv_writes_exact_float_text(tmp_path):

@@ -51,8 +51,8 @@ def identity_scenario(seed=5):
     spec = SyntheticSpec(users=300, items=120, overlap_ratio=0.5, dim=10, noise=0.0,
                          map_kind="identity", seed=seed, beta=0.4, ratings_per_user=40)
     scn, sc = generate_synthetic(spec)
-    src = FactorModel(sc.source_user_latents, sc.source_item_latents, 10)
-    tgt = FactorModel(sc.target_user_latents, sc.target_item_latents, 10)
+    src = FactorModel(sc.source_user_latents, sc.source_item_latents)
+    tgt = FactorModel(sc.target_user_latents, sc.target_item_latents)
     return scn, sc, src, tgt
 
 
@@ -234,7 +234,7 @@ class TestEmcdrTrain:
 
     def test_latent_dim_mismatch(self):
         scn, _, src, _ = identity_scenario()
-        bad = FactorModel(np.zeros((scn.target.n_users, 4)), np.zeros((scn.target.n_items, 4)), 4)
+        bad = FactorModel(np.zeros((scn.target.n_users, 4)), np.zeros((scn.target.n_items, 4)))
         with pytest.raises(ValidationError):
             emcdr_train(scn, src, bad, TrainConfig(epochs=1, dim=10, seed=0))
 
@@ -339,8 +339,8 @@ class TestScdrLoss:
     def test_empty_items_rejected(self):
         # a train user without target items has no rating loss to train on
         scn = unrated_train_user_scenario()
-        src = FactorModel(np.ones((2, 3)), np.ones((1, 3)), 3)
-        tgt = FactorModel(np.ones((2, 3)), np.ones((1, 3)), 3)
+        src = FactorModel(np.ones((2, 3)), np.ones((1, 3)))
+        tgt = FactorModel(np.ones((2, 3)), np.ones((1, 3)))
         with pytest.raises(ValidationError, match="train user u0 has no target interactions"):
             scdr_train(scn, src, tgt, ScdrTrainConfig(
                 base=TrainConfig(epochs=1, dim=3, seed=0), perturb=PerturbConfig(rho=0.1, k=1)))
@@ -416,7 +416,7 @@ class TestScdrTrain:
         tgt_u = tgt.U.copy()
         for t in test_tgt_rows:
             tgt_u[t] = 1e9
-        poisoned_tgt = FactorModel(tgt_u, tgt.V, tgt.d)
+        poisoned_tgt = FactorModel(tgt_u, tgt.V)
 
         poisoned = scdr_train(poisoned_scn, src, poisoned_tgt, clean_cfg)
         assert np.array_equal(clean.net.W1, poisoned.net.W1)
@@ -466,12 +466,12 @@ class TestInference:
     """Cold-start inference: a user's source row mapped through ``forward``."""
 
     def test_zero_net_zero_embedding(self):
-        src = FactorModel(np.ones((3, 3)), np.ones((2, 3)), 3)
+        src = FactorModel(np.ones((3, 3)), np.ones((2, 3)))
         assert np.array_equal(forward(zero_net(3, 4), src.U[1]), np.zeros(3))
 
     def test_pure_function(self, rng):
         net = random_net(rng)
-        src = FactorModel(rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), 4)
+        src = FactorModel(rng.normal(size=(3, 4)), rng.normal(size=(2, 4)))
         a = forward(net, src.U[2])
         b = forward(net, src.U[2])
         assert np.array_equal(a, b)
@@ -500,8 +500,9 @@ class TestMappingCheckpoint:
         p = tmp_path / "net.npy"
         save_mapping(net, p)
         head, *arrays = load_records(p, 5)
+        # the widths are the arrays' own, and the records digest covers them
         assert sorted(json.loads(head.item())) == [
-            "activation", "config", "d", "format_version", "hidden", "kind", "records"]
+            "activation", "config", "format_version", "kind", "records"]
         assert [(a.dtype.str, a.shape) for a in arrays] == [
             ("<f8", net.W1.shape), ("<f8", net.b1.shape), ("<f8", net.W2.shape),
             ("<f8", net.b2.shape)]
@@ -515,7 +516,7 @@ class TestMappingCheckpoint:
         p = tmp_path / "net.npy"
         save_mapping(random_net(rng), p, inputs=inputs)
         _, doc, _ = load_mapping(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 5
+        assert doc["inputs"] == inputs and doc["format_version"] == 6
         for other in ({**inputs, "target_model": "c" * 64}, {}):
             with pytest.raises(ValidationError, match="stale mapping checkpoint") as exc:
                 load_mapping(p, other)
@@ -552,23 +553,13 @@ class TestMappingCheckpoint:
             load_mapping(p)
         assert str(p) in str(exc.value)
 
-    @pytest.mark.parametrize("key", ["d", "hidden"])
-    @pytest.mark.parametrize("value", [3.9, "3", True])
-    def test_metadata_numbers_are_strict(self, tmp_path, key, value):
-        p = tmp_path / "net.npy"
-        save_mapping(zero_net(d=3, h=3), p)
-        rewrite_header(p, 5, **{key: value})
-        with pytest.raises(ValidationError, match=f"{key} must be a finite int") as exc:
-            load_mapping(p)
-        assert str(p) in str(exc.value)
-
 
 def equivalence_scenario():
     spec = SyntheticSpec(users=200, items=80, overlap_ratio=0.5, dim=6, noise=0.2,
                          map_kind="tanh", seed=11, beta=0.4, ratings_per_user=20)
     scn, sc = generate_synthetic(spec)
-    src = FactorModel(sc.source_user_latents, sc.source_item_latents, 6)
-    tgt = FactorModel(sc.target_user_latents, sc.target_item_latents, 6)
+    src = FactorModel(sc.source_user_latents, sc.source_item_latents)
+    tgt = FactorModel(sc.target_user_latents, sc.target_item_latents)
     return scn, src, tgt
 
 
@@ -642,8 +633,8 @@ class TestBlockBoundaries:
         spec = SyntheticSpec(users=120, items=60, overlap_ratio=0.5, dim=5, noise=0.2,
                              map_kind="tanh", seed=9, beta=0.3, ratings_per_user=20)
         scn, sc = uneven_scenario(spec)
-        src = FactorModel(sc.source_user_latents, sc.source_item_latents, 5)
-        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents, 5)
+        src = FactorModel(sc.source_user_latents, sc.source_item_latents)
+        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents)
         config = ScdrTrainConfig(base=TrainConfig(epochs=3, batch_size=8, dim=5, seed=4),
                                  perturb=PerturbConfig(rho=0.3, k=3), tune_source_embeddings=tune)
 
@@ -852,8 +843,8 @@ class TestKernelReference:
         spec = SyntheticSpec(users=80, items=40, overlap_ratio=0.5, dim=4, noise=0.2,
                              map_kind="tanh", seed=7, beta=0.3, ratings_per_user=12)
         scn, sc = uneven_scenario(spec)
-        src = FactorModel(sc.source_user_latents, sc.source_item_latents, 4)
-        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents, 4)
+        src = FactorModel(sc.source_user_latents, sc.source_item_latents)
+        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents)
         config = ScdrTrainConfig(base=TrainConfig(epochs=3, batch_size=8, dim=4, seed=3),
                                  perturb=PerturbConfig(rho=0.3, k=3), hidden=6)
         set_chunk_rows(monkeypatch, rows)
@@ -886,8 +877,8 @@ def fresh_gather_supervision(scenario: CdrScenario, target_model: FactorModel, s
 def synthetic_models(spec):
     """A scenario of ``spec`` and its planted source and target factor models."""
     scn, sc = generate_synthetic(spec)
-    return (scn, FactorModel(sc.source_user_latents, sc.source_item_latents, spec.dim),
-            FactorModel(sc.target_user_latents, sc.target_item_latents, spec.dim))
+    return (scn, FactorModel(sc.source_user_latents, sc.source_item_latents),
+            FactorModel(sc.target_user_latents, sc.target_item_latents))
 
 
 class TestSupervisionBuffers:
@@ -901,8 +892,8 @@ class TestSupervisionBuffers:
                              map_kind="tanh", seed=7, beta=0.3, ratings_per_user=12)
         scn, sc = uneven_scenario(spec)
         assert len(scn.train_pairs) % batch_size != 0
-        src = FactorModel(sc.source_user_latents, sc.source_item_latents, 4)
-        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents, 4)
+        src = FactorModel(sc.source_user_latents, sc.source_item_latents)
+        tgt = FactorModel(sc.target_user_latents, sc.target_item_latents)
         config = ScdrTrainConfig(base=TrainConfig(epochs=3, batch_size=batch_size, dim=4, seed=3),
                                  perturb=PerturbConfig(rho=0.3, k=3), hidden=6)
         set_chunk_rows(monkeypatch, rows)
@@ -919,7 +910,7 @@ class TestSupervisionBuffers:
     def test_target_model_of_other_items_is_refused(self):
         scn, src, tgt = synthetic_models(SyntheticSpec(users=60, items=30, overlap_ratio=0.5,
                                                        dim=3, ratings_per_user=5, seed=2))
-        short = FactorModel(tgt.U, tgt.V[:-1], 3)
+        short = FactorModel(tgt.U, tgt.V[:-1])
         config = ScdrTrainConfig(base=TrainConfig(epochs=1, dim=3),
                                  perturb=PerturbConfig(rho=0.3, k=2))
         with pytest.raises(ValidationError,

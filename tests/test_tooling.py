@@ -10,8 +10,8 @@ its import lines against the package's modules, which load only the
 modules they use. The JSON artifact format and the path from arrays to
 file bytes are checked to stay behind ``scdr.data``'s codec, numpy's
 binary loading and writing are checked to stay in ``scdr.data`` and
-pickle-free, and array records are checked to be read only where their
-digest is checked. Factor and mapping training are checked to share one
+pickle-free, loading behind ``_typed_arrays``'s checks, and array records
+are checked to be read only where their digest is checked. Factor and mapping training are checked to share one
 epoch loop, the ascents one memo of a point's pass, and the factor
 model's gradients one kernel.
 """
@@ -228,6 +228,20 @@ def test_numpy_files_load_only_in_data_and_never_unpickle():
         calls[path.name] = re.findall(r"\b(?:np|numpy)\.load\((.*)\)", text)
     assert {name for name, args in calls.items() if args} == {"data.py"}
     assert all("allow_pickle=False" in args for args in calls["data.py"])
+
+
+def test_only_typed_arrays_loads_numpy_records():
+    """In ``scdr.data``, ``np.load`` is called only by ``_typed_arrays``.
+
+    So every record passes its checks, the code point check among them, before
+    anything makes a Python string of it.
+    """
+    tree = ast.parse((ROOT / "src" / "scdr" / "data.py").read_text(encoding="utf-8"))
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "load" and getattr(node.func.value, "id", None) == "np"}
+    assert callers == {"_typed_arrays"}
 
 
 def test_numpy_files_are_written_only_in_data_and_never_pickle():
