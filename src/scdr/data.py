@@ -51,8 +51,8 @@ def json_document(path, what: str, arrays: dict | None = None, header: dict | No
     level that is not an object, a truncated, pickled or ill-typed record,
     and any key, type or value error the body raises while reading the
     document become a :class:`ValidationError` naming the file; package
-    errors pass through. With ``header``, an object that differs from it under any of its
-    keys raises ValidationError ``not a <what>`` before any array is read, so a file of
+    errors pass through. With ``header``, an object that differs from it in type or value
+    under any of its keys raises ValidationError ``not a <what>`` before any array is read, so a file of
     another version is refused as such whatever its layout.
     """
     path = Path(path)
@@ -67,7 +67,9 @@ def json_document(path, what: str, arrays: dict | None = None, header: dict | No
             doc = json.loads(next(records).item())
         if not isinstance(doc, dict):
             raise TypeError("top level is not a JSON object")
-        if any(doc.get(key) != value for key, value in (header or {}).items()):
+        # typed, so a format_version of 5.0 or true is not read as 5 or 1
+        if any(type(doc.get(key)) is not type(value) or doc.get(key) != value
+               for key, value in (header or {}).items()):
             raise ValidationError(f"not a {what}: {path}")
         if arrays is not None:
             # list() runs the records to their end, where trailing bytes are refused

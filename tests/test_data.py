@@ -588,13 +588,16 @@ class TestScenario:
 
 
 class TestSynthetic:
-    @pytest.mark.parametrize("users, overlap_ratio, count", [
-        (200, 0.05, 10),
-        # products a hair below a whole number: 0.29 * 100 is 28.999999999999996
-        (100, 0.29, 29), (100, 0.57, 57),
-    ])
-    def test_overlap_count(self, users, overlap_ratio, count):
-        spec = SyntheticSpec(users=users, items=50, overlap_ratio=overlap_ratio, dim=4, seed=1,
+    def test_overlap_count(self):
+        spec = SyntheticSpec(users=200, items=50, overlap_ratio=0.05, dim=4, seed=1,
+                             ratings_per_user=10)
+        scn, _ = generate_synthetic(spec)
+        assert len(scn.overlap) == 10
+
+    # products a hair below a whole number: 0.29 * 100 is 28.999999999999996
+    @pytest.mark.parametrize("overlap_ratio, count", [(0.29, 29), (0.57, 57)])
+    def test_overlap_count_of_a_product_below_a_whole(self, overlap_ratio, count):
+        spec = SyntheticSpec(users=100, items=50, overlap_ratio=overlap_ratio, dim=4, seed=1,
                              ratings_per_user=10)
         scn, _ = generate_synthetic(spec)
         assert len(scn.overlap) == count

@@ -747,3 +747,13 @@ class TestCheckpoint:
         with pytest.raises(ValidationError,
                            match="malformed factor checkpoint .*trailing bytes after array 2"):
             load_factor_model(p)
+
+    @pytest.mark.parametrize("value", [5.0, "5", True])
+    def test_metadata_numbers_are_strict(self, tmp_path, rng, value):
+        # format_version is the header's one number, and 5.0 == 5 in an untyped comparison
+        p = tmp_path / "m.npy"
+        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
+        rewrite_header(p, format_version=value)
+        with pytest.raises(ValidationError, match="not a factor checkpoint") as exc:
+            load_factor_model(p)
+        assert str(p) in str(exc.value)

@@ -553,6 +553,16 @@ class TestMappingCheckpoint:
             load_mapping(p)
         assert str(p) in str(exc.value)
 
+    @pytest.mark.parametrize("value", [6.0, "6", True])
+    def test_metadata_numbers_are_strict(self, tmp_path, rng, value):
+        # format_version is the header's one number, and 6.0 == 6 in an untyped comparison
+        p = tmp_path / "net.npy"
+        save_mapping(random_net(rng), p)
+        rewrite_header(p, 5, format_version=value)
+        with pytest.raises(ValidationError, match="not a mapping checkpoint") as exc:
+            load_mapping(p)
+        assert str(p) in str(exc.value)
+
 
 def equivalence_scenario():
     spec = SyntheticSpec(users=200, items=80, overlap_ratio=0.5, dim=6, noise=0.2,
