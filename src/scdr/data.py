@@ -820,9 +820,8 @@ def load_scenario(manifest_path) -> CdrScenario:
     absent) raises ValidationError naming the file, after both files are read.
     """
     manifest_path = Path(manifest_path)
-    with json_document(manifest_path, "manifest") as (doc, manifest_digest):
-        if doc.get("format_version") != MANIFEST_VERSION:
-            raise ValidationError(f"unsupported manifest version {doc.get('format_version')!r}")
+    header = {"format_version": MANIFEST_VERSION}
+    with json_document(manifest_path, "manifest", header=header) as (doc, manifest_digest):
         paths = [manifest_path.parent / doc[key] for key in ("source_ratings", "target_ratings")]
         beta, seed = number(float, doc["beta"], "beta"), number(int, doc["seed"], "seed")
         if seed < 0:

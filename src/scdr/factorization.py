@@ -98,6 +98,7 @@ def _run_epochs(n: int, config: TrainConfig, rng, step, epoch_loss, model: str) 
             try:
                 for start in range(0, n, config.batch_size):
                     step(perm[start:start + config.batch_size])
+                del perm  # before the epoch loss and the next draw, so two never coexist
                 trace.append(epoch_loss())
                 if not trace[-1] <= bound:
                     raise DivergenceError(f"training loss {trace[-1]:.4g} exceeds "
@@ -123,48 +124,48 @@ class MfTrainResult(NamedTuple):
 
 
 def _touched(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an index column in sorted order, and each one's first position.
-
-    The factor kernel's one sort. Only the objective's weight-decay term and
-    :func:`mf_grad`'s per-row gradients need each touched row once, in order.
-    """
+    """The distinct rows of an index column in sorted order, and each one's first position:
+    the factor kernel's one sort, which only the decay term and :func:`mf_grad` need."""
     return np.unique(idx, return_index=True)
 
 
-def _index_tables(n_users: int, n_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialised row-to-position tables for :class:`_Batch`, one per index column."""
-    return np.empty(n_users, dtype=np.intp), np.empty(n_items, dtype=np.intp)
+def _workspace(n_rows: int, batch_size: int, d: int, floats: int = 0) -> tuple[np.ndarray, ...]:
+    """A step's row-to-position table over ``P``'s rows, its grid of flat indices ``bin * d +
+    col`` for up to ``batch_size`` ratings, and two float buffers of at least ``floats``."""
+    floats = max(floats, 2 * batch_size * d)
+    grid = np.arange(2 * batch_size * d).reshape(2 * batch_size, d)
+    return np.empty(n_rows, dtype=np.intp), grid, np.empty(floats), np.empty(floats)
 
 
 class _Batch:
-    """One batch's ratings, its fixed item rows per rating, its bins and its decay.
+    """One batch's ratings over the parameter table ``P = [U; V]``: its rows, bins and decay.
 
-    A rating's bin (``bins_*``) is the batch position of its row's last
-    occurrence, read from an index table: ``table[idx] = arange(n)`` writes
-    every entry that ``table.take(idx)`` then reads, so no table is ever
-    cleared and a batch costs the same at any row count. Any one occurrence
-    would do: all of a row's ratings share its bin. ``v_rows`` are the item
-    rows per rating, which no ascent moves. ``flat_*`` index each rating's
-    entries in the grid of bins, ``bin * d + col``. With a positive decay,
-    ``first_u`` is each touched user's first position in sorted row order,
-    and ``v_touched`` the touched item rows in that order. :meth:`at` is the
-    batch's kernel.
+    ``rows`` are ``P``'s rows ``idx = [ui; vi + n_users]``, in a workspace buffer, with
+    halves ``u_rows`` and ``v_rows``. A rating's bin (``bins``) is the position of its row's
+    last occurrence in ``idx``, from the workspace's table: ``table[idx] = arange`` fills
+    what ``table.take(idx)`` reads, so no table is ever cleared and a step costs the same at
+    any row count. User bins lie in the first half. ``flat`` indexes each rating's entries
+    in the grid of its partner's bin (a user row weights its item's gradient), so item bins
+    come first. ``weights``, the other buffer, holds the update's gradient. With a positive
+    decay, ``first_u`` is each touched user's first position and ``v_touched`` each touched
+    item row, by row order.
     """
 
-    def __init__(self, ui: np.ndarray, vi: np.ndarray, r: np.ndarray, V: np.ndarray,
-                 weight_decay: float, tables: tuple[np.ndarray, np.ndarray]):
-        self.ui, self.vi, self.r, self.weight_decay = ui, vi, r, weight_decay
-        self.v_rows = V.take(vi, axis=0)
-        table_u, table_v = tables
-        table_u[ui] = table_v[vi] = np.arange(r.size)
-        self.bins_u, self.bins_v = table_u.take(ui), table_v.take(vi)
-        grid = np.arange(r.size * V.shape[1]).reshape(r.size, V.shape[1])
-        self.flat_u = grid.take(self.bins_u, axis=0).ravel()
-        self.flat_v = grid.take(self.bins_v, axis=0).ravel()
+    def __init__(self, idx: np.ndarray, r: np.ndarray, P: np.ndarray, weight_decay: float,
+                 work: tuple[np.ndarray, ...]):
+        n = r.size
+        table, grid, rows, weights = work
+        self.r, self.weight_decay = r, weight_decay
+        self.rows = _take_rows(P, idx, rows)
+        self.u_rows, self.v_rows = self.rows[:n], self.rows[n:]
+        self.weights = weights[:self.rows.size].reshape(2, n, -1)
+        table[idx] = np.arange(2 * n)
+        self.bins = table.take(idx)
+        self.flat = grid.take(self.bins.reshape(2, n)[::-1], axis=0).ravel()
         self.first_u = self.v_touched = None
         if weight_decay > 0.0:
-            self.first_u = _touched(ui)[1]
-            self.v_touched = self.v_rows.take(_touched(vi)[1], axis=0)
+            self.first_u = _touched(idx[:n])[1]
+            self.v_touched = self.v_rows.take(_touched(idx[n:])[1], axis=0)
 
     def at(self, u_rows: np.ndarray) -> _Pass:
         """The pass at user rows ``u_rows``, one per rating (a repeated user's rows equal)."""
@@ -174,60 +175,59 @@ class _Batch:
 class _Pass:
     """The factor model's one loss/gradient kernel: a batch at per-rating user rows ``u_rows``.
 
-    ``resid`` (rating minus prediction) is computed when the pass is built.
-    ``loss`` (the :func:`_objective`), ``grad_u`` and ``grad_v`` are computed
-    on first read, so a pass read only for its loss scatters nothing. Both
-    gradients sum their per-rating rows times one shared ``-2 * resid`` into
-    the batch's bins with ``np.bincount``, which like ``np.add.at`` adds in
-    rating order from 0.0, and read the sums back per rating: each rating
-    holds its row's gradient, bitwise the per-row sum. A gradient is the
-    pass's own array: a caller may write it once it reads the pass no more.
+    ``resid`` (rating minus prediction) is computed when the pass is built,
+    ``loss`` (the :func:`_objective`) and the ascent's ``grad_u`` when read,
+    so a pass read only for its loss scatters nothing. :meth:`grad`, the
+    update's, is the gradient of ``[u_rows; v_rows]`` in one scatter, and
+    ``grad_u`` that scatter over the user half alone. Each sums per-rating
+    rows times ``-2 * resid`` into the batch's bins with ``np.bincount``,
+    which like ``np.add.at`` adds in rating order from 0.0, and reads the
+    sums back per rating: each rating holds its row's gradient, bitwise the
+    per-row sum. A gradient is the caller's to write.
     """
 
-    # slots and None checks: functools.cached_property takes a lock on each first read
-    # (Python 3.11), which a sharpness-aware step would pay about six times
-    __slots__ = ("_b", "u_rows", "resid", "_loss", "_m2r", "_grad_u", "_grad_v")
+    __slots__ = ("_b", "u_rows", "resid")
 
     def __init__(self, batch: _Batch, u_rows: np.ndarray):
         self._b, self.u_rows = batch, u_rows
         self.resid = batch.r - np.einsum("ij,ij->i", u_rows, batch.v_rows)
-        self._loss = self._m2r = self._grad_u = self._grad_v = None
 
     @property
     def loss(self) -> float:
-        if self._loss is None:
-            b = self._b
-            touched = () if b.first_u is None else (self.u_rows.take(b.first_u, axis=0),
-                                                    b.v_touched)
-            self._loss = _objective(self.resid, b.weight_decay, *touched)
-        return self._loss
+        b = self._b
+        touched = () if b.first_u is None else (self.u_rows.take(b.first_u, axis=0), b.v_touched)
+        return _objective(self.resid, b.weight_decay, *touched)
 
     @property
     def grad_u(self) -> np.ndarray:
-        if self._grad_u is None:
-            self._grad_u = self._grad(self._b.flat_u, self._b.bins_u, self._b.v_rows, self.u_rows)
-        return self._grad_u
+        b = self._b
+        weights = -2.0 * self.resid[:, None] * b.v_rows
+        return self._scatter(b.flat[weights.size:], b.bins[:self.resid.size], weights, self.u_rows)
 
-    @property
-    def grad_v(self) -> np.ndarray:
-        if self._grad_v is None:
-            self._grad_v = self._grad(self._b.flat_v, self._b.bins_v, self.u_rows, self._b.v_rows)
-        return self._grad_v
+    def grad(self) -> np.ndarray:
+        """The gradient of ``[u_rows; v_rows]``, per rating of each, in the batch's ``weights``."""
+        b, m2r = self._b, -2.0 * self.resid[:, None]
+        np.multiply(m2r, self.u_rows, out=b.weights[0])
+        np.multiply(m2r, b.v_rows, out=b.weights[1])
+        return self._scatter(b.flat, b.bins, b.weights, self.u_rows, b.v_rows)
 
-    def _grad(self, flat: np.ndarray, bins: np.ndarray, other_rows: np.ndarray,
-              own: np.ndarray) -> np.ndarray:
-        """``-2 * resid`` times ``other_rows``, summed per bin, read back per rating, plus decay."""
-        if self._m2r is None:
-            self._m2r = -2.0 * self.resid[:, None]
-        grad = np.bincount(flat, weights=(self._m2r * other_rows).ravel(), minlength=own.size)
-        grad = grad.reshape(own.shape).take(bins, axis=0)
+    def _scatter(self, flat: np.ndarray, bins: np.ndarray, weights: np.ndarray,
+                 *owns: np.ndarray) -> np.ndarray:
+        """``weights`` summed per bin and read back per rating into ``weights``, plus the decay
+        of ``owns``, the rows whose gradient each block of ``weights`` becomes."""
+        sums = np.bincount(flat, weights=weights.ravel(), minlength=weights.size)
+        grad = weights.reshape(-1, weights.shape[-1])
+        # the bins are in range: "clip" clips nothing, and spares take a copy of its out
+        sums.reshape(grad.shape).take(bins, axis=0, out=grad, mode="clip")
         if self._b.weight_decay > 0.0:
-            grad += 2.0 * self._b.weight_decay * own
+            for block, own in zip(grad.reshape(len(owns), -1, grad.shape[1]), owns):
+                block += 2.0 * self._b.weight_decay * own
         return grad
 
 
-def _model_batch(model: FactorModel, batch, weight_decay: float) -> _Batch:
-    """The checked index arrays of (user, item, rating) triples, as a :class:`_Batch`."""
+def _model_pass(model: FactorModel, batch, weight_decay: float) -> tuple:
+    """The pass at the model's rows of checked (user, item, rating) triples, over a copy of
+    ``[U; V]``, and the triples' user and item index columns."""
     batch = list(batch)
     if not batch:
         raise ValidationError("batch must be non-empty")
@@ -238,8 +238,10 @@ def _model_batch(model: FactorModel, batch, weight_decay: float) -> _Batch:
         raise ValidationError("user index out of range")
     if vi.min() < 0 or vi.max() >= model.V.shape[0]:
         raise ValidationError("item index out of range")
-    tables = _index_tables(model.U.shape[0], model.V.shape[0])
-    return _Batch(ui, vi, r, model.V, float(weight_decay), tables)
+    P = np.concatenate((model.U, model.V))
+    b = _Batch(np.concatenate((ui, vi + len(model.U))), r, P, float(weight_decay),
+               _workspace(P.shape[0], r.size, model.d))
+    return b.at(b.u_rows), ui, vi
 
 
 def _objective(resid: np.ndarray, weight_decay: float, *rows: np.ndarray) -> float:
@@ -261,70 +263,69 @@ def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
     With positive ``weight_decay`` the squared norms of the rows the batch
     touches (each row once) are added, scaled by the decay.
     """
-    b = _model_batch(model, batch, weight_decay)
-    return b.at(model.U.take(b.ui, axis=0)).loss
+    return _model_pass(model, batch, weight_decay)[0].loss
 
 
 def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
     """Analytic gradient of :func:`mf_loss` for the touched U and V rows, in sorted row order."""
-    b = _model_batch(model, batch, weight_decay)
-    at = b.at(model.U.take(b.ui, axis=0))
-    (uniq_u, first_u), (uniq_v, first_v) = _touched(b.ui), _touched(b.vi)
-    return MfGradient(uniq_u, at.grad_u.take(first_u, axis=0),
-                      uniq_v, at.grad_v.take(first_v, axis=0))
+    at, ui, vi = _model_pass(model, batch, weight_decay)
+    grad = at.grad()
+    (uniq_u, first_u), (uniq_v, first_v) = _touched(ui), _touched(vi)
+    return MfGradient(uniq_u, grad[:ui.size].take(first_u, axis=0),
+                      uniq_v, grad[ui.size:].take(first_v, axis=0))
 
 
 def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """``vectors[rows]``, written into the front of the flat float64 ``buffer``.
 
     ``mode="clip"`` spares ``take`` a copy of its ``out``. It clips nothing: a
-    :class:`DomainDataset` range-checks its index columns, ``_train`` sizes U and V from
-    the dataset, and the mapping trainer checks its V against the target domain.
+    :class:`DomainDataset` range-checks its index columns, ``_train`` sizes ``P = [U; V]``
+    from the dataset, and the mapping trainer checks its V against the target domain.
     """
     out = buffer[:rows.size * vectors.shape[1]].reshape(rows.size, vectors.shape[1])
     return vectors.take(rows, axis=0, out=out, mode="clip")
 
 
-def _sgd_step(U, V, ui, vi, r, config: TrainConfig, perturb: PerturbConfig, tables) -> None:
-    """One SGD update of the rows a batch touches, from the pass at the ascent's pick.
+def _sgd_step(P, idx, r, config: TrainConfig, perturb: PerturbConfig, work) -> None:
+    """One SGD update of the rows ``idx`` of ``P = [U; V]`` that a batch touches.
 
-    With a moving ``perturb``, a :class:`WorstCase` pair over the batch's
-    kernel picks whole iterates by the summed loss and keeps the picked
-    pass. So a sharpness-aware step costs k+1 residuals and a plain step one.
-    The ascent and the update run on per-rating rows; a repeated row is
-    written several times with equal values. ``tables`` are the batch's
-    index tables, from :func:`_index_tables`.
+    With a moving ``perturb``, a :class:`WorstCase` pair over the batch's kernel picks whole
+    iterates by the summed loss and keeps the picked pass, whose gradient the update reads:
+    k+1 residuals and scatters a step, one of each for a plain step. A repeated row is
+    written several times with equal values. ``work`` is a :func:`_workspace`.
     """
-    b = _Batch(ui, vi, r, V, config.weight_decay, tables)
-    u_base = U.take(ui, axis=0)
+    b = _Batch(idx, r, P, config.weight_decay, work)
     if perturb.k > 0 and perturb.rho > 0.0:
         pair = WorstCase(b.at)
-        find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), u_base, perturb)
+        find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), b.u_rows, perturb)
         at = pair.best()
     else:
-        at = b.at(u_base)
-    du, dv = at.grad_u, at.grad_v
-    # the rows still hold u_base and v_rows, so this is the in-place -= update
-    du *= config.learning_rate
-    dv *= config.learning_rate
-    U[ui] = np.subtract(u_base, du, out=du)
-    V[vi] = np.subtract(b.v_rows, dv, out=dv)
+        at = b.at(b.u_rows)
+    grad = at.grad()
+    # b.rows still holds the batch's rows of P, so this is the in-place -= update
+    grad *= config.learning_rate
+    P[idx] = np.subtract(b.rows, grad, out=grad)
 
 
 def _train(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfig) -> MfTrainResult:
     rng = np.random.default_rng(config.seed)
-    U = rng.normal(0.0, config.init_std, (dataset.n_users, config.dim))
-    V = rng.normal(0.0, config.init_std, (dataset.n_items, config.dim))
+    n_users = dataset.n_users
+    # one draw for U's rows then V's gives the bits of one draw for each; U and V are views
+    P = rng.normal(0.0, config.init_std, (n_users + dataset.n_items, config.dim))
+    U, V = P[:n_users], P[n_users:]
     ui, vi, r = dataset.user_index, dataset.item_index, dataset.rating
     resid = np.empty(r.size)
-    # One block's gathered rows, written in place by every epoch loss: fresh arrays this
-    # large would be mapped and unmapped by malloc at each block.
-    block = min(r.size, CHUNK_ROWS) * config.dim
-    u_block, v_block = np.empty(block), np.empty(block)
-    tables = _index_tables(dataset.n_users, dataset.n_items)
+    # Every epoch loss writes one block's rows into the buffers a step writes between epoch
+    # losses: fresh arrays this large would be mapped and unmapped by malloc at each block.
+    work = _workspace(P.shape[0], min(r.size, config.batch_size), config.dim,
+                      min(r.size, CHUNK_ROWS) * config.dim)
+    u_block, v_block = work[2:]
 
     def step(sel):
-        _sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb, tables)
+        # built per step from the int32 columns: a stored (2, N) index would raise the peak
+        idx = np.concatenate((ui.take(sel), vi.take(sel)), dtype=np.intp)
+        idx[sel.size:] += n_users
+        _sgd_step(P, idx, r.take(sel), config, perturb, work)
 
     def epoch_loss():
         for start in range(0, r.size, CHUNK_ROWS):

@@ -638,6 +638,10 @@ class TestCorruptInputs:
         ("scenario.json", set_key("beta", 1.5), "beta must lie in (0, 1), got 1.5"),
         ("scenario.json", set_key("beta", math.nan),
          "scenario.json: beta must be a finite float, got nan"),
+        # the manifest's version is read typed, as every header's is: true and 1.0 are not 1
+        ("scenario.json", set_key("format_version", True), "not a manifest: "),
+        ("scenario.json", set_key("format_version", 1.0), "not a manifest: "),
+        ("scenario.json", set_key("format_version", 2), "not a manifest: "),
     ])
     def test_eval_exits_2_and_writes_nothing(self, run_copy, capsys, name, corrupt, message):
         out, cfg = run_copy

@@ -322,6 +322,15 @@ def reference_sgd_step(U, V, ui, vi, r, config, perturb, tables):
     V[uniq_v] -= config.learning_rate * dv
 
 
+def on_table(step, n_users):
+    """``step``, an SGD step on ``U`` and ``V``, as a step on the table ``P = [U; V]``: it
+    gets the table's views and the batch's index columns."""
+    def table_step(P, idx, r, config, perturb, work):
+        n = r.size
+        step(P[:n_users], P[n_users:], idx[:n], idx[n:] - n_users, r, config, perturb, work)
+    return table_step
+
+
 @pytest.fixture(scope="module")
 def synthetic_source():
     scenario, _ = generate_synthetic(SyntheticSpec(users=200, items=80, seed=4))
@@ -332,7 +341,7 @@ def assert_matches_reference(ds, cfg, pert, monkeypatch):
     """train_mf and train_smf give the bits of the same training with ``reference_sgd_step``."""
     runs = [(train_mf(ds, cfg), train_smf(ds, cfg, pert))]
     with monkeypatch.context() as patch:
-        patch.setattr(factorization, "_sgd_step", reference_sgd_step)
+        patch.setattr(factorization, "_sgd_step", on_table(reference_sgd_step, ds.n_users))
         runs.append((train_mf(ds, cfg), train_smf(ds, cfg, pert)))
     for new, ref in zip(*runs):
         assert same_bits(new.model.U, ref.model.U)
@@ -416,14 +425,18 @@ class TestKernelEquivalence:
         vi = rng.integers(0, 11, size=300)
         r = rng.normal(3.0, 1.0, size=300)
         U, V = rng.normal(size=(n_rows, 4)), rng.normal(size=(11, 4))
-        # tables left holding an earlier batch's positions, as in training
-        tables = factorization._index_tables(n_rows, 11)
-        factorization._Batch(ui[::-1], vi[::-1], r, V, weight_decay, tables)
-        b = factorization._Batch(ui, vi, r, V, weight_decay, tables)
-        at = b.at(U[ui])
+        P = np.concatenate((U, V))
+        # a workspace left holding an earlier batch's positions and gradient, as in training
+        work = factorization._workspace(n_rows + 11, 300, 4)
+        earlier = factorization._Batch(np.concatenate((ui[::-1], vi[::-1] + n_rows)), r, P,
+                                       weight_decay, work)
+        earlier.at(earlier.u_rows).grad()
+        b = factorization._Batch(np.concatenate((ui, vi + n_rows)), r, P, weight_decay, work)
+        at = b.at(b.u_rows)
         uniq_u, inv_u = np.unique(ui, return_inverse=True)
         uniq_v, inv_v = np.unique(vi, return_inverse=True)
         u_rows, v_rows = U[ui], V[vi]
+        assert same_bits(b.u_rows, u_rows) and same_bits(b.v_rows, v_rows)
         resid = r - np.einsum("ij,ij->i", u_rows, v_rows)
         assert same_bits(at.resid, resid)
         du = np.zeros((uniq_u.size, 4))
@@ -433,9 +446,10 @@ class TestKernelEquivalence:
         if weight_decay > 0.0:
             du += 2.0 * weight_decay * U[uniq_u]
             dv += 2.0 * weight_decay * V[uniq_v]
-        # each rating reads back its row's sum
+        # each rating reads back its row's sum: the ascent's user half alone, and the
+        # update's one scatter over both halves
         assert same_bits(at.grad_u, du[inv_u])
-        assert same_bits(at.grad_v, dv[inv_v])
+        assert same_bits(at.grad(), np.concatenate((du[inv_u], dv[inv_v])))
         loss = float(np.einsum("i,i->", resid, resid))
         if weight_decay > 0.0:
             loss += weight_decay * (float((U[uniq_u] ** 2).sum()) + float((V[uniq_v] ** 2).sum()))
@@ -443,12 +457,15 @@ class TestKernelEquivalence:
 
 
 def step_pair(U, V, ui, vi, r, cfg, pert):
-    """``(U, V)`` after one ``_sgd_step``, and after one ``reference_sgd_step``, from copies."""
-    new, ref = (U.copy(), V.copy()), (U.copy(), V.copy())
-    tables = factorization._index_tables(U.shape[0], V.shape[0])
-    factorization._sgd_step(*new, ui, vi, r, cfg, pert, tables)
-    reference_sgd_step(*ref, ui, vi, r, cfg, pert, tables)
-    return new, ref
+    """``(U, V)`` after one ``_sgd_step``, and after one ``reference_sgd_step``, each on a
+    copy of ``P = [U; V]``."""
+    n_users = U.shape[0]
+    new, ref = np.concatenate((U, V)), np.concatenate((U, V))
+    idx = np.concatenate((ui, vi + n_users))
+    work = factorization._workspace(len(new), r.size, U.shape[1])
+    factorization._sgd_step(new, idx, r, cfg, pert, work)
+    on_table(reference_sgd_step, n_users)(ref, idx, r, cfg, pert, work)
+    return (new[:n_users], new[n_users:]), (ref[:n_users], ref[n_users:])
 
 
 @pytest.fixture
@@ -456,15 +473,15 @@ def step_log(monkeypatch):
     """The pick of each ``find_delta`` that ``factorization`` calls (0 is the origin, k the
     last iterate), the count of residuals (one per ``_Pass`` built) and of scatters."""
     log = {"picks": [], "residuals": 0, "scatters": 0}
-    init, grad = factorization._Pass.__init__, factorization._Pass._grad
+    init, scatter = factorization._Pass.__init__, factorization._Pass._scatter
 
     def counting_init(self, *args):
         log["residuals"] += 1
         init(self, *args)
 
-    def counting_grad(self, *args):
+    def counting_scatter(self, *args):
         log["scatters"] += 1
-        return grad(self, *args)
+        return scatter(self, *args)
 
     def picking(loss_at, grad_at, origin, config):
         losses = []
@@ -478,7 +495,7 @@ def step_log(monkeypatch):
         return out
 
     monkeypatch.setattr(factorization._Pass, "__init__", counting_init)
-    monkeypatch.setattr(factorization._Pass, "_grad", counting_grad)
+    monkeypatch.setattr(factorization._Pass, "_scatter", counting_scatter)
     monkeypatch.setattr(factorization, "find_delta", picking)
     return log
 
@@ -487,7 +504,9 @@ class TestReusedUpdate:
     """The update read from the ascent's kept pass has the bits of the reference step.
 
     A step costs k+1 residuals, one per ascent iterate: the update takes no pass of its
-    own, also where the reference's ``u_base + delta`` misses the kept point's bytes.
+    own, also where the reference's ``u_base + delta`` misses the kept point's bytes. It
+    costs k+1 scatters: the ascent's k user gradients, and the update's one over both
+    halves of the table.
     """
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.2])
@@ -509,9 +528,8 @@ class TestReusedUpdate:
                 assert same_bits(new[0], ref[0]) and same_bits(new[1], ref[1])
                 assert step_log["residuals"] - before["residuals"] == k + 1
                 pick = step_log["picks"][-1]
-                # k ascent gradients, the update's item gradient, and its user gradient
-                # only when the last iterate, whose gradient the ascent never read, is kept
-                assert step_log["scatters"] - before["scatters"] == k + 1 + (pick == k) <= k + 2
+                # k ascent gradients and the update's one, whichever iterate is kept
+                assert step_log["scatters"] - before["scatters"] == k + 1
                 seen.add("last" if pick == k else "middle" if pick else "origin")
         assert seen == {"middle", "last"}
 
@@ -531,7 +549,7 @@ class TestReusedUpdate:
         new, ref = step_pair(U, V, ui, vi, np.zeros(5), cfg, PerturbConfig(rho=0.05, k=k))
         assert same_bits(new[0], ref[0]) and same_bits(new[1], ref[1])
         assert step_log["picks"] == [0]
-        assert step_log["residuals"] == k + 1
+        assert step_log["residuals"] == step_log["scatters"] == k + 1
 
     def test_plain_step_and_loss_reads_scatter_only_what_is_read(self, synthetic_source,
                                                                  step_log):
@@ -546,8 +564,8 @@ class TestReusedUpdate:
             assert (step_log["residuals"], step_log["scatters"]) == (1, 0)
             step_pair(model.U, model.V, ds.user_index[:64], ds.item_index[:64], ds.rating[:64],
                       TrainConfig(epochs=1, weight_decay=weight_decay), PerturbConfig(0.0, 0))
-            # a plain step: one pass, read for the two gradients of its update
-            assert (step_log["residuals"], step_log["scatters"]) == (2, 2)
+            # a plain step: one pass, read for its update's one scatter over both halves
+            assert (step_log["residuals"], step_log["scatters"]) == (2, 1)
 
     def test_training_computes_k_plus_1_residuals_per_step(self, synthetic_source, step_log):
         cfg = TrainConfig(epochs=2, batch_size=96, seed=3)
@@ -559,17 +577,20 @@ class TestReusedUpdate:
 
 
 def reference_train(ds, config, perturb):
-    """``_train`` with fresh arrays for every block of the epoch loss: U, V and the trace."""
+    """``_train`` with one draw for U and one for V, a workspace of the step's own, and fresh
+    arrays for every block of the epoch loss: U, V and the trace."""
     rng = np.random.default_rng(config.seed)
     U = rng.normal(0.0, config.init_std, (ds.n_users, config.dim))
     V = rng.normal(0.0, config.init_std, (ds.n_items, config.dim))
+    P = np.concatenate((U, V))
+    U, V = P[:ds.n_users], P[ds.n_users:]
     ui, vi, r = ds.user_index, ds.item_index, ds.rating
     resid = np.empty(r.size)
-    tables = factorization._index_tables(ds.n_users, ds.n_items)
+    work = factorization._workspace(len(P), min(r.size, config.batch_size), config.dim)
 
     def step(sel):
-        factorization._sgd_step(U, V, ui.take(sel), vi.take(sel), r.take(sel), config, perturb,
-                                tables)
+        idx = np.concatenate((ui[sel], vi[sel] + ds.n_users))
+        factorization._sgd_step(P, idx, r[sel], config, perturb, work)
 
     def epoch_loss():
         for start in range(0, r.size, factorization.CHUNK_ROWS):
@@ -588,7 +609,8 @@ def desk_source():
 
 
 class TestBlockBuffers:
-    """Every epoch loss writes its blocks into buffers allocated once per training."""
+    """Every epoch loss writes its blocks into buffers allocated once per training, which
+    every step writes its rows and gradient into between epoch losses."""
 
     @pytest.mark.parametrize("blocks", [(0, 8191), (2, 0), (7, 1000)],
                              ids=["below-a-block", "two-blocks", "remainder"])
@@ -614,14 +636,14 @@ class TestBlockBuffers:
 
 
 class TestStepCost:
-    """A step's work follows its batch, not the row count of the matrices it updates."""
+    """A step's work follows its batch, not the row count of the table it updates."""
 
     def test_step_peak_does_not_grow_with_the_row_count(self):
         """No step allocates or clears anything of row-count size.
 
         One plain and one sharpness-aware step on the same 256-rating batch, with U at
-        2,000 and at 300,000 rows and the index tables allocated outside the step. A
-        per-step dense table or mask over the users would add 2.4 MB at 300,000 rows.
+        2,000 and at 300,000 rows and the workspace allocated outside the step. A per-step
+        dense table or mask over the users would add 2.4 MB at 300,000 rows.
         """
         rng = np.random.default_rng(13)
         ui, vi = rng.integers(0, 2_000, 256), rng.integers(0, 500, 256)
@@ -631,16 +653,37 @@ class TestStepCost:
         for pert in (PerturbConfig(rho=0.0, k=0), PerturbConfig(rho=0.05, k=1)):
             peaks = []
             for n_users in (2_000, 300_000):
-                U = np.zeros((n_users, 10))
-                U[:2_000] = U0
-                tables = factorization._index_tables(n_users, 500)
+                P = np.zeros((n_users + 500, 10))
+                P[:2_000], P[n_users:] = U0, V0
+                idx = np.concatenate((ui, vi + n_users))
+                work = factorization._workspace(len(P), 256, 10)
                 tracemalloc.start()
                 try:
-                    factorization._sgd_step(U, V0.copy(), ui, vi, r, cfg, pert, tables)
+                    factorization._sgd_step(P, idx, r, cfg, pert, work)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
             assert abs(peaks[1] - peaks[0]) < 4_096, (pert, peaks)
+
+    @pytest.mark.parametrize("epochs, bound", [(1, 2_653_000), (2, 2_974_000)])
+    def test_training_peak_is_no_higher_than_with_separate_matrices(self, desk_source, epochs,
+                                                                    bound):
+        """``train_mf``'s traced peak on the desk source, in bytes, is at most the peak of the
+        layout with separate U and V matrices and an index table each.
+
+        That layout peaked at 2,653,192-2,654,216 bytes in one epoch and 2,974,856-2,976,704
+        in two (numpy 2.4.6, Python 3.11), when each epoch's permutation was drawn before the
+        last one was freed. A stored ``(2, N)`` intp index of the table's rows would add
+        0.96 MB; the step builds its index from the int32 columns instead, and gathers its
+        rows and gradient into the epoch loss's buffers.
+        """
+        tracemalloc.start()
+        try:
+            train_mf(desk_source, TrainConfig(epochs=epochs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestCheckpoint:

@@ -5,9 +5,9 @@ credits the time of the callables handed to ``find_delta`` to the module
 that defines them. A refactor that renames or drops a wrapped name, or that
 moves those callables to another module, breaks or skews a traced benchmark
 run; these checks make it fail the test suite instead. README's example
-config is checked against the keys the CLI accepts in the same way, and
-its import lines against the package's modules, which load only the
-modules they use. The JSON artifact format and the path from arrays to
+config and every benchmark stage config are checked against the keys the
+CLI accepts in the same way, and README's import lines against the
+package's modules, which load only the modules they use. The JSON artifact format and the path from arrays to
 file bytes are checked to stay behind ``scdr.data``'s codec, numpy's
 binary loading and writing are checked to stay in ``scdr.data`` and
 pickle-free, loading behind ``_typed_arrays``'s checks, and array records
@@ -38,11 +38,12 @@ from scdr.data import SyntheticSpec, generate_synthetic
 from scdr.perturbation import PerturbConfig, find_delta
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / "perfbench" / "spans.py"
+PERFBENCH = ROOT / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name: str):
+    """``perfbench/<name>.py``, loaded from its file: the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -63,7 +64,7 @@ def resolve(dotted: str):
 
 
 def test_every_wrapped_site_resolves():
-    wrapped = load_spans().WRAPPED
+    wrapped = load_perfbench("spans").WRAPPED
     assert wrapped
     missing = [f"{owner}.{attr}" for owner, attr in wrapped
                if not callable(getattr(resolve(owner), attr, None))]
@@ -117,7 +118,7 @@ def test_every_traced_name_is_called(tmp_path, monkeypatch):
     rows without ``DomainDataset.user_interactions``) leaves a per-layer
     metric unmeasured; this catches it without a benchmark run.
     """
-    spans = load_spans()
+    spans = load_perfbench("spans")
     tracer = spans.Tracer("tier-1")
     wrappers = {}
     for (owner, attr), name in spans.WRAPPED.items():
@@ -161,6 +162,24 @@ def test_readme_config_block_loads(tmp_path):
 
     # so no setting goes undocumented
     assert keys(json.loads(blocks[0])) == keys(scdr.cli.DEFAULT_CONFIG)
+
+
+def test_every_benchmark_stage_config_loads(tmp_path):
+    """Every stage config of every benchmark workload loads through ``load_config``.
+
+    The benchmark writes these files for the CLI, so a key the CLI no longer accepts
+    would refuse every stage of a run with exit 2; here it fails a test instead. Each
+    value given is read as given.
+    """
+    workloads = load_perfbench("workloads")
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS:
+        for stage, config in workloads.stage_configs(workload).items():
+            path = tmp_path / f"{workload}-{stage}.json"
+            path.write_text(json.dumps(config))
+            loaded = load_config(str(path))
+            assert {section: {key: loaded[section][key] for key in values}
+                    for section, values in config.items()} == config, (workload, stage)
 
 
 def test_readme_imports_resolve():
@@ -322,8 +341,11 @@ def test_only_the_factor_pass_scatters():
     """In ``factorization``, only ``_Pass`` sums per-rating rows into the touched rows.
 
     Every factor gradient is a scatter of the one kernel. A scatter is a call of
-    ``np.bincount`` or ``np.add.at``, or of a function that makes one; a caller
-    outside ``_Pass`` would be a second gradient formula.
+    ``np.bincount`` or ``np.add.at``, or of a function outside ``_Pass`` that makes
+    one; a caller outside ``_Pass`` would be a second gradient formula. Callers of
+    the pass's gradients read the kernel and make none. Inside ``_Pass`` one method
+    scatters: the update's gradient of the table's rows and the ascent's of the user
+    half are the same scatter.
     """
     tree = ast.parse((ROOT / "src" / "scdr" / "factorization.py").read_text(encoding="utf-8"))
     scope = {fn: top.name for top in tree.body for fn in ast.walk(top)
@@ -336,9 +358,11 @@ def test_only_the_factor_pass_scatters():
                 yield "add.at" if name.endswith("add.at") else name.rpartition(".")[2]
 
     scatters = {"bincount", "add.at"}
-    while more := {fn.name for fn in scope if scatters & set(callees(fn))} - scatters:
+    while more := {fn.name for fn in scope
+                   if scope[fn] != "_Pass" and scatters & set(callees(fn))} - scatters:
         scatters |= more
     assert {scope[fn] for fn in scope if scatters & set(callees(fn))} == {"_Pass"}
+    assert {fn.name for fn in scope if {"bincount", "add.at"} & set(callees(fn))} == {"_scatter"}
 
 
 def test_only_the_touched_rows_helper_sorts():
