@@ -341,11 +341,12 @@ def test_only_the_factor_pass_scatters():
     """In ``factorization``, only ``_Pass`` sums per-rating rows into the touched rows.
 
     Every factor gradient is a scatter of the one kernel. A scatter is a call of
-    ``np.bincount`` or ``np.add.at``, or of a function outside ``_Pass`` that makes
-    one; a caller outside ``_Pass`` would be a second gradient formula. Callers of
-    the pass's gradients read the kernel and make none. Inside ``_Pass`` one method
-    scatters: the update's gradient of the table's rows and the ascent's of the user
-    half are the same scatter.
+    ``np.bincount`` or ``np.add.at``, or of a function that makes one; a caller
+    outside ``_Pass`` would be a second gradient formula. The pass's public
+    gradients, ``grad`` and ``grad_u``, are the kernel's reads: calling one makes
+    no scatter of the caller's own. Inside ``_Pass`` one method scatters: the
+    update's gradient of the table's rows and the ascent's of the user half are
+    the same scatter.
     """
     tree = ast.parse((ROOT / "src" / "scdr" / "factorization.py").read_text(encoding="utf-8"))
     scope = {fn: top.name for top in tree.body for fn in ast.walk(top)
@@ -357,9 +358,8 @@ def test_only_the_factor_pass_scatters():
                 name = ast.unparse(node.func)
                 yield "add.at" if name.endswith("add.at") else name.rpartition(".")[2]
 
-    scatters = {"bincount", "add.at"}
-    while more := {fn.name for fn in scope
-                   if scope[fn] != "_Pass" and scatters & set(callees(fn))} - scatters:
+    scatters, reads = {"bincount", "add.at"}, {"grad", "grad_u"}
+    while more := {fn.name for fn in scope if scatters & set(callees(fn))} - scatters - reads:
         scatters |= more
     assert {scope[fn] for fn in scope if scatters & set(callees(fn))} == {"_Pass"}
     assert {fn.name for fn in scope if {"bincount", "add.at"} & set(callees(fn))} == {"_scatter"}
