@@ -20,7 +20,8 @@ import numpy as np
 from .data import CHUNK_ROWS, CdrScenario, write_artifact, write_csv
 from .errors import ValidationError
 from .factorization import FactorModel
-from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, forward
+from .mapping import (MappingNet, _check_fit, _kernel, _rating_predictions, _rating_target,
+                      forward)
 from .perturbation import PerturbConfig, WorstCase, find_delta
 
 # Reports record the sha256 of the mapping they scored under ``inputs`` from version 2
@@ -103,8 +104,9 @@ class SharpnessReport:
             raise ValidationError("estimate must be >= 0")
 
 
-def _withheld(scenario: CdrScenario):
-    """The test users' withheld interactions, flat and user-major."""
+def _withheld(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel):
+    """The test users' withheld interactions, flat and user-major, once the models fit."""
+    _check_fit(scenario, source_model, target_model)
     if not scenario.test_pairs:
         raise ValidationError("test split is empty")
     src, targets = np.array(scenario.test_pairs).T
@@ -131,7 +133,7 @@ def evaluate(net: MappingNet, source_model: FactorModel, target_model: FactorMod
     Each test user's target embedding is inferred through the mapping net;
     MAE and RMSE are pooled over all withheld (user, item) pairs.
     """
-    src, items, ratings, counts = _withheld(scenario)
+    src, items, ratings, counts = _withheld(scenario, source_model, target_model)
     preds = _rating_predictions(target_model.V, counts, forward(net, source_model.U[src]), items)
     return _report_from_residuals(ratings - preds, scenario.seed)
 
@@ -152,7 +154,7 @@ def fgsm_sweep(net: MappingNet, source_model: FactorModel, target_model: FactorM
         raise ValidationError("epsilons must be finite and non-negative")
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise ValidationError("epsilons must be sorted ascending")
-    src, items, ratings, counts = _withheld(scenario)
+    src, items, ratings, counts = _withheld(scenario, source_model, target_model)
     V = target_model.V
     clean = source_model.U[src]
     sign = np.sign(_kernel(net, clean, _rating_target(V, ratings, counts, items)).grad_u)
@@ -173,7 +175,7 @@ def landscape_grid(net: MappingNet, source_model: FactorModel, target_model: Fac
     norm); each lattice point averages |R - <f(u + gamma*d1 + zeta*d2), v>|
     over the same seeded sample of withheld test pairs.
     """
-    src, pool_items, pool_ratings, counts = _withheld(scenario)
+    src, pool_items, pool_ratings, counts = _withheld(scenario, source_model, target_model)
     pool_users = np.repeat(src, counts)
     available = pool_users.size
 
@@ -224,13 +226,21 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
         raise ValidationError("lipschitz estimation requires rho > 0")
     if perturb.k < 1:
         raise ValidationError("lipschitz estimation requires k >= 1")
-    src, items, ratings, counts = _withheld(scenario)
+    src, items, ratings, counts = _withheld(scenario, source_model, target_model)
+    V = target_model.V
+    origin = source_model.U[src]
+    starts = np.cumsum(counts) - counts
+
+    def mean_prediction(u):
+        preds = _rating_predictions(V, counts, forward(net, u), items)
+        return np.add.reduceat(preds, starts) / counts
+
+    # before the shortcut below, so that a constant net of another width is refused too
+    clean = mean_prediction(origin)
     if not net.W1.any() or not net.W2.any():
         # constant predictor: outputs do not depend on the input, so the
         # ratio is exactly 0 even though every ascent stalls at the origin
         return SharpnessReport(0.0, perturb.rho, perturb.k, src.size, 0)
-    V = target_model.V
-    origin = source_model.U[src]
     target = _rating_target(V, ratings, counts, items)
     pair = WorstCase(lambda u: _kernel(net, u, target))
     find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), origin, perturb)
@@ -238,13 +248,7 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
     moved = delta_norm >= 1e-12
     if not moved.any():
         raise ValidationError("every test user produced a degenerate perturbation")
-    starts = np.cumsum(counts) - counts
-
-    def mean_prediction(u):
-        preds = _rating_predictions(V, counts, forward(net, u), items)
-        return np.add.reduceat(preds, starts) / counts
-
-    change = np.abs(mean_prediction(origin) - mean_prediction(pair.point))
+    change = np.abs(clean - mean_prediction(pair.point))
     ratios = change[moved] / delta_norm[moved]
     return SharpnessReport(
         lipschitz_estimate=float(np.mean(ratios)),

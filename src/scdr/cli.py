@@ -186,9 +186,9 @@ def _perturb_config(section: dict) -> PerturbConfig:
     return PerturbConfig(rho=section["rho"], k=section["k"])
 
 
-def _mapping_config(section: dict, seed: int, dim: int) -> mapping.ScdrTrainConfig:
+def _mapping_config(section: dict, seed: int) -> mapping.ScdrTrainConfig:
     """The ``train`` section's mapping config; emcdr reads only its ``base`` and ``hidden``."""
-    return mapping.ScdrTrainConfig(base=_train_config(section, seed, dim=dim),
+    return mapping.ScdrTrainConfig(base=_train_config(section, seed),
                                    perturb=_perturb_config(section),
                                    tune_source_embeddings=section["tune_source_embeddings"],
                                    hidden=section["hidden"])
@@ -254,33 +254,21 @@ def _load_train_inputs(out: Path, method: str):
     if any(src_head.get(key) != tgt_head.get(key) for key in ("config", "perturb")):
         raise ValidationError(f"{paths[0]} and {paths[1]} record different training settings, "
                               f"so one pretrain run did not write both; run it again")
-    if src_model.d != tgt_model.d:
-        raise ValidationError("source and target checkpoints disagree on latent dim")
-    for name, model, domain in (("source", src_model, scenario.source),
-                                ("target", tgt_model, scenario.target)):
-        if model.U.shape[0] != domain.n_users or model.V.shape[0] != domain.n_items:
-            raise ValidationError(f"{name} checkpoint does not match the scenario's shape")
     return scenario, src_model, tgt_model, {"source_model": src_digest, "target_model": tgt_digest}
 
 
 def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
     # the ascent settings are checked for emcdr too, which runs no ascent
-    train_cfg = _mapping_config(cfg["train"], seed, src_model.d)
-    base = train_cfg.base
+    train_cfg = _mapping_config(cfg["train"], seed)
     outputs = [out / f"mapping_{method}.npy", out / f"mapping_trace_{method}.csv"]
-    echo = {"method": method, "seed": seed, "epochs": base.epochs,
-            "learning_rate": base.learning_rate, "batch_size": base.batch_size,
-            "hidden": train_cfg.hidden}
     with _check_outputs(outputs, force) as staged:
         if method == "emcdr":
-            result = mapping.emcdr_train(scenario, src_model, tgt_model, base,
+            result = mapping.emcdr_train(scenario, src_model, tgt_model, train_cfg.base,
                                          hidden=train_cfg.hidden)
         else:
-            echo.update({"rho": train_cfg.perturb.rho, "k": train_cfg.perturb.k,
-                         "tune_source_embeddings": train_cfg.tune_source_embeddings})
             result = mapping.scdr_train(scenario, src_model, tgt_model, train_cfg)
-        mapping.save_mapping(result.net, staged[0], config=echo, inputs=inputs)
+        mapping.save_mapping(result.net, staged[0], inputs=inputs)
         _write_trace(result.loss_trace, staged[1])
     print(f"trained {method} mapping (final loss "
           f"{result.loss_trace[-1] if result.loss_trace else float('nan'):.4f})")
@@ -290,8 +278,6 @@ def _load_eval_inputs(out: Path, method: str):
     """The scenario, both factor models, the mapping and a report's ``inputs`` (its sha256)."""
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
     net, _, digest = mapping.load_mapping(out / f"mapping_{method}.npy", inputs)
-    if net.d != src_model.d:
-        raise ValidationError("mapping checkpoint does not match the factor models' latent dim")
     return scenario, src_model, tgt_model, net, {"mapping": digest}
 
 

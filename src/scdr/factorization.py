@@ -282,7 +282,7 @@ def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.
 
     ``mode="clip"`` spares ``take`` a copy of its ``out``. It clips nothing: a
     :class:`DomainDataset` range-checks its index columns, ``_train`` sizes ``P = [U; V]``
-    from the dataset, and the mapping trainer checks its V against the target domain.
+    from the dataset, and the mapping trainer's V has passed ``mapping._check_fit``.
     """
     out = buffer[:rows.size * vectors.shape[1]].reshape(rows.size, vectors.shape[1])
     return vectors.take(rows, axis=0, out=out, mode="clip")

@@ -38,7 +38,7 @@ from .errors import ValidationError
 from .factorization import FactorModel, TrainConfig, _run_epochs, _take_rows
 from .perturbation import PerturbConfig, WorstCase, find_delta
 
-MAPPING_CHECKPOINT_VERSION = 6
+MAPPING_CHECKPOINT_VERSION = 7
 # (dtype, ndim) of each array after the checkpoint's header
 _CHECKPOINT_ARRAYS = {"W1": ("f8", 2), "b1": ("f8", 1), "W2": ("f8", 2), "b2": ("f8", 1)}
 
@@ -120,7 +120,10 @@ def init_mapping_net(dim: int, hidden: int, rng: np.random.Generator) -> Mapping
 
 
 def _forward(net: MappingNet, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The net's tanh activations and outputs over the rows of ``u``, built in place."""
+    """The net's tanh activations and outputs over the rows of ``u`` (of the net's width),
+    built in place."""
+    if u.shape[-1] != net.d:
+        raise ValidationError(f"input dim {u.shape[-1]} does not match net dim {net.d}")
     a = u @ net.W1.T
     a += net.b1
     np.tanh(a, out=a)
@@ -131,10 +134,7 @@ def _forward(net: MappingNet, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def forward(net: MappingNet, u: np.ndarray) -> np.ndarray:
     """Map a source embedding (or rows of them) into the target space."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape[-1] != net.d:
-        raise ValidationError(f"input dim {u.shape[-1]} does not match net dim {net.d}")
-    return _forward(net, u)[1]
+    return _forward(net, np.asarray(u, dtype=np.float64))[1]
 
 
 class _Pass:
@@ -339,10 +339,6 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
         t = targets[counts.argmin()]
         raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
     V = target_model.V
-    # the target domain range-checks its item column, so this makes every gather exact
-    if V.shape[0] != scenario.target.n_items:
-        raise ValidationError(f"target model has {V.shape[0]} item rows, "
-                              f"the target domain {scenario.target.n_items} items")
     # a batch's ratings, or one block of the flat layout's (a user above CHUNK_ROWS alone)
     rows = max(int(np.sort(counts)[-batch_size:].sum()),
                min(int(counts.sum()), max(CHUNK_ROWS, int(counts.max()))))
@@ -356,12 +352,23 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
     return batch, (_rating_target(V, ratings, counts, items, scratch=gathered), int(counts.sum()))
 
 
+def _check_fit(scenario: CdrScenario, source_model: FactorModel,
+               target_model: FactorModel) -> None:
+    """Refuse factor models whose U and V are not each domain's ``(n_users, d)`` and
+    ``(n_items, d)``, at the source model's width ``d``. The trainers and the analyses
+    call it first: they gather model rows by the scenario's indices, unchecked."""
+    d = source_model.d
+    for name, model, domain in (("source", source_model, scenario.source),
+                                ("target", target_model, scenario.target)):
+        fit = (domain.n_users, d), (domain.n_items, d)
+        if (model.U.shape, model.V.shape) != fit:
+            raise ValidationError(f"{name} model does not fit the scenario: U {model.U.shape} and "
+                                  f"V {model.V.shape}, where its domain needs {fit[0]} and {fit[1]}")
+
+
 def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
                    config: ScdrTrainConfig) -> MappingTrainResult:
-    if source_model.d != target_model.d:
-        raise ValidationError(
-            f"factor models disagree on latent dim: {source_model.d} vs {target_model.d}"
-        )
+    _check_fit(scenario, source_model, target_model)
     if not scenario.train_pairs:
         raise ValidationError("mapping-train split is empty")
     base, perturb = config.base, config.perturb
@@ -428,13 +435,10 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
     return _train_mapping(scenario, source_model, target_model, config)
 
 
-def save_mapping(net: MappingNet, path, config: dict | None = None,
-                 inputs: dict | None = None) -> None:
+def save_mapping(net: MappingNet, path, inputs: dict | None = None) -> None:
     """Write a header with ``inputs`` digests, then W1, b1, W2 and b2."""
-    write_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, {
-        "activation": "tanh",
-        "config": config,
-    }, inputs=inputs, arrays={"W1": net.W1, "b1": net.b1, "W2": net.W2, "b2": net.b2})
+    write_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, {"activation": "tanh"},
+                   inputs=inputs, arrays={"W1": net.W1, "b1": net.b1, "W2": net.W2, "b2": net.b2})
 
 
 def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict, str]:

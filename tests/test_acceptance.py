@@ -87,7 +87,7 @@ def pretrain_pair(scenario, seed, perturb=None):
 
 
 def train_scdr(scenario, src, tgt, seed, section=TRAIN):
-    return scdr_train(scenario, src, tgt, _mapping_config(section, seed, src.d)).net
+    return scdr_train(scenario, src, tgt, _mapping_config(section, seed)).net
 
 
 @functools.cache
@@ -97,7 +97,7 @@ def desk_models(seed, beta):
     scenario, _ = generate_synthetic(desk_spec(seed, beta))
     plain = pretrain_pair(scenario, seed)
     smf = pretrain_pair(scenario, seed, _perturb_config(PRETRAIN))
-    emcdr_cfg = _mapping_config(TRAIN, seed, plain[0].d)
+    emcdr_cfg = _mapping_config(TRAIN, seed)
     return {
         "scenario": scenario,
         "plain": plain,

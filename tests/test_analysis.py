@@ -229,6 +229,39 @@ class TestEvaluate:
             EvalReport(mae=1.0, rmse=1.0, n=0, seed=0)
 
 
+ANALYSES = {
+    "evaluate": lambda net, src, tgt, scn: evaluate(net, src, tgt, scn),
+    "fgsm_sweep": lambda net, src, tgt, scn: fgsm_sweep(net, src, tgt, scn, [0.0, 0.5]),
+    "landscape_grid": lambda net, src, tgt, scn: landscape_grid(
+        net, src, tgt, scn, LandscapeSpec(resolution=3, n_samples=20)),
+    "lipschitz_estimate": lambda net, src, tgt, scn: lipschitz_estimate(
+        net, src, tgt, scn, PerturbConfig(rho=0.3, k=2)),
+}
+
+# each turns the trained stack (latent width 6) into one whose parts do not fit together
+MISFITS = {
+    "net-of-width-5": lambda src, tgt, net: (src, tgt, init_mapping_net(
+        5, 12, np.random.default_rng(0))),
+    "constant-net-of-width-5": lambda src, tgt, net: (src, tgt, zero_net(5)),
+    "target-of-width-5": lambda src, tgt, net: (src, FactorModel(tgt.U[:, :5], tgt.V[:, :5]),
+                                                net),
+    "source-U-one-row-short": lambda src, tgt, net: (FactorModel(src.U[:-1], src.V), tgt, net),
+    "target-V-one-row-short": lambda src, tgt, net: (src, FactorModel(tgt.U, tgt.V[:-1]), net),
+}
+
+
+@pytest.mark.parametrize("misfit", MISFITS)
+@pytest.mark.parametrize("analysis", ANALYSES)
+def test_parts_that_do_not_fit_are_refused(trained_stack, analysis, misfit):
+    """Every analysis refuses a net, or factor models, that do not fit the scenario and
+    each other, before it scores anything: none returns, and none raises numpy's errors
+    (a short source U passed whenever the test users' rows lay below its end)."""
+    scn, *stack = trained_stack
+    src, tgt, net = MISFITS[misfit](*stack)
+    with pytest.raises(ValidationError, match="does not fit the scenario|does not match net dim"):
+        ANALYSES[analysis](net, src, tgt, scn)
+
+
 class TestFgsmSweep:
     def test_zero_epsilon_matches_evaluate_bitwise(self, trained_stack):
         scn, src, tgt, net = trained_stack

@@ -20,8 +20,9 @@ import scdr.mapping
 from scdr.analysis import LandscapeSpec, landscape_grid, save_landscape
 from scdr.cli import _check_outputs, load_config, main
 from scdr.errors import ValidationError
-from scdr.factorization import load_factor_model
+from scdr.factorization import FactorModel, TrainConfig, load_factor_model, save_factor_model
 from scdr.mapping import MappingNet, load_mapping, save_mapping
+from scdr.perturbation import PerturbConfig
 
 from conftest import (
     count_ascent_work,
@@ -333,6 +334,49 @@ class TestValidation:
             assert "stale mapping checkpoint" in err and "mapping_scdr.npy" in err
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("misfit", [
+        lambda src, tgt: (FactorModel(src.U[:-1], src.V), tgt),
+        lambda src, tgt: (src, FactorModel(tgt.U[:-1], tgt.V)),
+        lambda src, tgt: (src, FactorModel(tgt.U, tgt.V[:-1])),
+        lambda src, tgt: (src, FactorModel(tgt.U[:, :5], tgt.V[:, :5])),
+    ], ids=["source-U-one-row-short", "target-U-one-row-short", "target-V-one-row-short",
+            "target-of-width-5"])
+    def test_factor_checkpoints_that_do_not_fit_exit_2(self, run_copy, capsys, misfit):
+        # the checkpoints record the scenario's inputs and one pretrain config, and the
+        # mapping records their digests, so only the library's fit check refuses them
+        out, cfg = run_copy
+        paths = [out / f"{side}_model_sharpness_aware.npy" for side in ("source", "target")]
+        (src, head, _), (tgt, _, _) = (load_factor_model(p) for p in paths)
+        settings = TrainConfig(**head["config"]), PerturbConfig(**head["perturb"])
+        for model, path in zip(misfit(src, tgt), paths):
+            save_factor_model(model, path, *settings, inputs=head["inputs"])
+        net = load_mapping(out / "mapping_scdr.npy")[0]
+        save_mapping(net, out / "mapping_scdr.npy",
+                     inputs={"source_model": digest(paths[0]), "target_model": digest(paths[1])})
+        before = listing(out)
+        for command in ("train", "eval", "attack", "landscape", "sharpness"):
+            capsys.readouterr()
+            assert run(command, "--config", cfg, "--method", "scdr", "--force") == 2, command
+            assert "model does not fit the scenario" in capsys.readouterr().err, command
+        assert listing(out) == before
+
+    def test_every_mapping_header_value_is_checked(self, run_copy, capsys):
+        """One character changed in any value of a mapping checkpoint's header exits 2 naming
+        it: the loader checks every field, so none is an echo that loads damaged."""
+        out, cfg = run_copy
+        path = out / "mapping_scdr.npy"
+        raw = path.read_bytes()
+        head = json.loads(load_records(path, 1)[0].item())
+        assert sorted(head) == ["activation", "format_version", "inputs", "kind", "records"]
+        for key, value in head.items():
+            path.write_bytes(raw)
+            rewrite_header(path, 5, **{key: one_character_off(value)})
+            before = listing(out)
+            capsys.readouterr()
+            assert run("eval", "--config", cfg, "--method", "scdr") == 2, key
+            assert str(path) in capsys.readouterr().err, key
+            assert listing(out) == before
+
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, {"sed": 1})
         assert run("synth", "--config", cfg) == 2
@@ -466,6 +510,17 @@ def as_directory(path):
 def listing(out):
     """Each entry of ``out`` by name: a file's sha256, or ``None`` for a directory."""
     return {p.name: None if p.is_dir() else digest(p) for p in out.iterdir()}
+
+
+def one_character_off(value):
+    """A JSON header value with one character of its text changed: a string's first, an
+    int's last digit, or that of an object's first value."""
+    if isinstance(value, dict):
+        first = next(iter(value))
+        return {**value, first: one_character_off(value[first])}
+    if isinstance(value, int):
+        return value + 1
+    return chr(ord(value[0]) + 1) + value[1:]
 
 
 def set_key(key, value):
@@ -669,9 +724,12 @@ class TestCorruptInputs:
         # and so is the one whose header repeated the arrays' widths
         (mapping_header(lambda doc: {**doc, "format_version": 5, "d": 6, "hidden": 50}),
          "not a mapping checkpoint: {path}"),
+        # and so is the one whose header echoed the training settings
+        (mapping_header(lambda doc: {**doc, "format_version": 6, "config": {"method": "scdr"}}),
+         "not a mapping checkpoint: {path}"),
     ], ids=["version-2-json", "truncated", "last-byte-cut", "trailing-bytes", "unclosed-header",
             "float32-W1", "1-D-W1", "nan-in-W1", "no-activation", "version-4-tuned-rows",
-            "version-5-widths"])
+            "version-5-widths", "version-6-config-echo"])
     def test_bad_mapping_checkpoint_exits_2_naming_it(self, run_copy, capsys, corrupt, message):
         out, cfg = run_copy
         for name in ("landscape_scdr.csv", "sharpness_scdr.json"):
@@ -714,19 +772,20 @@ class TestCorruptInputs:
                 "header") in capsys.readouterr().err
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("name, command, what", [
-        ("source_model_sharpness_aware.npy", "train", "factor checkpoint"),
-        ("mapping_scdr.npy", "eval", "mapping checkpoint"),
+    @pytest.mark.parametrize("name, command, what, string", [
+        ("source_model_sharpness_aware.npy", "train", "factor checkpoint", '"k"'),
+        ("mapping_scdr.npy", "eval", "mapping checkpoint", '"mapping_net"'),
     ], ids=["factor-train", "mapping-eval"])
     def test_code_point_above_unicode_exits_2_naming_the_file(self, run_copy, capsys, name,
-                                                               command, what):
+                                                               command, what, string):
         # numpy loads the header record, and json.loads then made a one-character string of
-        # the key "k" (both headers hold one): the SystemError escaped main as exit 1
+        # the factor header's key "k": the SystemError escaped main as exit 1. The mapping
+        # header holds no one-character string, so there 0xF4 goes on its kind's first letter
         out, cfg = run_copy
         path = out / name
         text = load_records(path, 1)[0].item()
         raw = bytearray(path.read_bytes())
-        raw[high_bytes(path)[text.index('"k"') + 1]] = 0xF4
+        raw[high_bytes(path)[text.index(string) + 1]] = 0xF4
         path.write_bytes(raw)
         before = {p.name: digest(p) for p in out.iterdir()}
         assert run(command, "--config", cfg, "--method", "scdr", "--force") == 2
@@ -1107,7 +1166,7 @@ class TestSharpnessCommand:
         net = MappingNet(np.zeros((50, d)), np.zeros(50), np.zeros((d, 50)), np.zeros(d))
         inputs = {f"{side}_model": digest(out / f"{side}_model_plain.npy")
                   for side in ("source", "target")}
-        save_mapping(net, out / "mapping_emcdr.npy", config={"method": "emcdr"}, inputs=inputs)
+        save_mapping(net, out / "mapping_emcdr.npy", inputs=inputs)
         assert run("sharpness", "--config", cfg, "--method", "emcdr") == 0
         doc = json.loads((out / "sharpness_emcdr.json").read_text())
         assert doc["lipschitz_estimate"] == 0.0

@@ -1004,7 +1004,7 @@ def write_factor_checkpoint(path):
 
 def write_mapping_checkpoint(path):
     net = MappingNet(np.ones((3, 2)), np.zeros(3), np.ones((2, 3)), np.zeros(2))
-    save_mapping(net, path, config={"method": "scdr"}, inputs={"source_model": "b" * 64})
+    save_mapping(net, path, inputs={"source_model": "b" * 64})
 
 
 def write_sidecar(path):

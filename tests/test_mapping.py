@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from typing import NamedTuple
 
@@ -488,21 +489,24 @@ class TestMappingCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         net = random_net(rng)
         p = tmp_path / "net.npy"
-        save_mapping(net, p, config={"seed": 3})
+        inputs = {"source_model": "a" * 64, "target_model": "b" * 64}
+        save_mapping(net, p, inputs=inputs)
         back, doc, sha = load_mapping(p)
         assert sha == hashlib.sha256(p.read_bytes()).hexdigest()
         for name in ("W1", "b1", "W2", "b2"):
             assert getattr(back, name).tobytes() == getattr(net, name).tobytes(), name
-        assert doc["config"]["seed"] == 3
+        assert doc == {"format_version": 7, "kind": "mapping_net", "inputs": inputs,
+                       "activation": "tanh"}
 
     def test_records_are_a_header_and_four_float64_arrays(self, tmp_path, rng):
         net = random_net(rng)
         p = tmp_path / "net.npy"
-        save_mapping(net, p)
+        save_mapping(net, p, inputs={"source_model": "a" * 64})
         head, *arrays = load_records(p, 5)
-        # the widths are the arrays' own, and the records digest covers them
+        # the widths are the arrays' own, and the records digest covers them; every field is
+        # one that load_mapping checks, so no damaged field loads silently
         assert sorted(json.loads(head.item())) == [
-            "activation", "config", "format_version", "kind", "records"]
+            "activation", "format_version", "inputs", "kind", "records"]
         assert [(a.dtype.str, a.shape) for a in arrays] == [
             ("<f8", net.W1.shape), ("<f8", net.b1.shape), ("<f8", net.W2.shape),
             ("<f8", net.b2.shape)]
@@ -516,7 +520,7 @@ class TestMappingCheckpoint:
         p = tmp_path / "net.npy"
         save_mapping(random_net(rng), p, inputs=inputs)
         _, doc, _ = load_mapping(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 6
+        assert doc["inputs"] == inputs and doc["format_version"] == 7
         for other in ({**inputs, "target_model": "c" * 64}, {}):
             with pytest.raises(ValidationError, match="stale mapping checkpoint") as exc:
                 load_mapping(p, other)
@@ -923,8 +927,9 @@ class TestSupervisionBuffers:
         short = FactorModel(tgt.U, tgt.V[:-1])
         config = ScdrTrainConfig(base=TrainConfig(epochs=1, dim=3),
                                  perturb=PerturbConfig(rho=0.3, k=2))
-        with pytest.raises(ValidationError,
-                           match="^target model has 29 item rows, the target domain 30 items$"):
+        with pytest.raises(ValidationError, match=re.escape(
+                "target model does not fit the scenario: U (60, 3) and V (29, 3), where its "
+                "domain needs (60, 3) and (30, 3)")):
             scdr_train(scn, src, short, config)
 
     def test_second_training_does_not_fault_its_batches_again(self):
@@ -937,6 +942,23 @@ class TestSupervisionBuffers:
                                  perturb=PerturbConfig(rho=0.3, k=5))
         scdr_train(scn, src, tgt, config)
         assert minor_faults(lambda: scdr_train(scn, src, tgt, config)) < 3_000
+
+
+@pytest.mark.parametrize("train, side", [(scdr_train, "source"), (emcdr_train, "target")],
+                         ids=["scdr-short-source-U", "emcdr-short-target-U"])
+def test_user_rows_short_of_the_domain_are_refused(train, side):
+    # overlap users come first in a synthetic scenario, so a short U held every row
+    # that training indexed: it trained without complaint, or raised numpy's IndexError
+    scn, src, tgt = synthetic_models(SyntheticSpec(users=60, items=30, overlap_ratio=0.5,
+                                                   dim=3, ratings_per_user=5, seed=2))
+    models = {"source": src, "target": tgt}
+    models[side] = FactorModel(models[side].U[:-1], models[side].V)
+    base = TrainConfig(epochs=1, dim=3)
+    config = (base if train is emcdr_train else
+              ScdrTrainConfig(base=base, perturb=PerturbConfig(rho=0.3, k=2)))
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{side} model does not fit the scenario: U (59, 3)")):
+        train(scn, models["source"], models["target"], config)
 
 
 class TestBackwardWork:

@@ -382,3 +382,22 @@ def test_only_the_touched_rows_helper_sorts():
                if isinstance(node, ast.Call)
                and ast.unparse(node.func).rpartition(".")[2] in sorts}
     assert callers == {"_touched"}
+
+
+def test_only_the_fit_check_reads_the_scenario_shape():
+    """The fact "these factor models fit this scenario" is checked by ``mapping._check_fit``.
+
+    In ``mapping`` and ``analysis``, only it reads a domain's ``n_users`` or ``n_items``,
+    and no function in ``cli`` reads a model's ``U``, ``V`` or ``d``. A shape or width
+    check anywhere else would be a second copy of the fact, as the CLI's once were.
+    """
+    def readers(module, names):
+        tree = ast.parse((ROOT / "src" / "scdr" / f"{module}.py").read_text(encoding="utf-8"))
+        scope = {id(node): top.name for top in tree.body if hasattr(top, "name")
+                 for node in ast.walk(top)}
+        return {scope.get(id(node), "<module>") for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in names}
+
+    assert readers("cli", {"U", "V", "d"}) == set()
+    shape = {"n_users", "n_items"}
+    assert readers("mapping", shape) | readers("analysis", shape) == {"_check_fit"}
