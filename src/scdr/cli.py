@@ -61,14 +61,7 @@ DEFAULT_CONFIG: dict = {
         "tune_source_embeddings": True,
     },
     "attack": {"epsilons": [0.0, 0.25, 0.5, 0.75, 1.0]},
-    "landscape": {
-        "zeta_min": -1.0,
-        "zeta_max": 1.0,
-        "gamma_min": -1.0,
-        "gamma_max": 1.0,
-        "resolution": 21,
-        "n_samples": None,
-    },
+    "landscape": {"resolution": 21, "n_samples": None},
     "sharpness": {"rho": 0.3, "k": 5},
 }
 

@@ -97,6 +97,8 @@ class ScdrTrainConfig:
     ``tune_source_embeddings`` ablates the joint minimization over the
     overlapping users' source rows; ``supervision`` picks the outer loss
     (withheld-rating reconstruction, or the baseline embedding MSE).
+    Of ``base`` the trainer reads only ``epochs``, ``learning_rate``,
+    ``batch_size`` and ``seed``; the net's width is ``hidden``.
     """
 
     base: TrainConfig
@@ -411,7 +413,8 @@ def emcdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: 
     """Baseline mapping trainer: ``scdr_train`` at zero radius, with frozen
     embeddings and embedding supervision, so MSE between f(u_source) and the
     pretrained target embedding over mapping-train users; the returned
-    source matrix is an untouched copy."""
+    source matrix is an untouched copy. Of ``config`` it reads only
+    ``epochs``, ``learning_rate``, ``batch_size`` and ``seed``."""
     return _train_mapping(scenario, source_model, target_model, ScdrTrainConfig(
         base=config, perturb=PerturbConfig(rho=0.0, k=0), tune_source_embeddings=False,
         supervision=SUPERVISION_EMBEDDING, hidden=hidden))

@@ -28,7 +28,7 @@ from scdr.mapping import (MappingNet, ScdrTrainConfig, forward, init_mapping_net
                           scdr_train)
 from scdr.perturbation import PerturbConfig, find_delta
 
-from conftest import dataset, set_chunk_rows, uneven_scenario
+from conftest import dataset, same_bits, set_chunk_rows, uneven_scenario
 
 
 def zero_net(d):
@@ -300,6 +300,15 @@ class TestLandscape:
         withheld = scn.target.n_interactions - scn.target_training_dataset().n_interactions
         assert grid.n_samples == min(256, withheld)
 
+    @pytest.mark.parametrize("resolution", [2, 7])
+    def test_axes_span_one_embedding_norm(self, trained_stack, resolution):
+        # the lattice is fixed: ±1 filter-normalized units on both axes
+        scn, src, tgt, net = trained_stack
+        grid = landscape_grid(net, src, tgt, scn,
+                              LandscapeSpec(resolution=resolution, n_samples=10, seed=1))
+        expect = np.linspace(-1.0, 1.0, resolution)
+        assert same_bits(grid.zeta_axis, expect) and same_bits(grid.gamma_axis, expect)
+
     def test_center_cell_is_unperturbed_error(self, trained_stack):
         scn, src, tgt, net = trained_stack
         spec = LandscapeSpec(resolution=21, seed=4)
@@ -381,8 +390,6 @@ class TestLandscape:
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             LandscapeSpec(resolution=1)
-        with pytest.raises(ValidationError):
-            LandscapeSpec(zeta_min=1.0, zeta_max=-1.0)
 
 
 class TestLipschitz:

@@ -864,6 +864,10 @@ class TestCorruptInputs:
         # the grid is drawn from the command's seed
         (["landscape", "--method", "scdr"], {"landscape": {"seed": 3}}, None,
          "unknown config key landscape.seed"),
+        # the lattice spans ±1 filter-normalized units on both axes
+        *[(["landscape", "--method", "scdr"], {"landscape": {key: 0.5}}, None,
+           f"unknown config key landscape.{key}")
+          for key in ("zeta_min", "zeta_max", "gamma_min", "gamma_max")],
         (["eval", "--method", "scdr"], {}, ("scenario.json", set_key("seed", -1)),
          "scenario.json: seed must be >= 0, got -1"),
         # an ascent is its radius and step count; no step-size key is read
@@ -892,7 +896,8 @@ class TestCorruptInputs:
          ".source_model_plain.npy.staged exists and is not a regular file"),
         (["train", "--method", "scdr"], {}, (".mapping_trace_scdr.csv.staged", os.mkdir),
          ".mapping_trace_scdr.csv.staged exists and is not a regular file"),
-    ], ids=["seed-flag", "seed-flag-pretrain", "landscape-seed", "manifest-seed",
+    ], ids=["seed-flag", "seed-flag-pretrain", "landscape-seed", "landscape-zeta-min",
+            "landscape-zeta-max", "landscape-gamma-min", "landscape-gamma-max", "manifest-seed",
             "pretrain-alpha", "train-alpha", "plain-ascent", "plain-k", "emcdr-ascent",
             "eval-output-directory", "pretrain-output-directory", "synth-staging-directory",
             "pretrain-staging-directory", "train-staging-directory"])

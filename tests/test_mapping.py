@@ -259,6 +259,26 @@ class TestEmcdrTrain:
             emcdr_train(scn, src, tgt, TrainConfig(epochs=1, dim=10, seed=0), hidden=hidden)
 
 
+@pytest.mark.parametrize("trainer", ["emcdr", "scdr"])
+def test_mapping_trainers_ignore_factor_only_fields(trainer):
+    """Of the factor TrainConfig the mapping trainers read only epochs, learning_rate,
+    batch_size and seed: the other fields change no bit of the net or the trace."""
+    scn, _, src, tgt = identity_scenario()
+
+    def train(**factor_only):
+        base = TrainConfig(epochs=8, learning_rate=0.02, batch_size=32, seed=4, **factor_only)
+        if trainer == "emcdr":
+            return emcdr_train(scn, src, tgt, base)
+        return scdr_train(scn, src, tgt, ScdrTrainConfig(base=base,
+                                                         perturb=PerturbConfig(rho=0.2, k=2)))
+
+    default, other = train(), train(weight_decay=0.5, init_std=3.0, dim=7)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert same_bits(getattr(default.net, name), getattr(other.net, name))
+    assert same_bits(default.tuned_source_U, other.tuned_source_U)
+    assert same_bits(np.array(default.loss_trace), np.array(other.loss_trace))
+
+
 def kernel_pair(net, target):
     """The trainer's ascent pair over ``mapping._kernel``, looked up at each call."""
     return WorstCase(lambda u: mapping._kernel(net, u, target))

@@ -149,7 +149,8 @@ def test_every_traced_name_is_called(tmp_path, monkeypatch):
 
 
 def test_readme_config_block_loads(tmp_path):
-    """README's example config names every key the CLI accepts, each with a value of its kind."""
+    """README's example config names every key the CLI accepts, each with its built-in
+    default except for ``seed`` and ``out``."""
     blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     path = tmp_path / "readme.json"
@@ -160,8 +161,15 @@ def test_readme_config_block_loads(tmp_path):
     def keys(doc):
         return {k: keys(v) if isinstance(v, dict) else None for k, v in doc.items()}
 
+    doc = json.loads(blocks[0])
     # so no setting goes undocumented
-    assert keys(json.loads(blocks[0])) == keys(scdr.cli.DEFAULT_CONFIG)
+    assert keys(doc) == keys(scdr.cli.DEFAULT_CONFIG)
+
+    def defaults(doc):
+        return {k: v for k, v in doc.items() if k not in ("seed", "out")}
+
+    # and no documented default drifts from the one the CLI uses
+    assert defaults(doc) == defaults(scdr.cli.DEFAULT_CONFIG)
 
 
 def test_every_benchmark_stage_config_loads(tmp_path):
