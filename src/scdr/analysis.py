@@ -61,19 +61,17 @@ class LandscapeSpec:
 
 @dataclass
 class LandscapeGrid:
-    """Mean absolute error over a (zeta, gamma) lattice of embedding displacements."""
+    """Mean absolute error over the (zeta, gamma) lattice ``axis`` x ``axis`` of displacements."""
 
-    zeta_axis: np.ndarray
-    gamma_axis: np.ndarray
+    axis: np.ndarray
     loss: np.ndarray
     seed: int
     n_samples: int
 
     def __post_init__(self):
-        self.zeta_axis = np.asarray(self.zeta_axis, dtype=np.float64)
-        self.gamma_axis = np.asarray(self.gamma_axis, dtype=np.float64)
+        self.axis = np.asarray(self.axis, dtype=np.float64)
         self.loss = np.asarray(self.loss, dtype=np.float64)
-        if self.loss.shape != (self.zeta_axis.size, self.gamma_axis.size):
+        if self.loss.shape != (self.axis.size, self.axis.size):
             raise ValidationError("loss matrix shape must match the axes")
         if not np.all(np.isfinite(self.loss)):
             raise ValidationError("grid losses must be finite")
@@ -197,7 +195,7 @@ def landscape_grid(net: MappingNet, source_model: FactorModel, target_model: Fac
             displaced = u_sel + axis[gammas, None, None] * d1 + zeta * d2
             preds = np.einsum("gij,ij->gi", forward(net, displaced), v_sel)
             loss[zi, gammas] = np.mean(np.abs(r_sel - preds), axis=1)
-    return LandscapeGrid(axis, axis, loss, spec.seed, int(n))
+    return LandscapeGrid(axis, loss, spec.seed, int(n))
 
 
 def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model: FactorModel,
@@ -262,10 +260,10 @@ def save_attack_report(entries: list[tuple[float, EvalReport]], path,
 
 def save_landscape(grid: LandscapeGrid, path) -> None:
     """Delimited text export, row-major in zeta then gamma, exact float text."""
-    gammas = grid.gamma_axis.tolist()
+    axis = grid.axis.tolist()
     write_csv(path, "zeta,gamma,loss",
-              ((zeta, gamma, loss) for zeta, row in zip(grid.zeta_axis.tolist(), grid.loss.tolist())
-               for gamma, loss in zip(gammas, row)))
+              ((zeta, gamma, loss) for zeta, row in zip(axis, grid.loss.tolist())
+               for gamma, loss in zip(axis, row)))
 
 
 def save_sharpness_report(report: SharpnessReport, path, inputs: dict | None = None) -> None:

@@ -7,7 +7,8 @@ Subcommands cover the full workflow: ``synth`` writes a synthetic scenario,
 command is a pure function of (config file, input files, seed): re-runs are
 byte-identical. Existing outputs are never overwritten without --force, and
 a command that fails before it renames its outputs into place leaves every
-output as it was.
+output as it was. Each command imports the modules it runs, so that a stage
+process, which may compile them from source, compiles no module it never calls.
 
 Exit codes: 0 success, 2 validation error (or too large an allocation, or a
 failed output rename), 3 numeric divergence, 4 missing input.
@@ -23,9 +24,8 @@ import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
-from . import analysis, data, factorization, mapping
+from . import data
 from .errors import DivergenceError, MissingInputError, ValidationError
-from .perturbation import PerturbConfig
 
 # Training takes one ascent step per update, as SAM does; the probe, a measurement, takes five.
 DEFAULT_CONFIG: dict = {
@@ -168,19 +168,21 @@ def _check_outputs(paths, force: bool):
         raise
 
 
-def _train_config(section: dict, seed: int, **given) -> factorization.TrainConfig:
-    """The section's TrainConfig fields; ``given`` sets fields the section lacks."""
+def _train_config(section: dict, seed: int):
+    """The section's TrainConfig fields."""
+    from . import factorization
     names = {f.name for f in dataclasses.fields(factorization.TrainConfig)}
-    return factorization.TrainConfig(
-        seed=seed, **{k: v for k, v in section.items() if k in names}, **given)
+    return factorization.TrainConfig(seed=seed, **{k: v for k, v in section.items() if k in names})
 
 
-def _perturb_config(section: dict) -> PerturbConfig:
+def _perturb_config(section: dict):
+    from .perturbation import PerturbConfig
     return PerturbConfig(rho=section["rho"], k=section["k"])
 
 
-def _mapping_config(section: dict, seed: int) -> mapping.ScdrTrainConfig:
+def _mapping_config(section: dict, seed: int):
     """The ``train`` section's mapping config; emcdr reads only its ``base`` and ``hidden``."""
+    from . import mapping
     return mapping.ScdrTrainConfig(base=_train_config(section, seed),
                                    perturb=_perturb_config(section),
                                    tune_source_embeddings=section["tune_source_embeddings"],
@@ -211,6 +213,7 @@ def cmd_synth(cfg: dict, out: Path, seed: int, force: bool) -> None:
 
 
 def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> None:
+    from . import factorization
     scenario = data.load_scenario(out / "scenario.json")
     section = cfg["pretrain"]
     train_cfg = _train_config(section, seed)
@@ -239,6 +242,7 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
 def _load_train_inputs(out: Path, method: str):
     """The scenario, both factor models and the sha256 of their checkpoints; a pair whose
     ``config`` or ``perturb`` differ, which one ``pretrain`` run never writes, is refused."""
+    from . import factorization
     scenario = data.load_scenario(out / "scenario.json")
     mode = _METHOD_MODE[method]
     paths = [out / f"{side}_model_{mode}.npy" for side in ("source", "target")]
@@ -251,6 +255,7 @@ def _load_train_inputs(out: Path, method: str):
 
 
 def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
+    from . import mapping
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
     # the ascent settings are checked for emcdr too, which runs no ascent
     train_cfg = _mapping_config(cfg["train"], seed)
@@ -269,12 +274,14 @@ def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None
 
 def _load_eval_inputs(out: Path, method: str):
     """The scenario, both factor models, the mapping and a report's ``inputs`` (its sha256)."""
+    from . import mapping
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
     net, _, digest = mapping.load_mapping(out / f"mapping_{method}.npy", inputs)
     return scenario, src_model, tgt_model, net, {"mapping": digest}
 
 
 def cmd_eval(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
+    from . import analysis
     scenario, src_model, tgt_model, net, inputs = _load_eval_inputs(out, method)
     with _check_outputs([out / f"eval_{method}.json"], force) as (staged,):
         report = analysis.evaluate(net, src_model, tgt_model, scenario)
@@ -283,6 +290,7 @@ def cmd_eval(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
 
 
 def cmd_attack(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
+    from . import analysis
     scenario, src_model, tgt_model, net, inputs = _load_eval_inputs(out, method)
     with _check_outputs([out / f"attack_{method}.json"], force) as (staged,):
         entries = analysis.fgsm_sweep(net, src_model, tgt_model, scenario,
@@ -293,6 +301,7 @@ def cmd_attack(cfg: dict, out: Path, seed: int, force: bool, method: str) -> Non
 
 
 def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
+    from . import analysis
     scenario, src_model, tgt_model, net, _ = _load_eval_inputs(out, method)
     spec = analysis.LandscapeSpec(**cfg["landscape"], seed=seed)
     with _check_outputs([out / f"landscape_{method}.csv"], force) as (staged,):
@@ -303,6 +312,7 @@ def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> 
 
 
 def cmd_sharpness(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:
+    from . import analysis
     scenario, src_model, tgt_model, net, inputs = _load_eval_inputs(out, method)
     with _check_outputs([out / f"sharpness_{method}.json"], force) as (staged,):
         report = analysis.lipschitz_estimate(net, src_model, tgt_model, scenario,

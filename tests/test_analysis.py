@@ -296,7 +296,7 @@ class TestLandscape:
         grid = landscape_grid(net, src, tgt, scn, LandscapeSpec(seed=3))
         assert grid.loss.shape == (21, 21)
         assert np.all(np.isfinite(grid.loss))
-        assert np.all(np.diff(grid.zeta_axis) > 0) and np.all(np.diff(grid.gamma_axis) > 0)
+        assert np.all(np.diff(grid.axis) > 0)
         withheld = scn.target.n_interactions - scn.target_training_dataset().n_interactions
         assert grid.n_samples == min(256, withheld)
 
@@ -307,7 +307,7 @@ class TestLandscape:
         grid = landscape_grid(net, src, tgt, scn,
                               LandscapeSpec(resolution=resolution, n_samples=10, seed=1))
         expect = np.linspace(-1.0, 1.0, resolution)
-        assert same_bits(grid.zeta_axis, expect) and same_bits(grid.gamma_axis, expect)
+        assert same_bits(grid.axis, expect)
 
     def test_center_cell_is_unperturbed_error(self, trained_stack):
         scn, src, tgt, net = trained_stack
@@ -349,8 +349,8 @@ class TestLandscape:
         norms = np.linalg.norm(u, axis=1, keepdims=True)
         d1 = g1 / np.linalg.norm(g1) * norms
         d2 = g2 / np.linalg.norm(g2) * norms
-        for zi, zeta in enumerate(grid.zeta_axis):
-            for gi, gamma in enumerate(grid.gamma_axis):
+        for zi, zeta in enumerate(grid.axis):
+            for gi, gamma in enumerate(grid.axis):
                 displaced = u + gamma * d1 + zeta * d2
                 expect = float(np.mean(np.abs(r - np.einsum("ij,ij->i", displaced, v))))
                 assert abs(grid.loss[zi, gi] - expect) < 1e-10
@@ -370,8 +370,8 @@ class TestLandscape:
         norms = np.linalg.norm(u, axis=1, keepdims=True)
         d1 = (g1 / np.linalg.norm(g1))[None, :] * norms
         d2 = (g2 / np.linalg.norm(g2))[None, :] * norms
-        for zi, zeta in enumerate(grid.zeta_axis):
-            for gi, gamma in enumerate(grid.gamma_axis):
+        for zi, zeta in enumerate(grid.axis):
+            for gi, gamma in enumerate(grid.axis):
                 preds = np.einsum("ij,ij->i", forward(net, u + gamma * d1 + zeta * d2), v)
                 assert grid.loss[zi, gi] == np.mean(np.abs(r - preds))
 
@@ -496,7 +496,7 @@ class TestReportFiles:
         assert lines[0] == "zeta,gamma,loss"
         assert len(lines) == 1 + 9
         zeta, gamma, loss = lines[1].split(",")
-        assert float(zeta) == grid.zeta_axis[0] and float(loss) == grid.loss[0, 0]
+        assert float(zeta) == float(gamma) == grid.axis[0] and float(loss) == grid.loss[0, 0]
 
     def test_sharpness_file(self, tmp_path):
         from scdr.analysis import SharpnessReport

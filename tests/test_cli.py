@@ -606,19 +606,41 @@ def non_utf8_row_3(path):
     path.write_bytes(b"\n".join(lines))
 
 
+def run_main_in_child(argv, report):
+    """Run ``main(argv)`` in a fresh interpreter that imports the same scdr as this process;
+    its last line of output is the exit code and the value of the expression ``report``."""
+    code = f"import sys\nfrom scdr.cli import main\ncode = main({argv!r})\nprint(code, {report})"
+    path = os.pathsep.join([str(Path(scdr.data.__file__).parents[1]),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("command", ["eval", "attack", "sharpness"])
 def test_stored_split_is_used_without_numpy_random(run_copy, command):
     """The manifest stores the split, so these commands never import ``numpy.random``."""
     out, cfg = run_copy
-    code = ("import sys\nfrom scdr.cli import main\n"
-            f"code = main({[command, '--config', cfg, '--method', 'scdr', '--force']!r})\n"
-            "print(code, 'numpy.random' in sys.modules)")
-    # the child imports the same scdr as this process
-    path = os.pathsep.join([str(Path(scdr.data.__file__).parents[1]),
-                            *filter(None, [os.environ.get("PYTHONPATH")])])
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
+    res = run_main_in_child([command, "--config", cfg, "--method", "scdr", "--force"],
+                            "'numpy.random' in sys.modules")
     assert res.stdout.splitlines()[-1] == "0 False", res.stderr
+
+
+# the modules each command runs, beyond the package, the CLI, data and errors
+TRAINERS = ["scdr.factorization", "scdr.perturbation"]
+COMMAND_MODULES = {"synth": [], "pretrain": TRAINERS, "train": [*TRAINERS, "scdr.mapping"],
+                   **dict.fromkeys(["eval", "attack", "landscape", "sharpness"],
+                                   [*TRAINERS, "scdr.mapping", "scdr.analysis"])}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_a_command_loads_only_the_modules_it_runs(run_copy, command):
+    """A stage process compiles and runs no scdr module that its command never calls."""
+    out, cfg = run_copy
+    method = [] if command in ("synth", "pretrain") else ["--method", "scdr"]
+    res = run_main_in_child([command, "--config", cfg, "--force", *method],
+                            "sorted(m for m in sys.modules if m.partition('.')[0] == 'scdr')")
+    loaded = sorted(["scdr", "scdr.cli", "scdr.data", "scdr.errors", *COMMAND_MODULES[command]])
+    assert res.stdout.splitlines()[-1] == f"0 {loaded}", res.stderr
 
 
 class TestCorruptInputs:

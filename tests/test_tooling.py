@@ -28,6 +28,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import scdr.analysis
 import scdr.cli
 import scdr.data
@@ -199,16 +201,38 @@ def test_readme_imports_resolve():
     exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})
 
 
-def test_a_module_imports_only_its_dependencies():
-    """Importing ``scdr.data`` loads the package and ``scdr.errors``, and no other module."""
-    code = ("import sys, scdr.data\n"
+# each module's closure under import, itself and the package aside; ``cli`` imports the
+# modules a command runs inside that command
+DEPENDENCIES = {
+    "scdr.errors": [],
+    "scdr.data": ["scdr.errors"],
+    "scdr.perturbation": ["scdr.errors"],
+    "scdr.cli": ["scdr.data", "scdr.errors"],
+    "scdr.factorization": ["scdr.data", "scdr.errors", "scdr.perturbation"],
+    "scdr.mapping": ["scdr.data", "scdr.errors", "scdr.factorization", "scdr.perturbation"],
+    "scdr.analysis": ["scdr.data", "scdr.errors", "scdr.factorization", "scdr.mapping",
+                      "scdr.perturbation"],
+}
+
+
+def test_every_module_has_its_dependencies_pinned():
+    """A module added to the package gets its closure pinned in ``DEPENDENCIES`` too."""
+    modules = {f"scdr.{p.stem}" for p in (ROOT / "src" / "scdr").glob("*.py")}
+    assert modules - {"scdr.__init__"} == set(DEPENDENCIES)
+
+
+@pytest.mark.parametrize("module", list(DEPENDENCIES))
+def test_a_module_imports_only_its_dependencies(module):
+    """Importing a module loads the package, the module and its dependencies, and nothing else
+    of ``scdr``; so a new top-level import in ``cli`` cannot load every module for every command."""
+    code = (f"import sys, {module}\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scdr'))")
     # the child imports the same scdr as this process
     path = os.pathsep.join([str(Path(scdr.data.__file__).parents[1]),
                             *filter(None, [os.environ.get("PYTHONPATH")])])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.strip() == str(["scdr", "scdr.data", "scdr.errors"])
+    assert out.strip() == str(sorted(["scdr", module, *DEPENDENCIES[module]]))
 
 
 def test_only_data_spells_the_json_artifact_format():
