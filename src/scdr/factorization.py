@@ -131,9 +131,10 @@ def _touched(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _workspace(n_rows: int, batch_size: int, d: int, floats: int = 0) -> tuple[np.ndarray, ...]:
     """A step's row-to-position table over ``P``'s rows, its grid of flat indices ``bin * d +
-    col`` for up to ``batch_size`` ratings, and two float buffers of at least ``floats``: in
-    ``_train`` they hold the epoch loss's blocks too, as fresh blocks would be mapped by
-    malloc each time and step buffers of their own raise its traced peak by 82 KB."""
+    col`` for up to ``batch_size`` ratings, and two float buffers of at least ``floats``, for
+    a step's rows and its per-rating gradient terms: in ``_train`` they hold the epoch
+    loss's blocks too, as fresh blocks would be mapped by malloc each time and step buffers
+    of their own raise its traced peak by 82 KB."""
     floats = max(floats, 2 * batch_size * d)
     grid = np.arange(2 * batch_size * d).reshape(2 * batch_size, d)
     return np.empty(n_rows, dtype=np.intp), grid, np.empty(floats), np.empty(floats)
@@ -148,9 +149,9 @@ class _Batch:
     what ``table.take(idx)`` reads, so no table is ever cleared and a step costs the same at
     any row count. User bins lie in the first half. ``flat`` indexes each rating's entries
     in the grid of its partner's bin (a user row weights its item's gradient), so item bins
-    come first. ``weights``, the other buffer, holds the update's gradient. With a positive
-    decay, ``first_u`` is each touched user's first position and ``v_touched`` each touched
-    item row, by row order.
+    come first. ``weights``, the other buffer, holds the per-rating terms that the update's
+    gradient sums into the bins. With a positive decay, ``first_u`` is each touched user's
+    first position and ``v_touched`` each touched item row, by row order.
     """
 
     def __init__(self, idx: np.ndarray, r: np.ndarray, P: np.ndarray, weight_decay: float,
@@ -183,9 +184,11 @@ class _Pass:
     update's, is the gradient of ``[u_rows; v_rows]`` in one scatter, and
     ``grad_u`` that scatter over the user half alone. Each sums per-rating
     rows times ``-2 * resid`` into the batch's bins with ``np.bincount``,
-    which like ``np.add.at`` adds in rating order from 0.0, and reads the
-    sums back per rating: each rating holds its row's gradient, bitwise the
-    per-row sum. A gradient is the caller's to write.
+    which like ``np.add.at`` adds in rating order from 0.0: a touched row's
+    total, bitwise the per-row sum, is at its bin. ``grad`` leaves it there,
+    for the update to write from; ``grad_u`` reads it back per rating, so a
+    repeated user's rows stay equal through the ascent. A gradient is the
+    caller's to write.
     """
 
     __slots__ = ("_b", "u_rows", "resid")
@@ -204,32 +207,39 @@ class _Pass:
     def grad_u(self) -> np.ndarray:
         b = self._b
         weights = -2.0 * self.resid[:, None] * b.v_rows
-        return self._scatter(b.flat[weights.size:], b.bins[:self.resid.size], weights, self.u_rows)
+        totals = self._scatter(b.flat[weights.size:], weights, self.u_rows)
+        return self._read_back(totals, b.bins[:self.resid.size], weights)
 
     def grad(self) -> np.ndarray:
-        """The gradient of ``[u_rows; v_rows]``, per rating of each, in the batch's ``weights``."""
-        b, m2r = self._b, -2.0 * self.resid[:, None]
-        np.multiply(m2r, self.u_rows, out=b.weights[0])
-        np.multiply(m2r, b.v_rows, out=b.weights[1])
-        return self._scatter(b.flat, b.bins, b.weights, self.u_rows, b.v_rows)
+        """The gradient of ``[u_rows; v_rows]``: each touched row's total at its bin, and at
+        any other position no total, only its row's decay term."""
+        b, w = self._b, self._b.weights
+        # -2 * resid filled in once, then same-shape multiplies, which beat a broadcast's
+        np.multiply(self.resid[:, None], -2.0, out=w[1])
+        np.multiply(w[1], self.u_rows, out=w[0])
+        w[1] *= b.v_rows
+        return self._scatter(b.flat, w, self.u_rows, b.v_rows)
 
-    def _scatter(self, flat: np.ndarray, bins: np.ndarray, weights: np.ndarray,
-                 *owns: np.ndarray) -> np.ndarray:
-        """``weights`` summed per bin and read back per rating into ``weights``, plus the decay
-        of ``owns``, the rows whose gradient each block of ``weights`` becomes."""
-        sums = np.bincount(flat, weights=weights.ravel(), minlength=weights.size)
-        grad = weights.reshape(-1, weights.shape[-1])
-        # the bins are in range: "clip" clips nothing, and spares take a copy of its out
-        sums.reshape(grad.shape).take(bins, axis=0, out=grad, mode="clip")
+    def _scatter(self, flat: np.ndarray, weights: np.ndarray, *owns: np.ndarray) -> np.ndarray:
+        """``weights`` summed per bin, plus the decay of ``owns``, the rows whose gradient
+        each block of ``weights`` becomes: a fresh array, shaped as ``weights``' rows."""
+        totals = np.bincount(flat, weights=weights.ravel(), minlength=weights.size)
+        totals = totals.reshape(-1, weights.shape[-1])
         if self._b.weight_decay > 0.0:
-            for block, own in zip(grad.reshape(len(owns), -1, grad.shape[1]), owns):
+            for block, own in zip(totals.reshape(len(owns), -1, totals.shape[1]), owns):
                 block += 2.0 * self._b.weight_decay * own
-        return grad
+        return totals
+
+    @staticmethod
+    def _read_back(totals: np.ndarray, bins: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Each rating's row total, ``totals[bins]``, written into ``out``."""
+        # the bins are in range: "clip" clips nothing, and spares take a copy of its out
+        return totals.take(bins, axis=0, out=out, mode="clip")
 
 
-def _model_pass(model: FactorModel, batch, weight_decay: float) -> tuple:
-    """The pass at the model's rows of checked (user, item, rating) triples, over a copy of
-    ``[U; V]``, and the triples' user and item index columns."""
+def _model_batch(model: FactorModel, batch, weight_decay: float) -> tuple:
+    """The batch of checked (user, item, rating) triples over a copy of ``[U; V]``, and the
+    triples' user and item index columns."""
     batch = list(batch)
     if not batch:
         raise ValidationError("batch must be non-empty")
@@ -243,7 +253,7 @@ def _model_pass(model: FactorModel, batch, weight_decay: float) -> tuple:
     P = np.concatenate((model.U, model.V))
     b = _Batch(np.concatenate((ui, vi + len(model.U))), r, P, float(weight_decay),
                _workspace(P.shape[0], r.size, model.d))
-    return b.at(b.u_rows), ui, vi
+    return b, ui, vi
 
 
 def _objective(resid: np.ndarray, weight_decay: float, *rows: np.ndarray) -> float:
@@ -265,16 +275,18 @@ def mf_loss(model: FactorModel, batch, weight_decay: float = 0.0) -> float:
     With positive ``weight_decay`` the squared norms of the rows the batch
     touches (each row once) are added, scaled by the decay.
     """
-    return _model_pass(model, batch, weight_decay)[0].loss
+    b = _model_batch(model, batch, weight_decay)[0]
+    return b.at(b.u_rows).loss
 
 
 def mf_grad(model: FactorModel, batch, weight_decay: float = 0.0) -> MfGradient:
     """Analytic gradient of :func:`mf_loss` for the touched U and V rows, in sorted row order."""
-    at, ui, vi = _model_pass(model, batch, weight_decay)
-    grad = at.grad()
+    b, ui, vi = _model_batch(model, batch, weight_decay)
+    grad = b.at(b.u_rows).grad()
     (uniq_u, first_u), (uniq_v, first_v) = _touched(ui), _touched(vi)
-    return MfGradient(uniq_u, grad[:ui.size].take(first_u, axis=0),
-                      uniq_v, grad[ui.size:].take(first_v, axis=0))
+    # a touched row's total is at its bin, which any of its ratings gives
+    return MfGradient(uniq_u, grad.take(b.bins.take(first_u), axis=0),
+                      uniq_v, grad.take(b.bins[ui.size:].take(first_v), axis=0))
 
 
 def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -293,18 +305,19 @@ def _sgd_step(P, idx, r, config: TrainConfig, perturb: PerturbConfig, work) -> N
 
     With a moving ``perturb``, a :class:`WorstCase` pair over the batch's kernel picks whole
     iterates by the summed loss and keeps the picked pass, whose gradient the update reads:
-    k+1 residuals and scatters a step, one of each for a plain step. A repeated row is
-    written several times with equal values. ``work`` is a :func:`_workspace`.
+    k+1 residuals and scatters a step, one of each for a plain step. The update writes each
+    position of ``idx`` from the gradient there; numpy's fancy assignment writes in index
+    order, so a repeated row keeps its last write, at its bin, which holds its total.
+    ``work`` is a :func:`_workspace`.
     """
     b = _Batch(idx, r, P, config.weight_decay, work)
     if perturb.k > 0 and perturb.rho > 0.0:
         pair = WorstCase(b.at)
         find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), b.u_rows, perturb)
-        at = pair.best()
+        grad = pair.best().grad()
     else:
-        at = b.at(b.u_rows)
-    grad = at.grad()
-    # b.rows still holds the batch's rows of P, so this is the in-place -= update
+        grad = b.at(b.u_rows).grad()
+    # b.rows still holds the batch's rows of P, so at each bin this is the in-place -= update
     grad *= config.learning_rate
     P[idx] = np.subtract(b.rows, grad, out=grad)
 

@@ -446,14 +446,51 @@ class TestKernelEquivalence:
         if weight_decay > 0.0:
             du += 2.0 * weight_decay * U[uniq_u]
             dv += 2.0 * weight_decay * V[uniq_v]
-        # each rating reads back its row's sum: the ascent's user half alone, and the
-        # update's one scatter over both halves
+        # the ascent's user half alone reads back its row's sum per rating; the update's
+        # one scatter over both halves holds each row's sum at its bin
         assert same_bits(at.grad_u, du[inv_u])
-        assert same_bits(at.grad(), np.concatenate((du[inv_u], dv[inv_v])))
+        assert same_bits(at.grad()[b.bins], np.concatenate((du[inv_u], dv[inv_v])))
         loss = float(np.einsum("i,i->", resid, resid))
         if weight_decay > 0.0:
             loss += weight_decay * (float((U[uniq_u] ** 2).sum()) + float((V[uniq_v] ** 2).sum()))
         assert at.loss == loss
+
+
+class TestRepeatedRowUpdate:
+    """The update writes a repeated row once per occurrence, and only the last write, at the
+    row's bin, holds its total: it relies on numpy's fancy assignment writing in index order.
+    If that ever changes, these steps stop matching the reference."""
+
+    @staticmethod
+    def columns(rng):
+        """5 users and 4 items over 60 ratings, each one at least 3 times, interleaved."""
+        ui = rng.permutation(np.tile(np.arange(5), 12))
+        return ui, rng.permutation(np.tile(np.arange(4), 15))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_rows_repeated_three_times_match_reference(self, k, weight_decay):
+        rng = np.random.default_rng(21)
+        ui, vi = self.columns(rng)
+        r = rng.uniform(1.0, 5.0, ui.size)
+        U, V = rng.normal(0.0, 0.3, (7, 4)), rng.normal(0.0, 0.3, (6, 4))
+        assert np.bincount(ui).min() >= 3 and np.bincount(vi).min() >= 3
+        cfg = TrainConfig(epochs=1, learning_rate=0.02, weight_decay=weight_decay)
+        pert = PerturbConfig(rho=0.05 if k else 0.0, k=k)
+        new, ref = step_pair(U, V, ui, vi, r, cfg, pert)
+        assert same_bits(new[0], ref[0]) and same_bits(new[1], ref[1])
+
+    def test_each_rows_bin_is_its_last_position(self):
+        rng = np.random.default_rng(22)
+        ui, vi = self.columns(rng)
+        idx = np.concatenate((ui, vi + 7))
+        P = rng.normal(size=(11, 4))
+        work = factorization._workspace(len(P), idx.size, 4)
+        # a table left holding an earlier batch's positions
+        factorization._Batch(idx[::-1].copy(), np.ones(ui.size), P, 0.0, work)
+        b = factorization._Batch(idx, np.ones(ui.size), P, 0.0, work)
+        last = {row: pos for pos, row in enumerate(idx.tolist())}
+        assert b.bins.tolist() == [last[row] for row in idx.tolist()]
 
 
 def step_pair(U, V, ui, vi, r, cfg, pert):
@@ -471,9 +508,11 @@ def step_pair(U, V, ui, vi, r, cfg, pert):
 @pytest.fixture
 def step_log(monkeypatch):
     """The pick of each ``find_delta`` that ``factorization`` calls (0 is the origin, k the
-    last iterate), the count of residuals (one per ``_Pass`` built) and of scatters."""
-    log = {"picks": [], "residuals": 0, "scatters": 0}
+    last iterate), the count of residuals (one per ``_Pass`` built), of scatters and of
+    per-rating read-backs of a scatter's row totals."""
+    log = {"picks": [], "residuals": 0, "scatters": 0, "read_backs": 0}
     init, scatter = factorization._Pass.__init__, factorization._Pass._scatter
+    read_back = factorization._Pass._read_back
 
     def counting_init(self, *args):
         log["residuals"] += 1
@@ -482,6 +521,10 @@ def step_log(monkeypatch):
     def counting_scatter(self, *args):
         log["scatters"] += 1
         return scatter(self, *args)
+
+    def counting_read_back(*args):
+        log["read_backs"] += 1
+        return read_back(*args)
 
     def picking(loss_at, grad_at, origin, config):
         losses = []
@@ -496,6 +539,7 @@ def step_log(monkeypatch):
 
     monkeypatch.setattr(factorization._Pass, "__init__", counting_init)
     monkeypatch.setattr(factorization._Pass, "_scatter", counting_scatter)
+    monkeypatch.setattr(factorization._Pass, "_read_back", staticmethod(counting_read_back))
     monkeypatch.setattr(factorization, "find_delta", picking)
     return log
 
@@ -566,6 +610,24 @@ class TestReusedUpdate:
                       TrainConfig(epochs=1, weight_decay=weight_decay), PerturbConfig(0.0, 0))
             # a plain step: one pass, read for its update's one scatter over both halves
             assert (step_log["residuals"], step_log["scatters"]) == (2, 1)
+
+    def test_only_the_ascent_reads_gradients_back_per_rating(self, synthetic_source,
+                                                             step_log):
+        # the update reads each row's total at its bin; only the ascent's user gradient,
+        # which find_delta takes per rating, is read back to every rating
+        ds = synthetic_source
+        rng = np.random.default_rng(12)
+        U = rng.normal(0.0, 0.1, (ds.n_users, 10))
+        V = rng.normal(0.0, 0.1, (ds.n_items, 10))
+        sel = slice(0, 64)
+        for weight_decay in (0.0, 0.2):
+            cfg = TrainConfig(epochs=1, weight_decay=weight_decay)
+            for pert in (PerturbConfig(0.0, 0), PerturbConfig(0.05, 1), PerturbConfig(0.05, 3)):
+                step_log.update(scatters=0, read_backs=0)
+                step_pair(U, V, ds.user_index[sel], ds.item_index[sel], ds.rating[sel], cfg,
+                          pert)
+                assert step_log["scatters"] == pert.k + 1
+                assert step_log["read_backs"] == pert.k
 
     def test_training_computes_k_plus_1_residuals_per_step(self, synthetic_source, step_log):
         cfg = TrainConfig(epochs=2, batch_size=96, seed=3)
