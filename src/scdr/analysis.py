@@ -230,7 +230,7 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
         # ratio is exactly 0 even though every ascent stalls at the origin
         return SharpnessReport(0.0, perturb.rho, perturb.k, src.size, 0)
     target = _rating_target(V, ratings, counts, items)
-    pair = WorstCase(lambda u: _kernel(net, u, target))
+    pair = WorstCase(lambda u: _kernel(net, u, target), origin)
     find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), origin, perturb)
     delta_norm = np.linalg.norm(pair.point - origin, axis=1)
     moved = delta_norm >= 1e-12

@@ -58,7 +58,6 @@ DEFAULT_CONFIG: dict = {
         "hidden": 50,
         "rho": 0.3,
         "k": 1,
-        "tune_source_embeddings": True,
     },
     "attack": {"epsilons": [0.0, 0.25, 0.5, 0.75, 1.0]},
     "landscape": {"resolution": 21, "n_samples": None},
@@ -184,9 +183,7 @@ def _mapping_config(section: dict, seed: int):
     """The ``train`` section's mapping config; emcdr reads only its ``base`` and ``hidden``."""
     from . import mapping
     return mapping.ScdrTrainConfig(base=_train_config(section, seed),
-                                   perturb=_perturb_config(section),
-                                   tune_source_embeddings=section["tune_source_embeddings"],
-                                   hidden=section["hidden"])
+                                   perturb=_perturb_config(section), hidden=section["hidden"])
 
 
 def _write_trace(trace: list[float], path: Path) -> None:

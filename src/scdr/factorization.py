@@ -303,20 +303,19 @@ def _take_rows(vectors: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.
 def _sgd_step(P, idx, r, config: TrainConfig, perturb: PerturbConfig, work) -> None:
     """One SGD update of the rows ``idx`` of ``P = [U; V]`` that a batch touches.
 
-    With a moving ``perturb``, a :class:`WorstCase` pair over the batch's kernel picks whole
-    iterates by the summed loss and keeps the picked pass, whose gradient the update reads:
-    k+1 residuals and scatters a step, one of each for a plain step. The update writes each
+    The update reads the pass at the pick of a :class:`WorstCase` pair over the batch's
+    kernel at its user rows. With a moving ``perturb`` the ascent picks whole iterates by the
+    summed loss and the pair keeps the picked pass: k+1 residuals and scatters a step; a
+    plain step's pair holds only the origin's pass, one of each. The update writes each
     position of ``idx`` from the gradient there; numpy's fancy assignment writes in index
     order, so a repeated row keeps its last write, at its bin, which holds its total.
     ``work`` is a :func:`_workspace`.
     """
     b = _Batch(idx, r, P, config.weight_decay, work)
+    pair = WorstCase(b.at, b.u_rows)
     if perturb.k > 0 and perturb.rho > 0.0:
-        pair = WorstCase(b.at)
         find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), b.u_rows, perturb)
-        grad = pair.best().grad()
-    else:
-        grad = b.at(b.u_rows).grad()
+    grad = pair.best().grad()
     # b.rows still holds the batch's rows of P, so at each bin this is the in-place -= update
     grad *= config.learning_rate
     P[idx] = np.subtract(b.rows, grad, out=grad)

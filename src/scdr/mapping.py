@@ -19,9 +19,10 @@ iterate, and one kernel (``_kernel``) serves every pass over the rows. The
 kernel runs the forward pass and the per-row losses at once, and the
 backward only when a gradient is read: the input gradient alone for an
 ascent step, every parameter gradient for the update, none for an epoch
-loss. The update reads the ascent's last pass when the last iterate is
-every row's pick. The analyses in ``scdr.analysis`` run through the same
-kernel and ``WorstCase`` ascent pair.
+loss. The update reads the pass at the pick of a ``WorstCase`` pair at the
+batch's source rows: the origin's when the ball does not move, the
+ascent's last when the last iterate is every row's pick. The analyses in
+``scdr.analysis`` run through the same kernel and ascent pair.
 """
 
 from __future__ import annotations
@@ -387,12 +388,11 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
     def step(sel):
         rows = src_rows[sel]
         target, weight = batch(sel)
+        origin = u_src[rows]
+        pair = WorstCase(lambda u: _kernel(net, u, target), origin)
         if perturb.k > 0 and perturb.rho > 0.0:
-            pair = WorstCase(lambda u: _kernel(net, u, target))
-            find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), u_src[rows], perturb)
-            g = pair.best().grad
-        else:
-            g = _kernel(net, u_src[rows], target).grad
+            find_delta(lambda u: pair.loss_at(u), lambda u: pair.grad_at(u), origin, perturb)
+        g = pair.best().grad
         # synchronous update: all gradients were taken at pre-update
         # parameters; train rows are distinct (the scenario's partition)
         scale = base.learning_rate / weight

@@ -4,8 +4,9 @@
 onto the ball by ``project_ball``, drives the sharpness-aware trainers and
 the sharpness probe. It tracks the best iterate including the unperturbed
 origin, so its achieved loss never falls below the loss at zero
-perturbation. Each of those ascents reads its kernel through a
-``WorstCase`` pair, which also gives the pass at the pick.
+perturbation. Each reads its kernel through a ``WorstCase`` pair, which
+also gives the pass at the pick; a trainer's step reads its update there
+at any radius, from the origin's pass when the ball does not move.
 """
 
 from __future__ import annotations
@@ -94,14 +95,16 @@ class WorstCase(Generic[T]):
     twin, so that a tracer wrapping ``find_delta`` credits their time there.
     The pair holds the last point's pass, keyed on the point's identity (so
     no point may be written between calls), and drops it before ``at`` runs
-    anew. ``loss_at`` keeps the pick in ``point`` and ``loss``: the origin,
-    then only a strictly higher loss. A one-number loss picks whole iterates
-    and keeps the picked pass; a per-row loss picks each row and keeps none.
+    anew. The pick, in ``point`` and ``loss``, starts at ``origin`` with no
+    loss; ``loss_at`` keeps its first point, then only a strictly higher
+    loss. A one-number loss picks whole iterates and keeps the picked pass;
+    a per-row loss picks each row and keeps none. With no ascent run, the
+    pick is the origin and ``best()`` its pass.
     """
 
-    def __init__(self, at: Callable[[np.ndarray], T]):
-        self._at = at
-        self._point = self._pass = self._kept = self.point = self.loss = None
+    def __init__(self, at: Callable[[np.ndarray], T], origin: np.ndarray):
+        self._at, self.point = at, origin
+        self._point = self._pass = self._kept = self.loss = None
 
     def _pass_at(self, point: np.ndarray) -> T:
         if self._point is not point:
@@ -112,7 +115,7 @@ class WorstCase(Generic[T]):
     def loss_at(self, point: np.ndarray) -> float:
         at = self._pass_at(point)
         loss = at.loss
-        if self.point is None:
+        if self.loss is None:
             self.point, self.loss = point, loss
             if not isinstance(loss, np.ndarray):
                 self._kept = at
@@ -130,13 +133,8 @@ class WorstCase(Generic[T]):
         return self._pass_at(point).grad_u
 
     def best(self) -> T:
-        """The pass at the pick: the kept one, the held one if at the pick, or a new one."""
-        if self._kept is not None:
-            return self._kept
-        if self.point is self._point:
-            return self._pass
-        self._point = self._pass = None
-        return self._at(self.point)
+        """The pass at the pick: the kept one, else the held one if at the pick, or a new one."""
+        return self._pass_at(self.point) if self._kept is None else self._kept
 
 
 def find_delta(loss_at: Callable[[np.ndarray], float],

@@ -897,6 +897,9 @@ class TestCorruptInputs:
          "unknown config key pretrain.alpha"),
         (["train", "--method", "scdr"], {"train": {"alpha": 0.3}}, None,
          "unknown config key train.alpha"),
+        # scdr and scdr_minus always tune the train users' source rows
+        (["train", "--method", "scdr"], {"train": {"tune_source_embeddings": False}}, None,
+         "unknown config key train.tune_source_embeddings"),
         # every mode and method checks its section's ascent, also where none runs
         (["pretrain", "--mode", "plain"], {"pretrain": {"rho": -1, "k": -3}}, None,
          "rho must be finite and >= 0, got -1.0"),
@@ -920,8 +923,8 @@ class TestCorruptInputs:
          ".mapping_trace_scdr.csv.staged exists and is not a regular file"),
     ], ids=["seed-flag", "seed-flag-pretrain", "landscape-seed", "landscape-zeta-min",
             "landscape-zeta-max", "landscape-gamma-min", "landscape-gamma-max", "manifest-seed",
-            "pretrain-alpha", "train-alpha", "plain-ascent", "plain-k", "emcdr-ascent",
-            "eval-output-directory", "pretrain-output-directory", "synth-staging-directory",
+            "pretrain-alpha", "train-alpha", "train-tune-source", "plain-ascent", "plain-k",
+            "emcdr-ascent", "eval-output-directory", "pretrain-output-directory", "synth-staging-directory",
             "pretrain-staging-directory", "train-staging-directory"])
     def test_refused_run_exits_2_and_changes_nothing(self, run_copy, tmp_path, capsys, args,
                                                      config, prepare, message):

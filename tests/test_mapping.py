@@ -183,8 +183,8 @@ class TestAscentClosures:
         net = random_net(rng)
         counts = np.array([3, 1, 5])
         items, ratings = rng.normal(size=(9, 4)), rng.normal(3.0, 1.0, size=9)
-        pair = kernel_pair(net, _rating_target(items, ratings, counts))
         u, other = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        pair = kernel_pair(net, _rating_target(items, ratings, counts), other)
         pair.loss_at(other)
         grad = pair.grad_at(u)
         total = 0.0
@@ -199,8 +199,8 @@ class TestAscentClosures:
     def test_embedding_gradient_at_unseen_point(self, rng):
         net = random_net(rng)
         targets = rng.normal(size=(3, 4))
-        pair = kernel_pair(net, _embedding_target(targets))
         u, other = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        pair = kernel_pair(net, _embedding_target(targets), other)
         pair.loss_at(other)
         grad = pair.grad_at(u)
         total = 0.0
@@ -279,14 +279,14 @@ def test_mapping_trainers_ignore_factor_only_fields(trainer):
     assert same_bits(np.array(default.loss_trace), np.array(other.loss_trace))
 
 
-def kernel_pair(net, target):
+def kernel_pair(net, target, origin):
     """The trainer's ascent pair over ``mapping._kernel``, looked up at each call."""
-    return WorstCase(lambda u: mapping._kernel(net, u, target))
+    return WorstCase(lambda u: mapping._kernel(net, u, target), origin)
 
 
 def worst_case(net, target, origin, perturb):
     """Each row's highest-loss ascent iterate, found as ``_train_mapping`` finds it."""
-    pair = kernel_pair(net, target)
+    pair = kernel_pair(net, target, origin)
     find_delta(pair.loss_at, pair.grad_at, origin, perturb)
     return pair.point
 
@@ -746,10 +746,9 @@ class TestUpdatePass:
         items = rng.normal(size=(int(counts.sum()), 4))
         ratings = rng.normal(3.0, 1.0, size=int(counts.sum()))
         target = _rating_target(items, ratings, counts)
-        passes = []
-        pair = WorstCase(lambda u: passes.append(_kernel(net, u, target)) or passes[-1])
-        find_delta(pair.loss_at, pair.grad_at, rng.normal(size=(30, 4)),
-                   PerturbConfig(rho=rho, k=k))
+        passes, origin = [], rng.normal(size=(30, 4))
+        pair = WorstCase(lambda u: passes.append(_kernel(net, u, target)) or passes[-1], origin)
+        find_delta(pair.loss_at, pair.grad_at, origin, PerturbConfig(rho=rho, k=k))
         best = pair.best()
         last_wins = (passes[k].loss > np.max([p.loss for p in passes[:k]], axis=0)).all()
         assert last_wins == (k == 1)
@@ -770,7 +769,7 @@ class TestBatchDivergence:
         ratings = np.array([1.0, 1.33e154])
         target = _rating_target(items, ratings, np.ones(2, dtype=int))
         origin = np.zeros((2, 2))
-        pair = kernel_pair(net, target)
+        pair = kernel_pair(net, target, origin)
         assert math.isfinite(pair.loss_at(origin))
         assert np.isfinite(pair.grad_at(origin)).all()
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="ascent step 0"):

@@ -290,8 +290,8 @@ def scheduled(losses, built):
 class TestWorstCase:
     def test_builds_a_pass_only_for_a_new_object(self):
         built = []
-        pair = WorstCase(scheduled([3.0, 3.0, 3.0], built))
         a, b = np.ones(3), np.ones(3)
+        pair = WorstCase(scheduled([3.0, 3.0, 3.0], built), a)
         assert pair.loss_at(a) == 3.0 and np.array_equal(pair.grad_at(a), 2.0 * a)
         assert len(built) == 1
         pair.grad_at(b)
@@ -316,7 +316,7 @@ class TestWorstCase:
             assert all(ref() is None or ref() is kept for ref in built)
             return at(point)
 
-        pair = WorstCase(checked)
+        pair = WorstCase(checked, origin)
         for point in points:
             pair.loss_at(point)
             pair.grad_at(point)
@@ -326,8 +326,8 @@ class TestWorstCase:
 
     def test_one_number_loss_keeps_the_pass_of_the_whole_iterate(self):
         built = []
-        pair = WorstCase(scheduled([1.0, 3.0, 3.0, 2.0], built))
         points = [np.full((2, 2), float(i)) for i in range(4)]
+        pair = WorstCase(scheduled([1.0, 3.0, 3.0, 2.0], built), points[0])
         assert [pair.loss_at(p) for p in points] == [1.0, 3.0, 3.0, 2.0]
         # a tie does not replace the pick; the kept pass outlives the memo
         assert pair.point is points[1] and pair.loss == 3.0
@@ -335,17 +335,17 @@ class TestWorstCase:
 
     def test_one_number_loss_keeps_the_origin_unless_beaten(self):
         built = []
-        pair = WorstCase(scheduled([2.0, 1.0, 2.0], built))
         points = [np.full(3, float(i)) for i in range(3)]
+        pair = WorstCase(scheduled([2.0, 1.0, 2.0], built), points[0])
         for p in points:
             pair.loss_at(p)
         assert pair.point is points[0] and pair.best() is built[0]()
 
     def test_per_row_loss_picks_each_row_and_keeps_no_pass(self):
         built = []
-        pair = WorstCase(scheduled([np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0, 1.0]),
-                                    np.array([1.5, 3.0, 0.0])], built))
         points = [np.full((3, 2), float(i)) for i in range(3)]
+        pair = WorstCase(scheduled([np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0, 1.0]),
+                                    np.array([1.5, 3.0, 0.0])], built), points[0])
         assert [pair.loss_at(p) for p in points] == [3.0, 3.0, 4.5]
         # row 0 moves to step 1, row 1 to step 2, and row 2 ties and keeps the origin
         assert np.array_equal(pair.point, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
@@ -354,20 +354,29 @@ class TestWorstCase:
 
     def test_best_is_the_held_pass_when_the_last_iterate_wins_every_row(self):
         built = []
-        pair = WorstCase(scheduled([np.array([1.0, 1.0]), np.array([0.0, 2.0]),
-                                    np.array([2.0, 3.0])], built))
         points = [np.full((2, 2), float(i)) for i in range(3)]
+        pair = WorstCase(scheduled([np.array([1.0, 1.0]), np.array([0.0, 2.0]),
+                                    np.array([2.0, 3.0])], built), points[0])
         for p in points:
             pair.loss_at(p)
         assert pair.point is points[2] and pair.best() is built[2]()
         assert len(built) == 3
 
+    def test_pair_without_ascent_reads_the_origin_pass(self):
+        # a trainer's zero-radius step runs no ascent and reads best() all the same
+        for loss in (2.0, np.array([1.0, 2.0])):
+            built, origin = [], np.zeros((2, 2))
+            pair = WorstCase(scheduled([loss], built), origin)
+            best = pair.best()
+            assert best.point is origin and best is built[0]() and len(built) == 1
+
     def test_best_is_a_new_pass_at_a_mixed_pick(self):
         built = []
+        points = [np.full((2, 2), float(i)) for i in range(2)]
         pair = WorstCase(scheduled([np.array([1.0, 1.0]), np.array([2.0, 0.0]),
-                                    np.array([2.0, 1.0])], built))
-        for i in range(2):
-            pair.loss_at(np.full((2, 2), float(i)))
+                                    np.array([2.0, 1.0])], built), points[0])
+        for p in points:
+            pair.loss_at(p)
         best = pair.best()
         assert best is built[2]() and best.point is pair.point
         assert np.array_equal(best.point, [[1.0, 1.0], [0.0, 0.0]])

@@ -369,6 +369,34 @@ def test_only_the_memo_keys_on_a_point_identity():
     assert found == []
 
 
+def test_trainer_steps_read_gradients_only_from_the_pair():
+    """``_sgd_step`` and ``_train_mapping``'s ``step`` read their update from ``WorstCase.best()``.
+
+    A trainer's baseline is its zero-radius case, and at zero radius the pair's pick is the
+    origin, so a step has one update path: every gradient it reads (``grad`` or ``grad_u``)
+    is read off ``best()`` of a pair the step builds, and no branch holds that read. A
+    zero-radius branch that read a pass of its own would be a second way to the update.
+    """
+    def step(name, owner, fn):
+        tree = ast.parse((ROOT / "src" / "scdr" / name).read_text(encoding="utf-8"))
+        top = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == owner)
+        return next(n for n in ast.walk(top) if isinstance(n, ast.FunctionDef) and n.name == fn)
+
+    for fn in (step("factorization.py", "_sgd_step", "_sgd_step"),
+               step("mapping.py", "_train_mapping", "step")):
+        pairs = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "WorstCase"
+                 for target in node.targets if isinstance(target, ast.Name)}
+        branched = {id(node) for branch in ast.walk(fn) if isinstance(branch, ast.If)
+                    for node in ast.walk(branch)}
+        reads = [node for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute) and node.attr in ("grad", "grad_u")]
+        assert len(pairs) == 1 and reads, fn.name
+        for read in reads:
+            assert ast.unparse(read.value) == f"{next(iter(pairs))}.best()", ast.unparse(read)
+            assert id(read) not in branched, ast.unparse(read)
+
+
 def test_only_the_factor_pass_scatters():
     """In ``factorization``, only ``_Pass`` sums per-rating rows into the touched rows.
 
