@@ -20,8 +20,7 @@ import numpy as np
 from .data import CHUNK_ROWS, CdrScenario, write_artifact, write_csv
 from .errors import ValidationError
 from .factorization import FactorModel
-from .mapping import (MappingNet, _check_fit, _kernel, _rating_predictions, _rating_target,
-                      forward)
+from .mapping import MappingNet, _kernel, _rating_predictions, _rating_target, _split, forward
 from .perturbation import PerturbConfig, WorstCase, find_delta
 
 # Reports record the sha256 of the mapping they scored under ``inputs`` from version 2
@@ -92,21 +91,6 @@ class SharpnessReport:
             raise ValidationError("estimate must be >= 0")
 
 
-def _withheld(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel):
-    """The test users' withheld interactions, flat and user-major, once the models fit."""
-    _check_fit(scenario, source_model, target_model)
-    if not scenario.test_pairs:
-        raise ValidationError("test split is empty")
-    src, targets = np.array(scenario.test_pairs).T
-    items, ratings, counts = scenario.target.user_interactions(targets)
-    if not counts.all():
-        t = targets[counts.argmin()]
-        raise ValidationError(
-            f"test user {scenario.target.users[t]} has no withheld target interactions"
-        )
-    return src, items, ratings, counts
-
-
 def _report_from_residuals(resid: np.ndarray, seed: int) -> EvalReport:
     mae = float(np.mean(np.abs(resid)))
     # numpy's own sum: a BLAS dot product's rounding depends on its thread count
@@ -121,7 +105,7 @@ def evaluate(net: MappingNet, source_model: FactorModel, target_model: FactorMod
     Each test user's target embedding is inferred through the mapping net;
     MAE and RMSE are pooled over all withheld (user, item) pairs.
     """
-    src, items, ratings, counts = _withheld(scenario, source_model, target_model)
+    src, _, items, ratings, counts = _split(scenario, source_model, target_model, test=True)
     preds = _rating_predictions(target_model.V, counts, forward(net, source_model.U[src]), items)
     return _report_from_residuals(ratings - preds, scenario.seed)
 
@@ -142,7 +126,7 @@ def fgsm_sweep(net: MappingNet, source_model: FactorModel, target_model: FactorM
         raise ValidationError("epsilons must be finite and non-negative")
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise ValidationError("epsilons must be sorted ascending")
-    src, items, ratings, counts = _withheld(scenario, source_model, target_model)
+    src, _, items, ratings, counts = _split(scenario, source_model, target_model, test=True)
     V = target_model.V
     clean = source_model.U[src]
     sign = np.sign(_kernel(net, clean, _rating_target(V, ratings, counts, items)).grad_u)
@@ -164,7 +148,8 @@ def landscape_grid(net: MappingNet, source_model: FactorModel, target_model: Fac
     over the same seeded sample of withheld test pairs. Both axes span
     [-1, 1], so 1 is one norm of the embedding moved.
     """
-    src, pool_items, pool_ratings, counts = _withheld(scenario, source_model, target_model)
+    src, _, pool_items, pool_ratings, counts = _split(scenario, source_model, target_model,
+                                                     test=True)
     pool_users = np.repeat(src, counts)
     available = pool_users.size
 
@@ -214,7 +199,7 @@ def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model:
         raise ValidationError("lipschitz estimation requires rho > 0")
     if perturb.k < 1:
         raise ValidationError("lipschitz estimation requires k >= 1")
-    src, items, ratings, counts = _withheld(scenario, source_model, target_model)
+    src, _, items, ratings, counts = _split(scenario, source_model, target_model, test=True)
     V = target_model.V
     origin = source_model.U[src]
     starts = np.cumsum(counts) - counts

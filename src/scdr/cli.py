@@ -136,8 +136,8 @@ def _check_outputs(paths, force: bool):
     completes do the staged files replace the outputs, one rename at a
     time. A body that raises leaves every output as it was. A rename that
     fails raises a ValidationError naming it: the outputs renamed before it
-    are new and the others old; ``load_scenario`` and ``_load_train_inputs``
-    refuse the mixes that a later command would read.
+    are new and the others old; ``load_scenario`` refuses the mixes that a
+    later command would read.
     """
     paths = [Path(p) for p in paths]
     staged = [p.with_name(f".{p.name}.staged") for p in paths]
@@ -215,40 +215,31 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
     section = cfg["pretrain"]
     train_cfg = _train_config(section, seed)
     perturb = _perturb_config(section)  # checked in plain mode too, which runs no ascent
-    if mode == "plain":
-        perturb = None
-    outputs = [out / f"{stem}_{mode}.{ext}"
-               for stem, ext in (("source_model", "npy"), ("target_model", "npy"),
-                                 ("source_trace", "csv"), ("target_trace", "csv"))]
+    outputs = [out / f"factor_models_{mode}.npy", out / f"source_trace_{mode}.csv",
+               out / f"target_trace_{mode}.csv"]
     with _check_outputs(outputs, force) as staged:
-        if perturb is None:
+        if mode == "plain":
             src = factorization.train_mf(scenario.source, train_cfg)
             tgt = factorization.train_mf(scenario.target_training_dataset(), train_cfg)
         else:
             src = factorization.train_smf(scenario.source, train_cfg, perturb)
             tgt = factorization.train_smf(scenario.target_training_dataset(), train_cfg, perturb)
-        factorization.save_factor_model(src.model, staged[0], train_cfg, perturb, scenario.inputs)
-        factorization.save_factor_model(tgt.model, staged[1], train_cfg, perturb, scenario.inputs)
-        _write_trace(src.loss_trace, staged[2])
-        _write_trace(tgt.loss_trace, staged[3])
+        factorization.save_factor_model((src.model, tgt.model), staged[0], scenario.inputs)
+        _write_trace(src.loss_trace, staged[1])
+        _write_trace(tgt.loss_trace, staged[2])
     print(f"pretrained {mode} factor models (final losses "
           f"{src.loss_trace[-1] if src.loss_trace else float('nan'):.4f} / "
           f"{tgt.loss_trace[-1] if tgt.loss_trace else float('nan'):.4f})")
 
 
 def _load_train_inputs(out: Path, method: str):
-    """The scenario, both factor models and the sha256 of their checkpoints; a pair whose
-    ``config`` or ``perturb`` differ, which one ``pretrain`` run never writes, is refused."""
+    """The scenario, the ``(source, target)`` factor models that one ``pretrain`` run wrote
+    to one checkpoint for ``method``, and a mapping's ``inputs`` (that checkpoint's sha256)."""
     from . import factorization
     scenario = data.load_scenario(out / "scenario.json")
-    mode = _METHOD_MODE[method]
-    paths = [out / f"{side}_model_{mode}.npy" for side in ("source", "target")]
-    (src_model, src_head, src_digest), (tgt_model, tgt_head, tgt_digest) = (
-        factorization.load_factor_model(p, scenario.inputs) for p in paths)
-    if any(src_head.get(key) != tgt_head.get(key) for key in ("config", "perturb")):
-        raise ValidationError(f"{paths[0]} and {paths[1]} record different training settings, "
-                              f"so one pretrain run did not write both; run it again")
-    return scenario, src_model, tgt_model, {"source_model": src_digest, "target_model": tgt_digest}
+    (src_model, tgt_model), digest = factorization.load_factor_model(
+        out / f"factor_models_{_METHOD_MODE[method]}.npy", scenario.inputs)
+    return scenario, src_model, tgt_model, {"factor_models": digest}
 
 
 def cmd_train(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:

@@ -17,7 +17,7 @@ these trainers and of the mapping trainers in ``scdr.mapping``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +26,9 @@ from .data import CHUNK_ROWS, DomainDataset, read_artifact, write_artifact
 from .errors import DivergenceError, ValidationError
 from .perturbation import PerturbConfig, WorstCase, find_delta
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
+# the arrays after a factor checkpoint's header: one pretrain run's source model, then its target
+_CHECKPOINT_ARRAYS = ("source_U", "source_V", "target_U", "target_V")
 # An epoch loss above this multiple of the untrained loss is divergence. Runs that train
 # stay below 1.00001 times it; emcdr blowing up passes 2.7e4 by epoch 1.
 DIVERGENCE_FACTOR = 1e3
@@ -368,21 +370,24 @@ def train_smf(dataset: DomainDataset, config: TrainConfig, perturb: PerturbConfi
     return _train(dataset, config, perturb)
 
 
-def save_factor_model(model: FactorModel, path, config: TrainConfig | None = None,
-                      perturb: PerturbConfig | None = None, inputs: dict | None = None) -> None:
-    """Checkpoint a factor model: a header with ``CdrScenario.inputs``, then U and V as arrays."""
-    write_artifact(path, "factor_model", CHECKPOINT_VERSION, {
-        "config": None if config is None else asdict(config),
-        "perturb": None if perturb is None else asdict(perturb),
-    }, inputs=inputs, arrays={"U": model.U, "V": model.V})
+def save_factor_model(models: tuple[FactorModel, FactorModel], path,
+                      inputs: dict | None = None) -> None:
+    """Checkpoint one pretrain run's ``(source, target)`` factor models as one file: a header
+    with ``CdrScenario.inputs``, then each model's U and V as arrays, the source's first."""
+    arrays = (matrix for model in models for matrix in (model.U, model.V))
+    write_artifact(path, "factor_model", CHECKPOINT_VERSION, {}, inputs=inputs,
+                   arrays=dict(zip(_CHECKPOINT_ARRAYS, arrays)))
 
 
-def load_factor_model(path, inputs: dict | None = None) -> tuple[FactorModel, dict, str]:
-    """A checkpoint's model, header and sha256; one made from other ``inputs`` raises."""
+def load_factor_model(path,
+                      inputs: dict | None = None) -> tuple[tuple[FactorModel, FactorModel], str]:
+    """A checkpoint's ``(source, target)`` models and its sha256; one made from other
+    ``inputs`` raises."""
     with read_artifact(path, "factor_model", CHECKPOINT_VERSION, "factor checkpoint", inputs,
-                       arrays={"U": ("f8", 2), "V": ("f8", 2)}) as (doc, digest):
+                       arrays=dict.fromkeys(_CHECKPOINT_ARRAYS, ("f8", 2))) as (doc, digest):
+        source_U, source_V, target_U, target_V = (doc[name] for name in _CHECKPOINT_ARRAYS)
         try:
-            model = FactorModel(doc.pop("U"), doc.pop("V"))
+            models = FactorModel(source_U, source_V), FactorModel(target_U, target_V)
         except ValidationError as exc:
             raise ValidationError(f"malformed factor checkpoint {path}: {exc}") from None
-    return model, doc, digest
+    return models, digest

@@ -39,7 +39,7 @@ from .errors import ValidationError
 from .factorization import FactorModel, TrainConfig, _run_epochs, _take_rows
 from .perturbation import PerturbConfig, WorstCase, find_delta
 
-MAPPING_CHECKPOINT_VERSION = 7
+MAPPING_CHECKPOINT_VERSION = 8
 # (dtype, ndim) of each array after the checkpoint's header
 _CHECKPOINT_ARRAYS = {"W1": ("f8", 2), "b1": ("f8", 1), "W2": ("f8", 2), "b2": ("f8", 1)}
 
@@ -317,12 +317,12 @@ def _rating_target(vectors: np.ndarray, ratings: np.ndarray, counts: np.ndarray,
 
 
 def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str,
-                        batch_size: int):
-    """Train users' supervision, laid out once.
+                        batch_size: int, split):
+    """Train users' supervision, laid out once from their :func:`_split`, ``split``.
 
     Embedding supervision is an (n, d) block of target embeddings. Rating
-    supervision is ``DomainDataset.user_interactions`` of the train users.
-    Returns ``(batch, everyone)``. ``batch(sel)`` gives, for at most
+    supervision is the split's target interactions. Returns ``(batch,
+    everyone)``. ``batch(sel)`` gives, for at most
     ``batch_size`` train-user indices ``sel``, the kernel target of those
     rows and the divisor of their summed loss (1 for the embedding sum, the
     pair count for the rating mean); a rating batch gathers its ratings and
@@ -333,14 +333,10 @@ def _gather_supervision(scenario: CdrScenario, target_model: FactorModel, superv
     fresh arrays this large would be mapped anew by malloc at every batch and
     block. So a batch's target is good until the next batch or ``everyone`` pass.
     """
-    targets = np.array([t for _, t in scenario.train_pairs])
+    _, targets, items, ratings, counts = split
     if supervision == SUPERVISION_EMBEDDING:
         U = target_model.U[targets]
         return lambda sel: (_embedding_target(U[sel]), 1), (_embedding_target(U), 1)
-    items, ratings, counts = scenario.target.user_interactions(targets)
-    if not counts.all():
-        t = targets[counts.argmin()]
-        raise ValidationError(f"train user {scenario.target.users[t]} has no target interactions")
     V = target_model.V
     # a batch's ratings, or one block of the flat layout's (a user above CHUNK_ROWS alone)
     rows = max(int(np.sort(counts)[-batch_size:].sum()),
@@ -369,18 +365,34 @@ def _check_fit(scenario: CdrScenario, source_model: FactorModel,
                                   f"V {model.V.shape}, where its domain needs {fit[0]} and {fit[1]}")
 
 
+def _split(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
+           test: bool = False):
+    """The mapping-train split, or with ``test`` the test split, once the models fit: its
+    source rows, target rows and target interactions (``DomainDataset.user_interactions``).
+    An empty split, or a user of it with no target interactions, raises ValidationError."""
+    _check_fit(scenario, source_model, target_model)
+    pairs = scenario.test_pairs if test else scenario.train_pairs
+    if not pairs:
+        raise ValidationError(f"{'test' if test else 'mapping-train'} split is empty")
+    src, targets = np.array(pairs).T
+    items, ratings, counts = scenario.target.user_interactions(targets)
+    if not counts.all():
+        user = scenario.target.users[targets[counts.argmin()]]
+        raise ValidationError(f"test user {user} has no withheld target interactions" if test
+                              else f"train user {user} has no target interactions")
+    return src, targets, items, ratings, counts
+
+
 def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
                    config: ScdrTrainConfig) -> MappingTrainResult:
-    _check_fit(scenario, source_model, target_model)
-    if not scenario.train_pairs:
-        raise ValidationError("mapping-train split is empty")
+    split = _split(scenario, source_model, target_model)
     base, perturb = config.base, config.perturb
     rng = np.random.default_rng(base.seed)
     net = init_mapping_net(source_model.d, config.hidden, rng)
     u_src = source_model.U.copy()
-    src_rows = np.array([s for s, _ in scenario.train_pairs])
-    batch, (everyone, total) = _gather_supervision(scenario, target_model,
-                                                    config.supervision, base.batch_size)
+    src_rows = split[0]
+    batch, (everyone, total) = _gather_supervision(scenario, target_model, config.supervision,
+                                                    base.batch_size, split)
 
     # The embedding objective is the literal sum over users of the
     # per-component MSE; the rating objective is the mean over observed

@@ -145,10 +145,10 @@ def rewrite_record(path, count, position, convert, restamp=False):
             np.save(fh, arr, allow_pickle=True)
 
 
-def rewrite_header(path, count=3, **changes):
-    """Set ``changes`` in the JSON header of a checkpoint of ``count`` records; the arrays stay.
+def rewrite_header(path, count=5, **changes):
+    """Set ``changes`` in the JSON header of a file of ``count`` records; the arrays stay.
 
-    A factor checkpoint has 3 records, a mapping checkpoint 5.
+    A factor checkpoint and a mapping checkpoint each have 5 records, a sidecar 7.
     """
     rewrite_record(path, count, 0, lambda head: np.array(
         json.dumps({**json.loads(head.item()), **changes})))

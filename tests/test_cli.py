@@ -20,9 +20,8 @@ import scdr.mapping
 from scdr.analysis import LandscapeSpec, landscape_grid, save_landscape
 from scdr.cli import _check_outputs, load_config, main
 from scdr.errors import ValidationError
-from scdr.factorization import FactorModel, TrainConfig, load_factor_model, save_factor_model
+from scdr.factorization import FactorModel, load_factor_model, save_factor_model
 from scdr.mapping import MappingNet, load_mapping, save_mapping
-from scdr.perturbation import PerturbConfig
 
 from conftest import (
     count_ascent_work,
@@ -84,14 +83,29 @@ class TestPipeline:
         out, _ = pipeline
         expected = [
             "source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.npy",
-            "source_ratings.csv.npy", "target_ratings.csv.npy", "source_model_plain.npy", "target_model_plain.npy",
-            "source_model_sharpness_aware.npy", "target_model_sharpness_aware.npy",
+            "source_ratings.csv.npy", "target_ratings.csv.npy", "factor_models_plain.npy",
+            "factor_models_sharpness_aware.npy",
             "mapping_emcdr.npy", "mapping_scdr.npy", "mapping_scdr_minus.npy",
             "eval_emcdr.json", "eval_scdr.json", "eval_scdr_minus.json",
             "attack_scdr.json", "landscape_scdr.csv", "sharpness_scdr.json",
         ]
         for name in expected:
             assert (out / name).exists(), name
+
+    def test_pretrain_writes_one_checkpoint_and_two_traces(self, tmp_path):
+        """Each mode's ``pretrain`` writes its pair of models to one checkpoint, beside the
+        two loss traces, and nothing else."""
+        out = tmp_path / "run"
+        cfg_doc = small_config(out)
+        cfg_doc["pretrain"]["epochs"] = 1
+        cfg = write_config(tmp_path, cfg_doc)
+        assert run("synth", "--config", cfg) == 0
+        for mode in ("plain", "sharpness_aware"):
+            before = {p.name for p in out.iterdir()}
+            assert run("pretrain", "--config", cfg, "--mode", mode) == 0
+            assert {p.name for p in out.iterdir()} - before == {
+                f"factor_models_{mode}.npy", f"source_trace_{mode}.csv",
+                f"target_trace_{mode}.csv"}
 
     def test_attack_first_row_equals_eval(self, pipeline):
         out, _ = pipeline
@@ -144,7 +158,7 @@ class TestValidation:
         cfg = write_config(tmp_path, cfg_doc)
         assert run("synth", "--config", cfg) == 0
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 3
-        assert not (tmp_path / "run" / "source_model_plain.npy").exists()
+        assert not (tmp_path / "run" / "factor_models_plain.npy").exists()
 
     def test_sharpness_aware_divergence_names_epoch(self, tmp_path, capsys):
         # the ascent meets the blow-up first; the error still names where
@@ -196,6 +210,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("stage, failing", [
         (0, "ground_truth.npy"),
+        (1, "factor_models_plain.npy"),
         (1, "target_trace_plain.csv"),
         (2, "mapping_emcdr.npy"),
         (2, "mapping_trace_emcdr.csv"),
@@ -230,7 +245,8 @@ class TestValidation:
         cfg_doc["pretrain"]["epochs"] = 7
         longer = write_config(tmp_path, cfg_doc, "longer.json")
         with monkeypatch.context() as patch:
-            fail_halfway(patch, "target_model_plain.npy")
+            # the last output written; the new checkpoint is staged by then
+            fail_halfway(patch, "target_trace_plain.csv")
             with pytest.raises(OSError):
                 run("pretrain", "--config", longer, "--mode", "plain", "--force")
         assert {p.name: digest(p) for p in out.iterdir()} == before
@@ -293,26 +309,9 @@ class TestValidation:
         capsys.readouterr()
         assert run("eval", "--config", cfg, "--method", "scdr") == 2
         err = capsys.readouterr().err
-        assert "stale factor checkpoint" in err and "source_model_sharpness_aware.npy" in err
+        assert "stale factor checkpoint" in err and "factor_models_sharpness_aware.npy" in err
         assert run("train", "--config", cfg, "--method", "scdr", "--force") == 2
         assert {p.name: digest(p) for p in out.iterdir()} == before
-
-    def test_factor_checkpoints_of_two_pretrain_runs_exit_2(self, run_copy, tmp_path, capsys):
-        # both checkpoints record the same scenario inputs and config, but not the same
-        # perturb; TestFailedRename mixes two configs
-        out, cfg = run_copy
-        cfg_doc = small_config(out)
-        cfg_doc["pretrain"]["k"] = 2
-        other = write_config(tmp_path, cfg_doc, "other.json")
-        old_target = (out / "target_model_sharpness_aware.npy").read_bytes()
-        assert run("pretrain", "--config", other, "--mode", "sharpness_aware", "--force") == 0
-        (out / "target_model_sharpness_aware.npy").write_bytes(old_target)
-        before = listing(out)
-        capsys.readouterr()
-        for command in ("train", "eval"):
-            assert run(command, "--config", cfg, "--method", "scdr", "--force") == 2
-            assert "record different training settings" in capsys.readouterr().err
-        assert listing(out) == before
 
     def test_mapping_of_other_factor_checkpoints_exit_2(self, tmp_path, capsys):
         # the mapping was trained on the 2-epoch checkpoints that --force replaced
@@ -342,17 +341,14 @@ class TestValidation:
     ], ids=["source-U-one-row-short", "target-U-one-row-short", "target-V-one-row-short",
             "target-of-width-5"])
     def test_factor_checkpoints_that_do_not_fit_exit_2(self, run_copy, capsys, misfit):
-        # the checkpoints record the scenario's inputs and one pretrain config, and the
-        # mapping records their digests, so only the library's fit check refuses them
+        # the checkpoint records the scenario's inputs, and the mapping records its digest,
+        # so only the library's fit check refuses them
         out, cfg = run_copy
-        paths = [out / f"{side}_model_sharpness_aware.npy" for side in ("source", "target")]
-        (src, head, _), (tgt, _, _) = (load_factor_model(p) for p in paths)
-        settings = TrainConfig(**head["config"]), PerturbConfig(**head["perturb"])
-        for model, path in zip(misfit(src, tgt), paths):
-            save_factor_model(model, path, *settings, inputs=head["inputs"])
+        path = out / "factor_models_sharpness_aware.npy"
+        inputs = json.loads(load_records(path, 1)[0].item())["inputs"]
+        save_factor_model(misfit(*load_factor_model(path)[0]), path, inputs)
         net = load_mapping(out / "mapping_scdr.npy")[0]
-        save_mapping(net, out / "mapping_scdr.npy",
-                     inputs={"source_model": digest(paths[0]), "target_model": digest(paths[1])})
+        save_mapping(net, out / "mapping_scdr.npy", inputs={"factor_models": digest(path)})
         before = listing(out)
         for command in ("train", "eval", "attack", "landscape", "sharpness"):
             capsys.readouterr()
@@ -360,20 +356,25 @@ class TestValidation:
             assert "model does not fit the scenario" in capsys.readouterr().err, command
         assert listing(out) == before
 
-    def test_every_mapping_header_value_is_checked(self, run_copy, capsys):
-        """One character changed in any value of a mapping checkpoint's header exits 2 naming
-        it: the loader checks every field, so none is an echo that loads damaged."""
+    @pytest.mark.parametrize("name, command, keys", [
+        ("factor_models_sharpness_aware.npy", "train", []),
+        ("mapping_scdr.npy", "eval", ["activation"]),
+    ], ids=["factor", "mapping"])
+    def test_every_checkpoint_header_value_is_checked(self, run_copy, capsys, name, command,
+                                                      keys):
+        """One character changed in any value of a factor or mapping checkpoint's header exits
+        2 naming it: the loader checks every field, so none is an echo that loads damaged."""
         out, cfg = run_copy
-        path = out / "mapping_scdr.npy"
+        path = out / name
         raw = path.read_bytes()
         head = json.loads(load_records(path, 1)[0].item())
-        assert sorted(head) == ["activation", "format_version", "inputs", "kind", "records"]
+        assert sorted(head) == sorted(["format_version", "inputs", "kind", "records", *keys])
         for key, value in head.items():
             path.write_bytes(raw)
-            rewrite_header(path, 5, **{key: one_character_off(value)})
+            rewrite_header(path, **{key: one_character_off(value)})
             before = listing(out)
             capsys.readouterr()
-            assert run("eval", "--config", cfg, "--method", "scdr") == 2, key
+            assert run(command, "--config", cfg, "--method", "scdr", "--force") == 2, key
             assert str(path) in capsys.readouterr().err, key
             assert listing(out) == before
 
@@ -476,9 +477,13 @@ def above_unicode(position):
     return corrupt
 
 
-def rewrite_checkpoint_u(convert, restamp=False):
-    """Replace U, record 1 of a factor checkpoint, by ``convert`` of it (see ``rewrite_record``)."""
-    return lambda path: rewrite_record(path, 3, 1, convert, restamp)
+def rewrite_factor_matrix(position, convert, restamp=False):
+    """Replace record ``position`` of a factor checkpoint by ``convert`` of it.
+
+    Record 0 is the header and 1 to 4 are the source U and V, then the target U and V.
+    ``restamp`` is ``rewrite_record``'s.
+    """
+    return lambda path: rewrite_record(path, 5, position, convert, restamp)
 
 
 def checkpoint_header(**changes):
@@ -487,10 +492,21 @@ def checkpoint_header(**changes):
 
 
 def as_version_2_json(path):
-    """Put the version-2 JSON checkpoint of the same model at ``path``."""
-    head, u, v = load_records(path, 3)
+    """Put the version-2 JSON checkpoint of the pair's source model at ``path``."""
+    head, u, v, _, _ = load_records(path, 5)
     doc = {**json.loads(head.item()), "format_version": 2, "U": u.tolist(), "V": v.tolist()}
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def as_version_5(path):
+    """Put the version-5 checkpoint of the pair's source model at ``path``, laid out as
+    version 5 was: one domain's U and V, under a header that echoed the training settings."""
+    head, u, v, _, _ = load_records(path, 5)
+    doc = {**json.loads(head.item()), "format_version": 5, "config": {"epochs": 10},
+           "perturb": None, "records": scdr.data._records_digest([u, v])}
+    with open(path, "wb") as fh:
+        for arr in (np.array(json.dumps(doc, sort_keys=True)), u, v):
+            np.save(fh, arr, allow_pickle=False)
 
 
 def drop_key(key):
@@ -671,33 +687,44 @@ class TestCorruptInputs:
         ("target_ratings.csv.npy", append_byte,
          "target_ratings.csv.npy: trailing bytes after array 6"),
         ("scenario.json", truncate, "malformed manifest"),
-        ("source_model_sharpness_aware.npy", truncate, "malformed factor checkpoint"),
-        ("target_model_sharpness_aware.npy", truncate_to(-1), "malformed factor checkpoint"),
-        ("target_model_sharpness_aware.npy", unclosed_npy_header,
-         "target_model_sharpness_aware.npy: array 0 has an unparsable header"),
-        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(lambda a: a.astype(np.float32)),
-         "source_model_sharpness_aware.npy: array 1 is not 2-D f8"),
-        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(np.ravel),
-         "source_model_sharpness_aware.npy: array 1 is not 2-D f8"),
-        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(lambda a: a.astype(object)),
-         "source_model_sharpness_aware.npy: Object arrays cannot be loaded"),
-        ("target_model_sharpness_aware.npy", append_byte,
-         "target_model_sharpness_aware.npy: trailing bytes after array 2"),
-        ("target_model_sharpness_aware.npy", checkpoint_header(kind="mapping_net"),
+        ("factor_models_sharpness_aware.npy", truncate, "malformed factor checkpoint"),
+        ("factor_models_sharpness_aware.npy", truncate_to(-1), "malformed factor checkpoint"),
+        ("factor_models_sharpness_aware.npy", unclosed_npy_header,
+         "factor_models_sharpness_aware.npy: array 0 has an unparsable header"),
+        ("factor_models_sharpness_aware.npy",
+         rewrite_factor_matrix(1, lambda a: a.astype(np.float32)),
+         "factor_models_sharpness_aware.npy: array 1 is not 2-D f8"),
+        ("factor_models_sharpness_aware.npy", rewrite_factor_matrix(1, np.ravel),
+         "factor_models_sharpness_aware.npy: array 1 is not 2-D f8"),
+        ("factor_models_sharpness_aware.npy", rewrite_factor_matrix(4, np.ravel),
+         "factor_models_sharpness_aware.npy: array 4 is not 2-D f8"),
+        ("factor_models_sharpness_aware.npy",
+         rewrite_factor_matrix(1, lambda a: a.astype(object)),
+         "factor_models_sharpness_aware.npy: Object arrays cannot be loaded"),
+        ("factor_models_sharpness_aware.npy", append_byte,
+         "factor_models_sharpness_aware.npy: trailing bytes after array 4"),
+        ("factor_models_sharpness_aware.npy", checkpoint_header(kind="mapping_net"),
          "not a factor checkpoint"),
-        ("target_model_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
+        ("factor_models_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
         # the layout whose header repeated the arrays' shapes is another version
-        ("source_model_sharpness_aware.npy",
+        ("factor_models_sharpness_aware.npy",
          checkpoint_header(format_version=4, d=6, n_users=120, n_items=60),
          "not a factor checkpoint"),
-        ("source_model_sharpness_aware.npy", checkpoint_header(inputs={"manifest": "0" * 64}),
+        # and so is one domain's model under a header that echoed the training settings
+        ("factor_models_sharpness_aware.npy", as_version_5,
+         "not a factor checkpoint: {out}/factor_models_sharpness_aware.npy"),
+        ("factor_models_sharpness_aware.npy", checkpoint_header(inputs={"manifest": "0" * 64}),
          "stale factor checkpoint"),
         # a non-finite parameter names the checkpoint it was read from, even one its
         # writer stored with a matching records digest
-        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(nan_at_origin, restamp=True),
-         "source_model_sharpness_aware.npy: factor matrices must be finite"),
-        ("source_model_sharpness_aware.npy", rewrite_checkpoint_u(nan_at_origin),
-         "source_model_sharpness_aware.npy: its records do not match the digest in its header"),
+        ("factor_models_sharpness_aware.npy",
+         rewrite_factor_matrix(1, nan_at_origin, restamp=True),
+         "factor_models_sharpness_aware.npy: factor matrices must be finite"),
+        ("factor_models_sharpness_aware.npy",
+         rewrite_factor_matrix(3, nan_at_origin, restamp=True),
+         "factor_models_sharpness_aware.npy: factor matrices must be finite"),
+        ("factor_models_sharpness_aware.npy", rewrite_factor_matrix(1, nan_at_origin),
+         "factor_models_sharpness_aware.npy: its records do not match the digest in its header"),
         ("scenario.json", drop_key("source_ratings"), "missing key 'source_ratings'"),
         # manifest numbers are as strict as config numbers
         ("scenario.json", set_key("seed", 1.7),
@@ -725,7 +752,7 @@ class TestCorruptInputs:
         corrupt(out / name)
         before = sorted(p.name for p in out.iterdir())
         assert run("eval", "--config", cfg, "--method", "scdr") == 2
-        assert message in capsys.readouterr().err
+        assert message.format(out=out) in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == before
 
     @pytest.mark.parametrize("corrupt, message", [
@@ -764,7 +791,7 @@ class TestCorruptInputs:
             assert sorted(p.name for p in out.iterdir()) == before
 
     @pytest.mark.parametrize("name, corrupt, what", [
-        ("source_model_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
+        ("factor_models_sharpness_aware.npy", as_version_2_json, "malformed factor checkpoint"),
         ("mapping_scdr.npy", mapping_as_version_2_json, "malformed mapping checkpoint"),
     ], ids=["factor", "mapping"])
     def test_json_checkpoint_at_npy_path_is_not_records(self, run_copy, capsys, name, corrupt,
@@ -779,7 +806,7 @@ class TestCorruptInputs:
         assert sorted(p.name for p in out.iterdir()) == before
 
     @pytest.mark.parametrize("name, count, command, what", [
-        ("source_model_sharpness_aware.npy", 3, "train", "factor checkpoint"),
+        ("factor_models_sharpness_aware.npy", 5, "train", "factor checkpoint"),
         ("mapping_scdr.npy", 5, "eval", "mapping checkpoint"),
     ], ids=["factor-train", "mapping-eval"])
     def test_flipped_weight_bit_exits_2_naming_the_file(self, run_copy, capsys, name, count,
@@ -795,14 +822,15 @@ class TestCorruptInputs:
         assert {p.name: digest(p) for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("name, command, what, string", [
-        ("source_model_sharpness_aware.npy", "train", "factor checkpoint", '"k"'),
+        ("factor_models_sharpness_aware.npy", "train", "factor checkpoint", '"factor_model"'),
         ("mapping_scdr.npy", "eval", "mapping checkpoint", '"mapping_net"'),
     ], ids=["factor-train", "mapping-eval"])
     def test_code_point_above_unicode_exits_2_naming_the_file(self, run_copy, capsys, name,
                                                                command, what, string):
-        # numpy loads the header record, and json.loads then made a one-character string of
-        # the factor header's key "k": the SystemError escaped main as exit 1. The mapping
-        # header holds no one-character string, so there 0xF4 goes on its kind's first letter
+        # numpy loads the header record, and json.loads once made a one-character string of
+        # such a code point (in the factor header's former key "k"): the SystemError escaped
+        # main as exit 1. Neither header holds a one-character string now, so 0xF4 goes on
+        # the first letter of its kind
         out, cfg = run_copy
         path = out / name
         text = load_records(path, 1)[0].item()
@@ -819,7 +847,7 @@ class TestCorruptInputs:
                              ids=["missing", "directory"])
     def test_absent_checkpoint_exits_4_and_writes_nothing(self, run_copy, capsys, replace):
         out, cfg = run_copy
-        replace(out / "target_model_sharpness_aware.npy")
+        replace(out / "factor_models_sharpness_aware.npy")
         before = sorted(p.name for p in out.iterdir())
         assert run("eval", "--config", cfg, "--method", "scdr") == 4
         assert "factor checkpoint not found" in capsys.readouterr().err
@@ -917,8 +945,8 @@ class TestCorruptInputs:
         (["synth", "--seed", "2"], {}, (".scenario.json.staged", os.mkdir),
          ".scenario.json.staged exists and is not a regular file"),
         (["pretrain", "--mode", "plain", "--seed", "2"], {},
-         (".source_model_plain.npy.staged", os.mkdir),
-         ".source_model_plain.npy.staged exists and is not a regular file"),
+         (".factor_models_plain.npy.staged", os.mkdir),
+         ".factor_models_plain.npy.staged exists and is not a regular file"),
         (["train", "--method", "scdr"], {}, (".mapping_trace_scdr.csv.staged", os.mkdir),
          ".mapping_trace_scdr.csv.staged exists and is not a regular file"),
     ], ids=["seed-flag", "seed-flag-pretrain", "landscape-seed", "landscape-zeta-min",
@@ -946,8 +974,7 @@ FUZZ_COMMANDS = ("train", "eval", "attack", "landscape", "sharpness")
 # each file those commands read, and the commands that read it
 FUZZ_FILES = {name: FUZZ_COMMANDS for name in (
     "scenario.json", "source_ratings.csv", "target_ratings.csv", "source_ratings.csv.npy",
-    "target_ratings.csv.npy", "source_model_sharpness_aware.npy",
-    "target_model_sharpness_aware.npy")}
+    "target_ratings.csv.npy", "factor_models_sharpness_aware.npy")}
 FUZZ_FILES["mapping_scdr.npy"] = FUZZ_COMMANDS[1:]
 
 
@@ -1095,7 +1122,7 @@ class TestReproducibility:
                 subprocess.run([sys.executable, "-m", "scdr.cli", *args, "--config", cfg],
                                env=env, check=True)
             digests.append({p.name: digest(p) for p in sorted(out.iterdir())})
-        assert len(digests[0]) == 13
+        assert len(digests[0]) == 12
         assert digests[0] == digests[1]
 
     def test_seed_changes_outputs(self, tmp_path):
@@ -1138,9 +1165,10 @@ class TestReductions:
         assert run("synth", "--config", cfg) == 0
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 0
         assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 0
-        plain, _, _ = load_factor_model(out / "source_model_plain.npy")
-        sam, _, _ = load_factor_model(out / "source_model_sharpness_aware.npy")
-        assert plain.U.tobytes() == sam.U.tobytes() and plain.V.tobytes() == sam.V.tobytes()
+        plain, _ = load_factor_model(out / "factor_models_plain.npy")
+        sam, _ = load_factor_model(out / "factor_models_sharpness_aware.npy")
+        for a, b in zip(plain, sam):
+            assert a.U.tobytes() == b.U.tobytes() and a.V.tobytes() == b.V.tobytes()
 
     def test_scdr_equals_scdr_minus_with_k_zero(self, tmp_path):
         out = tmp_path / "run"
@@ -1194,9 +1222,8 @@ class TestSharpnessCommand:
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 0
         d = 6
         net = MappingNet(np.zeros((50, d)), np.zeros(50), np.zeros((d, 50)), np.zeros(d))
-        inputs = {f"{side}_model": digest(out / f"{side}_model_plain.npy")
-                  for side in ("source", "target")}
-        save_mapping(net, out / "mapping_emcdr.npy", inputs=inputs)
+        save_mapping(net, out / "mapping_emcdr.npy",
+                     inputs={"factor_models": digest(out / "factor_models_plain.npy")})
         assert run("sharpness", "--config", cfg, "--method", "emcdr") == 0
         doc = json.loads((out / "sharpness_emcdr.json").read_text())
         assert doc["lipschitz_estimate"] == 0.0
@@ -1237,8 +1264,9 @@ class TestFailedRename:
     """A commit rename that fails exits 2, naming it and the outputs renamed before it.
 
     Those outputs are new and the others old, and the next command that reads
-    a harmful mix refuses it: rating files that the manifest does not record,
-    or two factor checkpoints of different settings.
+    a harmful mix refuses it: rating files that the manifest does not record.
+    ``pretrain`` writes both factor models to one checkpoint, so it leaves no
+    harmful mix: at most the traces are old, and no command reads them.
     """
 
     @pytest.mark.parametrize("args, outputs, n", [
@@ -1246,8 +1274,7 @@ class TestFailedRename:
          ["source_ratings.csv", "target_ratings.csv", "scenario.json", "ground_truth.npy",
           "source_ratings.csv.npy", "target_ratings.csv.npy"], 4),
         (["pretrain", "--mode", "plain", "--seed", "2"],
-         ["source_model_plain.npy", "target_model_plain.npy", "source_trace_plain.csv",
-          "target_trace_plain.csv"], 2),
+         ["factor_models_plain.npy", "source_trace_plain.csv", "target_trace_plain.csv"], 2),
         (["train", "--method", "scdr", "--seed", "2"],
          ["mapping_scdr.npy", "mapping_trace_scdr.csv"], 1),
     ], ids=["synth", "pretrain", "train"])
@@ -1276,10 +1303,9 @@ class TestFailedRename:
          "rating file {out}/source_ratings.csv is not the one"),
         # the manifest is new; the old snapshots are stale, so the new files are parsed
         (["synth", "--seed", "2"], 4, ["pretrain", "--mode", "plain"], None),
-        (["pretrain", "--mode", "plain", "--seed", "2"], 2, ["train", "--method", "emcdr"],
-         "{out}/source_model_plain.npy and {out}/target_model_plain.npy record different "
-         "training settings, so one pretrain run did not write both; run it again"),
-        # both checkpoints are new; only the traces are mixed, and no command reads them
+        # the checkpoint is new and the traces old; no command reads the traces
+        (["pretrain", "--mode", "plain", "--seed", "2"], 2, ["train", "--method", "emcdr"], None),
+        # the checkpoint and the source trace are new; only the target trace is old
         (["pretrain", "--mode", "plain", "--seed", "2"], 3, ["train", "--method", "emcdr"], None),
     ], ids=["synth-2", "synth-3", "synth-4", "pretrain-2", "pretrain-3"])
     def test_the_next_command_refuses_a_mixed_set(self, run_copy, capsys, monkeypatch, args, n,

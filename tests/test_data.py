@@ -30,9 +30,8 @@ from scdr.data import (
     write_ratings,
 )
 from scdr.errors import IngestError, MissingInputError, ValidationError
-from scdr.factorization import FactorModel, TrainConfig, load_factor_model, save_factor_model
+from scdr.factorization import FactorModel, load_factor_model, save_factor_model
 from scdr.mapping import MappingNet, load_mapping, save_mapping
-from scdr.perturbation import PerturbConfig
 
 from conftest import (dataset, fail_halfway, high_bytes, load_records, rewrite_header,
                       rewrite_record, same_dataset, two_domain_scenario, uneven_scenario)
@@ -997,14 +996,14 @@ class TestManifest:
 
 def write_factor_checkpoint(path):
     rng = np.random.default_rng(0)
-    save_factor_model(FactorModel(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), path,
-                      TrainConfig(epochs=1, dim=2), PerturbConfig(rho=0.1, k=1),
+    save_factor_model((FactorModel(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))),
+                       FactorModel(rng.normal(size=(5, 2)), rng.normal(size=(6, 2)))), path,
                       inputs={"manifest": "a" * 64})
 
 
 def write_mapping_checkpoint(path):
     net = MappingNet(np.ones((3, 2)), np.zeros(3), np.ones((2, 3)), np.zeros(2))
-    save_mapping(net, path, inputs={"source_model": "b" * 64})
+    save_mapping(net, path, inputs={"factor_models": "b" * 64})
 
 
 def write_sidecar(path):
@@ -1022,7 +1021,8 @@ def test_every_header_character_above_unicode_is_refused(tmp_path, write, load):
     code point above U+10FFFF; the reader refuses it naming the file, and raises nothing else.
 
     Before the records were checked for such code points, json.loads raised SystemError
-    on one inside a one-character string, such as the factor checkpoint's key "k".
+    on one inside a one-character string, such as the key "k" that factor checkpoints
+    once held.
     """
     path = tmp_path / "doc.npy"
     write(path)

@@ -3,12 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import scdr.data
 import scdr.factorization as factorization
 from scdr.data import DomainDataset, SyntheticSpec, generate_synthetic
 from scdr.errors import DivergenceError, MissingInputError, ValidationError
@@ -24,7 +26,8 @@ from scdr.factorization import (
 )
 from scdr.perturbation import PerturbConfig, find_delta
 
-from conftest import count_ascent_work, dataset, minor_faults, rewrite_header, rewrite_record, same_bits
+from conftest import (count_ascent_work, dataset, load_records, minor_faults, rewrite_header,
+                      rewrite_record, same_bits)
 
 
 def model_from(u_rows, v_rows):
@@ -748,27 +751,47 @@ class TestStepCost:
         assert peak <= bound
 
 
+def random_pair(rng):
+    """A (source, target) pair of factor models of width 2, with 3 and 5 users."""
+    return (model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))),
+            model_from(rng.normal(size=(5, 2)), rng.normal(size=(6, 2))))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
-        model = model_from(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)))
-        cfg = TrainConfig(epochs=7, dim=3, seed=11)
+        pair = random_pair(rng)
+        inputs = {"manifest": "a" * 64, "source_ratings": "b" * 64, "target_ratings": "c" * 64}
         p = tmp_path / "m.npy"
-        save_factor_model(model, p, cfg, PerturbConfig(rho=0.1, k=2))
-        back, doc, digest = load_factor_model(p)
+        save_factor_model(pair, p, inputs)
+        back, digest = load_factor_model(p)
         assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
-        assert np.array_equal(back.U, model.U)
-        assert np.array_equal(back.V, model.V)
-        assert doc["config"]["seed"] == 11
-        assert doc["perturb"]["rho"] == 0.1
-        # the shapes are the arrays' own, and the records digest covers them
-        assert set(doc) == {"format_version", "kind", "config", "perturb"}
+        assert len(back) == 2
+        for got, model in zip(back, pair):
+            assert same_bits(got.U, model.U) and same_bits(got.V, model.V)
+
+    def test_one_header_then_the_four_matrices(self, tmp_path, rng):
+        """The header holds only what the loader checks: no echo of the training settings,
+        and no shapes, which are the arrays' own and which the records digest covers."""
+        pair = random_pair(rng)
+        p = tmp_path / "m.npy"
+        save_factor_model(pair, p, {"manifest": "a" * 64})
+        head, *arrays = load_records(p, 5)
+        assert json.loads(head.item()) == {
+            "format_version": 6, "kind": "factor_model", "inputs": {"manifest": "a" * 64},
+            "records": scdr.data._records_digest(arrays)}
+        assert [a.tobytes() for a in arrays] == [
+            m.tobytes() for model in pair for m in (model.U, model.V)]
+        with open(p, "rb") as fh:
+            for _ in range(5):
+                np.load(fh)
+            assert fh.read() == b""
 
     def test_extreme_floats_round_trip_bitwise(self, tmp_path):
         edge = [-0.0, 5e-324, 1e308, -1e308]
         model = model_from([edge, edge[::-1]], [edge[1:] + edge[:1]])
         p = tmp_path / "m.npy"
-        save_factor_model(model, p)
-        back, _, _ = load_factor_model(p)
+        save_factor_model((model, model_from([edge[::-1]], [edge])), p)
+        (back, _), _ = load_factor_model(p)
         assert back.U.tobytes() == model.U.tobytes()
         assert back.V.tobytes() == model.V.tobytes()
         assert np.signbit(back.U[0, 0])
@@ -776,10 +799,8 @@ class TestCheckpoint:
     def test_input_digests_are_checked(self, tmp_path, rng):
         inputs = {"manifest": "a" * 64, "source_ratings": "b" * 64, "target_ratings": "c" * 64}
         p = tmp_path / "m.npy"
-        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p,
-                          inputs=inputs)
-        _, doc, _ = load_factor_model(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 5
+        save_factor_model(random_pair(rng), p, inputs=inputs)
+        load_factor_model(p, inputs)
         for other in ({**inputs, "target_ratings": "d" * 64}, {}):
             with pytest.raises(ValidationError, match="stale factor checkpoint") as exc:
                 load_factor_model(p, other)
@@ -794,7 +815,7 @@ class TestCheckpoint:
 
     def test_wrong_kind_rejected(self, tmp_path, rng):
         p = tmp_path / "m.npy"
-        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
+        save_factor_model(random_pair(rng), p)
         rewrite_header(p, kind="something")
         with pytest.raises(ValidationError, match="not a factor checkpoint"):
             load_factor_model(p)
@@ -802,16 +823,31 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="not a factor checkpoint"):
             load_factor_model(p)
 
-    def test_widths_come_from_the_matrices(self, tmp_path, rng):
-        model = model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
-        assert model.d == 2 and [f.name for f in fields(FactorModel)] == ["U", "V"]
-        with pytest.raises(ValidationError, match="U and V widths differ: 2 vs 3"):
-            FactorModel(model.U, rng.normal(size=(4, 3)))
-        # a checkpoint whose writer stored matrices of two widths
+    def test_version_5_model_of_one_domain_rejected(self, tmp_path, rng):
+        """The layout of one domain's model per file, whose header echoed the training
+        settings, is another version: it is refused naming the file."""
+        source, _ = random_pair(rng)
         p = tmp_path / "m.npy"
-        save_factor_model(model, p)
-        rewrite_record(p, 3, 2, lambda v: np.hstack([v, v]), restamp=True)
-        with pytest.raises(ValidationError, match=f"malformed factor checkpoint {p}: U and V "):
+        head = {"format_version": 5, "kind": "factor_model", "config": None, "perturb": None,
+                "records": scdr.data._records_digest([source.U, source.V])}
+        with open(p, "wb") as fh:
+            for arr in (np.array(json.dumps(head, sort_keys=True)), source.U, source.V):
+                np.save(fh, arr, allow_pickle=False)
+        with pytest.raises(ValidationError, match=f"not a factor checkpoint: {re.escape(str(p))}"):
+            load_factor_model(p)
+
+    @pytest.mark.parametrize("position", [2, 3, 4])
+    def test_widths_come_from_the_matrices(self, tmp_path, rng, position):
+        source, target = random_pair(rng)
+        assert source.d == 2 and [f.name for f in fields(FactorModel)] == ["U", "V"]
+        with pytest.raises(ValidationError, match="U and V widths differ: 2 vs 3"):
+            FactorModel(source.U, rng.normal(size=(4, 3)))
+        # a checkpoint whose writer stored one model's matrices at two widths
+        p = tmp_path / "m.npy"
+        save_factor_model((source, target), p)
+        rewrite_record(p, 5, position, lambda m: np.hstack([m, m]), restamp=True)
+        with pytest.raises(ValidationError, match=f"malformed factor checkpoint "
+                                                  f"{re.escape(str(p))}: U and V widths differ"):
             load_factor_model(p)
 
     def test_version_2_json_checkpoint_rejected(self, tmp_path, rng):
@@ -824,40 +860,42 @@ class TestCheckpoint:
             load_factor_model(p)
         assert str(p) in str(exc.value)
 
+    @pytest.mark.parametrize("position", [1, 4])
     @pytest.mark.parametrize("convert, message", [
-        (lambda a: a.astype(np.float32), "array 1 is not 2-D f8"),
-        (np.ravel, "array 1 is not 2-D f8"),
+        (lambda a: a.astype(np.float32), "array {} is not 2-D f8"),
+        (np.ravel, "array {} is not 2-D f8"),
         (lambda a: a.astype(object), "Object arrays cannot be loaded"),
     ], ids=["float32", "1-D", "object"])
-    def test_ill_typed_u_rejected(self, tmp_path, rng, convert, message):
+    def test_ill_typed_matrix_rejected(self, tmp_path, rng, convert, message, position):
         p = tmp_path / "m.npy"
-        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
-        rewrite_record(p, 3, 1, convert)
-        with pytest.raises(ValidationError, match=f"malformed factor checkpoint .*{message}"):
+        save_factor_model(random_pair(rng), p)
+        rewrite_record(p, 5, position, convert)
+        with pytest.raises(ValidationError,
+                           match=f"malformed factor checkpoint .*{message.format(position)}"):
             load_factor_model(p)
 
     @pytest.mark.parametrize("keep", [0, 50, -1])
     def test_truncated_checkpoint_rejected(self, tmp_path, rng, keep):
         p = tmp_path / "m.npy"
-        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
+        save_factor_model(random_pair(rng), p)
         p.write_bytes(p.read_bytes()[:keep])
         with pytest.raises(ValidationError, match="malformed factor checkpoint"):
             load_factor_model(p)
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         p = tmp_path / "m.npy"
-        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
+        save_factor_model(random_pair(rng), p)
         with open(p, "ab") as fh:
             fh.write(b"\0")
         with pytest.raises(ValidationError,
-                           match="malformed factor checkpoint .*trailing bytes after array 2"):
+                           match="malformed factor checkpoint .*trailing bytes after array 4"):
             load_factor_model(p)
 
-    @pytest.mark.parametrize("value", [5.0, "5", True])
+    @pytest.mark.parametrize("value", [6.0, "6", True])
     def test_metadata_numbers_are_strict(self, tmp_path, rng, value):
-        # format_version is the header's one number, and 5.0 == 5 in an untyped comparison
+        # format_version is the header's one number, and 6.0 == 6 in an untyped comparison
         p = tmp_path / "m.npy"
-        save_factor_model(model_from(rng.normal(size=(3, 2)), rng.normal(size=(4, 2))), p)
+        save_factor_model(random_pair(rng), p)
         rewrite_header(p, format_version=value)
         with pytest.raises(ValidationError, match="not a factor checkpoint") as exc:
             load_factor_model(p)

@@ -357,14 +357,20 @@ class TestScdrLoss:
                     best = max(best, loss_at(u + np.array([dx, dy])))
         assert got >= 0.95 * best
 
-    def test_empty_items_rejected(self):
-        # a train user without target items has no rating loss to train on
+    @pytest.mark.parametrize("method", ["scdr", "emcdr"])
+    def test_empty_items_rejected(self, method):
+        # a train user without target items has no rating loss to train on, and no target
+        # embedding trained from data; one split check refuses it for either trainer
         scn = unrated_train_user_scenario()
         src = FactorModel(np.ones((2, 3)), np.ones((1, 3)))
         tgt = FactorModel(np.ones((2, 3)), np.ones((1, 3)))
+        base = TrainConfig(epochs=1, dim=3, seed=0)
         with pytest.raises(ValidationError, match="train user u0 has no target interactions"):
-            scdr_train(scn, src, tgt, ScdrTrainConfig(
-                base=TrainConfig(epochs=1, dim=3, seed=0), perturb=PerturbConfig(rho=0.1, k=1)))
+            if method == "scdr":
+                scdr_train(scn, src, tgt, ScdrTrainConfig(
+                    base=base, perturb=PerturbConfig(rho=0.1, k=1)))
+            else:
+                emcdr_train(scn, src, tgt, base)
 
 
 class TestScdrTrain:
@@ -509,19 +515,19 @@ class TestMappingCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         net = random_net(rng)
         p = tmp_path / "net.npy"
-        inputs = {"source_model": "a" * 64, "target_model": "b" * 64}
+        inputs = {"factor_models": "a" * 64}
         save_mapping(net, p, inputs=inputs)
         back, doc, sha = load_mapping(p)
         assert sha == hashlib.sha256(p.read_bytes()).hexdigest()
         for name in ("W1", "b1", "W2", "b2"):
             assert getattr(back, name).tobytes() == getattr(net, name).tobytes(), name
-        assert doc == {"format_version": 7, "kind": "mapping_net", "inputs": inputs,
+        assert doc == {"format_version": 8, "kind": "mapping_net", "inputs": inputs,
                        "activation": "tanh"}
 
     def test_records_are_a_header_and_four_float64_arrays(self, tmp_path, rng):
         net = random_net(rng)
         p = tmp_path / "net.npy"
-        save_mapping(net, p, inputs={"source_model": "a" * 64})
+        save_mapping(net, p, inputs={"factor_models": "a" * 64})
         head, *arrays = load_records(p, 5)
         # the widths are the arrays' own, and the records digest covers them; every field is
         # one that load_mapping checks, so no damaged field loads silently
@@ -536,12 +542,12 @@ class TestMappingCheckpoint:
             assert fh.read() == b""
 
     def test_input_digests_are_checked(self, tmp_path, rng):
-        inputs = {"source_model": "a" * 64, "target_model": "b" * 64}
+        inputs = {"factor_models": "a" * 64}
         p = tmp_path / "net.npy"
         save_mapping(random_net(rng), p, inputs=inputs)
         _, doc, _ = load_mapping(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 7
-        for other in ({**inputs, "target_model": "c" * 64}, {}):
+        assert doc["inputs"] == inputs and doc["format_version"] == 8
+        for other in ({"factor_models": "c" * 64}, {}):
             with pytest.raises(ValidationError, match="stale mapping checkpoint") as exc:
                 load_mapping(p, other)
             assert str(p) in str(exc.value)
@@ -894,10 +900,9 @@ class TestKernelReference:
 
 
 def fresh_gather_supervision(scenario: CdrScenario, target_model: FactorModel, supervision: str,
-                             batch_size: int):
+                             batch_size: int, split):
     """``_gather_supervision``'s rating supervision with fresh arrays for every gather."""
-    targets = np.array([t for _, t in scenario.train_pairs])
-    items, ratings, counts = scenario.target.user_interactions(targets)
+    _, targets, items, ratings, counts = split
     V = target_model.V
 
     def batch(sel):

@@ -6,7 +6,8 @@ that defines them. A refactor that renames or drops a wrapped name, or that
 moves those callables to another module, breaks or skews a traced benchmark
 run; these checks make it fail the test suite instead. README's example
 config and every benchmark stage config are checked against the keys the
-CLI accepts in the same way, and README's import lines against the
+CLI accepts in the same way, README's file names against the files a run
+writes, and README's import lines against the
 package's modules, which load only the modules they use. The JSON artifact format and the path from arrays to
 file bytes are checked to stay behind ``scdr.data``'s codec, numpy's
 binary loading and writing are checked to stay in ``scdr.data`` and
@@ -113,6 +114,27 @@ def test_find_delta_callables_are_defined_by_the_caller(monkeypatch):
     assert intact and all(intact)
 
 
+def tiny_pipeline(tmp_path) -> Path:
+    """Every CLI command, each mode and method included, on a tiny scenario; the run directory."""
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 1, "out": str(out),
+        "synth": {"users": 40, "items": 20, "overlap_ratio": 0.5, "dim": 3,
+                  "ratings_per_user": 5},
+        "pretrain": {"epochs": 1, "dim": 3, "k": 2},
+        "train": {"epochs": 1, "hidden": 4, "k": 2},
+        "landscape": {"resolution": 2, "n_samples": 8},
+    }))
+    stages = [["synth"], ["pretrain", "--mode", "plain"],
+              ["pretrain", "--mode", "sharpness_aware"]]
+    stages += [["train", "--method", m] for m in ("emcdr", "scdr_minus", "scdr")]
+    stages += [[c, "--method", "scdr"] for c in ("eval", "attack", "landscape", "sharpness")]
+    for stage in stages:
+        assert scdr.cli.main([*stage, "--config", str(cfg)]) == 0, stage
+    return out
+
+
 def test_every_traced_name_is_called(tmp_path, monkeypatch):
     """A tiny pipeline enters every span the tracer wraps and credits every kernel module.
 
@@ -128,26 +150,25 @@ def test_every_traced_name_is_called(tmp_path, monkeypatch):
         wrappers.setdefault(name, tracer.wrap(name, getattr(target, attr)))
         monkeypatch.setattr(target, attr, wrappers[name])
 
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "seed": 1, "out": str(tmp_path / "run"),
-        "synth": {"users": 40, "items": 20, "overlap_ratio": 0.5, "dim": 3,
-                  "ratings_per_user": 5},
-        "pretrain": {"epochs": 1, "dim": 3, "k": 2},
-        "train": {"epochs": 1, "hidden": 4, "k": 2},
-        "landscape": {"resolution": 2, "n_samples": 8},
-    }))
-    stages = [["synth"], ["pretrain", "--mode", "plain"],
-              ["pretrain", "--mode", "sharpness_aware"]]
-    stages += [["train", "--method", m] for m in ("emcdr", "scdr_minus", "scdr")]
-    stages += [[c, "--method", "scdr"] for c in ("eval", "attack", "landscape", "sharpness")]
-    for stage in stages:
-        assert scdr.cli.main([*stage, "--config", str(cfg)]) == 0, stage
-
+    tiny_pipeline(tmp_path)
     entered = {span[0] for span in tracer.spans}
     assert set(spans.WRAPPED.values()) - entered == set()
     kernels = {f"{m}.kernel_s" for m in ("factorization", "mapping", "analysis")}
     assert {k for k in kernels if tracer.counters.get(k, 0.0) > 0.0} == kernels
+
+
+def test_readme_names_every_file_a_run_writes(tmp_path):
+    """README names, in backticks, each file that the CLI writes to a run directory, with
+    ``<mode>`` and ``<method>`` standing for the pretraining mode and the mapping method.
+
+    A command that renames or adds an output then fails here until README follows.
+    """
+    readme = (ROOT / "README.md").read_text()
+    names = {re.sub(r"_(emcdr|scdr_minus|scdr)\.", "_<method>.",
+                    re.sub(r"_(plain|sharpness_aware)\.", "_<mode>.", p.name))
+             for p in tiny_pipeline(tmp_path).iterdir()}
+    assert len(names) == 15
+    assert sorted(name for name in names if f"`{name}`" not in readme) == []
 
 
 def test_readme_config_block_loads(tmp_path):
