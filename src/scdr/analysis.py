@@ -64,7 +64,6 @@ class LandscapeGrid:
 
     axis: np.ndarray
     loss: np.ndarray
-    seed: int
     n_samples: int
 
     def __post_init__(self):
@@ -180,7 +179,7 @@ def landscape_grid(net: MappingNet, source_model: FactorModel, target_model: Fac
             displaced = u_sel + axis[gammas, None, None] * d1 + zeta * d2
             preds = np.einsum("gij,ij->gi", forward(net, displaced), v_sel)
             loss[zi, gammas] = np.mean(np.abs(r_sel - preds), axis=1)
-    return LandscapeGrid(axis, loss, spec.seed, int(n))
+    return LandscapeGrid(axis, loss, int(n))
 
 
 def lipschitz_estimate(net: MappingNet, source_model: FactorModel, target_model: FactorModel,

@@ -264,7 +264,7 @@ def _load_eval_inputs(out: Path, method: str):
     """The scenario, both factor models, the mapping and a report's ``inputs`` (its sha256)."""
     from . import mapping
     scenario, src_model, tgt_model, inputs = _load_train_inputs(out, method)
-    net, _, digest = mapping.load_mapping(out / f"mapping_{method}.npy", inputs)
+    net, digest = mapping.load_mapping(out / f"mapping_{method}.npy", inputs)
     return scenario, src_model, tgt_model, net, {"mapping": digest}
 
 

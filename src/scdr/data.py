@@ -843,10 +843,9 @@ def load_scenario(manifest_path) -> CdrScenario:
     return scenario
 
 
-# (dtype, ndim) of each array of a sidecar, in file order
-_SIDECAR_ARRAYS = {"source_user_latents": ("f8", 2), "target_user_latents": ("f8", 2),
-                   "source_item_latents": ("f8", 2), "target_item_latents": ("f8", 2),
-                   "latent_mean": ("f8", 1), "map_matrix": ("f8", 2)}
+# the arrays of a sidecar, in file order
+_SIDECAR_ARRAYS = ("source_user_latents", "target_user_latents", "source_item_latents",
+                   "target_item_latents", "latent_mean", "map_matrix")
 
 
 def save_sidecar(sidecar: SyntheticSidecar, path) -> None:
@@ -855,20 +854,3 @@ def save_sidecar(sidecar: SyntheticSidecar, path) -> None:
                    {"map_kind": sidecar.map_kind, "seed": sidecar.seed},
                    arrays={name: np.asarray(getattr(sidecar, name), dtype=np.float64)
                            for name in _SIDECAR_ARRAYS})
-
-
-def load_sidecar(path) -> SyntheticSidecar:
-    """Read a sidecar back, each array of its own rank as float64.
-
-    ``seed`` must be a non-negative integer and ``map_kind`` one of ``MAP_KINDS``; another
-    header, a truncated, pickled or ill-typed record raises ValidationError naming ``path``.
-    """
-    with read_artifact(path, "synthetic_sidecar", SIDECAR_VERSION, "sidecar",
-                       arrays=_SIDECAR_ARRAYS) as (doc, _):
-        if doc["map_kind"] not in MAP_KINDS:
-            raise ValidationError(f"unknown map kind {doc['map_kind']!r} in {path}")
-        seed = number(int, doc["seed"], "seed")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        return SyntheticSidecar(**{name: doc[name] for name in _SIDECAR_ARRAYS},
-                                map_kind=doc["map_kind"], seed=seed)

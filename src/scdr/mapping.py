@@ -39,7 +39,7 @@ from .errors import ValidationError
 from .factorization import FactorModel, TrainConfig, _run_epochs, _take_rows
 from .perturbation import PerturbConfig, WorstCase, find_delta
 
-MAPPING_CHECKPOINT_VERSION = 8
+MAPPING_CHECKPOINT_VERSION = 9
 # (dtype, ndim) of each array after the checkpoint's header
 _CHECKPOINT_ARRAYS = {"W1": ("f8", 2), "b1": ("f8", 1), "W2": ("f8", 2), "b2": ("f8", 1)}
 
@@ -71,10 +71,6 @@ class MappingNet:
     @property
     def d(self) -> int:
         return self.W1.shape[1]
-
-    @property
-    def hidden(self) -> int:
-        return self.W1.shape[0]
 
 
 class MappingGradient(NamedTuple):
@@ -452,18 +448,16 @@ def scdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: F
 
 def save_mapping(net: MappingNet, path, inputs: dict | None = None) -> None:
     """Write a header with ``inputs`` digests, then W1, b1, W2 and b2."""
-    write_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, {"activation": "tanh"},
-                   inputs=inputs, arrays={"W1": net.W1, "b1": net.b1, "W2": net.W2, "b2": net.b2})
+    write_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, {}, inputs=inputs,
+                   arrays={name: getattr(net, name) for name in _CHECKPOINT_ARRAYS})
 
 
-def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, dict, str]:
-    """A checkpoint's net, header and sha256; one trained on other ``inputs`` raises."""
+def load_mapping(path, inputs: dict | None = None) -> tuple[MappingNet, str]:
+    """A checkpoint's net and its sha256; one trained on other ``inputs`` raises."""
     with read_artifact(path, "mapping_net", MAPPING_CHECKPOINT_VERSION, "mapping checkpoint",
                        inputs, arrays=_CHECKPOINT_ARRAYS) as (doc, digest):
-        if doc["activation"] != "tanh":
-            raise ValidationError(f"unsupported activation {doc['activation']!r} in {path}")
         try:
-            net = MappingNet(*(doc.pop(k) for k in ("W1", "b1", "W2", "b2")))
+            net = MappingNet(*(doc[k] for k in _CHECKPOINT_ARRAYS))
         except ValidationError as exc:
             raise ValidationError(f"malformed mapping checkpoint {path}: {exc}") from None
-    return net, doc, digest
+    return net, digest

@@ -148,7 +148,7 @@ def rewrite_record(path, count, position, convert, restamp=False):
 def rewrite_header(path, count=5, **changes):
     """Set ``changes`` in the JSON header of a file of ``count`` records; the arrays stay.
 
-    A factor checkpoint and a mapping checkpoint each have 5 records, a sidecar 7.
+    A factor checkpoint and a mapping checkpoint each have 5 records.
     """
     rewrite_record(path, count, 0, lambda head: np.array(
         json.dumps({**json.loads(head.item()), **changes})))

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import re
@@ -21,7 +20,6 @@ from scdr.data import (
     generate_synthetic,
     ingest_domain,
     load_scenario,
-    load_sidecar,
     save_manifest,
     save_sidecar,
     split_overlap,
@@ -33,15 +31,8 @@ from scdr.errors import IngestError, MissingInputError, ValidationError
 from scdr.factorization import FactorModel, load_factor_model, save_factor_model
 from scdr.mapping import MappingNet, load_mapping, save_mapping
 
-from conftest import (dataset, fail_halfway, high_bytes, load_records, rewrite_header,
-                      rewrite_record, same_dataset, two_domain_scenario, uneven_scenario)
-
-
-def record_bytes(arr) -> bytes:
-    """``arr`` as one pickle-free ``np.save`` record."""
-    buf = io.BytesIO()
-    np.save(buf, arr, allow_pickle=False)
-    return buf.getvalue()
+from conftest import (dataset, fail_halfway, high_bytes, load_records, same_dataset,
+                      two_domain_scenario, uneven_scenario)
 
 
 class TestIngest:
@@ -770,10 +761,6 @@ class TestManifest:
         old = load_scenario(tmp_path / "old.json")
         assert old.train_pairs == scn.train_pairs and old.test_pairs == scn.test_pairs
 
-        sc_back = load_sidecar(tmp_path / "g.npy")
-        assert np.array_equal(sc_back.target_user_latents, sc.target_user_latents)
-        assert sc_back.map_kind == sc.map_kind
-
     def test_membership_optional(self, tmp_path):
         scn = two_domain_scenario(n_overlap=8, beta=0.5, seed=11)
         write_ratings(scn.source, tmp_path / "s.csv")
@@ -860,20 +847,17 @@ class TestManifest:
         with pytest.raises(ValidationError):
             load_scenario(tmp_path / "m.json")
 
-    @pytest.mark.parametrize("name", ["m.json", "g.npy"])
-    def test_truncated_document_is_validation_error(self, tmp_path, name):
+    def test_truncated_manifest_is_validation_error(self, tmp_path):
         spec = SyntheticSpec(users=60, items=30, overlap_ratio=0.2, dim=4, seed=4,
                              ratings_per_user=8)
-        scn, sc = generate_synthetic(spec)
+        scn, _ = generate_synthetic(spec)
         write_ratings(scn.source, tmp_path / "s.csv")
         write_ratings(scn.target, tmp_path / "t.csv")
         save_manifest(scn, tmp_path / "m.json", "s.csv", "t.csv")
-        save_sidecar(sc, tmp_path / "g.npy")
-        raw = (tmp_path / name).read_bytes()
-        (tmp_path / name).write_bytes(raw[:len(raw) // 2])
-        loader = load_scenario if name == "m.json" else load_sidecar
+        raw = (tmp_path / "m.json").read_bytes()
+        (tmp_path / "m.json").write_bytes(raw[:len(raw) // 2])
         with pytest.raises(ValidationError, match="malformed"):
-            loader(tmp_path / name)
+            load_scenario(tmp_path / "m.json")
 
     @pytest.mark.parametrize("overlap_ratio", [0.3, 1.0])
     def test_sidecar_is_a_header_and_six_float64_records(self, tmp_path, overlap_ratio):
@@ -894,19 +878,25 @@ class TestManifest:
             assert arr.dtype == np.float64 and arr.tobytes() == getattr(sc, name).tobytes(), name
 
     def test_sidecar_round_trip_is_bitwise(self, tmp_path):
+        """The library has no sidecar reader: plain ``np.load`` calls in file order read the
+        JSON header, then the six float64 arrays, every bit of them."""
         _, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=3,
                                                  ratings_per_user=3, seed=6))
         sc.source_user_latents[0] = [-0.0, 5e-324, 2.2250738585072014e-308 / 3]
         sc.map_matrix[1, 2] = -0.0
         path = tmp_path / "g.npy"
         save_sidecar(sc, path)
-        back = load_sidecar(path)
-        for name in scdr.data._SIDECAR_ARRAYS:
-            got, expect = getattr(back, name), getattr(sc, name)
+        with open(path, "rb") as fh:
+            head = json.loads(np.load(fh, allow_pickle=False).item())
+            back = {name: np.load(fh, allow_pickle=False) for name in scdr.data._SIDECAR_ARRAYS}
+            assert fh.read() == b""
+        for name, got in back.items():
+            expect = getattr(sc, name)
             assert got.dtype == np.float64 and got.shape == expect.shape, name
             assert got.tobytes() == expect.tobytes(), name
-        assert np.signbit(back.source_user_latents[0, 0])
-        assert (back.map_kind, back.seed) == (sc.map_kind, sc.seed)
+        assert np.signbit(back["source_user_latents"][0, 0])
+        assert back["source_user_latents"][0, 1] == 5e-324
+        assert (head["map_kind"], head["seed"]) == (sc.map_kind, sc.seed)
 
     def test_sidecar_write_keeps_its_temporaries_to_a_block(self, tmp_path):
         _, sc = generate_synthetic(SyntheticSpec(users=3000, items=1000, overlap_ratio=0.5,
@@ -924,64 +914,17 @@ class TestManifest:
         # count. The bound is one copy of the file.
         assert peak < path.stat().st_size
 
-    @pytest.mark.parametrize("key, value", [
-        ("seed", 3.9), ("seed", "3"), ("seed", True), ("map_kind", "bogus"), ("seed", -1),
-    ])
-    def test_sidecar_values_are_strict(self, tmp_path, key, value):
-        _, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=2,
-                                                 ratings_per_user=3))
-        path = tmp_path / "g.npy"
-        save_sidecar(sc, path)
-        rewrite_header(path, 7, **{key: value})
-        with pytest.raises(ValidationError, match=re.escape(str(path))):
-            load_sidecar(path)
-
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda path, sc: path.write_text(json.dumps(
-            {"format_version": 1, "map_kind": sc.map_kind, "seed": sc.seed,
-             **{name: getattr(sc, name).tolist() for name in scdr.data._SIDECAR_ARRAYS}},
-            sort_keys=True) + "\n"), "malformed sidecar {}: "),
-        (lambda path, sc: path.write_bytes(path.read_bytes()[:-1]), "malformed sidecar {}: "),
-        (lambda path, sc: rewrite_record(path, 7, 1, lambda a: a.astype(np.float32)),
-         "malformed sidecar {}: array 1 is not 2-D f8"),
-        (lambda path, sc: rewrite_record(path, 7, 3, np.ravel),
-         "malformed sidecar {}: array 3 is not 2-D f8"),
-        (lambda path, sc: rewrite_record(path, 7, 5, lambda a: a[:, None]),
-         "malformed sidecar {}: array 5 is not 1-D f8"),
-        (lambda path, sc: rewrite_record(path, 7, 6, lambda a: a.astype(object)),
-         "malformed sidecar {}: "),
-        (lambda path, sc: path.write_bytes(b"".join(
-            record_bytes(arr) for arr in load_records(path, 6))), "malformed sidecar {}: "),
-        (lambda path, sc: rewrite_header(path, 7, kind="factor_model"), "not a sidecar: {}"),
-        (lambda path, sc: path.write_bytes(path.read_bytes() + b"\0"),
-         "malformed sidecar {}: trailing bytes after array 6"),
-    ], ids=["version-1-json", "last-byte-cut", "float32-latents", "1-D-latents", "2-D-mean",
-            "pickled-map", "missing-record", "other-kind", "trailing-bytes"])
-    def test_bad_sidecar_names_its_path(self, tmp_path, corrupt, message):
-        _, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=2,
-                                                 ratings_per_user=3))
-        path = tmp_path / "g.npy"
-        save_sidecar(sc, path)
-        corrupt(path, sc)
-        with pytest.raises(ValidationError, match=re.escape(message.format(path))):
-            load_sidecar(path)
-
-    @pytest.mark.parametrize("name, what, load, read", [
-        ("g.npy", "malformed sidecar", load_sidecar, "g.npy"),
-        ("r.csv.npy", "unreadable rating snapshot", ingest_domain, "r.csv"),
-    ], ids=["sidecar", "snapshot"])
-    def test_json_document_at_npy_path_is_not_records(self, tmp_path, name, what, load, read):
+    def test_json_document_at_snapshot_path_is_not_records(self, tmp_path):
         scn, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5,
                                                    dim=2, ratings_per_user=3))
-        save_sidecar(sc, tmp_path / "g.npy")
         written_with_snapshot(scn.source, tmp_path / "r.csv")
         # a JSON document, as a version-1 sidecar was
-        path = tmp_path / name
+        path = tmp_path / "r.csv.npy"
         path.write_text(json.dumps({"format_version": 1, "map_kind": sc.map_kind,
                                     "seed": sc.seed}) + "\n")
         with pytest.raises(ValidationError) as exc:
-            load(tmp_path / read)
-        assert f"{what} {path}: not `np.save` records" in str(exc.value)
+            ingest_domain(tmp_path / "r.csv")
+        assert f"unreadable rating snapshot {path}: not `np.save` records" in str(exc.value)
         assert "pickle" not in str(exc.value)
 
     def test_missing_manifest(self, tmp_path):
@@ -1006,16 +949,10 @@ def write_mapping_checkpoint(path):
     save_mapping(net, path, inputs={"factor_models": "b" * 64})
 
 
-def write_sidecar(path):
-    save_sidecar(generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5, dim=2,
-                                                  ratings_per_user=3))[1], path)
-
-
 @pytest.mark.parametrize("write, load", [
     (write_factor_checkpoint, load_factor_model),
     (write_mapping_checkpoint, load_mapping),
-    (write_sidecar, load_sidecar),
-], ids=["factor", "mapping", "sidecar"])
+], ids=["factor", "mapping"])
 def test_every_header_character_above_unicode_is_refused(tmp_path, write, load):
     """0xF4 over the high byte of any character of an array document's JSON header is a
     code point above U+10FFFF; the reader refuses it naming the file, and raises nothing else.

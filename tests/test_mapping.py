@@ -10,6 +10,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import scdr.data
 import scdr.factorization as factorization
 import scdr.mapping as mapping
 from scdr.data import CdrScenario, DomainDataset, SyntheticSpec, generate_synthetic
@@ -35,8 +36,7 @@ from scdr.mapping import (
 from scdr.perturbation import PerturbConfig, WorstCase, find_delta
 
 from conftest import (count_ascent_work, load_records, minor_faults, rewrite_header,
-                      rewrite_record, same_bits,
-                      set_chunk_rows, uneven_scenario)
+                      same_bits, set_chunk_rows, uneven_scenario)
 
 
 def zero_net(d=3, h=4):
@@ -517,12 +517,25 @@ class TestMappingCheckpoint:
         p = tmp_path / "net.npy"
         inputs = {"factor_models": "a" * 64}
         save_mapping(net, p, inputs=inputs)
-        back, doc, sha = load_mapping(p)
+        back, sha = load_mapping(p)
         assert sha == hashlib.sha256(p.read_bytes()).hexdigest()
         for name in ("W1", "b1", "W2", "b2"):
             assert getattr(back, name).tobytes() == getattr(net, name).tobytes(), name
-        assert doc == {"format_version": 8, "kind": "mapping_net", "inputs": inputs,
-                       "activation": "tanh"}
+        head, *arrays = load_records(p, 5)
+        assert json.loads(head.item()) == {"format_version": 9, "kind": "mapping_net",
+                                           "inputs": inputs,
+                                           "records": scdr.data._records_digest(arrays)}
+
+    def test_header_holds_the_factor_checkpoints_four_keys(self, tmp_path, rng):
+        """The net's one activation is tanh, fixed in ``_forward``, so the header names none:
+        it holds exactly the keys a factor checkpoint's header holds."""
+        save_mapping(random_net(rng), tmp_path / "net.npy", inputs={"factor_models": "a" * 64})
+        models = tuple(FactorModel(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
+                       for _ in range(2))
+        factorization.save_factor_model(models, tmp_path / "f.npy", inputs={"manifest": "b" * 64})
+        keys = [sorted(json.loads(load_records(tmp_path / name, 1)[0].item()))
+                for name in ("net.npy", "f.npy")]
+        assert keys == [["format_version", "inputs", "kind", "records"]] * 2
 
     def test_records_are_a_header_and_four_float64_arrays(self, tmp_path, rng):
         net = random_net(rng)
@@ -531,8 +544,7 @@ class TestMappingCheckpoint:
         head, *arrays = load_records(p, 5)
         # the widths are the arrays' own, and the records digest covers them; every field is
         # one that load_mapping checks, so no damaged field loads silently
-        assert sorted(json.loads(head.item())) == [
-            "activation", "format_version", "inputs", "kind", "records"]
+        assert sorted(json.loads(head.item())) == ["format_version", "inputs", "kind", "records"]
         assert [(a.dtype.str, a.shape) for a in arrays] == [
             ("<f8", net.W1.shape), ("<f8", net.b1.shape), ("<f8", net.W2.shape),
             ("<f8", net.b2.shape)]
@@ -544,9 +556,9 @@ class TestMappingCheckpoint:
     def test_input_digests_are_checked(self, tmp_path, rng):
         inputs = {"factor_models": "a" * 64}
         p = tmp_path / "net.npy"
-        save_mapping(random_net(rng), p, inputs=inputs)
-        _, doc, _ = load_mapping(p, inputs)
-        assert doc["inputs"] == inputs and doc["format_version"] == 8
+        net = random_net(rng)
+        save_mapping(net, p, inputs=inputs)
+        assert load_mapping(p, inputs)[0].W1.tobytes() == net.W1.tobytes()
         for other in ({"factor_models": "c" * 64}, {}):
             with pytest.raises(ValidationError, match="stale mapping checkpoint") as exc:
                 load_mapping(p, other)
@@ -555,24 +567,6 @@ class TestMappingCheckpoint:
     def test_missing(self, tmp_path):
         with pytest.raises(MissingInputError):
             load_mapping(tmp_path / "none.npy")
-
-    def test_other_activation_rejected(self, tmp_path, rng):
-        p = tmp_path / "net.npy"
-        save_mapping(random_net(rng), p)
-        assert load_mapping(p)[1]["activation"] == "tanh"
-        rewrite_header(p, 5, activation="relu")
-        with pytest.raises(ValidationError, match="unsupported activation 'relu'") as exc:
-            load_mapping(p)
-        assert str(p) in str(exc.value)
-
-    def test_missing_activation_rejected(self, tmp_path, rng):
-        p = tmp_path / "net.npy"
-        save_mapping(random_net(rng), p)
-        rewrite_record(p, 5, 0, lambda head: np.array(json.dumps(
-            {k: v for k, v in json.loads(head.item()).items() if k != "activation"})))
-        with pytest.raises(ValidationError, match="missing key 'activation'") as exc:
-            load_mapping(p)
-        assert str(p) in str(exc.value)
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         p = tmp_path / "net.npy"

@@ -14,7 +14,8 @@ binary loading and writing are checked to stay in ``scdr.data`` and
 pickle-free, loading behind ``_typed_arrays``'s checks, and array records
 are checked to be read only where their digest is checked. Factor and mapping training are checked to share one
 epoch loop, the ascents one memo of a point's pass, and the factor
-model's gradients one kernel.
+model's gradients one kernel. Every public name of the package is checked
+to have a reader besides the unit tests.
 """
 
 from __future__ import annotations
@@ -482,3 +483,39 @@ def test_only_the_fit_check_reads_the_scenario_shape():
     assert readers("cli", {"U", "V", "d"}) == set()
     shape = {"n_users", "n_items"}
     assert readers("mapping", shape) | readers("analysis", shape) == {"_check_fit"}
+
+
+def test_every_public_name_has_a_reader():
+    """Each public module-level name of ``src/scdr`` is read outside its own definition.
+
+    A name counts as read when a ``Name`` load, an ``Attribute`` load or a ``from ... import``
+    names it in the package, in the acceptance suite or in the benchmark (the tracer's
+    wrapped attributes included). A public name that only unit tests read is code the CLI,
+    the paper's method and the gates do not need.
+    """
+    sources = sorted((ROOT / "src" / "scdr").glob("*.py"))
+    readers = [*sources, ROOT / "tests" / "test_acceptance.py", *sorted(PERFBENCH.glob("*.py"))]
+    reads = {(name, None, 0) for _, name in load_perfbench("spans").WRAPPED}
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add((node.attr, path, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                reads.update((alias.name, path, node.lineno) for alias in node.names)
+    unread = []
+    for path in sources:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = range(top.lineno, top.end_lineno + 1)
+            unread += [f"{path.stem}.{name}" for name in names if not name.startswith("_")
+                       and not any(read == name and not (where == path and line in own)
+                                   for read, where, line in reads)]
+    assert not unread, f"public names that nothing but unit tests read: {unread}"
