@@ -914,17 +914,22 @@ class TestManifest:
         # count. The bound is one copy of the file.
         assert peak < path.stat().st_size
 
-    def test_json_document_at_snapshot_path_is_not_records(self, tmp_path):
+    @pytest.mark.parametrize("name, what, load, read", [
+        ("r.csv.npy", "unreadable rating snapshot", ingest_domain, "r.csv"),
+        ("f.npy", "malformed factor checkpoint", load_factor_model, "f.npy"),
+        ("net.npy", "malformed mapping checkpoint", load_mapping, "net.npy"),
+    ], ids=["snapshot", "factor", "mapping"])
+    def test_json_document_at_npy_path_is_not_records(self, tmp_path, name, what, load, read):
         scn, sc = generate_synthetic(SyntheticSpec(users=20, items=10, overlap_ratio=0.5,
                                                    dim=2, ratings_per_user=3))
         written_with_snapshot(scn.source, tmp_path / "r.csv")
-        # a JSON document, as a version-1 sidecar was
-        path = tmp_path / "r.csv.npy"
+        # a JSON document, as a version-1 sidecar and a version-2 checkpoint were
+        path = tmp_path / name
         path.write_text(json.dumps({"format_version": 1, "map_kind": sc.map_kind,
                                     "seed": sc.seed}) + "\n")
         with pytest.raises(ValidationError) as exc:
-            ingest_domain(tmp_path / "r.csv")
-        assert f"unreadable rating snapshot {path}: not `np.save` records" in str(exc.value)
+            load(tmp_path / read)
+        assert f"{what} {path}: not `np.save` records" in str(exc.value)
         assert "pickle" not in str(exc.value)
 
     def test_missing_manifest(self, tmp_path):

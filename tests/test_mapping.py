@@ -36,7 +36,7 @@ from scdr.mapping import (
 from scdr.perturbation import PerturbConfig, WorstCase, find_delta
 
 from conftest import (count_ascent_work, load_records, minor_faults, rewrite_header,
-                      same_bits, set_chunk_rows, uneven_scenario)
+                      rewrite_record, same_bits, set_chunk_rows, uneven_scenario)
 
 
 def zero_net(d=3, h=4):
@@ -574,6 +574,57 @@ class TestMappingCheckpoint:
         with open(p, "ab") as fh:
             fh.write(b"\0")
         with pytest.raises(ValidationError, match="trailing bytes after array 4") as exc:
+            load_mapping(p)
+        assert str(p) in str(exc.value)
+
+    def test_wrong_kind_rejected(self, tmp_path, rng):
+        p = tmp_path / "net.npy"
+        save_mapping(random_net(rng), p)
+        rewrite_header(p, 5, kind="factor_model")
+        with pytest.raises(ValidationError, match="not a mapping checkpoint") as exc:
+            load_mapping(p)
+        assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize("key, message", [
+        ("format_version", "not a mapping checkpoint: "),
+        ("kind", "not a mapping checkpoint: "),
+        ("inputs", "stale mapping checkpoint "),
+        ("records", "malformed mapping checkpoint .*: its records do not match"),
+    ], ids=["format_version", "kind", "inputs", "records"])
+    def test_every_header_key_is_required(self, tmp_path, rng, key, message):
+        """A header without one of its four keys is refused naming the file: none of them is
+        an echo that the loader could do without."""
+        p = tmp_path / "net.npy"
+        inputs = {"factor_models": "a" * 64}
+        save_mapping(random_net(rng), p, inputs=inputs)
+        rewrite_record(p, 5, 0, lambda head: np.array(json.dumps(
+            {k: v for k, v in json.loads(head.item()).items() if k != key})))
+        with pytest.raises(ValidationError, match=message) as exc:
+            load_mapping(p, inputs)
+        assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize("position, ndim", [(1, 2), (2, 1), (3, 2), (4, 1)],
+                             ids=["W1", "b1", "W2", "b2"])
+    @pytest.mark.parametrize("convert, message", [
+        (lambda a: a.astype(np.float32), "array {} is not {}-D f8"),
+        (lambda a: a[..., None], "array {} is not {}-D f8"),
+        (lambda a: a.astype(object), "Object arrays cannot be loaded"),
+    ], ids=["float32", "rank-up", "object"])
+    def test_ill_typed_array_rejected(self, tmp_path, rng, convert, message, position, ndim):
+        p = tmp_path / "net.npy"
+        save_mapping(random_net(rng), p)
+        rewrite_record(p, 5, position, convert)
+        with pytest.raises(ValidationError, match=f"malformed mapping checkpoint "
+                                                  f".*{message.format(position, ndim)}") as exc:
+            load_mapping(p)
+        assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize("keep", [0, 50, -1])
+    def test_truncated_checkpoint_rejected(self, tmp_path, rng, keep):
+        p = tmp_path / "net.npy"
+        save_mapping(random_net(rng), p)
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(ValidationError, match="malformed mapping checkpoint") as exc:
             load_mapping(p)
         assert str(p) in str(exc.value)
 
