@@ -27,20 +27,13 @@ from pathlib import Path
 from . import data
 from .errors import DivergenceError, MissingInputError, ValidationError
 
-# Training takes one ascent step per update, as SAM does; the probe, a measurement, takes five.
+# ``synth`` reads the default scenario from SyntheticSpec, its one statement. Training takes
+# one ascent step per update, as SAM does; the probe, a measurement, takes five.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "out": "runs/default",
-    "synth": {
-        "users": 2000,
-        "items": 500,
-        "overlap_ratio": 0.05,
-        "dim": 10,
-        "noise": 0.3,
-        "map_kind": "tanh",
-        "beta": 0.8,
-        "ratings_per_user": 30,
-    },
+    "synth": {f.name: f.default for f in dataclasses.fields(data.SyntheticSpec)
+              if f.name != "seed"},
     "pretrain": {
         "epochs": 30,
         "learning_rate": 0.01,
@@ -217,13 +210,18 @@ def cmd_pretrain(cfg: dict, out: Path, seed: int, force: bool, mode: str) -> Non
     perturb = _perturb_config(section)  # checked in plain mode too, which runs no ascent
     outputs = [out / f"factor_models_{mode}.npy", out / f"source_trace_{mode}.csv",
                out / f"target_trace_{mode}.csv"]
+
+    def fit(domain, dataset):
+        try:
+            return (factorization.train_mf(dataset, train_cfg) if mode == "plain"
+                    else factorization.train_smf(dataset, train_cfg, perturb))
+        except DivergenceError as exc:
+            raise DivergenceError(f"{domain} model: {exc}") from exc
+
     with _check_outputs(outputs, force) as staged:
-        if mode == "plain":
-            src = factorization.train_mf(scenario.source, train_cfg)
-            tgt = factorization.train_mf(scenario.target_training_dataset(), train_cfg)
-        else:
-            src = factorization.train_smf(scenario.source, train_cfg, perturb)
-            tgt = factorization.train_smf(scenario.target_training_dataset(), train_cfg, perturb)
+        src = fit("source", scenario.source)
+        # built once the source has trained, so the two domains' peaks do not add up
+        tgt = fit("target", scenario.target_training_dataset())
         factorization.save_factor_model((src.model, tgt.model), staged[0], scenario.inputs)
         _write_trace(src.loss_trace, staged[1])
         _write_trace(tgt.loss_trace, staged[2])
@@ -296,7 +294,8 @@ def cmd_landscape(cfg: dict, out: Path, seed: int, force: bool, method: str) -> 
         grid = analysis.landscape_grid(net, src_model, tgt_model, scenario, spec)
         analysis.save_landscape(grid, staged)
     print(f"{method}: {grid.loss.shape[0]}x{grid.loss.shape[1]} landscape grid, "
-          f"loss range [{grid.loss.min():.4f}, {grid.loss.max():.4f}]")
+          f"loss range [{grid.loss.min():.4f}, {grid.loss.max():.4f}], "
+          f"averaged over {grid.n_samples} test pairs")
 
 
 def cmd_sharpness(cfg: dict, out: Path, seed: int, force: bool, method: str) -> None:

@@ -638,7 +638,7 @@ def build_scenario(source: DomainDataset, target: DomainDataset, beta: float, se
 
 @dataclass
 class SyntheticSpec:
-    """Descriptor for a generated two-domain scenario.
+    """Descriptor for a generated two-domain scenario; its defaults are the CLI's scenario.
 
     Overlapping users share tokens across domains and their target latent
     vectors are a fixed smooth transform of their source latents:
@@ -650,10 +650,10 @@ class SyntheticSpec:
     items: int = 500
     overlap_ratio: float = 0.05
     dim: int = 10
-    noise: float = 0.1
-    map_kind: str = "linear"
+    noise: float = 0.3
+    map_kind: str = "tanh"
     seed: int = 0
-    beta: float = 0.5
+    beta: float = 0.8
     ratings_per_user: int = 30
 
     def __post_init__(self):

@@ -417,7 +417,7 @@ def _train_mapping(scenario: CdrScenario, source_model: FactorModel, target_mode
 
 
 def emcdr_train(scenario: CdrScenario, source_model: FactorModel, target_model: FactorModel,
-                config: TrainConfig, hidden: int = 50) -> MappingTrainResult:
+                config: TrainConfig, hidden: int = ScdrTrainConfig.hidden) -> MappingTrainResult:
     """Baseline mapping trainer: ``scdr_train`` at zero radius, with frozen
     embeddings and embedding supervision, so MSE between f(u_source) and the
     pretrained target embedding over mapping-train users; the returned

@@ -20,7 +20,7 @@ import scdr.factorization
 import scdr.mapping
 from scdr.analysis import LandscapeSpec, landscape_grid, save_landscape
 from scdr.cli import _check_outputs, load_config, main
-from scdr.errors import ValidationError
+from scdr.errors import DivergenceError, ValidationError
 from scdr.factorization import FactorModel, load_factor_model, save_factor_model
 from scdr.mapping import MappingNet, load_mapping, save_mapping
 
@@ -153,12 +153,14 @@ class TestValidation:
         assert run("synth", "--config", cfg) == 0
         assert run("eval", "--config", cfg, "--method", "emcdr") == 4
 
-    def test_divergence_is_exit_3(self, tmp_path):
+    def test_divergence_is_exit_3(self, tmp_path, capsys):
         cfg_doc = small_config(tmp_path / "run")
         cfg_doc["pretrain"]["learning_rate"] = 50.0
         cfg = write_config(tmp_path, cfg_doc)
         assert run("synth", "--config", cfg) == 0
+        capsys.readouterr()
         assert run("pretrain", "--config", cfg, "--mode", "plain") == 3
+        assert capsys.readouterr().err.startswith("error: source model: training loss ")
         assert not (tmp_path / "run" / "factor_models_plain.npy").exists()
 
     def test_sharpness_aware_divergence_names_epoch(self, tmp_path, capsys):
@@ -171,7 +173,36 @@ class TestValidation:
         capsys.readouterr()
         assert run("pretrain", "--config", cfg, "--mode", "sharpness_aware") == 3
         err = capsys.readouterr().err
-        assert "loss is non-finite at the unperturbed origin (epoch 0, learning_rate 50.0)" in err
+        assert ("source model: loss is non-finite at the unperturbed origin "
+                "(epoch 0, learning_rate 50.0)") in err
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == listing
+
+    @pytest.mark.parametrize("mode, trainer", [("plain", "train_mf"),
+                                               ("sharpness_aware", "train_smf")])
+    def test_target_divergence_names_the_target(self, tmp_path, capsys, monkeypatch, mode,
+                                                trainer):
+        """A divergence in the second trainer call, the target's, names the target model,
+        and nothing is written."""
+        cfg_doc = small_config(tmp_path / "run")
+        cfg_doc["pretrain"]["epochs"] = 1
+        cfg = write_config(tmp_path, cfg_doc)
+        assert run("synth", "--config", cfg) == 0
+        listing = sorted(p.name for p in (tmp_path / "run").iterdir())
+        calls = []
+        real = getattr(scdr.factorization, trainer)
+
+        def second_call_diverges(dataset, *args):
+            calls.append(dataset)
+            if len(calls) == 2:
+                raise DivergenceError("training loss nan", epoch=0, learning_rate=0.01)
+            return real(dataset, *args)
+
+        monkeypatch.setattr(scdr.factorization, trainer, second_call_diverges)
+        capsys.readouterr()
+        assert run("pretrain", "--config", cfg, "--mode", mode) == 3
+        assert capsys.readouterr().err == (
+            "error: target model: training loss nan (epoch 0, learning_rate 0.01)\n")
+        assert len(calls) == 2
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == listing
 
     def test_mapping_divergence_is_exit_3(self, tmp_path, capsys):
@@ -1201,6 +1232,21 @@ class TestDefaultLandscape:
         assert run("landscape", "--config", cfg, "--method", "emcdr") == 0
         lines = (out / "landscape_emcdr.csv").read_text().splitlines()
         assert len(lines) == 1 + 441
+
+    @pytest.mark.parametrize("n_samples", [50, None], ids=["set", "null"])
+    def test_prints_the_pairs_each_point_averages(self, run_copy, capsys, n_samples):
+        """``landscape`` prints how many withheld test pairs each lattice point averages:
+        ``landscape.n_samples``, or min(256, withheld pairs) when that is null."""
+        out, _ = run_copy
+        cfg_doc = small_config(out)
+        cfg_doc["landscape"]["n_samples"] = n_samples
+        cfg = write_config(out.parent, cfg_doc, "landscape.json")
+        capsys.readouterr()
+        assert run("landscape", "--config", cfg, "--method", "scdr", "--force") == 0
+        scenario = scdr.data.load_scenario(out / "scenario.json")
+        withheld = np.isin(scenario.target.user_index, [t for _, t in scenario.test_pairs]).sum()
+        expected = n_samples if n_samples is not None else min(256, withheld)
+        assert capsys.readouterr().out.endswith(f"], averaged over {expected} test pairs\n")
 
     def test_grid_is_drawn_from_the_command_seed(self, run_copy, tmp_path):
         out, cfg = run_copy

@@ -6,8 +6,9 @@ that defines them. A refactor that renames or drops a wrapped name, or that
 moves those callables to another module, breaks or skews a traced benchmark
 run; these checks make it fail the test suite instead. README's example
 config and every benchmark stage config are checked against the keys the
-CLI accepts in the same way, README's file names against the files a run
-writes, and README's import lines against the
+CLI accepts in the same way, the library configs' defaults against the
+CLI's, README's file names against the files a run writes, and README's
+import lines against the
 package's modules, which load only the modules they use. The JSON artifact format and the path from arrays to
 file bytes are checked to stay behind ``scdr.data``'s codec, numpy's
 binary loading and writing are checked to stay in ``scdr.data`` and
@@ -21,6 +22,7 @@ to have a reader besides the unit tests.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -194,6 +196,34 @@ def test_readme_config_block_loads(tmp_path):
 
     # and no documented default drifts from the one the CLI uses
     assert defaults(doc) == defaults(scdr.cli.DEFAULT_CONFIG)
+
+
+def test_library_config_defaults_are_the_cli_defaults():
+    """Each ``DEFAULT_CONFIG`` key that names a defaulted field of a library config built
+    from its section holds that field's default: ``SyntheticSpec`` for ``synth``,
+    ``TrainConfig`` for ``pretrain`` and ``train``, ``LandscapeSpec`` for ``landscape`` and
+    ``ScdrTrainConfig.hidden`` for ``train.hidden``.
+
+    ``synth`` is read from ``SyntheticSpec``. The other sections restate their defaults,
+    because reading them would import ``factorization``, ``mapping`` and ``analysis``
+    whenever ``scdr.cli`` loads: every stage, ``synth`` included, would compile them, at
+    about 1.2 ms per 100 source lines, and ``test_cli.py``'s per-command module sets would
+    break. This test keeps those copies equal.
+    """
+    pairs = [(scdr.data.SyntheticSpec, "synth"), (scdr.factorization.TrainConfig, "pretrain"),
+             (scdr.factorization.TrainConfig, "train"), (scdr.analysis.LandscapeSpec, "landscape"),
+             (scdr.mapping.ScdrTrainConfig, "train")]
+    unchecked = {f"{section}.{key}" for _, section in pairs
+                 for key in scdr.cli.DEFAULT_CONFIG[section]}
+    for config, section in pairs:
+        cli = scdr.cli.DEFAULT_CONFIG[section]
+        for field in dataclasses.fields(config):
+            if field.name in cli and field.default is not dataclasses.MISSING:
+                assert cli[field.name] == field.default, (config.__name__, section, field.name)
+                unchecked.discard(f"{section}.{field.name}")
+    # epochs is a required field, and rho and k fill PerturbConfig, which has no defaults
+    assert unchecked == {"pretrain.epochs", "pretrain.rho", "pretrain.k",
+                         "train.epochs", "train.rho", "train.k"}
 
 
 def test_every_benchmark_stage_config_loads(tmp_path):
